@@ -50,7 +50,7 @@ from .schemes import (
     ftcs_bare_step,
     ftcs_flux,
     ftcs_step,
-    ftcs_step_two_sided,
+    ftcs_update,
     lax_wendroff_step,
     simulate,
     upwind_step,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import CellField, ExactProvider, FaceViscosity, SpaceTimeViscosity
-from .schemes import SchemeConfig, Trajectory, ftcs_step, simulate
+from .schemes import SchemeConfig, Trajectory, _next, _prev, ftcs_update, simulate
 
 _MODES = ("global", "instantaneous")
 _NORMALIZATIONS = ("mean", "sum")
@@ -100,20 +100,22 @@ def loss_value(
 
 
 def grad_mu_instantaneous(
-    u: CellField, exact_next: CellField, mu: FaceViscosity, cfg: SchemeConfig
+    u: np.ndarray, exact_next: np.ndarray, mu: np.ndarray, cfg: SchemeConfig
 ) -> np.ndarray:
     """Gradient of the one-step mean-squared error with respect to each face mu.
 
-    With u' = ftcs_step(u, mu) and r_i = (2/N)*(u'_i - e_i), face i+1/2 enters
-    the updates of cells i and i+1 with opposite signs, giving
+    Takes plain arrays: the state ``u``, the target ``exact_next`` and the face
+    viscosity ``mu``, each of length n_cells. With u' = ftcs_update(u, mu) and
+    r_i = (2/N)*(u'_i - e_i), face i+1/2 enters the updates of cells i and
+    i+1 with opposite signs, giving
 
         dL/dmu_{i+1/2} = (dt/dx^2) * (u_{i+1} - u_i) * (r_i - r_{i+1}).
     """
-    u_next = ftcs_step(u, mu, cfg)
-    n = cfg.grid.n_cells
-    r = (2.0 / n) * (u_next.values - exact_next.values)
-    du = np.roll(u.values, -1) - u.values
-    return (cfg.dt / cfg.grid.dx**2) * du * (r - np.roll(r, -1))
+    if exact_next.shape != u.shape:
+        raise ValueError(f"exact_next has shape {exact_next.shape}, u has {u.shape}")
+    u_next = ftcs_update(u, mu, cfg)
+    r = (2.0 / cfg.grid.n_cells) * (u_next - exact_next)
+    return _mu_contraction(u, r, cfg)
 
 
 def step_transpose_apply(v: CellField, mu: FaceViscosity, cfg: SchemeConfig) -> CellField:
@@ -126,21 +128,21 @@ def step_transpose_apply(v: CellField, mu: FaceViscosity, cfg: SchemeConfig) -> 
                     + (dt/dx^2)*[mu_{j+1/2}*(v_{j+1} - v_j) - mu_{j-1/2}*(v_j - v_{j-1})].
     """
     vv = v.values
-    vp = np.roll(vv, -1)
-    vm = np.roll(vv, 1)
+    vp = _next(vv)
+    vm = _prev(vv)
     k = cfg.dt / cfg.grid.dx**2
     out = (
         vv
         + 0.5 * cfg.cfl * (vp - vm)
-        + k * (mu.values * (vp - vv) - np.roll(mu.values, 1) * (vv - vm))
+        + k * (mu.values * (vp - vv) - _prev(mu.values) * (vv - vm))
     )
     return CellField(out, v.grid)
 
 
 def _mu_contraction(u_n: np.ndarray, lam_next: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
     """d(step)/dmu at state u^n contracted against the incoming adjoint."""
-    du = np.roll(u_n, -1) - u_n
-    return (cfg.dt / cfg.grid.dx**2) * du * (lam_next - np.roll(lam_next, -1))
+    du = _next(u_n) - u_n
+    return (cfg.dt / cfg.grid.dx**2) * du * (lam_next - _next(lam_next))
 
 
 def grad_mu_global(

@@ -36,6 +36,8 @@ class InitialCondition:
             raise ConfigError(f"initial_condition kind must be 'hat' or 'sine', got {self.kind!r}")
         if self.kind == "sine" and (self.wavenumber < 1 or int(self.wavenumber) != self.wavenumber):
             raise ConfigError("sine wavenumber must be a positive integer")
+        if not np.isfinite(self.amplitude):
+            raise ConfigError("initial_condition amplitude must be finite")
 
     def hat_profile(self) -> HatProfile:
         return HatProfile(lo=self.lo, hi=self.hi, amplitude=self.amplitude)
@@ -92,6 +94,11 @@ class ExperimentConfig:
         if abs(ratio - n) > 0.5 * np.spacing(max(abs(ratio), 1.0)):
             raise ConfigError(
                 f"t_final/dt = {ratio!r} is not a whole number of steps"
+            )
+        if self.ic.kind == "hat" and not (0.0 <= self.ic.lo < self.ic.hi <= self.length):
+            raise ConfigError(
+                f"hat edges must satisfy 0 <= lo < hi <= length = {self.length!r}, "
+                f"got lo = {self.ic.lo!r}, hi = {self.ic.hi!r}"
             )
         if self.mu is not None and not np.isfinite(self.mu):
             raise ConfigError("mu must be finite")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .adjoint import LossSpec, grad_mu_global, grad_mu_instantaneous, loss_value
 from .grid import CellField, ExactProvider, FaceViscosity, SpaceTimeViscosity
-from .schemes import DivergenceError, SchemeConfig, Trajectory, ftcs_step, simulate
+from .schemes import DivergenceError, SchemeConfig, Trajectory, _next, _prev, ftcs_step, simulate
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def regularizer_gradient(mu: np.ndarray, opt: OptimizerConfig) -> np.ndarray:
     g = 2.0 * opt.l2_penalty * mu
     if opt.smooth_penalty > 0:
         g = g + 2.0 * opt.smooth_penalty * (
-            2.0 * mu - np.roll(mu, 1, axis=-1) - np.roll(mu, -1, axis=-1)
+            2.0 * mu - _prev(mu) - _next(mu)
         )
     return g
 
@@ -114,6 +114,7 @@ def train_per_step(
         raise ValueError("n_steps must be a positive integer")
     grid = cfg.grid
     init = opt.resolve_init(cfg)
+    lr, lo, hi = opt.learning_rate, opt.mu_min, opt.mu_max
     threshold = magnitude_guard * max(float(np.max(np.abs(u0.values))), 1.0)
 
     mu = np.full(grid.n_cells, init)
@@ -128,10 +129,13 @@ def train_per_step(
         if not opt.warm_start:
             mu = np.full(grid.n_cells, init)
         exact_next = exact_provider((n + 1) * cfg.dt)
+        # Inner iterations dominate the run time, so they step plain arrays;
+        # only the advancing step below builds (and validates) containers.
+        uv, target = u.values, exact_next.values
         for _ in range(opt.n_iters):
-            g = grad_mu_instantaneous(u, exact_next, FaceViscosity(mu, grid), cfg)
+            g = grad_mu_instantaneous(uv, target, mu, cfg)
             g += regularizer_gradient(mu, opt)
-            mu = np.clip(mu - opt.learning_rate * g, opt.mu_min, opt.mu_max)
+            mu = (mu - lr * g).clip(lo, hi)
         try:
             u_next = ftcs_step(u, FaceViscosity(mu, grid), cfg)
         except DivergenceError:

@@ -99,6 +99,33 @@ def _check_grid(field, cfg: SchemeConfig) -> None:
         raise ValueError("field grid does not match scheme configuration grid")
 
 
+def _next(a: np.ndarray) -> np.ndarray:
+    """Periodic neighbour along the last axis: out[..., i] = a[..., (i + 1) % n].
+
+    Equal to np.roll(a, -1, axis=-1), built from two slice copies.
+    """
+    out = np.empty_like(a)
+    out[..., :-1] = a[..., 1:]
+    out[..., -1] = a[..., 0]
+    return out
+
+
+def _prev(a: np.ndarray) -> np.ndarray:
+    """Periodic neighbour along the last axis: out[..., i] = a[..., (i - 1) % n].
+
+    Equal to np.roll(a, 1, axis=-1), built from two slice copies.
+    """
+    out = np.empty_like(a)
+    out[..., 1:] = a[..., :-1]
+    out[..., 0] = a[..., -1]
+    return out
+
+
+def _flux(u: np.ndarray, mu: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
+    up = _next(u)
+    return cfg.c * 0.5 * (up + u) - (mu / cfg.grid.dx) * (up - u)
+
+
 def ftcs_flux(u: CellField, mu: FaceViscosity, cfg: SchemeConfig) -> np.ndarray:
     """Central advective flux minus face-viscosity jump term, per face.
 
@@ -106,44 +133,32 @@ def ftcs_flux(u: CellField, mu: FaceViscosity, cfg: SchemeConfig) -> np.ndarray:
     """
     _check_grid(u, cfg)
     _check_grid(mu, cfg)
-    uv = u.values
-    up = np.roll(uv, -1)
-    return cfg.c * 0.5 * (up + uv) - (mu.values / cfg.grid.dx) * (up - uv)
+    return _flux(u.values, mu.values, cfg)
+
+
+def ftcs_update(u: np.ndarray, mu: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
+    """The FTCS kernel on plain arrays: u' = u - (dt/dx)*(F_{i+1/2} - F_{i-1/2}).
+
+    ``u`` (cells) and ``mu`` (faces) are float arrays of length n_cells; the
+    new state is returned as a fresh array. ``ftcs_step`` and the
+    instantaneous gradient both step through here. Raises DivergenceError if
+    an entry of the new state is non-finite.
+    """
+    n = cfg.grid.n_cells
+    if u.shape != (n,) or mu.shape != (n,):
+        raise ValueError(f"u and mu must have shape ({n},), got {u.shape} and {mu.shape}")
+    flux = _flux(u, mu, cfg)
+    out = u - (cfg.dt / cfg.grid.dx) * (flux - _prev(flux))
+    if not np.isfinite(out).all():
+        raise DivergenceError("FTCS update produced a non-finite state")
+    return out
 
 
 def ftcs_step(u: CellField, mu: FaceViscosity, cfg: SchemeConfig) -> CellField:
     """One conservative forward-Euler step u' = u - (dt/dx)*(F_{i+1/2} - F_{i-1/2})."""
-    flux = ftcs_flux(u, mu, cfg)
-    out = u.values - (cfg.dt / cfg.grid.dx) * (flux - np.roll(flux, 1))
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError("ftcs_step produced a non-finite state")
-    return CellField(out, u.grid)
-
-
-def ftcs_step_two_sided(
-    u: CellField, mu_plus: FaceViscosity, mu_minus: FaceViscosity, cfg: SchemeConfig
-) -> CellField:
-    """Cellwise two-sided form: cell i sees mu_i^+ at its right face, mu_i^- at its left.
-
-    With mu_i^+ = mu_{i+1}^- the update coincides with the conservative
-    ``ftcs_step`` under the face identification mu_{i+1/2} = mu_i^+. With
-    mu^+ = mu^- = mu it is the plain non-conservative cellwise update.
-    """
     _check_grid(u, cfg)
-    _check_grid(mu_plus, cfg)
-    _check_grid(mu_minus, cfg)
-    uv = u.values
-    up = np.roll(uv, -1)
-    um = np.roll(uv, 1)
-    k = cfg.dt / cfg.grid.dx**2
-    out = (
-        uv
-        - 0.5 * cfg.cfl * (up - um)
-        + k * (mu_plus.values * (up - uv) - mu_minus.values * (uv - um))
-    )
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError("two-sided step produced a non-finite state")
-    return CellField(out, u.grid)
+    _check_grid(mu, cfg)
+    return CellField(ftcs_update(u.values, mu.values, cfg), u.grid)
 
 
 def upwind_step(u: CellField, cfg: SchemeConfig) -> CellField:

@@ -2,11 +2,16 @@
 
 Everything here is deliberately written with plain Python loops and lists,
 not numpy stencils, so it shares no code path with the package under test.
+The one exception is ``reference_train_per_step``: it pins the per-step
+trainer bit for bit, so it repeats the trainer's numpy operations in their
+original order, with np.roll for every periodic neighbour.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def naive_hat(n: int, dx: float, t: float, c: float = 1.0,
@@ -87,3 +92,37 @@ def naive_amplification_magnitude(theta: float, cfl: float, d: float) -> float:
     real = 1.0 - 4.0 * d * math.sin(theta / 2.0) ** 2
     imag = -cfl * math.sin(theta)
     return math.hypot(real, imag)
+
+
+def reference_train_per_step(u0, exacts, c, dt, dx, learning_rate, n_iters, mu_min, mu_max,
+                             l2_penalty, smooth_penalty, init_mu, warm_start):
+    """Per-step projected gradient descent, written out with np.roll.
+
+    ``exacts[m]`` is the target state of step m. Returns the (n_steps, n)
+    viscosity history and the (n_steps + 1, n) states. No divergence guard.
+    """
+    def step(u, mu):
+        up = np.roll(u, -1)
+        flux = c * 0.5 * (up + u) - (mu / dx) * (up - u)
+        return u - (dt / dx) * (flux - np.roll(flux, 1))
+
+    n = len(u0)
+    u = np.array(u0, dtype=float)
+    mu = np.full(n, init_mu)
+    history, states = [], [u]
+    for m in range(1, len(exacts)):
+        if not warm_start:
+            mu = np.full(n, init_mu)
+        for _ in range(n_iters):
+            r = (2.0 / n) * (step(u, mu) - exacts[m])
+            du = np.roll(u, -1) - u
+            g = (dt / dx**2) * du * (r - np.roll(r, -1))
+            reg = 2.0 * l2_penalty * mu
+            if smooth_penalty > 0:
+                reg = reg + 2.0 * smooth_penalty * (2.0 * mu - np.roll(mu, 1) - np.roll(mu, -1))
+            g += reg
+            mu = np.clip(mu - learning_rate * g, mu_min, mu_max)
+        u = step(u, mu)
+        history.append(mu)
+        states.append(u)
+    return np.array(history), np.array(states)

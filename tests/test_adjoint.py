@@ -114,20 +114,26 @@ class TestInstantaneousGradient:
         u = CellField(np.full(12, 4.0), grid)
         mu = FaceViscosity(np.linspace(0, 0.09, 12), grid)
         target = CellField(np.zeros(12), grid)
-        assert np.array_equal(grad_mu_instantaneous(u, target, mu, cfg), np.zeros(12))
+        grad = grad_mu_instantaneous(u.values, target.values, mu.values, cfg)
+        assert np.array_equal(grad, np.zeros(12))
 
     def test_zero_residual_zero_gradient(self):
         cfg, u0, mu_st, _ = toy_problem()
         mu = mu_st.at_step(0)
         target = ftcs_step(u0, mu, cfg)
-        grad = grad_mu_instantaneous(u0, target, mu, cfg)
+        grad = grad_mu_instantaneous(u0.values, target.values, mu.values, cfg)
         assert np.array_equal(grad, np.zeros(16))
+
+    def test_rejects_target_of_another_shape(self):
+        cfg, u0, mu_st, _ = toy_problem()
+        with pytest.raises(ValueError):
+            grad_mu_instantaneous(u0.values, np.zeros(1), mu_st.values[0], cfg)
 
     def test_matches_central_differences(self):
         cfg, u0, mu_st, provider = toy_problem(seed=3)
         mu = mu_st.at_step(0)
         target = provider(cfg.dt)
-        grad = grad_mu_instantaneous(u0, target, mu, cfg)
+        grad = grad_mu_instantaneous(u0.values, target.values, mu.values, cfg)
         n = cfg.grid.n_cells
         fd = np.zeros(n)
         for f in range(n):
@@ -145,7 +151,9 @@ class TestGlobalGradient:
     def test_single_step_reduces_to_instantaneous(self):
         cfg, u0, mu_st, provider = toy_problem()
         single = SpaceTimeViscosity(mu_st.values[:1], cfg.grid)
-        g_inst = grad_mu_instantaneous(u0, provider(cfg.dt), single.at_step(0), cfg)
+        g_inst = grad_mu_instantaneous(
+            u0.values, provider(cfg.dt).values, single.values[0], cfg
+        )
         g_glob = grad_mu_global(u0, single, cfg, provider)
         assert np.allclose(g_glob[0], g_inst, rtol=1e-13, atol=1e-18)
 

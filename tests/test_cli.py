@@ -92,6 +92,18 @@ class TestRunCommand:
     def test_missing_config_exits_3(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.cfg")]) == 3
 
+    @pytest.mark.parametrize("ic", [
+        "kind = hat\nlo = 0.5\nhi = 1.5",
+        "kind = hat\nlo = 0.6\nhi = 0.4",
+        "kind = hat\namplitude = inf",
+        "kind = sine\namplitude = nan",
+    ], ids=["hat_hi_past_domain", "hat_lo_above_hi", "hat_amp_inf", "sine_amp_nan"])
+    def test_bad_initial_condition_exits_3(self, tmp_path, capsys, ic):
+        cfg_path, _ = write_config(tmp_path)
+        cfg_path.write_text(cfg_path.read_text().replace("kind = hat\n", ic + "\n"))
+        assert main(["run", "--config", str(cfg_path)]) == 3
+        assert "config error" in capsys.readouterr().err
+
     def test_out_flag_overrides_directory(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, t_final=0.01)
         override = tmp_path / "elsewhere"

@@ -19,7 +19,9 @@ from advisc.optimizer import (
     train_global,
     train_per_step,
 )
-from advisc.schemes import SchemeConfig, simulate
+from advisc.schemes import DivergenceError, SchemeConfig, simulate
+
+from oracles import reference_train_per_step
 
 PAPER_BOUNDS = (-5e-3, 9.5e-2)
 
@@ -165,6 +167,34 @@ class TestTrainPerStep:
         assert np.array_equal(a.final_mu.values, b.final_mu.values)
         assert a.loss_history == b.loss_history
         assert np.array_equal(a.trajectory.array, b.trajectory.array)
+
+    @pytest.mark.parametrize("warm_start", [True, False], ids=["warm", "cold"])
+    def test_bit_identical_to_roll_reference(self, warm_start):
+        cfg, u0, provider = toy_problem(n=20)  # dx = 0.05: divisions by dx round
+        opt = OptimizerConfig(learning_rate=0.5, n_iters=25, l2_penalty=1e-3,
+                              smooth_penalty=1e-2, init_mu=0.01, warm_start=warm_start)
+        n_steps = 12
+        report = train_per_step(u0, n_steps, cfg, opt, provider)
+        history, states = reference_train_per_step(
+            u0.values, [provider(m * cfg.dt).values for m in range(n_steps + 1)],
+            cfg.c, cfg.dt, cfg.grid.dx, opt.learning_rate, opt.n_iters, opt.mu_min,
+            opt.mu_max, opt.l2_penalty, opt.smooth_penalty, opt.init_mu, warm_start,
+        )
+        assert np.array_equal(report.final_mu.values, history)
+        assert np.array_equal(report.trajectory.array, states)
+        # the projection is active on some faces and the penalties shape the rest
+        assert np.any(history == opt.mu_min) or np.any(history == opt.mu_max)
+        assert np.any((history > opt.mu_min) & (history < opt.mu_max) & (history != 0.01))
+
+    def test_overflow_inside_inner_loop_raises_divergence(self):
+        grid = make_grid(16, 1.0)
+        cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
+        profile = HatProfile(amplitude=1e308)
+        u0 = exact_solution(profile, grid, 1.0, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError):
+                train_per_step(u0, 3, cfg, OptimizerConfig(n_iters=2),
+                               hat_provider(profile, grid, 1.0))
 
     def test_cold_start_differs_from_warm_start(self):
         cfg, u0, provider = toy_problem()

@@ -9,7 +9,7 @@ from advisc.schemes import (
     ftcs_bare_step,
     ftcs_flux,
     ftcs_step,
-    ftcs_step_two_sided,
+    ftcs_update,
     lax_wendroff_step,
     simulate,
     upwind_step,
@@ -74,6 +74,13 @@ class TestFtcsStep:
         mu0 = FaceViscosity(np.zeros(12), cfg.grid)
         assert np.array_equal(ftcs_step(u, mu0, cfg).values, ftcs_bare_step(u, cfg).values)
 
+    def test_kernel_rejects_shapes_off_the_grid(self):
+        cfg = small_config(n=5, length=0.05)
+        with pytest.raises(ValueError):
+            ftcs_update(np.zeros(5), np.zeros(1), cfg)  # would broadcast
+        with pytest.raises(ValueError):
+            ftcs_update(np.zeros(4), np.zeros(4), cfg)
+
     def test_matches_loop_oracle(self):
         cfg = small_config(n=9, length=0.09)
         rng = np.random.default_rng(2)
@@ -134,32 +141,6 @@ class TestFtcsStep:
         combined = step(a * u + b * v)
         separate = a * step(u) + b * step(v)
         assert np.allclose(combined, separate, rtol=1e-13, atol=1e-15)
-
-
-class TestTwoSidedForm:
-    def test_face_identification_reproduces_conservative_step(self):
-        cfg = small_config(n=14, length=0.14)
-        rng = np.random.default_rng(6)
-        u = CellField(rng.uniform(-1, 1, 14), cfg.grid)
-        face = rng.uniform(-0.005, 0.095, 14)
-        # mu_i^+ = mu_{i+1/2}, mu_i^- = mu_{i-1/2}
-        mu_plus = FaceViscosity(face, cfg.grid)
-        mu_minus = FaceViscosity(np.roll(face, 1), cfg.grid)
-        two_sided = ftcs_step_two_sided(u, mu_plus, mu_minus, cfg)
-        conservative = ftcs_step(u, FaceViscosity(face, cfg.grid), cfg)
-        assert np.allclose(two_sided.values, conservative.values, rtol=1e-13, atol=1e-15)
-
-    def test_cellwise_equals_conservative_only_when_uniform(self):
-        cfg = small_config(n=10, length=0.1)
-        rng = np.random.default_rng(7)
-        u = CellField(rng.uniform(-1, 1, 10), cfg.grid)
-        uniform = FaceViscosity(np.full(10, 0.03), cfg.grid)
-        cellwise = ftcs_step_two_sided(u, uniform, uniform, cfg)
-        assert np.allclose(cellwise.values, ftcs_step(u, uniform, cfg).values, atol=1e-16)
-        varying = rng.uniform(0.0, 0.09, 10)
-        mu_var = FaceViscosity(varying, cfg.grid)
-        cellwise = ftcs_step_two_sided(u, mu_var, mu_var, cfg)
-        assert not np.allclose(cellwise.values, ftcs_step(u, mu_var, cfg).values)
 
 
 class TestUpwind:
