@@ -1,7 +1,6 @@
 """Learned space-time artificial viscosity closures for 1D linear advection."""
 
 from .adjoint import (
-    AdjointState,
     LossSpec,
     fd_gradient,
     grad_mu_global,
@@ -29,7 +28,6 @@ from .grid import (
     exact_solution,
     hat_provider,
     make_grid,
-    periodic_shift,
     sine_provider,
     sine_solution,
 )
@@ -37,7 +35,6 @@ from .optimizer import (
     OptimizerConfig,
     TrainingReport,
     constant_mu_grid_search,
-    project_bounds,
     regularizer_gradient,
     train_global,
     train_per_step,

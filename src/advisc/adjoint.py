@@ -48,13 +48,6 @@ class LossSpec:
             object.__setattr__(self, "weights", w)
 
 
-@dataclass(frozen=True)
-class AdjointState:
-    """Adjoint fields lambda^0 .. lambda^M produced by the reverse sweep."""
-
-    lambdas: tuple[CellField, ...]
-
-
 def _step_coefficients(spec: LossSpec, n_steps: int, n_cells: int) -> np.ndarray:
     """Multiplier of sum_i (u_i^n - e_i^n)^2 for each step n = 1 .. M."""
     if spec.weights is not None and len(spec.weights) != n_steps:
@@ -84,7 +77,7 @@ def loss_value(
         m = n_steps if step is None else step
         if not 1 <= m <= n_steps:
             raise ValueError(f"step must be in 1 .. {n_steps}")
-        err = traj.states[m].values - exact_provider(m * dt).values
+        err = traj.states[m] - exact_provider(m * dt).values
         total = float(np.sum(err * err))
         return total / n if spec.normalization == "mean" else total
     if step is not None:
@@ -94,7 +87,7 @@ def loss_value(
     coefs = _step_coefficients(spec, n_steps, n)
     total = 0.0
     for m in range(1, n_steps + 1):
-        err = traj.states[m].values - exact_provider(m * dt).values
+        err = traj.states[m] - exact_provider(m * dt).values
         total += coefs[m - 1] * float(np.sum(err * err))
     return total
 
@@ -118,25 +111,27 @@ def grad_mu_instantaneous(
     return _mu_contraction(u, r, cfg)
 
 
-def step_transpose_apply(v: CellField, mu: FaceViscosity, cfg: SchemeConfig) -> CellField:
-    """Apply the transpose of the (state-linear) step operator to v.
+def step_transpose_update(v: np.ndarray, mu: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
+    """Apply the transpose of the (state-linear) step operator to the array v.
 
     The transpose is the same stencil with the advection direction reversed
     and the viscous part unchanged:
 
         (A^T v)_j = v_j + (cfl/2)*(v_{j+1} - v_{j-1})
                     + (dt/dx^2)*[mu_{j+1/2}*(v_{j+1} - v_j) - mu_{j-1/2}*(v_j - v_{j-1})].
+
+    ``v`` (cells) and ``mu`` (faces) are plain arrays of length n_cells; the
+    adjoint reverse sweep steps through here.
     """
-    vv = v.values
-    vp = _next(vv)
-    vm = _prev(vv)
+    vp = _next(v)
+    vm = _prev(v)
     k = cfg.dt / cfg.grid.dx**2
-    out = (
-        vv
-        + 0.5 * cfg.cfl * (vp - vm)
-        + k * (mu.values * (vp - vv) - _prev(mu.values) * (vv - vm))
-    )
-    return CellField(out, v.grid)
+    return v + 0.5 * cfg.cfl * (vp - vm) + k * (mu * (vp - v) - _prev(mu) * (v - vm))
+
+
+def step_transpose_apply(v: CellField, mu: FaceViscosity, cfg: SchemeConfig) -> CellField:
+    """Container form of ``step_transpose_update``."""
+    return CellField(step_transpose_update(v.values, mu.values, cfg), v.grid)
 
 
 def _mu_contraction(u_n: np.ndarray, lam_next: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
@@ -151,8 +146,7 @@ def grad_mu_global(
     cfg: SchemeConfig,
     exact_provider: ExactProvider,
     spec: LossSpec = LossSpec(),
-    return_adjoint: bool = False,
-):
+) -> np.ndarray:
     """Gradient of the global loss with respect to every face/step viscosity.
 
     One forward sweep records states u^0 .. u^M; the reverse sweep runs
@@ -161,8 +155,7 @@ def grad_mu_global(
 
     and the gradient at step n is lambda^{n+1} contracted against the step's
     mu-sensitivity at u^n. Raises DivergenceError if the forward sweep blows
-    up. Returns the (n_steps, n_faces) gradient array, plus the AdjointState
-    when return_adjoint is set.
+    up. Returns the (n_steps, n_faces) gradient array.
     """
     if spec.mode != "global":
         raise ValueError("grad_mu_global requires a global-mode LossSpec")
@@ -171,28 +164,21 @@ def grad_mu_global(
         raise ValueError("mu_st must cover at least one step")
     n = cfg.grid.n_cells
     dt = cfg.dt
-    traj = simulate(u0, n_steps, cfg, scheme="ftcs_mu", mu=mu_st)
+    states = simulate(u0, n_steps, cfg, scheme="ftcs_mu", mu=mu_st).states
+    mu = mu_st.values
     coefs = _step_coefficients(spec, n_steps, n)
 
     def dj_du(m: int) -> np.ndarray:
-        err = traj.states[m].values - exact_provider(m * dt).values
+        err = states[m] - exact_provider(m * dt).values
         return 2.0 * coefs[m - 1] * err
 
     grad = np.empty((n_steps, n))
     lam = dj_du(n_steps)
-    lambdas = [lam]
-    grad[n_steps - 1] = _mu_contraction(traj.states[n_steps - 1].values, lam, cfg)
+    grad[n_steps - 1] = _mu_contraction(states[n_steps - 1], lam, cfg)
     for m in range(n_steps - 1, 0, -1):
-        lam_field = step_transpose_apply(CellField(lam, cfg.grid), mu_st.at_step(m), cfg)
-        lam = lam_field.values + dj_du(m)
-        lambdas.append(lam)
-        grad[m - 1] = _mu_contraction(traj.states[m - 1].values, lam, cfg)
-    if not return_adjoint:
-        return grad
-    lam0 = step_transpose_apply(CellField(lam, cfg.grid), mu_st.at_step(0), cfg)
-    lambdas.append(lam0.values)
-    fields = tuple(CellField(x, cfg.grid) for x in reversed(lambdas))
-    return grad, AdjointState(lambdas=fields)
+        lam = step_transpose_update(lam, mu[m], cfg) + dj_du(m)
+        grad[m - 1] = _mu_contraction(states[m - 1], lam, cfg)
+    return grad
 
 
 def fd_gradient(

@@ -23,7 +23,7 @@ from .config import (
     config_to_dict,
     load_config,
 )
-from .diagnostics import entropy_report, error_field, mse, mu_stats, total_variation
+from .diagnostics import entropy_series, error_field, mse, mu_stats, mu_summary, summary_stats
 from .grid import (
     CellField,
     ExactProvider,
@@ -48,7 +48,7 @@ from .runio import (
     write_matrix_csv,
     write_series_csv,
 )
-from .schemes import DivergenceError, SchemeConfig, Trajectory, ftcs_step, simulate
+from .schemes import DivergenceError, SchemeConfig, Trajectory, ftcs_update, simulate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -73,34 +73,31 @@ def _build_problem(cfg: ExperimentConfig) -> tuple[SchemeConfig, CellField, Exac
     return scheme_cfg, u0, provider
 
 
-def _trajectory_stats(cfg: ExperimentConfig, traj: Trajectory, provider: ExactProvider) -> dict:
-    grid = traj.config.grid
-    final = traj.states[-1]
-    report = entropy_report(traj, include_dissipation=False)
-    stats = {
-        "mse_final": mse(final, provider(traj.n_steps * traj.config.dt)),
-        "entropy_initial": float(report.total_entropy[0]),
-        "entropy_final": float(report.total_entropy[-1]),
-        "max_per_step_entropy_increase": float(np.max(report.per_step_delta, initial=0.0)),
-        "total_variation_final": total_variation(final),
-        "mass_initial": float(np.sum(traj.states[0].values)) * grid.dx,
-        "mass_final": float(np.sum(final.values)) * grid.dx,
-        "max_abs_final": float(np.max(np.abs(final.values))),
-    }
-    return stats
-
-
 def _mu_summary(cfg: ExperimentConfig, mu_st: SpaceTimeViscosity, traj: Trajectory) -> dict:
-    values = mu_st.values
-    out = {
-        "mu_min": float(np.min(values)),
-        "mu_max": float(np.max(values)),
-        "fraction_negative": float(np.mean(values < 0)),
-    }
+    out = mu_summary(mu_st.values)
     if cfg.ic.kind == "hat":
         stats = mu_stats(mu_st, traj, cfg.ic.hat_profile(), radius=0.05)
         out["negative_mass_near_discontinuity"] = stats.negative_mass_near_discontinuity
     return out
+
+
+def _clear_previous_run(out_dir: Path) -> None:
+    """Delete the files of the run last written into ``out_dir``.
+
+    The manifest goes first, so a half-cleared directory never looks like a
+    finished run; then every file it listed, and analysis.json. Files the
+    manifest did not list stay.
+    """
+    manifest_path = out_dir / MANIFEST_NAME
+    if not manifest_path.is_file():
+        return
+    listed = [entry["name"] for entry in read_json(manifest_path).get("files", [])]
+    manifest_path.unlink()
+    for name in listed + [ANALYSIS_NAME]:
+        path = out_dir / name
+        # Only plain names inside out_dir; a manifest entry cannot reach elsewhere.
+        if Path(name).name == name and path.is_file():
+            path.unlink()
 
 
 def _write_run_files(
@@ -118,23 +115,22 @@ def _write_run_files(
         files.append({"name": name, "role": role})
 
     if cfg.output.write_solution:
-        write_matrix_csv(out_dir / "solution.csv", times, traj.array)
+        write_matrix_csv(out_dir / "solution.csv", times, traj.states)
         record("solution.csv", "solution")
     final = traj.states[-1]
-    exact_final = provider(times[-1])
+    exact_final = provider(times[-1]).values
     write_columns_csv(
         out_dir / "final_state.csv",
         ["x", "u", "exact", "error"],
-        [grid.cell_centers, final.values, exact_final.values,
-         final.values - exact_final.values],
+        [grid.cell_centers, final, exact_final, final - exact_final],
     )
     record("final_state.csv", "final_state")
     if cfg.output.write_error:
         write_matrix_csv(out_dir / "error.csv", times, error_field(traj, provider))
         record("error.csv", "error_field")
     if cfg.output.write_entropy:
-        entropy = entropy_report(traj, include_dissipation=False)
-        write_series_csv(out_dir / "entropy.csv", "t", "entropy", times, entropy.total_entropy)
+        write_series_csv(out_dir / "entropy.csv", "t", "entropy", times,
+                         entropy_series(traj.states, grid.dx))
         record("entropy.csv", "entropy_series")
 
     if report is not None:
@@ -196,6 +192,7 @@ def cmd_run(cfg: ExperimentConfig, seed: int = 0) -> int:
         if cfg.mu is None:
             raise ConfigError("scheme 'ftcs_mu' requires the 'mu' key for plain runs")
         mu = FaceViscosity(np.full(cfg.n_cells, cfg.mu), scheme_cfg.grid)
+    _clear_previous_run(out_dir)
 
     status = "ok"
     extra: dict = {}
@@ -205,14 +202,13 @@ def cmd_run(cfg: ExperimentConfig, seed: int = 0) -> int:
         status = "divergence"
         extra = {"diverged_at_step": err.step}
         traj = err.trajectory
-        if traj is None or traj.n_steps == 0:
-            traj = Trajectory(states=(u0,), config=scheme_cfg)
 
     files = _write_run_files(cfg, out_dir, traj, provider)
     if status == "divergence":
         for entry in files:
             entry["partial"] = True
-    summary = {"stats": _trajectory_stats(cfg, traj, provider), "status": status}
+    stats = summary_stats(traj.states, provider(traj.times[-1]).values, scheme_cfg.grid.dx)
+    summary = {"stats": stats, "status": status}
     write_json(out_dir / "summary.json", summary)
     _finish_manifest(cfg, out_dir, files, seed, t_start, status, extra)
     return EXIT_OK if status == "ok" else EXIT_DIVERGENCE
@@ -234,6 +230,7 @@ def cmd_train(cfg: ExperimentConfig, seed: int | None = None) -> int:
     scheme_cfg, u0, provider = _build_problem(cfg)
     if cfg.n_steps < 1:
         raise ConfigError("training requires t_final >= dt (at least one step)")
+    _clear_previous_run(out_dir)
 
     if cfg.training.mode == "per_step":
         report = train_per_step(u0, cfg.n_steps, scheme_cfg, opt, provider)
@@ -247,15 +244,15 @@ def cmd_train(cfg: ExperimentConfig, seed: int | None = None) -> int:
     else:
         status = "no_convergence"
 
-    files = _write_run_files(cfg, out_dir, report.trajectory, provider, report)
+    traj = report.trajectory
+    files = _write_run_files(cfg, out_dir, traj, provider, report)
     if status != "ok":
         for entry in files:
             entry["partial"] = True
-    entropy = entropy_report(report.trajectory, include_dissipation=False)
-    s0 = entropy.total_entropy[0]
+    stats = summary_stats(traj.states, provider(traj.times[-1]).values, scheme_cfg.grid.dx)
     summary = {
-        "stats": _trajectory_stats(cfg, report.trajectory, provider),
-        "mu": _mu_summary(cfg, report.final_mu, report.trajectory),
+        "stats": stats,
+        "mu": _mu_summary(cfg, report.final_mu, traj),
         "training": {
             "mode": cfg.training.mode,
             "converged": report.converged,
@@ -266,47 +263,46 @@ def cmd_train(cfg: ExperimentConfig, seed: int | None = None) -> int:
             "n_recorded_losses": len(report.loss_history),
         },
         "verdicts": {
-            "entropy_nonincreasing_global": bool(
-                entropy.total_entropy[-1] <= entropy.total_entropy[0]
-            ),
-            "entropy_step_increase_warning": bool(
-                np.max(entropy.per_step_delta, initial=0.0) > 1e-6 * s0
-            ),
+            "entropy_nonincreasing_global": stats["entropy_final"] <= stats["entropy_initial"],
+            "entropy_step_increase_warning":
+                stats["max_per_step_entropy_increase"] > 1e-6 * stats["entropy_initial"],
         },
         "status": status,
     }
     write_json(out_dir / "summary.json", summary)
-    extra = {"diverged_at_step": report.trajectory.n_steps} if status == "divergence" else {}
+    extra = {"diverged_at_step": traj.n_steps} if status == "divergence" else {}
     _finish_manifest(cfg, out_dir, files, opt.seed, t_start, status, extra)
     if status == "ok":
         return EXIT_OK
     return EXIT_DIVERGENCE if status == "divergence" else EXIT_NO_CONVERGENCE
 
 
-def _equivalence_check(cfg: ExperimentConfig, times: np.ndarray, states: np.ndarray) -> tuple[str, float] | None:
-    """Replay stored states with the twin stepper; returns (description, max error)."""
-    scheme_cfg = cfg.scheme_config()
-    grid = scheme_cfg.grid
+def _twin_viscosity(cfg: ExperimentConfig) -> tuple[str, float] | None:
+    """The constant ftcs_mu viscosity a plain run's states must replay under, with its label."""
+    grid = cfg.grid()
     if cfg.scheme == "upwind":
         mu_value = abs(cfg.c) * grid.dx / 2.0
-        label = f"upwind == ftcs_mu at mu={mu_value:g}"
-    elif cfg.scheme == "lax_wendroff":
+        return f"upwind == ftcs_mu at mu={mu_value:g}", mu_value
+    if cfg.scheme == "lax_wendroff":
         mu_value = cfg.c**2 * cfg.dt / 2.0
-        label = f"lax_wendroff == ftcs_mu at mu={mu_value:g}"
-    elif cfg.scheme == "ftcs_mu":
-        mu_value = cfg.mu
-        if mu_value is None:
-            return None
-        label = f"stored states reproduce ftcs_mu at mu={mu_value:g}"
-    else:
-        return None
-    mu = FaceViscosity(np.full(grid.n_cells, mu_value), grid)
+        return f"lax_wendroff == ftcs_mu at mu={mu_value:g}", mu_value
+    if cfg.scheme == "ftcs_mu" and cfg.mu is not None:
+        return f"stored states reproduce ftcs_mu at mu={cfg.mu:g}", cfg.mu
+    return None
+
+
+def _replay_error(states: np.ndarray, mu_rows: np.ndarray, cfg: SchemeConfig) -> float:
+    """Largest error of one FTCS step from each stored state to the next.
+
+    Row n of ``mu_rows`` steps states[n]; each step's error is relative to
+    max(1, max|states[n + 1]|).
+    """
     worst = 0.0
-    for n in range(len(states) - 1):
-        stepped = ftcs_step(CellField(states[n], grid), mu, scheme_cfg).values
+    for n, mu in enumerate(mu_rows):
+        stepped = ftcs_update(states[n], mu, cfg)
         scale = max(float(np.max(np.abs(states[n + 1]))), 1.0)
         worst = max(worst, float(np.max(np.abs(stepped - states[n + 1]))) / scale)
-    return label, worst
+    return worst
 
 
 def cmd_analyze(directory: str | Path) -> int:
@@ -334,62 +330,37 @@ def cmd_analyze(directory: str | Path) -> int:
     grid = scheme_cfg.grid
     tolerance = 1e-12
 
+    def compare(prefix: str, stored_block: dict, recomputed: dict) -> None:
+        for key, value in recomputed.items():
+            stored = stored_block.get(key)
+            if stored is not None:
+                ok = abs(stored - value) <= tolerance * max(1.0, abs(stored))
+                check(f"{prefix}:{key}", ok, f"stored={stored!r} recomputed={value!r}")
+
     if "solution.csv" in listed:
         times, states = read_matrix_csv(out_dir / "solution.csv")
-        recomputed = {
-            "mse_final": float(np.mean((states[-1] - provider(times[-1]).values) ** 2)),
-            "entropy_initial": 0.5 * float(np.sum(states[0] ** 2)) * grid.dx,
-            "entropy_final": 0.5 * float(np.sum(states[-1] ** 2)) * grid.dx,
-            "total_variation_final": float(np.sum(np.abs(np.roll(states[-1], -1) - states[-1]))),
-            "mass_initial": float(np.sum(states[0])) * grid.dx,
-            "mass_final": float(np.sum(states[-1])) * grid.dx,
-            "max_abs_final": float(np.max(np.abs(states[-1]))),
-        }
-        entropy_series = 0.5 * np.sum(states * states, axis=1) * grid.dx
-        recomputed["max_per_step_entropy_increase"] = float(
-            np.max(np.diff(entropy_series), initial=0.0)
-        )
-        stored_stats = summary.get("stats", {})
-        for key, value in recomputed.items():
-            stored = stored_stats.get(key)
-            if stored is None:
-                continue
-            ok = abs(stored - value) <= tolerance * max(1.0, abs(stored))
-            check(f"stat:{key}", ok, f"stored={stored!r} recomputed={value!r}")
+        compare("stat", summary.get("stats", {}),
+                summary_stats(states, provider(times[-1]).values, grid.dx))
 
         if "entropy.csv" in listed:
             _, stored_entropy = read_series_csv(out_dir / "entropy.csv")
-            ok = np.allclose(stored_entropy, entropy_series, rtol=0, atol=tolerance)
+            entropy = entropy_series(states, grid.dx)
+            ok = np.allclose(stored_entropy, entropy, rtol=0, atol=tolerance)
             check("entropy_series_consistent", ok,
-                  f"max diff {np.max(np.abs(stored_entropy - entropy_series)):.3e}")
+                  f"max diff {np.max(np.abs(stored_entropy - entropy)):.3e}")
 
-        equivalence = _equivalence_check(cfg, times, states)
-        if equivalence is not None:
-            label, worst = equivalence
+        twin = _twin_viscosity(cfg)
+        if twin is not None:
+            label, mu_value = twin
+            mu_rows = np.broadcast_to(mu_value, (len(states) - 1, grid.n_cells))
+            worst = _replay_error(states, mu_rows, scheme_cfg)
             check("scheme_equivalence", worst < 1e-13, f"{label}: max rel err {worst:.3e}")
 
         if "mu.csv" in listed and cfg.scheme == "ftcs_mu":
             _, mu_values = read_matrix_csv(out_dir / "mu.csv")
-            worst = 0.0
-            for n in range(len(mu_values)):
-                stepped = ftcs_step(
-                    CellField(states[n], grid), FaceViscosity(mu_values[n], grid), scheme_cfg
-                ).values
-                scale = max(float(np.max(np.abs(states[n + 1]))), 1.0)
-                worst = max(worst, float(np.max(np.abs(stepped - states[n + 1]))) / scale)
+            worst = _replay_error(states, mu_values, scheme_cfg)
             check("stored_steps_consistent", worst < 1e-13, f"max rel err {worst:.3e}")
-            stored_mu = summary.get("mu", {})
-            recomputed_mu = {
-                "mu_min": float(np.min(mu_values)),
-                "mu_max": float(np.max(mu_values)),
-                "fraction_negative": float(np.mean(mu_values < 0)),
-            }
-            for key, value in recomputed_mu.items():
-                stored = stored_mu.get(key)
-                if stored is None:
-                    continue
-                ok = abs(stored - value) <= tolerance * max(1.0, abs(stored))
-                check(f"mu:{key}", ok, f"stored={stored!r} recomputed={value!r}")
+            compare("mu", summary.get("mu", {}), mu_summary(mu_values))
 
     check("run_status_ok", manifest.get("status") == "ok",
           f"status={manifest.get('status')!r}")
@@ -406,7 +377,7 @@ def cmd_analyze(directory: str | Path) -> int:
 def _oracle_mses(cfg: ExperimentConfig) -> dict:
     """Final-time MSE of the classical baselines on the same problem."""
     scheme_cfg, u0, provider = _build_problem(cfg)
-    exact_final = provider(cfg.n_steps * cfg.dt)
+    exact_final = provider(cfg.n_steps * cfg.dt).values
     out = {}
     for scheme in ("upwind", "lax_wendroff"):
         traj = simulate(u0, cfg.n_steps, scheme_cfg, scheme=scheme)

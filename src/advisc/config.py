@@ -82,6 +82,9 @@ class ExperimentConfig:
             raise ConfigError(f"scheme must be one of {SCHEME_NAMES}, got {self.scheme!r}")
         if self.n_cells < 3:
             raise ConfigError("n_cells must be >= 3")
+        for name in ("length", "dt", "t_final"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         for name in ("length", "dt"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")

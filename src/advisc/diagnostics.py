@@ -15,20 +15,29 @@ from .grid import CellField, ExactProvider, FaceViscosity, HatProfile, SpaceTime
 from .schemes import SchemeConfig, Trajectory
 
 
-def mse(field: CellField, exact: CellField) -> float:
-    """Mean squared pointwise difference (1/N) * sum (u_i - e_i)^2."""
-    if field.values.shape != exact.values.shape:
-        raise ValueError("fields have mismatched shapes")
-    diff = field.values - exact.values
+def mse(u: np.ndarray, exact: np.ndarray) -> float:
+    """Mean squared pointwise difference (1/N) * sum (u_i - e_i)^2 of two arrays."""
+    if u.shape != exact.shape:
+        raise ValueError("arrays have mismatched shapes")
+    diff = u - exact
     return float(np.mean(diff * diff))
 
 
 def error_field(traj: Trajectory, exact_provider: ExactProvider) -> np.ndarray:
     """Pointwise errors u_i^n - u_exact(x_i, t^n), shape (n_steps + 1, n_cells)."""
     dt = traj.config.dt
-    return np.stack(
-        [s.values - exact_provider(n * dt).values for n, s in enumerate(traj.states)]
-    )
+    errors = np.empty_like(traj.states)
+    for n, row in enumerate(traj.states):
+        np.subtract(row, exact_provider(n * dt).values, out=errors[n])
+    return errors
+
+
+def entropy_series(states: np.ndarray, dx: float) -> np.ndarray:
+    """Quadratic entropy S = (1/2) * sum_i u_i^2 * dx of each state along the last axis.
+
+    Given the (M + 1, N) states of a run, returns S^0 .. S^M.
+    """
+    return 0.5 * np.sum(states * states, axis=-1) * dx
 
 
 @dataclass(frozen=True)
@@ -51,37 +60,55 @@ class EntropyReport:
 
 
 def total_entropy(field: CellField) -> float:
-    return 0.5 * float(np.sum(field.values**2)) * field.grid.dx
+    return float(entropy_series(field.values, field.grid.dx))
 
 
-def entropy_report(traj: Trajectory, include_dissipation: bool | None = None) -> EntropyReport:
-    """Entropy series of a trajectory; dissipation requires viscosity_history.
-
-    ``include_dissipation = None`` includes the dissipation series exactly
-    when the trajectory recorded its viscosities; forcing True without a
-    recorded history is an error.
-    """
+def entropy_report(traj: Trajectory) -> EntropyReport:
+    """Entropy series of a trajectory, with the dissipation series exactly
+    when the trajectory recorded its viscosities."""
     dx = traj.config.grid.dx
-    arr = traj.array
-    s = 0.5 * np.sum(arr * arr, axis=1) * dx
-    deltas = np.diff(s)
-
-    if include_dissipation is None:
-        include_dissipation = traj.viscosity_history is not None
+    states = traj.states
+    s = entropy_series(states, dx)
     dissipation = None
-    if include_dissipation:
-        if traj.viscosity_history is None:
-            raise ValueError("trajectory has no viscosity_history; cannot compute dissipation")
+    if traj.viscosity_history is not None:
         mu = traj.viscosity_history.values
-        jumps = (np.roll(arr[:-1], -1, axis=1) - arr[:-1]) / dx
+        jumps = (np.roll(states[:-1], -1, axis=1) - states[:-1]) / dx
         dissipation = np.sum(mu * jumps * jumps, axis=1) * dx
-    return EntropyReport(total_entropy=s, per_step_delta=deltas, spatial_dissipation=dissipation)
+    return EntropyReport(total_entropy=s, per_step_delta=np.diff(s), spatial_dissipation=dissipation)
 
 
-def total_variation(field: CellField) -> float:
+def total_variation(u: np.ndarray) -> float:
     """Sum of |u_{i+1} - u_i| with periodic wrap; growth flags oscillation."""
-    v = field.values
-    return float(np.sum(np.abs(np.roll(v, -1) - v)))
+    return float(np.sum(np.abs(np.roll(u, -1) - u)))
+
+
+def summary_stats(states: np.ndarray, exact_final: np.ndarray, dx: float) -> dict:
+    """The ``stats`` block of a run summary, from the run's (M + 1, N) states.
+
+    The run writers and ``analyze`` both compute the block here, from the
+    trajectory and from the stored CSVs respectively.
+    """
+    final = states[-1]
+    entropy = entropy_series(states, dx)
+    return {
+        "mse_final": mse(final, exact_final),
+        "entropy_initial": float(entropy[0]),
+        "entropy_final": float(entropy[-1]),
+        "total_variation_final": total_variation(final),
+        "mass_initial": float(np.sum(states[0])) * dx,
+        "mass_final": float(np.sum(final)) * dx,
+        "max_abs_final": float(np.max(np.abs(final))),
+        "max_per_step_entropy_increase": float(np.max(np.diff(entropy), initial=0.0)),
+    }
+
+
+def mu_summary(values: np.ndarray) -> dict:
+    """Extremes and negative fraction of a viscosity array."""
+    return {
+        "mu_min": float(np.min(values)),
+        "mu_max": float(np.max(values)),
+        "fraction_negative": float(np.mean(values < 0)),
+    }
 
 
 @dataclass(frozen=True)
@@ -131,10 +158,11 @@ def mu_stats(
             near |= d <= radius
         ratios.append(float(np.sum(np.abs(row[neg & near]))) / neg_mass)
 
+    summary = mu_summary(values)
     return MuStats(
-        min=float(np.min(values)),
-        max=float(np.max(values)),
-        fraction_negative=float(np.mean(values < 0)),
+        min=summary["mu_min"],
+        max=summary["mu_max"],
+        fraction_negative=summary["fraction_negative"],
         negative_mass_near_discontinuity=float(np.mean(ratios)) if ratios else 0.0,
     )
 

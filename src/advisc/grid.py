@@ -160,11 +160,6 @@ def sine_solution(
     return CellField(amplitude * np.sin(phase), grid)
 
 
-def periodic_shift(field: CellField, k: int) -> CellField:
-    """Circular shift by k cells: out[i] = in[(i - k) mod n]."""
-    return CellField(np.roll(field.values, k), field.grid)
-
-
 ExactProvider = Callable[[float], CellField]
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .adjoint import LossSpec, grad_mu_global, grad_mu_instantaneous, loss_value
 from .grid import CellField, ExactProvider, FaceViscosity, SpaceTimeViscosity
-from .schemes import DivergenceError, SchemeConfig, Trajectory, _next, _prev, ftcs_step, simulate
+from .schemes import DivergenceError, SchemeConfig, Trajectory, _next, _prev, ftcs_update, simulate
 
 
 @dataclass(frozen=True)
@@ -74,13 +74,6 @@ class TrainingReport:
     divergence_events: int
 
 
-def project_bounds(mu: FaceViscosity, mu_min: float, mu_max: float) -> FaceViscosity:
-    """Entrywise clamp onto [mu_min, mu_max] (identity on the feasible set)."""
-    if mu_min > mu_max:
-        raise ValueError("mu_min must not exceed mu_max")
-    return FaceViscosity(np.clip(mu.values, mu_min, mu_max), mu.grid)
-
-
 def regularizer_gradient(mu: np.ndarray, opt: OptimizerConfig) -> np.ndarray:
     """Gradient of l2*sum(mu^2) + smooth*sum((mu_{f+1} - mu_f)^2) per face.
 
@@ -112,50 +105,48 @@ def train_per_step(
     """
     if n_steps < 1 or int(n_steps) != n_steps:
         raise ValueError("n_steps must be a positive integer")
+    n_steps = int(n_steps)
     grid = cfg.grid
     init = opt.resolve_init(cfg)
     lr, lo, hi = opt.learning_rate, opt.mu_min, opt.mu_max
     threshold = magnitude_guard * max(float(np.max(np.abs(u0.values))), 1.0)
 
     mu = np.full(grid.n_cells, init)
-    u = u0
-    states = [u0]
-    history: list[np.ndarray] = []
+    states = np.empty((n_steps + 1, grid.n_cells))
+    states[0] = u0.values
+    mu_rows = np.empty((n_steps, grid.n_cells))
     losses: list[float] = []
     divergences = 0
     halted = False
 
-    for n in range(int(n_steps)):
+    for n in range(n_steps):
         if not opt.warm_start:
             mu = np.full(grid.n_cells, init)
-        exact_next = exact_provider((n + 1) * cfg.dt)
-        # Inner iterations dominate the run time, so they step plain arrays;
-        # only the advancing step below builds (and validates) containers.
-        uv, target = u.values, exact_next.values
+        u, target = states[n], exact_provider((n + 1) * cfg.dt).values
         for _ in range(opt.n_iters):
-            g = grad_mu_instantaneous(uv, target, mu, cfg)
+            g = grad_mu_instantaneous(u, target, mu, cfg)
             g += regularizer_gradient(mu, opt)
             mu = (mu - lr * g).clip(lo, hi)
         try:
-            u_next = ftcs_step(u, FaceViscosity(mu, grid), cfg)
+            u_next = ftcs_update(u, mu, cfg)
         except DivergenceError:
             divergences += 1
             halted = True
             break
-        if float(np.max(np.abs(u_next.values))) > threshold:
+        if float(np.max(np.abs(u_next))) > threshold:
             divergences += 1
             halted = True
             break
-        err = u_next.values - exact_next.values
+        err = u_next - target
         losses.append(float(np.mean(err * err)))
-        history.append(mu.copy())
-        states.append(u_next)
-        u = u_next
+        mu_rows[n] = mu
+        states[n + 1] = u_next
 
-    if not history:
+    if not losses:
         raise DivergenceError("training diverged on the very first step", step=0)
-    mu_st = SpaceTimeViscosity(np.array(history), grid)
-    traj = Trajectory(states=tuple(states), config=cfg, viscosity_history=mu_st)
+    n_done = len(losses)
+    mu_st = SpaceTimeViscosity(mu_rows[:n_done], grid)
+    traj = Trajectory(states=states[: n_done + 1], config=cfg, viscosity_history=mu_st)
     return TrainingReport(
         final_mu=mu_st,
         loss_history=tuple(losses),

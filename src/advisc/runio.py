@@ -42,7 +42,11 @@ def read_matrix_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         parts = line.split(",")
         times.append(float(parts[0]))
         rows.append([float(v) for v in parts[1:]])
-    return np.array(times), np.array(rows)
+    matrix = np.array(rows)
+    # Every matrix a run writes is finite; anything else is a corrupt file.
+    if not np.isfinite(matrix).all():
+        raise ValueError(f"{path} has non-finite entries")
+    return np.array(times), matrix
 
 
 def write_series_csv(path: str | Path, key: str, name: str,
@@ -78,13 +82,6 @@ def write_columns_csv(path: str | Path, header: list[str], columns: list[np.ndar
     for i in range(n):
         lines.append(",".join(fmt(col[i]) for col in columns))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_columns_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    lines = Path(path).read_text().splitlines()
-    header = lines[0].split(",")
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    return header, data
 
 
 def write_json(path: str | Path, payload: dict) -> None:

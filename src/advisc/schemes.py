@@ -14,7 +14,6 @@ Classical schemes are special cases: mu = c*dx/2 gives first-order upwind
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
@@ -62,32 +61,38 @@ class SchemeConfig:
 class Trajectory:
     """States u^0 .. u^M of one simulation plus the viscosities that produced it.
 
-    ``viscosity_history``, when present, has exactly M entries; entry n is the
+    ``states`` is one read-only float array of shape (M + 1, n_cells); row n
+    is u^n. It is not copied: the constructor takes a read-only view, so a
+    caller that keeps a writeable reference must not modify it.
+    ``viscosity_history``, when present, has exactly M rows; row n is the
     field used to advance states[n] to states[n+1].
     """
 
-    states: tuple[CellField, ...]
+    states: np.ndarray
     config: SchemeConfig
     viscosity_history: SpaceTimeViscosity | None = None
 
     def __post_init__(self) -> None:
-        if len(self.states) < 1:
-            raise ValueError("trajectory needs at least the initial state")
+        states = np.asarray(self.states, dtype=float).view()
+        n_cells = self.config.grid.n_cells
+        if states.ndim != 2 or states.shape[0] < 1 or states.shape[1] != n_cells:
+            raise ValueError(
+                f"states must have shape (n_steps + 1, {n_cells}), got {states.shape}"
+            )
+        if not np.isfinite(states).all():
+            raise ValueError("non-finite entries violate the finite-value contract")
+        states.setflags(write=False)
+        object.__setattr__(self, "states", states)
         if self.viscosity_history is not None:
-            if self.viscosity_history.n_steps != len(self.states) - 1:
+            if self.viscosity_history.n_steps != self.n_steps:
                 raise ValueError(
                     "viscosity_history must have one entry per step "
-                    f"({len(self.states) - 1}), got {self.viscosity_history.n_steps}"
+                    f"({self.n_steps}), got {self.viscosity_history.n_steps}"
                 )
 
     @property
     def n_steps(self) -> int:
-        return len(self.states) - 1
-
-    @property
-    def array(self) -> np.ndarray:
-        """States stacked into shape (n_steps + 1, n_cells)."""
-        return np.stack([s.values for s in self.states])
+        return self.states.shape[0] - 1
 
     @property
     def times(self) -> np.ndarray:
@@ -204,88 +209,74 @@ def amplification_factor(theta, cfl: float, diffusion_number: float):
 
 SCHEME_NAMES = ("ftcs_mu", "upwind", "lax_wendroff", "ftcs_bare")
 
-MuProvider = Union[FaceViscosity, SpaceTimeViscosity, Callable[[int, CellField], FaceViscosity], None]
-
 
 def simulate(
     u0: CellField,
     n_steps: int,
     cfg: SchemeConfig,
     scheme: str = "ftcs_mu",
-    mu: MuProvider = None,
+    mu: FaceViscosity | SpaceTimeViscosity | None = None,
     magnitude_guard: float = 1e6,
 ) -> Trajectory:
     """March ``n_steps`` steps of the chosen scheme, recording every state.
 
     ``mu`` supplies the face viscosity for the "ftcs_mu" scheme: a single
-    FaceViscosity (held constant), a SpaceTimeViscosity (one row per step),
-    or a callable (step index, state) -> FaceViscosity. Raises
-    DivergenceError (partial trajectory attached) if a state goes non-finite
-    or its magnitude exceeds magnitude_guard * max(1, max|u0|).
+    FaceViscosity (held constant) or a SpaceTimeViscosity (one row per step).
+    Raises DivergenceError (partial trajectory attached) if a state goes
+    non-finite or its magnitude exceeds magnitude_guard * max(1, max|u0|).
     """
     if n_steps < 0 or int(n_steps) != n_steps:
         raise ValueError("n_steps must be a non-negative integer")
     if scheme not in SCHEME_NAMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose one of {SCHEME_NAMES}")
     _check_grid(u0, cfg)
+    n_steps = int(n_steps)
+    grid = cfg.grid
 
     uses_mu = scheme == "ftcs_mu"
-    if uses_mu and mu is None:
-        raise ValueError("scheme 'ftcs_mu' requires a mu provider")
+    if uses_mu and not isinstance(mu, (FaceViscosity, SpaceTimeViscosity)):
+        raise ValueError("scheme 'ftcs_mu' requires a FaceViscosity or SpaceTimeViscosity mu")
     if not uses_mu and mu is not None:
         raise ValueError(f"scheme {scheme!r} does not accept a mu provider")
-    if isinstance(mu, SpaceTimeViscosity) and mu.n_steps != n_steps:
-        raise ValueError(f"space-time viscosity has {mu.n_steps} rows, need {n_steps}")
-
-    def mu_at(n: int, state: CellField) -> FaceViscosity:
+    history = None
+    if uses_mu:
+        _check_grid(mu, cfg)
         if isinstance(mu, FaceViscosity):
-            return mu
-        if isinstance(mu, SpaceTimeViscosity):
-            return mu.at_step(n)
-        return mu(n, state)
+            mu = SpaceTimeViscosity(np.broadcast_to(mu.values, (n_steps, grid.n_cells)), grid)
+        elif mu.n_steps != n_steps:
+            raise ValueError(f"space-time viscosity has {mu.n_steps} rows, need {n_steps}")
+        history, mu_rows = mu, mu.values
 
-    scale = float(np.max(np.abs(u0.values)))
-    threshold = magnitude_guard * max(scale, 1.0)
-
-    states = [u0]
-    history: list[np.ndarray] = []
-    u = u0
-    for n in range(int(n_steps)):
+    threshold = magnitude_guard * max(float(np.max(np.abs(u0.values))), 1.0)
+    states = np.empty((n_steps + 1, grid.n_cells))
+    states[0] = u0.values
+    for n in range(n_steps):
         try:
             if uses_mu:
-                mu_n = mu_at(n, u)
-                u_next = ftcs_step(u, mu_n, cfg)
-                history.append(mu_n.values)
+                states[n + 1] = ftcs_update(states[n], mu_rows[n], cfg)
             elif scheme == "upwind":
-                u_next = upwind_step(u, cfg)
+                states[n + 1] = upwind_step(CellField(states[n], grid), cfg).values
             elif scheme == "lax_wendroff":
-                u_next = lax_wendroff_step(u, cfg)
+                states[n + 1] = lax_wendroff_step(CellField(states[n], grid), cfg).values
             else:
-                u_next = ftcs_bare_step(u, cfg)
+                states[n + 1] = ftcs_bare_step(CellField(states[n], grid), cfg).values
         except DivergenceError as err:
             raise DivergenceError(
-                f"state went non-finite at step {n}", step=n, trajectory=_partial(states, history, cfg)
+                f"state went non-finite at step {n}", step=n,
+                trajectory=_partial(states, history, n, cfg),
             ) from err
-        if float(np.max(np.abs(u_next.values))) > threshold:
+        if float(np.max(np.abs(states[n + 1]))) > threshold:
             raise DivergenceError(
                 f"magnitude guard ({threshold:g}) tripped at step {n}",
                 step=n,
-                trajectory=_partial(states, history, cfg),
+                trajectory=_partial(states, history, n, cfg),
             )
-        states.append(u_next)
-        u = u_next
-
-    vh = None
-    if uses_mu:
-        vh = SpaceTimeViscosity(
-            np.array(history).reshape(len(history), cfg.grid.n_cells), cfg.grid
-        )
-    return Trajectory(states=tuple(states), config=cfg, viscosity_history=vh)
+    return Trajectory(states=states, config=cfg, viscosity_history=history)
 
 
-def _partial(states: list[CellField], history: list[np.ndarray], cfg: SchemeConfig) -> Trajectory:
-    vh = None
-    n_done = len(states) - 1
-    if history:
-        vh = SpaceTimeViscosity(np.array(history[:n_done]), cfg.grid)
-    return Trajectory(states=tuple(states), config=cfg, viscosity_history=vh)
+def _partial(
+    states: np.ndarray, history: SpaceTimeViscosity | None, n_done: int, cfg: SchemeConfig
+) -> Trajectory:
+    """The first n_done steps of a run that failed on step n_done."""
+    vh = None if history is None else SpaceTimeViscosity(history.values[:n_done], cfg.grid)
+    return Trajectory(states=states[: n_done + 1], config=cfg, viscosity_history=vh)

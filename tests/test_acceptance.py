@@ -96,7 +96,7 @@ def test_criterion_3_ftcs_instability_reproduction():
     cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
     start = time.perf_counter()
     traj = simulate(sine_solution(grid, cfg.c, 0.0), 1000, cfg, scheme="ftcs_bare")
-    norms = np.linalg.norm(traj.array, axis=1)
+    norms = np.linalg.norm(traj.states, axis=1)
     monotone = bool(np.all(np.diff(norms) > 0))
     j = np.arange(512)
     thetas = 2 * np.pi * j / 512
@@ -117,10 +117,10 @@ def test_criterion_4_paper_experiment(paper_problem, paper_training_report):
     cfg, profile, u0, provider = paper_problem
     training, elapsed = paper_training_report
     exact_final = provider(0.15)
-    mse_learned = mse(training.trajectory.states[-1], exact_final)
+    mse_learned = mse(training.trajectory.states[-1], exact_final.values)
     upwind = simulate(u0, 150, cfg, scheme="upwind")
-    mse_upwind = mse(upwind.states[-1], exact_final)
-    max_abs = float(np.max(np.abs(training.trajectory.array)))
+    mse_upwind = mse(upwind.states[-1], exact_final.values)
+    max_abs = float(np.max(np.abs(training.trajectory.states)))
     passed = (
         training.converged
         and training.divergence_events == 0
@@ -159,7 +159,7 @@ def test_criterion_5_sign_indefiniteness(paper_problem, paper_training_report):
 
 def test_criterion_6_entropy_nonincrease(paper_training_report):
     training, _ = paper_training_report
-    entropy = entropy_report(training.trajectory, include_dissipation=True)
+    entropy = entropy_report(training.trajectory)
     s0 = entropy.total_entropy[0]
     s_final = entropy.total_entropy[-1]
     max_increase = float(np.max(entropy.per_step_delta, initial=0.0))
@@ -187,8 +187,8 @@ def test_criterion_7_positivity_constrained_amplitude():
     signed = train_per_step(u0, base.n_steps, scheme_cfg, base.training.optimizer, provider)
     nonneg_opt = nonneg_variant(base).training.optimizer
     nonneg = train_per_step(u0, base.n_steps, scheme_cfg, nonneg_opt, provider)
-    amp_signed = float(np.max(np.abs(signed.trajectory.states[-1].values)))
-    amp_nonneg = float(np.max(np.abs(nonneg.trajectory.states[-1].values)))
+    amp_signed = float(np.max(np.abs(signed.trajectory.states[-1])))
+    amp_nonneg = float(np.max(np.abs(nonneg.trajectory.states[-1])))
     report(
         7,
         amp_nonneg < amp_signed,
@@ -201,9 +201,9 @@ def test_criterion_8_conservation_and_constants(paper_training_report):
     training, _ = paper_training_report
     traj = training.trajectory
     dx = traj.config.grid.dx
-    mass0 = float(np.sum(traj.states[0].values)) * dx
+    mass0 = float(np.sum(traj.states[0])) * dx
     drift = max(
-        abs(float(np.sum(s.values)) * dx - mass0) for s in traj.states
+        abs(float(np.sum(s)) * dx - mass0) for s in traj.states
     ) / max(abs(mass0), 1e-300)
     grid = make_grid(64, 1.0)
     cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)

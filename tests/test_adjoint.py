@@ -46,7 +46,7 @@ class TestLossValue:
         grid = make_grid(20, 1.0)
         cfg = SchemeConfig(c=1.0, dt=grid.dx, grid=grid)  # cfl 1: nothing special
         provider = hat_provider(HatProfile(), grid, cfg.c)
-        states = tuple(provider(n * cfg.dt) for n in range(4))
+        states = np.stack([provider(n * cfg.dt).values for n in range(4)])
         from advisc.schemes import Trajectory
 
         traj = Trajectory(states=states, config=cfg)
@@ -61,7 +61,7 @@ class TestLossValue:
         from advisc.schemes import Trajectory
 
         u1 = CellField(provider(cfg.dt).values + eps, grid)
-        traj = Trajectory(states=(provider(0.0), u1), config=cfg)
+        traj = Trajectory(states=np.stack([provider(0.0).values, u1.values]), config=cfg)
         spec = LossSpec(mode="instantaneous")
         assert loss_value(traj, provider, spec) == pytest.approx(eps**2, rel=1e-12)
 
@@ -102,7 +102,7 @@ class TestLossValue:
         value = loss_value(traj, provider, LossSpec(weights=weights))
         manual = 0.0
         for m in range(1, 6):
-            err = traj.states[m].values - provider(m * cfg.dt).values
+            err = traj.states[m] - provider(m * cfg.dt).values
             manual += weights[m - 1] * np.sum(err**2)
         assert value == pytest.approx(manual / (16 * 5), rel=1e-13)
 
@@ -183,7 +183,7 @@ class TestGlobalGradient:
         traj = simulate(u0, 5, cfg, scheme="ftcs_mu", mu=mu_st)
 
         def self_provider(t):
-            return traj.states[round(t / cfg.dt)]
+            return CellField(traj.states[round(t / cfg.dt)], cfg.grid)
 
         grad = grad_mu_global(u0, mu_st, cfg, self_provider)
         assert np.array_equal(grad, np.zeros((5, 16)))
@@ -191,7 +191,7 @@ class TestGlobalGradient:
     def test_gradient_linear_in_residual(self):
         cfg, u0, mu_st, _ = toy_problem(seed=11)
         traj = simulate(u0, 5, cfg, scheme="ftcs_mu", mu=mu_st)
-        base = {n: traj.states[n].values for n in range(6)}
+        base = {n: traj.states[n] for n in range(6)}
         rng = np.random.default_rng(12)
         offsets = {n: rng.uniform(-1, 1, 16) for n in range(6)}
 
@@ -206,11 +206,10 @@ class TestGlobalGradient:
         g2 = grad_mu_global(u0, mu_st, cfg, provider_scaled(2.0))
         assert np.allclose(g2, 2.0 * g1, rtol=1e-12, atol=1e-18)
 
-    def test_adjoint_state_shape(self):
+    def test_gradient_shape(self):
         cfg, u0, mu_st, provider = toy_problem()
-        grad, adjoint = grad_mu_global(u0, mu_st, cfg, provider, return_adjoint=True)
+        grad = grad_mu_global(u0, mu_st, cfg, provider)
         assert grad.shape == (5, 16)
-        assert len(adjoint.lambdas) == 6  # lambda^0 .. lambda^M
 
 
 class TestTransposeIdentity:

@@ -104,6 +104,31 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path)]) == 3
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["length", "dt", "t_final"])
+    def test_non_finite_simulation_value_exits_3(self, tmp_path, capsys, key):
+        cfg_path, _ = write_config(tmp_path, kind="sine")
+        lines = [f"{key} = inf" if line.startswith(f"{key} =") else line
+                 for line in cfg_path.read_text().splitlines()]
+        cfg_path.write_text("\n".join(lines) + "\n")
+        assert main(["run", "--config", str(cfg_path)]) == 3
+        assert "config error" in capsys.readouterr().err
+
+    def test_run_after_train_replaces_previous_run(self, tmp_path):
+        train_cfg, out = write_config(
+            tmp_path, name="train.cfg", scheme="ftcs_mu", n_cells=32, t_final=0.03,
+            training=TRAINING.format(n_iters=40, mu_min=-0.005),
+        )
+        run_cfg, _ = write_config(tmp_path, name="run.cfg", t_final=0.03)
+        assert main(["train", "--config", str(train_cfg)]) == 0
+        assert main(["analyze", str(out)]) == 0
+        (out / "notes.txt").write_text("not part of any run\n")
+        assert main(["run", "--config", str(run_cfg)]) == 0
+        for name in ("mu.csv", "mu_final.csv", "loss_history.csv", "analysis.json"):
+            assert not (out / name).exists()
+        assert (out / "notes.txt").is_file()  # only files the old manifest listed go
+        (out / "notes.txt").unlink()
+        assert main(["analyze", str(out)]) == 0
+
     def test_out_flag_overrides_directory(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, t_final=0.01)
         override = tmp_path / "elsewhere"
@@ -229,6 +254,42 @@ class TestAnalyzeCommand:
 
         write_matrix_csv(out / "solution.csv", times, states)
         assert main(["analyze", str(out)]) == 1
+
+    @pytest.mark.parametrize("target, expected", [
+        ("solution.csv", {"stat:mse_final", "stored_steps_consistent"}),
+        ("mu.csv", {"stored_steps_consistent"}),
+    ], ids=["last_state", "one_mu_entry"])
+    def test_analyze_names_tampered_training_file(self, tmp_path, target, expected):
+        cfg_path, out = write_config(
+            tmp_path, scheme="ftcs_mu", n_cells=32, t_final=0.03,
+            training=TRAINING.format(n_iters=40, mu_min=-0.005),
+        )
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        _, states = read_matrix_csv(out / "solution.csv")
+        times, values = read_matrix_csv(out / target)
+        if target == "solution.csv":
+            values[-1, 7] += 0.01
+        else:
+            # a face across a jump of the state it steps, so the entry matters
+            face = int(np.argmax(np.abs(np.diff(states[5]))))
+            values[5, face] += 0.01
+        from advisc.runio import write_matrix_csv
+
+        write_matrix_csv(out / target, times, values)
+        assert main(["analyze", str(out)]) == 1
+        analysis = json.loads((out / "analysis.json").read_text())
+        failed = {c["name"] for c in analysis["checks"] if not c["passed"]}
+        assert expected <= failed
+
+    def test_analyze_rejects_non_finite_solution_exits_4(self, tmp_path):
+        cfg_path, out = write_config(tmp_path, t_final=0.01)
+        main(["run", "--config", str(cfg_path)])
+        lines = (out / "solution.csv").read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[5] = "nan"
+        lines[3] = ",".join(cells)
+        (out / "solution.csv").write_text("\n".join(lines) + "\n")
+        assert main(["analyze", str(out)]) == 4
 
     def test_analyze_detects_unlisted_file(self, tmp_path):
         cfg_path, out = write_config(tmp_path, t_final=0.01)

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from advisc.grid import (
     CellField,
@@ -11,7 +9,6 @@ from advisc.grid import (
     SpaceTimeViscosity,
     exact_solution,
     make_grid,
-    periodic_shift,
     sine_solution,
 )
 
@@ -110,7 +107,7 @@ class TestExactSolution:
         grid = make_grid(100, 1.0)
         t0 = exact_solution(HatProfile(), grid, c=1.0, t=0.0)
         t15 = exact_solution(HatProfile(), grid, c=1.0, t=0.15)
-        assert np.array_equal(t15.values, periodic_shift(t0, 15).values)
+        assert np.array_equal(t15.values, np.roll(t0.values, 15))
 
     def test_edges_are_strict(self):
         # center x_0 = 0.5 * 0.8 = 0.4 lands exactly on the lower edge
@@ -131,29 +128,6 @@ class TestExactSolution:
             t = k * grid.dx  # c*t/dx integral
             mass = np.sum(exact_solution(HatProfile(), grid, 1.0, t).values) * grid.dx
             assert mass == pytest.approx(mass0, abs=1e-15)
-
-
-class TestPeriodicShift:
-    def test_simple_rotation(self):
-        grid = make_grid(3, 1.0)
-        field = CellField([1.0, 2.0, 3.0], grid)
-        assert np.array_equal(periodic_shift(field, 1).values, [3.0, 1.0, 2.0])
-
-    def test_zero_and_full_rotation(self):
-        grid = make_grid(5, 1.0)
-        field = CellField(np.arange(5.0), grid)
-        assert np.array_equal(periodic_shift(field, 0).values, field.values)
-        assert np.array_equal(periodic_shift(field, 5).values, field.values)
-
-    @given(
-        values=st.lists(st.floats(-10, 10), min_size=3, max_size=12),
-        k=st.integers(-25, 25),
-    )
-    def test_shift_roundtrip(self, values, k):
-        grid = make_grid(len(values), 1.0)
-        field = CellField(values, grid)
-        back = periodic_shift(periodic_shift(field, k), -k)
-        assert np.array_equal(back.values, field.values)
 
 
 class TestSineSolution:

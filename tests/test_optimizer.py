@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from advisc.grid import (
     CellField,
@@ -14,7 +12,6 @@ from advisc.grid import (
 from advisc.optimizer import (
     OptimizerConfig,
     constant_mu_grid_search,
-    project_bounds,
     regularizer_gradient,
     train_global,
     train_per_step,
@@ -33,37 +30,6 @@ def toy_problem(n=16, c=1.0):
     u0 = exact_solution(profile, grid, c, 0.0)
     provider = hat_provider(profile, grid, c)
     return cfg, u0, provider
-
-
-class TestProjectBounds:
-    def test_identity_on_feasible_set(self):
-        grid = make_grid(5, 1.0)
-        mu = FaceViscosity([0.0, 0.01, -0.004, 0.09, 0.05], grid)
-        out = project_bounds(mu, *PAPER_BOUNDS)
-        assert np.array_equal(out.values, mu.values)
-
-    def test_upper_clamp(self):
-        grid = make_grid(4, 1.0)
-        mu = FaceViscosity(np.ones(4), grid)
-        assert np.all(project_bounds(mu, *PAPER_BOUNDS).values == 9.5e-2)
-
-    def test_lower_clamp(self):
-        grid = make_grid(4, 1.0)
-        mu = FaceViscosity(-np.ones(4), grid)
-        assert np.all(project_bounds(mu, *PAPER_BOUNDS).values == -5e-3)
-
-    def test_inverted_bounds_rejected(self):
-        grid = make_grid(4, 1.0)
-        mu = FaceViscosity(np.zeros(4), grid)
-        with pytest.raises(ValueError):
-            project_bounds(mu, 1.0, -1.0)
-
-    @given(st.lists(st.floats(-1, 1), min_size=3, max_size=10))
-    def test_idempotent(self, values):
-        grid = make_grid(len(values), 1.0)
-        once = project_bounds(FaceViscosity(values, grid), *PAPER_BOUNDS)
-        twice = project_bounds(once, *PAPER_BOUNDS)
-        assert np.array_equal(once.values, twice.values)
 
 
 class TestRegularizerGradient:
@@ -119,7 +85,7 @@ class TestTrainPerStep:
         )
 
         def self_provider(t):
-            return base.states[round(t / cfg.dt)]
+            return CellField(base.states[round(t / cfg.dt)], cfg.grid)
 
         report = train_per_step(u0, 10, cfg, OptimizerConfig(n_iters=20), self_provider)
         assert all(loss == 0.0 for loss in report.loss_history)
@@ -133,7 +99,7 @@ class TestTrainPerStep:
             u0, 10, cfg, scheme="ftcs_mu",
             mu=FaceViscosity(np.full(16, 0.005), cfg.grid),
         )
-        assert np.array_equal(report.trajectory.array, reference.array)
+        assert np.array_equal(report.trajectory.states, reference.states)
         assert np.all(report.final_mu.values == 0.005)
 
     def test_iterates_respect_bounds(self):
@@ -166,7 +132,7 @@ class TestTrainPerStep:
         b = train_per_step(u0, 10, cfg, opt, provider)
         assert np.array_equal(a.final_mu.values, b.final_mu.values)
         assert a.loss_history == b.loss_history
-        assert np.array_equal(a.trajectory.array, b.trajectory.array)
+        assert np.array_equal(a.trajectory.states, b.trajectory.states)
 
     @pytest.mark.parametrize("warm_start", [True, False], ids=["warm", "cold"])
     def test_bit_identical_to_roll_reference(self, warm_start):
@@ -181,7 +147,7 @@ class TestTrainPerStep:
             opt.mu_max, opt.l2_penalty, opt.smooth_penalty, opt.init_mu, warm_start,
         )
         assert np.array_equal(report.final_mu.values, history)
-        assert np.array_equal(report.trajectory.array, states)
+        assert np.array_equal(report.trajectory.states, states)
         # the projection is active on some faces and the penalties shape the rest
         assert np.any(history == opt.mu_min) or np.any(history == opt.mu_max)
         assert np.any((history > opt.mu_min) & (history < opt.mu_max) & (history != 0.01))

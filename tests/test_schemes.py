@@ -5,6 +5,7 @@ from advisc.grid import CellField, FaceViscosity, SpaceTimeViscosity, make_grid,
 from advisc.schemes import (
     DivergenceError,
     SchemeConfig,
+    Trajectory,
     amplification_factor,
     ftcs_bare_step,
     ftcs_flux,
@@ -237,13 +238,13 @@ class TestSimulate:
         u0 = CellField(np.arange(10.0), cfg.grid)
         traj = simulate(u0, 0, cfg, scheme="upwind")
         assert traj.n_steps == 0
-        assert np.array_equal(traj.states[0].values, u0.values)
+        assert np.array_equal(traj.states[0], u0.values)
 
     def test_bare_ftcs_grows_on_sine(self):
         grid = make_grid(100, 1.0)
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
         traj = simulate(sine_solution(grid, 1.0, 0.0), 1000, cfg, scheme="ftcs_bare")
-        norms = np.linalg.norm(traj.array, axis=1)
+        norms = np.linalg.norm(traj.states, axis=1)
         assert np.all(np.diff(norms) > 0)
 
     def test_upwind_decays_hat_peak(self):
@@ -251,7 +252,7 @@ class TestSimulate:
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
         u0 = CellField(naive_hat_initial(), grid)
         traj = simulate(u0, 150, cfg, scheme="upwind")
-        assert np.max(traj.states[-1].values) < 1.0
+        assert np.max(traj.states[-1]) < 1.0
 
     def test_upwind_matches_loop_oracle_trajectory(self):
         grid = make_grid(50, 1.0)
@@ -260,7 +261,7 @@ class TestSimulate:
         u0v = rng.uniform(-1, 1, 50)
         traj = simulate(CellField(u0v, grid), 20, cfg, scheme="upwind")
         oracle = naive_upwind_states(list(u0v), 20, cfg.cfl)
-        assert np.allclose(traj.array, oracle, rtol=1e-13, atol=1e-15)
+        assert np.allclose(traj.states, oracle, rtol=1e-13, atol=1e-15)
 
     def test_viscosity_history_recorded(self):
         cfg = small_config(n=10, length=0.1)
@@ -284,19 +285,28 @@ class TestSimulate:
         assert err.trajectory.n_steps == err.step
         assert err.trajectory.viscosity_history.n_steps == err.step
 
-    def test_callable_mu_provider(self):
+    def test_magnitude_guard_on_first_step_gives_empty_partial(self):
+        cfg = small_config(n=10, length=0.1)
+        u0 = CellField(np.linspace(-1, 1, 10), cfg.grid)
+        mu = FaceViscosity(np.full(10, 0.01), cfg.grid)
+        with pytest.raises(DivergenceError) as excinfo:
+            simulate(u0, 5, cfg, scheme="ftcs_mu", mu=mu, magnitude_guard=0.5)
+        err = excinfo.value
+        assert err.step == 0
+        assert np.array_equal(err.trajectory.states, u0.values[None, :])
+        assert err.trajectory.viscosity_history.n_steps == 0
+
+    def test_constant_mu_matches_repeated_rows(self):
         cfg = small_config(n=10, length=0.1)
         rng = np.random.default_rng(15)
         u0 = CellField(rng.uniform(-1, 1, 10), cfg.grid)
-        rows = rng.uniform(0, 0.05, (4, 10))
+        row = rng.uniform(0, 0.05, 10)
+        rows = np.tile(row, (4, 1))
 
-        def provider(n, state):
-            return FaceViscosity(rows[n], cfg.grid)
-
-        traj = simulate(u0, 4, cfg, scheme="ftcs_mu", mu=provider)
+        traj = simulate(u0, 4, cfg, scheme="ftcs_mu", mu=FaceViscosity(row, cfg.grid))
         reference = simulate(u0, 4, cfg, scheme="ftcs_mu",
                              mu=SpaceTimeViscosity(rows, cfg.grid))
-        assert np.array_equal(traj.array, reference.array)
+        assert np.array_equal(traj.states, reference.states)
         assert np.array_equal(traj.viscosity_history.values, rows)
 
     def test_mu_provider_validation(self):
@@ -309,6 +319,23 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(u0, 1, cfg, scheme="nonsense")
 
+
+
+class TestTrajectory:
+    @pytest.mark.parametrize("shape", [(4,), (0, 10), (3, 9), (2, 10, 1)],
+                             ids=["1d", "no_rows", "wrong_cells", "3d"])
+    def test_wrong_shape_rejected(self, shape):
+        cfg = small_config(n=10, length=0.1)
+        with pytest.raises(ValueError):
+            Trajectory(states=np.zeros(shape), config=cfg)
+
+    def test_states_are_read_only(self):
+        cfg = small_config(n=10, length=0.1)
+        u0 = CellField(np.arange(10.0), cfg.grid)
+        traj = simulate(u0, 3, cfg, scheme="upwind")
+        assert traj.states.shape == (4, 10)
+        with pytest.raises(ValueError):
+            traj.states[1, 2] = 0.0
 
 def naive_hat_initial():
     from oracles import naive_hat
