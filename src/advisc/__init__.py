@@ -13,7 +13,6 @@ from .diagnostics import (
     MuStats,
     ec_es_split,
     entropy_report,
-    error_field,
     mse,
     mu_stats,
     total_entropy,
@@ -26,9 +25,7 @@ from .grid import (
     HatProfile,
     SpaceTimeViscosity,
     exact_solution,
-    hat_provider,
     make_grid,
-    sine_provider,
     sine_solution,
 )
 from .optimizer import (

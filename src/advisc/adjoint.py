@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CellField, ExactProvider, FaceViscosity, SpaceTimeViscosity
+from .grid import CellField, FaceViscosity, SpaceTimeViscosity
 from .schemes import SchemeConfig, Trajectory, _next, _prev, ftcs_update, simulate
 
 _MODES = ("global", "instantaneous")
@@ -58,26 +58,34 @@ def _step_coefficients(spec: LossSpec, n_steps: int, n_cells: int) -> np.ndarray
     return w.copy()
 
 
+def _check_exact(traj: Trajectory, exact: np.ndarray) -> None:
+    if exact.shape != traj.states.shape:
+        raise ValueError(
+            f"exact has shape {exact.shape}, the trajectory's states {traj.states.shape}"
+        )
+
+
 def loss_value(
     traj: Trajectory,
-    exact_provider: ExactProvider,
+    exact: np.ndarray,
     spec: LossSpec = LossSpec(),
     step: int | None = None,
 ) -> float:
-    """Tracking loss of a complete trajectory.
+    """Tracking loss of a complete trajectory against ``exact``, row m of which
+    is the exact state at time m*dt (the shape of ``traj.states``).
 
     Global mode sums coefficient-weighted squared errors over steps 1 .. M
     (the initial condition is mu-independent and excluded). Instantaneous
     mode evaluates a single compared step (default: the last recorded one).
     """
+    _check_exact(traj, exact)
     n_steps = traj.n_steps
-    dt = traj.config.dt
     n = traj.config.grid.n_cells
     if spec.mode == "instantaneous":
         m = n_steps if step is None else step
         if not 1 <= m <= n_steps:
             raise ValueError(f"step must be in 1 .. {n_steps}")
-        err = traj.states[m] - exact_provider(m * dt).values
+        err = traj.states[m] - exact[m]
         total = float(np.sum(err * err))
         return total / n if spec.normalization == "mean" else total
     if step is not None:
@@ -87,7 +95,7 @@ def loss_value(
     coefs = _step_coefficients(spec, n_steps, n)
     total = 0.0
     for m in range(1, n_steps + 1):
-        err = traj.states[m] - exact_provider(m * dt).values
+        err = traj.states[m] - exact[m]
         total += coefs[m - 1] * float(np.sum(err * err))
     return total
 
@@ -141,35 +149,34 @@ def _mu_contraction(u_n: np.ndarray, lam_next: np.ndarray, cfg: SchemeConfig) ->
 
 
 def grad_mu_global(
-    u0: CellField,
-    mu_st: SpaceTimeViscosity,
-    cfg: SchemeConfig,
-    exact_provider: ExactProvider,
-    spec: LossSpec = LossSpec(),
+    traj: Trajectory, exact: np.ndarray, spec: LossSpec = LossSpec()
 ) -> np.ndarray:
     """Gradient of the global loss with respect to every face/step viscosity.
 
-    One forward sweep records states u^0 .. u^M; the reverse sweep runs
+    ``traj`` is the recorded forward sweep u^0 .. u^M of an ftcs_mu run, with
+    the viscosities that produced it; ``exact`` has the shape of its states.
+    The reverse sweep runs
 
         lambda^M = dJ/du^M,   lambda^n = A^T(mu^n) lambda^{n+1} + dJ/du^n,
 
     and the gradient at step n is lambda^{n+1} contracted against the step's
-    mu-sensitivity at u^n. Raises DivergenceError if the forward sweep blows
-    up. Returns the (n_steps, n_faces) gradient array.
+    mu-sensitivity at u^n. Returns the (n_steps, n_faces) gradient array.
     """
     if spec.mode != "global":
         raise ValueError("grad_mu_global requires a global-mode LossSpec")
-    n_steps = mu_st.n_steps
-    if n_steps == 0:
-        raise ValueError("mu_st must cover at least one step")
+    n_steps = traj.n_steps
+    if traj.viscosity_history is None or n_steps == 0:
+        raise ValueError("grad_mu_global needs a trajectory of at least one step "
+                         "that recorded its viscosities")
+    _check_exact(traj, exact)
+    cfg = traj.config
     n = cfg.grid.n_cells
-    dt = cfg.dt
-    states = simulate(u0, n_steps, cfg, scheme="ftcs_mu", mu=mu_st).states
-    mu = mu_st.values
+    states = traj.states
+    mu = traj.viscosity_history.values
     coefs = _step_coefficients(spec, n_steps, n)
 
     def dj_du(m: int) -> np.ndarray:
-        err = states[m] - exact_provider(m * dt).values
+        err = states[m] - exact[m]
         return 2.0 * coefs[m - 1] * err
 
     grad = np.empty((n_steps, n))
@@ -185,7 +192,7 @@ def fd_gradient(
     u0: CellField,
     mu_st: SpaceTimeViscosity,
     cfg: SchemeConfig,
-    exact_provider: ExactProvider,
+    exact: np.ndarray,
     spec: LossSpec = LossSpec(),
     h: float | None = None,
 ) -> np.ndarray:
@@ -203,7 +210,7 @@ def fd_gradient(
     def evaluate(values: np.ndarray) -> float:
         traj = simulate(u0, mu_st.n_steps, cfg, scheme="ftcs_mu",
                         mu=SpaceTimeViscosity(values, cfg.grid))
-        return loss_value(traj, exact_provider, spec)
+        return loss_value(traj, exact, spec)
 
     for idx in np.ndindex(base.shape):
         hc = h if h is not None else 1e-6 * max(1.0, abs(base[idx]))

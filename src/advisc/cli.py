@@ -23,15 +23,13 @@ from .config import (
     config_to_dict,
     load_config,
 )
-from .diagnostics import entropy_series, error_field, mse, mu_stats, mu_summary, summary_stats
+from .diagnostics import entropy_series, mse, mu_stats, mu_summary, summary_stats
 from .grid import (
     CellField,
-    ExactProvider,
     FaceViscosity,
+    Grid1D,
     SpaceTimeViscosity,
     exact_solution,
-    hat_provider,
-    sine_provider,
     sine_solution,
 )
 from .optimizer import TrainingReport, train_global, train_per_step
@@ -60,17 +58,19 @@ EXIT_NO_CONVERGENCE = 5
 ANALYSIS_NAME = "analysis.json"
 
 
-def _build_problem(cfg: ExperimentConfig) -> tuple[SchemeConfig, CellField, ExactProvider]:
+def _exact(cfg: ExperimentConfig, grid: Grid1D, t: float | np.ndarray) -> np.ndarray:
+    """The configured initial condition's exact solution at the time or times ``t``."""
+    if cfg.ic.kind == "hat":
+        return exact_solution(cfg.ic.hat_profile(), grid, cfg.c, t)
+    return sine_solution(grid, cfg.c, t, cfg.ic.wavenumber, cfg.ic.amplitude)
+
+
+def _build_problem(cfg: ExperimentConfig) -> tuple[SchemeConfig, CellField, np.ndarray]:
+    """Scheme config, initial state and the (n_steps + 1, N) exact states of a run."""
     scheme_cfg = cfg.scheme_config()
     grid = scheme_cfg.grid
-    if cfg.ic.kind == "hat":
-        profile = cfg.ic.hat_profile()
-        provider = hat_provider(profile, grid, cfg.c)
-        u0 = exact_solution(profile, grid, cfg.c, 0.0)
-    else:
-        provider = sine_provider(grid, cfg.c, cfg.ic.wavenumber, cfg.ic.amplitude)
-        u0 = sine_solution(grid, cfg.c, 0.0, cfg.ic.wavenumber, cfg.ic.amplitude)
-    return scheme_cfg, u0, provider
+    exact = _exact(cfg, grid, np.arange(cfg.n_steps + 1) * cfg.dt)
+    return scheme_cfg, CellField(exact[0], grid), exact
 
 
 def _mu_summary(cfg: ExperimentConfig, mu_st: SpaceTimeViscosity, traj: Trajectory) -> dict:
@@ -104,7 +104,7 @@ def _write_run_files(
     cfg: ExperimentConfig,
     out_dir: Path,
     traj: Trajectory,
-    provider: ExactProvider,
+    exact: np.ndarray,
     report: TrainingReport | None = None,
 ) -> list[dict]:
     grid = traj.config.grid
@@ -118,7 +118,7 @@ def _write_run_files(
         write_matrix_csv(out_dir / "solution.csv", times, traj.states)
         record("solution.csv", "solution")
     final = traj.states[-1]
-    exact_final = provider(times[-1]).values
+    exact_final = exact[-1]
     write_columns_csv(
         out_dir / "final_state.csv",
         ["x", "u", "exact", "error"],
@@ -126,7 +126,7 @@ def _write_run_files(
     )
     record("final_state.csv", "final_state")
     if cfg.output.write_error:
-        write_matrix_csv(out_dir / "error.csv", times, error_field(traj, provider))
+        write_matrix_csv(out_dir / "error.csv", times, traj.states - exact)
         record("error.csv", "error_field")
     if cfg.output.write_entropy:
         write_series_csv(out_dir / "entropy.csv", "t", "entropy", times,
@@ -185,7 +185,7 @@ def cmd_run(cfg: ExperimentConfig, seed: int = 0) -> int:
     t_start = time.time()
     out_dir = Path(cfg.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    scheme_cfg, u0, provider = _build_problem(cfg)
+    scheme_cfg, u0, exact = _build_problem(cfg)
 
     mu = None
     if cfg.scheme == "ftcs_mu":
@@ -203,11 +203,12 @@ def cmd_run(cfg: ExperimentConfig, seed: int = 0) -> int:
         extra = {"diverged_at_step": err.step}
         traj = err.trajectory
 
-    files = _write_run_files(cfg, out_dir, traj, provider)
+    exact = exact[: traj.n_steps + 1]
+    files = _write_run_files(cfg, out_dir, traj, exact)
     if status == "divergence":
         for entry in files:
             entry["partial"] = True
-    stats = summary_stats(traj.states, provider(traj.times[-1]).values, scheme_cfg.grid.dx)
+    stats = summary_stats(traj.states, exact[-1], scheme_cfg.grid.dx)
     summary = {"stats": stats, "status": status}
     write_json(out_dir / "summary.json", summary)
     _finish_manifest(cfg, out_dir, files, seed, t_start, status, extra)
@@ -227,15 +228,15 @@ def cmd_train(cfg: ExperimentConfig, seed: int | None = None) -> int:
 
     out_dir = Path(cfg.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    scheme_cfg, u0, provider = _build_problem(cfg)
+    scheme_cfg, u0, exact = _build_problem(cfg)
     if cfg.n_steps < 1:
         raise ConfigError("training requires t_final >= dt (at least one step)")
     _clear_previous_run(out_dir)
 
     if cfg.training.mode == "per_step":
-        report = train_per_step(u0, cfg.n_steps, scheme_cfg, opt, provider)
+        report = train_per_step(u0, scheme_cfg, opt, exact)
     else:
-        report = train_global(u0, cfg.n_steps, scheme_cfg, opt, provider)
+        report = train_global(u0, scheme_cfg, opt, exact)
 
     if report.converged:
         status = "ok"
@@ -245,11 +246,12 @@ def cmd_train(cfg: ExperimentConfig, seed: int | None = None) -> int:
         status = "no_convergence"
 
     traj = report.trajectory
-    files = _write_run_files(cfg, out_dir, traj, provider, report)
+    exact = exact[: traj.n_steps + 1]
+    files = _write_run_files(cfg, out_dir, traj, exact, report)
     if status != "ok":
         for entry in files:
             entry["partial"] = True
-    stats = summary_stats(traj.states, provider(traj.times[-1]).values, scheme_cfg.grid.dx)
+    stats = summary_stats(traj.states, exact[-1], scheme_cfg.grid.dx)
     summary = {
         "stats": stats,
         "mu": _mu_summary(cfg, report.final_mu, traj),
@@ -326,7 +328,7 @@ def cmd_analyze(directory: str | Path) -> int:
     check("manifest_complete", not missing and not unlisted,
           f"missing={missing} unlisted={unlisted}")
 
-    scheme_cfg, _, provider = _build_problem(cfg)
+    scheme_cfg = cfg.scheme_config()
     grid = scheme_cfg.grid
     tolerance = 1e-12
 
@@ -340,14 +342,17 @@ def cmd_analyze(directory: str | Path) -> int:
     if "solution.csv" in listed:
         times, states = read_matrix_csv(out_dir / "solution.csv")
         compare("stat", summary.get("stats", {}),
-                summary_stats(states, provider(times[-1]).values, grid.dx))
+                summary_stats(states, _exact(cfg, grid, times[-1]), grid.dx))
 
         if "entropy.csv" in listed:
             _, stored_entropy = read_series_csv(out_dir / "entropy.csv")
             entropy = entropy_series(states, grid.dx)
-            ok = np.allclose(stored_entropy, entropy, rtol=0, atol=tolerance)
-            check("entropy_series_consistent", ok,
-                  f"max diff {np.max(np.abs(stored_entropy - entropy)):.3e}")
+            if len(stored_entropy) == len(entropy):
+                ok = np.allclose(stored_entropy, entropy, rtol=0, atol=tolerance)
+                detail = f"max diff {np.max(np.abs(stored_entropy - entropy)):.3e}"
+            else:
+                ok, detail = False, f"{len(stored_entropy)} rows for {len(entropy)} states"
+            check("entropy_series_consistent", ok, detail)
 
         twin = _twin_viscosity(cfg)
         if twin is not None:
@@ -358,8 +363,12 @@ def cmd_analyze(directory: str | Path) -> int:
 
         if "mu.csv" in listed and cfg.scheme == "ftcs_mu":
             _, mu_values = read_matrix_csv(out_dir / "mu.csv")
-            worst = _replay_error(states, mu_values, scheme_cfg)
-            check("stored_steps_consistent", worst < 1e-13, f"max rel err {worst:.3e}")
+            if len(mu_values) == len(states) - 1:
+                worst = _replay_error(states, mu_values, scheme_cfg)
+                ok, detail = worst < 1e-13, f"max rel err {worst:.3e}"
+            else:
+                ok, detail = False, f"{len(mu_values)} rows for {len(states) - 1} steps"
+            check("stored_steps_consistent", ok, detail)
             compare("mu", summary.get("mu", {}), mu_summary(mu_values))
 
     check("run_status_ok", manifest.get("status") == "ok",
@@ -376,8 +385,10 @@ def cmd_analyze(directory: str | Path) -> int:
 
 def _oracle_mses(cfg: ExperimentConfig) -> dict:
     """Final-time MSE of the classical baselines on the same problem."""
-    scheme_cfg, u0, provider = _build_problem(cfg)
-    exact_final = provider(cfg.n_steps * cfg.dt).values
+    scheme_cfg = cfg.scheme_config()
+    grid = scheme_cfg.grid
+    initial, exact_final = _exact(cfg, grid, np.array([0.0, cfg.n_steps * cfg.dt]))
+    u0 = CellField(initial, grid)
     out = {}
     for scheme in ("upwind", "lax_wendroff"):
         traj = simulate(u0, cfg.n_steps, scheme_cfg, scheme=scheme)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CellField, ExactProvider, FaceViscosity, HatProfile, SpaceTimeViscosity
+from .grid import CellField, FaceViscosity, HatProfile, SpaceTimeViscosity
 from .schemes import SchemeConfig, Trajectory
 
 
@@ -21,15 +21,6 @@ def mse(u: np.ndarray, exact: np.ndarray) -> float:
         raise ValueError("arrays have mismatched shapes")
     diff = u - exact
     return float(np.mean(diff * diff))
-
-
-def error_field(traj: Trajectory, exact_provider: ExactProvider) -> np.ndarray:
-    """Pointwise errors u_i^n - u_exact(x_i, t^n), shape (n_steps + 1, n_cells)."""
-    dt = traj.config.dt
-    errors = np.empty_like(traj.states)
-    for n, row in enumerate(traj.states):
-        np.subtract(row, exact_provider(n * dt).values, out=errors[n])
-    return errors
 
 
 def entropy_series(states: np.ndarray, dx: float) -> np.ndarray:

@@ -8,7 +8,6 @@ shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -135,49 +134,35 @@ class HatProfile:
             raise ValueError("hat edges must satisfy 0 <= lo < hi")
 
 
-def exact_solution(profile: HatProfile, grid: Grid1D, c: float, t: float) -> CellField:
+def exact_solution(
+    profile: HatProfile, grid: Grid1D, c: float, t: float | np.ndarray
+) -> np.ndarray:
     """Analytic translated-hat solution sampled at cell centers.
 
     The hat translates with speed c on the periodic domain; sampling maps
     x_i - c*t into [0, length) and applies the strict-inequality profile.
+    ``t`` is a scalar or an array of times; the result has shape
+    np.shape(t) + (n_cells,), one row per time.
     """
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("t must be non-negative")
     length = grid.length
     if profile.hi > length:
         raise ValueError("hat edges must lie inside the periodic domain")
-    frac = np.mod(grid.cell_centers - c * t, length)
+    frac = np.mod(grid.cell_centers - c * t[..., None], length)
     inside = (profile.lo < frac) & (frac < profile.hi)
-    return CellField(np.where(inside, profile.amplitude, 0.0), grid)
+    return np.where(inside, profile.amplitude, 0.0)
 
 
 def sine_solution(
-    grid: Grid1D, c: float, t: float, wavenumber: int = 1, amplitude: float = 1.0
-) -> CellField:
-    """Translating sine wave sampled at cell centers (smooth test profile)."""
-    x = grid.cell_centers
-    phase = 2.0 * np.pi * wavenumber * (x - c * t) / grid.length
-    return CellField(amplitude * np.sin(phase), grid)
+    grid: Grid1D, c: float, t: float | np.ndarray, wavenumber: int = 1, amplitude: float = 1.0
+) -> np.ndarray:
+    """Translating sine wave sampled at cell centers (smooth test profile).
 
-
-ExactProvider = Callable[[float], CellField]
-
-
-def hat_provider(profile: HatProfile, grid: Grid1D, c: float) -> ExactProvider:
-    """Callable t -> exact translated hat field, for loss evaluation."""
-
-    def provider(t: float) -> CellField:
-        return exact_solution(profile, grid, c, t)
-
-    return provider
-
-
-def sine_provider(
-    grid: Grid1D, c: float, wavenumber: int = 1, amplitude: float = 1.0
-) -> ExactProvider:
-    """Callable t -> exact translated sine field."""
-
-    def provider(t: float) -> CellField:
-        return sine_solution(grid, c, t, wavenumber=wavenumber, amplitude=amplitude)
-
-    return provider
+    Like ``exact_solution``, a scalar or array ``t`` gives shape
+    np.shape(t) + (n_cells,).
+    """
+    t = np.asarray(t, dtype=float)
+    phase = 2.0 * np.pi * wavenumber * (grid.cell_centers - c * t[..., None]) / grid.length
+    return amplitude * np.sin(phase)

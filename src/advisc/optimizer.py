@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import LossSpec, grad_mu_global, grad_mu_instantaneous, loss_value
-from .grid import CellField, ExactProvider, FaceViscosity, SpaceTimeViscosity
+from .grid import CellField, FaceViscosity, SpaceTimeViscosity
 from .schemes import DivergenceError, SchemeConfig, Trajectory, _next, _prev, ftcs_update, simulate
 
 
@@ -88,24 +88,31 @@ def regularizer_gradient(mu: np.ndarray, opt: OptimizerConfig) -> np.ndarray:
     return g
 
 
+def _horizon(exact: np.ndarray, cfg: SchemeConfig) -> int:
+    """The step count M >= 1 of an (M + 1, n_cells) array of exact states."""
+    if exact.ndim != 2 or exact.shape[0] < 2 or exact.shape[1] != cfg.grid.n_cells:
+        raise ValueError(f"exact must have shape (n_steps + 1, {cfg.grid.n_cells}) "
+                         f"with n_steps >= 1, got {exact.shape}")
+    return exact.shape[0] - 1
+
+
 def train_per_step(
     u0: CellField,
-    n_steps: int,
     cfg: SchemeConfig,
     opt: OptimizerConfig,
-    exact_provider: ExactProvider,
+    exact: np.ndarray,
     magnitude_guard: float = 1e6,
 ) -> TrainingReport:
     """Greedy training: optimize each step's viscosity against the next exact state.
 
-    The state advanced between steps is the numerical one (never reset to
-    exact), so error accumulation is visible to later steps. Each step's mu
-    warm-starts from the previous optimum unless ``opt.warm_start`` is off.
-    Divergence of the advancing state halts training at that step.
+    Row m of ``exact`` is the exact state at time m*dt; its M + 1 rows set
+    the M steps trained. The state advanced between steps is the numerical
+    one (never reset to exact), so error accumulation is visible to later
+    steps. Each step's mu warm-starts from the previous optimum unless
+    ``opt.warm_start`` is off. Divergence of the advancing state halts
+    training at that step.
     """
-    if n_steps < 1 or int(n_steps) != n_steps:
-        raise ValueError("n_steps must be a positive integer")
-    n_steps = int(n_steps)
+    n_steps = _horizon(exact, cfg)
     grid = cfg.grid
     init = opt.resolve_init(cfg)
     lr, lo, hi = opt.learning_rate, opt.mu_min, opt.mu_max
@@ -122,7 +129,7 @@ def train_per_step(
     for n in range(n_steps):
         if not opt.warm_start:
             mu = np.full(grid.n_cells, init)
-        u, target = states[n], exact_provider((n + 1) * cfg.dt).values
+        u, target = states[n], exact[n + 1]
         for _ in range(opt.n_iters):
             g = grad_mu_instantaneous(u, target, mu, cfg)
             g += regularizer_gradient(mu, opt)
@@ -158,21 +165,21 @@ def train_per_step(
 
 def train_global(
     u0: CellField,
-    n_steps: int,
     cfg: SchemeConfig,
     opt: OptimizerConfig,
-    exact_provider: ExactProvider,
+    exact: np.ndarray,
     loss_spec: LossSpec = LossSpec(),
     max_halvings: int = 30,
 ) -> TrainingReport:
     """Whole-horizon training: one decision vector of shape (n_steps, n_faces).
 
-    Plain projected gradient descent; an iterate whose forward sweep diverges
-    is rejected and retried at half the step size (the reduction persists).
-    Returns the best (lowest-loss) iterate seen, with its trajectory.
+    ``exact`` is as for ``train_per_step``. Plain projected gradient descent;
+    the gradient reuses the accepted iterate's forward sweep, so each
+    iteration runs one sweep, of its candidate. A candidate whose sweep
+    diverges is rejected and retried at half the step size (the reduction
+    persists). Returns the best (lowest-loss) iterate seen, with its trajectory.
     """
-    if n_steps < 1 or int(n_steps) != n_steps:
-        raise ValueError("n_steps must be a positive integer")
+    n_steps = _horizon(exact, cfg)
     grid = cfg.grid
     init = opt.resolve_init(cfg)
     lr = opt.learning_rate
@@ -180,20 +187,18 @@ def train_global(
     def evaluate(values: np.ndarray) -> tuple[float, Trajectory]:
         traj = simulate(u0, n_steps, cfg, scheme="ftcs_mu",
                         mu=SpaceTimeViscosity(values, grid))
-        return loss_value(traj, exact_provider, loss_spec), traj
+        return loss_value(traj, exact, loss_spec), traj
 
-    current = np.full((int(n_steps), grid.n_cells), init)
-    loss_cur, traj_cur = evaluate(current)  # initial sweep failure is unrecoverable
-    best_mu, best_loss, best_traj = current, loss_cur, traj_cur
-    losses = [loss_cur]
+    current = np.full((n_steps, grid.n_cells), init)
+    best_loss, traj_cur = evaluate(current)  # initial sweep failure is unrecoverable
+    best_mu, best_traj = current, traj_cur
+    losses = [best_loss]
     divergences = 0
     halvings = 0
     completed = True
 
     for _ in range(opt.n_iters):
-        grad = grad_mu_global(
-            u0, SpaceTimeViscosity(current, grid), cfg, exact_provider, loss_spec
-        )
+        grad = grad_mu_global(traj_cur, exact, loss_spec)
         grad += regularizer_gradient(current, opt)
         while True:
             candidate = np.clip(current - lr * grad, opt.mu_min, opt.mu_max)
@@ -207,8 +212,8 @@ def train_global(
                     completed = False
                     break
                 continue
-            current, loss_cur = candidate, loss_cand
-            losses.append(loss_cur)
+            current, traj_cur = candidate, traj_cand
+            losses.append(loss_cand)
             if loss_cand < best_loss:
                 best_mu, best_loss, best_traj = candidate, loss_cand, traj_cand
             break
@@ -226,9 +231,8 @@ def train_global(
 
 def constant_mu_grid_search(
     u0: CellField,
-    n_steps: int,
     cfg: SchemeConfig,
-    exact_provider: ExactProvider,
+    exact: np.ndarray,
     mu_min: float,
     mu_max: float,
     n_samples: int = 200,
@@ -237,8 +241,10 @@ def constant_mu_grid_search(
     """Brute-force 1D search over space-time-constant viscosities.
 
     Returns (best_mu, best_loss); diverging candidates are skipped. Serves as
-    the baseline the space-time trainer must beat.
+    the baseline the space-time trainer must beat. ``exact`` is as for
+    ``train_per_step``.
     """
+    n_steps = _horizon(exact, cfg)
     best_mu = np.nan
     best_loss = np.inf
     for mu_c in np.linspace(mu_min, mu_max, n_samples):
@@ -249,7 +255,7 @@ def constant_mu_grid_search(
             )
         except DivergenceError:
             continue
-        loss = loss_value(traj, exact_provider, loss_spec)
+        loss = loss_value(traj, exact, loss_spec)
         if loss < best_loss:
             best_mu, best_loss = float(mu_c), loss
     return best_mu, best_loss

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -20,33 +22,38 @@ def fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _write_lines(path: str | Path, header: str, lines: Iterable[str]) -> None:
+    """Write the header, then each line in turn: a large file never exists as one string."""
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for line in lines:
+            f.write(line + "\n")
+
+
 def write_matrix_csv(path: str | Path, times: np.ndarray, matrix: np.ndarray) -> None:
     """Space-time matrix: header ``t\\x,x0,...``, one row per recorded time."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != len(times):
         raise ValueError("matrix must be 2D with one row per time entry")
-    lines = ["t\\x," + ",".join(f"x{j}" for j in range(matrix.shape[1]))]
-    for t, row in zip(times, matrix):
-        lines.append(fmt(t) + "," + ",".join(fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = "t\\x," + ",".join(f"x{j}" for j in range(matrix.shape[1]))
+    rows = (fmt(t) + "," + ",".join(fmt(v) for v in row) for t, row in zip(times, matrix))
+    _write_lines(path, header, rows)
 
 
 def read_matrix_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of write_matrix_csv; returns (times, matrix)."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("t\\x,"):
-        raise ValueError(f"{path} is not a space-time matrix CSV")
-    times = []
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        times.append(float(parts[0]))
-        rows.append([float(v) for v in parts[1:]])
-    matrix = np.array(rows)
+    with open(path) as f, warnings.catch_warnings():
+        # A header-only file is rejected below, not warned about.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        if not f.readline().startswith("t\\x,"):
+            raise ValueError(f"{path} is not a space-time matrix CSV")
+        data = np.loadtxt(f, delimiter=",", ndmin=2)
+    if data.shape[0] == 0:
+        raise ValueError(f"{path} has no data rows")
     # Every matrix a run writes is finite; anything else is a corrupt file.
-    if not np.isfinite(matrix).all():
+    if not np.isfinite(data).all():
         raise ValueError(f"{path} has non-finite entries")
-    return np.array(times), matrix
+    return data[:, 0].copy(), np.ascontiguousarray(data[:, 1:])
 
 
 def write_series_csv(path: str | Path, key: str, name: str,
@@ -54,10 +61,7 @@ def write_series_csv(path: str | Path, key: str, name: str,
     """Two-column series like ``t,value`` or ``iter,value``."""
     if len(keys) != len(values):
         raise ValueError("series columns must have equal length")
-    lines = [f"{key},{name}"]
-    for k, v in zip(keys, values):
-        lines.append(fmt(k) + "," + fmt(v))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(path, f"{key},{name}", (fmt(k) + "," + fmt(v) for k, v in zip(keys, values)))
 
 
 def read_series_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -78,10 +82,8 @@ def write_columns_csv(path: str | Path, header: list[str], columns: list[np.ndar
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError("all columns must have equal length")
-    lines = [",".join(header)]
-    for i in range(n):
-        lines.append(",".join(fmt(col[i]) for col in columns))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(path, ",".join(header),
+                 (",".join(fmt(col[i]) for col in columns) for i in range(n)))
 
 
 def write_json(path: str | Path, payload: dict) -> None:

@@ -16,7 +16,6 @@ from advisc.grid import (
     HatProfile,
     SpaceTimeViscosity,
     exact_solution,
-    hat_provider,
     make_grid,
     sine_solution,
 )
@@ -45,15 +44,15 @@ def report(criterion: int, passed: bool, detail: str) -> None:
 def test_criterion_1_adjoint_matches_fd_oracle():
     grid = make_grid(16, 1.0)
     cfg = SchemeConfig(c=1.0, dt=0.1 * grid.dx, grid=grid)
-    provider = hat_provider(HatProfile(), grid, cfg.c)
+    exact = exact_solution(HatProfile(), grid, cfg.c, np.arange(6) * cfg.dt)
     start = time.perf_counter()
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(seed)
         u0 = CellField(rng.uniform(-1, 1, 16), grid)
         mu_st = SpaceTimeViscosity(rng.uniform(-5e-3, 9.5e-2, (5, 16)), grid)
-        g_adj = grad_mu_global(u0, mu_st, cfg, provider)
-        g_fd = fd_gradient(u0, mu_st, cfg, provider)
+        g_adj = grad_mu_global(simulate(u0, 5, cfg, mu=mu_st), exact)
+        g_fd = fd_gradient(u0, mu_st, cfg, exact)
         worst = max(worst, np.max(np.abs(g_adj - g_fd)) / (1e-12 + np.max(np.abs(g_fd))))
     elapsed = time.perf_counter() - start
     report(
@@ -95,7 +94,8 @@ def test_criterion_3_ftcs_instability_reproduction():
     grid = make_grid(100, 1.0)
     cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
     start = time.perf_counter()
-    traj = simulate(sine_solution(grid, cfg.c, 0.0), 1000, cfg, scheme="ftcs_bare")
+    traj = simulate(CellField(sine_solution(grid, cfg.c, 0.0), grid), 1000, cfg,
+                    scheme="ftcs_bare")
     norms = np.linalg.norm(traj.states, axis=1)
     monotone = bool(np.all(np.diff(norms) > 0))
     j = np.arange(512)
@@ -114,12 +114,12 @@ def test_criterion_3_ftcs_instability_reproduction():
 
 
 def test_criterion_4_paper_experiment(paper_problem, paper_training_report):
-    cfg, profile, u0, provider = paper_problem
+    cfg, profile, u0, _ = paper_problem
     training, elapsed = paper_training_report
-    exact_final = provider(0.15)
-    mse_learned = mse(training.trajectory.states[-1], exact_final.values)
+    exact_final = exact_solution(profile, cfg.grid, cfg.c, 0.15)
+    mse_learned = mse(training.trajectory.states[-1], exact_final)
     upwind = simulate(u0, 150, cfg, scheme="upwind")
-    mse_upwind = mse(upwind.states[-1], exact_final.values)
+    mse_upwind = mse(upwind.states[-1], exact_final)
     max_abs = float(np.max(np.abs(training.trajectory.states)))
     passed = (
         training.converged
@@ -138,7 +138,7 @@ def test_criterion_4_paper_experiment(paper_problem, paper_training_report):
 
 
 def test_criterion_5_sign_indefiniteness(paper_problem, paper_training_report):
-    cfg, profile, u0, provider = paper_problem
+    cfg, profile, u0, _ = paper_problem
     training, _ = paper_training_report
     stats = mu_stats(training.final_mu, training.trajectory, profile, radius=0.05)
     passed = (
@@ -180,13 +180,12 @@ def test_criterion_7_positivity_constrained_amplitude():
     base = preset_config("sine-smooth")
     scheme_cfg = base.scheme_config()
     grid = scheme_cfg.grid
-    u0 = sine_solution(grid, base.c, 0.0, base.ic.wavenumber, base.ic.amplitude)
-    from advisc.grid import sine_provider
-
-    provider = sine_provider(grid, base.c, base.ic.wavenumber, base.ic.amplitude)
-    signed = train_per_step(u0, base.n_steps, scheme_cfg, base.training.optimizer, provider)
+    times = np.arange(base.n_steps + 1) * base.dt
+    exact = sine_solution(grid, base.c, times, base.ic.wavenumber, base.ic.amplitude)
+    u0 = CellField(exact[0], grid)
+    signed = train_per_step(u0, scheme_cfg, base.training.optimizer, exact)
     nonneg_opt = nonneg_variant(base).training.optimizer
-    nonneg = train_per_step(u0, base.n_steps, scheme_cfg, nonneg_opt, provider)
+    nonneg = train_per_step(u0, scheme_cfg, nonneg_opt, exact)
     amp_signed = float(np.max(np.abs(signed.trajectory.states[-1])))
     amp_nonneg = float(np.max(np.abs(nonneg.trajectory.states[-1])))
     report(
@@ -229,13 +228,13 @@ def test_criterion_9_global_beats_constant_grid_search():
     grid = make_grid(16, 1.0)
     cfg = SchemeConfig(c=1.0, dt=0.1 * grid.dx, grid=grid)
     profile = HatProfile()
-    u0 = exact_solution(profile, grid, cfg.c, 0.0)
-    provider = hat_provider(profile, grid, cfg.c)
+    exact = exact_solution(profile, grid, cfg.c, np.arange(21) * cfg.dt)
+    u0 = CellField(exact[0], grid)
     best_mu, best_constant = constant_mu_grid_search(
-        u0, 20, cfg, provider, -5e-3, 9.5e-2, n_samples=200
+        u0, cfg, exact, -5e-3, 9.5e-2, n_samples=200
     )
     opt = OptimizerConfig(learning_rate=0.5, n_iters=400, mu_min=-5e-3, mu_max=9.5e-2)
-    trained = train_global(u0, 20, cfg, opt, provider)
+    trained = train_global(u0, cfg, opt, exact)
     best_trained = min(trained.loss_history)
     report(
         9,

@@ -14,10 +14,10 @@ from advisc.grid import (
     FaceViscosity,
     HatProfile,
     SpaceTimeViscosity,
-    hat_provider,
+    exact_solution,
     make_grid,
 )
-from advisc.schemes import SchemeConfig, ftcs_step, simulate
+from advisc.schemes import SchemeConfig, Trajectory, ftcs_step, simulate
 
 from oracles import naive_global_loss, naive_hat, naive_upwind_states
 
@@ -33,8 +33,13 @@ def toy_problem(n=16, steps=5, seed=0):
     rng = np.random.default_rng(seed)
     u0 = CellField(rng.uniform(-1, 1, n), grid)
     mu_st = SpaceTimeViscosity(rng.uniform(-5e-3, 9.5e-2, (steps, n)), grid)
-    provider = hat_provider(HatProfile(), grid, cfg.c)
-    return cfg, u0, mu_st, provider
+    exact = hat_exact(cfg, steps)
+    return cfg, u0, mu_st, exact
+
+
+def hat_exact(cfg, steps):
+    """Exact hat states at times 0, dt, .., steps*dt."""
+    return exact_solution(HatProfile(), cfg.grid, cfg.c, np.arange(steps + 1) * cfg.dt)
 
 
 def fd_relative_error(grad_adj, grad_fd):
@@ -45,33 +50,27 @@ class TestLossValue:
     def test_zero_when_trajectory_matches_exact(self):
         grid = make_grid(20, 1.0)
         cfg = SchemeConfig(c=1.0, dt=grid.dx, grid=grid)  # cfl 1: nothing special
-        provider = hat_provider(HatProfile(), grid, cfg.c)
-        states = np.stack([provider(n * cfg.dt).values for n in range(4)])
-        from advisc.schemes import Trajectory
-
-        traj = Trajectory(states=states, config=cfg)
-        assert loss_value(traj, provider) == 0.0
-        assert loss_value(traj, provider, LossSpec(mode="instantaneous")) == 0.0
+        exact = hat_exact(cfg, 3)
+        traj = Trajectory(states=exact, config=cfg)
+        assert loss_value(traj, exact) == 0.0
+        assert loss_value(traj, exact, LossSpec(mode="instantaneous")) == 0.0
 
     def test_uniform_offset_instantaneous(self):
         grid = make_grid(10, 1.0)
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
-        provider = hat_provider(HatProfile(), grid, cfg.c)
+        exact = hat_exact(cfg, 1)
         eps = 0.003
-        from advisc.schemes import Trajectory
-
-        u1 = CellField(provider(cfg.dt).values + eps, grid)
-        traj = Trajectory(states=np.stack([provider(0.0).values, u1.values]), config=cfg)
+        u1 = CellField(exact[1] + eps, grid)
+        traj = Trajectory(states=np.stack([exact[0], u1.values]), config=cfg)
         spec = LossSpec(mode="instantaneous")
-        assert loss_value(traj, provider, spec) == pytest.approx(eps**2, rel=1e-12)
+        assert loss_value(traj, exact, spec) == pytest.approx(eps**2, rel=1e-12)
 
     def test_pinned_upwind_reference_value(self):
         grid = make_grid(100, 1.0)
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
-        provider = hat_provider(HatProfile(), grid, cfg.c)
         u0 = CellField(naive_hat(100, 0.01, 0.0), grid)
         traj = simulate(u0, 150, cfg, scheme="upwind")
-        value = loss_value(traj, provider)
+        value = loss_value(traj, hat_exact(cfg, 150))
         assert value > 0
         assert value == pytest.approx(UPWIND_GLOBAL_LOSS, rel=1e-12)
 
@@ -81,30 +80,38 @@ class TestLossValue:
         assert naive_global_loss(states, exacts) == pytest.approx(UPWIND_GLOBAL_LOSS, rel=1e-13)
 
     def test_sum_normalization_scales_mean(self):
-        cfg, u0, mu_st, provider = toy_problem()
+        cfg, u0, mu_st, exact = toy_problem()
         traj = simulate(u0, 5, cfg, scheme="ftcs_mu", mu=mu_st)
-        mean = loss_value(traj, provider, LossSpec(normalization="mean"))
-        total = loss_value(traj, provider, LossSpec(normalization="sum"))
+        mean = loss_value(traj, exact, LossSpec(normalization="mean"))
+        total = loss_value(traj, exact, LossSpec(normalization="sum"))
         assert total == pytest.approx(mean * 16 * 5, rel=1e-13)
 
     def test_weights_validation(self):
-        cfg, u0, mu_st, provider = toy_problem()
+        cfg, u0, mu_st, exact = toy_problem()
         traj = simulate(u0, 5, cfg, scheme="ftcs_mu", mu=mu_st)
         with pytest.raises(ValueError):
-            loss_value(traj, provider, LossSpec(weights=(1.0, 1.0)))
+            loss_value(traj, exact, LossSpec(weights=(1.0, 1.0)))
         with pytest.raises(ValueError):
             LossSpec(weights=(1.0, -2.0))
 
     def test_weighted_loss_matches_manual_sum(self):
-        cfg, u0, mu_st, provider = toy_problem()
+        cfg, u0, mu_st, exact = toy_problem()
         traj = simulate(u0, 5, cfg, scheme="ftcs_mu", mu=mu_st)
         weights = (0.0, 1.0, 2.0, 0.5, 0.0)
-        value = loss_value(traj, provider, LossSpec(weights=weights))
+        value = loss_value(traj, exact, LossSpec(weights=weights))
         manual = 0.0
         for m in range(1, 6):
-            err = traj.states[m] - provider(m * cfg.dt).values
+            err = traj.states[m] - exact[m]
             manual += weights[m - 1] * np.sum(err**2)
         assert value == pytest.approx(manual / (16 * 5), rel=1e-13)
+
+    @pytest.mark.parametrize("mode", ["global", "instantaneous"])
+    def test_rejects_exact_of_another_shape(self, mode):
+        cfg, u0, mu_st, exact = toy_problem()
+        traj = simulate(u0, 5, cfg, scheme="ftcs_mu", mu=mu_st)
+        for wrong in (exact[:-1], exact[:, :-1], exact[-1]):
+            with pytest.raises(ValueError, match="shape"):
+                loss_value(traj, wrong, LossSpec(mode=mode))
 
 
 class TestInstantaneousGradient:
@@ -130,9 +137,9 @@ class TestInstantaneousGradient:
             grad_mu_instantaneous(u0.values, np.zeros(1), mu_st.values[0], cfg)
 
     def test_matches_central_differences(self):
-        cfg, u0, mu_st, provider = toy_problem(seed=3)
+        cfg, u0, mu_st, exact = toy_problem(seed=3)
         mu = mu_st.at_step(0)
-        target = provider(cfg.dt)
+        target = CellField(exact[1], cfg.grid)
         grad = grad_mu_instantaneous(u0.values, target.values, mu.values, cfg)
         n = cfg.grid.n_cells
         fd = np.zeros(n)
@@ -149,12 +156,10 @@ class TestInstantaneousGradient:
 
 class TestGlobalGradient:
     def test_single_step_reduces_to_instantaneous(self):
-        cfg, u0, mu_st, provider = toy_problem()
+        cfg, u0, mu_st, exact = toy_problem()
         single = SpaceTimeViscosity(mu_st.values[:1], cfg.grid)
-        g_inst = grad_mu_instantaneous(
-            u0.values, provider(cfg.dt).values, single.values[0], cfg
-        )
-        g_glob = grad_mu_global(u0, single, cfg, provider)
+        g_inst = grad_mu_instantaneous(u0.values, exact[1], single.values[0], cfg)
+        g_glob = grad_mu_global(simulate(u0, 1, cfg, mu=single), exact[:2])
         assert np.allclose(g_glob[0], g_inst, rtol=1e-13, atol=1e-18)
 
     def test_constant_initial_state_zero_gradient(self):
@@ -162,54 +167,51 @@ class TestGlobalGradient:
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
         u0 = CellField(np.zeros(16), grid)
         mu_st = SpaceTimeViscosity(np.full((4, 16), 0.01), grid)
-
-        def zero_provider(t):
-            return CellField(np.zeros(16), grid)
-
-        grad = grad_mu_global(u0, mu_st, cfg, zero_provider)
+        grad = grad_mu_global(simulate(u0, 4, cfg, mu=mu_st), np.zeros((5, 16)))
         assert np.array_equal(grad, np.zeros((4, 16)))
 
     @pytest.mark.parametrize("n", [8, 16])
     @pytest.mark.parametrize("steps", [1, 3, 5])
     def test_matches_fd_oracle(self, n, steps):
         for seed in range(3):
-            cfg, u0, mu_st, provider = toy_problem(n=n, steps=steps, seed=seed)
-            g_adj = grad_mu_global(u0, mu_st, cfg, provider)
-            g_fd = fd_gradient(u0, mu_st, cfg, provider)
+            cfg, u0, mu_st, exact = toy_problem(n=n, steps=steps, seed=seed)
+            g_adj = grad_mu_global(simulate(u0, steps, cfg, mu=mu_st), exact)
+            g_fd = fd_gradient(u0, mu_st, cfg, exact)
             assert fd_relative_error(g_adj, g_fd) < 1e-6
 
     def test_zero_gradient_when_trajectory_matches_target(self):
         cfg, u0, mu_st, _ = toy_problem(seed=9)
         traj = simulate(u0, 5, cfg, scheme="ftcs_mu", mu=mu_st)
-
-        def self_provider(t):
-            return CellField(traj.states[round(t / cfg.dt)], cfg.grid)
-
-        grad = grad_mu_global(u0, mu_st, cfg, self_provider)
+        grad = grad_mu_global(traj, traj.states)
         assert np.array_equal(grad, np.zeros((5, 16)))
 
     def test_gradient_linear_in_residual(self):
         cfg, u0, mu_st, _ = toy_problem(seed=11)
         traj = simulate(u0, 5, cfg, scheme="ftcs_mu", mu=mu_st)
-        base = {n: traj.states[n] for n in range(6)}
         rng = np.random.default_rng(12)
-        offsets = {n: rng.uniform(-1, 1, 16) for n in range(6)}
+        offsets = np.stack([rng.uniform(-1, 1, 16) for _ in range(6)])
 
-        def provider_scaled(scale):
-            def provider(t):
-                n = round(t / cfg.dt)
-                return CellField(base[n] - scale * offsets[n], cfg.grid)
-
-            return provider
-
-        g1 = grad_mu_global(u0, mu_st, cfg, provider_scaled(1.0))
-        g2 = grad_mu_global(u0, mu_st, cfg, provider_scaled(2.0))
+        g1 = grad_mu_global(traj, traj.states - 1.0 * offsets)
+        g2 = grad_mu_global(traj, traj.states - 2.0 * offsets)
         assert np.allclose(g2, 2.0 * g1, rtol=1e-12, atol=1e-18)
 
     def test_gradient_shape(self):
-        cfg, u0, mu_st, provider = toy_problem()
-        grad = grad_mu_global(u0, mu_st, cfg, provider)
+        cfg, u0, mu_st, exact = toy_problem()
+        grad = grad_mu_global(simulate(u0, 5, cfg, mu=mu_st), exact)
         assert grad.shape == (5, 16)
+
+    def test_rejects_exact_of_another_shape(self):
+        cfg, u0, mu_st, exact = toy_problem()
+        traj = simulate(u0, 5, cfg, mu=mu_st)
+        for wrong in (exact[:-1], exact[:, :-1], exact[-1]):
+            with pytest.raises(ValueError, match="shape"):
+                grad_mu_global(traj, wrong)
+
+    def test_requires_viscosity_history(self):
+        cfg, u0, _, exact = toy_problem()
+        traj = simulate(u0, 5, cfg, scheme="upwind")
+        with pytest.raises(ValueError, match="viscosities"):
+            grad_mu_global(traj, exact)
 
 
 class TestTransposeIdentity:
@@ -232,20 +234,16 @@ class TestFdGradient:
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
         u0 = CellField(np.zeros(8), grid)
         mu_st = SpaceTimeViscosity(np.zeros((2, 8)), grid)
-
-        def zero_provider(t):
-            return CellField(np.zeros(8), grid)
-
-        assert np.array_equal(fd_gradient(u0, mu_st, cfg, zero_provider), np.zeros((2, 8)))
+        assert np.array_equal(fd_gradient(u0, mu_st, cfg, np.zeros((3, 8))), np.zeros((2, 8)))
 
     def test_quadratic_exactness_halving_h(self):
         # single-step loss is quadratic in mu, so central FD is h-independent
-        cfg, u0, mu_st, provider = toy_problem(steps=1, seed=5)
-        g_h = fd_gradient(u0, mu_st, cfg, provider, h=1e-5)
-        g_h2 = fd_gradient(u0, mu_st, cfg, provider, h=5e-6)
+        cfg, u0, mu_st, exact = toy_problem(steps=1, seed=5)
+        g_h = fd_gradient(u0, mu_st, cfg, exact, h=1e-5)
+        g_h2 = fd_gradient(u0, mu_st, cfg, exact, h=5e-6)
         assert np.max(np.abs(g_h - g_h2)) / np.max(np.abs(g_h)) < 1e-9
 
     def test_rejects_bad_h(self):
-        cfg, u0, mu_st, provider = toy_problem()
+        cfg, u0, mu_st, exact = toy_problem()
         with pytest.raises(ValueError):
-            fd_gradient(u0, mu_st, cfg, provider, h=0.0)
+            fd_gradient(u0, mu_st, cfg, exact, h=0.0)

@@ -281,6 +281,37 @@ class TestAnalyzeCommand:
         failed = {c["name"] for c in analysis["checks"] if not c["passed"]}
         assert expected <= failed
 
+    @pytest.mark.parametrize("target, rows, expected", [
+        ("mu.csv", slice(None, -1), {"stored_steps_consistent"}),
+        ("mu.csv", [*range(30), 29], {"stored_steps_consistent"}),
+        ("solution.csv", slice(None, -1),
+         {"entropy_series_consistent", "stored_steps_consistent"}),
+    ], ids=["mu_row_missing", "mu_row_extra", "solution_row_missing"])
+    def test_analyze_names_row_count_mismatch(self, tmp_path, target, rows, expected):
+        cfg_path, out = write_config(
+            tmp_path, scheme="ftcs_mu", n_cells=20, t_final=0.03,
+            training=TRAINING.format(n_iters=10, mu_min=-0.005),
+        )
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        times, values = read_matrix_csv(out / target)
+        from advisc.runio import write_matrix_csv
+
+        write_matrix_csv(out / target, times[rows], values[rows])
+        assert main(["analyze", str(out)]) == 1
+        analysis = json.loads((out / "analysis.json").read_text())
+        failed = {c["name"]: c["detail"] for c in analysis["checks"] if not c["passed"]}
+        assert expected <= set(failed)
+        for name in expected:
+            assert "rows" in failed[name]
+
+    def test_analyze_rejects_header_only_solution_exits_4(self, tmp_path, capsys):
+        cfg_path, out = write_config(tmp_path, t_final=0.01)
+        main(["run", "--config", str(cfg_path)])
+        header = (out / "solution.csv").read_text().splitlines()[0]
+        (out / "solution.csv").write_text(header + "\n")
+        assert main(["analyze", str(out)]) == 4
+        assert "no data rows" in capsys.readouterr().err
+
     def test_analyze_rejects_non_finite_solution_exits_4(self, tmp_path):
         cfg_path, out = write_config(tmp_path, t_final=0.01)
         main(["run", "--config", str(cfg_path)])

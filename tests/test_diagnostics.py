@@ -4,7 +4,6 @@ import pytest
 from advisc.diagnostics import (
     ec_es_split,
     entropy_report,
-    error_field,
     mse,
     mu_stats,
     total_entropy,
@@ -16,11 +15,10 @@ from advisc.grid import (
     HatProfile,
     SpaceTimeViscosity,
     exact_solution,
-    hat_provider,
     make_grid,
     sine_solution,
 )
-from advisc.schemes import SchemeConfig, Trajectory, ftcs_flux, simulate
+from advisc.schemes import SchemeConfig, ftcs_flux, simulate
 
 from oracles import naive_entropy, naive_hat, naive_mse, naive_total_variation
 
@@ -33,9 +31,8 @@ def paper_setup():
     grid = make_grid(100, 1.0)
     cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
     profile = HatProfile()
-    u0 = exact_solution(profile, grid, 1.0, 0.0)
-    provider = hat_provider(profile, grid, 1.0)
-    return cfg, profile, u0, provider
+    u0 = CellField(exact_solution(profile, grid, 1.0, 0.0), grid)
+    return cfg, profile, u0
 
 
 class TestMse:
@@ -57,9 +54,9 @@ class TestMse:
             mse(a.values, b.values)
 
     def test_pinned_upwind_final_mse(self):
-        cfg, profile, u0, provider = paper_setup()
+        cfg, profile, u0 = paper_setup()
         traj = simulate(u0, 150, cfg, scheme="upwind")
-        value = mse(traj.states[-1], provider(0.15).values)
+        value = mse(traj.states[-1], exact_solution(profile, cfg.grid, 1.0, 0.15))
         assert value == pytest.approx(UPWIND_FINAL_MSE, rel=1e-12)
 
     def test_matches_loop_oracle(self):
@@ -69,22 +66,6 @@ class TestMse:
         assert mse(a, b) == pytest.approx(
             naive_mse(list(a), list(b)), rel=1e-14
         )
-
-
-class TestErrorField:
-    def test_zero_for_exact_trajectory(self):
-        cfg, profile, u0, provider = paper_setup()
-        states = np.stack([provider(n * cfg.dt).values for n in range(4)])
-        traj = Trajectory(states=states, config=cfg)
-        assert np.array_equal(error_field(traj, provider), np.zeros((4, 100)))
-
-    def test_shape_and_content(self):
-        cfg, profile, u0, provider = paper_setup()
-        traj = simulate(u0, 3, cfg, scheme="upwind")
-        errors = error_field(traj, provider)
-        assert errors.shape == (4, 100)
-        expected_final = traj.states[3] - provider(3 * cfg.dt).values
-        assert np.array_equal(errors[3], expected_final)
 
 
 class TestEntropy:
@@ -101,13 +82,13 @@ class TestEntropy:
 
     def test_initial_hat_entropy_is_one_tenth(self):
         # 20 unit cells of width 0.01: S = 0.5 * 20 * 1 * 0.01
-        cfg, profile, u0, _ = paper_setup()
+        cfg, profile, u0 = paper_setup()
         assert total_entropy(u0) == pytest.approx(0.1, abs=1e-15)
         assert total_entropy(u0) == pytest.approx(naive_entropy(list(u0.values), 0.01), abs=1e-16)
 
     def test_semi_discrete_central_flux_produces_no_entropy(self):
         # sum_i u_i (F_{i+1/2} - F_{i-1/2}) telescopes to zero at mu = 0
-        cfg, _, _, _ = paper_setup()
+        cfg, _, _ = paper_setup()
         rng = np.random.default_rng(1)
         u = CellField(rng.uniform(-1, 1, 100), cfg.grid)
         flux = ftcs_flux(u, FaceViscosity(np.zeros(100), cfg.grid), cfg)
@@ -115,34 +96,34 @@ class TestEntropy:
         assert abs(production) < 1e-13
 
     def test_forward_euler_step_increases_entropy_at_zero_mu(self):
-        cfg, _, _, _ = paper_setup()
-        u0 = sine_solution(cfg.grid, 1.0, 0.0)
+        cfg, _, _ = paper_setup()
+        u0 = CellField(sine_solution(cfg.grid, 1.0, 0.0), cfg.grid)
         traj = simulate(u0, 5, cfg, scheme="ftcs_bare")
         report = entropy_report(traj)
         assert np.all(report.per_step_delta > 0)
 
     def test_positive_uniform_mu_dissipation_nonnegative(self):
-        cfg, profile, u0, _ = paper_setup()
+        cfg, profile, u0 = paper_setup()
         mu = SpaceTimeViscosity(np.full((10, 100), 0.005), cfg.grid)
         traj = simulate(u0, 10, cfg, scheme="ftcs_mu", mu=mu)
         report = entropy_report(traj)
         assert np.all(report.spatial_dissipation >= 0)
 
     def test_zero_mu_dissipation_exactly_zero(self):
-        cfg, profile, u0, _ = paper_setup()
+        cfg, profile, u0 = paper_setup()
         mu = SpaceTimeViscosity(np.zeros((5, 100)), cfg.grid)
         traj = simulate(u0, 5, cfg, scheme="ftcs_mu", mu=mu)
         report = entropy_report(traj)
         assert np.array_equal(report.spatial_dissipation, np.zeros(5))
 
     def test_dissipation_requires_history(self):
-        cfg, profile, u0, _ = paper_setup()
+        cfg, profile, u0 = paper_setup()
         traj = simulate(u0, 5, cfg, scheme="upwind")
         report = entropy_report(traj)
         assert report.spatial_dissipation is None
 
     def test_dissipation_matches_direct_sum(self):
-        cfg, profile, u0, _ = paper_setup()
+        cfg, profile, u0 = paper_setup()
         rng = np.random.default_rng(2)
         mu = SpaceTimeViscosity(rng.uniform(-0.005, 0.095, (4, 100)), cfg.grid)
         traj = simulate(u0, 4, cfg, scheme="ftcs_mu", mu=mu)
@@ -159,7 +140,7 @@ class TestTotalVariation:
         assert total_variation(np.full(6, 1.5)) == 0.0
 
     def test_exact_hat_has_two_unit_jumps(self):
-        cfg, profile, u0, _ = paper_setup()
+        cfg, profile, u0 = paper_setup()
         assert total_variation(u0.values) == 2.0
 
     def test_matches_loop_oracle(self):
@@ -178,7 +159,7 @@ class TestTotalVariation:
 
 class TestMuStats:
     def make_traj(self, n_steps=4):
-        cfg, profile, u0, _ = paper_setup()
+        cfg, profile, u0 = paper_setup()
         mu = SpaceTimeViscosity(np.full((n_steps, 100), 0.005), cfg.grid)
         return cfg, profile, simulate(u0, n_steps, cfg, scheme="ftcs_mu", mu=mu)
 
@@ -226,7 +207,7 @@ class TestMuStats:
 
 class TestEcEsSplit:
     def test_constant_state(self):
-        cfg, _, _, _ = paper_setup()
+        cfg, _, _ = paper_setup()
         u = CellField(np.full(100, 2.0), cfg.grid)
         mu = FaceViscosity(np.full(100, 0.05), cfg.grid)
         ec, es = ec_es_split(u, mu, cfg)
@@ -234,14 +215,14 @@ class TestEcEsSplit:
         assert np.allclose(es, 0.0, atol=1e-15)
 
     def test_zero_mu_degenerates_to_central_flux(self):
-        cfg, _, u0, _ = paper_setup()
+        cfg, _, u0 = paper_setup()
         mu0 = FaceViscosity(np.zeros(100), cfg.grid)
         ec, es = ec_es_split(u0, mu0, cfg)
         assert np.array_equal(es, np.zeros(100))
         assert np.array_equal(ec, ftcs_flux(u0, mu0, cfg))
 
     def test_reconstruction_identity(self):
-        cfg, _, _, _ = paper_setup()
+        cfg, _, _ = paper_setup()
         rng = np.random.default_rng(4)
         for _ in range(10):
             u = CellField(rng.uniform(-1, 1, 100), cfg.grid)

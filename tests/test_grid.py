@@ -86,48 +86,60 @@ class TestExactSolution:
     def test_initial_hat_occupies_cells_40_to_59(self):
         grid = make_grid(100, 1.0)
         field = exact_solution(HatProfile(), grid, c=1.0, t=0.0)
-        nonzero = np.nonzero(field.values)[0]
+        nonzero = np.nonzero(field)[0]
         assert nonzero.min() == 40 and nonzero.max() == 59
-        assert np.all(field.values[nonzero] == 1.0)
+        assert np.all(field[nonzero] == 1.0)
 
     def test_matches_loop_oracle_at_random_times(self):
         grid = make_grid(100, 1.0)
         for t in (0.0, 0.0371, 0.15, 1.23):
             field = exact_solution(HatProfile(), grid, c=1.0, t=t)
-            assert np.array_equal(field.values, naive_hat(100, 0.01, t))
+            assert np.array_equal(field, naive_hat(100, 0.01, t))
 
     def test_full_period_translation_is_identity(self):
         grid = make_grid(64, 1.0)
         t0 = exact_solution(HatProfile(), grid, c=1.0, t=0.0)
         t1 = exact_solution(HatProfile(), grid, c=1.0, t=1.0)
-        assert np.array_equal(t0.values, t1.values)
+        assert np.array_equal(t0, t1)
 
     def test_fifteen_cell_shift(self):
         # 0.15 / dx = 15 exact whole-cell shifts at c = 1
         grid = make_grid(100, 1.0)
         t0 = exact_solution(HatProfile(), grid, c=1.0, t=0.0)
         t15 = exact_solution(HatProfile(), grid, c=1.0, t=0.15)
-        assert np.array_equal(t15.values, np.roll(t0.values, 15))
+        assert np.array_equal(t15, np.roll(t0, 15))
 
     def test_edges_are_strict(self):
         # center x_0 = 0.5 * 0.8 = 0.4 lands exactly on the lower edge
         grid = make_grid(5, 4.0)
         assert grid.cell_centers[0] == 0.4
         field = exact_solution(HatProfile(), grid, c=1.0, t=0.0)
-        assert field.values[0] == 0.0
+        assert field[0] == 0.0
 
     def test_negative_time_rejected(self):
         grid = make_grid(10, 1.0)
         with pytest.raises(ValueError):
             exact_solution(HatProfile(), grid, c=1.0, t=-0.1)
+        with pytest.raises(ValueError):
+            exact_solution(HatProfile(), grid, c=1.0, t=np.array([0.0, -0.1]))
 
     def test_mass_invariant_under_whole_cell_shifts(self):
         grid = make_grid(100, 1.0)
-        mass0 = np.sum(exact_solution(HatProfile(), grid, 1.0, 0.0).values) * grid.dx
+        mass0 = np.sum(exact_solution(HatProfile(), grid, 1.0, 0.0)) * grid.dx
         for k in (1, 7, 50, 100):
             t = k * grid.dx  # c*t/dx integral
-            mass = np.sum(exact_solution(HatProfile(), grid, 1.0, t).values) * grid.dx
+            mass = np.sum(exact_solution(HatProfile(), grid, 1.0, t)) * grid.dx
             assert mass == pytest.approx(mass0, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [100, 200, 1000, 10_000])
+    def test_array_of_times_stacks_scalar_samples(self, n):
+        grid = make_grid(n, 1.0)
+        profile = HatProfile(lo=0.13, hi=0.71, amplitude=0.7)
+        times = np.arange(151) * 1e-3
+        rows = exact_solution(profile, grid, 1.0, times)
+        assert rows.shape == (151, n)
+        scalar = np.stack([exact_solution(profile, grid, 1.0, m * 1e-3) for m in range(151)])
+        assert np.array_equal(rows, scalar)
 
 
 class TestSineSolution:
@@ -135,10 +147,20 @@ class TestSineSolution:
         grid = make_grid(50, 1.0)
         shifted = sine_solution(grid, c=2.0, t=0.25)
         expected = np.sin(2 * np.pi * (grid.cell_centers - 0.5))
-        assert np.allclose(shifted.values, expected, atol=1e-14)
+        assert np.allclose(shifted, expected, atol=1e-14)
 
     def test_full_period_identity(self):
         grid = make_grid(32, 1.0)
         a = sine_solution(grid, c=1.0, t=0.0, wavenumber=2)
         b = sine_solution(grid, c=1.0, t=1.0, wavenumber=2)
-        assert np.allclose(a.values, b.values, atol=1e-12)
+        assert np.allclose(a, b, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [100, 200, 1000, 10_000])
+    def test_array_of_times_stacks_scalar_samples(self, n):
+        grid = make_grid(n, 1.0)
+        times = np.arange(151) * 5e-5
+        rows = sine_solution(grid, 1.0, times, wavenumber=3, amplitude=1.3)
+        assert rows.shape == (151, n)
+        scalar = np.stack([sine_solution(grid, 1.0, m * 5e-5, wavenumber=3, amplitude=1.3)
+                           for m in range(151)])
+        assert np.array_equal(rows, scalar)

@@ -243,7 +243,8 @@ class TestSimulate:
     def test_bare_ftcs_grows_on_sine(self):
         grid = make_grid(100, 1.0)
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
-        traj = simulate(sine_solution(grid, 1.0, 0.0), 1000, cfg, scheme="ftcs_bare")
+        u0 = CellField(sine_solution(grid, 1.0, 0.0), grid)
+        traj = simulate(u0, 1000, cfg, scheme="ftcs_bare")
         norms = np.linalg.norm(traj.states, axis=1)
         assert np.all(np.diff(norms) > 0)
 
@@ -275,7 +276,7 @@ class TestSimulate:
     def test_divergence_carries_step_and_partial_trajectory(self):
         grid = make_grid(100, 1.0)
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
-        u0 = sine_solution(grid, 1.0, 0.0)
+        u0 = CellField(sine_solution(grid, 1.0, 0.0), grid)
         anti = FaceViscosity(np.full(100, -0.05), grid)  # d = -0.5, hard blowup
         with pytest.raises(DivergenceError) as excinfo:
             simulate(u0, 500, cfg, scheme="ftcs_mu", mu=anti)
