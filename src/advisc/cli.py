@@ -488,6 +488,9 @@ def _load_for(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
+_SEED_HELP = "run label recorded in the manifest (nothing in a run is random)"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="advisc",
@@ -503,7 +506,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", help="path to an experiment config file")
         p.add_argument("--preset", help="named preset instead of a config file")
         p.add_argument("--out", help="output directory override")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+        p.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
 
     p = sub.add_parser("analyze", help="verify a finished run directory")
     p.add_argument("directory", help="run directory containing a manifest")
@@ -511,7 +514,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("reproduce", help="run a named preset end to end")
     p.add_argument("--preset", required=True, help=f"one of {', '.join(PRESET_NAMES)}")
     p.add_argument("--out", default=None, help="output directory (default: preset name)")
-    p.add_argument("--seed", type=int, default=None, help="seed override")
+    p.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
 
     args = parser.parse_args(argv)
     try:

@@ -1,15 +1,16 @@
 """Strict parsing of experiment configuration files.
 
 The on-disk format is INI-style key-value text with one section per config
-group ([simulation], [initial_condition], [training], [output]). Every key
-is validated against the schema; unknown sections or keys are hard errors
-so that typos cannot silently change an experiment.
+group ([simulation], [initial_condition], [training], [output]). The settings
+dataclasses are the schema: a section's keys are their scalar fields. Unknown
+sections or keys are hard errors so that typos cannot silently change an
+experiment. The manifest echo carries the same sections and keys as JSON.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -128,33 +129,6 @@ class ExperimentConfig:
         return replace(self, training=replace(self.training, optimizer=opt))
 
 
-_SIMULATION_KEYS = {"scheme", "n_cells", "length", "c", "dt", "t_final", "mu"}
-_IC_KEYS = {"kind", "lo", "hi", "amplitude", "wavenumber"}
-_TRAINING_KEYS = {
-    "mode", "learning_rate", "n_iters", "mu_min", "mu_max",
-    "l2_penalty", "smooth_penalty", "init_mu", "seed", "warm_start",
-}
-_OUTPUT_KEYS = {"directory", "write_solution", "write_error", "write_entropy", "write_mu"}
-_SECTIONS = {
-    "simulation": _SIMULATION_KEYS,
-    "initial_condition": _IC_KEYS,
-    "training": _TRAINING_KEYS,
-    "output": _OUTPUT_KEYS,
-}
-
-
-def _get(section, key: str, convert, default=None, required: bool = False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing required key '{key}'")
-        return default
-    raw = section[key]
-    try:
-        return convert(raw)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"invalid value for '{key}': {raw!r}") from err
-
-
 def _to_bool(raw: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in ("true", "yes", "on", "1"):
@@ -166,9 +140,34 @@ def _to_bool(raw: str) -> bool:
 
 def _to_int(raw: str) -> int:
     value = float(raw)
-    if value != int(value):
+    if not value.is_integer():  # also rejects inf and nan
         raise ValueError(raw)
     return int(value)
+
+
+# INI converter per field annotation (annotations are strings under
+# ``from __future__ import annotations``). Fields with any other annotation
+# are nested settings, not keys.
+_CONVERTERS = {"str": str, "int": _to_int, "bool": _to_bool, "float": float, "float | None": float}
+
+
+def _keys(cls) -> dict:
+    """The scalar fields of a settings dataclass, mapped to their INI converters."""
+    return {f.name: _CONVERTERS[f.type] for f in fields(cls) if f.type in _CONVERTERS}
+
+
+# The config schema: each section's keys are the scalar fields of its
+# dataclasses, in echo order. [training] holds ``mode`` plus the optimizer.
+_SECTIONS = {
+    "simulation": _keys(ExperimentConfig),
+    "initial_condition": _keys(InitialCondition),
+    "output": _keys(OutputSettings),
+    "training": {**_keys(TrainingSettings), **_keys(OptimizerConfig)},
+}
+_REQUIRED = {
+    "simulation": ("scheme", "n_cells", "length", "c", "dt", "t_final"),
+    "output": ("directory",),
+}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -179,71 +178,19 @@ def parse_config_text(text: str) -> ExperimentConfig:
     except configparser.Error as err:
         raise ConfigError(f"malformed config file: {err}") from err
 
+    data: dict = {}
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
+        data[section] = {}
+        for key, raw in parser[section].items():
             if key not in _SECTIONS[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-    for required in ("simulation", "output"):
-        if required not in parser:
-            raise ConfigError(f"missing required section [{required}]")
-
-    sim = parser["simulation"]
-    ic_section = parser["initial_condition"] if "initial_condition" in parser else {}
-    kind = _get(ic_section, "kind", str, default="hat")
-    ic = InitialCondition(
-        kind=kind,
-        lo=_get(ic_section, "lo", float, default=0.4),
-        hi=_get(ic_section, "hi", float, default=0.6),
-        amplitude=_get(ic_section, "amplitude", float, default=1.0),
-        wavenumber=_get(ic_section, "wavenumber", _to_int, default=1),
-    )
-
-    training = None
-    if "training" in parser:
-        tr = parser["training"]
-        try:
-            optimizer = OptimizerConfig(
-                learning_rate=_get(tr, "learning_rate", float, default=1e-2),
-                n_iters=_get(tr, "n_iters", _to_int, default=200),
-                mu_min=_get(tr, "mu_min", float, default=-5e-3),
-                mu_max=_get(tr, "mu_max", float, default=9.5e-2),
-                l2_penalty=_get(tr, "l2_penalty", float, default=0.0),
-                smooth_penalty=_get(tr, "smooth_penalty", float, default=0.0),
-                init_mu=_get(tr, "init_mu", float, default=None),
-                seed=_get(tr, "seed", _to_int, default=0),
-                warm_start=_get(tr, "warm_start", _to_bool, default=True),
-            )
-        except ValueError as err:
-            raise ConfigError(f"invalid training settings: {err}") from err
-        training = TrainingSettings(mode=_get(tr, "mode", str, default="per_step"),
-                                    optimizer=optimizer)
-
-    out_section = parser["output"]
-    output = OutputSettings(
-        directory=_get(out_section, "directory", str, required=True),
-        write_solution=_get(out_section, "write_solution", _to_bool, default=True),
-        write_error=_get(out_section, "write_error", _to_bool, default=True),
-        write_entropy=_get(out_section, "write_entropy", _to_bool, default=True),
-        write_mu=_get(out_section, "write_mu", _to_bool, default=True),
-    )
-
-    try:
-        return ExperimentConfig(
-            scheme=_get(sim, "scheme", str, required=True),
-            n_cells=_get(sim, "n_cells", _to_int, required=True),
-            length=_get(sim, "length", float, required=True),
-            c=_get(sim, "c", float, required=True),
-            dt=_get(sim, "dt", float, required=True),
-            t_final=_get(sim, "t_final", float, required=True),
-            mu=_get(sim, "mu", float, default=None),
-            ic=ic,
-            training=training,
-            output=output,
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+            try:
+                data[section][key] = _SECTIONS[section][key](raw)
+            except ValueError as err:
+                raise ConfigError(f"invalid value for '{key}': {raw!r}") from err
+    return config_from_dict(data)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -255,73 +202,48 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Rebuild a config from a manifest echo produced by config_to_dict."""
+    """Build a config from typed section dicts: a parsed config file or a manifest echo.
+
+    Keys left out take the dataclass defaults; a config without a
+    ``training`` section has no training settings.
+    """
     try:
-        sim = data["simulation"]
-        ic_d = data.get("initial_condition", {})
-        out_d = data.get("output", {})
-        ic = InitialCondition(**ic_d) if ic_d else InitialCondition()
+        for section, keys in _REQUIRED.items():
+            if section not in data:
+                raise ConfigError(f"missing required section [{section}]")
+            for key in keys:
+                if key not in data[section]:
+                    raise ConfigError(f"missing required key '{key}'")
         training = None
         if "training" in data:
-            tr = dict(data["training"])
-            mode = tr.pop("mode")
-            training = TrainingSettings(mode=mode, optimizer=OptimizerConfig(**tr))
+            tr = data["training"]
+            mode = {k: v for k, v in tr.items() if k in _keys(TrainingSettings)}
+            opt = {k: v for k, v in tr.items() if k not in mode}
+            training = TrainingSettings(**mode, optimizer=OptimizerConfig(**opt))
         return ExperimentConfig(
-            scheme=sim["scheme"],
-            n_cells=sim["n_cells"],
-            length=sim["length"],
-            c=sim["c"],
-            dt=sim["dt"],
-            t_final=sim["t_final"],
-            mu=sim.get("mu"),
-            ic=ic,
+            **data["simulation"],
+            ic=InitialCondition(**data.get("initial_condition", {})),
             training=training,
-            output=OutputSettings(**out_d) if out_d else OutputSettings(),
+            output=OutputSettings(**data["output"]),
         )
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"invalid config echo: {err}") from err
+    except ConfigError:
+        raise
+    except (AttributeError, TypeError, ValueError) as err:
+        raise ConfigError(f"invalid settings: {err}") from err
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Flatten a config into the manifest echo (sufficient for a bit-identical re-run)."""
-    out: dict = {
-        "simulation": {
-            "scheme": cfg.scheme,
-            "n_cells": cfg.n_cells,
-            "length": cfg.length,
-            "c": cfg.c,
-            "dt": cfg.dt,
-            "t_final": cfg.t_final,
-        },
-        "initial_condition": {
-            "kind": cfg.ic.kind,
-            "lo": cfg.ic.lo,
-            "hi": cfg.ic.hi,
-            "amplitude": cfg.ic.amplitude,
-            "wavenumber": cfg.ic.wavenumber,
-        },
-        "output": {
-            "directory": cfg.output.directory,
-            "write_solution": cfg.output.write_solution,
-            "write_error": cfg.output.write_error,
-            "write_entropy": cfg.output.write_entropy,
-            "write_mu": cfg.output.write_mu,
-        },
-    }
-    if cfg.mu is not None:
-        out["simulation"]["mu"] = cfg.mu
+    """Flatten a config into the manifest echo (sufficient for a bit-identical re-run).
+
+    ``mu`` is left out when unset; every other key is always written.
+    """
+    sources = {"simulation": [cfg], "initial_condition": [cfg.ic], "output": [cfg.output]}
     if cfg.training is not None:
-        opt = cfg.training.optimizer
-        out["training"] = {
-            "mode": cfg.training.mode,
-            "learning_rate": opt.learning_rate,
-            "n_iters": opt.n_iters,
-            "mu_min": opt.mu_min,
-            "mu_max": opt.mu_max,
-            "l2_penalty": opt.l2_penalty,
-            "smooth_penalty": opt.smooth_penalty,
-            "init_mu": opt.init_mu,
-            "seed": opt.seed,
-            "warm_start": opt.warm_start,
-        }
+        sources["training"] = [cfg.training, cfg.training.optimizer]
+    out = {
+        section: {key: getattr(obj, key) for obj in objs for key in _keys(type(obj))}
+        for section, objs in sources.items()
+    }
+    if cfg.mu is None:
+        del out["simulation"]["mu"]
     return out

@@ -46,8 +46,8 @@ class OptimizerConfig:
             raise ValueError("bounds must be finite")
         if self.mu_min > self.mu_max:
             raise ValueError("mu_min must not exceed mu_max")
-        if self.l2_penalty < 0 or self.smooth_penalty < 0:
-            raise ValueError("penalties must be non-negative")
+        if not all(np.isfinite(p) and p >= 0 for p in (self.l2_penalty, self.smooth_penalty)):
+            raise ValueError("penalties must be finite and non-negative")
         if self.init_mu is not None and not (self.mu_min <= self.init_mu <= self.mu_max):
             raise ValueError("init_mu must lie within [mu_min, mu_max]")
 

@@ -19,45 +19,36 @@ PRESET_NAMES = ("paper-hat", "paper-hat-nonneg", "sine-smooth")
 
 
 def preset_config(name: str, out_dir: str = "out") -> ExperimentConfig:
-    if name == "paper-hat":
-        training = TrainingSettings(
-            mode="per_step",
-            optimizer=OptimizerConfig(learning_rate=1e-2, n_iters=200,
-                                      mu_min=-5e-3, mu_max=9.5e-2),
-        )
-        ic = InitialCondition(kind="hat", lo=0.4, hi=0.6, amplitude=1.0)
-    elif name == "paper-hat-nonneg":
-        training = TrainingSettings(
-            mode="per_step",
-            optimizer=OptimizerConfig(learning_rate=1e-2, n_iters=200,
-                                      mu_min=0.0, mu_max=9.5e-2),
-        )
-        ic = InitialCondition(kind="hat", lo=0.4, hi=0.6, amplitude=1.0)
-    elif name == "sine-smooth":
-        training = TrainingSettings(
-            mode="per_step",
-            optimizer=OptimizerConfig(learning_rate=10.0, n_iters=200,
-                                      mu_min=-5e-3, mu_max=9.5e-2),
-        )
-        ic = InitialCondition(kind="sine", wavenumber=1, amplitude=1.0)
-    else:
-        raise KeyError(f"unknown preset {name!r}; choose one of {PRESET_NAMES}")
-
-    return ExperimentConfig(
+    paper_hat = ExperimentConfig(
         scheme="ftcs_mu",
         n_cells=100,
         length=1.0,
         c=1.0,
         dt=1e-3,
         t_final=0.15,
-        ic=ic,
-        training=training,
+        ic=InitialCondition(kind="hat", lo=0.4, hi=0.6, amplitude=1.0),
+        training=TrainingSettings(
+            mode="per_step",
+            optimizer=OptimizerConfig(learning_rate=1e-2, n_iters=200,
+                                      mu_min=-5e-3, mu_max=9.5e-2),
+        ),
         output=OutputSettings(directory=out_dir),
     )
+    if name == "paper-hat":
+        return paper_hat
+    if name == "paper-hat-nonneg":
+        return nonneg_variant(paper_hat)
+    if name == "sine-smooth":
+        sine = replace(paper_hat, ic=InitialCondition(kind="sine", wavenumber=1, amplitude=1.0))
+        return _with_optimizer(sine, learning_rate=10.0)
+    raise KeyError(f"unknown preset {name!r}; choose one of {PRESET_NAMES}")
 
 
 def nonneg_variant(cfg: ExperimentConfig) -> ExperimentConfig:
     """Same experiment with the viscosity constrained to be non-negative."""
-    opt = replace(cfg.training.optimizer, mu_min=0.0,
-                  init_mu=cfg.training.optimizer.init_mu)
+    return _with_optimizer(cfg, mu_min=0.0)
+
+
+def _with_optimizer(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
+    opt = replace(cfg.training.optimizer, **changes)
     return replace(cfg, training=replace(cfg.training, optimizer=opt))

@@ -104,13 +104,22 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path)]) == 3
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["length", "dt", "t_final"])
-    def test_non_finite_simulation_value_exits_3(self, tmp_path, capsys, key):
-        cfg_path, _ = write_config(tmp_path, kind="sine")
-        lines = [f"{key} = inf" if line.startswith(f"{key} =") else line
+    @pytest.mark.parametrize("key, value", [
+        ("length", "inf"), ("dt", "inf"), ("t_final", "inf"), ("n_cells", "inf"),
+        ("l2_penalty", "inf"), ("l2_penalty", "nan"), ("smooth_penalty", "nan"),
+    ], ids=["length", "dt", "t_final", "n_cells",
+            "l2_penalty_inf", "l2_penalty_nan", "smooth_penalty_nan"])
+    def test_non_finite_simulation_value_exits_3(self, tmp_path, capsys, key, value):
+        # penalties live in [training], so every case runs `train` on a valid config
+        cfg_path, _ = write_config(
+            tmp_path, scheme="ftcs_mu", n_cells=20, t_final=0.01, kind="sine",
+            training=TRAINING.format(n_iters=5, mu_min=-0.005)
+            + "l2_penalty = 0.0\nsmooth_penalty = 0.0\n",
+        )
+        lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
                  for line in cfg_path.read_text().splitlines()]
         cfg_path.write_text("\n".join(lines) + "\n")
-        assert main(["run", "--config", str(cfg_path)]) == 3
+        assert main(["train", "--config", str(cfg_path)]) == 3
         assert "config error" in capsys.readouterr().err
 
     def test_run_after_train_replaces_previous_run(self, tmp_path):

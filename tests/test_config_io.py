@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from advisc.config import (
     ConfigError,
@@ -13,6 +17,7 @@ from advisc.config import (
     parse_config_text,
 )
 from advisc.optimizer import OptimizerConfig
+from advisc.presets import preset_config
 from advisc.runio import (
     fmt,
     read_manifest,
@@ -22,6 +27,7 @@ from advisc.runio import (
     write_matrix_csv,
     write_series_csv,
 )
+from advisc.schemes import SCHEME_NAMES
 
 FULL_CONFIG = """
 [simulation]
@@ -144,6 +150,156 @@ class TestConfigDictRoundTrip:
     def test_seed_override(self):
         cfg = parse_config_text(FULL_CONFIG)
         assert cfg.with_seed(99).training.optimizer.seed == 99
+
+
+# The config block of manifest.json for paper-hat as written before the
+# schema was derived from the settings dataclasses; old run directories must
+# still rebuild from it.
+PAPER_HAT_ECHO = """
+{
+  "initial_condition": {
+    "amplitude": 1.0,
+    "hi": 0.6,
+    "kind": "hat",
+    "lo": 0.4,
+    "wavenumber": 1
+  },
+  "output": {
+    "directory": "out",
+    "write_entropy": true,
+    "write_error": true,
+    "write_mu": true,
+    "write_solution": true
+  },
+  "simulation": {
+    "c": 1.0,
+    "dt": 0.001,
+    "length": 1.0,
+    "n_cells": 100,
+    "scheme": "ftcs_mu",
+    "t_final": 0.15
+  },
+  "training": {
+    "init_mu": null,
+    "l2_penalty": 0.0,
+    "learning_rate": 0.01,
+    "mode": "per_step",
+    "mu_max": 0.095,
+    "mu_min": -0.005,
+    "n_iters": 200,
+    "seed": 0,
+    "smooth_penalty": 0.0,
+    "warm_start": true
+  }
+}
+"""
+
+
+class TestManifestEcho:
+    def test_paper_hat_echo_format_pinned(self):
+        echo = json.loads(PAPER_HAT_ECHO)
+        assert config_to_dict(preset_config("paper-hat")) == echo
+        assert config_from_dict(echo) == preset_config("paper-hat")
+
+    @pytest.mark.parametrize("echo", [
+        {"simulation": 5, "output": {"directory": "out"}},
+        {**json.loads(PAPER_HAT_ECHO), "training": 5},
+        {**json.loads(PAPER_HAT_ECHO), "initial_condition": ["hat"]},
+    ], ids=["simulation_not_a_mapping", "training_not_a_mapping", "ic_not_a_mapping"])
+    def test_malformed_echo_raises_config_error(self, echo):
+        with pytest.raises(ConfigError):
+            config_from_dict(echo)
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_configs(draw):
+    """Valid configs drawing every key of every section; ``mu``, ``init_mu`` and
+    the whole [training] section are set or left unset."""
+    scheme = draw(st.sampled_from(SCHEME_NAMES))
+    length = draw(_finite(1e-3, 1e3))
+    lo, hi = sorted(draw(st.lists(_finite(0.0, length), min_size=2, max_size=2, unique=True)))
+    dt = draw(_finite(1e-6, 1.0))
+    training = None
+    if draw(st.booleans()):
+        mu_min, mu_max = sorted(draw(st.lists(_finite(-1.0, 1.0), min_size=2, max_size=2)))
+        training = TrainingSettings(
+            mode=draw(st.sampled_from(["per_step", "global"])),
+            optimizer=OptimizerConfig(
+                learning_rate=draw(_finite(1e-6, 1e3)),
+                n_iters=draw(st.integers(1, 10**4)),
+                mu_min=mu_min,
+                mu_max=mu_max,
+                l2_penalty=draw(_finite(0.0, 1e3)),
+                smooth_penalty=draw(_finite(0.0, 1e3)),
+                init_mu=draw(st.none() | _finite(mu_min, mu_max)),
+                seed=draw(st.integers(0, 2**31)),
+                warm_start=draw(st.booleans()),
+            ),
+        )
+    try:
+        return ExperimentConfig(
+            scheme=scheme,
+            n_cells=draw(st.integers(3, 10**6)),
+            length=length,
+            c=draw(_finite(-1e3, 1e3)),
+            dt=dt,
+            t_final=dt * draw(st.integers(0, 10**4)),
+            mu=draw(st.none() | _finite(-1.0, 1.0)) if scheme == "ftcs_mu" else None,
+            ic=InitialCondition(
+                kind=draw(st.sampled_from(["hat", "sine"])),
+                lo=lo,
+                hi=hi,
+                amplitude=draw(_finite(-1e3, 1e3)),
+                wavenumber=draw(st.integers(1, 50)),
+            ),
+            training=training,
+            output=OutputSettings(
+                directory=draw(st.text("abcxyz0189_-./", min_size=1, max_size=20)),
+                write_solution=draw(st.booleans()),
+                write_error=draw(st.booleans()),
+                write_entropy=draw(st.booleans()),
+                write_mu=draw(st.booleans()),
+            ),
+        )
+    except ConfigError:
+        assume(False)  # t_final/dt rounded off a whole number of steps
+
+
+def to_ini(echo: dict) -> str:
+    return "".join(
+        f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in values.items()
+                                   if value is not None)
+        for section, values in echo.items()
+    )
+
+
+class TestConfigSchemaProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(valid_configs())
+    def test_ini_round_trip(self, cfg):
+        assert parse_config_text(to_ini(config_to_dict(cfg))) == cfg
+
+    @settings(max_examples=50, deadline=None)
+    @given(valid_configs())
+    def test_manifest_echo_round_trip(self, cfg):
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+    @settings(max_examples=50, deadline=None)
+    @given(valid_configs(), st.data())
+    def test_extra_key_rejected(self, cfg, data):
+        echo = config_to_dict(cfg)
+        section = data.draw(st.sampled_from(sorted(echo)))
+        key = data.draw(st.from_regex(r"[a-z][a-z_]{0,11}", fullmatch=True).filter(
+            lambda k: k not in echo[section] and k != "mu"))
+        echo[section][key] = 1
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            parse_config_text(to_ini(echo))
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            config_from_dict(echo)
 
 
 class TestCsvRoundTrip:
