@@ -1,21 +1,17 @@
 """Learned space-time artificial viscosity closures for 1D linear advection."""
 
 from .adjoint import (
-    LossSpec,
     fd_gradient,
     grad_mu_global,
     grad_mu_instantaneous,
     loss_value,
-    step_transpose_apply,
 )
 from .diagnostics import (
     EntropyReport,
-    MuStats,
     ec_es_split,
     entropy_report,
     mse,
     mu_stats,
-    total_entropy,
     total_variation,
 )
 from .grid import (
@@ -42,8 +38,6 @@ from .schemes import (
     Trajectory,
     amplification_factor,
     ftcs_bare_step,
-    ftcs_flux,
-    ftcs_step,
     ftcs_update,
     lax_wendroff_step,
     simulate,

@@ -10,52 +10,10 @@ state. A central finite-difference oracle is provided for verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grid import CellField, FaceViscosity, SpaceTimeViscosity
+from .grid import CellField, SpaceTimeViscosity
 from .schemes import SchemeConfig, Trajectory, _next, _prev, ftcs_update, simulate
-
-_MODES = ("global", "instantaneous")
-_NORMALIZATIONS = ("mean", "sum")
-
-
-@dataclass(frozen=True)
-class LossSpec:
-    """Which tracking loss to evaluate.
-
-    mode "global" compares every recorded step n = 1 .. M against the exact
-    solution; mode "instantaneous" compares a single step. Normalization
-    "mean" divides by the cell count (and, in global mode, the step count);
-    "sum" applies no normalization. Optional non-negative per-step weights
-    (length M) rescale each step's contribution in global mode.
-    """
-
-    mode: str = "global"
-    weights: tuple[float, ...] | None = None
-    normalization: str = "mean"
-
-    def __post_init__(self) -> None:
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
-        if self.normalization not in _NORMALIZATIONS:
-            raise ValueError(f"normalization must be one of {_NORMALIZATIONS}")
-        if self.weights is not None:
-            w = tuple(float(x) for x in self.weights)
-            if any(not np.isfinite(x) or x < 0 for x in w):
-                raise ValueError("weights must be finite and non-negative")
-            object.__setattr__(self, "weights", w)
-
-
-def _step_coefficients(spec: LossSpec, n_steps: int, n_cells: int) -> np.ndarray:
-    """Multiplier of sum_i (u_i^n - e_i^n)^2 for each step n = 1 .. M."""
-    if spec.weights is not None and len(spec.weights) != n_steps:
-        raise ValueError(f"weights must have length n_steps = {n_steps}")
-    w = np.ones(n_steps) if spec.weights is None else np.asarray(spec.weights)
-    if spec.normalization == "mean":
-        return w / (n_cells * n_steps)
-    return w.copy()
 
 
 def _check_exact(traj: Trajectory, exact: np.ndarray) -> None:
@@ -65,38 +23,22 @@ def _check_exact(traj: Trajectory, exact: np.ndarray) -> None:
         )
 
 
-def loss_value(
-    traj: Trajectory,
-    exact: np.ndarray,
-    spec: LossSpec = LossSpec(),
-    step: int | None = None,
-) -> float:
-    """Tracking loss of a complete trajectory against ``exact``, row m of which
-    is the exact state at time m*dt (the shape of ``traj.states``).
+def loss_value(traj: Trajectory, exact: np.ndarray) -> float:
+    """Mean squared error of a complete trajectory against ``exact``, row m of
+    which is the exact state at time m*dt (the shape of ``traj.states``).
 
-    Global mode sums coefficient-weighted squared errors over steps 1 .. M
-    (the initial condition is mu-independent and excluded). Instantaneous
-    mode evaluates a single compared step (default: the last recorded one).
+    The mean runs over the cells and the steps 1 .. M; the initial condition
+    is mu-independent and excluded.
     """
     _check_exact(traj, exact)
     n_steps = traj.n_steps
-    n = traj.config.grid.n_cells
-    if spec.mode == "instantaneous":
-        m = n_steps if step is None else step
-        if not 1 <= m <= n_steps:
-            raise ValueError(f"step must be in 1 .. {n_steps}")
-        err = traj.states[m] - exact[m]
-        total = float(np.sum(err * err))
-        return total / n if spec.normalization == "mean" else total
-    if step is not None:
-        raise ValueError("step selection only applies to instantaneous mode")
     if n_steps == 0:
         return 0.0
-    coefs = _step_coefficients(spec, n_steps, n)
+    coef = 1.0 / (traj.config.grid.n_cells * n_steps)
     total = 0.0
     for m in range(1, n_steps + 1):
         err = traj.states[m] - exact[m]
-        total += coefs[m - 1] * float(np.sum(err * err))
+        total += coef * float(np.sum(err * err))
     return total
 
 
@@ -137,21 +79,14 @@ def step_transpose_update(v: np.ndarray, mu: np.ndarray, cfg: SchemeConfig) -> n
     return v + 0.5 * cfg.cfl * (vp - vm) + k * (mu * (vp - v) - _prev(mu) * (v - vm))
 
 
-def step_transpose_apply(v: CellField, mu: FaceViscosity, cfg: SchemeConfig) -> CellField:
-    """Container form of ``step_transpose_update``."""
-    return CellField(step_transpose_update(v.values, mu.values, cfg), v.grid)
-
-
 def _mu_contraction(u_n: np.ndarray, lam_next: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
     """d(step)/dmu at state u^n contracted against the incoming adjoint."""
     du = _next(u_n) - u_n
     return (cfg.dt / cfg.grid.dx**2) * du * (lam_next - _next(lam_next))
 
 
-def grad_mu_global(
-    traj: Trajectory, exact: np.ndarray, spec: LossSpec = LossSpec()
-) -> np.ndarray:
-    """Gradient of the global loss with respect to every face/step viscosity.
+def grad_mu_global(traj: Trajectory, exact: np.ndarray) -> np.ndarray:
+    """Gradient of ``loss_value`` with respect to every face/step viscosity.
 
     ``traj`` is the recorded forward sweep u^0 .. u^M of an ftcs_mu run, with
     the viscosities that produced it; ``exact`` has the shape of its states.
@@ -162,8 +97,6 @@ def grad_mu_global(
     and the gradient at step n is lambda^{n+1} contracted against the step's
     mu-sensitivity at u^n. Returns the (n_steps, n_faces) gradient array.
     """
-    if spec.mode != "global":
-        raise ValueError("grad_mu_global requires a global-mode LossSpec")
     n_steps = traj.n_steps
     if traj.viscosity_history is None or n_steps == 0:
         raise ValueError("grad_mu_global needs a trajectory of at least one step "
@@ -173,11 +106,11 @@ def grad_mu_global(
     n = cfg.grid.n_cells
     states = traj.states
     mu = traj.viscosity_history.values
-    coefs = _step_coefficients(spec, n_steps, n)
+    coef = 1.0 / (n * n_steps)
 
     def dj_du(m: int) -> np.ndarray:
         err = states[m] - exact[m]
-        return 2.0 * coefs[m - 1] * err
+        return 2.0 * coef * err
 
     grad = np.empty((n_steps, n))
     lam = dj_du(n_steps)
@@ -193,7 +126,6 @@ def fd_gradient(
     mu_st: SpaceTimeViscosity,
     cfg: SchemeConfig,
     exact: np.ndarray,
-    spec: LossSpec = LossSpec(),
     h: float | None = None,
 ) -> np.ndarray:
     """Central-difference gradient oracle: O(n_steps * n_faces) full simulations.
@@ -210,7 +142,7 @@ def fd_gradient(
     def evaluate(values: np.ndarray) -> float:
         traj = simulate(u0, mu_st.n_steps, cfg, scheme="ftcs_mu",
                         mu=SpaceTimeViscosity(values, cfg.grid))
-        return loss_value(traj, exact, spec)
+        return loss_value(traj, exact)
 
     for idx in np.ndindex(base.shape):
         hc = h if h is not None else 1e-6 * max(1.0, abs(base[idx]))

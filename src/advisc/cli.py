@@ -28,7 +28,6 @@ from .grid import (
     CellField,
     FaceViscosity,
     Grid1D,
-    SpaceTimeViscosity,
     exact_solution,
     sine_solution,
 )
@@ -73,12 +72,10 @@ def _build_problem(cfg: ExperimentConfig) -> tuple[SchemeConfig, CellField, np.n
     return scheme_cfg, CellField(exact[0], grid), exact
 
 
-def _mu_summary(cfg: ExperimentConfig, mu_st: SpaceTimeViscosity, traj: Trajectory) -> dict:
-    out = mu_summary(mu_st.values)
+def _mu_summary(cfg: ExperimentConfig, traj: Trajectory) -> dict:
     if cfg.ic.kind == "hat":
-        stats = mu_stats(mu_st, traj, cfg.ic.hat_profile(), radius=0.05)
-        out["negative_mass_near_discontinuity"] = stats.negative_mass_near_discontinuity
-    return out
+        return mu_stats(traj, cfg.ic.hat_profile(), radius=0.05)
+    return mu_summary(traj.viscosity_history.values)
 
 
 def _clear_previous_run(out_dir: Path) -> None:
@@ -134,10 +131,11 @@ def _write_run_files(
         record("entropy.csv", "entropy_series")
 
     if report is not None:
+        mu = traj.viscosity_history.values
         if cfg.output.write_mu:
-            write_matrix_csv(out_dir / "mu.csv", times[:-1], report.final_mu.values)
+            write_matrix_csv(out_dir / "mu.csv", times[:-1], mu)
             record("mu.csv", "mu_spacetime")
-        mu_last = report.final_mu.values[-1]
+        mu_last = mu[-1]
         scale = float(np.max(np.abs(mu_last)))
         normalized = mu_last / scale if scale > 0 else np.zeros_like(mu_last)
         write_columns_csv(
@@ -254,7 +252,7 @@ def cmd_train(cfg: ExperimentConfig, seed: int | None = None) -> int:
     stats = summary_stats(traj.states, exact[-1], scheme_cfg.grid.dx)
     summary = {
         "stats": stats,
-        "mu": _mu_summary(cfg, report.final_mu, traj),
+        "mu": _mu_summary(cfg, traj),
         "training": {
             "mode": cfg.training.mode,
             "converged": report.converged,
@@ -311,6 +309,9 @@ def cmd_analyze(directory: str | Path) -> int:
     """Recompute diagnostics from stored CSVs and verify them against the summary."""
     out_dir = Path(directory)
     manifest = read_manifest(out_dir)
+    for block in ("config", "files"):
+        if block not in manifest:
+            raise ValueError(f"{out_dir / MANIFEST_NAME} has no {block!r} block")
     cfg = config_from_dict(manifest["config"])
     summary = read_json(out_dir / "summary.json")
     listed = {entry["name"] for entry in manifest["files"]}

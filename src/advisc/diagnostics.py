@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CellField, FaceViscosity, HatProfile, SpaceTimeViscosity
+from .grid import CellField, FaceViscosity, HatProfile
 from .schemes import SchemeConfig, Trajectory
 
 
@@ -48,10 +48,6 @@ class EntropyReport:
     total_entropy: np.ndarray
     per_step_delta: np.ndarray
     spatial_dissipation: np.ndarray | None
-
-
-def total_entropy(field: CellField) -> float:
-    return float(entropy_series(field.values, field.grid.dx))
 
 
 def entropy_report(traj: Trajectory) -> EntropyReport:
@@ -102,23 +98,9 @@ def mu_summary(values: np.ndarray) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class MuStats:
-    """Sign and localization statistics of a learned space-time viscosity."""
-
-    min: float
-    max: float
-    fraction_negative: float
-    negative_mass_near_discontinuity: float
-
-
-def mu_stats(
-    mu_st: SpaceTimeViscosity,
-    traj: Trajectory,
-    profile: HatProfile,
-    radius: float,
-) -> MuStats:
-    """Extremes, negative fraction, and localization of negative viscosity.
+def mu_stats(traj: Trajectory, profile: HatProfile, radius: float) -> dict:
+    """``mu_summary`` of the trajectory's viscosity, plus the localization of
+    its negative entries under ``"negative_mass_near_discontinuity"``.
 
     The localization score restricts attention to negative entries: per step,
     the |mu| mass of negative faces lying within ``radius`` of either moving
@@ -132,11 +114,10 @@ def mu_stats(
     cfg = traj.config
     length = cfg.grid.length
     faces = cfg.grid.face_positions
-    values = mu_st.values
+    values = traj.viscosity_history.values
 
     ratios = []
-    for n in range(mu_st.n_steps):
-        row = values[n]
+    for n, row in enumerate(values):
         neg = row < 0
         neg_mass = float(np.sum(np.abs(row[neg])))
         if neg_mass == 0.0:
@@ -149,13 +130,9 @@ def mu_stats(
             near |= d <= radius
         ratios.append(float(np.sum(np.abs(row[neg & near]))) / neg_mass)
 
-    summary = mu_summary(values)
-    return MuStats(
-        min=summary["mu_min"],
-        max=summary["mu_max"],
-        fraction_negative=summary["fraction_negative"],
-        negative_mass_near_discontinuity=float(np.mean(ratios)) if ratios else 0.0,
-    )
+    out = mu_summary(values)
+    out["negative_mass_near_discontinuity"] = float(np.mean(ratios)) if ratios else 0.0
+    return out
 
 
 def ec_es_split(
@@ -165,8 +142,8 @@ def ec_es_split(
 
     Per face: ec = c*(u_i + u_{i+1})/2 (the entropy-neutral central flux for
     a linear scalar) and es = (mu_{i+1/2}/dx)*(u_{i+1} - u_i), the scalar
-    degenerate dissipative correction. The identity ec - es = ftcs_flux
-    holds entrywise.
+    degenerate dissipative correction. ec - es is, entrywise, the face flux
+    F_{i+1/2} that ``ftcs_update`` differences.
     """
     uv = u.values
     up = np.roll(uv, -1)

@@ -111,9 +111,6 @@ class SpaceTimeViscosity:
     def n_steps(self) -> int:
         return self.values.shape[0]
 
-    def at_step(self, n: int) -> FaceViscosity:
-        return FaceViscosity(self.values[n], self.grid)
-
 
 @dataclass(frozen=True)
 class HatProfile:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import LossSpec, grad_mu_global, grad_mu_instantaneous, loss_value
+from .adjoint import grad_mu_global, grad_mu_instantaneous, loss_value
 from .grid import CellField, FaceViscosity, SpaceTimeViscosity
 from .schemes import DivergenceError, SchemeConfig, Trajectory, _next, _prev, ftcs_update, simulate
 
@@ -64,10 +64,10 @@ class TrainingReport:
     ``loss_history`` records the per-step optimized loss in per-step mode and
     the loss of each accepted iterate (initial point included) in global
     mode. ``converged`` means the run completed its planned steps/iterations
-    without halting. ``trajectory`` is produced by ``final_mu``.
+    without halting. ``trajectory`` is the run of the learned viscosity; its
+    ``viscosity_history`` is that viscosity.
     """
 
-    final_mu: SpaceTimeViscosity
     loss_history: tuple[float, ...]
     trajectory: Trajectory
     converged: bool
@@ -155,7 +155,6 @@ def train_per_step(
     mu_st = SpaceTimeViscosity(mu_rows[:n_done], grid)
     traj = Trajectory(states=states[: n_done + 1], config=cfg, viscosity_history=mu_st)
     return TrainingReport(
-        final_mu=mu_st,
         loss_history=tuple(losses),
         trajectory=traj,
         converged=not halted,
@@ -168,7 +167,6 @@ def train_global(
     cfg: SchemeConfig,
     opt: OptimizerConfig,
     exact: np.ndarray,
-    loss_spec: LossSpec = LossSpec(),
     max_halvings: int = 30,
 ) -> TrainingReport:
     """Whole-horizon training: one decision vector of shape (n_steps, n_faces).
@@ -187,18 +185,18 @@ def train_global(
     def evaluate(values: np.ndarray) -> tuple[float, Trajectory]:
         traj = simulate(u0, n_steps, cfg, scheme="ftcs_mu",
                         mu=SpaceTimeViscosity(values, grid))
-        return loss_value(traj, exact, loss_spec), traj
+        return loss_value(traj, exact), traj
 
     current = np.full((n_steps, grid.n_cells), init)
     best_loss, traj_cur = evaluate(current)  # initial sweep failure is unrecoverable
-    best_mu, best_traj = current, traj_cur
+    best_traj = traj_cur
     losses = [best_loss]
     divergences = 0
     halvings = 0
     completed = True
 
     for _ in range(opt.n_iters):
-        grad = grad_mu_global(traj_cur, exact, loss_spec)
+        grad = grad_mu_global(traj_cur, exact)
         grad += regularizer_gradient(current, opt)
         while True:
             candidate = np.clip(current - lr * grad, opt.mu_min, opt.mu_max)
@@ -215,13 +213,12 @@ def train_global(
             current, traj_cur = candidate, traj_cand
             losses.append(loss_cand)
             if loss_cand < best_loss:
-                best_mu, best_loss, best_traj = candidate, loss_cand, traj_cand
+                best_loss, best_traj = loss_cand, traj_cand
             break
         if not completed:
             break
 
     return TrainingReport(
-        final_mu=SpaceTimeViscosity(best_mu, grid),
         loss_history=tuple(losses),
         trajectory=best_traj,
         converged=completed,
@@ -236,7 +233,6 @@ def constant_mu_grid_search(
     mu_min: float,
     mu_max: float,
     n_samples: int = 200,
-    loss_spec: LossSpec = LossSpec(),
 ) -> tuple[float, float]:
     """Brute-force 1D search over space-time-constant viscosities.
 
@@ -255,7 +251,7 @@ def constant_mu_grid_search(
             )
         except DivergenceError:
             continue
-        loss = loss_value(traj, exact, loss_spec)
+        loss = loss_value(traj, exact)
         if loss < best_loss:
             best_mu, best_loss = float(mu_c), loss
     return best_mu, best_loss

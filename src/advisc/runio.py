@@ -18,10 +18,6 @@ from pathlib import Path
 import numpy as np
 
 
-def fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _write_lines(path: str | Path, header: str, lines: Iterable[str]) -> None:
     """Write the header, then each line in turn: a large file never exists as one string."""
     with open(path, "w") as f:
@@ -36,18 +32,30 @@ def write_matrix_csv(path: str | Path, times: np.ndarray, matrix: np.ndarray) ->
     if matrix.ndim != 2 or matrix.shape[0] != len(times):
         raise ValueError("matrix must be 2D with one row per time entry")
     header = "t\\x," + ",".join(f"x{j}" for j in range(matrix.shape[1]))
-    rows = (fmt(t) + "," + ",".join(fmt(v) for v in row) for t, row in zip(times, matrix))
+    line = ",".join(["%.17g"] * (matrix.shape[1] + 1))
+    rows = (line % (t, *row.tolist()) for t, row in zip(times, matrix))
     _write_lines(path, header, rows)
+
+
+def _read_rows(f, path: str | Path) -> np.ndarray:
+    """The rows of floats after the header of the open file ``f``.
+
+    A file without data rows gives an empty array; a parse error names ``path``.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            return np.loadtxt(f, delimiter=",", ndmin=2)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from err
 
 
 def read_matrix_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of write_matrix_csv; returns (times, matrix)."""
-    with open(path) as f, warnings.catch_warnings():
-        # A header-only file is rejected below, not warned about.
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+    with open(path) as f:
         if not f.readline().startswith("t\\x,"):
             raise ValueError(f"{path} is not a space-time matrix CSV")
-        data = np.loadtxt(f, delimiter=",", ndmin=2)
+        data = _read_rows(f, path)
     if data.shape[0] == 0:
         raise ValueError(f"{path} has no data rows")
     # Every matrix a run writes is finite; anything else is a corrupt file.
@@ -61,20 +69,20 @@ def write_series_csv(path: str | Path, key: str, name: str,
     """Two-column series like ``t,value`` or ``iter,value``."""
     if len(keys) != len(values):
         raise ValueError("series columns must have equal length")
-    _write_lines(path, f"{key},{name}", (fmt(k) + "," + fmt(v) for k, v in zip(keys, values)))
+    _write_lines(path, f"{key},{name}", ("%.17g,%.17g" % kv for kv in zip(keys, values)))
 
 
 def read_series_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    lines = Path(path).read_text().splitlines()
-    if len(lines) < 1 or "," not in lines[0]:
-        raise ValueError(f"{path} is not a two-column series CSV")
-    keys = []
-    values = []
-    for line in lines[1:]:
-        a, b = line.split(",")
-        keys.append(float(a))
-        values.append(float(b))
-    return np.array(keys), np.array(values)
+    """Inverse of write_series_csv; returns (keys, values), empty for a header-only file."""
+    with open(path) as f:
+        if "," not in f.readline():
+            raise ValueError(f"{path} is not a two-column series CSV")
+        data = _read_rows(f, path)
+    if data.shape[0] == 0:
+        return np.empty(0), np.empty(0)
+    if data.shape[1] != 2:
+        raise ValueError(f"{path}: expected 2 columns, got {data.shape[1]}")
+    return data[:, 0].copy(), data[:, 1].copy()
 
 
 def write_columns_csv(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -82,8 +90,9 @@ def write_columns_csv(path: str | Path, header: list[str], columns: list[np.ndar
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError("all columns must have equal length")
+    line = ",".join(["%.17g"] * len(columns))
     _write_lines(path, ",".join(header),
-                 (",".join(fmt(col[i]) for col in columns) for i in range(n)))
+                 (line % tuple(row) for row in np.column_stack(columns).tolist()))
 
 
 def write_json(path: str | Path, payload: dict) -> None:

@@ -52,10 +52,6 @@ class SchemeConfig:
     def cfl(self) -> float:
         return self.c * self.dt / self.grid.dx
 
-    def diffusion_number(self, mu: float) -> float:
-        """Stability-governing scale mu*dt/dx^2 of a (uniform) viscosity."""
-        return mu * self.dt / self.grid.dx**2
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -127,27 +123,18 @@ def _prev(a: np.ndarray) -> np.ndarray:
 
 
 def _flux(u: np.ndarray, mu: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
+    """Entry i is F_{i+1/2} = c*(u_{i+1} + u_i)/2 - (mu_{i+1/2}/dx)*(u_{i+1} - u_i)."""
     up = _next(u)
     return cfg.c * 0.5 * (up + u) - (mu / cfg.grid.dx) * (up - u)
-
-
-def ftcs_flux(u: CellField, mu: FaceViscosity, cfg: SchemeConfig) -> np.ndarray:
-    """Central advective flux minus face-viscosity jump term, per face.
-
-    Entry i is F_{i+1/2} = c*(u_{i+1} + u_i)/2 - (mu_{i+1/2}/dx)*(u_{i+1} - u_i).
-    """
-    _check_grid(u, cfg)
-    _check_grid(mu, cfg)
-    return _flux(u.values, mu.values, cfg)
 
 
 def ftcs_update(u: np.ndarray, mu: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
     """The FTCS kernel on plain arrays: u' = u - (dt/dx)*(F_{i+1/2} - F_{i-1/2}).
 
     ``u`` (cells) and ``mu`` (faces) are float arrays of length n_cells; the
-    new state is returned as a fresh array. ``ftcs_step`` and the
-    instantaneous gradient both step through here. Raises DivergenceError if
-    an entry of the new state is non-finite.
+    new state is returned as a fresh array. ``simulate``, both trainers, the
+    instantaneous gradient and ``analyze`` all step through here. Raises
+    DivergenceError if an entry of the new state is non-finite.
     """
     n = cfg.grid.n_cells
     if u.shape != (n,) or mu.shape != (n,):
@@ -157,13 +144,6 @@ def ftcs_update(u: np.ndarray, mu: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
     if not np.isfinite(out).all():
         raise DivergenceError("FTCS update produced a non-finite state")
     return out
-
-
-def ftcs_step(u: CellField, mu: FaceViscosity, cfg: SchemeConfig) -> CellField:
-    """One conservative forward-Euler step u' = u - (dt/dx)*(F_{i+1/2} - F_{i-1/2})."""
-    _check_grid(u, cfg)
-    _check_grid(mu, cfg)
-    return CellField(ftcs_update(u.values, mu.values, cfg), u.grid)
 
 
 def upwind_step(u: CellField, cfg: SchemeConfig) -> CellField:
@@ -178,7 +158,7 @@ def upwind_step(u: CellField, cfg: SchemeConfig) -> CellField:
 
 
 def lax_wendroff_step(u: CellField, cfg: SchemeConfig) -> CellField:
-    """Second-order-in-time step; equals ftcs_step with mu = c^2*dt/2."""
+    """Second-order-in-time step; equals ftcs_update with mu = c^2*dt/2."""
     _check_grid(u, cfg)
     uv = u.values
     up = np.roll(uv, -1)

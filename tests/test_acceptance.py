@@ -9,7 +9,7 @@ import pytest
 
 from advisc.adjoint import fd_gradient, grad_mu_global, loss_value
 from advisc.cli import main
-from advisc.diagnostics import entropy_report, mse, mu_stats, total_entropy
+from advisc.diagnostics import entropy_report, mse, mu_stats
 from advisc.grid import (
     CellField,
     FaceViscosity,
@@ -29,7 +29,7 @@ from advisc.presets import nonneg_variant, preset_config
 from advisc.schemes import (
     SchemeConfig,
     amplification_factor,
-    ftcs_step,
+    ftcs_update,
     lax_wendroff_step,
     simulate,
     upwind_step,
@@ -76,11 +76,13 @@ def test_criterion_2_scheme_equivalence_identities():
         lw_ref = lax_wendroff_step(u, cfg).values
         worst_up = max(
             worst_up,
-            np.max(np.abs(ftcs_step(u, mu_up, cfg).values - up_ref)) / np.max(np.abs(up_ref)),
+            np.max(np.abs(ftcs_update(u.values, mu_up.values, cfg) - up_ref))
+            / np.max(np.abs(up_ref)),
         )
         worst_lw = max(
             worst_lw,
-            np.max(np.abs(ftcs_step(u, mu_lw, cfg).values - lw_ref)) / np.max(np.abs(lw_ref)),
+            np.max(np.abs(ftcs_update(u.values, mu_lw.values, cfg) - lw_ref))
+            / np.max(np.abs(lw_ref)),
         )
     report(
         2,
@@ -140,20 +142,20 @@ def test_criterion_4_paper_experiment(paper_problem, paper_training_report):
 def test_criterion_5_sign_indefiniteness(paper_problem, paper_training_report):
     cfg, profile, u0, _ = paper_problem
     training, _ = paper_training_report
-    stats = mu_stats(training.final_mu, training.trajectory, profile, radius=0.05)
+    stats = mu_stats(training.trajectory, profile, radius=0.05)
     passed = (
-        stats.min < 0.0
-        and stats.max > 0.0
-        and stats.min >= -5e-3
-        and stats.max <= 9.5e-2
-        and stats.negative_mass_near_discontinuity > 0.5
+        stats["mu_min"] < 0.0
+        and stats["mu_max"] > 0.0
+        and stats["mu_min"] >= -5e-3
+        and stats["mu_max"] <= 9.5e-2
+        and stats["negative_mass_near_discontinuity"] > 0.5
     )
     report(
         5,
         passed,
-        f"learned mu in [{stats.min:.4g}, {stats.max:.4g}] (sign-indefinite, within "
+        f"learned mu in [{stats['mu_min']:.4g}, {stats['mu_max']:.4g}] (sign-indefinite, within "
         f"[-5e-3, 9.5e-2]); negative |mu| mass within 0.05 of moving edges: "
-        f"{stats.negative_mass_near_discontinuity:.3f} (> 0.5)",
+        f"{stats['negative_mass_near_discontinuity']:.3f} (> 0.5)",
     )
 
 
@@ -211,7 +213,7 @@ def test_criterion_8_conservation_and_constants(paper_training_report):
     from advisc.schemes import ftcs_bare_step
 
     preserved = (
-        np.allclose(ftcs_step(const, mu, cfg).values, 3.7, rtol=0, atol=1e-14)
+        np.allclose(ftcs_update(const.values, mu.values, cfg), 3.7, rtol=0, atol=1e-14)
         and np.allclose(upwind_step(const, cfg).values, 3.7, rtol=0, atol=1e-14)
         and np.allclose(lax_wendroff_step(const, cfg).values, 3.7, rtol=0, atol=1e-14)
         and np.allclose(ftcs_bare_step(const, cfg).values, 3.7, rtol=0, atol=1e-14)

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from advisc.adjoint import (
-    LossSpec,
     fd_gradient,
     grad_mu_global,
     grad_mu_instantaneous,
     loss_value,
-    step_transpose_apply,
+    step_transpose_update,
 )
 from advisc.grid import (
     CellField,
@@ -17,7 +16,7 @@ from advisc.grid import (
     exact_solution,
     make_grid,
 )
-from advisc.schemes import SchemeConfig, Trajectory, ftcs_step, simulate
+from advisc.schemes import SchemeConfig, Trajectory, ftcs_update, simulate
 
 from oracles import naive_global_loss, naive_hat, naive_upwind_states
 
@@ -53,7 +52,6 @@ class TestLossValue:
         exact = hat_exact(cfg, 3)
         traj = Trajectory(states=exact, config=cfg)
         assert loss_value(traj, exact) == 0.0
-        assert loss_value(traj, exact, LossSpec(mode="instantaneous")) == 0.0
 
     def test_uniform_offset_instantaneous(self):
         grid = make_grid(10, 1.0)
@@ -62,8 +60,7 @@ class TestLossValue:
         eps = 0.003
         u1 = CellField(exact[1] + eps, grid)
         traj = Trajectory(states=np.stack([exact[0], u1.values]), config=cfg)
-        spec = LossSpec(mode="instantaneous")
-        assert loss_value(traj, exact, spec) == pytest.approx(eps**2, rel=1e-12)
+        assert loss_value(traj, exact) == pytest.approx(eps**2, rel=1e-12)
 
     def test_pinned_upwind_reference_value(self):
         grid = make_grid(100, 1.0)
@@ -79,39 +76,12 @@ class TestLossValue:
         exacts = [naive_hat(100, 0.01, m * 1e-3) for m in range(151)]
         assert naive_global_loss(states, exacts) == pytest.approx(UPWIND_GLOBAL_LOSS, rel=1e-13)
 
-    def test_sum_normalization_scales_mean(self):
-        cfg, u0, mu_st, exact = toy_problem()
-        traj = simulate(u0, 5, cfg, scheme="ftcs_mu", mu=mu_st)
-        mean = loss_value(traj, exact, LossSpec(normalization="mean"))
-        total = loss_value(traj, exact, LossSpec(normalization="sum"))
-        assert total == pytest.approx(mean * 16 * 5, rel=1e-13)
-
-    def test_weights_validation(self):
-        cfg, u0, mu_st, exact = toy_problem()
-        traj = simulate(u0, 5, cfg, scheme="ftcs_mu", mu=mu_st)
-        with pytest.raises(ValueError):
-            loss_value(traj, exact, LossSpec(weights=(1.0, 1.0)))
-        with pytest.raises(ValueError):
-            LossSpec(weights=(1.0, -2.0))
-
-    def test_weighted_loss_matches_manual_sum(self):
-        cfg, u0, mu_st, exact = toy_problem()
-        traj = simulate(u0, 5, cfg, scheme="ftcs_mu", mu=mu_st)
-        weights = (0.0, 1.0, 2.0, 0.5, 0.0)
-        value = loss_value(traj, exact, LossSpec(weights=weights))
-        manual = 0.0
-        for m in range(1, 6):
-            err = traj.states[m] - exact[m]
-            manual += weights[m - 1] * np.sum(err**2)
-        assert value == pytest.approx(manual / (16 * 5), rel=1e-13)
-
-    @pytest.mark.parametrize("mode", ["global", "instantaneous"])
-    def test_rejects_exact_of_another_shape(self, mode):
+    def test_rejects_exact_of_another_shape(self):
         cfg, u0, mu_st, exact = toy_problem()
         traj = simulate(u0, 5, cfg, scheme="ftcs_mu", mu=mu_st)
         for wrong in (exact[:-1], exact[:, :-1], exact[-1]):
             with pytest.raises(ValueError, match="shape"):
-                loss_value(traj, wrong, LossSpec(mode=mode))
+                loss_value(traj, wrong)
 
 
 class TestInstantaneousGradient:
@@ -126,9 +96,9 @@ class TestInstantaneousGradient:
 
     def test_zero_residual_zero_gradient(self):
         cfg, u0, mu_st, _ = toy_problem()
-        mu = mu_st.at_step(0)
-        target = ftcs_step(u0, mu, cfg)
-        grad = grad_mu_instantaneous(u0.values, target.values, mu.values, cfg)
+        mu = mu_st.values[0]
+        target = ftcs_update(u0.values, mu, cfg)
+        grad = grad_mu_instantaneous(u0.values, target, mu, cfg)
         assert np.array_equal(grad, np.zeros(16))
 
     def test_rejects_target_of_another_shape(self):
@@ -138,18 +108,18 @@ class TestInstantaneousGradient:
 
     def test_matches_central_differences(self):
         cfg, u0, mu_st, exact = toy_problem(seed=3)
-        mu = mu_st.at_step(0)
+        mu = mu_st.values[0]
         target = CellField(exact[1], cfg.grid)
-        grad = grad_mu_instantaneous(u0.values, target.values, mu.values, cfg)
+        grad = grad_mu_instantaneous(u0.values, target.values, mu, cfg)
         n = cfg.grid.n_cells
         fd = np.zeros(n)
         for f in range(n):
-            h = 1e-6 * max(1.0, abs(mu.values[f]))
+            h = 1e-6 * max(1.0, abs(mu[f]))
             for sign, weight in ((1, 1.0), (-1, -1.0)):
-                bumped = np.array(mu.values)
+                bumped = np.array(mu)
                 bumped[f] += sign * h
-                stepped = ftcs_step(u0, FaceViscosity(bumped, cfg.grid), cfg)
-                loss = np.mean((stepped.values - target.values) ** 2)
+                stepped = ftcs_update(u0.values, bumped, cfg)
+                loss = np.mean((stepped - target.values) ** 2)
                 fd[f] += weight * loss / (2 * h)
         assert fd_relative_error(grad, fd) < 1e-6
 
@@ -223,8 +193,8 @@ class TestTransposeIdentity:
             mu = FaceViscosity(rng.uniform(-0.005, 0.095, 64), grid)
             v = CellField(rng.uniform(-1, 1, 64), grid)
             w = CellField(rng.uniform(-1, 1, 64), grid)
-            lhs = np.dot(ftcs_step(v, mu, cfg).values, w.values)
-            rhs = np.dot(v.values, step_transpose_apply(w, mu, cfg).values)
+            lhs = np.dot(ftcs_update(v.values, mu.values, cfg), w.values)
+            rhs = np.dot(v.values, step_transpose_update(w.values, mu.values, cfg))
             assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), 1.0)
 
 

@@ -331,6 +331,41 @@ class TestAnalyzeCommand:
         (out / "solution.csv").write_text("\n".join(lines) + "\n")
         assert main(["analyze", str(out)]) == 4
 
+    @pytest.mark.parametrize("name, text", [
+        ("entropy.csv", "0.002,0.1,0.2"),
+        ("entropy.csv", "abc,def"),
+        ("solution.csv", "0.002,0.5"),
+    ], ids=["entropy_three_fields", "entropy_not_numbers", "solution_short_row"])
+    def test_analyze_names_corrupt_csv_exits_4(self, tmp_path, capsys, name, text):
+        cfg_path, out = write_config(tmp_path, t_final=0.01)
+        main(["run", "--config", str(cfg_path)])
+        lines = (out / name).read_text().splitlines()
+        lines[3] = text
+        (out / name).write_text("\n".join(lines) + "\n")
+        assert main(["analyze", str(out)]) == 4
+        assert str(out / name) in capsys.readouterr().err
+
+    def test_analyze_header_only_entropy_fails_its_check(self, tmp_path):
+        cfg_path, out = write_config(tmp_path, t_final=0.01)
+        main(["run", "--config", str(cfg_path)])
+        header = (out / "entropy.csv").read_text().splitlines()[0]
+        (out / "entropy.csv").write_text(header + "\n")
+        assert main(["analyze", str(out)]) == 1
+        analysis = json.loads((out / "analysis.json").read_text())
+        failed = {c["name"]: c["detail"] for c in analysis["checks"] if not c["passed"]}
+        assert failed == {"entropy_series_consistent": "0 rows for 11 states"}
+
+    @pytest.mark.parametrize("block", ["config", "files"])
+    def test_analyze_manifest_without_block_exits_4(self, tmp_path, capsys, block):
+        cfg_path, out = write_config(tmp_path, t_final=0.01)
+        main(["run", "--config", str(cfg_path)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest[block]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["analyze", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and repr(block) in err
+
     def test_analyze_detects_unlisted_file(self, tmp_path):
         cfg_path, out = write_config(tmp_path, t_final=0.01)
         main(["run", "--config", str(cfg_path)])

@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from advisc.diagnostics import (
     ec_es_split,
     entropy_report,
+    entropy_series,
     mse,
     mu_stats,
-    total_entropy,
     total_variation,
 )
 from advisc.grid import (
@@ -18,7 +20,7 @@ from advisc.grid import (
     make_grid,
     sine_solution,
 )
-from advisc.schemes import SchemeConfig, ftcs_flux, simulate
+from advisc.schemes import SchemeConfig, ftcs_update, simulate
 
 from oracles import naive_entropy, naive_hat, naive_mse, naive_total_variation
 
@@ -83,15 +85,17 @@ class TestEntropy:
     def test_initial_hat_entropy_is_one_tenth(self):
         # 20 unit cells of width 0.01: S = 0.5 * 20 * 1 * 0.01
         cfg, profile, u0 = paper_setup()
-        assert total_entropy(u0) == pytest.approx(0.1, abs=1e-15)
-        assert total_entropy(u0) == pytest.approx(naive_entropy(list(u0.values), 0.01), abs=1e-16)
+        entropy = entropy_series(u0.values, u0.grid.dx)
+        assert entropy == pytest.approx(0.1, abs=1e-15)
+        assert entropy == pytest.approx(naive_entropy(list(u0.values), 0.01), abs=1e-16)
 
     def test_semi_discrete_central_flux_produces_no_entropy(self):
         # sum_i u_i (F_{i+1/2} - F_{i-1/2}) telescopes to zero at mu = 0
         cfg, _, _ = paper_setup()
         rng = np.random.default_rng(1)
         u = CellField(rng.uniform(-1, 1, 100), cfg.grid)
-        flux = ftcs_flux(u, FaceViscosity(np.zeros(100), cfg.grid), cfg)
+        ec, es = ec_es_split(u, FaceViscosity(np.zeros(100), cfg.grid), cfg)
+        flux = ec - es
         production = np.sum(u.values * (flux - np.roll(flux, 1)))
         assert abs(production) < 1e-13
 
@@ -157,6 +161,12 @@ class TestTotalVariation:
         assert tv <= 2.0 + 0.5
 
 
+def with_mu(traj, values):
+    """The trajectory with its recorded viscosity replaced by ``values``."""
+    return dataclasses.replace(
+        traj, viscosity_history=SpaceTimeViscosity(values, traj.config.grid))
+
+
 class TestMuStats:
     def make_traj(self, n_steps=4):
         cfg, profile, u0 = paper_setup()
@@ -165,44 +175,49 @@ class TestMuStats:
 
     def test_uniform_positive_field(self):
         cfg, profile, traj = self.make_traj()
-        stats = mu_stats(traj.viscosity_history, traj, profile, radius=0.05)
-        assert stats.min == stats.max == 0.005
-        assert stats.fraction_negative == 0.0
-        assert stats.negative_mass_near_discontinuity == 0.0
+        stats = mu_stats(traj, profile, radius=0.05)
+        assert stats["mu_min"] == stats["mu_max"] == 0.005
+        assert stats["fraction_negative"] == 0.0
+        assert stats["negative_mass_near_discontinuity"] == 0.0
 
     def test_single_negative_entry_counted(self):
         cfg, profile, traj = self.make_traj()
         values = np.array(traj.viscosity_history.values)
         values[1, 3] = -5e-3
-        stats = mu_stats(SpaceTimeViscosity(values, cfg.grid), traj, profile, radius=0.05)
-        assert stats.min == -5e-3
-        assert stats.fraction_negative == pytest.approx(1.0 / values.size)
+        stats = mu_stats(with_mu(traj, values), profile, radius=0.05)
+        assert stats["mu_min"] == -5e-3
+        assert stats["fraction_negative"] == pytest.approx(1.0 / values.size)
 
     def test_negative_mass_localization_extremes(self):
         cfg, profile, traj = self.make_traj(n_steps=1)
         # hat edges at t=0 sit at x=0.4 and x=0.6; face index i is at (i+1)*dx
         near = np.full((1, 100), 0.005)
         near[0, 39] = -1e-3  # face at x = 0.40, on the lower edge
-        stats = mu_stats(SpaceTimeViscosity(near, cfg.grid), traj, profile, radius=0.05)
-        assert stats.negative_mass_near_discontinuity == 1.0
+        stats = mu_stats(with_mu(traj, near), profile, radius=0.05)
+        assert stats["negative_mass_near_discontinuity"] == 1.0
 
         far = np.full((1, 100), 0.005)
         far[0, 89] = -1e-3  # face at x = 0.90, far from both edges
-        stats = mu_stats(SpaceTimeViscosity(far, cfg.grid), traj, profile, radius=0.05)
-        assert stats.negative_mass_near_discontinuity == 0.0
+        stats = mu_stats(with_mu(traj, far), profile, radius=0.05)
+        assert stats["negative_mass_near_discontinuity"] == 0.0
 
     def test_split_mass_gives_fraction(self):
         cfg, profile, traj = self.make_traj(n_steps=1)
         values = np.full((1, 100), 0.005)
         values[0, 39] = -3e-3  # near lower edge
         values[0, 89] = -1e-3  # far away
-        stats = mu_stats(SpaceTimeViscosity(values, cfg.grid), traj, profile, radius=0.05)
-        assert stats.negative_mass_near_discontinuity == pytest.approx(0.75)
+        stats = mu_stats(with_mu(traj, values), profile, radius=0.05)
+        assert stats["negative_mass_near_discontinuity"] == pytest.approx(0.75)
 
     def test_rejects_bad_radius(self):
         cfg, profile, traj = self.make_traj()
         with pytest.raises(ValueError):
-            mu_stats(traj.viscosity_history, traj, profile, radius=0.0)
+            mu_stats(traj, profile, radius=0.0)
+
+
+def ftcs_form(u, flux, cfg):
+    """u - (dt/dx)*(F_{i+1/2} - F_{i-1/2}) for the face fluxes ``flux``."""
+    return u.values - (cfg.dt / cfg.grid.dx) * (flux - np.roll(flux, 1))
 
 
 class TestEcEsSplit:
@@ -219,7 +234,8 @@ class TestEcEsSplit:
         mu0 = FaceViscosity(np.zeros(100), cfg.grid)
         ec, es = ec_es_split(u0, mu0, cfg)
         assert np.array_equal(es, np.zeros(100))
-        assert np.array_equal(ec, ftcs_flux(u0, mu0, cfg))
+        assert np.allclose(ftcs_form(u0, ec - es, cfg), ftcs_update(u0.values, mu0.values, cfg),
+                           rtol=0, atol=1e-14)
 
     def test_reconstruction_identity(self):
         cfg, _, _ = paper_setup()
@@ -228,4 +244,5 @@ class TestEcEsSplit:
             u = CellField(rng.uniform(-1, 1, 100), cfg.grid)
             mu = FaceViscosity(rng.uniform(-0.005, 0.095, 100), cfg.grid)
             ec, es = ec_es_split(u, mu, cfg)
-            assert np.allclose(ec - es, ftcs_flux(u, mu, cfg), atol=1e-14)
+            assert np.allclose(ftcs_form(u, ec - es, cfg), ftcs_update(u.values, mu.values, cfg),
+                               rtol=0, atol=1e-14)

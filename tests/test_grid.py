@@ -69,7 +69,7 @@ class TestFieldContainers:
             SpaceTimeViscosity(np.zeros((2, 3)), grid)
         stack = SpaceTimeViscosity(np.zeros((5, 4)), grid)
         assert stack.n_steps == 5
-        assert stack.at_step(2).values.shape == (4,)
+        assert stack.values[2].shape == (4,)
 
 
 class TestHatProfile:

@@ -88,7 +88,7 @@ class TestTrainPerStep:
         )
         report = train_per_step(u0, cfg, OptimizerConfig(n_iters=20), base.states)
         assert all(loss == 0.0 for loss in report.loss_history)
-        assert np.all(report.final_mu.values == init)
+        assert np.all(report.trajectory.viscosity_history.values == init)
 
     def test_degenerate_bounds_reduce_to_constant_simulation(self):
         cfg, u0, exact = toy_problem()
@@ -99,14 +99,14 @@ class TestTrainPerStep:
             mu=FaceViscosity(np.full(16, 0.005), cfg.grid),
         )
         assert np.array_equal(report.trajectory.states, reference.states)
-        assert np.all(report.final_mu.values == 0.005)
+        assert np.all(report.trajectory.viscosity_history.values == 0.005)
 
     def test_iterates_respect_bounds(self):
         cfg, u0, exact = toy_problem(steps=20)
         opt = OptimizerConfig(learning_rate=0.5, n_iters=50)
         report = train_per_step(u0, cfg, opt, exact)
-        assert np.all(report.final_mu.values >= opt.mu_min)
-        assert np.all(report.final_mu.values <= opt.mu_max)
+        assert np.all(report.trajectory.viscosity_history.values >= opt.mu_min)
+        assert np.all(report.trajectory.viscosity_history.values <= opt.mu_max)
 
     def test_divergence_halts_and_reports(self):
         # all-negative viscosity band forces blowup within a few steps
@@ -127,7 +127,8 @@ class TestTrainPerStep:
         opt = OptimizerConfig(n_iters=30)
         a = train_per_step(u0, cfg, opt, exact)
         b = train_per_step(u0, cfg, opt, exact)
-        assert np.array_equal(a.final_mu.values, b.final_mu.values)
+        assert np.array_equal(a.trajectory.viscosity_history.values,
+                              b.trajectory.viscosity_history.values)
         assert a.loss_history == b.loss_history
         assert np.array_equal(a.trajectory.states, b.trajectory.states)
 
@@ -142,7 +143,7 @@ class TestTrainPerStep:
             cfg.c, cfg.dt, cfg.grid.dx, opt.learning_rate, opt.n_iters, opt.mu_min,
             opt.mu_max, opt.l2_penalty, opt.smooth_penalty, opt.init_mu, warm_start,
         )
-        assert np.array_equal(report.final_mu.values, history)
+        assert np.array_equal(report.trajectory.viscosity_history.values, history)
         assert np.array_equal(report.trajectory.states, states)
         # the projection is active on some faces and the penalties shape the rest
         assert np.any(history == opt.mu_min) or np.any(history == opt.mu_max)
@@ -162,7 +163,8 @@ class TestTrainPerStep:
         cold = train_per_step(
             u0, cfg, OptimizerConfig(n_iters=10, warm_start=False), exact
         )
-        assert not np.array_equal(warm.final_mu.values, cold.final_mu.values)
+        assert not np.array_equal(warm.trajectory.viscosity_history.values,
+                                  cold.trajectory.viscosity_history.values)
 
 
 class TestExactTargets:
@@ -185,7 +187,8 @@ class TestTrainGlobal:
         opt = OptimizerConfig(n_iters=40)
         per = train_per_step(u0, cfg, opt, exact)
         glob = train_global(u0, cfg, opt, exact)
-        assert np.allclose(per.final_mu.values, glob.final_mu.values, rtol=1e-12, atol=1e-15)
+        assert np.allclose(per.trajectory.viscosity_history.values,
+                           glob.trajectory.viscosity_history.values, rtol=1e-12, atol=1e-15)
         assert per.loss_history[-1] == pytest.approx(glob.loss_history[-1], rel=1e-12)
 
     def test_no_dynamics_keeps_mu_fixed(self):
@@ -196,7 +199,7 @@ class TestTrainGlobal:
         exact = np.full((6, 16), 0.7)
         report = train_global(u0, cfg, OptimizerConfig(n_iters=10, init_mu=0.02), exact)
         assert set(report.loss_history) == {0.0}
-        assert np.all(report.final_mu.values == 0.02)
+        assert np.all(report.trajectory.viscosity_history.values == 0.02)
 
     def test_degenerate_bounds_constant_history(self):
         cfg, u0, exact = toy_problem()
@@ -245,11 +248,12 @@ class TestTrainGlobal:
         assert report.divergence_events > 0
         assert report.converged
         # report carries the best iterate seen, which stays feasible
-        assert np.all(report.final_mu.values >= -0.06)
-        assert np.all(report.final_mu.values <= 9.5e-2)
+        assert np.all(report.trajectory.viscosity_history.values >= -0.06)
+        assert np.all(report.trajectory.viscosity_history.values <= 9.5e-2)
         from advisc.adjoint import loss_value
 
-        replayed = simulate(u0, 60, cfg, scheme="ftcs_mu", mu=report.final_mu)
+        replayed = simulate(u0, 60, cfg, scheme="ftcs_mu",
+                            mu=report.trajectory.viscosity_history)
         assert loss_value(replayed, exact) == min(report.loss_history)
 
     def test_exhausted_halvings_yield_failure_report(self):
