@@ -32,7 +32,7 @@ from .grid import (
     sine_solution,
 )
 from .optimizer import TrainingReport, train_global, train_per_step
-from .presets import PRESET_NAMES, nonneg_variant, preset_config
+from .presets import PRESET_NAMES, STUDIES, nonneg_variant, preset_config
 from .runio import (
     MANIFEST_NAME,
     read_json,
@@ -79,33 +79,70 @@ def _mu_summary(cfg: ExperimentConfig, traj: Trajectory) -> dict:
 
 
 def _clear_previous_run(out_dir: Path) -> None:
-    """Delete the files of the run last written into ``out_dir``.
+    """Delete the run or study last written into ``out_dir``.
 
-    The manifest goes first, so a half-cleared directory never looks like a
-    finished run; then every file it listed, and analysis.json. Files the
-    manifest did not list stay.
+    The manifest goes first, so a half-cleared directory never looks finished;
+    then every file it listed, and analysis.json; then each subrun it listed,
+    the same way, with its directory once that is empty. Files no manifest
+    listed stay.
     """
     manifest_path = out_dir / MANIFEST_NAME
     if not manifest_path.is_file():
         return
-    listed = [entry["name"] for entry in read_json(manifest_path).get("files", [])]
+    manifest = read_json(manifest_path)
     manifest_path.unlink()
-    for name in listed + [ANALYSIS_NAME]:
-        path = out_dir / name
-        # Only plain names inside out_dir; a manifest entry cannot reach elsewhere.
-        if Path(name).name == name and path.is_file():
+
+    def inside(names: list[str]) -> list[Path]:
+        # Only plain names; a manifest entry cannot reach outside out_dir.
+        return [out_dir / n for n in names if n not in ("", "..") and Path(n).name == n]
+
+    for path in inside([entry["name"] for entry in manifest.get("files", [])] + [ANALYSIS_NAME]):
+        if path.is_file():
             path.unlink()
+    for path in inside(manifest.get("subruns", [])):
+        if path.is_dir():
+            _clear_previous_run(path)
+            if not any(path.iterdir()):
+                path.rmdir()
 
 
-def _write_run_files(
+def _mark_finished(out_dir: Path, files: list[dict], seed: int, t_start: float,
+                   status: str, **blocks) -> None:
+    """Write the manifest, the completion marker, listing ``files`` and itself."""
+    payload = {
+        "version": __version__,
+        "seed": seed,
+        "wall_clock_seconds": time.time() - t_start,
+        "status": status,
+        "files": files + [{"name": MANIFEST_NAME, "role": "manifest"}],
+        **blocks,
+    }
+    write_manifest(out_dir, payload)
+
+
+def _seeded(cfg: ExperimentConfig, seed: int | None) -> tuple[ExperimentConfig, int]:
+    """The config and manifest seed of a run: ``seed`` when given (the config
+    echo then records it too), else the configured [training] seed, else 0."""
+    if seed is not None:
+        return cfg.with_seed(seed), seed
+    return cfg, cfg.training.optimizer.seed if cfg.training is not None else 0
+
+
+def _write_run(
     cfg: ExperimentConfig,
     out_dir: Path,
     traj: Trajectory,
     exact: np.ndarray,
+    status: str,
+    seed: int,
+    t_start: float,
     report: TrainingReport | None = None,
-) -> list[dict]:
+    extra: dict | None = None,
+) -> None:
+    """Write a run's CSVs, summary.json and manifest; a halted run's CSVs are partial."""
     grid = traj.config.grid
     times = traj.times
+    exact = exact[: traj.n_steps + 1]
     files: list[dict] = []
 
     def record(name: str, role: str) -> None:
@@ -130,6 +167,8 @@ def _write_run_files(
                          entropy_series(traj.states, grid.dx))
         record("entropy.csv", "entropy_series")
 
+    stats = summary_stats(traj.states, exact_final, grid.dx)
+    summary = {"stats": stats, "status": status}
     if report is not None:
         mu = traj.viscosity_history.values
         if cfg.output.write_mu:
@@ -149,38 +188,35 @@ def _write_run_files(
             np.arange(len(report.loss_history)), np.array(report.loss_history),
         )
         record("loss_history.csv", "loss_history")
-    return files
+        summary["mu"] = _mu_summary(cfg, traj)
+        summary["training"] = {
+            "mode": cfg.training.mode,
+            "converged": report.converged,
+            "divergence_events": report.divergence_events,
+            "loss_first": report.loss_history[0],
+            "loss_last": report.loss_history[-1],
+            "loss_best": min(report.loss_history),
+            "n_recorded_losses": len(report.loss_history),
+        }
+        summary["verdicts"] = {
+            "entropy_nonincreasing_global": stats["entropy_final"] <= stats["entropy_initial"],
+            "entropy_step_increase_warning":
+                stats["max_per_step_entropy_increase"] > 1e-6 * stats["entropy_initial"],
+        }
+    write_json(out_dir / "summary.json", summary)
+
+    if status != "ok":
+        for entry in files:
+            entry["partial"] = True
+    files.append({"name": "summary.json", "role": "summary"})
+    _mark_finished(out_dir, files, seed, t_start, status,
+                   config=config_to_dict(cfg), **(extra or {}))
 
 
-def _finish_manifest(
-    cfg: ExperimentConfig,
-    out_dir: Path,
-    files: list[dict],
-    seed: int,
-    t_start: float,
-    status: str,
-    extra: dict | None = None,
-) -> None:
-    files = files + [
-        {"name": "summary.json", "role": "summary"},
-        {"name": MANIFEST_NAME, "role": "manifest"},
-    ]
-    payload = {
-        "config": config_to_dict(cfg),
-        "version": __version__,
-        "seed": seed,
-        "wall_clock_seconds": time.time() - t_start,
-        "status": status,
-        "files": files,
-    }
-    if extra:
-        payload.update(extra)
-    write_manifest(out_dir, payload)
-
-
-def cmd_run(cfg: ExperimentConfig, seed: int = 0) -> int:
+def cmd_run(cfg: ExperimentConfig, seed: int | None = None) -> int:
     """Simulate the configured scheme and write solution/error/entropy artifacts."""
     t_start = time.time()
+    cfg, seed = _seeded(cfg, seed)
     out_dir = Path(cfg.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     scheme_cfg, u0, exact = _build_problem(cfg)
@@ -192,24 +228,12 @@ def cmd_run(cfg: ExperimentConfig, seed: int = 0) -> int:
         mu = FaceViscosity(np.full(cfg.n_cells, cfg.mu), scheme_cfg.grid)
     _clear_previous_run(out_dir)
 
-    status = "ok"
-    extra: dict = {}
+    status, extra = "ok", None
     try:
         traj = simulate(u0, cfg.n_steps, scheme_cfg, scheme=cfg.scheme, mu=mu)
     except DivergenceError as err:
-        status = "divergence"
-        extra = {"diverged_at_step": err.step}
-        traj = err.trajectory
-
-    exact = exact[: traj.n_steps + 1]
-    files = _write_run_files(cfg, out_dir, traj, exact)
-    if status == "divergence":
-        for entry in files:
-            entry["partial"] = True
-    stats = summary_stats(traj.states, exact[-1], scheme_cfg.grid.dx)
-    summary = {"stats": stats, "status": status}
-    write_json(out_dir / "summary.json", summary)
-    _finish_manifest(cfg, out_dir, files, seed, t_start, status, extra)
+        status, extra, traj = "divergence", {"diverged_at_step": err.step}, err.trajectory
+    _write_run(cfg, out_dir, traj, exact, status, seed, t_start, extra=extra)
     return EXIT_OK if status == "ok" else EXIT_DIVERGENCE
 
 
@@ -220,8 +244,7 @@ def cmd_train(cfg: ExperimentConfig, seed: int | None = None) -> int:
         raise ConfigError("training requires a [training] section")
     if cfg.scheme != "ftcs_mu":
         raise ConfigError("training requires scheme = ftcs_mu")
-    if seed is not None:
-        cfg = cfg.with_seed(seed)
+    cfg, seed = _seeded(cfg, seed)
     opt = cfg.training.optimizer
 
     out_dir = Path(cfg.output.directory)
@@ -242,36 +265,8 @@ def cmd_train(cfg: ExperimentConfig, seed: int | None = None) -> int:
         status = "divergence"
     else:
         status = "no_convergence"
-
-    traj = report.trajectory
-    exact = exact[: traj.n_steps + 1]
-    files = _write_run_files(cfg, out_dir, traj, exact, report)
-    if status != "ok":
-        for entry in files:
-            entry["partial"] = True
-    stats = summary_stats(traj.states, exact[-1], scheme_cfg.grid.dx)
-    summary = {
-        "stats": stats,
-        "mu": _mu_summary(cfg, traj),
-        "training": {
-            "mode": cfg.training.mode,
-            "converged": report.converged,
-            "divergence_events": report.divergence_events,
-            "loss_first": report.loss_history[0],
-            "loss_last": report.loss_history[-1],
-            "loss_best": min(report.loss_history),
-            "n_recorded_losses": len(report.loss_history),
-        },
-        "verdicts": {
-            "entropy_nonincreasing_global": stats["entropy_final"] <= stats["entropy_initial"],
-            "entropy_step_increase_warning":
-                stats["max_per_step_entropy_increase"] > 1e-6 * stats["entropy_initial"],
-        },
-        "status": status,
-    }
-    write_json(out_dir / "summary.json", summary)
-    extra = {"diverged_at_step": traj.n_steps} if status == "divergence" else {}
-    _finish_manifest(cfg, out_dir, files, opt.seed, t_start, status, extra)
+    extra = {"diverged_at_step": report.trajectory.n_steps} if status == "divergence" else None
+    _write_run(cfg, out_dir, report.trajectory, exact, status, seed, t_start, report, extra)
     if status == "ok":
         return EXIT_OK
     return EXIT_DIVERGENCE if status == "divergence" else EXIT_NO_CONVERGENCE
@@ -386,89 +381,38 @@ def cmd_analyze(directory: str | Path) -> int:
 
 def _oracle_mses(cfg: ExperimentConfig) -> dict:
     """Final-time MSE of the classical baselines on the same problem."""
-    scheme_cfg = cfg.scheme_config()
-    grid = scheme_cfg.grid
-    initial, exact_final = _exact(cfg, grid, np.array([0.0, cfg.n_steps * cfg.dt]))
-    u0 = CellField(initial, grid)
+    scheme_cfg, u0, exact = _build_problem(cfg)
     out = {}
     for scheme in ("upwind", "lax_wendroff"):
         traj = simulate(u0, cfg.n_steps, scheme_cfg, scheme=scheme)
-        out[f"mse_{scheme}"] = mse(traj.states[-1], exact_final)
+        out[f"mse_{scheme}"] = mse(traj.states[-1], exact[-1])
     return out
 
 
 def cmd_reproduce(preset: str, out_root: str | Path, seed: int | None = None) -> int:
-    """Run a named preset end to end and write a comparison summary."""
+    """Train the preset's study, one subdirectory per run, and check its claims."""
     if preset not in PRESET_NAMES:
         raise ConfigError(f"unknown preset {preset!r}; choose one of {PRESET_NAMES}")
     t_start = time.time()
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
+    _clear_previous_run(out_root)
 
     base = preset_config(preset)
-    if seed is not None:
-        base = base.with_seed(seed)
-
-    def train_into(config: ExperimentConfig, subdir: str) -> dict:
-        config = config.with_output_dir(str(out_root / subdir))
-        code = cmd_train(config)
+    runs, claims = STUDIES[preset]
+    comparison: dict = {"preset": preset, "oracles": _oracle_mses(base)}
+    for subdir, name, nonneg in runs:
+        config = preset_config(name, str(out_root / subdir))
+        code = cmd_train(nonneg_variant(config) if nonneg else config, seed)
         if code != EXIT_OK:
             raise DivergenceError(f"preset training run '{subdir}' failed with exit {code}")
-        return read_json(out_root / subdir / "summary.json")
-
-    comparison: dict = {"preset": preset, "oracles": _oracle_mses(base)}
-    subruns: list[str] = []
-
-    if preset == "paper-hat":
-        summary = train_into(base, "learned")
-        subruns = ["learned"]
-        comparison["learned"] = summary
-        comparison["claims"] = {
-            "mse_learned_below_upwind": summary["stats"]["mse_final"]
-            < comparison["oracles"]["mse_upwind"],
-            "min_mu_negative": summary["mu"]["mu_min"] < 0,
-            "entropy_nonincreasing_global": summary["verdicts"]["entropy_nonincreasing_global"],
-        }
-    elif preset == "paper-hat-nonneg":
-        signed_cfg = preset_config("paper-hat")
-        if seed is not None:
-            signed_cfg = signed_cfg.with_seed(seed)
-        nonneg = train_into(base, "learned-nonneg")
-        signed = train_into(signed_cfg, "learned-signed")
-        subruns = ["learned-nonneg", "learned-signed"]
-        comparison["learned_nonneg"] = nonneg
-        comparison["learned_signed"] = signed
-        comparison["claims"] = {
-            "nonneg_amplitude_not_above_signed": nonneg["stats"]["max_abs_final"]
-            <= signed["stats"]["max_abs_final"],
-            "nonneg_mu_min_nonnegative": nonneg["mu"]["mu_min"] >= 0.0,
-        }
-    else:  # sine-smooth
-        signed = train_into(base, "signed")
-        nonneg = train_into(nonneg_variant(base), "nonneg")
-        subruns = ["signed", "nonneg"]
-        comparison["signed"] = signed
-        comparison["nonneg"] = nonneg
-        comparison["claims"] = {
-            "constrained_amplitude_below_signed": nonneg["stats"]["max_abs_final"]
-            < signed["stats"]["max_abs_final"],
-            "signed_mu_min_negative": signed["mu"]["mu_min"] < 0,
-        }
+        comparison[subdir.replace("-", "_")] = read_json(out_root / subdir / "summary.json")
+    comparison["claims"] = {name: holds(comparison) for name, holds in claims}
 
     write_json(out_root / "comparison.json", comparison)
-    payload = {
-        "preset": preset,
-        "version": __version__,
-        "seed": seed if seed is not None else base.training.optimizer.seed,
-        "wall_clock_seconds": time.time() - t_start,
-        "status": "ok",
-        "files": [
-            {"name": "comparison.json", "role": "comparison"},
-            {"name": MANIFEST_NAME, "role": "manifest"},
-        ],
-        "subruns": subruns,
-    }
-    write_manifest(out_root, payload)
+    _mark_finished(out_root, [{"name": "comparison.json", "role": "comparison"}],
+                   _seeded(base, seed)[1], t_start, "ok",
+                   preset=preset, subruns=[subdir for subdir, _, _ in runs])
     for name, passed in comparison["claims"].items():
         print(f"{name}: {'PASS' if passed else 'FAIL'}")
     return EXIT_OK
@@ -520,13 +464,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            cfg = _load_for(args)
-            if args.seed is not None:
-                cfg = cfg.with_seed(args.seed)
-            return cmd_run(cfg, seed=args.seed or 0)
+            return cmd_run(_load_for(args), seed=args.seed)
         if args.command == "train":
-            cfg = _load_for(args)
-            return cmd_train(cfg, seed=args.seed)
+            return cmd_train(_load_for(args), seed=args.seed)
         if args.command == "analyze":
             return cmd_analyze(args.directory)
         out = args.out or os.environ.get("ADVISC_OUT") or args.preset

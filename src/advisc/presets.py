@@ -15,9 +15,6 @@ from dataclasses import replace
 from .config import ExperimentConfig, InitialCondition, OutputSettings, TrainingSettings
 from .optimizer import OptimizerConfig
 
-PRESET_NAMES = ("paper-hat", "paper-hat-nonneg", "sine-smooth")
-
-
 def preset_config(name: str, out_dir: str = "out") -> ExperimentConfig:
     paper_hat = ExperimentConfig(
         scheme="ftcs_mu",
@@ -52,3 +49,41 @@ def nonneg_variant(cfg: ExperimentConfig) -> ExperimentConfig:
 def _with_optimizer(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
     opt = replace(cfg.training.optimizer, **changes)
     return replace(cfg, training=replace(cfg.training, optimizer=opt))
+
+
+def _mu_min(c: dict, run: str) -> float:
+    return c[run]["mu"]["mu_min"]
+
+
+def _amplitude(c: dict, run: str) -> float:
+    return c[run]["stats"]["max_abs_final"]
+
+
+# What `reproduce` runs for each preset: preset -> (runs, claims). A run is
+# (subdirectory, preset, constrained non-negative?). A claim is (name, predicate
+# over the comparison dict); that dict holds the oracles' errors under "oracles"
+# and each run's summary under its subdirectory name, with "-" read as "_".
+STUDIES: dict[str, tuple[tuple, tuple]] = {
+    "paper-hat": (
+        (("learned", "paper-hat", False),),
+        (("mse_learned_below_upwind",
+          lambda c: c["learned"]["stats"]["mse_final"] < c["oracles"]["mse_upwind"]),
+         ("min_mu_negative", lambda c: _mu_min(c, "learned") < 0),
+         ("entropy_nonincreasing_global",
+          lambda c: c["learned"]["verdicts"]["entropy_nonincreasing_global"])),
+    ),
+    "paper-hat-nonneg": (
+        (("learned-nonneg", "paper-hat", True), ("learned-signed", "paper-hat", False)),
+        (("nonneg_amplitude_not_above_signed",
+          lambda c: _amplitude(c, "learned_nonneg") <= _amplitude(c, "learned_signed")),
+         ("nonneg_mu_min_nonnegative", lambda c: _mu_min(c, "learned_nonneg") >= 0.0)),
+    ),
+    "sine-smooth": (
+        (("signed", "sine-smooth", False), ("nonneg", "sine-smooth", True)),
+        (("constrained_amplitude_below_signed",
+          lambda c: _amplitude(c, "nonneg") < _amplitude(c, "signed")),
+         ("signed_mu_min_negative", lambda c: _mu_min(c, "signed") < 0)),
+    ),
+}
+
+PRESET_NAMES = tuple(STUDIES)

@@ -138,6 +138,19 @@ class TestRunCommand:
         (out / "notes.txt").unlink()
         assert main(["analyze", str(out)]) == 0
 
+    @pytest.mark.parametrize("command", ["run", "train"])
+    def test_manifest_seed_is_flag_else_configured(self, tmp_path, command):
+        cfg_path, out = write_config(
+            tmp_path, scheme="ftcs_mu", n_cells=16, t_final=0.003, extra_sim="mu = 0.005\n",
+            training=TRAINING.format(n_iters=5, mu_min=-0.005).replace("seed = 0", "seed = 7"),
+        )
+        assert main([command, "--config", str(cfg_path)]) == 0
+        manifest = read_manifest(out)
+        assert manifest["seed"] == manifest["config"]["training"]["seed"] == 7
+        assert main([command, "--config", str(cfg_path), "--seed", "3"]) == 0
+        manifest = read_manifest(out)
+        assert manifest["seed"] == manifest["config"]["training"]["seed"] == 3
+
     def test_out_flag_overrides_directory(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, t_final=0.01)
         override = tmp_path / "elsewhere"
@@ -382,22 +395,66 @@ class TestReproduceCommand:
         cfg_path, _ = write_config(tmp_path)
         assert main(["run", "--config", str(cfg_path), "--preset", "paper-hat"]) == 3
 
-    def test_paper_hat_claims(self, tmp_path):
+    def test_paper_hat_claims(self, tmp_path, capsys):
         out = tmp_path / "repro"
+        # A stale study in the same directory: its subruns' files go, a user file
+        # stays, and a subrun directory left empty goes.
+        old_cfg, old = write_config(
+            tmp_path, name="old.cfg", scheme="ftcs_mu", n_cells=16, t_final=0.003,
+            directory=str(out / "old"), training=TRAINING.format(n_iters=5, mu_min=-0.005),
+        )
+        assert main(["train", "--config", str(old_cfg)]) == 0
+        assert main(["train", "--config", str(old_cfg), "--out", str(out / "gone")]) == 0
+        (old / "notes.txt").write_text("not part of any run\n")
+        (out / "manifest.json").write_text(json.dumps(
+            {"files": [{"name": "manifest.json", "role": "manifest"}],
+             "subruns": ["old", "gone"]}))
+        capsys.readouterr()
         assert main(["reproduce", "--preset", "paper-hat", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "mse_learned_below_upwind: PASS",
+            "min_mu_negative: PASS",
+            "entropy_nonincreasing_global: PASS",
+        ]
         comparison = json.loads((out / "comparison.json").read_text())
+        assert sorted(comparison) == ["claims", "learned", "oracles", "preset"]
         assert comparison["claims"]["mse_learned_below_upwind"] is True
         assert comparison["claims"]["min_mu_negative"] is True
         assert comparison["claims"]["entropy_nonincreasing_global"] is True
         assert comparison["learned"]["stats"]["mse_final"] < comparison["oracles"]["mse_upwind"]
         assert (out / "learned" / "mu.csv").is_file()
+        assert read_manifest(out)["subruns"] == ["learned"]
+        assert [p.name for p in old.iterdir()] == ["notes.txt"]
+        assert not (out / "gone").exists()
 
-    def test_paper_hat_nonneg_amplitude_comparison(self, tmp_path):
+    def test_paper_hat_nonneg_amplitude_comparison(self, tmp_path, capsys):
         out = tmp_path / "repro-nonneg"
         assert main(["reproduce", "--preset", "paper-hat-nonneg", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "nonneg_amplitude_not_above_signed: PASS",
+            "nonneg_mu_min_nonnegative: PASS",
+        ]
         comparison = json.loads((out / "comparison.json").read_text())
+        assert sorted(comparison) == ["claims", "learned_nonneg", "learned_signed", "oracles",
+                                      "preset"]
         assert comparison["claims"]["nonneg_amplitude_not_above_signed"] is True
         assert comparison["claims"]["nonneg_mu_min_nonnegative"] is True
+        assert read_manifest(out)["subruns"] == ["learned-nonneg", "learned-signed"]
+
+    def test_sine_smooth_amplitude_comparison(self, tmp_path, capsys):
+        out = tmp_path / "repro-sine"
+        assert main(["reproduce", "--preset", "sine-smooth", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "constrained_amplitude_below_signed: PASS",
+            "signed_mu_min_negative: PASS",
+        ]
+        comparison = json.loads((out / "comparison.json").read_text())
+        assert sorted(comparison) == ["claims", "nonneg", "oracles", "preset", "signed"]
+        assert comparison["nonneg"]["mu"]["mu_min"] >= 0.0
+        assert comparison["signed"]["mu"]["mu_min"] < 0.0
+        assert comparison["nonneg"]["stats"]["max_abs_final"] < \
+            comparison["signed"]["stats"]["max_abs_final"]
+        assert read_manifest(out)["subruns"] == ["signed", "nonneg"]
 
 
 class TestRerunFromManifestEcho:
