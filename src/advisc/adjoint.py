@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import CellField, SpaceTimeViscosity
 from .schemes import SchemeConfig, Trajectory, _next, _prev, ftcs_update, simulate
 
 
@@ -105,7 +104,7 @@ def grad_mu_global(traj: Trajectory, exact: np.ndarray) -> np.ndarray:
     cfg = traj.config
     n = cfg.grid.n_cells
     states = traj.states
-    mu = traj.viscosity_history.values
+    mu = traj.viscosity_history
     coef = 1.0 / (n * n_steps)
 
     def dj_du(m: int) -> np.ndarray:
@@ -122,27 +121,27 @@ def grad_mu_global(traj: Trajectory, exact: np.ndarray) -> np.ndarray:
 
 
 def fd_gradient(
-    u0: CellField,
-    mu_st: SpaceTimeViscosity,
+    u0: np.ndarray,
+    mu: np.ndarray,
     cfg: SchemeConfig,
     exact: np.ndarray,
     h: float | None = None,
 ) -> np.ndarray:
     """Central-difference gradient oracle: O(n_steps * n_faces) full simulations.
 
-    Perturbs each coordinate by +/- h_c with h_c = 1e-6 * max(1, |mu_c|) unless
-    a fixed h is given. Test-scale only; the loss is quadratic in each mu
-    coordinate, so central differences are exact up to round-off.
+    ``u0`` is the initial state and ``mu`` the (n_steps, n_faces) viscosity
+    at which the gradient is taken. Perturbs each coordinate by +/- h_c with
+    h_c = 1e-6 * max(1, |mu_c|) unless a fixed h is given. Test-scale only;
+    the loss is quadratic in each mu coordinate, so central differences are
+    exact up to round-off.
     """
     if h is not None and h <= 0:
         raise ValueError("h must be positive")
-    base = np.array(mu_st.values, copy=True)
+    base = np.array(mu, dtype=float)
     grad = np.empty_like(base)
 
     def evaluate(values: np.ndarray) -> float:
-        traj = simulate(u0, mu_st.n_steps, cfg, scheme="ftcs_mu",
-                        mu=SpaceTimeViscosity(values, cfg.grid))
-        return loss_value(traj, exact)
+        return loss_value(simulate(u0, len(values), cfg, mu=values), exact)
 
     for idx in np.ndindex(base.shape):
         hc = h if h is not None else 1e-6 * max(1.0, abs(base[idx]))

@@ -24,13 +24,7 @@ from .config import (
     load_config,
 )
 from .diagnostics import entropy_series, mse, mu_stats, mu_summary, summary_stats
-from .grid import (
-    CellField,
-    FaceViscosity,
-    Grid1D,
-    exact_solution,
-    sine_solution,
-)
+from .grid import Grid1D, exact_solution, sine_solution
 from .optimizer import TrainingReport, train_global, train_per_step
 from .presets import PRESET_NAMES, STUDIES, nonneg_variant, preset_config
 from .runio import (
@@ -64,18 +58,22 @@ def _exact(cfg: ExperimentConfig, grid: Grid1D, t: float | np.ndarray) -> np.nda
     return sine_solution(grid, cfg.c, t, cfg.ic.wavenumber, cfg.ic.amplitude)
 
 
-def _build_problem(cfg: ExperimentConfig) -> tuple[SchemeConfig, CellField, np.ndarray]:
-    """Scheme config, initial state and the (n_steps + 1, N) exact states of a run."""
+def _build_problem(cfg: ExperimentConfig) -> tuple[SchemeConfig, np.ndarray]:
+    """Scheme config and the (n_steps + 1, N) exact states of a run; row 0 is its initial state."""
     scheme_cfg = cfg.scheme_config()
-    grid = scheme_cfg.grid
-    exact = _exact(cfg, grid, np.arange(cfg.n_steps + 1) * cfg.dt)
-    return scheme_cfg, CellField(exact[0], grid), exact
+    return scheme_cfg, _exact(cfg, scheme_cfg.grid, np.arange(cfg.n_steps + 1) * cfg.dt)
 
 
 def _mu_summary(cfg: ExperimentConfig, traj: Trajectory) -> dict:
     if cfg.ic.kind == "hat":
         return mu_stats(traj, cfg.ic.hat_profile(), radius=0.05)
-    return mu_summary(traj.viscosity_history.values)
+    return mu_summary(traj.viscosity_history)
+
+
+def _is_plain_name(name: str) -> bool:
+    """Whether a name from a manifest is a plain entry name, so that it cannot
+    reach outside the manifest's directory."""
+    return name not in ("", "..") and Path(name).name == name
 
 
 def _clear_previous_run(out_dir: Path) -> None:
@@ -93,8 +91,7 @@ def _clear_previous_run(out_dir: Path) -> None:
     manifest_path.unlink()
 
     def inside(names: list[str]) -> list[Path]:
-        # Only plain names; a manifest entry cannot reach outside out_dir.
-        return [out_dir / n for n in names if n not in ("", "..") and Path(n).name == n]
+        return [out_dir / n for n in names if _is_plain_name(n)]
 
     for path in inside([entry["name"] for entry in manifest.get("files", [])] + [ANALYSIS_NAME]):
         if path.is_file():
@@ -170,7 +167,7 @@ def _write_run(
     stats = summary_stats(traj.states, exact_final, grid.dx)
     summary = {"stats": stats, "status": status}
     if report is not None:
-        mu = traj.viscosity_history.values
+        mu = traj.viscosity_history
         if cfg.output.write_mu:
             write_matrix_csv(out_dir / "mu.csv", times[:-1], mu)
             record("mu.csv", "mu_spacetime")
@@ -219,18 +216,14 @@ def cmd_run(cfg: ExperimentConfig, seed: int | None = None) -> int:
     cfg, seed = _seeded(cfg, seed)
     out_dir = Path(cfg.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    scheme_cfg, u0, exact = _build_problem(cfg)
-
-    mu = None
-    if cfg.scheme == "ftcs_mu":
-        if cfg.mu is None:
-            raise ConfigError("scheme 'ftcs_mu' requires the 'mu' key for plain runs")
-        mu = FaceViscosity(np.full(cfg.n_cells, cfg.mu), scheme_cfg.grid)
+    scheme_cfg, exact = _build_problem(cfg)
+    if cfg.scheme == "ftcs_mu" and cfg.mu is None:
+        raise ConfigError("scheme 'ftcs_mu' requires the 'mu' key for plain runs")
     _clear_previous_run(out_dir)
 
     status, extra = "ok", None
     try:
-        traj = simulate(u0, cfg.n_steps, scheme_cfg, scheme=cfg.scheme, mu=mu)
+        traj = simulate(exact[0], cfg.n_steps, scheme_cfg, scheme=cfg.scheme, mu=cfg.mu)
     except DivergenceError as err:
         status, extra, traj = "divergence", {"diverged_at_step": err.step}, err.trajectory
     _write_run(cfg, out_dir, traj, exact, status, seed, t_start, extra=extra)
@@ -249,15 +242,15 @@ def cmd_train(cfg: ExperimentConfig, seed: int | None = None) -> int:
 
     out_dir = Path(cfg.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    scheme_cfg, u0, exact = _build_problem(cfg)
+    scheme_cfg, exact = _build_problem(cfg)
     if cfg.n_steps < 1:
         raise ConfigError("training requires t_final >= dt (at least one step)")
     _clear_previous_run(out_dir)
 
     if cfg.training.mode == "per_step":
-        report = train_per_step(u0, scheme_cfg, opt, exact)
+        report = train_per_step(scheme_cfg, opt, exact)
     else:
-        report = train_global(u0, scheme_cfg, opt, exact)
+        report = train_global(scheme_cfg, opt, exact)
 
     if report.converged:
         status = "ok"
@@ -300,30 +293,11 @@ def _replay_error(states: np.ndarray, mu_rows: np.ndarray, cfg: SchemeConfig) ->
     return worst
 
 
-def cmd_analyze(directory: str | Path) -> int:
-    """Recompute diagnostics from stored CSVs and verify them against the summary."""
-    out_dir = Path(directory)
-    manifest = read_manifest(out_dir)
-    for block in ("config", "files"):
-        if block not in manifest:
-            raise ValueError(f"{out_dir / MANIFEST_NAME} has no {block!r} block")
+def _check_run(out_dir: Path, manifest: dict, listed: set[str], check) -> None:
+    """Recompute a run's diagnostics from its stored CSVs and check them against
+    its summary.json and its scheme."""
     cfg = config_from_dict(manifest["config"])
     summary = read_json(out_dir / "summary.json")
-    listed = {entry["name"] for entry in manifest["files"]}
-
-    checks: list[dict] = []
-
-    def check(name: str, passed: bool, detail: str) -> None:
-        checks.append({"name": name, "passed": bool(passed), "detail": detail})
-
-    missing = sorted(name for name in listed if not (out_dir / name).is_file())
-    unlisted = sorted(
-        p.name for p in out_dir.iterdir()
-        if p.is_file() and p.name not in listed and p.name != ANALYSIS_NAME
-    )
-    check("manifest_complete", not missing and not unlisted,
-          f"missing={missing} unlisted={unlisted}")
-
     scheme_cfg = cfg.scheme_config()
     grid = scheme_cfg.grid
     tolerance = 1e-12
@@ -367,6 +341,58 @@ def cmd_analyze(directory: str | Path) -> int:
             check("stored_steps_consistent", ok, detail)
             compare("mu", summary.get("mu", {}), mu_summary(mu_values))
 
+
+def _check_study(out_dir: Path, manifest: dict, check) -> None:
+    """Analyze each subrun of a ``reproduce`` study, then check that comparison.json
+    holds each subrun's summary.json and that the study's claims give its verdicts."""
+    if manifest["preset"] not in STUDIES:
+        raise ValueError(f"{out_dir / MANIFEST_NAME} names no known study")
+    comparison = read_json(out_dir / "comparison.json")
+    for subrun in manifest["subruns"]:
+        if not _is_plain_name(subrun):
+            raise ValueError(f"{out_dir / MANIFEST_NAME} lists subrun {subrun!r}")
+        code = cmd_analyze(out_dir / subrun)
+        check(f"subrun:{subrun}", code == EXIT_OK, f"analyze exited {code}")
+        key = subrun.replace("-", "_")
+        check(f"summary_copied:{subrun}",
+              comparison.get(key) == read_json(out_dir / subrun / "summary.json"),
+              f"comparison.json[{key!r}] against {subrun}/summary.json")
+    stored = comparison.get("claims", {})
+    for name, holds in STUDIES[manifest["preset"]][1]:
+        try:
+            verdict = holds(comparison)
+        except (KeyError, TypeError) as err:  # a run's block is missing or malformed
+            verdict = f"not computable: {err!r}"
+        check(f"claim:{name}", stored.get(name) == verdict,
+              f"stored={stored.get(name)!r} recomputed={verdict!r}")
+
+
+def cmd_analyze(directory: str | Path) -> int:
+    """Verify a finished run against its stored files, or a study and each of its runs."""
+    out_dir = Path(directory)
+    manifest = read_manifest(out_dir)
+    is_study = "subruns" in manifest
+    for block in ("preset" if is_study else "config", "files"):
+        if block not in manifest:
+            raise ValueError(f"{out_dir / MANIFEST_NAME} has no {block!r} block")
+    listed = {entry["name"] for entry in manifest["files"]}
+
+    checks: list[dict] = []
+
+    def check(name: str, passed: bool, detail: str) -> None:
+        checks.append({"name": name, "passed": bool(passed), "detail": detail})
+
+    missing = sorted(name for name in listed if not (out_dir / name).is_file())
+    unlisted = sorted(
+        p.name for p in out_dir.iterdir()
+        if p.is_file() and p.name not in listed and p.name != ANALYSIS_NAME
+    )
+    check("manifest_complete", not missing and not unlisted,
+          f"missing={missing} unlisted={unlisted}")
+    if is_study:
+        _check_study(out_dir, manifest, check)
+    else:
+        _check_run(out_dir, manifest, listed, check)
     check("run_status_ok", manifest.get("status") == "ok",
           f"status={manifest.get('status')!r}")
 
@@ -381,10 +407,10 @@ def cmd_analyze(directory: str | Path) -> int:
 
 def _oracle_mses(cfg: ExperimentConfig) -> dict:
     """Final-time MSE of the classical baselines on the same problem."""
-    scheme_cfg, u0, exact = _build_problem(cfg)
+    scheme_cfg, exact = _build_problem(cfg)
     out = {}
     for scheme in ("upwind", "lax_wendroff"):
-        traj = simulate(u0, cfg.n_steps, scheme_cfg, scheme=scheme)
+        traj = simulate(exact[0], cfg.n_steps, scheme_cfg, scheme=scheme)
         out[f"mse_{scheme}"] = mse(traj.states[-1], exact[-1])
     return out
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CellField, FaceViscosity, HatProfile
-from .schemes import SchemeConfig, Trajectory
+from .grid import HatProfile
+from .schemes import SchemeConfig, Trajectory, _next
 
 
 def mse(u: np.ndarray, exact: np.ndarray) -> float:
@@ -58,15 +58,14 @@ def entropy_report(traj: Trajectory) -> EntropyReport:
     s = entropy_series(states, dx)
     dissipation = None
     if traj.viscosity_history is not None:
-        mu = traj.viscosity_history.values
-        jumps = (np.roll(states[:-1], -1, axis=1) - states[:-1]) / dx
-        dissipation = np.sum(mu * jumps * jumps, axis=1) * dx
+        jumps = (_next(states[:-1]) - states[:-1]) / dx
+        dissipation = np.sum(traj.viscosity_history * jumps * jumps, axis=1) * dx
     return EntropyReport(total_entropy=s, per_step_delta=np.diff(s), spatial_dissipation=dissipation)
 
 
 def total_variation(u: np.ndarray) -> float:
     """Sum of |u_{i+1} - u_i| with periodic wrap; growth flags oscillation."""
-    return float(np.sum(np.abs(np.roll(u, -1) - u)))
+    return float(np.sum(np.abs(_next(u) - u)))
 
 
 def summary_stats(states: np.ndarray, exact_final: np.ndarray, dx: float) -> dict:
@@ -114,7 +113,7 @@ def mu_stats(traj: Trajectory, profile: HatProfile, radius: float) -> dict:
     cfg = traj.config
     length = cfg.grid.length
     faces = cfg.grid.face_positions
-    values = traj.viscosity_history.values
+    values = traj.viscosity_history
 
     ratios = []
     for n, row in enumerate(values):
@@ -135,18 +134,16 @@ def mu_stats(traj: Trajectory, profile: HatProfile, radius: float) -> dict:
     return out
 
 
-def ec_es_split(
-    u: CellField, mu: FaceViscosity, cfg: SchemeConfig
-) -> tuple[np.ndarray, np.ndarray]:
+def ec_es_split(u: np.ndarray, mu: np.ndarray, cfg: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
     """Split the numerical flux into conservative and dissipative parts.
 
     Per face: ec = c*(u_i + u_{i+1})/2 (the entropy-neutral central flux for
     a linear scalar) and es = (mu_{i+1/2}/dx)*(u_{i+1} - u_i), the scalar
     degenerate dissipative correction. ec - es is, entrywise, the face flux
-    F_{i+1/2} that ``ftcs_update`` differences.
+    F_{i+1/2} that ``ftcs_update`` differences. ``u`` (cells) and ``mu``
+    (faces) are arrays of length n_cells.
     """
-    uv = u.values
-    up = np.roll(uv, -1)
-    ec = cfg.c * 0.5 * (uv + up)
-    es = (mu.values / cfg.grid.dx) * (up - uv)
+    up = _next(u)
+    ec = cfg.c * 0.5 * (u + up)
+    es = (mu / cfg.grid.dx) * (up - u)
     return ec, es

@@ -13,8 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import grad_mu_global, grad_mu_instantaneous, loss_value
-from .grid import CellField, FaceViscosity, SpaceTimeViscosity
-from .schemes import DivergenceError, SchemeConfig, Trajectory, _next, _prev, ftcs_update, simulate
+from .schemes import (
+    DivergenceError,
+    SchemeConfig,
+    Trajectory,
+    _diverged,
+    _guard_bound,
+    _next,
+    _prev,
+    ftcs_update,
+    simulate,
+)
 
 
 @dataclass(frozen=True)
@@ -96,34 +105,27 @@ def _horizon(exact: np.ndarray, cfg: SchemeConfig) -> int:
     return exact.shape[0] - 1
 
 
-def train_per_step(
-    u0: CellField,
-    cfg: SchemeConfig,
-    opt: OptimizerConfig,
-    exact: np.ndarray,
-    magnitude_guard: float = 1e6,
-) -> TrainingReport:
+def train_per_step(cfg: SchemeConfig, opt: OptimizerConfig, exact: np.ndarray) -> TrainingReport:
     """Greedy training: optimize each step's viscosity against the next exact state.
 
-    Row m of ``exact`` is the exact state at time m*dt; its M + 1 rows set
-    the M steps trained. The state advanced between steps is the numerical
-    one (never reset to exact), so error accumulation is visible to later
-    steps. Each step's mu warm-starts from the previous optimum unless
-    ``opt.warm_start`` is off. Divergence of the advancing state halts
-    training at that step.
+    Row m of ``exact`` is the exact state at time m*dt; row 0 is the initial
+    state and the M + 1 rows set the M steps trained. The state advanced
+    between steps is the numerical one (never reset to exact), so error
+    accumulation is visible to later steps. Each step's mu warm-starts from
+    the previous optimum unless ``opt.warm_start`` is off. Divergence of the
+    advancing state halts training at that step.
     """
     n_steps = _horizon(exact, cfg)
     grid = cfg.grid
     init = opt.resolve_init(cfg)
     lr, lo, hi = opt.learning_rate, opt.mu_min, opt.mu_max
-    threshold = magnitude_guard * max(float(np.max(np.abs(u0.values))), 1.0)
+    bound = _guard_bound(exact[0])
 
     mu = np.full(grid.n_cells, init)
     states = np.empty((n_steps + 1, grid.n_cells))
-    states[0] = u0.values
+    states[0] = exact[0]
     mu_rows = np.empty((n_steps, grid.n_cells))
     losses: list[float] = []
-    divergences = 0
     halted = False
 
     for n in range(n_steps):
@@ -136,13 +138,10 @@ def train_per_step(
             mu = (mu - lr * g).clip(lo, hi)
         try:
             u_next = ftcs_update(u, mu, cfg)
-        except DivergenceError:
-            divergences += 1
+            halted = _diverged(u_next, bound)
+        except DivergenceError:  # ftcs_update rejects a non-finite state itself
             halted = True
-            break
-        if float(np.max(np.abs(u_next))) > threshold:
-            divergences += 1
-            halted = True
+        if halted:
             break
         err = u_next - target
         losses.append(float(np.mean(err * err)))
@@ -152,22 +151,17 @@ def train_per_step(
     if not losses:
         raise DivergenceError("training diverged on the very first step", step=0)
     n_done = len(losses)
-    mu_st = SpaceTimeViscosity(mu_rows[:n_done], grid)
-    traj = Trajectory(states=states[: n_done + 1], config=cfg, viscosity_history=mu_st)
+    traj = Trajectory(states=states[: n_done + 1], config=cfg, viscosity_history=mu_rows[:n_done])
     return TrainingReport(
         loss_history=tuple(losses),
         trajectory=traj,
         converged=not halted,
-        divergence_events=divergences,
+        divergence_events=int(halted),
     )
 
 
 def train_global(
-    u0: CellField,
-    cfg: SchemeConfig,
-    opt: OptimizerConfig,
-    exact: np.ndarray,
-    max_halvings: int = 30,
+    cfg: SchemeConfig, opt: OptimizerConfig, exact: np.ndarray, max_halvings: int = 30
 ) -> TrainingReport:
     """Whole-horizon training: one decision vector of shape (n_steps, n_faces).
 
@@ -178,16 +172,14 @@ def train_global(
     persists). Returns the best (lowest-loss) iterate seen, with its trajectory.
     """
     n_steps = _horizon(exact, cfg)
-    grid = cfg.grid
     init = opt.resolve_init(cfg)
     lr = opt.learning_rate
 
     def evaluate(values: np.ndarray) -> tuple[float, Trajectory]:
-        traj = simulate(u0, n_steps, cfg, scheme="ftcs_mu",
-                        mu=SpaceTimeViscosity(values, grid))
+        traj = simulate(exact[0], n_steps, cfg, mu=values)
         return loss_value(traj, exact), traj
 
-    current = np.full((n_steps, grid.n_cells), init)
+    current = np.full((n_steps, cfg.grid.n_cells), init)
     best_loss, traj_cur = evaluate(current)  # initial sweep failure is unrecoverable
     best_traj = traj_cur
     losses = [best_loss]
@@ -227,12 +219,7 @@ def train_global(
 
 
 def constant_mu_grid_search(
-    u0: CellField,
-    cfg: SchemeConfig,
-    exact: np.ndarray,
-    mu_min: float,
-    mu_max: float,
-    n_samples: int = 200,
+    cfg: SchemeConfig, exact: np.ndarray, mu_min: float, mu_max: float, n_samples: int = 200
 ) -> tuple[float, float]:
     """Brute-force 1D search over space-time-constant viscosities.
 
@@ -245,10 +232,7 @@ def constant_mu_grid_search(
     best_loss = np.inf
     for mu_c in np.linspace(mu_min, mu_max, n_samples):
         try:
-            traj = simulate(
-                u0, n_steps, cfg, scheme="ftcs_mu",
-                mu=FaceViscosity(np.full(cfg.grid.n_cells, mu_c), cfg.grid),
-            )
+            traj = simulate(exact[0], n_steps, cfg, mu=mu_c)
         except DivergenceError:
             continue
         loss = loss_value(traj, exact)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CellField, FaceViscosity, Grid1D, SpaceTimeViscosity
+from .grid import Grid1D
 
 
 class DivergenceError(RuntimeError):
@@ -32,6 +32,34 @@ class DivergenceError(RuntimeError):
         super().__init__(message)
         self.step = step
         self.trajectory = trajectory
+
+
+# A run diverges once a state is non-finite or larger in magnitude than
+# MAGNITUDE_GUARD * max(1, max|u0|), u0 being the run's initial state.
+MAGNITUDE_GUARD = 1e6
+
+
+def _guard_bound(u0: np.ndarray) -> float:
+    """The largest magnitude a state of a run from ``u0`` may reach."""
+    return MAGNITUDE_GUARD * max(float(np.max(np.abs(u0))), 1.0)
+
+
+def _diverged(u: np.ndarray, bound: float) -> bool:
+    """Whether the state ``u`` is non-finite or exceeds ``bound`` in magnitude."""
+    peak = np.max(np.abs(u))  # NaN or inf when any entry is
+    return not np.isfinite(peak) or peak > bound
+
+
+def _checked(values, shape: tuple | None, what: str) -> np.ndarray:
+    """A read-only float view of ``values``; raises ValueError unless it has
+    ``shape`` (any shape for None) and only finite entries."""
+    out = np.asarray(values, dtype=float).view()
+    if shape is not None and out.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {out.shape}")
+    if not np.isfinite(out).all():
+        raise ValueError(f"non-finite entries in {what} violate the finite-value contract")
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -57,34 +85,28 @@ class SchemeConfig:
 class Trajectory:
     """States u^0 .. u^M of one simulation plus the viscosities that produced it.
 
-    ``states`` is one read-only float array of shape (M + 1, n_cells); row n
-    is u^n. It is not copied: the constructor takes a read-only view, so a
-    caller that keeps a writeable reference must not modify it.
-    ``viscosity_history``, when present, has exactly M rows; row n is the
-    field used to advance states[n] to states[n+1].
+    ``states`` is a finite float array of shape (M + 1, n_cells); row n is
+    u^n. ``viscosity_history``, when present, is a finite float array of
+    shape (M, n_cells); row n is the face viscosity that advanced states[n]
+    to states[n+1]. Neither is copied: the constructor keeps read-only
+    views, so a caller holding a writeable reference must not modify it.
     """
 
     states: np.ndarray
     config: SchemeConfig
-    viscosity_history: SpaceTimeViscosity | None = None
+    viscosity_history: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        states = np.asarray(self.states, dtype=float).view()
+        states = _checked(self.states, None, "states")
         n_cells = self.config.grid.n_cells
         if states.ndim != 2 or states.shape[0] < 1 or states.shape[1] != n_cells:
             raise ValueError(
                 f"states must have shape (n_steps + 1, {n_cells}), got {states.shape}"
             )
-        if not np.isfinite(states).all():
-            raise ValueError("non-finite entries violate the finite-value contract")
-        states.setflags(write=False)
         object.__setattr__(self, "states", states)
         if self.viscosity_history is not None:
-            if self.viscosity_history.n_steps != self.n_steps:
-                raise ValueError(
-                    "viscosity_history must have one entry per step "
-                    f"({self.n_steps}), got {self.viscosity_history.n_steps}"
-                )
+            mu = _checked(self.viscosity_history, (self.n_steps, n_cells), "viscosity_history")
+            object.__setattr__(self, "viscosity_history", mu)
 
     @property
     def n_steps(self) -> int:
@@ -93,11 +115,6 @@ class Trajectory:
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.config.dt
-
-
-def _check_grid(field, cfg: SchemeConfig) -> None:
-    if field.grid.n_cells != cfg.grid.n_cells or field.grid.dx != cfg.grid.dx:
-        raise ValueError("field grid does not match scheme configuration grid")
 
 
 def _next(a: np.ndarray) -> np.ndarray:
@@ -146,34 +163,28 @@ def ftcs_update(u: np.ndarray, mu: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
     return out
 
 
-def upwind_step(u: CellField, cfg: SchemeConfig) -> CellField:
+def upwind_step(u: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
     """First-order upwind step; stencil side follows the sign of c."""
-    _check_grid(u, cfg)
-    uv = u.values
     if cfg.c >= 0:
-        out = uv - cfg.cfl * (uv - np.roll(uv, 1))
-    else:
-        out = uv - cfg.cfl * (np.roll(uv, -1) - uv)
-    return CellField(out, u.grid)
+        return u - cfg.cfl * (u - _prev(u))
+    return u - cfg.cfl * (_next(u) - u)
 
 
-def lax_wendroff_step(u: CellField, cfg: SchemeConfig) -> CellField:
-    """Second-order-in-time step; equals ftcs_update with mu = c^2*dt/2."""
-    _check_grid(u, cfg)
-    uv = u.values
-    up = np.roll(uv, -1)
-    um = np.roll(uv, 1)
+def lax_wendroff_step(u: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
+    """Second-order-in-time step; equals ftcs_update with mu = c^2*dt/2.
+
+    Kept as its own stencil: routing it through ftcs_update reorders the
+    arithmetic and moves stored results in the last bits.
+    """
+    up = _next(u)
+    um = _prev(u)
     s = cfg.cfl
-    out = uv - 0.5 * s * (up - um) + 0.5 * s * s * (up - 2.0 * uv + um)
-    return CellField(out, u.grid)
+    return u - 0.5 * s * (up - um) + 0.5 * s * s * (up - 2.0 * u + um)
 
 
-def ftcs_bare_step(u: CellField, cfg: SchemeConfig) -> CellField:
+def ftcs_bare_step(u: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
     """Unstabilized forward-time centered-space step (linearly unstable)."""
-    _check_grid(u, cfg)
-    uv = u.values
-    out = uv - 0.5 * cfg.cfl * (np.roll(uv, -1) - np.roll(uv, 1))
-    return CellField(out, u.grid)
+    return u - 0.5 * cfg.cfl * (_next(u) - _prev(u))
 
 
 def amplification_factor(theta, cfl: float, diffusion_number: float):
@@ -188,75 +199,50 @@ def amplification_factor(theta, cfl: float, diffusion_number: float):
 
 
 SCHEME_NAMES = ("ftcs_mu", "upwind", "lax_wendroff", "ftcs_bare")
+_CLASSICAL_STEPS = {"upwind": upwind_step, "lax_wendroff": lax_wendroff_step,
+                    "ftcs_bare": ftcs_bare_step}
 
 
 def simulate(
-    u0: CellField,
+    u0: np.ndarray,
     n_steps: int,
     cfg: SchemeConfig,
     scheme: str = "ftcs_mu",
-    mu: FaceViscosity | SpaceTimeViscosity | None = None,
-    magnitude_guard: float = 1e6,
+    mu: float | np.ndarray | None = None,
 ) -> Trajectory:
-    """March ``n_steps`` steps of the chosen scheme, recording every state.
+    """March ``n_steps`` steps of the chosen scheme from ``u0``, recording every state.
 
-    ``mu`` supplies the face viscosity for the "ftcs_mu" scheme: a single
-    FaceViscosity (held constant) or a SpaceTimeViscosity (one row per step).
-    Raises DivergenceError (partial trajectory attached) if a state goes
-    non-finite or its magnitude exceeds magnitude_guard * max(1, max|u0|).
+    ``mu`` supplies the face viscosity of the "ftcs_mu" scheme, and only of
+    it: a scalar or an (n_cells,) row held constant, or an (n_steps, n_cells)
+    stack with one row per step; it is broadcast to (n_steps, n_cells).
+    Raises DivergenceError (partial trajectory attached) when a state goes
+    non-finite or exceeds the magnitude guard.
     """
     if n_steps < 0 or int(n_steps) != n_steps:
         raise ValueError("n_steps must be a non-negative integer")
     if scheme not in SCHEME_NAMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose one of {SCHEME_NAMES}")
-    _check_grid(u0, cfg)
-    n_steps = int(n_steps)
-    grid = cfg.grid
+    n_steps, n_cells = int(n_steps), cfg.grid.n_cells
+    u0 = _checked(u0, (n_cells,), "u0")
+    if (scheme == "ftcs_mu") != (mu is not None):
+        raise ValueError("scheme 'ftcs_mu' requires a mu, and no other scheme takes one")
+    if mu is not None:
+        mu = np.broadcast_to(_checked(mu, None, "mu"), (n_steps, n_cells))
 
-    uses_mu = scheme == "ftcs_mu"
-    if uses_mu and not isinstance(mu, (FaceViscosity, SpaceTimeViscosity)):
-        raise ValueError("scheme 'ftcs_mu' requires a FaceViscosity or SpaceTimeViscosity mu")
-    if not uses_mu and mu is not None:
-        raise ValueError(f"scheme {scheme!r} does not accept a mu provider")
-    history = None
-    if uses_mu:
-        _check_grid(mu, cfg)
-        if isinstance(mu, FaceViscosity):
-            mu = SpaceTimeViscosity(np.broadcast_to(mu.values, (n_steps, grid.n_cells)), grid)
-        elif mu.n_steps != n_steps:
-            raise ValueError(f"space-time viscosity has {mu.n_steps} rows, need {n_steps}")
-        history, mu_rows = mu, mu.values
-
-    threshold = magnitude_guard * max(float(np.max(np.abs(u0.values))), 1.0)
-    states = np.empty((n_steps + 1, grid.n_cells))
-    states[0] = u0.values
+    bound = _guard_bound(u0)
+    states = np.empty((n_steps + 1, n_cells))
+    states[0] = u0
     for n in range(n_steps):
         try:
-            if uses_mu:
-                states[n + 1] = ftcs_update(states[n], mu_rows[n], cfg)
-            elif scheme == "upwind":
-                states[n + 1] = upwind_step(CellField(states[n], grid), cfg).values
-            elif scheme == "lax_wendroff":
-                states[n + 1] = lax_wendroff_step(CellField(states[n], grid), cfg).values
+            if mu is None:
+                states[n + 1] = _CLASSICAL_STEPS[scheme](states[n], cfg)
             else:
-                states[n + 1] = ftcs_bare_step(CellField(states[n], grid), cfg).values
-        except DivergenceError as err:
-            raise DivergenceError(
-                f"state went non-finite at step {n}", step=n,
-                trajectory=_partial(states, history, n, cfg),
-            ) from err
-        if float(np.max(np.abs(states[n + 1]))) > threshold:
-            raise DivergenceError(
-                f"magnitude guard ({threshold:g}) tripped at step {n}",
-                step=n,
-                trajectory=_partial(states, history, n, cfg),
-            )
-    return Trajectory(states=states, config=cfg, viscosity_history=history)
-
-
-def _partial(
-    states: np.ndarray, history: SpaceTimeViscosity | None, n_done: int, cfg: SchemeConfig
-) -> Trajectory:
-    """The first n_done steps of a run that failed on step n_done."""
-    vh = None if history is None else SpaceTimeViscosity(history.values[:n_done], cfg.grid)
-    return Trajectory(states=states[: n_done + 1], config=cfg, viscosity_history=vh)
+                states[n + 1] = ftcs_update(states[n], mu[n], cfg)
+            diverged = _diverged(states[n + 1], bound)
+        except DivergenceError:  # ftcs_update rejects a non-finite state itself
+            diverged = True
+        if diverged:
+            raise DivergenceError(f"state diverged at step {n} (magnitude guard {bound:g})",
+                                  step=n, trajectory=Trajectory(
+                                      states[: n + 1], cfg, None if mu is None else mu[:n]))
+    return Trajectory(states=states, config=cfg, viscosity_history=mu)

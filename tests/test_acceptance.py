@@ -11,10 +11,7 @@ from advisc.adjoint import fd_gradient, grad_mu_global, loss_value
 from advisc.cli import main
 from advisc.diagnostics import entropy_report, mse, mu_stats
 from advisc.grid import (
-    CellField,
-    FaceViscosity,
     HatProfile,
-    SpaceTimeViscosity,
     exact_solution,
     make_grid,
     sine_solution,
@@ -49,8 +46,8 @@ def test_criterion_1_adjoint_matches_fd_oracle():
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        u0 = CellField(rng.uniform(-1, 1, 16), grid)
-        mu_st = SpaceTimeViscosity(rng.uniform(-5e-3, 9.5e-2, (5, 16)), grid)
+        u0 = rng.uniform(-1, 1, 16)
+        mu_st = rng.uniform(-5e-3, 9.5e-2, (5, 16))
         g_adj = grad_mu_global(simulate(u0, 5, cfg, mu=mu_st), exact)
         g_fd = fd_gradient(u0, mu_st, cfg, exact)
         worst = max(worst, np.max(np.abs(g_adj - g_fd)) / (1e-12 + np.max(np.abs(g_fd))))
@@ -66,22 +63,22 @@ def test_criterion_1_adjoint_matches_fd_oracle():
 def test_criterion_2_scheme_equivalence_identities():
     grid = make_grid(100, 1.0)
     cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
-    mu_up = FaceViscosity(np.full(100, cfg.c * grid.dx / 2), grid)
-    mu_lw = FaceViscosity(np.full(100, cfg.c**2 * cfg.dt / 2), grid)
+    mu_up = np.full(100, cfg.c * grid.dx / 2)
+    mu_lw = np.full(100, cfg.c**2 * cfg.dt / 2)
     rng = np.random.default_rng(42)
     worst_up = worst_lw = 0.0
     for _ in range(100):
-        u = CellField(rng.uniform(-1, 1, 100), grid)
-        up_ref = upwind_step(u, cfg).values
-        lw_ref = lax_wendroff_step(u, cfg).values
+        u = rng.uniform(-1, 1, 100)
+        up_ref = upwind_step(u, cfg)
+        lw_ref = lax_wendroff_step(u, cfg)
         worst_up = max(
             worst_up,
-            np.max(np.abs(ftcs_update(u.values, mu_up.values, cfg) - up_ref))
+            np.max(np.abs(ftcs_update(u, mu_up, cfg) - up_ref))
             / np.max(np.abs(up_ref)),
         )
         worst_lw = max(
             worst_lw,
-            np.max(np.abs(ftcs_update(u.values, mu_lw.values, cfg) - lw_ref))
+            np.max(np.abs(ftcs_update(u, mu_lw, cfg) - lw_ref))
             / np.max(np.abs(lw_ref)),
         )
     report(
@@ -96,7 +93,7 @@ def test_criterion_3_ftcs_instability_reproduction():
     grid = make_grid(100, 1.0)
     cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
     start = time.perf_counter()
-    traj = simulate(CellField(sine_solution(grid, cfg.c, 0.0), grid), 1000, cfg,
+    traj = simulate(sine_solution(grid, cfg.c, 0.0), 1000, cfg,
                     scheme="ftcs_bare")
     norms = np.linalg.norm(traj.states, axis=1)
     monotone = bool(np.all(np.diff(norms) > 0))
@@ -184,10 +181,9 @@ def test_criterion_7_positivity_constrained_amplitude():
     grid = scheme_cfg.grid
     times = np.arange(base.n_steps + 1) * base.dt
     exact = sine_solution(grid, base.c, times, base.ic.wavenumber, base.ic.amplitude)
-    u0 = CellField(exact[0], grid)
-    signed = train_per_step(u0, scheme_cfg, base.training.optimizer, exact)
+    signed = train_per_step(scheme_cfg, base.training.optimizer, exact)
     nonneg_opt = nonneg_variant(base).training.optimizer
-    nonneg = train_per_step(u0, scheme_cfg, nonneg_opt, exact)
+    nonneg = train_per_step(scheme_cfg, nonneg_opt, exact)
     amp_signed = float(np.max(np.abs(signed.trajectory.states[-1])))
     amp_nonneg = float(np.max(np.abs(nonneg.trajectory.states[-1])))
     report(
@@ -208,15 +204,15 @@ def test_criterion_8_conservation_and_constants(paper_training_report):
     ) / max(abs(mass0), 1e-300)
     grid = make_grid(64, 1.0)
     cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
-    const = CellField(np.full(64, 3.7), grid)
-    mu = FaceViscosity(np.linspace(-0.005, 0.09, 64), grid)
+    const = np.full(64, 3.7)
+    mu = np.linspace(-0.005, 0.09, 64)
     from advisc.schemes import ftcs_bare_step
 
     preserved = (
-        np.allclose(ftcs_update(const.values, mu.values, cfg), 3.7, rtol=0, atol=1e-14)
-        and np.allclose(upwind_step(const, cfg).values, 3.7, rtol=0, atol=1e-14)
-        and np.allclose(lax_wendroff_step(const, cfg).values, 3.7, rtol=0, atol=1e-14)
-        and np.allclose(ftcs_bare_step(const, cfg).values, 3.7, rtol=0, atol=1e-14)
+        np.allclose(ftcs_update(const, mu, cfg), 3.7, rtol=0, atol=1e-14)
+        and np.allclose(upwind_step(const, cfg), 3.7, rtol=0, atol=1e-14)
+        and np.allclose(lax_wendroff_step(const, cfg), 3.7, rtol=0, atol=1e-14)
+        and np.allclose(ftcs_bare_step(const, cfg), 3.7, rtol=0, atol=1e-14)
     )
     report(
         8,
@@ -231,12 +227,9 @@ def test_criterion_9_global_beats_constant_grid_search():
     cfg = SchemeConfig(c=1.0, dt=0.1 * grid.dx, grid=grid)
     profile = HatProfile()
     exact = exact_solution(profile, grid, cfg.c, np.arange(21) * cfg.dt)
-    u0 = CellField(exact[0], grid)
-    best_mu, best_constant = constant_mu_grid_search(
-        u0, cfg, exact, -5e-3, 9.5e-2, n_samples=200
-    )
+    best_mu, best_constant = constant_mu_grid_search(cfg, exact, -5e-3, 9.5e-2, n_samples=200)
     opt = OptimizerConfig(learning_rate=0.5, n_iters=400, mu_min=-5e-3, mu_max=9.5e-2)
-    trained = train_global(u0, cfg, opt, exact)
+    trained = train_global(cfg, opt, exact)
     best_trained = min(trained.loss_history)
     report(
         9,

@@ -8,14 +8,7 @@ from advisc.adjoint import (
     loss_value,
     step_transpose_update,
 )
-from advisc.grid import (
-    CellField,
-    FaceViscosity,
-    HatProfile,
-    SpaceTimeViscosity,
-    exact_solution,
-    make_grid,
-)
+from advisc.grid import HatProfile, exact_solution, make_grid
 from advisc.schemes import SchemeConfig, Trajectory, ftcs_update, simulate
 
 from oracles import naive_global_loss, naive_hat, naive_upwind_states
@@ -30,8 +23,8 @@ def toy_problem(n=16, steps=5, seed=0):
     grid = make_grid(n, 1.0)
     cfg = SchemeConfig(c=1.0, dt=0.1 * grid.dx, grid=grid)
     rng = np.random.default_rng(seed)
-    u0 = CellField(rng.uniform(-1, 1, n), grid)
-    mu_st = SpaceTimeViscosity(rng.uniform(-5e-3, 9.5e-2, (steps, n)), grid)
+    u0 = rng.uniform(-1, 1, n)
+    mu_st = rng.uniform(-5e-3, 9.5e-2, (steps, n))
     exact = hat_exact(cfg, steps)
     return cfg, u0, mu_st, exact
 
@@ -58,15 +51,13 @@ class TestLossValue:
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
         exact = hat_exact(cfg, 1)
         eps = 0.003
-        u1 = CellField(exact[1] + eps, grid)
-        traj = Trajectory(states=np.stack([exact[0], u1.values]), config=cfg)
+        traj = Trajectory(states=np.stack([exact[0], exact[1] + eps]), config=cfg)
         assert loss_value(traj, exact) == pytest.approx(eps**2, rel=1e-12)
 
     def test_pinned_upwind_reference_value(self):
         grid = make_grid(100, 1.0)
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
-        u0 = CellField(naive_hat(100, 0.01, 0.0), grid)
-        traj = simulate(u0, 150, cfg, scheme="upwind")
+        traj = simulate(naive_hat(100, 0.01, 0.0), 150, cfg, scheme="upwind")
         value = loss_value(traj, hat_exact(cfg, 150))
         assert value > 0
         assert value == pytest.approx(UPWIND_GLOBAL_LOSS, rel=1e-12)
@@ -88,29 +79,28 @@ class TestInstantaneousGradient:
     def test_constant_state_zero_gradient(self):
         grid = make_grid(12, 1.0)
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
-        u = CellField(np.full(12, 4.0), grid)
-        mu = FaceViscosity(np.linspace(0, 0.09, 12), grid)
-        target = CellField(np.zeros(12), grid)
-        grad = grad_mu_instantaneous(u.values, target.values, mu.values, cfg)
+        u = np.full(12, 4.0)
+        mu = np.linspace(0, 0.09, 12)
+        grad = grad_mu_instantaneous(u, np.zeros(12), mu, cfg)
         assert np.array_equal(grad, np.zeros(12))
 
     def test_zero_residual_zero_gradient(self):
         cfg, u0, mu_st, _ = toy_problem()
-        mu = mu_st.values[0]
-        target = ftcs_update(u0.values, mu, cfg)
-        grad = grad_mu_instantaneous(u0.values, target, mu, cfg)
+        mu = mu_st[0]
+        target = ftcs_update(u0, mu, cfg)
+        grad = grad_mu_instantaneous(u0, target, mu, cfg)
         assert np.array_equal(grad, np.zeros(16))
 
     def test_rejects_target_of_another_shape(self):
         cfg, u0, mu_st, _ = toy_problem()
         with pytest.raises(ValueError):
-            grad_mu_instantaneous(u0.values, np.zeros(1), mu_st.values[0], cfg)
+            grad_mu_instantaneous(u0, np.zeros(1), mu_st[0], cfg)
 
     def test_matches_central_differences(self):
         cfg, u0, mu_st, exact = toy_problem(seed=3)
-        mu = mu_st.values[0]
-        target = CellField(exact[1], cfg.grid)
-        grad = grad_mu_instantaneous(u0.values, target.values, mu, cfg)
+        mu = mu_st[0]
+        target = exact[1]
+        grad = grad_mu_instantaneous(u0, target, mu, cfg)
         n = cfg.grid.n_cells
         fd = np.zeros(n)
         for f in range(n):
@@ -118,8 +108,8 @@ class TestInstantaneousGradient:
             for sign, weight in ((1, 1.0), (-1, -1.0)):
                 bumped = np.array(mu)
                 bumped[f] += sign * h
-                stepped = ftcs_update(u0.values, bumped, cfg)
-                loss = np.mean((stepped - target.values) ** 2)
+                stepped = ftcs_update(u0, bumped, cfg)
+                loss = np.mean((stepped - target) ** 2)
                 fd[f] += weight * loss / (2 * h)
         assert fd_relative_error(grad, fd) < 1e-6
 
@@ -127,17 +117,16 @@ class TestInstantaneousGradient:
 class TestGlobalGradient:
     def test_single_step_reduces_to_instantaneous(self):
         cfg, u0, mu_st, exact = toy_problem()
-        single = SpaceTimeViscosity(mu_st.values[:1], cfg.grid)
-        g_inst = grad_mu_instantaneous(u0.values, exact[1], single.values[0], cfg)
+        single = mu_st[:1]
+        g_inst = grad_mu_instantaneous(u0, exact[1], single[0], cfg)
         g_glob = grad_mu_global(simulate(u0, 1, cfg, mu=single), exact[:2])
         assert np.allclose(g_glob[0], g_inst, rtol=1e-13, atol=1e-18)
 
     def test_constant_initial_state_zero_gradient(self):
         grid = make_grid(16, 1.0)
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
-        u0 = CellField(np.zeros(16), grid)
-        mu_st = SpaceTimeViscosity(np.full((4, 16), 0.01), grid)
-        grad = grad_mu_global(simulate(u0, 4, cfg, mu=mu_st), np.zeros((5, 16)))
+        grad = grad_mu_global(simulate(np.zeros(16), 4, cfg, mu=np.full((4, 16), 0.01)),
+                              np.zeros((5, 16)))
         assert np.array_equal(grad, np.zeros((4, 16)))
 
     @pytest.mark.parametrize("n", [8, 16])
@@ -190,11 +179,11 @@ class TestTransposeIdentity:
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
         rng = np.random.default_rng(21)
         for _ in range(20):
-            mu = FaceViscosity(rng.uniform(-0.005, 0.095, 64), grid)
-            v = CellField(rng.uniform(-1, 1, 64), grid)
-            w = CellField(rng.uniform(-1, 1, 64), grid)
-            lhs = np.dot(ftcs_update(v.values, mu.values, cfg), w.values)
-            rhs = np.dot(v.values, step_transpose_update(w.values, mu.values, cfg))
+            mu = rng.uniform(-0.005, 0.095, 64)
+            v = rng.uniform(-1, 1, 64)
+            w = rng.uniform(-1, 1, 64)
+            lhs = np.dot(ftcs_update(v, mu, cfg), w)
+            rhs = np.dot(v, step_transpose_update(w, mu, cfg))
             assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), 1.0)
 
 
@@ -202,9 +191,8 @@ class TestFdGradient:
     def test_zero_field_zero_gradient(self):
         grid = make_grid(8, 1.0)
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
-        u0 = CellField(np.zeros(8), grid)
-        mu_st = SpaceTimeViscosity(np.zeros((2, 8)), grid)
-        assert np.array_equal(fd_gradient(u0, mu_st, cfg, np.zeros((3, 8))), np.zeros((2, 8)))
+        assert np.array_equal(fd_gradient(np.zeros(8), np.zeros((2, 8)), cfg, np.zeros((3, 8))),
+                              np.zeros((2, 8)))
 
     def test_quadratic_exactness_halving_h(self):
         # single-step loss is quadratic in mu, so central FD is h-independent

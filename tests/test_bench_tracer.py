@@ -38,6 +38,9 @@ def test_traced_train_records_the_reported_layers(tmp_path, monkeypatch):
     tracing.install()
     try:
         code = advisc.cli.main(["train", "--config", str(cfg_path)])
+        # No library path builds a field container; the tracer still patches
+        # them by name, so one built by a caller is counted.
+        advisc.grid.CellField([0.0, 1.0, 0.0], advisc.grid.make_grid(3, 1.0))
     finally:
         tracing.remove()
     assert code == 0

@@ -85,6 +85,19 @@ class TestRunCommand:
         _, states = read_matrix_csv(out / "solution.csv")
         assert states.shape[0] == manifest["diverged_at_step"] + 1
 
+    @pytest.mark.parametrize("scheme,extra_sim", [("lax_wendroff", ""),
+                                                  ("ftcs_mu", "mu = 0.005\n")])
+    def test_overflow_on_first_step_exits_2_in_every_scheme(self, tmp_path, scheme, extra_sim):
+        cfg_path, out = write_config(tmp_path, scheme=scheme, n_cells=50, t_final=0.01,
+                                     kind="hat\namplitude = 1e308", extra_sim=extra_sim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", str(cfg_path)]) == 2
+        manifest = read_manifest(out)
+        assert manifest["status"] == "divergence"
+        assert manifest["diverged_at_step"] == 0
+        _, states = read_matrix_csv(out / "solution.csv")
+        assert states.shape == (1, 50)
+
     def test_unknown_config_key_exits_3(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, extra_sim="typo_key = 1\n")
         assert main(["run", "--config", str(cfg_path)]) == 3
@@ -426,6 +439,24 @@ class TestReproduceCommand:
         assert read_manifest(out)["subruns"] == ["learned"]
         assert [p.name for p in old.iterdir()] == ["notes.txt"]
         assert not (out / "gone").exists()
+
+        # analyze on the study root analyzes the subrun and checks the comparison
+        assert main(["analyze", str(out)]) == 0
+        analysis = json.loads((out / "analysis.json").read_text())
+        assert {c["name"] for c in analysis["checks"]} >= {
+            "subrun:learned", "summary_copied:learned", "claim:min_mu_negative"}
+        comparison["learned"]["stats"]["mse_final"] *= 2.0
+        (out / "comparison.json").write_text(json.dumps(comparison))
+        assert main(["analyze", str(out)]) == 1
+        analysis = json.loads((out / "analysis.json").read_text())
+        assert [c["name"] for c in analysis["checks"] if not c["passed"]] == [
+            "summary_copied:learned"]
+        comparison["claims"]["min_mu_negative"] = False
+        (out / "comparison.json").write_text(json.dumps(comparison))
+        assert main(["analyze", str(out)]) == 1
+        analysis = json.loads((out / "analysis.json").read_text())
+        assert [c["name"] for c in analysis["checks"] if not c["passed"]] == [
+            "summary_copied:learned", "claim:min_mu_negative"]
 
     def test_paper_hat_nonneg_amplitude_comparison(self, tmp_path, capsys):
         out = tmp_path / "repro-nonneg"

@@ -12,10 +12,7 @@ from advisc.diagnostics import (
     total_variation,
 )
 from advisc.grid import (
-    CellField,
-    FaceViscosity,
     HatProfile,
-    SpaceTimeViscosity,
     exact_solution,
     make_grid,
     sine_solution,
@@ -33,27 +30,25 @@ def paper_setup():
     grid = make_grid(100, 1.0)
     cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
     profile = HatProfile()
-    u0 = CellField(exact_solution(profile, grid, 1.0, 0.0), grid)
+    u0 = exact_solution(profile, grid, 1.0, 0.0)
     return cfg, profile, u0
 
 
 class TestMse:
     def test_identical_fields(self):
-        grid = make_grid(8, 1.0)
-        field = CellField(np.arange(8.0), grid)
-        assert mse(field.values, field.values) == 0.0
+        field = np.arange(8.0)
+        assert mse(field, field) == 0.0
 
     def test_uniform_offset(self):
-        grid = make_grid(8, 1.0)
-        a = CellField(np.zeros(8), grid)
-        b = CellField(np.full(8, 0.01), grid)
-        assert mse(a.values, b.values) == pytest.approx(1e-4, rel=1e-14)
+        a = np.zeros(8)
+        b = np.full(8, 0.01)
+        assert mse(a, b) == pytest.approx(1e-4, rel=1e-14)
 
     def test_shape_mismatch_rejected(self):
-        a = CellField(np.zeros(8), make_grid(8, 1.0))
-        b = CellField(np.zeros(9), make_grid(9, 1.0))
+        a = np.zeros(8)
+        b = np.zeros(9)
         with pytest.raises(ValueError):
-            mse(a.values, b.values)
+            mse(a, b)
 
     def test_pinned_upwind_final_mse(self):
         cfg, profile, u0 = paper_setup()
@@ -74,8 +69,8 @@ class TestEntropy:
     def test_constant_field_static_entropy(self):
         grid = make_grid(10, 1.0)
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
-        field = CellField(np.full(10, 2.0), grid)
-        mu = SpaceTimeViscosity(np.full((3, 10), 0.01), grid)
+        field = np.full(10, 2.0)
+        mu = np.full((3, 10), 0.01)
         traj = simulate(field, 3, cfg, scheme="ftcs_mu", mu=mu)
         report = entropy_report(traj)
         assert np.allclose(report.total_entropy, report.total_entropy[0], atol=1e-15)
@@ -85,37 +80,37 @@ class TestEntropy:
     def test_initial_hat_entropy_is_one_tenth(self):
         # 20 unit cells of width 0.01: S = 0.5 * 20 * 1 * 0.01
         cfg, profile, u0 = paper_setup()
-        entropy = entropy_series(u0.values, u0.grid.dx)
+        entropy = entropy_series(u0, cfg.grid.dx)
         assert entropy == pytest.approx(0.1, abs=1e-15)
-        assert entropy == pytest.approx(naive_entropy(list(u0.values), 0.01), abs=1e-16)
+        assert entropy == pytest.approx(naive_entropy(list(u0), 0.01), abs=1e-16)
 
     def test_semi_discrete_central_flux_produces_no_entropy(self):
         # sum_i u_i (F_{i+1/2} - F_{i-1/2}) telescopes to zero at mu = 0
         cfg, _, _ = paper_setup()
         rng = np.random.default_rng(1)
-        u = CellField(rng.uniform(-1, 1, 100), cfg.grid)
-        ec, es = ec_es_split(u, FaceViscosity(np.zeros(100), cfg.grid), cfg)
+        u = rng.uniform(-1, 1, 100)
+        ec, es = ec_es_split(u, np.zeros(100), cfg)
         flux = ec - es
-        production = np.sum(u.values * (flux - np.roll(flux, 1)))
+        production = np.sum(u * (flux - np.roll(flux, 1)))
         assert abs(production) < 1e-13
 
     def test_forward_euler_step_increases_entropy_at_zero_mu(self):
         cfg, _, _ = paper_setup()
-        u0 = CellField(sine_solution(cfg.grid, 1.0, 0.0), cfg.grid)
+        u0 = sine_solution(cfg.grid, 1.0, 0.0)
         traj = simulate(u0, 5, cfg, scheme="ftcs_bare")
         report = entropy_report(traj)
         assert np.all(report.per_step_delta > 0)
 
     def test_positive_uniform_mu_dissipation_nonnegative(self):
         cfg, profile, u0 = paper_setup()
-        mu = SpaceTimeViscosity(np.full((10, 100), 0.005), cfg.grid)
+        mu = np.full((10, 100), 0.005)
         traj = simulate(u0, 10, cfg, scheme="ftcs_mu", mu=mu)
         report = entropy_report(traj)
         assert np.all(report.spatial_dissipation >= 0)
 
     def test_zero_mu_dissipation_exactly_zero(self):
         cfg, profile, u0 = paper_setup()
-        mu = SpaceTimeViscosity(np.zeros((5, 100)), cfg.grid)
+        mu = np.zeros((5, 100))
         traj = simulate(u0, 5, cfg, scheme="ftcs_mu", mu=mu)
         report = entropy_report(traj)
         assert np.array_equal(report.spatial_dissipation, np.zeros(5))
@@ -129,13 +124,13 @@ class TestEntropy:
     def test_dissipation_matches_direct_sum(self):
         cfg, profile, u0 = paper_setup()
         rng = np.random.default_rng(2)
-        mu = SpaceTimeViscosity(rng.uniform(-0.005, 0.095, (4, 100)), cfg.grid)
+        mu = rng.uniform(-0.005, 0.095, (4, 100))
         traj = simulate(u0, 4, cfg, scheme="ftcs_mu", mu=mu)
         report = entropy_report(traj)
         n = 2
         u = traj.states[n]
         jumps = (np.roll(u, -1) - u) / cfg.grid.dx
-        direct = np.sum(mu.values[n] * jumps**2) * cfg.grid.dx
+        direct = np.sum(mu[n] * jumps**2) * cfg.grid.dx
         assert report.spatial_dissipation[n] == pytest.approx(direct, rel=1e-14)
 
 
@@ -145,7 +140,7 @@ class TestTotalVariation:
 
     def test_exact_hat_has_two_unit_jumps(self):
         cfg, profile, u0 = paper_setup()
-        assert total_variation(u0.values) == 2.0
+        assert total_variation(u0) == 2.0
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
@@ -163,14 +158,13 @@ class TestTotalVariation:
 
 def with_mu(traj, values):
     """The trajectory with its recorded viscosity replaced by ``values``."""
-    return dataclasses.replace(
-        traj, viscosity_history=SpaceTimeViscosity(values, traj.config.grid))
+    return dataclasses.replace(traj, viscosity_history=values)
 
 
 class TestMuStats:
     def make_traj(self, n_steps=4):
         cfg, profile, u0 = paper_setup()
-        mu = SpaceTimeViscosity(np.full((n_steps, 100), 0.005), cfg.grid)
+        mu = np.full((n_steps, 100), 0.005)
         return cfg, profile, simulate(u0, n_steps, cfg, scheme="ftcs_mu", mu=mu)
 
     def test_uniform_positive_field(self):
@@ -182,7 +176,7 @@ class TestMuStats:
 
     def test_single_negative_entry_counted(self):
         cfg, profile, traj = self.make_traj()
-        values = np.array(traj.viscosity_history.values)
+        values = np.array(traj.viscosity_history)
         values[1, 3] = -5e-3
         stats = mu_stats(with_mu(traj, values), profile, radius=0.05)
         assert stats["mu_min"] == -5e-3
@@ -217,32 +211,32 @@ class TestMuStats:
 
 def ftcs_form(u, flux, cfg):
     """u - (dt/dx)*(F_{i+1/2} - F_{i-1/2}) for the face fluxes ``flux``."""
-    return u.values - (cfg.dt / cfg.grid.dx) * (flux - np.roll(flux, 1))
+    return u - (cfg.dt / cfg.grid.dx) * (flux - np.roll(flux, 1))
 
 
 class TestEcEsSplit:
     def test_constant_state(self):
         cfg, _, _ = paper_setup()
-        u = CellField(np.full(100, 2.0), cfg.grid)
-        mu = FaceViscosity(np.full(100, 0.05), cfg.grid)
+        u = np.full(100, 2.0)
+        mu = np.full(100, 0.05)
         ec, es = ec_es_split(u, mu, cfg)
         assert np.allclose(ec, 2.0 * cfg.c, atol=1e-15)
         assert np.allclose(es, 0.0, atol=1e-15)
 
     def test_zero_mu_degenerates_to_central_flux(self):
         cfg, _, u0 = paper_setup()
-        mu0 = FaceViscosity(np.zeros(100), cfg.grid)
+        mu0 = np.zeros(100)
         ec, es = ec_es_split(u0, mu0, cfg)
         assert np.array_equal(es, np.zeros(100))
-        assert np.allclose(ftcs_form(u0, ec - es, cfg), ftcs_update(u0.values, mu0.values, cfg),
+        assert np.allclose(ftcs_form(u0, ec - es, cfg), ftcs_update(u0, mu0, cfg),
                            rtol=0, atol=1e-14)
 
     def test_reconstruction_identity(self):
         cfg, _, _ = paper_setup()
         rng = np.random.default_rng(4)
         for _ in range(10):
-            u = CellField(rng.uniform(-1, 1, 100), cfg.grid)
-            mu = FaceViscosity(rng.uniform(-0.005, 0.095, 100), cfg.grid)
+            u = rng.uniform(-1, 1, 100)
+            mu = rng.uniform(-0.005, 0.095, 100)
             ec, es = ec_es_split(u, mu, cfg)
-            assert np.allclose(ftcs_form(u, ec - es, cfg), ftcs_update(u.values, mu.values, cfg),
+            assert np.allclose(ftcs_form(u, ec - es, cfg), ftcs_update(u, mu, cfg),
                                rtol=0, atol=1e-14)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from advisc.diagnostics import ec_es_split
-from advisc.grid import CellField, FaceViscosity, SpaceTimeViscosity, make_grid, sine_solution
+from advisc.grid import make_grid, sine_solution
 from advisc.schemes import (
     DivergenceError,
     SchemeConfig,
@@ -42,37 +42,36 @@ def flux(u, mu, cfg):
 class TestFtcsFlux:
     def test_constant_state_gives_advective_flux(self):
         cfg = small_config(n=5, length=0.05)
-        u = CellField(np.full(5, 3.0), cfg.grid)
-        mu = FaceViscosity(np.linspace(-0.005, 0.09, 5), cfg.grid)
+        u = np.full(5, 3.0)
+        mu = np.linspace(-0.005, 0.09, 5)
         assert np.allclose(flux(u, mu, cfg), 3.0 * cfg.c, atol=1e-15)
 
     def test_zero_viscosity_is_face_average(self):
         cfg = small_config()
-        u = CellField([0.0, 1.0, 0.0], cfg.grid)
-        mu = FaceViscosity(np.zeros(3), cfg.grid)
+        u = np.array([0.0, 1.0, 0.0])
+        mu = np.zeros(3)
         assert np.allclose(flux(u, mu, cfg), [0.5, 0.5, 0.0])
 
     def test_hand_evaluated_viscous_flux(self):
         # mu/dx = 1, jumps are (+1, -1, 0) across the three faces
         cfg = small_config()
-        u = CellField([0.0, 1.0, 0.0], cfg.grid)
-        mu = FaceViscosity(np.full(3, 0.01), cfg.grid)
+        u = np.array([0.0, 1.0, 0.0])
+        mu = np.full(3, 0.01)
         assert np.allclose(flux(u, mu, cfg), [-0.5, 1.5, 0.0])
 
 
 class TestFtcsStep:
     def test_preserves_constants(self):
         cfg = small_config(n=8, length=0.08)
-        u = CellField(np.full(8, 2.5), cfg.grid)
-        mu = FaceViscosity(np.linspace(-0.004, 0.09, 8), cfg.grid)
-        assert np.allclose(ftcs_update(u.values, mu.values, cfg), 2.5, atol=1e-15)
+        u = np.full(8, 2.5)
+        mu = np.linspace(-0.004, 0.09, 8)
+        assert np.allclose(ftcs_update(u, mu, cfg), 2.5, atol=1e-15)
 
     def test_zero_mu_reduces_to_bare_ftcs(self):
         cfg = small_config(n=12, length=0.12)
         rng = np.random.default_rng(1)
-        u = CellField(rng.uniform(-1, 1, 12), cfg.grid)
-        mu0 = FaceViscosity(np.zeros(12), cfg.grid)
-        assert np.array_equal(ftcs_update(u.values, mu0.values, cfg), ftcs_bare_step(u, cfg).values)
+        u = rng.uniform(-1, 1, 12)
+        assert np.array_equal(ftcs_update(u, np.zeros(12), cfg), ftcs_bare_step(u, cfg))
 
     def test_kernel_rejects_shapes_off_the_grid(self):
         cfg = small_config(n=5, length=0.05)
@@ -93,31 +92,30 @@ class TestFtcsStep:
     def test_upwind_equivalence(self):
         cfg = small_config(n=20, length=0.2)
         rng = np.random.default_rng(3)
-        mu = FaceViscosity(np.full(20, cfg.c * cfg.grid.dx / 2), cfg.grid)
+        mu = np.full(20, cfg.c * cfg.grid.dx / 2)
         for _ in range(10):
-            u = CellField(rng.uniform(-1, 1, 20), cfg.grid)
-            stepped = ftcs_update(u.values, mu.values, cfg)
-            assert rel_err(stepped, upwind_step(u, cfg).values) < 1e-13
+            u = rng.uniform(-1, 1, 20)
+            stepped = ftcs_update(u, mu, cfg)
+            assert rel_err(stepped, upwind_step(u, cfg)) < 1e-13
 
     def test_single_step_mass_conservation_any_mu(self):
         # telescoping flux sum: |delta mass| <= 10*eps*n*max|F| even at signed mu
         cfg = small_config(n=100, length=1.0)
         rng = np.random.default_rng(4)
-        u = CellField(rng.uniform(-1, 1, 100), cfg.grid)
-        mu = FaceViscosity(rng.uniform(-0.005, 0.095, 100), cfg.grid)
+        u = rng.uniform(-1, 1, 100)
+        mu = rng.uniform(-0.005, 0.095, 100)
         flux_scale = np.max(np.abs(flux(u, mu, cfg)))
-        mass0 = np.sum(u.values) * cfg.grid.dx
-        mass1 = np.sum(ftcs_update(u.values, mu.values, cfg)) * cfg.grid.dx
+        mass0 = np.sum(u) * cfg.grid.dx
+        mass1 = np.sum(ftcs_update(u, mu, cfg)) * cfg.grid.dx
         assert abs(mass1 - mass0) <= 10 * np.finfo(float).eps * 100 * flux_scale
 
     def test_mass_conserved_over_many_stable_steps(self):
         cfg = small_config(n=100, length=1.0)
-        u = CellField(naive_hat_initial(), cfg.grid)
-        mu = FaceViscosity(np.full(100, 0.005), cfg.grid)  # upwind-equivalent, stable
-        mass0 = np.sum(u.values) * cfg.grid.dx
-        uv = u.values
+        uv = np.array(naive_hat_initial())
+        mu = np.full(100, 0.005)  # upwind-equivalent, stable
+        mass0 = np.sum(uv) * cfg.grid.dx
         for _ in range(150):
-            uv = ftcs_update(uv, mu.values, cfg)
+            uv = ftcs_update(uv, mu, cfg)
         mass = np.sum(uv) * cfg.grid.dx
         assert abs(mass - mass0) <= 1e-12 * max(abs(mass0), 1.0)
 
@@ -127,17 +125,16 @@ class TestFtcsStep:
         rng = np.random.default_rng(5)
         u = rng.uniform(-1, 1, 16)
         v = rng.uniform(-1, 1, 16)
-        mu = FaceViscosity(rng.uniform(-0.005, 0.095, 16), cfg.grid)
+        mu = rng.uniform(-0.005, 0.095, 16)
 
         def step(values):
-            field = CellField(values, cfg.grid)
             if scheme == "ftcs_mu":
-                return ftcs_update(field.values, mu.values, cfg)
+                return ftcs_update(values, mu, cfg)
             if scheme == "upwind":
-                return upwind_step(field, cfg).values
+                return upwind_step(values, cfg)
             if scheme == "lax_wendroff":
-                return lax_wendroff_step(field, cfg).values
-            return ftcs_bare_step(field, cfg).values
+                return lax_wendroff_step(values, cfg)
+            return ftcs_bare_step(values, cfg)
 
         a, b = 1.7, -0.3
         combined = step(a * u + b * v)
@@ -148,59 +145,59 @@ class TestFtcsStep:
 class TestUpwind:
     def test_preserves_constants(self):
         cfg = small_config(n=6, length=0.06)
-        u = CellField(np.full(6, -1.2), cfg.grid)
-        assert np.allclose(upwind_step(u, cfg).values, -1.2, atol=1e-15)
+        u = np.full(6, -1.2)
+        assert np.allclose(upwind_step(u, cfg), -1.2, atol=1e-15)
 
     def test_unit_cfl_is_exact_shift(self):
         grid = make_grid(8, 0.8)
         cfg = SchemeConfig(c=1.0, dt=0.1, grid=grid)  # cfl = 1
         rng = np.random.default_rng(8)
-        u = CellField(rng.uniform(-1, 1, 8), grid)
-        assert np.allclose(upwind_step(u, cfg).values, np.roll(u.values, 1), atol=1e-15)
+        u = rng.uniform(-1, 1, 8)
+        assert np.allclose(upwind_step(u, cfg), np.roll(u, 1), atol=1e-15)
 
     def test_hand_evaluated_stencil(self):
         cfg = small_config()
-        u = CellField([0.0, 1.0, 0.0], cfg.grid)
-        assert np.allclose(upwind_step(u, cfg).values, [0.0, 0.9, 0.1])
+        u = np.array([0.0, 1.0, 0.0])
+        assert np.allclose(upwind_step(u, cfg), [0.0, 0.9, 0.1])
 
     def test_negative_speed_mirrors(self):
         grid = make_grid(8, 0.8)
         cfg = SchemeConfig(c=-1.0, dt=0.1, grid=grid)
         rng = np.random.default_rng(9)
-        u = CellField(rng.uniform(-1, 1, 8), grid)
-        assert np.allclose(upwind_step(u, cfg).values, np.roll(u.values, -1), atol=1e-15)
+        u = rng.uniform(-1, 1, 8)
+        assert np.allclose(upwind_step(u, cfg), np.roll(u, -1), atol=1e-15)
 
     def test_matches_loop_oracle(self):
         cfg = small_config(n=11, length=0.11)
         rng = np.random.default_rng(10)
         uv = rng.uniform(-1, 1, 11)
-        stepped = upwind_step(CellField(uv, cfg.grid), cfg)
-        assert np.allclose(stepped.values, naive_upwind_step(list(uv), cfg.cfl), atol=1e-15)
+        stepped = upwind_step(uv, cfg)
+        assert np.allclose(stepped, naive_upwind_step(list(uv), cfg.cfl), atol=1e-15)
 
 
 class TestLaxWendroff:
     def test_preserves_constants(self):
         cfg = small_config(n=6, length=0.06)
-        u = CellField(np.full(6, 0.7), cfg.grid)
-        assert np.allclose(lax_wendroff_step(u, cfg).values, 0.7, atol=1e-15)
+        u = np.full(6, 0.7)
+        assert np.allclose(lax_wendroff_step(u, cfg), 0.7, atol=1e-15)
 
     def test_equals_ftcs_with_lw_viscosity(self):
         cfg = small_config(n=25, length=0.25)
         rng = np.random.default_rng(11)
         mu_lw = cfg.c**2 * cfg.dt / 2.0
         assert mu_lw == 5e-4  # a^2*dt/2 at a=1, dt=1e-3
-        mu = FaceViscosity(np.full(25, mu_lw), cfg.grid)
+        mu = np.full(25, mu_lw)
         for _ in range(10):
-            u = CellField(rng.uniform(-1, 1, 25), cfg.grid)
-            stepped = ftcs_update(u.values, mu.values, cfg)
-            assert rel_err(lax_wendroff_step(u, cfg).values, stepped) < 1e-13
+            u = rng.uniform(-1, 1, 25)
+            stepped = ftcs_update(u, mu, cfg)
+            assert rel_err(lax_wendroff_step(u, cfg), stepped) < 1e-13
 
     def test_matches_loop_oracle(self):
         cfg = small_config(n=13, length=0.13)
         rng = np.random.default_rng(12)
         uv = rng.uniform(-1, 1, 13)
-        stepped = lax_wendroff_step(CellField(uv, cfg.grid), cfg)
-        assert np.allclose(stepped.values, naive_lax_wendroff_step(list(uv), cfg.cfl),
+        stepped = lax_wendroff_step(uv, cfg)
+        assert np.allclose(stepped, naive_lax_wendroff_step(list(uv), cfg.cfl),
                            rtol=1e-14, atol=1e-16)
 
 
@@ -237,15 +234,15 @@ class TestAmplificationFactor:
 class TestSimulate:
     def test_zero_steps_returns_initial_state_only(self):
         cfg = small_config(n=10, length=0.1)
-        u0 = CellField(np.arange(10.0), cfg.grid)
+        u0 = np.arange(10.0)
         traj = simulate(u0, 0, cfg, scheme="upwind")
         assert traj.n_steps == 0
-        assert np.array_equal(traj.states[0], u0.values)
+        assert np.array_equal(traj.states[0], u0)
 
     def test_bare_ftcs_grows_on_sine(self):
         grid = make_grid(100, 1.0)
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
-        u0 = CellField(sine_solution(grid, 1.0, 0.0), grid)
+        u0 = sine_solution(grid, 1.0, 0.0)
         traj = simulate(u0, 1000, cfg, scheme="ftcs_bare")
         norms = np.linalg.norm(traj.states, axis=1)
         assert np.all(np.diff(norms) > 0)
@@ -253,8 +250,7 @@ class TestSimulate:
     def test_upwind_decays_hat_peak(self):
         grid = make_grid(100, 1.0)
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
-        u0 = CellField(naive_hat_initial(), grid)
-        traj = simulate(u0, 150, cfg, scheme="upwind")
+        traj = simulate(naive_hat_initial(), 150, cfg, scheme="upwind")
         assert np.max(traj.states[-1]) < 1.0
 
     def test_upwind_matches_loop_oracle_trajectory(self):
@@ -262,63 +258,109 @@ class TestSimulate:
         cfg = SchemeConfig(c=1.0, dt=2e-3, grid=grid)
         rng = np.random.default_rng(13)
         u0v = rng.uniform(-1, 1, 50)
-        traj = simulate(CellField(u0v, grid), 20, cfg, scheme="upwind")
+        traj = simulate(u0v, 20, cfg, scheme="upwind")
         oracle = naive_upwind_states(list(u0v), 20, cfg.cfl)
         assert np.allclose(traj.states, oracle, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("scheme,oracle", [("upwind", naive_upwind_step),
+                                               ("lax_wendroff", naive_lax_wendroff_step)])
+    def test_classical_states_equal_loop_oracle_bit_for_bit(self, scheme, oracle):
+        # The classical stencils keep their own arithmetic order; stepping them as
+        # ftcs_update with the equivalent viscosity differs in the last bits.
+        grid = make_grid(50, 1.0)
+        cfg = SchemeConfig(c=1.0, dt=2e-3, grid=grid)
+        u = list(np.random.default_rng(16).uniform(-1, 1, 50))
+        expected = [u]
+        for _ in range(40):
+            u = oracle(u, cfg.cfl)
+            expected.append(u)
+        traj = simulate(np.array(expected[0]), 40, cfg, scheme=scheme)
+        assert np.array_equal(traj.states, np.array(expected))
 
     def test_viscosity_history_recorded(self):
         cfg = small_config(n=10, length=0.1)
         rng = np.random.default_rng(14)
-        mu_st = SpaceTimeViscosity(rng.uniform(0, 0.05, (5, 10)), cfg.grid)
-        u0 = CellField(rng.uniform(-1, 1, 10), cfg.grid)
+        mu_st = rng.uniform(0, 0.05, (5, 10))
+        u0 = rng.uniform(-1, 1, 10)
         traj = simulate(u0, 5, cfg, scheme="ftcs_mu", mu=mu_st)
         assert traj.viscosity_history is not None
-        assert np.array_equal(traj.viscosity_history.values, mu_st.values)
+        assert np.array_equal(traj.viscosity_history, mu_st)
 
     def test_divergence_carries_step_and_partial_trajectory(self):
         grid = make_grid(100, 1.0)
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
-        u0 = CellField(sine_solution(grid, 1.0, 0.0), grid)
-        anti = FaceViscosity(np.full(100, -0.05), grid)  # d = -0.5, hard blowup
+        u0 = sine_solution(grid, 1.0, 0.0)
+        anti = np.full(100, -0.05)  # d = -0.5, hard blowup
         with pytest.raises(DivergenceError) as excinfo:
             simulate(u0, 500, cfg, scheme="ftcs_mu", mu=anti)
         err = excinfo.value
         assert err.step is not None and 0 < err.step < 500
         assert err.trajectory is not None
         assert err.trajectory.n_steps == err.step
-        assert err.trajectory.viscosity_history.n_steps == err.step
+        assert err.trajectory.viscosity_history.shape == (err.step, 100)
+
+    def test_classical_overflow_is_divergence_with_partial_trajectory(self):
+        cfg = small_config(n=50, length=1.0)
+        u0 = np.where(np.arange(50) % 7 == 0, 1e308, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as excinfo:
+                simulate(u0, 10, cfg, scheme="lax_wendroff")
+        err = excinfo.value
+        assert err.step == 0
+        assert np.array_equal(err.trajectory.states, u0[None, :])
+        assert err.trajectory.viscosity_history is None
 
     def test_magnitude_guard_on_first_step_gives_empty_partial(self):
         cfg = small_config(n=10, length=0.1)
-        u0 = CellField(np.linspace(-1, 1, 10), cfg.grid)
-        mu = FaceViscosity(np.full(10, 0.01), cfg.grid)
+        u0 = np.linspace(-1, 1, 10)
+        # d = mu*dt/dx^2 = 1e7: finite, but far past MAGNITUDE_GUARD * max|u0| after one step
+        mu = np.full(10, 1e6)
         with pytest.raises(DivergenceError) as excinfo:
-            simulate(u0, 5, cfg, scheme="ftcs_mu", mu=mu, magnitude_guard=0.5)
+            simulate(u0, 5, cfg, scheme="ftcs_mu", mu=mu)
         err = excinfo.value
         assert err.step == 0
-        assert np.array_equal(err.trajectory.states, u0.values[None, :])
-        assert err.trajectory.viscosity_history.n_steps == 0
+        assert np.array_equal(err.trajectory.states, u0[None, :])
+        assert err.trajectory.viscosity_history.shape == (0, 10)
 
     def test_constant_mu_matches_repeated_rows(self):
         cfg = small_config(n=10, length=0.1)
         rng = np.random.default_rng(15)
-        u0 = CellField(rng.uniform(-1, 1, 10), cfg.grid)
+        u0 = rng.uniform(-1, 1, 10)
         row = rng.uniform(0, 0.05, 10)
         rows = np.tile(row, (4, 1))
 
-        traj = simulate(u0, 4, cfg, scheme="ftcs_mu", mu=FaceViscosity(row, cfg.grid))
-        reference = simulate(u0, 4, cfg, scheme="ftcs_mu",
-                             mu=SpaceTimeViscosity(rows, cfg.grid))
+        traj = simulate(u0, 4, cfg, scheme="ftcs_mu", mu=row)
+        reference = simulate(u0, 4, cfg, scheme="ftcs_mu", mu=rows)
         assert np.array_equal(traj.states, reference.states)
-        assert np.array_equal(traj.viscosity_history.values, rows)
+        assert np.array_equal(traj.viscosity_history, rows)
+
+    def test_scalar_mu_matches_constant_row(self):
+        cfg = small_config(n=10, length=0.1)
+        u0 = np.random.default_rng(17).uniform(-1, 1, 10)
+        traj = simulate(u0, 4, cfg, mu=0.02)
+        reference = simulate(u0, 4, cfg, mu=np.full(10, 0.02))
+        assert np.array_equal(traj.states, reference.states)
+        assert np.array_equal(traj.viscosity_history, np.full((4, 10), 0.02))
+
+    @pytest.mark.parametrize("u0,mu", [
+        (np.zeros(9), 0.01),                      # u0 off the grid
+        (np.array([0.0, np.nan] + [0.0] * 8), 0.01),
+        (np.zeros(10), np.zeros(9)),              # a row off the grid
+        (np.zeros(10), np.zeros((3, 10))),        # rows != steps
+        (np.zeros(10), np.full(10, np.inf)),
+    ], ids=["u0_shape", "u0_nonfinite", "mu_row_length", "mu_rows", "mu_nonfinite"])
+    def test_array_inputs_validated(self, u0, mu):
+        cfg = small_config(n=10, length=0.1)
+        with pytest.raises(ValueError):
+            simulate(u0, 4, cfg, mu=mu)
 
     def test_mu_provider_validation(self):
         cfg = small_config()
-        u0 = CellField(np.zeros(3), cfg.grid)
+        u0 = np.zeros(3)
         with pytest.raises(ValueError):
             simulate(u0, 1, cfg, scheme="ftcs_mu", mu=None)
         with pytest.raises(ValueError):
-            simulate(u0, 1, cfg, scheme="upwind", mu=FaceViscosity(np.zeros(3), cfg.grid))
+            simulate(u0, 1, cfg, scheme="upwind", mu=np.zeros(3))
         with pytest.raises(ValueError):
             simulate(u0, 1, cfg, scheme="nonsense")
 
@@ -332,10 +374,23 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory(states=np.zeros(shape), config=cfg)
 
+    @pytest.mark.parametrize("history", [np.zeros((2, 10)), np.zeros((3, 9)), np.zeros(10),
+                                         np.full((3, 10), np.nan)],
+                             ids=["rows", "faces", "1d", "nonfinite"])
+    def test_bad_viscosity_history_rejected(self, history):
+        cfg = small_config(n=10, length=0.1)
+        with pytest.raises(ValueError):
+            Trajectory(states=np.zeros((4, 10)), config=cfg, viscosity_history=history)
+
+    def test_viscosity_history_is_read_only(self):
+        cfg = small_config(n=10, length=0.1)
+        traj = simulate(np.arange(10.0), 3, cfg, mu=np.full((3, 10), 0.01))
+        with pytest.raises(ValueError):
+            traj.viscosity_history[0, 0] = 0.0
+
     def test_states_are_read_only(self):
         cfg = small_config(n=10, length=0.1)
-        u0 = CellField(np.arange(10.0), cfg.grid)
-        traj = simulate(u0, 3, cfg, scheme="upwind")
+        traj = simulate(np.arange(10.0), 3, cfg, scheme="upwind")
         assert traj.states.shape == (4, 10)
         with pytest.raises(ValueError):
             traj.states[1, 2] = 0.0
