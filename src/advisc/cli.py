@@ -247,10 +247,13 @@ def cmd_train(cfg: ExperimentConfig, seed: int | None = None) -> int:
         raise ConfigError("training requires t_final >= dt (at least one step)")
     _clear_previous_run(out_dir)
 
-    if cfg.training.mode == "per_step":
-        report = train_per_step(scheme_cfg, opt, exact)
-    else:
-        report = train_global(scheme_cfg, opt, exact)
+    trainer = train_per_step if cfg.training.mode == "per_step" else train_global
+    try:
+        report = trainer(scheme_cfg, opt, exact)
+    except DivergenceError as err:  # the first step, or the first sweep, diverged
+        _write_run(cfg, out_dir, err.trajectory, exact, "divergence", seed, t_start,
+                   extra={"diverged_at_step": err.step})
+        return EXIT_DIVERGENCE
 
     if report.converged:
         status = "ok"
@@ -344,7 +347,8 @@ def _check_run(out_dir: Path, manifest: dict, listed: set[str], check) -> None:
 
 def _check_study(out_dir: Path, manifest: dict, check) -> None:
     """Analyze each subrun of a ``reproduce`` study, then check that comparison.json
-    holds each subrun's summary.json and that the study's claims give its verdicts."""
+    holds each subrun's summary.json and the recomputed oracle MSEs, and that the
+    study's claims give its verdicts."""
     if manifest["preset"] not in STUDIES:
         raise ValueError(f"{out_dir / MANIFEST_NAME} names no known study")
     comparison = read_json(out_dir / "comparison.json")
@@ -357,6 +361,9 @@ def _check_study(out_dir: Path, manifest: dict, check) -> None:
         check(f"summary_copied:{subrun}",
               comparison.get(key) == read_json(out_dir / subrun / "summary.json"),
               f"comparison.json[{key!r}] against {subrun}/summary.json")
+    oracles = _oracle_mses(preset_config(manifest["preset"]))
+    check("oracles", comparison.get("oracles") == oracles,
+          f"stored={comparison.get('oracles')!r} recomputed={oracles!r}")
     stored = comparison.get("claims", {})
     for name, holds in STUDIES[manifest["preset"]][1]:
         try:

@@ -113,7 +113,8 @@ def train_per_step(cfg: SchemeConfig, opt: OptimizerConfig, exact: np.ndarray) -
     between steps is the numerical one (never reset to exact), so error
     accumulation is visible to later steps. Each step's mu warm-starts from
     the previous optimum unless ``opt.warm_start`` is off. Divergence of the
-    advancing state halts training at that step.
+    advancing state halts training at that step; on the first step it raises
+    DivergenceError with the initial state as the partial trajectory.
     """
     n_steps = _horizon(exact, cfg)
     grid = cfg.grid
@@ -136,11 +137,8 @@ def train_per_step(cfg: SchemeConfig, opt: OptimizerConfig, exact: np.ndarray) -
             g = grad_mu_instantaneous(u, target, mu, cfg)
             g += regularizer_gradient(mu, opt)
             mu = (mu - lr * g).clip(lo, hi)
-        try:
-            u_next = ftcs_update(u, mu, cfg)
-            halted = _diverged(u_next, bound)
-        except DivergenceError:  # ftcs_update rejects a non-finite state itself
-            halted = True
+        u_next = ftcs_update(u, mu, cfg)
+        halted = _diverged(u_next, bound)
         if halted:
             break
         err = u_next - target
@@ -149,7 +147,8 @@ def train_per_step(cfg: SchemeConfig, opt: OptimizerConfig, exact: np.ndarray) -
         states[n + 1] = u_next
 
     if not losses:
-        raise DivergenceError("training diverged on the very first step", step=0)
+        raise DivergenceError("training diverged on the very first step", step=0,
+                              trajectory=Trajectory(states[:1], cfg, mu_rows[:0]))
     n_done = len(losses)
     traj = Trajectory(states=states[: n_done + 1], config=cfg, viscosity_history=mu_rows[:n_done])
     return TrainingReport(

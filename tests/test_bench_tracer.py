@@ -1,5 +1,6 @@
 """The benchmark's tracer (bench/tracer.py) wraps advisc's layer functions by
-name; a traced run must still find the layers the benchmark reports on."""
+name; a traced run must still find the layers the benchmark reports on. The
+field containers are the exception: nothing in the library builds one."""
 
 from pathlib import Path
 
@@ -38,14 +39,14 @@ def test_traced_train_records_the_reported_layers(tmp_path, monkeypatch):
     tracing.install()
     try:
         code = advisc.cli.main(["train", "--config", str(cfg_path)])
-        # No library path builds a field container; the tracer still patches
-        # them by name, so one built by a caller is counted.
-        advisc.grid.CellField([0.0, 1.0, 0.0], advisc.grid.make_grid(3, 1.0))
     finally:
         tracing.remove()
     assert code == 0
     assert tracer.wrappers_left() == []
     spans = tracing.report()["spans"]
     for name in ("schemes.ftcs_update", "adjoint.grad_mu_instantaneous",
-                 "optimizer.train_per_step", "grid.containers"):
+                 "optimizer.train_per_step"):
         assert spans[name]["calls"] > 0, name
+    # States and viscosities cross the library as plain arrays, so a run builds
+    # no field container and the benchmark's grid.containers metrics read 0.
+    assert spans["grid.containers"]["calls"] == 0

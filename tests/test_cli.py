@@ -195,6 +195,21 @@ class TestTrainCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["training"]["converged"] is True
 
+    @pytest.mark.parametrize("mode", ["per_step", "global"])
+    def test_overflow_on_first_step_writes_divergence_manifest(self, tmp_path, mode):
+        cfg_path, out = write_config(
+            tmp_path, scheme="ftcs_mu", n_cells=16, t_final=0.003,
+            kind="hat\namplitude = 1e308",
+            training=TRAINING.format(n_iters=2, mu_min=0.0).replace("per_step", mode),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["train", "--config", str(cfg_path)]) == 2
+        manifest = read_manifest(out)
+        assert manifest["status"] == "divergence"
+        assert manifest["diverged_at_step"] == 0
+        _, states = read_matrix_csv(out / "solution.csv")
+        assert states.shape == (1, 16)
+
     def test_mu_snapshot_has_normalized_column(self, tmp_path):
         cfg_path, out = write_config(
             tmp_path, scheme="ftcs_mu", n_cells=32, t_final=0.03,
@@ -444,7 +459,7 @@ class TestReproduceCommand:
         assert main(["analyze", str(out)]) == 0
         analysis = json.loads((out / "analysis.json").read_text())
         assert {c["name"] for c in analysis["checks"]} >= {
-            "subrun:learned", "summary_copied:learned", "claim:min_mu_negative"}
+            "subrun:learned", "summary_copied:learned", "oracles", "claim:min_mu_negative"}
         comparison["learned"]["stats"]["mse_final"] *= 2.0
         (out / "comparison.json").write_text(json.dumps(comparison))
         assert main(["analyze", str(out)]) == 1
@@ -457,6 +472,15 @@ class TestReproduceCommand:
         analysis = json.loads((out / "analysis.json").read_text())
         assert [c["name"] for c in analysis["checks"] if not c["passed"]] == [
             "summary_copied:learned", "claim:min_mu_negative"]
+        # an edited oracle fails its check even when the claim resting on it is
+        # flipped to match
+        comparison["oracles"]["mse_upwind"] = 0.0
+        comparison["claims"]["mse_learned_below_upwind"] = False
+        (out / "comparison.json").write_text(json.dumps(comparison))
+        assert main(["analyze", str(out)]) == 1
+        analysis = json.loads((out / "analysis.json").read_text())
+        assert [c["name"] for c in analysis["checks"] if not c["passed"]] == [
+            "summary_copied:learned", "oracles", "claim:min_mu_negative"]
 
     def test_paper_hat_nonneg_amplitude_comparison(self, tmp_path, capsys):
         out = tmp_path / "repro-nonneg"

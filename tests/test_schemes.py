@@ -382,6 +382,13 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory(states=np.zeros((4, 10)), config=cfg, viscosity_history=history)
 
+    def test_viscosity_history_keeps_its_values_when_the_caller_edits_mu(self):
+        cfg = small_config(n=10, length=0.1)
+        for mu in (np.full((3, 10), 0.01), np.full(10, 0.01)):
+            traj = simulate(np.arange(10.0), 3, cfg, mu=mu)
+            mu[...] = 0.02
+            assert np.array_equal(traj.viscosity_history, np.full((3, 10), 0.01))
+
     def test_viscosity_history_is_read_only(self):
         cfg = small_config(n=10, length=0.1)
         traj = simulate(np.arange(10.0), 3, cfg, mu=np.full((3, 10), 0.01))
