@@ -28,7 +28,6 @@ from .optimizer import (
     OptimizerConfig,
     TrainingReport,
     constant_mu_grid_search,
-    regularizer_gradient,
     train_global,
     train_per_step,
 )

@@ -2,7 +2,8 @@
 and reproduce the reference experiments.
 
 Exit codes: 0 success, 1 analysis check failure, 2 divergence,
-3 configuration error, 4 I/O error, 5 optimizer non-convergence.
+3 configuration or command-line usage error, 4 I/O error, 5 optimizer
+non-convergence.
 """
 
 from __future__ import annotations
@@ -103,12 +104,11 @@ def _clear_previous_run(out_dir: Path) -> None:
                 path.rmdir()
 
 
-def _mark_finished(out_dir: Path, files: list[dict], seed: int, t_start: float,
-                   status: str, **blocks) -> None:
+def _mark_finished(out_dir: Path, files: list[dict], t_start: float, status: str,
+                   **blocks) -> None:
     """Write the manifest, the completion marker, listing ``files`` and itself."""
     payload = {
         "version": __version__,
-        "seed": seed,
         "wall_clock_seconds": time.time() - t_start,
         "status": status,
         "files": files + [{"name": MANIFEST_NAME, "role": "manifest"}],
@@ -117,21 +117,12 @@ def _mark_finished(out_dir: Path, files: list[dict], seed: int, t_start: float,
     write_manifest(out_dir, payload)
 
 
-def _seeded(cfg: ExperimentConfig, seed: int | None) -> tuple[ExperimentConfig, int]:
-    """The config and manifest seed of a run: ``seed`` when given (the config
-    echo then records it too), else the configured [training] seed, else 0."""
-    if seed is not None:
-        return cfg.with_seed(seed), seed
-    return cfg, cfg.training.optimizer.seed if cfg.training is not None else 0
-
-
 def _write_run(
     cfg: ExperimentConfig,
     out_dir: Path,
     traj: Trajectory,
     exact: np.ndarray,
     status: str,
-    seed: int,
     t_start: float,
     report: TrainingReport | None = None,
     extra: dict | None = None,
@@ -145,9 +136,8 @@ def _write_run(
     def record(name: str, role: str) -> None:
         files.append({"name": name, "role": role})
 
-    if cfg.output.write_solution:
-        write_matrix_csv(out_dir / "solution.csv", times, traj.states)
-        record("solution.csv", "solution")
+    write_matrix_csv(out_dir / "solution.csv", times, traj.states)
+    record("solution.csv", "solution")
     final = traj.states[-1]
     exact_final = exact[-1]
     write_columns_csv(
@@ -156,21 +146,18 @@ def _write_run(
         [grid.cell_centers, final, exact_final, final - exact_final],
     )
     record("final_state.csv", "final_state")
-    if cfg.output.write_error:
-        write_matrix_csv(out_dir / "error.csv", times, traj.states - exact)
-        record("error.csv", "error_field")
-    if cfg.output.write_entropy:
-        write_series_csv(out_dir / "entropy.csv", "t", "entropy", times,
-                         entropy_series(traj.states, grid.dx))
-        record("entropy.csv", "entropy_series")
+    write_matrix_csv(out_dir / "error.csv", times, traj.states - exact)
+    record("error.csv", "error_field")
+    write_series_csv(out_dir / "entropy.csv", "t", "entropy", times,
+                     entropy_series(traj.states, grid.dx))
+    record("entropy.csv", "entropy_series")
 
     stats = summary_stats(traj.states, exact_final, grid.dx)
     summary = {"stats": stats, "status": status}
     if report is not None:
         mu = traj.viscosity_history
-        if cfg.output.write_mu:
-            write_matrix_csv(out_dir / "mu.csv", times[:-1], mu)
-            record("mu.csv", "mu_spacetime")
+        write_matrix_csv(out_dir / "mu.csv", times[:-1], mu)
+        record("mu.csv", "mu_spacetime")
         mu_last = mu[-1]
         scale = float(np.max(np.abs(mu_last)))
         normalized = mu_last / scale if scale > 0 else np.zeros_like(mu_last)
@@ -206,14 +193,13 @@ def _write_run(
         for entry in files:
             entry["partial"] = True
     files.append({"name": "summary.json", "role": "summary"})
-    _mark_finished(out_dir, files, seed, t_start, status,
+    _mark_finished(out_dir, files, t_start, status,
                    config=config_to_dict(cfg), **(extra or {}))
 
 
-def cmd_run(cfg: ExperimentConfig, seed: int | None = None) -> int:
+def cmd_run(cfg: ExperimentConfig) -> int:
     """Simulate the configured scheme and write solution/error/entropy artifacts."""
     t_start = time.time()
-    cfg, seed = _seeded(cfg, seed)
     out_dir = Path(cfg.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     scheme_cfg, exact = _build_problem(cfg)
@@ -226,19 +212,17 @@ def cmd_run(cfg: ExperimentConfig, seed: int | None = None) -> int:
         traj = simulate(exact[0], cfg.n_steps, scheme_cfg, scheme=cfg.scheme, mu=cfg.mu)
     except DivergenceError as err:
         status, extra, traj = "divergence", {"diverged_at_step": err.step}, err.trajectory
-    _write_run(cfg, out_dir, traj, exact, status, seed, t_start, extra=extra)
+    _write_run(cfg, out_dir, traj, exact, status, t_start, extra=extra)
     return EXIT_OK if status == "ok" else EXIT_DIVERGENCE
 
 
-def cmd_train(cfg: ExperimentConfig, seed: int | None = None) -> int:
+def cmd_train(cfg: ExperimentConfig) -> int:
     """Train the viscosity closure per the config and write all artifacts."""
     t_start = time.time()
     if cfg.training is None:
         raise ConfigError("training requires a [training] section")
     if cfg.scheme != "ftcs_mu":
         raise ConfigError("training requires scheme = ftcs_mu")
-    cfg, seed = _seeded(cfg, seed)
-    opt = cfg.training.optimizer
 
     out_dir = Path(cfg.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -249,9 +233,9 @@ def cmd_train(cfg: ExperimentConfig, seed: int | None = None) -> int:
 
     trainer = train_per_step if cfg.training.mode == "per_step" else train_global
     try:
-        report = trainer(scheme_cfg, opt, exact)
+        report = trainer(scheme_cfg, cfg.training.optimizer, exact)
     except DivergenceError as err:  # the first step, or the first sweep, diverged
-        _write_run(cfg, out_dir, err.trajectory, exact, "divergence", seed, t_start,
+        _write_run(cfg, out_dir, err.trajectory, exact, "divergence", t_start,
                    extra={"diverged_at_step": err.step})
         return EXIT_DIVERGENCE
 
@@ -262,7 +246,7 @@ def cmd_train(cfg: ExperimentConfig, seed: int | None = None) -> int:
     else:
         status = "no_convergence"
     extra = {"diverged_at_step": report.trajectory.n_steps} if status == "divergence" else None
-    _write_run(cfg, out_dir, report.trajectory, exact, status, seed, t_start, report, extra)
+    _write_run(cfg, out_dir, report.trajectory, exact, status, t_start, report, extra)
     if status == "ok":
         return EXIT_OK
     return EXIT_DIVERGENCE if status == "divergence" else EXIT_NO_CONVERGENCE
@@ -306,43 +290,43 @@ def _check_run(out_dir: Path, manifest: dict, listed: set[str], check) -> None:
     tolerance = 1e-12
 
     def compare(prefix: str, stored_block: dict, recomputed: dict) -> None:
+        """Check each recomputed value against its stored one; a missing stored
+        value fails, and equal values pass even where both are infinite."""
         for key, value in recomputed.items():
             stored = stored_block.get(key)
-            if stored is not None:
-                ok = abs(stored - value) <= tolerance * max(1.0, abs(stored))
-                check(f"{prefix}:{key}", ok, f"stored={stored!r} recomputed={value!r}")
+            ok = stored is not None and (
+                stored == value or abs(stored - value) <= tolerance * max(1.0, abs(stored)))
+            check(f"{prefix}:{key}", ok, f"stored={stored!r} recomputed={value!r}")
 
-    if "solution.csv" in listed:
-        times, states = read_matrix_csv(out_dir / "solution.csv")
-        compare("stat", summary.get("stats", {}),
-                summary_stats(states, _exact(cfg, grid, times[-1]), grid.dx))
+    times, states = read_matrix_csv(out_dir / "solution.csv")
+    compare("stat", summary.get("stats", {}),
+            summary_stats(states, _exact(cfg, grid, times[-1]), grid.dx))
 
-        if "entropy.csv" in listed:
-            _, stored_entropy = read_series_csv(out_dir / "entropy.csv")
-            entropy = entropy_series(states, grid.dx)
-            if len(stored_entropy) == len(entropy):
-                ok = np.allclose(stored_entropy, entropy, rtol=0, atol=tolerance)
-                detail = f"max diff {np.max(np.abs(stored_entropy - entropy)):.3e}"
-            else:
-                ok, detail = False, f"{len(stored_entropy)} rows for {len(entropy)} states"
-            check("entropy_series_consistent", ok, detail)
+    _, stored_entropy = read_series_csv(out_dir / "entropy.csv")
+    entropy = entropy_series(states, grid.dx)
+    if len(stored_entropy) == len(entropy):
+        ok = np.allclose(stored_entropy, entropy, rtol=0, atol=tolerance)
+        detail = f"max diff {np.max(np.abs(stored_entropy - entropy)):.3e}"
+    else:
+        ok, detail = False, f"{len(stored_entropy)} rows for {len(entropy)} states"
+    check("entropy_series_consistent", ok, detail)
 
-        twin = _twin_viscosity(cfg)
-        if twin is not None:
-            label, mu_value = twin
-            mu_rows = np.broadcast_to(mu_value, (len(states) - 1, grid.n_cells))
-            worst = _replay_error(states, mu_rows, scheme_cfg)
-            check("scheme_equivalence", worst < 1e-13, f"{label}: max rel err {worst:.3e}")
+    twin = _twin_viscosity(cfg)
+    if twin is not None:
+        label, mu_value = twin
+        mu_rows = np.broadcast_to(mu_value, (len(states) - 1, grid.n_cells))
+        worst = _replay_error(states, mu_rows, scheme_cfg)
+        check("scheme_equivalence", worst < 1e-13, f"{label}: max rel err {worst:.3e}")
 
-        if "mu.csv" in listed and cfg.scheme == "ftcs_mu":
-            _, mu_values = read_matrix_csv(out_dir / "mu.csv")
-            if len(mu_values) == len(states) - 1:
-                worst = _replay_error(states, mu_values, scheme_cfg)
-                ok, detail = worst < 1e-13, f"max rel err {worst:.3e}"
-            else:
-                ok, detail = False, f"{len(mu_values)} rows for {len(states) - 1} steps"
-            check("stored_steps_consistent", ok, detail)
-            compare("mu", summary.get("mu", {}), mu_summary(mu_values))
+    if "mu.csv" in listed and cfg.scheme == "ftcs_mu":
+        _, mu_values = read_matrix_csv(out_dir / "mu.csv")
+        if len(mu_values) == len(states) - 1:
+            worst = _replay_error(states, mu_values, scheme_cfg)
+            ok, detail = worst < 1e-13, f"max rel err {worst:.3e}"
+        else:
+            ok, detail = False, f"{len(mu_values)} rows for {len(states) - 1} steps"
+        check("stored_steps_consistent", ok, detail)
+        compare("mu", summary.get("mu", {}), mu_summary(mu_values))
 
 
 def _check_study(out_dir: Path, manifest: dict, check) -> None:
@@ -422,7 +406,7 @@ def _oracle_mses(cfg: ExperimentConfig) -> dict:
     return out
 
 
-def cmd_reproduce(preset: str, out_root: str | Path, seed: int | None = None) -> int:
+def cmd_reproduce(preset: str, out_root: str | Path) -> int:
     """Train the preset's study, one subdirectory per run, and check its claims."""
     if preset not in PRESET_NAMES:
         raise ConfigError(f"unknown preset {preset!r}; choose one of {PRESET_NAMES}")
@@ -431,12 +415,11 @@ def cmd_reproduce(preset: str, out_root: str | Path, seed: int | None = None) ->
     out_root.mkdir(parents=True, exist_ok=True)
     _clear_previous_run(out_root)
 
-    base = preset_config(preset)
     runs, claims = STUDIES[preset]
-    comparison: dict = {"preset": preset, "oracles": _oracle_mses(base)}
+    comparison: dict = {"preset": preset, "oracles": _oracle_mses(preset_config(preset))}
     for subdir, name, nonneg in runs:
         config = preset_config(name, str(out_root / subdir))
-        code = cmd_train(nonneg_variant(config) if nonneg else config, seed)
+        code = cmd_train(nonneg_variant(config) if nonneg else config)
         if code != EXIT_OK:
             raise DivergenceError(f"preset training run '{subdir}' failed with exit {code}")
         comparison[subdir.replace("-", "_")] = read_json(out_root / subdir / "summary.json")
@@ -444,8 +427,7 @@ def cmd_reproduce(preset: str, out_root: str | Path, seed: int | None = None) ->
 
     write_json(out_root / "comparison.json", comparison)
     _mark_finished(out_root, [{"name": "comparison.json", "role": "comparison"}],
-                   _seeded(base, seed)[1], t_start, "ok",
-                   preset=preset, subruns=[subdir for subdir, _, _ in runs])
+                   t_start, "ok", preset=preset, subruns=[subdir for subdir, _, _ in runs])
     for name, passed in comparison["claims"].items():
         print(f"{name}: {'PASS' if passed else 'FAIL'}")
     return EXIT_OK
@@ -466,11 +448,21 @@ def _load_for(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-_SEED_HELP = "run label recorded in the manifest (nothing in a run is random)"
+class _UsageError(Exception):
+    """A command line that argparse rejects."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error to ``main``, which exits 3 like a configuration
+    error, instead of exiting 2, the divergence code."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise _UsageError(f"{self.prog}: {message}")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="advisc",
         description="Learned artificial-viscosity closures for 1D linear advection",
     )
@@ -484,7 +476,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", help="path to an experiment config file")
         p.add_argument("--preset", help="named preset instead of a config file")
         p.add_argument("--out", help="output directory override")
-        p.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
 
     p = sub.add_parser("analyze", help="verify a finished run directory")
     p.add_argument("directory", help="run directory containing a manifest")
@@ -492,18 +483,21 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("reproduce", help="run a named preset end to end")
     p.add_argument("--preset", required=True, help=f"one of {', '.join(PRESET_NAMES)}")
     p.add_argument("--out", default=None, help="output directory (default: preset name)")
-    p.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as err:
+        print(f"usage error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         if args.command == "run":
-            return cmd_run(_load_for(args), seed=args.seed)
+            return cmd_run(_load_for(args))
         if args.command == "train":
-            return cmd_train(_load_for(args), seed=args.seed)
+            return cmd_train(_load_for(args))
         if args.command == "analyze":
             return cmd_analyze(args.directory)
         out = args.out or os.environ.get("ADVISC_OUT") or args.preset
-        return cmd_reproduce(args.preset, out, seed=args.seed)
+        return cmd_reproduce(args.preset, out)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

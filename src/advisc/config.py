@@ -57,10 +57,6 @@ class TrainingSettings:
 @dataclass(frozen=True)
 class OutputSettings:
     directory: str = "out"
-    write_solution: bool = True
-    write_error: bool = True
-    write_entropy: bool = True
-    write_mu: bool = True
 
 
 @dataclass(frozen=True)
@@ -122,21 +118,6 @@ class ExperimentConfig:
     def with_output_dir(self, directory: str) -> "ExperimentConfig":
         return replace(self, output=replace(self.output, directory=directory))
 
-    def with_seed(self, seed: int) -> "ExperimentConfig":
-        if self.training is None:
-            return self
-        opt = replace(self.training.optimizer, seed=seed)
-        return replace(self, training=replace(self.training, optimizer=opt))
-
-
-def _to_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(raw)
-
 
 def _to_int(raw: str) -> int:
     value = float(raw)
@@ -148,7 +129,7 @@ def _to_int(raw: str) -> int:
 # INI converter per field annotation (annotations are strings under
 # ``from __future__ import annotations``). Fields with any other annotation
 # are nested settings, not keys.
-_CONVERTERS = {"str": str, "int": _to_int, "bool": _to_bool, "float": float, "float | None": float}
+_CONVERTERS = {"str": str, "int": _to_int, "float": float, "float | None": float}
 
 
 def _keys(cls) -> dict:

@@ -2,8 +2,8 @@
 
 Two training modes: per-step greedy optimization of the instantaneous error
 while the numerical state marches forward, and global optimization of the
-full space-time field against the whole-horizon loss. Both respect box
-constraints via projection and support Tikhonov and smoothness penalties.
+full space-time field against the whole-horizon loss. Both are plain
+gradient descent on the unpenalized loss, projected onto box constraints.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from .schemes import (
     Trajectory,
     _diverged,
     _guard_bound,
-    _next,
-    _prev,
     ftcs_update,
     simulate,
 )
@@ -30,21 +28,15 @@ from .schemes import (
 class OptimizerConfig:
     """Hyperparameters for projected gradient descent.
 
-    ``init_mu = None`` resolves at train time to the upwind-equivalent value
-    c*dx/2 clipped into the bounds (a stable starting scheme); pass 0.0 to
-    cold-start from zero viscosity. ``warm_start`` controls whether per-step
-    training reuses the previous step's optimum as the next initial guess.
+    Training starts from the upwind-equivalent viscosity c*dx/2 clipped into
+    [mu_min, mu_max] (a stable starting scheme); per-step training then
+    starts each step from the previous step's optimum.
     """
 
     learning_rate: float = 1e-2
     n_iters: int = 200
     mu_min: float = -5e-3
     mu_max: float = 9.5e-2
-    l2_penalty: float = 0.0
-    smooth_penalty: float = 0.0
-    init_mu: float | None = None
-    seed: int = 0
-    warm_start: bool = True
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -55,14 +47,8 @@ class OptimizerConfig:
             raise ValueError("bounds must be finite")
         if self.mu_min > self.mu_max:
             raise ValueError("mu_min must not exceed mu_max")
-        if not all(np.isfinite(p) and p >= 0 for p in (self.l2_penalty, self.smooth_penalty)):
-            raise ValueError("penalties must be finite and non-negative")
-        if self.init_mu is not None and not (self.mu_min <= self.init_mu <= self.mu_max):
-            raise ValueError("init_mu must lie within [mu_min, mu_max]")
 
     def resolve_init(self, cfg: SchemeConfig) -> float:
-        if self.init_mu is not None:
-            return float(self.init_mu)
         return float(np.clip(cfg.c * cfg.grid.dx / 2.0, self.mu_min, self.mu_max))
 
 
@@ -83,20 +69,6 @@ class TrainingReport:
     divergence_events: int
 
 
-def regularizer_gradient(mu: np.ndarray, opt: OptimizerConfig) -> np.ndarray:
-    """Gradient of l2*sum(mu^2) + smooth*sum((mu_{f+1} - mu_f)^2) per face.
-
-    The smoothness kernel is periodic and acts along the last axis, so a
-    space-time stack is penalized slice by slice; constants contribute zero.
-    """
-    g = 2.0 * opt.l2_penalty * mu
-    if opt.smooth_penalty > 0:
-        g = g + 2.0 * opt.smooth_penalty * (
-            2.0 * mu - _prev(mu) - _next(mu)
-        )
-    return g
-
-
 def _horizon(exact: np.ndarray, cfg: SchemeConfig) -> int:
     """The step count M >= 1 of an (M + 1, n_cells) array of exact states."""
     if exact.ndim != 2 or exact.shape[0] < 2 or exact.shape[1] != cfg.grid.n_cells:
@@ -111,18 +83,17 @@ def train_per_step(cfg: SchemeConfig, opt: OptimizerConfig, exact: np.ndarray) -
     Row m of ``exact`` is the exact state at time m*dt; row 0 is the initial
     state and the M + 1 rows set the M steps trained. The state advanced
     between steps is the numerical one (never reset to exact), so error
-    accumulation is visible to later steps. Each step's mu warm-starts from
-    the previous optimum unless ``opt.warm_start`` is off. Divergence of the
+    accumulation is visible to later steps. Each step's mu starts from the
+    previous step's optimum. Divergence of the
     advancing state halts training at that step; on the first step it raises
     DivergenceError with the initial state as the partial trajectory.
     """
     n_steps = _horizon(exact, cfg)
     grid = cfg.grid
-    init = opt.resolve_init(cfg)
     lr, lo, hi = opt.learning_rate, opt.mu_min, opt.mu_max
     bound = _guard_bound(exact[0])
 
-    mu = np.full(grid.n_cells, init)
+    mu = np.full(grid.n_cells, opt.resolve_init(cfg))
     states = np.empty((n_steps + 1, grid.n_cells))
     states[0] = exact[0]
     mu_rows = np.empty((n_steps, grid.n_cells))
@@ -130,12 +101,9 @@ def train_per_step(cfg: SchemeConfig, opt: OptimizerConfig, exact: np.ndarray) -
     halted = False
 
     for n in range(n_steps):
-        if not opt.warm_start:
-            mu = np.full(grid.n_cells, init)
         u, target = states[n], exact[n + 1]
         for _ in range(opt.n_iters):
             g = grad_mu_instantaneous(u, target, mu, cfg)
-            g += regularizer_gradient(mu, opt)
             mu = (mu - lr * g).clip(lo, hi)
         u_next = ftcs_update(u, mu, cfg)
         halted = _diverged(u_next, bound)
@@ -171,14 +139,13 @@ def train_global(
     persists). Returns the best (lowest-loss) iterate seen, with its trajectory.
     """
     n_steps = _horizon(exact, cfg)
-    init = opt.resolve_init(cfg)
     lr = opt.learning_rate
 
     def evaluate(values: np.ndarray) -> tuple[float, Trajectory]:
         traj = simulate(exact[0], n_steps, cfg, mu=values)
         return loss_value(traj, exact), traj
 
-    current = np.full((n_steps, cfg.grid.n_cells), init)
+    current = np.full((n_steps, cfg.grid.n_cells), opt.resolve_init(cfg))
     best_loss, traj_cur = evaluate(current)  # initial sweep failure is unrecoverable
     best_traj = traj_cur
     losses = [best_loss]
@@ -188,7 +155,6 @@ def train_global(
 
     for _ in range(opt.n_iters):
         grad = grad_mu_global(traj_cur, exact)
-        grad += regularizer_gradient(current, opt)
         while True:
             candidate = np.clip(current - lr * grad, opt.mu_min, opt.mu_max)
             try:

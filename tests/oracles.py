@@ -95,7 +95,7 @@ def naive_amplification_magnitude(theta: float, cfl: float, d: float) -> float:
 
 
 def reference_train_per_step(u0, exacts, c, dt, dx, learning_rate, n_iters, mu_min, mu_max,
-                             l2_penalty, smooth_penalty, init_mu, warm_start):
+                             init_mu):
     """Per-step projected gradient descent, written out with np.roll.
 
     ``exacts[m]`` is the target state of step m. Returns the (n_steps, n)
@@ -111,16 +111,10 @@ def reference_train_per_step(u0, exacts, c, dt, dx, learning_rate, n_iters, mu_m
     mu = np.full(n, init_mu)
     history, states = [], [u]
     for m in range(1, len(exacts)):
-        if not warm_start:
-            mu = np.full(n, init_mu)
         for _ in range(n_iters):
             r = (2.0 / n) * (step(u, mu) - exacts[m])
             du = np.roll(u, -1) - u
             g = (dt / dx**2) * du * (r - np.roll(r, -1))
-            reg = 2.0 * l2_penalty * mu
-            if smooth_penalty > 0:
-                reg = reg + 2.0 * smooth_penalty * (2.0 * mu - np.roll(mu, 1) - np.roll(mu, -1))
-            g += reg
             mu = np.clip(mu - learning_rate * g, mu_min, mu_max)
         u = step(u, mu)
         history.append(mu)

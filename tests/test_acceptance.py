@@ -243,7 +243,7 @@ def test_criterion_10_determinism_and_round_trip(tmp_path):
     outs = []
     for tag in ("first", "second"):
         out = tmp_path / tag
-        code = main(["train", "--preset", "paper-hat", "--out", str(out), "--seed", "0"])
+        code = main(["train", "--preset", "paper-hat", "--out", str(out)])
         assert code == 0
         outs.append(out)
     identical = all(

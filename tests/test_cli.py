@@ -30,7 +30,6 @@ learning_rate = 0.01
 n_iters = {n_iters}
 mu_min = {mu_min}
 mu_max = 0.095
-seed = 0
 """
 
 
@@ -102,6 +101,22 @@ class TestRunCommand:
         cfg_path, _ = write_config(tmp_path, extra_sim="typo_key = 1\n")
         assert main(["run", "--config", str(cfg_path)]) == 3
 
+    @pytest.mark.parametrize("section, key", [
+        ("training", "seed"), ("training", "warm_start"), ("training", "init_mu"),
+        ("training", "l2_penalty"), ("training", "smooth_penalty"),
+        ("output", "write_solution"), ("output", "write_error"),
+        ("output", "write_entropy"), ("output", "write_mu"),
+    ])
+    def test_deleted_key_exits_3_naming_it(self, tmp_path, capsys, section, key):
+        cfg_path, _ = write_config(
+            tmp_path, scheme="ftcs_mu", n_cells=20, t_final=0.01, kind="sine",
+            training=TRAINING.format(n_iters=5, mu_min=-0.005),
+        )
+        text = cfg_path.read_text().replace(f"[{section}]\n", f"[{section}]\n{key} = 0\n")
+        cfg_path.write_text(text)
+        assert main(["train", "--config", str(cfg_path)]) == 3
+        assert f"'{key}'" in capsys.readouterr().err
+
     def test_missing_config_exits_3(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.cfg")]) == 3
 
@@ -119,15 +134,14 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("key, value", [
         ("length", "inf"), ("dt", "inf"), ("t_final", "inf"), ("n_cells", "inf"),
-        ("l2_penalty", "inf"), ("l2_penalty", "nan"), ("smooth_penalty", "nan"),
+        ("learning_rate", "inf"), ("mu_min", "nan"), ("mu_max", "inf"),
     ], ids=["length", "dt", "t_final", "n_cells",
-            "l2_penalty_inf", "l2_penalty_nan", "smooth_penalty_nan"])
+            "learning_rate_inf", "mu_min_nan", "mu_max_inf"])
     def test_non_finite_simulation_value_exits_3(self, tmp_path, capsys, key, value):
-        # penalties live in [training], so every case runs `train` on a valid config
+        # some keys live in [training], so every case runs `train` on a valid config
         cfg_path, _ = write_config(
             tmp_path, scheme="ftcs_mu", n_cells=20, t_final=0.01, kind="sine",
-            training=TRAINING.format(n_iters=5, mu_min=-0.005)
-            + "l2_penalty = 0.0\nsmooth_penalty = 0.0\n",
+            training=TRAINING.format(n_iters=5, mu_min=-0.005),
         )
         lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
                  for line in cfg_path.read_text().splitlines()]
@@ -150,19 +164,6 @@ class TestRunCommand:
         assert (out / "notes.txt").is_file()  # only files the old manifest listed go
         (out / "notes.txt").unlink()
         assert main(["analyze", str(out)]) == 0
-
-    @pytest.mark.parametrize("command", ["run", "train"])
-    def test_manifest_seed_is_flag_else_configured(self, tmp_path, command):
-        cfg_path, out = write_config(
-            tmp_path, scheme="ftcs_mu", n_cells=16, t_final=0.003, extra_sim="mu = 0.005\n",
-            training=TRAINING.format(n_iters=5, mu_min=-0.005).replace("seed = 0", "seed = 7"),
-        )
-        assert main([command, "--config", str(cfg_path)]) == 0
-        manifest = read_manifest(out)
-        assert manifest["seed"] == manifest["config"]["training"]["seed"] == 7
-        assert main([command, "--config", str(cfg_path), "--seed", "3"]) == 0
-        manifest = read_manifest(out)
-        assert manifest["seed"] == manifest["config"]["training"]["seed"] == 3
 
     def test_out_flag_overrides_directory(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, t_final=0.01)
@@ -235,7 +236,7 @@ class TestTrainCommand:
             tmp_path, name="train.cfg", scheme="ftcs_mu", n_cells=50, t_final=0.02,
             directory=str(tmp_path / "trained"),
             training="\n[training]\nmode = per_step\nn_iters = 5\n"
-                     "mu_min = 0.005\nmu_max = 0.005\ninit_mu = 0.005\n",
+                     "mu_min = 0.005\nmu_max = 0.005\n",
         )
         run_cfg, run_out = write_config(
             tmp_path, name="run.cfg", scheme="ftcs_mu", n_cells=50, t_final=0.02,
@@ -255,7 +256,7 @@ class TestTrainCommand:
                 t_final=0.03, directory=str(tmp_path / tag),
                 training=TRAINING.format(n_iters=40, mu_min=-0.005),
             )
-            assert main(["train", "--config", str(cfg_path), "--seed", "11"]) == 0
+            assert main(["train", "--config", str(cfg_path)]) == 0
             results.append(out)
         for name in ("solution.csv", "mu.csv", "loss_history.csv", "error.csv"):
             assert (results[0] / name).read_bytes() == (results[1] / name).read_bytes()
@@ -264,8 +265,7 @@ class TestTrainCommand:
         cfg_path, out = write_config(
             tmp_path, scheme="ftcs_mu", n_cells=64, t_final=0.1, kind="hat",
             training="\n[training]\nmode = per_step\nn_iters = 1\n"
-                     "learning_rate = 1e-15\nmu_min = -0.08\nmu_max = -0.07\n"
-                     "init_mu = -0.075\n",
+                     "learning_rate = 1e-15\nmu_min = -0.08\nmu_max = -0.07\n",
         )
         assert main(["train", "--config", str(cfg_path)]) == 2
         manifest = read_manifest(out)
@@ -413,6 +413,56 @@ class TestAnalyzeCommand:
         (out / "stray.txt").write_text("not in manifest\n")
         assert main(["analyze", str(out)]) == 1
 
+    def test_analyze_accepts_equal_infinite_statistics(self, tmp_path):
+        cfg_path, out = write_config(tmp_path, scheme="lax_wendroff", n_cells=20,
+                                     t_final=0.05, kind="hat\namplitude = 1e308")
+        cfg_path.write_text(cfg_path.read_text().replace("dt = 0.001", "dt = 0.01"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", str(cfg_path)]) == 2
+            assert main(["analyze", str(out)]) == 1
+        analysis = json.loads((out / "analysis.json").read_text())
+        assert "stored=inf recomputed=inf" in {c["detail"] for c in analysis["checks"]}
+        assert [c["name"] for c in analysis["checks"] if not c["passed"]] == ["run_status_ok"]
+
+    def test_analyze_fails_statistics_missing_from_summary(self, tmp_path):
+        cfg_path, out = write_config(
+            tmp_path, scheme="ftcs_mu", n_cells=32, t_final=0.03,
+            training=TRAINING.format(n_iters=40, mu_min=-0.005),
+        )
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        expected = {f"stat:{key}" for key in summary.pop("stats")}
+        del summary["mu"]
+        expected |= {"mu:mu_min", "mu:mu_max", "mu:fraction_negative"}
+        (out / "summary.json").write_text(json.dumps(summary))
+        assert main(["analyze", str(out)]) == 1
+        analysis = json.loads((out / "analysis.json").read_text())
+        failed = {c["name"]: c["detail"] for c in analysis["checks"] if not c["passed"]}
+        assert set(failed) == expected
+        assert all(detail.startswith("stored=None ") for detail in failed.values())
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["run", "--bogus"],
+        ["reproduce"],
+        ["train", "--preset", "paper-hat", "--seed", "x"],
+        ["train", "--preset", "paper-hat", "--seed", "3"],
+    ], ids=["unknown_flag", "missing_preset", "seed_not_an_int", "seed"])
+    def test_usage_error_exits_3_with_usage_on_stderr(self, capsys, argv):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: advisc")
+        assert "usage error" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("command", ["run", "train", "reproduce"])
+    def test_help_exits_0_and_lists_no_seed(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        text = capsys.readouterr().out
+        assert "--out" in text and "--seed" not in text
+
 
 class TestReproduceCommand:
     def test_unknown_preset_exits_3(self, tmp_path):
@@ -521,7 +571,7 @@ class TestRerunFromManifestEcho:
         assert main(["run", "--config", str(cfg_path)]) == 0
         manifest = read_manifest(out)
         rebuilt = config_from_dict(manifest["config"]).with_output_dir(str(tmp_path / "rerun"))
-        assert cmd_run(rebuilt, seed=manifest["seed"]) == 0
+        assert cmd_run(rebuilt) == 0
         assert (out / "solution.csv").read_bytes() == \
             (tmp_path / "rerun" / "solution.csv").read_bytes()
 

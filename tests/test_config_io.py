@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from advisc.config import (
+    _SECTIONS,
     ConfigError,
     ExperimentConfig,
     InitialCondition,
@@ -50,11 +50,9 @@ learning_rate = 0.01
 n_iters = 200
 mu_min = -0.005
 mu_max = 0.095
-seed = 7
 
 [output]
 directory = out
-write_error = false
 """
 
 
@@ -66,10 +64,8 @@ class TestConfigParsing:
         assert cfg.n_steps == 150
         assert cfg.ic.kind == "hat"
         assert cfg.training.mode == "per_step"
-        assert cfg.training.optimizer.seed == 7
         assert cfg.training.optimizer.mu_min == -0.005
-        assert cfg.output.write_error is False
-        assert cfg.output.write_solution is True
+        assert cfg.output.directory == "out"
 
     def test_unknown_key_rejected(self):
         bad = FULL_CONFIG.replace("n_iters = 200", "n_itters = 200")
@@ -127,6 +123,16 @@ class TestConfigParsing:
         assert cfg.ic.wavenumber == 2
 
 
+class TestSchema:
+    def test_sections_hold_the_eighteen_keys(self):
+        assert {section: list(keys) for section, keys in _SECTIONS.items()} == {
+            "simulation": ["scheme", "n_cells", "length", "c", "dt", "t_final", "mu"],
+            "initial_condition": ["kind", "lo", "hi", "amplitude", "wavenumber"],
+            "output": ["directory"],
+            "training": ["mode", "learning_rate", "n_iters", "mu_min", "mu_max"],
+        }
+
+
 class TestConfigDictRoundTrip:
     def test_round_trip_with_training(self):
         cfg = parse_config_text(FULL_CONFIG)
@@ -147,14 +153,8 @@ class TestConfigDictRoundTrip:
         rebuilt = config_from_dict(config_to_dict(cfg))
         assert rebuilt == cfg
 
-    def test_seed_override(self):
-        cfg = parse_config_text(FULL_CONFIG)
-        assert cfg.with_seed(99).training.optimizer.seed == 99
 
-
-# The config block of manifest.json for paper-hat as written before the
-# schema was derived from the settings dataclasses; old run directories must
-# still rebuild from it.
+# The config block of manifest.json for paper-hat.
 PAPER_HAT_ECHO = """
 {
   "initial_condition": {
@@ -165,11 +165,7 @@ PAPER_HAT_ECHO = """
     "wavenumber": 1
   },
   "output": {
-    "directory": "out",
-    "write_entropy": true,
-    "write_error": true,
-    "write_mu": true,
-    "write_solution": true
+    "directory": "out"
   },
   "simulation": {
     "c": 1.0,
@@ -180,16 +176,11 @@ PAPER_HAT_ECHO = """
     "t_final": 0.15
   },
   "training": {
-    "init_mu": null,
-    "l2_penalty": 0.0,
     "learning_rate": 0.01,
     "mode": "per_step",
     "mu_max": 0.095,
     "mu_min": -0.005,
-    "n_iters": 200,
-    "seed": 0,
-    "smooth_penalty": 0.0,
-    "warm_start": true
+    "n_iters": 200
   }
 }
 """
@@ -205,7 +196,12 @@ class TestManifestEcho:
         {"simulation": 5, "output": {"directory": "out"}},
         {**json.loads(PAPER_HAT_ECHO), "training": 5},
         {**json.loads(PAPER_HAT_ECHO), "initial_condition": ["hat"]},
-    ], ids=["simulation_not_a_mapping", "training_not_a_mapping", "ic_not_a_mapping"])
+        # the echo of a run written before these keys were deleted
+        {**json.loads(PAPER_HAT_ECHO),
+         "training": {**json.loads(PAPER_HAT_ECHO)["training"], "seed": 0}},
+        {**json.loads(PAPER_HAT_ECHO), "output": {"directory": "out", "write_mu": True}},
+    ], ids=["simulation_not_a_mapping", "training_not_a_mapping", "ic_not_a_mapping",
+            "deleted_training_key", "deleted_output_key"])
     def test_malformed_echo_raises_config_error(self, echo):
         with pytest.raises(ConfigError):
             config_from_dict(echo)
@@ -217,17 +213,15 @@ def _finite(lo, hi):
 
 @st.composite
 def valid_configs(draw):
-    """Valid configs drawing every key of every section; ``mu``, ``init_mu`` and
-    the whole [training] section are set or left unset."""
+    """Valid configs drawing every key of every section; ``mu`` and the whole
+    [training] section are set or left unset."""
     scheme = draw(st.sampled_from(SCHEME_NAMES))
     length = draw(_finite(1e-3, 1e3))
     lo, hi = sorted(draw(st.lists(_finite(0.0, length), min_size=2, max_size=2, unique=True)))
     dt = draw(_finite(1e-6, 1.0))
     training = None
     if draw(st.booleans()):
-        # -0.0 sorts below 0.0, so init_mu's range below is never (0.0, -0.0).
-        mu_min, mu_max = sorted(draw(st.lists(_finite(-1.0, 1.0), min_size=2, max_size=2)),
-                                key=lambda x: (x, math.copysign(1.0, x)))
+        mu_min, mu_max = sorted(draw(st.lists(_finite(-1.0, 1.0), min_size=2, max_size=2)))
         training = TrainingSettings(
             mode=draw(st.sampled_from(["per_step", "global"])),
             optimizer=OptimizerConfig(
@@ -235,11 +229,6 @@ def valid_configs(draw):
                 n_iters=draw(st.integers(1, 10**4)),
                 mu_min=mu_min,
                 mu_max=mu_max,
-                l2_penalty=draw(_finite(0.0, 1e3)),
-                smooth_penalty=draw(_finite(0.0, 1e3)),
-                init_mu=draw(st.none() | _finite(mu_min, mu_max)),
-                seed=draw(st.integers(0, 2**31)),
-                warm_start=draw(st.booleans()),
             ),
         )
     try:
@@ -261,10 +250,6 @@ def valid_configs(draw):
             training=training,
             output=OutputSettings(
                 directory=draw(st.text("abcxyz0189_-./", min_size=1, max_size=20)),
-                write_solution=draw(st.booleans()),
-                write_error=draw(st.booleans()),
-                write_entropy=draw(st.booleans()),
-                write_mu=draw(st.booleans()),
             ),
         )
     except ConfigError:

@@ -1,7 +1,10 @@
-"""The README's library quickstart runs as written."""
+"""The README's library quickstart runs as written, and its config block
+matches the config schema."""
 
 import re
 from pathlib import Path
+
+from advisc.config import _SECTIONS, parse_config_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +15,18 @@ def test_library_quickstart_runs(capsys):
     exec(compile(code, f"{README.name} quickstart", "exec"), {})
     converged, loss = capsys.readouterr().out.split()[:2]
     assert converged == "True" and float(loss) > 0
+
+
+def test_config_block_names_every_key_of_the_schema():
+    block = re.search(r"```ini\n(.*?)```", README.read_text(), re.DOTALL).group(1)
+    parse_config_text(block)
+    named, section = {}, None
+    for line in block.splitlines():
+        header = re.fullmatch(r"\[(\w+)\]", line.strip())
+        key = re.match(r"#?\s*(\w+)\s*=", line)
+        if header:
+            section = header.group(1)
+            named[section] = set()
+        elif key:
+            named[section].add(key.group(1))
+    assert named == {section: set(keys) for section, keys in _SECTIONS.items()}
