@@ -4,6 +4,10 @@ Two training modes: per-step greedy optimization of the instantaneous error
 while the numerical state marches forward, and global optimization of the
 full space-time field against the whole-horizon loss. Both are plain
 gradient descent on the unpenalized loss, projected onto box constraints.
+
+The per-step trainer takes a batch of optimizer configs on one problem and
+trains them together: each step hoists its mu-independent factors once, and
+the inner iterations run only in-place ufuncs over (batch, N) buffers.
 """
 
 from __future__ import annotations
@@ -12,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import grad_mu_global, grad_mu_instantaneous, loss_value
+from .adjoint import grad_mu_global, loss_value
 from .schemes import (
     DivergenceError,
     SchemeConfig,
     Trajectory,
     _diverged,
     _guard_bound,
+    _next,
     ftcs_update,
     simulate,
 )
@@ -77,54 +82,137 @@ def _horizon(exact: np.ndarray, cfg: SchemeConfig) -> int:
     return exact.shape[0] - 1
 
 
-def train_per_step(cfg: SchemeConfig, opt: OptimizerConfig, exact: np.ndarray) -> TrainingReport:
+def _descend(u: np.ndarray, target: np.ndarray, mu: np.ndarray, lr: np.ndarray,
+             lo: np.ndarray, hi: np.ndarray, cfg: SchemeConfig, n_iters: int) -> None:
+    """Run ``n_iters`` projected gradient steps on each row's one-step loss, in place on ``mu``.
+
+    Row b of the (B, N) arrays ``u``, ``mu``, ``lr``, ``lo`` and ``hi`` is one
+    problem; ``target`` is the shared next exact state. Each iteration is
+    grad_mu_instantaneous followed by mu <- clip(mu - lr*g, lo, hi), with
+    every elementwise operation in the same order, so the iterates are those
+    of that gradient bit for bit. The mu-independent factors A = c*(u_{i+1} +
+    u_i)/2, D = u_{i+1} - u_i and K = (dt/dx^2)*D are formed once per call;
+    the loop runs only ufuncs writing into preallocated buffers.
+    """
+    b, n = u.shape
+    dx = cfg.grid.dx
+    dt_dx, two_n = cfg.dt / dx, 2.0 / n
+    up = _next(u)
+    a = cfg.c * 0.5 * (up + u)
+    d = up - u
+    k = (cfg.dt / dx**2) * d
+    # Ghost columns turn both periodic differences into fixed views: column 0
+    # of ``flux`` repeats F_{N-1/2} ahead of F_{1/2} .. F_{N-1/2}, and column N
+    # of ``res`` repeats r_0 after r_0 .. r_{N-1}.
+    flux, res, t = np.empty((b, n + 1)), np.empty((b, n + 1)), np.empty((b, n))
+    f_here, f_before, f_ghost, f_last = flux[:, 1:], flux[:, :-1], flux[:, :1], flux[:, n:]
+    r_here, r_after, r_ghost, r_first = res[:, :n], res[:, 1:], res[:, n:], res[:, :1]
+    for _ in range(n_iters):
+        np.divide(mu, dx, out=t)
+        np.multiply(t, d, out=t)
+        np.subtract(a, t, out=f_here)  # F_{i+1/2} = A - (mu/dx)*D
+        f_ghost[...] = f_last
+        np.subtract(f_here, f_before, out=t)
+        np.multiply(dt_dx, t, out=t)
+        np.subtract(u, t, out=t)  # u' = u - (dt/dx)*(F_{i+1/2} - F_{i-1/2})
+        np.subtract(t, target, out=r_here)
+        np.multiply(two_n, r_here, out=r_here)  # r = (2/N)*(u' - target)
+        r_ghost[...] = r_first
+        np.subtract(r_here, r_after, out=t)
+        np.multiply(k, t, out=t)  # g = K*(r_i - r_{i+1})
+        np.multiply(lr, t, out=t)
+        np.subtract(mu, t, out=mu)
+        # clip(lo, hi) as its two ufuncs; ndarray.clip goes through Python.
+        np.maximum(mu, lo, out=mu)
+        np.minimum(mu, hi, out=mu)
+
+
+def train_per_step(
+    cfg: SchemeConfig,
+    opt: OptimizerConfig | tuple[OptimizerConfig, ...],
+    exact: np.ndarray,
+) -> TrainingReport | list[TrainingReport | DivergenceError]:
     """Greedy training: optimize each step's viscosity against the next exact state.
 
     Row m of ``exact`` is the exact state at time m*dt; row 0 is the initial
     state and the M + 1 rows set the M steps trained. The state advanced
     between steps is the numerical one (never reset to exact), so error
     accumulation is visible to later steps. Each step's mu starts from the
-    previous step's optimum. Divergence of the
-    advancing state halts training at that step; on the first step it raises
+    previous step's optimum.
+
+    Given one config, returns its TrainingReport. Divergence of the advancing
+    state halts training at that step; on the first step it raises
     DivergenceError with the initial state as the partial trajectory.
+
+    Given a tuple of configs sharing ``n_iters``, trains them together as
+    one batch on the same problem and returns one outcome per config: its
+    TrainingReport, or the DivergenceError of a run whose first step
+    diverged. A run that diverges leaves the batch at that step; the others
+    go on. Each outcome equals that of training its config alone, bit for
+    bit, and the single form is a batch of one.
     """
+    single = isinstance(opt, OptimizerConfig)
+    batch = (opt,) if single else tuple(opt)
+    if not batch:
+        raise ValueError("train_per_step needs at least one optimizer config")
+    n_iters = batch[0].n_iters
+    if any(o.n_iters != n_iters for o in batch):
+        raise ValueError("the configs of one batch must share n_iters")
     n_steps = _horizon(exact, cfg)
-    grid = cfg.grid
-    lr, lo, hi = opt.learning_rate, opt.mu_min, opt.mu_max
+    n = cfg.grid.n_cells
     bound = _guard_bound(exact[0])
 
-    mu = np.full(grid.n_cells, opt.resolve_init(cfg))
-    states = np.empty((n_steps + 1, grid.n_cells))
-    states[0] = exact[0]
-    mu_rows = np.empty((n_steps, grid.n_cells))
-    losses: list[float] = []
-    halted = False
+    def per_face(values) -> np.ndarray:
+        return np.repeat(np.array(values, dtype=float)[:, None], n, axis=1)
 
-    for n in range(n_steps):
-        u, target = states[n], exact[n + 1]
-        for _ in range(opt.n_iters):
-            g = grad_mu_instantaneous(u, target, mu, cfg)
-            mu = (mu - lr * g).clip(lo, hi)
+    lr_all = per_face([o.learning_rate for o in batch])
+    lo_all = per_face([o.mu_min for o in batch])
+    hi_all = per_face([o.mu_max for o in batch])
+    mu = per_face([o.resolve_init(cfg) for o in batch])
+    states = np.empty((len(batch), n_steps + 1, n))
+    states[:, 0] = exact[0]
+    mu_rows = np.empty((len(batch), n_steps, n))
+    losses: list[list[float]] = [[] for _ in batch]
+    rows = np.arange(len(batch))  # the runs still training, one per row of mu
+
+    for step in range(n_steps):
+        target = exact[step + 1]
+        u = states[rows, step]
+        _descend(u, target, mu, lr_all[rows], lo_all[rows], hi_all[rows], cfg, n_iters)
         u_next = ftcs_update(u, mu, cfg)
-        halted = _diverged(u_next, bound)
-        if halted:
-            break
-        err = u_next - target
-        losses.append(float(np.mean(err * err)))
-        mu_rows[n] = mu
-        states[n + 1] = u_next
+        going = [j for j in range(len(rows)) if not _diverged(u_next[j], bound)]
+        for j in going:
+            err = u_next[j] - target
+            losses[rows[j]].append(float(np.mean(err * err)))
+        states[rows[going], step + 1] = u_next[going]
+        mu_rows[rows[going], step] = mu[going]
+        if len(going) < len(rows):
+            rows, mu = rows[going], mu[going]
+            if rows.size == 0:
+                break
 
-    if not losses:
-        raise DivergenceError("training diverged on the very first step", step=0,
-                              trajectory=Trajectory(states[:1], cfg, mu_rows[:0]))
-    n_done = len(losses)
-    traj = Trajectory(states=states[: n_done + 1], config=cfg, viscosity_history=mu_rows[:n_done])
-    return TrainingReport(
-        loss_history=tuple(losses),
-        trajectory=traj,
-        converged=not halted,
-        divergence_events=int(halted),
-    )
+    outcomes: list[TrainingReport | DivergenceError] = []
+    for b, run_losses in enumerate(losses):
+        n_done = len(run_losses)
+        if n_done == 0:
+            outcomes.append(DivergenceError(
+                "training diverged on the very first step", step=0,
+                trajectory=Trajectory(states[b, :1], cfg, mu_rows[b, :0])))
+            continue
+        halted = n_done < n_steps
+        traj = Trajectory(states=states[b, : n_done + 1], config=cfg,
+                          viscosity_history=mu_rows[b, :n_done])
+        outcomes.append(TrainingReport(
+            loss_history=tuple(run_losses),
+            trajectory=traj,
+            converged=not halted,
+            divergence_events=int(halted),
+        ))
+    if single:
+        if isinstance(outcomes[0], DivergenceError):
+            raise outcomes[0]
+        return outcomes[0]
+    return outcomes
 
 
 def train_global(

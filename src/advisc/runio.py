@@ -3,13 +3,16 @@
 All numeric output uses 17 significant digits, which round-trips IEEE
 doubles exactly, so recomputing statistics from stored files reproduces the
 original values bit-for-bit. Space-time matrices carry a corner-labeled
-header row ``t\\x,x0,x1,...``; row n starts with the time of state n. The
-manifest is written last, atomically, as the completion marker of a run.
+header row ``t\\x,x0,x1,...``; row n starts with the time of state n. JSON
+files are strict JSON: a non-finite float is written as the string "inf",
+"-inf" or "nan". The manifest is written last, atomically, as the completion
+marker of a run.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
 from collections.abc import Iterable
@@ -95,8 +98,28 @@ def write_columns_csv(path: str | Path, header: list[str], columns: list[np.ndar
                  (line % tuple(row) for row in np.column_stack(columns).tolist()))
 
 
+NON_FINITE_NAMES = ("inf", "-inf", "nan")
+
+
+def _finite_json(value):
+    """``value`` with each non-finite float replaced by its name, one of
+    NON_FINITE_NAMES, which strict JSON has no number for."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(float(value))
+    if isinstance(value, dict):
+        return {key: _finite_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(item) for item in value]
+    return value
+
+
+def _dumps(payload: dict) -> str:
+    """Strict JSON of ``payload``: a non-finite float is written as its name."""
+    return json.dumps(_finite_json(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def write_json(path: str | Path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(_dumps(payload))
 
 
 def read_json(path: str | Path) -> dict:
@@ -116,7 +139,7 @@ def write_manifest(directory: str | Path, payload: dict) -> None:
     """Atomic write (temp file + rename): presence marks a completed run."""
     directory = Path(directory)
     tmp = directory / (MANIFEST_NAME + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    tmp.write_text(_dumps(payload))
     os.replace(tmp, directory / MANIFEST_NAME)
 
 

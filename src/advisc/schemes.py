@@ -148,13 +148,14 @@ def _flux(u: np.ndarray, mu: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
 def ftcs_update(u: np.ndarray, mu: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
     """The FTCS kernel on plain arrays: u' = u - (dt/dx)*(F_{i+1/2} - F_{i-1/2}).
 
-    ``u`` (cells) and ``mu`` (faces) are float arrays of length n_cells; the
-    new state is returned as a fresh array. ``simulate``, both trainers, the
-    instantaneous gradient and ``analyze`` all step through here.
+    ``u`` (cells) and ``mu`` (faces) are float arrays of one shape (..., n_cells):
+    a state, or a stack of states stepped row by row, each row bit for bit as
+    if stepped alone. The new state is returned as a fresh array. ``simulate``,
+    both trainers, the instantaneous gradient and ``analyze`` all step through here.
     """
     n = cfg.grid.n_cells
-    if u.shape != (n,) or mu.shape != (n,):
-        raise ValueError(f"u and mu must have shape ({n},), got {u.shape} and {mu.shape}")
+    if u.shape[-1:] != (n,) or mu.shape != u.shape:
+        raise ValueError(f"u and mu must have one shape (..., {n}), got {u.shape} and {mu.shape}")
     flux = _flux(u, mu, cfg)
     return u - (cfg.dt / cfg.grid.dx) * (flux - _prev(flux))
 

@@ -44,9 +44,10 @@ def test_traced_train_records_the_reported_layers(tmp_path, monkeypatch):
     assert code == 0
     assert tracer.wrappers_left() == []
     spans = tracing.report()["spans"]
-    for name in ("schemes.ftcs_update", "adjoint.grad_mu_instantaneous",
-                 "optimizer.train_per_step"):
-        assert spans[name]["calls"] > 0, name
+    assert spans["optimizer.train_per_step"]["calls"] > 0
+    # The per-step trainer steps the state once per step through the kernel and
+    # runs its inner iterations without a call into the library.
+    assert spans["schemes.ftcs_update"]["calls"] == 5
     # States and viscosities cross the library as plain arrays, so a run builds
     # no field container and the benchmark's grid.containers metrics read 0.
     assert spans["grid.containers"]["calls"] == 0

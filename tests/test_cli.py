@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from advisc.cli import main
+from advisc.presets import STUDIES, nonneg_variant, preset_config
 from advisc.runio import read_manifest, read_matrix_csv, read_series_csv
 
 BASE = """
@@ -424,6 +426,38 @@ class TestAnalyzeCommand:
         assert "stored=inf recomputed=inf" in {c["detail"] for c in analysis["checks"]}
         assert [c["name"] for c in analysis["checks"] if not c["passed"]] == ["run_status_ok"]
 
+    def test_non_finite_statistics_written_as_strict_json(self, tmp_path):
+        cfg_path, out = write_config(tmp_path, scheme="lax_wendroff", n_cells=20,
+                                     t_final=0.05, kind="hat\namplitude = 1e308")
+        cfg_path.write_text(cfg_path.read_text().replace("dt = 0.001", "dt = 0.01"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", str(cfg_path)]) == 2
+
+            def reject(name):
+                raise AssertionError(f"non-strict JSON constant {name}")
+
+            summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+            json.loads((out / "manifest.json").read_text(), parse_constant=reject)
+            assert summary["stats"]["entropy_initial"] == "inf"
+            assert main(["analyze", str(out)]) == 1
+        analysis = json.loads((out / "analysis.json").read_text(), parse_constant=reject)
+        checks = {c["name"]: c for c in analysis["checks"]}
+        assert [name for name, c in checks.items() if not c["passed"]] == ["run_status_ok"]
+        assert checks["stat:entropy_initial"]["detail"] == "stored=inf recomputed=inf"
+        assert checks["entropy_series_consistent"]["detail"] == "max diff 0.000e+00"
+
+    def test_analyze_fails_stored_infinite_entropy_against_finite(self, tmp_path):
+        cfg_path, out = write_config(tmp_path, t_final=0.01)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        times, entropy = read_series_csv(out / "entropy.csv")
+        entropy[3] = np.inf
+        lines = ["t,entropy"] + ["%.17g,%.17g" % row for row in zip(times, entropy)]
+        (out / "entropy.csv").write_text("\n".join(lines) + "\n")
+        assert main(["analyze", str(out)]) == 1
+        analysis = json.loads((out / "analysis.json").read_text())
+        failed = {c["name"]: c["detail"] for c in analysis["checks"] if not c["passed"]}
+        assert failed == {"entropy_series_consistent": "max diff inf"}
+
     def test_analyze_fails_statistics_missing_from_summary(self, tmp_path):
         cfg_path, out = write_config(
             tmp_path, scheme="ftcs_mu", n_cells=32, t_final=0.03,
@@ -560,6 +594,37 @@ class TestReproduceCommand:
         assert comparison["nonneg"]["stats"]["max_abs_final"] < \
             comparison["signed"]["stats"]["max_abs_final"]
         assert read_manifest(out)["subruns"] == ["signed", "nonneg"]
+
+
+    def test_every_study_trains_one_preset(self):
+        # cmd_reproduce trains a study's runs on one problem in one batched call
+        for runs, _ in STUDIES.values():
+            assert len({preset for _, preset, _ in runs}) == 1
+
+    def test_study_writes_the_files_of_separate_train_commands(self, tmp_path, monkeypatch):
+        import advisc.cli
+
+        def short(name, out_dir="out"):
+            return replace(preset_config(name, out_dir), t_final=0.01)
+
+        monkeypatch.setattr(advisc.cli, "preset_config", short)
+        study = tmp_path / "study"
+        assert main(["reproduce", "--preset", "sine-smooth", "--out", str(study)]) == 0
+        for subdir, preset, nonneg in STUDIES["sine-smooth"][0]:
+            config = short(preset, str(tmp_path / "alone" / subdir))
+            assert advisc.cli.cmd_train(nonneg_variant(config) if nonneg else config) == 0
+            batched, alone = study / subdir, tmp_path / "alone" / subdir
+            names = sorted(p.name for p in batched.iterdir())
+            assert names == sorted(p.name for p in alone.iterdir())
+            for name in names:
+                if name == "manifest.json":
+                    continue
+                assert (batched / name).read_bytes() == (alone / name).read_bytes(), name
+            manifests = [read_manifest(d) for d in (batched, alone)]
+            for manifest in manifests:
+                del manifest["wall_clock_seconds"]
+                del manifest["config"]["output"]
+            assert manifests[0] == manifests[1]
 
 
 class TestRerunFromManifestEcho:

@@ -23,6 +23,7 @@ from advisc.runio import (
     read_manifest,
     read_matrix_csv,
     read_series_csv,
+    write_json,
     write_manifest,
     write_matrix_csv,
     write_series_csv,
@@ -340,3 +341,15 @@ class TestManifest:
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_manifest(tmp_path)
+
+    def test_non_finite_floats_written_as_names(self, tmp_path):
+        payload = {"stats": {"a": float("inf"), "b": -np.inf, "c": np.float64("nan"), "d": 0.5},
+                   "rows": [1.0, float("-inf")], "pair": (2, float("inf"))}
+        write_manifest(tmp_path, payload)
+        write_json(tmp_path / "summary.json", payload)
+        for path in (tmp_path / "manifest.json", tmp_path / "summary.json"):
+            def reject(name):
+                raise AssertionError(f"non-strict constant {name} in {path.name}")
+            stored = json.loads(path.read_text(), parse_constant=reject)
+            assert stored == {"stats": {"a": "inf", "b": "-inf", "c": "nan", "d": 0.5},
+                              "rows": [1.0, "-inf"], "pair": [2, "inf"]}

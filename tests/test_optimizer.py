@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from advisc.grid import HatProfile, exact_solution, make_grid
+from advisc.grid import HatProfile, exact_solution, make_grid, sine_solution
 from advisc.optimizer import (
     OptimizerConfig,
     constant_mu_grid_search,
     train_global,
     train_per_step,
 )
+from advisc.presets import nonneg_variant, preset_config
 from advisc.schemes import DivergenceError, SchemeConfig, simulate
 
 from oracles import reference_train_per_step
@@ -111,6 +114,77 @@ class TestTrainPerStep:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError):
                 train_per_step(cfg, OptimizerConfig(n_iters=2), exact)
+
+
+def preset_pair(name, t_final):
+    """Scheme config, exact states and the signed/non-negative optimizer pair of a preset."""
+    cfg = replace(preset_config(name), t_final=t_final)
+    scheme_cfg = cfg.scheme_config()
+    times = np.arange(cfg.n_steps + 1) * cfg.dt
+    if cfg.ic.kind == "hat":
+        exact = exact_solution(cfg.ic.hat_profile(), scheme_cfg.grid, cfg.c, times)
+    else:
+        exact = sine_solution(scheme_cfg.grid, cfg.c, times, cfg.ic.wavenumber, cfg.ic.amplitude)
+    return scheme_cfg, exact, (cfg.training.optimizer, nonneg_variant(cfg).training.optimizer)
+
+
+def assert_same_report(batched, alone):
+    assert np.array_equal(batched.trajectory.states, alone.trajectory.states)
+    assert np.array_equal(batched.trajectory.viscosity_history,
+                          alone.trajectory.viscosity_history)
+    assert batched.loss_history == alone.loss_history
+    assert (batched.converged, batched.divergence_events) == \
+        (alone.converged, alone.divergence_events)
+
+
+class TestBatchedPerStep:
+    @pytest.mark.parametrize("preset", ["paper-hat", "sine-smooth"])
+    def test_pair_matches_separate_runs_bit_for_bit(self, preset):
+        cfg, exact, pair = preset_pair(preset, t_final=0.02)
+        batched = train_per_step(cfg, pair, exact)
+        assert len(batched) == 2
+        for report, opt in zip(batched, pair):
+            assert_same_report(report, train_per_step(cfg, opt, exact))
+        # the pair differs, so each row really trained with its own bounds
+        assert not np.array_equal(batched[0].trajectory.viscosity_history,
+                                  batched[1].trajectory.viscosity_history)
+
+    def test_diverging_row_halts_while_partner_completes(self):
+        grid = make_grid(100, 1.0)
+        cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
+        _, exact = hat_problem(cfg, 60)
+        stable = OptimizerConfig(learning_rate=1e-12, n_iters=2)
+        unstable = OptimizerConfig(learning_rate=1e-12, n_iters=2, mu_min=-0.06, mu_max=-0.05)
+        diverging, completing = train_per_step(cfg, (unstable, stable), exact)
+        assert not diverging.converged and diverging.divergence_events == 1
+        assert 0 < diverging.trajectory.n_steps < 60
+        assert completing.converged and completing.trajectory.n_steps == 60
+        assert_same_report(diverging, train_per_step(cfg, unstable, exact))
+        assert_same_report(completing, train_per_step(cfg, stable, exact))
+
+    def test_row_diverging_on_first_step_returns_its_error(self):
+        cfg, u0, exact = toy_problem()
+        # a viscosity of -1e8 amplifies the hat's jumps past the guard at once
+        doomed = OptimizerConfig(n_iters=3, mu_min=-1e8, mu_max=-1e8)
+        partner = OptimizerConfig(n_iters=3)
+        error, report = train_per_step(cfg, (doomed, partner), exact)
+        assert isinstance(error, DivergenceError)
+        assert error.step == 0
+        assert np.array_equal(error.trajectory.states, u0[None])
+        assert error.trajectory.viscosity_history.shape == (0, 16)
+        assert_same_report(report, train_per_step(cfg, partner, exact))
+        with pytest.raises(DivergenceError):
+            train_per_step(cfg, doomed, exact)
+
+    def test_configs_with_different_n_iters_rejected(self):
+        cfg, _, exact = toy_problem()
+        with pytest.raises(ValueError, match="n_iters"):
+            train_per_step(cfg, (OptimizerConfig(n_iters=3), OptimizerConfig(n_iters=4)), exact)
+
+    def test_empty_batch_rejected(self):
+        cfg, _, exact = toy_problem()
+        with pytest.raises(ValueError):
+            train_per_step(cfg, (), exact)
 
 
 class TestExactTargets:

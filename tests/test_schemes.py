@@ -80,6 +80,22 @@ class TestFtcsStep:
         with pytest.raises(ValueError):
             ftcs_update(np.zeros(4), np.zeros(4), cfg)
 
+    def test_stack_matches_row_by_row_bit_for_bit(self):
+        cfg = small_config(n=9, length=0.09)
+        rng = np.random.default_rng(4)
+        u = rng.uniform(-1, 1, (2, 9))
+        mu = rng.uniform(-0.005, 0.095, (2, 9))
+        stepped = ftcs_update(u, mu, cfg)
+        assert stepped.shape == (2, 9)
+        for row in range(2):
+            assert np.array_equal(stepped[row], ftcs_update(u[row], mu[row], cfg))
+
+    def test_stack_rejects_mu_of_another_shape(self):
+        cfg = small_config(n=9, length=0.09)
+        for mu in (np.zeros(9), np.zeros((1, 9)), np.zeros((3, 9))):  # the first two would broadcast
+            with pytest.raises(ValueError):
+                ftcs_update(np.zeros((2, 9)), mu, cfg)
+
     def test_matches_loop_oracle(self):
         cfg = small_config(n=9, length=0.09)
         rng = np.random.default_rng(2)
