@@ -2,8 +2,8 @@
 and reproduce the reference experiments.
 
 Exit codes: 0 success, 1 analysis check failure, 2 divergence,
-3 configuration or command-line usage error, 4 I/O error, 5 optimizer
-non-convergence.
+3 configuration or command-line usage error, 4 unreadable or corrupt file,
+5 optimizer non-convergence.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from .presets import PRESET_NAMES, STUDIES, nonneg_variant, preset_config
 from .runio import (
     MANIFEST_NAME,
     NON_FINITE_NAMES,
+    CorruptRunError,
+    read_columns_csv,
     read_json,
     read_manifest,
     read_matrix_csv,
@@ -51,6 +53,13 @@ EXIT_IO = 4
 EXIT_NO_CONVERGENCE = 5
 
 ANALYSIS_NAME = "analysis.json"
+FINAL_STATE_HEADER = ["x", "u", "exact", "error"]
+MU_FINAL_HEADER = ["x_face", "mu_raw", "mu_normalized"]
+# The files analyze has a check for: each file a run, a training run or a
+# study writes. A listed file outside its set fails manifest_complete.
+RUN_FILES = {"solution.csv", "final_state.csv", "entropy.csv", "summary.json", MANIFEST_NAME}
+TRAINING_FILES = {"mu.csv", "mu_final.csv", "loss_history.csv"}
+STUDY_FILES = {"comparison.json", MANIFEST_NAME}
 
 
 def _exact(cfg: ExperimentConfig, grid: Grid1D, t: float | np.ndarray) -> np.ndarray:
@@ -64,6 +73,25 @@ def _build_problem(cfg: ExperimentConfig) -> tuple[SchemeConfig, np.ndarray]:
     """Scheme config and the (n_steps + 1, N) exact states of a run; row 0 is its initial state."""
     scheme_cfg = cfg.scheme_config()
     return scheme_cfg, _exact(cfg, scheme_cfg.grid, np.arange(cfg.n_steps + 1) * cfg.dt)
+
+
+def _final_state_columns(grid: Grid1D, final: np.ndarray, exact_final: np.ndarray) -> list:
+    """final_state.csv's columns, named by FINAL_STATE_HEADER."""
+    return [grid.cell_centers, final, exact_final, final - exact_final]
+
+
+def _mu_final_columns(grid: Grid1D, mu_last: np.ndarray) -> list:
+    """mu_final.csv's columns, named by MU_FINAL_HEADER; the normalized column
+    is zero where max|mu_last| is."""
+    scale = float(np.max(np.abs(mu_last)))
+    normalized = mu_last / scale if scale > 0 else np.zeros_like(mu_last)
+    return [grid.face_positions, mu_last, normalized]
+
+
+def _loss_stats(losses) -> dict:
+    """summary.json's statistics of a non-empty loss history."""
+    return {"loss_first": losses[0], "loss_last": losses[-1], "loss_best": min(losses),
+            "n_recorded_losses": len(losses)}
 
 
 def _mu_summary(cfg: ExperimentConfig, traj: Trajectory) -> dict:
@@ -128,10 +156,13 @@ def _write_run(
     report: TrainingReport | None = None,
     extra: dict | None = None,
 ) -> None:
-    """Write a run's CSVs, summary.json and manifest; a halted run's CSVs are partial."""
+    """Write a run's files, each of which analyze checks: solution.csv,
+    final_state.csv, entropy.csv and summary.json, plus mu.csv, mu_final.csv
+    and loss_history.csv for a training run, then the manifest. A halted run's
+    CSVs are partial. The full error field is not written: it is solution.csv
+    minus the exact solution, which the config reproduces."""
     grid = traj.config.grid
     times = traj.times
-    exact = exact[: traj.n_steps + 1]
     files: list[dict] = []
 
     def record(name: str, role: str) -> None:
@@ -139,16 +170,10 @@ def _write_run(
 
     write_matrix_csv(out_dir / "solution.csv", times, traj.states)
     record("solution.csv", "solution")
-    final = traj.states[-1]
-    exact_final = exact[-1]
-    write_columns_csv(
-        out_dir / "final_state.csv",
-        ["x", "u", "exact", "error"],
-        [grid.cell_centers, final, exact_final, final - exact_final],
-    )
+    exact_final = exact[traj.n_steps]
+    write_columns_csv(out_dir / "final_state.csv", FINAL_STATE_HEADER,
+                      _final_state_columns(grid, traj.states[-1], exact_final))
     record("final_state.csv", "final_state")
-    write_matrix_csv(out_dir / "error.csv", times, traj.states - exact)
-    record("error.csv", "error_field")
     write_series_csv(out_dir / "entropy.csv", "t", "entropy", times,
                      entropy_series(traj.states, grid.dx))
     record("entropy.csv", "entropy_series")
@@ -159,14 +184,8 @@ def _write_run(
         mu = traj.viscosity_history
         write_matrix_csv(out_dir / "mu.csv", times[:-1], mu)
         record("mu.csv", "mu_spacetime")
-        mu_last = mu[-1]
-        scale = float(np.max(np.abs(mu_last)))
-        normalized = mu_last / scale if scale > 0 else np.zeros_like(mu_last)
-        write_columns_csv(
-            out_dir / "mu_final.csv",
-            ["x_face", "mu_raw", "mu_normalized"],
-            [grid.face_positions, mu_last, normalized],
-        )
+        write_columns_csv(out_dir / "mu_final.csv", MU_FINAL_HEADER,
+                          _mu_final_columns(grid, mu[-1]))
         record("mu_final.csv", "mu_snapshot")
         write_series_csv(
             out_dir / "loss_history.csv", "iter", "loss",
@@ -178,10 +197,7 @@ def _write_run(
             "mode": cfg.training.mode,
             "converged": report.converged,
             "divergence_events": report.divergence_events,
-            "loss_first": report.loss_history[0],
-            "loss_last": report.loss_history[-1],
-            "loss_best": min(report.loss_history),
-            "n_recorded_losses": len(report.loss_history),
+            **_loss_stats(report.loss_history),
         }
         summary["verdicts"] = {
             "entropy_nonincreasing_global": stats["entropy_final"] <= stats["entropy_initial"],
@@ -199,7 +215,7 @@ def _write_run(
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
-    """Simulate the configured scheme and write solution/error/entropy artifacts."""
+    """Simulate the configured scheme and write its solution, final state and entropy."""
     t_start = time.time()
     out_dir = Path(cfg.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -306,9 +322,54 @@ def _replay_error(states: np.ndarray, mu_rows: np.ndarray, cfg: SchemeConfig) ->
     return worst
 
 
-def _check_run(out_dir: Path, manifest: dict, listed: set[str], check) -> None:
-    """Recompute a run's diagnostics from its stored CSVs and check them against
-    its summary.json and its scheme."""
+def _read_run_matrix(path: Path, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """read_matrix_csv of a run's solution.csv or mu.csv, which have one column
+    per cell or face; another width raises CorruptRunError."""
+    times, values = read_matrix_csv(path)
+    if values.shape[1] != n_cells:
+        raise CorruptRunError(f"{path} has {values.shape[1]} columns for {n_cells} cells")
+    return times, values
+
+
+def _unnamed(value):
+    """A stored JSON value with a non-finite float's name read back as that float."""
+    return float(value) if value in NON_FINITE_NAMES else value
+
+
+def _columns_match(path: Path, header: list[str], expected: list) -> tuple[bool, str]:
+    """Whether a columns CSV holds exactly ``expected``, bit for bit; entries
+    that are nan in both count as equal. Returns the verdict and its detail."""
+    stored = read_columns_csv(path, header)
+    if len(stored) != len(expected[0]):
+        return False, f"{len(stored)} rows for {len(expected[0])} entries"
+    bad = [name for name, column, want in zip(header, stored.T, expected)
+           if not np.array_equal(column, want, equal_nan=True)]
+    return not bad, f"mismatched columns {bad}"
+
+
+def _loss_history_match(path: Path, training: dict) -> tuple[bool, str]:
+    """Whether loss_history.csv counts its iterations from 0 and gives the loss
+    statistics stored in summary.json's training block, bit for bit."""
+    iters, losses = read_series_csv(path)
+    if len(losses) == 0:
+        return False, "0 rows"
+    bad = [] if np.array_equal(iters, np.arange(len(losses))) else ["iter"]
+    for key, value in _loss_stats(losses.tolist()).items():
+        stored = _unnamed(training.get(key))
+        if not (stored == value or (stored != stored and value != value)):  # nan equals nan
+            bad.append(key)
+    return not bad, f"mismatched {bad}"
+
+
+def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
+    """Check every file of a run against what its config and its other files
+    give: recompute the diagnostics from solution.csv and check them against
+    summary.json and entropy.csv, replay the scheme, and check final_state.csv
+    against the last state and the exact solution. A training run's mu.csv is
+    replayed too, mu_final.csv is checked against its last row, and
+    loss_history.csv against summary.json's loss statistics. The final-state
+    and training checks are bit-exact. A solution.csv or mu.csv that is not
+    n_cells wide raises CorruptRunError."""
     cfg = config_from_dict(manifest["config"])
     summary = read_json(out_dir / "summary.json")
     scheme_cfg = cfg.scheme_config()
@@ -319,16 +380,17 @@ def _check_run(out_dir: Path, manifest: dict, listed: set[str], check) -> None:
         """Check each recomputed value against its stored one; a missing stored
         value fails, and equal values pass even where both are infinite."""
         for key, value in recomputed.items():
-            stored = stored_block.get(key)
-            if stored in NON_FINITE_NAMES:
-                stored = float(stored)
+            stored = _unnamed(stored_block.get(key))
             ok = stored is not None and (
                 stored == value or abs(stored - value) <= tolerance * max(1.0, abs(stored)))
             check(f"{prefix}:{key}", ok, f"stored={stored!r} recomputed={value!r}")
 
-    times, states = read_matrix_csv(out_dir / "solution.csv")
-    compare("stat", summary.get("stats", {}),
-            summary_stats(states, _exact(cfg, grid, times[-1]), grid.dx))
+    times, states = _read_run_matrix(out_dir / "solution.csv", grid.n_cells)
+    exact_final = _exact(cfg, grid, times[-1])
+    compare("stat", summary.get("stats", {}), summary_stats(states, exact_final, grid.dx))
+    check("final_state_consistent", *_columns_match(
+        out_dir / "final_state.csv", FINAL_STATE_HEADER,
+        _final_state_columns(grid, states[-1], exact_final)))
 
     _, stored_entropy = read_series_csv(out_dir / "entropy.csv")
     entropy = entropy_series(states, grid.dx)
@@ -348,8 +410,8 @@ def _check_run(out_dir: Path, manifest: dict, listed: set[str], check) -> None:
         worst = _replay_error(states, mu_rows, scheme_cfg)
         check("scheme_equivalence", worst < 1e-13, f"{label}: max rel err {worst:.3e}")
 
-    if "mu.csv" in listed and cfg.scheme == "ftcs_mu":
-        _, mu_values = read_matrix_csv(out_dir / "mu.csv")
+    if training:
+        _, mu_values = _read_run_matrix(out_dir / "mu.csv", grid.n_cells)
         if len(mu_values) == len(states) - 1:
             worst = _replay_error(states, mu_values, scheme_cfg)
             ok, detail = worst < 1e-13, f"max rel err {worst:.3e}"
@@ -357,6 +419,10 @@ def _check_run(out_dir: Path, manifest: dict, listed: set[str], check) -> None:
             ok, detail = False, f"{len(mu_values)} rows for {len(states) - 1} steps"
         check("stored_steps_consistent", ok, detail)
         compare("mu", summary.get("mu", {}), mu_summary(mu_values))
+        check("mu_final_consistent", *_columns_match(
+            out_dir / "mu_final.csv", MU_FINAL_HEADER, _mu_final_columns(grid, mu_values[-1])))
+        check("loss_history_consistent", *_loss_history_match(
+            out_dir / "loss_history.csv", summary.get("training", {})))
 
 
 def _check_study(out_dir: Path, manifest: dict, check) -> None:
@@ -364,11 +430,11 @@ def _check_study(out_dir: Path, manifest: dict, check) -> None:
     holds each subrun's summary.json and the recomputed oracle MSEs, and that the
     study's claims give its verdicts."""
     if manifest["preset"] not in STUDIES:
-        raise ValueError(f"{out_dir / MANIFEST_NAME} names no known study")
+        raise CorruptRunError(f"{out_dir / MANIFEST_NAME} names no known study")
     comparison = read_json(out_dir / "comparison.json")
     for subrun in manifest["subruns"]:
         if not _is_plain_name(subrun):
-            raise ValueError(f"{out_dir / MANIFEST_NAME} lists subrun {subrun!r}")
+            raise CorruptRunError(f"{out_dir / MANIFEST_NAME} lists subrun {subrun!r}")
         code = cmd_analyze(out_dir / subrun)
         check(f"subrun:{subrun}", code == EXIT_OK, f"analyze exited {code}")
         key = subrun.replace("-", "_")
@@ -395,8 +461,10 @@ def cmd_analyze(directory: str | Path) -> int:
     is_study = "subruns" in manifest
     for block in ("preset" if is_study else "config", "files"):
         if block not in manifest:
-            raise ValueError(f"{out_dir / MANIFEST_NAME} has no {block!r} block")
+            raise CorruptRunError(f"{out_dir / MANIFEST_NAME} has no {block!r} block")
     listed = {entry["name"] for entry in manifest["files"]}
+    training = "mu.csv" in listed
+    checked = STUDY_FILES if is_study else RUN_FILES | (TRAINING_FILES if training else set())
 
     checks: list[dict] = []
 
@@ -408,12 +476,15 @@ def cmd_analyze(directory: str | Path) -> int:
         p.name for p in out_dir.iterdir()
         if p.is_file() and p.name not in listed and p.name != ANALYSIS_NAME
     )
-    check("manifest_complete", not missing and not unlisted,
-          f"missing={missing} unlisted={unlisted}")
+    unchecked = sorted(listed - checked)  # e.g. an error.csv of an older version
+    detail = f"missing={missing} unlisted={unlisted}"
+    if unchecked:
+        detail += f" unchecked={unchecked}"
+    check("manifest_complete", not missing and not unlisted and not unchecked, detail)
     if is_study:
         _check_study(out_dir, manifest, check)
     else:
-        _check_run(out_dir, manifest, listed, check)
+        _check_run(out_dir, manifest, training, check)
     check("run_status_ok", manifest.get("status") == "ok",
           f"status={manifest.get('status')!r}")
 
@@ -544,7 +615,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as err:
         print(f"divergence: {err}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (OSError, FileNotFoundError, ValueError) as err:
+    except (OSError, CorruptRunError) as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO
 

@@ -6,7 +6,8 @@ original values bit-for-bit. Space-time matrices carry a corner-labeled
 header row ``t\\x,x0,x1,...``; row n starts with the time of state n. JSON
 files are strict JSON: a non-finite float is written as the string "inf",
 "-inf" or "nan". The manifest is written last, atomically, as the completion
-marker of a run.
+marker of a run. A file that cannot be parsed, or holds what no writer
+writes, raises ``CorruptRunError``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
+
+
+class CorruptRunError(ValueError):
+    """A stored run file that is unreadable or inconsistent with its run."""
 
 
 def _write_lines(path: str | Path, header: str, lines: Iterable[str]) -> None:
@@ -50,20 +55,20 @@ def _read_rows(f, path: str | Path) -> np.ndarray:
         try:
             return np.loadtxt(f, delimiter=",", ndmin=2)
         except ValueError as err:
-            raise ValueError(f"{path}: {err}") from err
+            raise CorruptRunError(f"{path}: {err}") from err
 
 
 def read_matrix_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of write_matrix_csv; returns (times, matrix)."""
     with open(path) as f:
         if not f.readline().startswith("t\\x,"):
-            raise ValueError(f"{path} is not a space-time matrix CSV")
+            raise CorruptRunError(f"{path} is not a space-time matrix CSV")
         data = _read_rows(f, path)
     if data.shape[0] == 0:
-        raise ValueError(f"{path} has no data rows")
+        raise CorruptRunError(f"{path} has no data rows")
     # Every matrix a run writes is finite; anything else is a corrupt file.
     if not np.isfinite(data).all():
-        raise ValueError(f"{path} has non-finite entries")
+        raise CorruptRunError(f"{path} has non-finite entries")
     return data[:, 0].copy(), np.ascontiguousarray(data[:, 1:])
 
 
@@ -79,12 +84,12 @@ def read_series_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of write_series_csv; returns (keys, values), empty for a header-only file."""
     with open(path) as f:
         if "," not in f.readline():
-            raise ValueError(f"{path} is not a two-column series CSV")
+            raise CorruptRunError(f"{path} is not a two-column series CSV")
         data = _read_rows(f, path)
     if data.shape[0] == 0:
         return np.empty(0), np.empty(0)
     if data.shape[1] != 2:
-        raise ValueError(f"{path}: expected 2 columns, got {data.shape[1]}")
+        raise CorruptRunError(f"{path}: expected 2 columns, got {data.shape[1]}")
     return data[:, 0].copy(), data[:, 1].copy()
 
 
@@ -96,6 +101,20 @@ def write_columns_csv(path: str | Path, header: list[str], columns: list[np.ndar
     line = ",".join(["%.17g"] * len(columns))
     _write_lines(path, ",".join(header),
                  (line % tuple(row) for row in np.column_stack(columns).tolist()))
+
+
+def read_columns_csv(path: str | Path, header: list[str]) -> np.ndarray:
+    """Inverse of write_columns_csv for a file with exactly ``header``; returns
+    an array with one column per header name, empty for a header-only file."""
+    with open(path) as f:
+        if f.readline().rstrip("\n") != ",".join(header):
+            raise CorruptRunError(f"{path} does not have the header {','.join(header)}")
+        data = _read_rows(f, path)
+    if data.shape[0] == 0:
+        return np.empty((0, len(header)))
+    if data.shape[1] != len(header):
+        raise CorruptRunError(f"{path}: expected {len(header)} columns, got {data.shape[1]}")
+    return data
 
 
 NON_FINITE_NAMES = ("inf", "-inf", "nan")
@@ -129,7 +148,7 @@ def read_json(path: str | Path) -> dict:
     try:
         return json.loads(p.read_text())
     except json.JSONDecodeError as err:
-        raise ValueError(f"corrupt JSON in {p}: {err}") from err
+        raise CorruptRunError(f"corrupt JSON in {p}: {err}") from err
 
 
 MANIFEST_NAME = "manifest.json"

@@ -248,7 +248,7 @@ def test_criterion_10_determinism_and_round_trip(tmp_path):
         outs.append(out)
     identical = all(
         (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-        for name in ("solution.csv", "mu.csv", "error.csv", "loss_history.csv",
+        for name in ("solution.csv", "mu.csv", "loss_history.csv",
                      "entropy.csv", "final_state.csv", "mu_final.csv", "summary.json")
     )
     analyze_code = main(["analyze", str(outs[0])])

@@ -35,6 +35,24 @@ mu_max = 0.095
 """
 
 
+def change_one_digit(path, row, column):
+    """Change one early digit of a CSV value, so that it parses to another
+    double; row 0 is the first data row."""
+    lines = path.read_text().splitlines()
+    cells = lines[row + 1].split(",")
+    old = cells[column]
+    i = [k for k, ch in enumerate(old) if ch.isdigit()][:4][-1]
+    cells[column] = old[:i] + str((int(old[i]) + 1) % 10) + old[i + 1:]
+    assert float(cells[column]) != float(old)
+    lines[row + 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def failed_checks(out):
+    analysis = json.loads((out / "analysis.json").read_text())
+    return {c["name"]: c["detail"] for c in analysis["checks"] if not c["passed"]}
+
+
 def write_config(tmp_path, name="exp.cfg", scheme="upwind", n_cells=100, t_final=0.05,
                  kind="hat", directory=None, extra_sim="", training=""):
     directory = directory or str(tmp_path / "out")
@@ -52,7 +70,7 @@ class TestRunCommand:
         times, states = read_matrix_csv(out / "solution.csv")
         assert states.shape == (151, 100)  # 150 steps plus the initial state
         assert times[-1] == pytest.approx(0.15)
-        for name in ("final_state.csv", "error.csv", "entropy.csv",
+        for name in ("final_state.csv", "entropy.csv",
                      "summary.json", "manifest.json"):
             assert (out / name).is_file()
 
@@ -167,6 +185,23 @@ class TestRunCommand:
         (out / "notes.txt").unlink()
         assert main(["analyze", str(out)]) == 0
 
+    def test_run_writes_no_error_field(self, tmp_path):
+        cfg_path, out = write_config(tmp_path, t_final=0.01)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        assert not (out / "error.csv").exists()
+        assert "error.csv" not in {entry["name"] for entry in read_manifest(out)["files"]}
+
+    def test_rerun_clears_error_field_an_older_manifest_lists(self, tmp_path):
+        cfg_path, out = write_config(tmp_path, t_final=0.01)
+        out.mkdir()
+        (out / "error.csv").write_text("t\\x,x0\n0,0\n")
+        (out / "manifest.json").write_text(json.dumps(
+            {"files": [{"name": "error.csv", "role": "error_field"},
+                       {"name": "manifest.json", "role": "manifest"}]}))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        assert not (out / "error.csv").exists()
+        assert main(["analyze", str(out)]) == 0
+
     def test_out_flag_overrides_directory(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, t_final=0.01)
         override = tmp_path / "elsewhere"
@@ -260,8 +295,17 @@ class TestTrainCommand:
             )
             assert main(["train", "--config", str(cfg_path)]) == 0
             results.append(out)
-        for name in ("solution.csv", "mu.csv", "loss_history.csv", "error.csv"):
+        for name in ("solution.csv", "mu.csv", "loss_history.csv"):
             assert (results[0] / name).read_bytes() == (results[1] / name).read_bytes()
+
+    def test_train_writes_no_error_field(self, tmp_path):
+        cfg_path, out = write_config(
+            tmp_path, scheme="ftcs_mu", n_cells=16, t_final=0.01,
+            training=TRAINING.format(n_iters=5, mu_min=-0.005),
+        )
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        assert not (out / "error.csv").exists()
+        assert "error.csv" not in {entry["name"] for entry in read_manifest(out)["files"]}
 
     def test_divergent_training_exits_2(self, tmp_path):
         cfg_path, out = write_config(
@@ -409,6 +453,73 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert "manifest.json" in err and repr(block) in err
 
+    @pytest.mark.parametrize("name, row, column, check, mismatch", [
+        ("final_state.csv", 20, 0, "final_state_consistent", "['x']"),
+        ("final_state.csv", 20, 1, "final_state_consistent", "['u']"),
+        ("final_state.csv", 20, 2, "final_state_consistent", "['exact']"),
+        ("final_state.csv", 20, 3, "final_state_consistent", "['error']"),
+        ("mu_final.csv", 5, 0, "mu_final_consistent", "['x_face']"),
+        ("mu_final.csv", 5, 1, "mu_final_consistent", "['mu_raw']"),
+        ("mu_final.csv", 5, 2, "mu_final_consistent", "['mu_normalized']"),
+        ("loss_history.csv", 0, 0, "loss_history_consistent", "'iter'"),
+        ("loss_history.csv", 0, 1, "loss_history_consistent", "'loss_first'"),
+        ("loss_history.csv", 29, 1, "loss_history_consistent", "'loss_last'"),
+    ], ids=["final_x", "final_u", "final_exact", "final_error", "mu_x_face", "mu_raw",
+            "mu_normalized", "loss_iter", "loss_first", "loss_last"])
+    def test_analyze_names_file_with_one_digit_changed(self, tmp_path, name, row, column,
+                                                       check, mismatch):
+        cfg_path, out = write_config(
+            tmp_path, scheme="ftcs_mu", n_cells=32, t_final=0.03,
+            training=TRAINING.format(n_iters=40, mu_min=-0.005),
+        )
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        assert main(["analyze", str(out)]) == 0
+        change_one_digit(out / name, row, column)
+        assert main(["analyze", str(out)]) == 1
+        failed = failed_checks(out)
+        assert list(failed) == [check]
+        assert mismatch in failed[check]
+
+    def test_analyze_plain_run_checks_final_state(self, tmp_path):
+        cfg_path, out = write_config(tmp_path, kind="sine", t_final=0.05)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        change_one_digit(out / "final_state.csv", 10, 1)
+        assert main(["analyze", str(out)]) == 1
+        assert failed_checks(out) == {"final_state_consistent": "mismatched columns ['u']"}
+
+    def test_analyze_names_final_state_row_missing(self, tmp_path):
+        cfg_path, out = write_config(tmp_path, t_final=0.01)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        lines = (out / "final_state.csv").read_text().splitlines()
+        (out / "final_state.csv").write_text("\n".join(lines[:-1]) + "\n")
+        assert main(["analyze", str(out)]) == 1
+        assert failed_checks(out) == {"final_state_consistent": "99 rows for 100 entries"}
+
+    def test_analyze_fails_listed_file_it_has_no_check_for(self, tmp_path):
+        cfg_path, out = write_config(tmp_path, t_final=0.01)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        (out / "error.csv").write_text("t\\x,x0\n0,0\n")
+        manifest = read_manifest(out)
+        manifest["files"].append({"name": "error.csv", "role": "error_field"})
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["analyze", str(out)]) == 1
+        assert failed_checks(out) == {
+            "manifest_complete": "missing=[] unlisted=[] unchecked=['error.csv']"}
+
+    @pytest.mark.parametrize("name", ["solution.csv", "mu.csv"])
+    def test_analyze_names_matrix_without_a_column_exits_4(self, tmp_path, capsys, name):
+        cfg_path, out = write_config(
+            tmp_path, scheme="ftcs_mu", n_cells=20, t_final=0.01,
+            training=TRAINING.format(n_iters=5, mu_min=-0.005),
+        )
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        lines = (out / name).read_text().splitlines()
+        (out / name).write_text("\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n")
+        capsys.readouterr()
+        assert main(["analyze", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and str(out / name) in err
+
     def test_analyze_detects_unlisted_file(self, tmp_path):
         cfg_path, out = write_config(tmp_path, t_final=0.01)
         main(["run", "--config", str(cfg_path)])
@@ -425,6 +536,18 @@ class TestAnalyzeCommand:
         analysis = json.loads((out / "analysis.json").read_text())
         assert "stored=inf recomputed=inf" in {c["detail"] for c in analysis["checks"]}
         assert [c["name"] for c in analysis["checks"] if not c["passed"]] == ["run_status_ok"]
+
+    def test_overflowing_run_passes_every_file_check(self, tmp_path):
+        cfg_path, out = write_config(tmp_path, scheme="lax_wendroff", n_cells=20,
+                                     t_final=0.05, kind="hat\namplitude = 1e308")
+        cfg_path.write_text(cfg_path.read_text().replace("dt = 0.001", "dt = 0.01"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", str(cfg_path)]) == 2
+            assert main(["analyze", str(out)]) == 1
+        analysis = json.loads((out / "analysis.json").read_text())
+        passed = {c["name"] for c in analysis["checks"] if c["passed"]}
+        assert {"manifest_complete", "final_state_consistent"} <= passed
+        assert list(failed_checks(out)) == ["run_status_ok"]
 
     def test_non_finite_statistics_written_as_strict_json(self, tmp_path):
         cfg_path, out = write_config(tmp_path, scheme="lax_wendroff", n_cells=20,
@@ -474,6 +597,19 @@ class TestAnalyzeCommand:
         failed = {c["name"]: c["detail"] for c in analysis["checks"] if not c["passed"]}
         assert set(failed) == expected
         assert all(detail.startswith("stored=None ") for detail in failed.values())
+
+
+class TestExitCodes:
+    def test_library_value_error_is_not_reported_as_io_error(self, tmp_path, monkeypatch):
+        import advisc.cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("a defect in the library")
+
+        monkeypatch.setattr(advisc.cli, "simulate", broken)
+        cfg_path, _ = write_config(tmp_path, t_final=0.01)
+        with pytest.raises(ValueError, match="a defect in the library"):
+            main(["run", "--config", str(cfg_path)])
 
 
 class TestUsageErrors:
