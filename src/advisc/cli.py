@@ -32,16 +32,13 @@ from .runio import (
     MANIFEST_NAME,
     NON_FINITE_NAMES,
     CorruptRunError,
+    matrix_header,
     read_columns_csv,
     read_json,
     read_manifest,
-    read_matrix_csv,
-    read_series_csv,
     write_columns_csv,
     write_json,
     write_manifest,
-    write_matrix_csv,
-    write_series_csv,
 )
 from .schemes import DivergenceError, SchemeConfig, Trajectory, ftcs_update, simulate
 
@@ -55,6 +52,8 @@ EXIT_NO_CONVERGENCE = 5
 ANALYSIS_NAME = "analysis.json"
 FINAL_STATE_HEADER = ["x", "u", "exact", "error"]
 MU_FINAL_HEADER = ["x_face", "mu_raw", "mu_normalized"]
+ENTROPY_HEADER = ["t", "entropy"]
+LOSS_HISTORY_HEADER = ["iter", "loss"]
 # The files analyze has a check for: each file a run, a training run or a
 # study writes. A listed file outside its set fails manifest_complete.
 RUN_FILES = {"solution.csv", "final_state.csv", "entropy.csv", "summary.json", MANIFEST_NAME}
@@ -94,9 +93,20 @@ def _loss_stats(losses) -> dict:
             "n_recorded_losses": len(losses)}
 
 
+def _rows(columns: list) -> list:
+    """The rows of a CSV whose columns are ``columns``."""
+    return np.column_stack(columns).tolist()
+
+
+def _matrix_rows(times: np.ndarray, matrix: np.ndarray):
+    """The rows of a space-time matrix CSV, each a time and its matrix row,
+    made one at a time."""
+    return ((t, *row.tolist()) for t, row in zip(times, matrix))
+
+
 def _mu_summary(cfg: ExperimentConfig, traj: Trajectory) -> dict:
     if cfg.ic.kind == "hat":
-        return mu_stats(traj, cfg.ic.hat_profile(), radius=0.05)
+        return mu_stats(traj, cfg.ic.hat_profile())
     return mu_summary(traj.viscosity_history)
 
 
@@ -165,33 +175,28 @@ def _write_run(
     times = traj.times
     files: list[dict] = []
 
-    def record(name: str, role: str) -> None:
+    def write(name: str, role: str, header: list[str], rows) -> None:
+        write_columns_csv(out_dir / name, header, rows)
         files.append({"name": name, "role": role})
 
-    write_matrix_csv(out_dir / "solution.csv", times, traj.states)
-    record("solution.csv", "solution")
+    write("solution.csv", "solution", matrix_header(grid.n_cells),
+          _matrix_rows(times, traj.states))
     exact_final = exact[traj.n_steps]
-    write_columns_csv(out_dir / "final_state.csv", FINAL_STATE_HEADER,
-                      _final_state_columns(grid, traj.states[-1], exact_final))
-    record("final_state.csv", "final_state")
-    write_series_csv(out_dir / "entropy.csv", "t", "entropy", times,
-                     entropy_series(traj.states, grid.dx))
-    record("entropy.csv", "entropy_series")
+    write("final_state.csv", "final_state", FINAL_STATE_HEADER,
+          _rows(_final_state_columns(grid, traj.states[-1], exact_final)))
+    write("entropy.csv", "entropy_series", ENTROPY_HEADER,
+          _rows([times, entropy_series(traj.states, grid.dx)]))
 
     stats = summary_stats(traj.states, exact_final, grid.dx)
     summary = {"stats": stats, "status": status}
     if report is not None:
         mu = traj.viscosity_history
-        write_matrix_csv(out_dir / "mu.csv", times[:-1], mu)
-        record("mu.csv", "mu_spacetime")
-        write_columns_csv(out_dir / "mu_final.csv", MU_FINAL_HEADER,
-                          _mu_final_columns(grid, mu[-1]))
-        record("mu_final.csv", "mu_snapshot")
-        write_series_csv(
-            out_dir / "loss_history.csv", "iter", "loss",
-            np.arange(len(report.loss_history)), np.array(report.loss_history),
-        )
-        record("loss_history.csv", "loss_history")
+        write("mu.csv", "mu_spacetime", matrix_header(grid.n_cells),
+              _matrix_rows(times[:-1], mu))
+        write("mu_final.csv", "mu_snapshot", MU_FINAL_HEADER,
+              _rows(_mu_final_columns(grid, mu[-1])))
+        write("loss_history.csv", "loss_history", LOSS_HISTORY_HEADER,
+              _rows([np.arange(len(report.loss_history)), report.loss_history]))
         summary["mu"] = _mu_summary(cfg, traj)
         summary["training"] = {
             "mode": cfg.training.mode,
@@ -323,12 +328,15 @@ def _replay_error(states: np.ndarray, mu_rows: np.ndarray, cfg: SchemeConfig) ->
 
 
 def _read_run_matrix(path: Path, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """read_matrix_csv of a run's solution.csv or mu.csv, which have one column
-    per cell or face; another width raises CorruptRunError."""
-    times, values = read_matrix_csv(path)
-    if values.shape[1] != n_cells:
-        raise CorruptRunError(f"{path} has {values.shape[1]} columns for {n_cells} cells")
-    return times, values
+    """The times and values of a run's solution.csv or mu.csv, a space-time
+    matrix with one column per cell or face. Another header, no data rows or
+    a non-finite entry, none of which a run writes, raise CorruptRunError."""
+    data = read_columns_csv(path, matrix_header(n_cells))
+    if data.shape[0] == 0:
+        raise CorruptRunError(f"{path} has no data rows")
+    if not np.isfinite(data).all():
+        raise CorruptRunError(f"{path} has non-finite entries")
+    return data[:, 0].copy(), np.ascontiguousarray(data[:, 1:])
 
 
 def _unnamed(value):
@@ -350,7 +358,7 @@ def _columns_match(path: Path, header: list[str], expected: list) -> tuple[bool,
 def _loss_history_match(path: Path, training: dict) -> tuple[bool, str]:
     """Whether loss_history.csv counts its iterations from 0 and gives the loss
     statistics stored in summary.json's training block, bit for bit."""
-    iters, losses = read_series_csv(path)
+    iters, losses = read_columns_csv(path, LOSS_HISTORY_HEADER).T
     if len(losses) == 0:
         return False, "0 rows"
     bad = [] if np.array_equal(iters, np.arange(len(losses))) else ["iter"]
@@ -367,9 +375,10 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
     summary.json and entropy.csv, replay the scheme, and check final_state.csv
     against the last state and the exact solution. A training run's mu.csv is
     replayed too, mu_final.csv is checked against its last row, and
-    loss_history.csv against summary.json's loss statistics. The final-state
-    and training checks are bit-exact. A solution.csv or mu.csv that is not
-    n_cells wide raises CorruptRunError."""
+    loss_history.csv against summary.json's loss statistics. The entropy,
+    final-state and training checks are bit-exact. A CSV without its exact
+    header, such as a solution.csv or mu.csv that is not n_cells wide, raises
+    CorruptRunError."""
     cfg = config_from_dict(manifest["config"])
     summary = read_json(out_dir / "summary.json")
     scheme_cfg = cfg.scheme_config()
@@ -377,11 +386,12 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
     tolerance = 1e-12
 
     def compare(prefix: str, stored_block: dict, recomputed: dict) -> None:
-        """Check each recomputed value against its stored one; a missing stored
-        value fails, and equal values pass even where both are infinite."""
+        """Check each recomputed value against its stored one; a missing or
+        non-numeric stored value fails, and equal values pass even where both
+        are infinite."""
         for key, value in recomputed.items():
             stored = _unnamed(stored_block.get(key))
-            ok = stored is not None and (
+            ok = isinstance(stored, (int, float)) and (
                 stored == value or abs(stored - value) <= tolerance * max(1.0, abs(stored)))
             check(f"{prefix}:{key}", ok, f"stored={stored!r} recomputed={value!r}")
 
@@ -392,16 +402,8 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
         out_dir / "final_state.csv", FINAL_STATE_HEADER,
         _final_state_columns(grid, states[-1], exact_final)))
 
-    _, stored_entropy = read_series_csv(out_dir / "entropy.csv")
-    entropy = entropy_series(states, grid.dx)
-    if len(stored_entropy) == len(entropy):
-        # Entries that differ only: equal ones, infinite ones included, count 0.
-        differ = stored_entropy != entropy
-        worst = float(np.max(np.abs(stored_entropy[differ] - entropy[differ]), initial=0.0))
-        ok, detail = worst <= tolerance, f"max diff {worst:.3e}"
-    else:
-        ok, detail = False, f"{len(stored_entropy)} rows for {len(entropy)} states"
-    check("entropy_series_consistent", ok, detail)
+    check("entropy_series_consistent", *_columns_match(
+        out_dir / "entropy.csv", ENTROPY_HEADER, [times, entropy_series(states, grid.dx)]))
 
     twin = _twin_viscosity(cfg)
     if twin is not None:

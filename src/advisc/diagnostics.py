@@ -97,19 +97,21 @@ def mu_summary(values: np.ndarray) -> dict:
     }
 
 
-def mu_stats(traj: Trajectory, profile: HatProfile, radius: float) -> dict:
+# How far from a hat edge a face counts as near the discontinuity.
+NEGATIVE_MASS_RADIUS = 0.05
+
+
+def mu_stats(traj: Trajectory, profile: HatProfile) -> dict:
     """``mu_summary`` of the trajectory's viscosity, plus the localization of
     its negative entries under ``"negative_mass_near_discontinuity"``.
 
     The localization score restricts attention to negative entries: per step,
-    the |mu| mass of negative faces lying within ``radius`` of either moving
-    hat edge (positions lo + c*t and hi + c*t mod length at the pre-step
-    time) divided by the total negative |mu| mass; steps without negative
-    entries are skipped, and the score is the average over the remaining
-    steps (0.0 if no step has a negative entry).
+    the |mu| mass of negative faces lying within NEGATIVE_MASS_RADIUS of
+    either moving hat edge (positions lo + c*t and hi + c*t mod length at the
+    pre-step time) divided by the total negative |mu| mass; steps without
+    negative entries are skipped, and the score is the average over the
+    remaining steps (0.0 if no step has a negative entry).
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
     cfg = traj.config
     length = cfg.grid.length
     faces = cfg.grid.face_positions
@@ -126,7 +128,7 @@ def mu_stats(traj: Trajectory, profile: HatProfile, radius: float) -> dict:
         for edge in ((profile.lo + cfg.c * t) % length, (profile.hi + cfg.c * t) % length):
             d = np.abs(faces - edge) % length
             d = np.minimum(d, length - d)
-            near |= d <= radius
+            near |= d <= NEGATIVE_MASS_RADIUS
         ratios.append(float(np.sum(np.abs(row[neg & near]))) / neg_mass)
 
     out = mu_summary(values)

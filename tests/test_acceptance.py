@@ -139,7 +139,7 @@ def test_criterion_4_paper_experiment(paper_problem, paper_training_report):
 def test_criterion_5_sign_indefiniteness(paper_problem, paper_training_report):
     cfg, profile, u0, _ = paper_problem
     training, _ = paper_training_report
-    stats = mu_stats(training.trajectory, profile, radius=0.05)
+    stats = mu_stats(training.trajectory, profile)
     passed = (
         stats["mu_min"] < 0.0
         and stats["mu_max"] > 0.0

@@ -7,7 +7,7 @@ import pytest
 
 from advisc.cli import main
 from advisc.presets import STUDIES, nonneg_variant, preset_config
-from advisc.runio import read_manifest, read_matrix_csv, read_series_csv
+from advisc.runio import matrix_header, read_columns_csv, read_manifest, write_columns_csv
 
 BASE = """
 [simulation]
@@ -48,6 +48,19 @@ def change_one_digit(path, row, column):
     path.write_text("\n".join(lines) + "\n")
 
 
+def read_matrix(path):
+    """The times and values of a stored space-time matrix CSV."""
+    with open(path) as f:
+        n_columns = f.readline().count(",")
+    data = read_columns_csv(path, matrix_header(n_columns))
+    return data[:, 0], data[:, 1:]
+
+
+def write_matrix(path, times, values):
+    """Store a space-time matrix CSV as a run writes it."""
+    write_columns_csv(path, matrix_header(values.shape[1]), np.column_stack((times, values)))
+
+
 def failed_checks(out):
     analysis = json.loads((out / "analysis.json").read_text())
     return {c["name"]: c["detail"] for c in analysis["checks"] if not c["passed"]}
@@ -67,7 +80,7 @@ class TestRunCommand:
     def test_upwind_records_all_states(self, tmp_path):
         cfg_path, out = write_config(tmp_path, t_final=0.15)
         assert main(["run", "--config", str(cfg_path)]) == 0
-        times, states = read_matrix_csv(out / "solution.csv")
+        times, states = read_matrix(out / "solution.csv")
         assert states.shape == (151, 100)  # 150 steps plus the initial state
         assert times[-1] == pytest.approx(0.15)
         for name in ("final_state.csv", "entropy.csv",
@@ -77,7 +90,7 @@ class TestRunCommand:
     def test_zero_t_final_outputs_initial_state_only(self, tmp_path):
         cfg_path, out = write_config(tmp_path, t_final=0.0)
         assert main(["run", "--config", str(cfg_path)]) == 0
-        _, states = read_matrix_csv(out / "solution.csv")
+        _, states = read_matrix(out / "solution.csv")
         assert states.shape == (1, 100)
 
     def test_bare_ftcs_growth_reported(self, tmp_path):
@@ -101,7 +114,7 @@ class TestRunCommand:
         assert manifest["diverged_at_step"] > 0
         assert all(entry.get("partial") for entry in manifest["files"]
                    if entry["name"].endswith(".csv"))
-        _, states = read_matrix_csv(out / "solution.csv")
+        _, states = read_matrix(out / "solution.csv")
         assert states.shape[0] == manifest["diverged_at_step"] + 1
 
     @pytest.mark.parametrize("scheme,extra_sim", [("lax_wendroff", ""),
@@ -114,7 +127,7 @@ class TestRunCommand:
         manifest = read_manifest(out)
         assert manifest["status"] == "divergence"
         assert manifest["diverged_at_step"] == 0
-        _, states = read_matrix_csv(out / "solution.csv")
+        _, states = read_matrix(out / "solution.csv")
         assert states.shape == (1, 50)
 
     def test_unknown_config_key_exits_3(self, tmp_path):
@@ -226,9 +239,9 @@ class TestTrainCommand:
         for name in ("mu.csv", "mu_final.csv", "loss_history.csv", "solution.csv",
                      "summary.json", "manifest.json"):
             assert (out / name).is_file()
-        times, mu = read_matrix_csv(out / "mu.csv")
+        times, mu = read_matrix(out / "mu.csv")
         assert mu.shape == (30, 32)
-        iters, losses = read_series_csv(out / "loss_history.csv")
+        iters, losses = read_columns_csv(out / "loss_history.csv", ["iter", "loss"]).T
         assert len(losses) == 30
         summary = json.loads((out / "summary.json").read_text())
         assert summary["training"]["converged"] is True
@@ -245,7 +258,7 @@ class TestTrainCommand:
         manifest = read_manifest(out)
         assert manifest["status"] == "divergence"
         assert manifest["diverged_at_step"] == 0
-        _, states = read_matrix_csv(out / "solution.csv")
+        _, states = read_matrix(out / "solution.csv")
         assert states.shape == (1, 16)
 
     def test_mu_snapshot_has_normalized_column(self, tmp_path):
@@ -262,6 +275,36 @@ class TestTrainCommand:
         ])
         scale = np.max(np.abs(data[:, 1]))
         assert np.allclose(data[:, 2], data[:, 1] / scale, atol=1e-15)
+
+    def test_csv_text_is_pinned(self, tmp_path):
+        # The header and first data line of each CSV a training run writes;
+        # a writer that changes any byte of them fails here.
+        cfg_path, out = write_config(
+            tmp_path, scheme="ftcs_mu", n_cells=5, t_final=0.003, kind="sine",
+            training=TRAINING.format(n_iters=5, mu_min=-0.005),
+        )
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        pinned = {
+            "solution.csv": [
+                "t\\x,x0,x1,x2,x3,x4",
+                "0,0.58778525229247314,0.95105651629515353,1.2246467991473532e-16,"
+                "-0.95105651629515353,-0.58778525229247336"],
+            "final_state.csv": [
+                "x,u,exact,error",
+                "0.10000000000000001,0.57051186441744528,0.57243212559459089,"
+                "-0.0019202611771456102"],
+            "entropy.csv": ["t,entropy", "0,0.25000000000000006"],
+            "mu.csv": [
+                "t\\x,x0,x1,x2,x3,x4",
+                "0,0.094999474462455338,0.094999026580546375,0.094998022537930313,"
+                "0.095000000000000001,0.094997745746252235"],
+            "mu_final.csv": [
+                "x_face,mu_raw,mu_normalized",
+                "0.20000000000000001,0.094996781019296678,0.99996611599259655"],
+            "loss_history.csv": ["iter,loss", "0,6.4887010758121665e-06"],
+        }
+        for name, lines in pinned.items():
+            assert (out / name).read_text().splitlines()[:2] == lines, name
 
     def test_training_requires_training_section(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, scheme="ftcs_mu", extra_sim="mu = 0.005\n")
@@ -344,11 +387,9 @@ class TestAnalyzeCommand:
     def test_analyze_detects_tampered_solution(self, tmp_path):
         cfg_path, out = write_config(tmp_path, t_final=0.05)
         main(["run", "--config", str(cfg_path)])
-        times, states = read_matrix_csv(out / "solution.csv")
+        times, states = read_matrix(out / "solution.csv")
         states[3, 7] += 0.5
-        from advisc.runio import write_matrix_csv
-
-        write_matrix_csv(out / "solution.csv", times, states)
+        write_matrix(out / "solution.csv", times, states)
         assert main(["analyze", str(out)]) == 1
 
     @pytest.mark.parametrize("target, expected", [
@@ -361,17 +402,15 @@ class TestAnalyzeCommand:
             training=TRAINING.format(n_iters=40, mu_min=-0.005),
         )
         assert main(["train", "--config", str(cfg_path)]) == 0
-        _, states = read_matrix_csv(out / "solution.csv")
-        times, values = read_matrix_csv(out / target)
+        _, states = read_matrix(out / "solution.csv")
+        times, values = read_matrix(out / target)
         if target == "solution.csv":
             values[-1, 7] += 0.01
         else:
             # a face across a jump of the state it steps, so the entry matters
             face = int(np.argmax(np.abs(np.diff(states[5]))))
             values[5, face] += 0.01
-        from advisc.runio import write_matrix_csv
-
-        write_matrix_csv(out / target, times, values)
+        write_matrix(out / target, times, values)
         assert main(["analyze", str(out)]) == 1
         analysis = json.loads((out / "analysis.json").read_text())
         failed = {c["name"] for c in analysis["checks"] if not c["passed"]}
@@ -389,10 +428,8 @@ class TestAnalyzeCommand:
             training=TRAINING.format(n_iters=10, mu_min=-0.005),
         )
         assert main(["train", "--config", str(cfg_path)]) == 0
-        times, values = read_matrix_csv(out / target)
-        from advisc.runio import write_matrix_csv
-
-        write_matrix_csv(out / target, times[rows], values[rows])
+        times, values = read_matrix(out / target)
+        write_matrix(out / target, times[rows], values[rows])
         assert main(["analyze", str(out)]) == 1
         analysis = json.loads((out / "analysis.json").read_text())
         failed = {c["name"]: c["detail"] for c in analysis["checks"] if not c["passed"]}
@@ -432,6 +469,54 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(out)]) == 4
         assert str(out / name) in capsys.readouterr().err
 
+    def test_analyze_fails_entropy_with_one_time_changed(self, tmp_path):
+        cfg_path, out = write_config(tmp_path, t_final=0.01)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        change_one_digit(out / "entropy.csv", 3, 0)
+        assert main(["analyze", str(out)]) == 1
+        assert failed_checks(out) == {"entropy_series_consistent": "mismatched columns ['t']"}
+
+    @pytest.mark.parametrize("name", ["entropy.csv", "loss_history.csv"])
+    def test_analyze_names_csv_with_another_header_exits_4(self, tmp_path, capsys, name):
+        cfg_path, out = write_config(
+            tmp_path, scheme="ftcs_mu", n_cells=20, t_final=0.01,
+            training=TRAINING.format(n_iters=5, mu_min=-0.005),
+        )
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        lines = (out / name).read_text().splitlines()
+        (out / name).write_text("\n".join(["foo,bar"] + lines[1:]) + "\n")
+        capsys.readouterr()
+        assert main(["analyze", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and str(out / name) in err
+
+    def test_analyze_rejects_solution_header_one_column_short_exits_4(self, tmp_path, capsys):
+        cfg_path, out = write_config(tmp_path, t_final=0.01)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        lines = (out / "solution.csv").read_text().splitlines()
+        lines[0] = lines[0].rsplit(",", 1)[0]
+        (out / "solution.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["analyze", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "header" in err and str(out / "solution.csv") in err
+
+    @pytest.mark.parametrize("block, key", [("stats", "mse_final"), ("mu", "mu_min")])
+    def test_analyze_fails_non_numeric_statistic(self, tmp_path, block, key):
+        cfg_path, out = write_config(
+            tmp_path, scheme="ftcs_mu", n_cells=20, t_final=0.01,
+            training=TRAINING.format(n_iters=5, mu_min=-0.005),
+        )
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        summary[block][key] = "abc"
+        (out / "summary.json").write_text(json.dumps(summary))
+        assert main(["analyze", str(out)]) == 1
+        failed = failed_checks(out)
+        name = f"{'stat' if block == 'stats' else 'mu'}:{key}"
+        assert list(failed) == [name]
+        assert failed[name].startswith("stored='abc' ")
+
     def test_analyze_header_only_entropy_fails_its_check(self, tmp_path):
         cfg_path, out = write_config(tmp_path, t_final=0.01)
         main(["run", "--config", str(cfg_path)])
@@ -440,7 +525,7 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(out)]) == 1
         analysis = json.loads((out / "analysis.json").read_text())
         failed = {c["name"]: c["detail"] for c in analysis["checks"] if not c["passed"]}
-        assert failed == {"entropy_series_consistent": "0 rows for 11 states"}
+        assert failed == {"entropy_series_consistent": "0 rows for 11 entries"}
 
     @pytest.mark.parametrize("block", ["config", "files"])
     def test_analyze_manifest_without_block_exits_4(self, tmp_path, capsys, block):
@@ -567,19 +652,19 @@ class TestAnalyzeCommand:
         checks = {c["name"]: c for c in analysis["checks"]}
         assert [name for name, c in checks.items() if not c["passed"]] == ["run_status_ok"]
         assert checks["stat:entropy_initial"]["detail"] == "stored=inf recomputed=inf"
-        assert checks["entropy_series_consistent"]["detail"] == "max diff 0.000e+00"
+        assert checks["entropy_series_consistent"]["detail"] == "mismatched columns []"
 
     def test_analyze_fails_stored_infinite_entropy_against_finite(self, tmp_path):
         cfg_path, out = write_config(tmp_path, t_final=0.01)
         assert main(["run", "--config", str(cfg_path)]) == 0
-        times, entropy = read_series_csv(out / "entropy.csv")
+        times, entropy = read_columns_csv(out / "entropy.csv", ["t", "entropy"]).T
         entropy[3] = np.inf
         lines = ["t,entropy"] + ["%.17g,%.17g" % row for row in zip(times, entropy)]
         (out / "entropy.csv").write_text("\n".join(lines) + "\n")
         assert main(["analyze", str(out)]) == 1
         analysis = json.loads((out / "analysis.json").read_text())
         failed = {c["name"]: c["detail"] for c in analysis["checks"] if not c["passed"]}
-        assert failed == {"entropy_series_consistent": "max diff inf"}
+        assert failed == {"entropy_series_consistent": "mismatched columns ['entropy']"}
 
     def test_analyze_fails_statistics_missing_from_summary(self, tmp_path):
         cfg_path, out = write_config(

@@ -20,13 +20,12 @@ from advisc.config import (
 from advisc.optimizer import OptimizerConfig
 from advisc.presets import preset_config
 from advisc.runio import (
+    matrix_header,
+    read_columns_csv,
     read_manifest,
-    read_matrix_csv,
-    read_series_csv,
+    write_columns_csv,
     write_json,
     write_manifest,
-    write_matrix_csv,
-    write_series_csv,
 )
 from advisc.schemes import SCHEME_NAMES
 
@@ -294,22 +293,23 @@ class TestCsvRoundTrip:
     def test_seventeen_digit_format_round_trips(self, tmp_path):
         values = np.array([1 / 3, np.pi, 0.1, -7.25e-13, 1e18])
         path = tmp_path / "s.csv"
-        write_series_csv(path, "i", "value", np.arange(len(values)), values)
-        assert np.array_equal(read_series_csv(path)[1], values)
+        write_columns_csv(path, ["i", "value"], enumerate(values))
+        assert np.array_equal(read_columns_csv(path, ["i", "value"])[:, 1], values)
 
     def test_matrix_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(5)
         times = np.arange(6) * 1e-3
         matrix = rng.standard_normal((6, 9))
         path = tmp_path / "m.csv"
-        write_matrix_csv(path, times, matrix)
-        times2, matrix2 = read_matrix_csv(path)
+        write_columns_csv(path, matrix_header(9), np.column_stack((times, matrix)))
+        data = read_columns_csv(path, matrix_header(9))
+        times2, matrix2 = data[:, 0], data[:, 1:]
         assert np.array_equal(times, times2)
         assert np.array_equal(matrix, matrix2)
 
     def test_matrix_header_format(self, tmp_path):
         path = tmp_path / "m.csv"
-        write_matrix_csv(path, np.array([0.0]), np.zeros((1, 3)))
+        write_columns_csv(path, matrix_header(3), np.zeros((1, 4)))
         header = path.read_text().splitlines()[0]
         assert header == "t\\x,x0,x1,x2"
 
@@ -317,10 +317,10 @@ class TestCsvRoundTrip:
         path = tmp_path / "s.csv"
         xs = np.array([0.0, 0.5, 1.0])
         ys = np.array([1 / 3, 2 / 3, 1.0])
-        write_series_csv(path, "t", "entropy", xs, ys)
+        write_columns_csv(path, ["t", "entropy"], zip(xs, ys))
         header = path.read_text().splitlines()[0]
         assert header == "t,entropy"
-        xs2, ys2 = read_series_csv(path)
+        xs2, ys2 = read_columns_csv(path, ["t", "entropy"]).T
         assert np.array_equal(xs, xs2)
         assert np.array_equal(ys, ys2)
 
@@ -328,7 +328,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
-            read_matrix_csv(path)
+            read_columns_csv(path, matrix_header(1))
 
 
 class TestManifest:

@@ -169,7 +169,7 @@ class TestMuStats:
 
     def test_uniform_positive_field(self):
         cfg, profile, traj = self.make_traj()
-        stats = mu_stats(traj, profile, radius=0.05)
+        stats = mu_stats(traj, profile)
         assert stats["mu_min"] == stats["mu_max"] == 0.005
         assert stats["fraction_negative"] == 0.0
         assert stats["negative_mass_near_discontinuity"] == 0.0
@@ -178,7 +178,7 @@ class TestMuStats:
         cfg, profile, traj = self.make_traj()
         values = np.array(traj.viscosity_history)
         values[1, 3] = -5e-3
-        stats = mu_stats(with_mu(traj, values), profile, radius=0.05)
+        stats = mu_stats(with_mu(traj, values), profile)
         assert stats["mu_min"] == -5e-3
         assert stats["fraction_negative"] == pytest.approx(1.0 / values.size)
 
@@ -187,12 +187,12 @@ class TestMuStats:
         # hat edges at t=0 sit at x=0.4 and x=0.6; face index i is at (i+1)*dx
         near = np.full((1, 100), 0.005)
         near[0, 39] = -1e-3  # face at x = 0.40, on the lower edge
-        stats = mu_stats(with_mu(traj, near), profile, radius=0.05)
+        stats = mu_stats(with_mu(traj, near), profile)
         assert stats["negative_mass_near_discontinuity"] == 1.0
 
         far = np.full((1, 100), 0.005)
         far[0, 89] = -1e-3  # face at x = 0.90, far from both edges
-        stats = mu_stats(with_mu(traj, far), profile, radius=0.05)
+        stats = mu_stats(with_mu(traj, far), profile)
         assert stats["negative_mass_near_discontinuity"] == 0.0
 
     def test_split_mass_gives_fraction(self):
@@ -200,13 +200,8 @@ class TestMuStats:
         values = np.full((1, 100), 0.005)
         values[0, 39] = -3e-3  # near lower edge
         values[0, 89] = -1e-3  # far away
-        stats = mu_stats(with_mu(traj, values), profile, radius=0.05)
+        stats = mu_stats(with_mu(traj, values), profile)
         assert stats["negative_mass_near_discontinuity"] == pytest.approx(0.75)
-
-    def test_rejects_bad_radius(self):
-        cfg, profile, traj = self.make_traj()
-        with pytest.raises(ValueError):
-            mu_stats(traj, profile, radius=0.0)
 
 
 def ftcs_form(u, flux, cfg):
