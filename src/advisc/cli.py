@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 analysis check failure, 2 divergence,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -50,10 +49,14 @@ EXIT_IO = 4
 EXIT_NO_CONVERGENCE = 5
 
 ANALYSIS_NAME = "analysis.json"
-FINAL_STATE_HEADER = ["x", "u", "exact", "error"]
-MU_FINAL_HEADER = ["x_face", "mu_raw", "mu_normalized"]
-ENTROPY_HEADER = ["t", "entropy"]
-LOSS_HISTORY_HEADER = ["iter", "loss"]
+# Each CSV a run derives from its stored data (see _derived): its header and
+# the analyze check that rebuilds it.
+DERIVED_CSVS = {
+    "final_state.csv": (["x", "u", "exact", "error"], "final_state_consistent"),
+    "entropy.csv": (["t", "entropy"], "entropy_series_consistent"),
+    "mu_final.csv": (["x_face", "mu_raw", "mu_normalized"], "mu_final_consistent"),
+    "loss_history.csv": (["iter", "loss"], "loss_history_consistent"),
+}
 # The files analyze has a check for: each file a run, a training run or a
 # study writes. A listed file outside its set fails manifest_complete.
 RUN_FILES = {"solution.csv", "final_state.csv", "entropy.csv", "summary.json", MANIFEST_NAME}
@@ -74,40 +77,49 @@ def _build_problem(cfg: ExperimentConfig) -> tuple[SchemeConfig, np.ndarray]:
     return scheme_cfg, _exact(cfg, scheme_cfg.grid, np.arange(cfg.n_steps + 1) * cfg.dt)
 
 
-def _final_state_columns(grid: Grid1D, final: np.ndarray, exact_final: np.ndarray) -> list:
-    """final_state.csv's columns, named by FINAL_STATE_HEADER."""
-    return [grid.cell_centers, final, exact_final, final - exact_final]
+def _derived(cfg: ExperimentConfig, traj: Trajectory, times: np.ndarray,
+             exact_final: np.ndarray, losses=None) -> tuple[dict, dict]:
+    """What a run's primary data determine, for the writer to store and analyze
+    to check: the columns of each derived CSV, keyed by file name as in
+    DERIVED_CSVS, and the blocks of summary.json the data and config give.
+    ``losses``, a training run's loss history, is None for a plain run."""
+    grid = traj.config.grid
+    final = traj.states[-1]
+    stats = summary_stats(traj.states, exact_final, grid.dx)
+    csvs = {
+        "final_state.csv": [grid.cell_centers, final, exact_final, final - exact_final],
+        "entropy.csv": [times, entropy_series(traj.states, grid.dx)],
+    }
+    summary = {"stats": stats}
+    if losses is None:
+        return csvs, summary
 
-
-def _mu_final_columns(grid: Grid1D, mu_last: np.ndarray) -> list:
-    """mu_final.csv's columns, named by MU_FINAL_HEADER; the normalized column
-    is zero where max|mu_last| is."""
-    scale = float(np.max(np.abs(mu_last)))
-    normalized = mu_last / scale if scale > 0 else np.zeros_like(mu_last)
-    return [grid.face_positions, mu_last, normalized]
-
-
-def _loss_stats(losses) -> dict:
-    """summary.json's statistics of a non-empty loss history."""
-    return {"loss_first": losses[0], "loss_last": losses[-1], "loss_best": min(losses),
-            "n_recorded_losses": len(losses)}
-
-
-def _rows(columns: list) -> list:
-    """The rows of a CSV whose columns are ``columns``."""
-    return np.column_stack(columns).tolist()
+    mu = traj.viscosity_history
+    scale = float(np.max(np.abs(mu[-1])))
+    normalized = mu[-1] / scale if scale > 0 else np.zeros_like(mu[-1])
+    csvs["mu_final.csv"] = [grid.face_positions, mu[-1], normalized]
+    csvs["loss_history.csv"] = [np.arange(len(losses)), losses]
+    summary["mu"] = (mu_stats(traj, cfg.ic.hat_profile()) if cfg.ic.kind == "hat"
+                     else mu_summary(mu))
+    summary["training"] = {
+        "mode": cfg.training.mode,
+        "loss_first": losses[0],
+        "loss_last": losses[-1],
+        "loss_best": min(losses),
+        "n_recorded_losses": len(losses),
+    }
+    summary["verdicts"] = {
+        "entropy_nonincreasing_global": stats["entropy_final"] <= stats["entropy_initial"],
+        "entropy_step_increase_warning":
+            stats["max_per_step_entropy_increase"] > 1e-6 * stats["entropy_initial"],
+    }
+    return csvs, summary
 
 
 def _matrix_rows(times: np.ndarray, matrix: np.ndarray):
     """The rows of a space-time matrix CSV, each a time and its matrix row,
     made one at a time."""
     return ((t, *row.tolist()) for t, row in zip(times, matrix))
-
-
-def _mu_summary(cfg: ExperimentConfig, traj: Trajectory) -> dict:
-    if cfg.ic.kind == "hat":
-        return mu_stats(traj, cfg.ic.hat_profile())
-    return mu_summary(traj.viscosity_history)
 
 
 def _is_plain_name(name: str) -> bool:
@@ -150,7 +162,7 @@ def _mark_finished(out_dir: Path, files: list[dict], t_start: float, status: str
         "version": __version__,
         "wall_clock_seconds": time.time() - t_start,
         "status": status,
-        "files": files + [{"name": MANIFEST_NAME, "role": "manifest"}],
+        "files": files + [{"name": MANIFEST_NAME}],
         **blocks,
     }
     write_manifest(out_dir, payload)
@@ -166,55 +178,38 @@ def _write_run(
     report: TrainingReport | None = None,
     extra: dict | None = None,
 ) -> None:
-    """Write a run's files, each of which analyze checks: solution.csv,
-    final_state.csv, entropy.csv and summary.json, plus mu.csv, mu_final.csv
-    and loss_history.csv for a training run, then the manifest. A halted run's
-    CSVs are partial. The full error field is not written: it is solution.csv
+    """Write a run's files, each of which analyze checks, then the manifest:
+    solution.csv and a training run's mu.csv, then what ``_derived`` gives,
+    plus the summary's status and the optimizer's report. A halted run's CSVs
+    are partial. The full error field is not written: it is solution.csv
     minus the exact solution, which the config reproduces."""
     grid = traj.config.grid
     times = traj.times
+    losses = None if report is None else report.loss_history
+    csvs, summary = _derived(cfg, traj, times, exact[traj.n_steps], losses)
     files: list[dict] = []
 
-    def write(name: str, role: str, header: list[str], rows) -> None:
+    def write(name: str, header: list[str], rows) -> None:
         write_columns_csv(out_dir / name, header, rows)
-        files.append({"name": name, "role": role})
+        files.append({"name": name})
 
-    write("solution.csv", "solution", matrix_header(grid.n_cells),
-          _matrix_rows(times, traj.states))
-    exact_final = exact[traj.n_steps]
-    write("final_state.csv", "final_state", FINAL_STATE_HEADER,
-          _rows(_final_state_columns(grid, traj.states[-1], exact_final)))
-    write("entropy.csv", "entropy_series", ENTROPY_HEADER,
-          _rows([times, entropy_series(traj.states, grid.dx)]))
+    write("solution.csv", matrix_header(grid.n_cells), _matrix_rows(times, traj.states))
+    for name, columns in csvs.items():
+        if name == "mu_final.csv":  # the manifest lists mu.csv before the files derived from it
+            write("mu.csv", matrix_header(grid.n_cells),
+                  _matrix_rows(times[:-1], traj.viscosity_history))
+        write(name, DERIVED_CSVS[name][0], np.column_stack(columns).tolist())
 
-    stats = summary_stats(traj.states, exact_final, grid.dx)
-    summary = {"stats": stats, "status": status}
+    summary["status"] = status
     if report is not None:
-        mu = traj.viscosity_history
-        write("mu.csv", "mu_spacetime", matrix_header(grid.n_cells),
-              _matrix_rows(times[:-1], mu))
-        write("mu_final.csv", "mu_snapshot", MU_FINAL_HEADER,
-              _rows(_mu_final_columns(grid, mu[-1])))
-        write("loss_history.csv", "loss_history", LOSS_HISTORY_HEADER,
-              _rows([np.arange(len(report.loss_history)), report.loss_history]))
-        summary["mu"] = _mu_summary(cfg, traj)
-        summary["training"] = {
-            "mode": cfg.training.mode,
-            "converged": report.converged,
-            "divergence_events": report.divergence_events,
-            **_loss_stats(report.loss_history),
-        }
-        summary["verdicts"] = {
-            "entropy_nonincreasing_global": stats["entropy_final"] <= stats["entropy_initial"],
-            "entropy_step_increase_warning":
-                stats["max_per_step_entropy_increase"] > 1e-6 * stats["entropy_initial"],
-        }
+        summary["training"].update(converged=report.converged,
+                                   divergence_events=report.divergence_events)
     write_json(out_dir / "summary.json", summary)
 
     if status != "ok":
         for entry in files:
             entry["partial"] = True
-    files.append({"name": "summary.json", "role": "summary"})
+    files.append({"name": "summary.json"})
     _mark_finished(out_dir, files, t_start, status,
                    config=config_to_dict(cfg), **(extra or {}))
 
@@ -355,55 +350,22 @@ def _columns_match(path: Path, header: list[str], expected: list) -> tuple[bool,
     return not bad, f"mismatched columns {bad}"
 
 
-def _loss_history_match(path: Path, training: dict) -> tuple[bool, str]:
-    """Whether loss_history.csv counts its iterations from 0 and gives the loss
-    statistics stored in summary.json's training block, bit for bit."""
-    iters, losses = read_columns_csv(path, LOSS_HISTORY_HEADER).T
-    if len(losses) == 0:
-        return False, "0 rows"
-    bad = [] if np.array_equal(iters, np.arange(len(losses))) else ["iter"]
-    for key, value in _loss_stats(losses.tolist()).items():
-        stored = _unnamed(training.get(key))
-        if not (stored == value or (stored != stored and value != value)):  # nan equals nan
-            bad.append(key)
-    return not bad, f"mismatched {bad}"
-
-
 def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
-    """Check every file of a run against what its config and its other files
-    give: recompute the diagnostics from solution.csv and check them against
-    summary.json and entropy.csv, replay the scheme, and check final_state.csv
-    against the last state and the exact solution. A training run's mu.csv is
-    replayed too, mu_final.csv is checked against its last row, and
-    loss_history.csv against summary.json's loss statistics. The entropy,
-    final-state and training checks are bit-exact. A CSV without its exact
-    header, such as a solution.csv or mu.csv that is not n_cells wide, raises
-    CorruptRunError."""
+    """Check every file of a run against its config and its primary data:
+    solution.csv and, for a training run, mu.csv and the losses of
+    loss_history.csv. The scheme is replayed on them, and ``_derived``, as
+    the writer called it, rebuilds every other CSV and summary.json value,
+    which must match exactly; the summary's status must be the manifest's.
+    Its ``converged`` and ``divergence_events`` come only from the
+    optimizer's report, so stay unchecked. Training outputs are not rebuilt
+    without one mu.csv row per step and at least one loss. A CSV without its
+    exact header, such as a solution.csv or mu.csv that is not n_cells wide,
+    raises CorruptRunError."""
     cfg = config_from_dict(manifest["config"])
     summary = read_json(out_dir / "summary.json")
     scheme_cfg = cfg.scheme_config()
     grid = scheme_cfg.grid
-    tolerance = 1e-12
-
-    def compare(prefix: str, stored_block: dict, recomputed: dict) -> None:
-        """Check each recomputed value against its stored one; a missing or
-        non-numeric stored value fails, and equal values pass even where both
-        are infinite."""
-        for key, value in recomputed.items():
-            stored = _unnamed(stored_block.get(key))
-            ok = isinstance(stored, (int, float)) and (
-                stored == value or abs(stored - value) <= tolerance * max(1.0, abs(stored)))
-            check(f"{prefix}:{key}", ok, f"stored={stored!r} recomputed={value!r}")
-
     times, states = _read_run_matrix(out_dir / "solution.csv", grid.n_cells)
-    exact_final = _exact(cfg, grid, times[-1])
-    compare("stat", summary.get("stats", {}), summary_stats(states, exact_final, grid.dx))
-    check("final_state_consistent", *_columns_match(
-        out_dir / "final_state.csv", FINAL_STATE_HEADER,
-        _final_state_columns(grid, states[-1], exact_final)))
-
-    check("entropy_series_consistent", *_columns_match(
-        out_dir / "entropy.csv", ENTROPY_HEADER, [times, entropy_series(states, grid.dx)]))
 
     twin = _twin_viscosity(cfg)
     if twin is not None:
@@ -412,19 +374,43 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
         worst = _replay_error(states, mu_rows, scheme_cfg)
         check("scheme_equivalence", worst < 1e-13, f"{label}: max rel err {worst:.3e}")
 
+    mu = losses = None
     if training:
-        _, mu_values = _read_run_matrix(out_dir / "mu.csv", grid.n_cells)
-        if len(mu_values) == len(states) - 1:
-            worst = _replay_error(states, mu_values, scheme_cfg)
+        if cfg.training is None:
+            raise CorruptRunError(f"{out_dir / MANIFEST_NAME} lists mu.csv, but no [training]")
+        _, mu = _read_run_matrix(out_dir / "mu.csv", grid.n_cells)
+        loss_header = DERIVED_CSVS["loss_history.csv"][0]
+        losses = read_columns_csv(out_dir / "loss_history.csv", loss_header)[:, 1].tolist()
+        if len(mu) == len(states) - 1:
+            worst = _replay_error(states, mu, scheme_cfg)
             ok, detail = worst < 1e-13, f"max rel err {worst:.3e}"
         else:
-            ok, detail = False, f"{len(mu_values)} rows for {len(states) - 1} steps"
+            ok, detail = False, f"{len(mu)} rows for {len(states) - 1} steps"
         check("stored_steps_consistent", ok, detail)
-        compare("mu", summary.get("mu", {}), mu_summary(mu_values))
-        check("mu_final_consistent", *_columns_match(
-            out_dir / "mu_final.csv", MU_FINAL_HEADER, _mu_final_columns(grid, mu_values[-1])))
-        check("loss_history_consistent", *_loss_history_match(
-            out_dir / "loss_history.csv", summary.get("training", {})))
+        if not losses:
+            check("loss_history_consistent", False, "0 rows")
+        if len(mu) != len(states) - 1 or not losses:
+            mu = losses = None
+
+    csvs, recomputed = _derived(cfg, Trajectory(states, scheme_cfg, mu), times,
+                                _exact(cfg, grid, times[-1]), losses)
+    for name, columns in csvs.items():
+        header, check_name = DERIVED_CSVS[name]
+        check(check_name, *_columns_match(out_dir / name, header, columns))
+
+    def check_equal(name: str, stored, value) -> None:
+        stored = _unnamed(stored)
+        same = type(stored) is type(value) and (  # so a stored 1 is not True
+            stored == value or (stored != stored and value != value))  # nan equals nan
+        check(name, same, f"stored={stored!r} recomputed={value!r}")
+
+    for block, values in recomputed.items():
+        stored_block = summary.get(block)
+        stored_block = stored_block if isinstance(stored_block, dict) else {}
+        prefix = "stat" if block == "stats" else block
+        for key, value in values.items():
+            check_equal(f"{prefix}:{key}", stored_block.get(key), value)
+    check_equal("status", summary.get("status"), manifest.get("status"))
 
 
 def _check_study(out_dir: Path, manifest: dict, check) -> None:
@@ -539,7 +525,7 @@ def cmd_reproduce(preset: str, out_root: str | Path) -> int:
     comparison["claims"] = {name: holds(comparison) for name, holds in claims}
 
     write_json(out_root / "comparison.json", comparison)
-    _mark_finished(out_root, [{"name": "comparison.json", "role": "comparison"}],
+    _mark_finished(out_root, [{"name": "comparison.json"}],
                    t_start, "ok", preset=preset, subruns=[subdir for subdir, _, _ in runs])
     for name, passed in comparison["claims"].items():
         print(f"{name}: {'PASS' if passed else 'FAIL'}")
@@ -555,9 +541,8 @@ def _load_for(args: argparse.Namespace) -> ExperimentConfig:
         if args.preset not in PRESET_NAMES:
             raise ConfigError(f"unknown preset {args.preset!r}; choose one of {PRESET_NAMES}")
         cfg = preset_config(args.preset)
-    out_override = args.out or os.environ.get("ADVISC_OUT")
-    if out_override:
-        cfg = cfg.with_output_dir(out_override)
+    if args.out:
+        cfg = cfg.with_output_dir(args.out)
     return cfg
 
 
@@ -609,8 +594,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_train(_load_for(args))
         if args.command == "analyze":
             return cmd_analyze(args.directory)
-        out = args.out or os.environ.get("ADVISC_OUT") or args.preset
-        return cmd_reproduce(args.preset, out)
+        return cmd_reproduce(args.preset, args.out or args.preset)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -221,13 +221,6 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path), "--out", str(override)]) == 0
         assert (override / "solution.csv").is_file()
 
-    def test_env_var_overrides_directory(self, tmp_path, monkeypatch):
-        cfg_path, _ = write_config(tmp_path, t_final=0.01)
-        env_dir = tmp_path / "env-out"
-        monkeypatch.setenv("ADVISC_OUT", str(env_dir))
-        assert main(["run", "--config", str(cfg_path)]) == 0
-        assert (env_dir / "solution.csv").is_file()
-
 
 class TestTrainCommand:
     def test_training_produces_mu_artifacts(self, tmp_path):
@@ -245,6 +238,29 @@ class TestTrainCommand:
         assert len(losses) == 30
         summary = json.loads((out / "summary.json").read_text())
         assert summary["training"]["converged"] is True
+
+    def test_train_writes_exactly_the_checked_files(self, tmp_path, monkeypatch):
+        import advisc.cli
+
+        derived_names = set()
+        derived = advisc.cli._derived
+
+        def recording(*args, **kwargs):
+            csvs, blocks = derived(*args, **kwargs)
+            derived_names.update(csvs)
+            return csvs, blocks
+
+        monkeypatch.setattr(advisc.cli, "_derived", recording)
+        cfg_path, out = write_config(
+            tmp_path, scheme="ftcs_mu", n_cells=20, t_final=0.01,
+            training=TRAINING.format(n_iters=5, mu_min=-0.005),
+        )
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        assert main(["analyze", str(out)]) == 0
+        checked = advisc.cli.RUN_FILES | advisc.cli.TRAINING_FILES
+        assert {p.name for p in out.iterdir()} - {"analysis.json"} == checked
+        assert {entry["name"] for entry in read_manifest(out)["files"]} == checked
+        assert derived_names == set(advisc.cli.DERIVED_CSVS) and derived_names <= checked
 
     @pytest.mark.parametrize("mode", ["per_step", "global"])
     def test_overflow_on_first_step_writes_divergence_manifest(self, tmp_path, mode):
@@ -527,6 +543,16 @@ class TestAnalyzeCommand:
         failed = {c["name"]: c["detail"] for c in analysis["checks"] if not c["passed"]}
         assert failed == {"entropy_series_consistent": "0 rows for 11 entries"}
 
+    def test_analyze_header_only_loss_history_fails_its_check(self, tmp_path):
+        cfg_path, out = write_config(
+            tmp_path, scheme="ftcs_mu", n_cells=20, t_final=0.01,
+            training=TRAINING.format(n_iters=5, mu_min=-0.005),
+        )
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        (out / "loss_history.csv").write_text("iter,loss\n")
+        assert main(["analyze", str(out)]) == 1
+        assert failed_checks(out) == {"loss_history_consistent": "0 rows"}
+
     @pytest.mark.parametrize("block", ["config", "files"])
     def test_analyze_manifest_without_block_exits_4(self, tmp_path, capsys, block):
         cfg_path, out = write_config(tmp_path, t_final=0.01)
@@ -538,21 +564,22 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert "manifest.json" in err and repr(block) in err
 
-    @pytest.mark.parametrize("name, row, column, check, mismatch", [
-        ("final_state.csv", 20, 0, "final_state_consistent", "['x']"),
-        ("final_state.csv", 20, 1, "final_state_consistent", "['u']"),
-        ("final_state.csv", 20, 2, "final_state_consistent", "['exact']"),
-        ("final_state.csv", 20, 3, "final_state_consistent", "['error']"),
-        ("mu_final.csv", 5, 0, "mu_final_consistent", "['x_face']"),
-        ("mu_final.csv", 5, 1, "mu_final_consistent", "['mu_raw']"),
-        ("mu_final.csv", 5, 2, "mu_final_consistent", "['mu_normalized']"),
-        ("loss_history.csv", 0, 0, "loss_history_consistent", "'iter'"),
-        ("loss_history.csv", 0, 1, "loss_history_consistent", "'loss_first'"),
-        ("loss_history.csv", 29, 1, "loss_history_consistent", "'loss_last'"),
+    @pytest.mark.parametrize("name, row, column, checks, mismatch", [
+        ("final_state.csv", 20, 0, ["final_state_consistent"], "['x']"),
+        ("final_state.csv", 20, 1, ["final_state_consistent"], "['u']"),
+        ("final_state.csv", 20, 2, ["final_state_consistent"], "['exact']"),
+        ("final_state.csv", 20, 3, ["final_state_consistent"], "['error']"),
+        ("mu_final.csv", 5, 0, ["mu_final_consistent"], "['x_face']"),
+        ("mu_final.csv", 5, 1, ["mu_final_consistent"], "['mu_raw']"),
+        ("mu_final.csv", 5, 2, ["mu_final_consistent"], "['mu_normalized']"),
+        ("loss_history.csv", 0, 0, ["loss_history_consistent"], "'iter'"),
+        # row 0 also holds the smallest loss
+        ("loss_history.csv", 0, 1, ["training:loss_first", "training:loss_best"], "stored="),
+        ("loss_history.csv", 29, 1, ["training:loss_last"], "stored="),
     ], ids=["final_x", "final_u", "final_exact", "final_error", "mu_x_face", "mu_raw",
             "mu_normalized", "loss_iter", "loss_first", "loss_last"])
     def test_analyze_names_file_with_one_digit_changed(self, tmp_path, name, row, column,
-                                                       check, mismatch):
+                                                       checks, mismatch):
         cfg_path, out = write_config(
             tmp_path, scheme="ftcs_mu", n_cells=32, t_final=0.03,
             training=TRAINING.format(n_iters=40, mu_min=-0.005),
@@ -562,8 +589,8 @@ class TestAnalyzeCommand:
         change_one_digit(out / name, row, column)
         assert main(["analyze", str(out)]) == 1
         failed = failed_checks(out)
-        assert list(failed) == [check]
-        assert mismatch in failed[check]
+        assert list(failed) == checks
+        assert all(mismatch in failed[check] for check in checks)
 
     def test_analyze_plain_run_checks_final_state(self, tmp_path):
         cfg_path, out = write_config(tmp_path, kind="sine", t_final=0.05)
@@ -675,13 +702,77 @@ class TestAnalyzeCommand:
         summary = json.loads((out / "summary.json").read_text())
         expected = {f"stat:{key}" for key in summary.pop("stats")}
         del summary["mu"]
-        expected |= {"mu:mu_min", "mu:mu_max", "mu:fraction_negative"}
+        expected |= {"mu:mu_min", "mu:mu_max", "mu:fraction_negative",
+                     "mu:negative_mass_near_discontinuity"}
         (out / "summary.json").write_text(json.dumps(summary))
         assert main(["analyze", str(out)]) == 1
         analysis = json.loads((out / "analysis.json").read_text())
         failed = {c["name"]: c["detail"] for c in analysis["checks"] if not c["passed"]}
         assert set(failed) == expected
         assert all(detail.startswith("stored=None ") for detail in failed.values())
+
+    @pytest.mark.parametrize("block, key, edit, check", [
+        ("stats", "mse_final", lambda v: v * (1 + 1e-13), "stat:mse_final"),
+        ("mu", "negative_mass_near_discontinuity", lambda v: 0.123,
+         "mu:negative_mass_near_discontinuity"),
+        ("verdicts", "entropy_nonincreasing_global", lambda v: not v,
+         "verdicts:entropy_nonincreasing_global"),
+        ("verdicts", "entropy_nonincreasing_global", int,
+         "verdicts:entropy_nonincreasing_global"),
+        ("training", "mode", lambda v: "global", "training:mode"),
+        (None, "status", lambda v: "divergence", "status"),
+    ], ids=["mse_final_relative_1e-13", "negative_mass", "verdict", "verdict_as_number",
+            "mode", "status"])
+    def test_analyze_fails_one_edited_summary_value(self, tmp_path, block, key, edit, check):
+        cfg_path, out = write_config(
+            tmp_path, scheme="ftcs_mu", n_cells=32, t_final=0.03,
+            training=TRAINING.format(n_iters=40, mu_min=-0.005),
+        )
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        values = summary if block is None else summary[block]
+        before = values[key]
+        values[key] = edit(before)
+        assert json.dumps(values[key]) != json.dumps(before)
+        (out / "summary.json").write_text(json.dumps(summary))
+        assert main(["analyze", str(out)]) == 1
+        assert list(failed_checks(out)) == [check]
+
+    def test_analyze_training_run_without_training_config_exits_4(self, tmp_path, capsys):
+        cfg_path, out = write_config(
+            tmp_path, scheme="ftcs_mu", n_cells=20, t_final=0.01,
+            training=TRAINING.format(n_iters=5, mu_min=-0.005),
+        )
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        manifest = read_manifest(out)
+        del manifest["config"]["training"]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["analyze", str(out)]) == 4
+        assert "[training]" in capsys.readouterr().err
+
+    def test_analyze_fails_summary_block_that_is_not_an_object(self, tmp_path):
+        cfg_path, out = write_config(tmp_path, t_final=0.01)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        expected = {f"stat:{key}" for key in summary["stats"]}
+        summary["stats"] = 5
+        (out / "summary.json").write_text(json.dumps(summary))
+        assert main(["analyze", str(out)]) == 1
+        failed = failed_checks(out)
+        assert set(failed) == expected
+        assert all(detail.startswith("stored=None ") for detail in failed.values())
+
+    def test_analyze_accepts_manifest_entries_with_roles(self, tmp_path):
+        cfg_path, out = write_config(
+            tmp_path, scheme="ftcs_mu", n_cells=20, t_final=0.01,
+            training=TRAINING.format(n_iters=5, mu_min=-0.005),
+        )
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        manifest = read_manifest(out)
+        for entry in manifest["files"]:
+            entry["role"] = entry["name"].split(".")[0]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["analyze", str(out)]) == 0
 
 
 class TestExitCodes:
