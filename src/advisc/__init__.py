@@ -36,11 +36,9 @@ from .schemes import (
     SchemeConfig,
     Trajectory,
     amplification_factor,
-    ftcs_bare_step,
     ftcs_update,
     lax_wendroff_step,
     simulate,
-    upwind_step,
 )
 
 __version__ = "0.1.0"

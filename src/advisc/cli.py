@@ -39,7 +39,7 @@ from .runio import (
     write_json,
     write_manifest,
 )
-from .schemes import DivergenceError, SchemeConfig, Trajectory, ftcs_update, simulate
+from .schemes import CLASSICAL_MU, DivergenceError, SchemeConfig, Trajectory, ftcs_update, simulate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -139,7 +139,7 @@ def _clear_previous_run(out_dir: Path) -> None:
     manifest_path = out_dir / MANIFEST_NAME
     if not manifest_path.is_file():
         return
-    manifest = read_json(manifest_path)
+    manifest = read_manifest(out_dir)
     manifest_path.unlink()
 
     def inside(names: list[str]) -> list[Path]:
@@ -216,12 +216,12 @@ def _write_run(
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     """Simulate the configured scheme and write its solution, final state and entropy."""
+    if cfg.scheme == "ftcs_mu" and cfg.mu is None:
+        raise ConfigError("scheme 'ftcs_mu' requires the 'mu' key for plain runs")
     t_start = time.time()
     out_dir = Path(cfg.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     scheme_cfg, exact = _build_problem(cfg)
-    if cfg.scheme == "ftcs_mu" and cfg.mu is None:
-        raise ConfigError("scheme 'ftcs_mu' requires the 'mu' key for plain runs")
     _clear_previous_run(out_dir)
 
     status, extra = "ok", None
@@ -294,20 +294,6 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     return _write_training(cfg, outcome, exact, t_start)
 
 
-def _twin_viscosity(cfg: ExperimentConfig) -> tuple[str, float] | None:
-    """The constant ftcs_mu viscosity a plain run's states must replay under, with its label."""
-    grid = cfg.grid()
-    if cfg.scheme == "upwind":
-        mu_value = abs(cfg.c) * grid.dx / 2.0
-        return f"upwind == ftcs_mu at mu={mu_value:g}", mu_value
-    if cfg.scheme == "lax_wendroff":
-        mu_value = cfg.c**2 * cfg.dt / 2.0
-        return f"lax_wendroff == ftcs_mu at mu={mu_value:g}", mu_value
-    if cfg.scheme == "ftcs_mu" and cfg.mu is not None:
-        return f"stored states reproduce ftcs_mu at mu={cfg.mu:g}", cfg.mu
-    return None
-
-
 def _replay_error(states: np.ndarray, mu_rows: np.ndarray, cfg: SchemeConfig) -> float:
     """Largest error of one FTCS step from each stored state to the next.
 
@@ -353,9 +339,10 @@ def _columns_match(path: Path, header: list[str], expected: list) -> tuple[bool,
 def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
     """Check every file of a run against its config and its primary data:
     solution.csv and, for a training run, mu.csv and the losses of
-    loss_history.csv. The scheme is replayed on them, and ``_derived``, as
-    the writer called it, rebuilds every other CSV and summary.json value,
-    which must match exactly; the summary's status must be the manifest's.
+    loss_history.csv. The steps are replayed on them, a plain run's as FTCS
+    at its scheme's constant viscosity, and ``_derived``, as the writer
+    called it, rebuilds every other CSV and summary.json value, which must
+    match exactly; the summary's status must be the manifest's.
     Its ``converged`` and ``divergence_events`` come only from the
     optimizer's report, so stay unchecked. Training outputs are not rebuilt
     without one mu.csv row per step and at least one loss. A CSV without its
@@ -367,12 +354,12 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
     grid = scheme_cfg.grid
     times, states = _read_run_matrix(out_dir / "solution.csv", grid.n_cells)
 
-    twin = _twin_viscosity(cfg)
-    if twin is not None:
-        label, mu_value = twin
+    mu_value = cfg.mu if cfg.scheme == "ftcs_mu" else CLASSICAL_MU[cfg.scheme](scheme_cfg)
+    if mu_value is not None:  # a plain run: every step is FTCS at one constant mu
         mu_rows = np.broadcast_to(mu_value, (len(states) - 1, grid.n_cells))
         worst = _replay_error(states, mu_rows, scheme_cfg)
-        check("scheme_equivalence", worst < 1e-13, f"{label}: max rel err {worst:.3e}")
+        check("scheme_equivalence", worst < 1e-13,
+              f"{cfg.scheme} replayed as ftcs_mu at mu={mu_value:g}: max rel err {worst:.3e}")
 
     mu = losses = None
     if training:
@@ -571,8 +558,10 @@ def main(argv: list[str] | None = None) -> int:
         ("train", "train a viscosity closure and write CSV artifacts"),
     ):
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", help="path to an experiment config file")
-        p.add_argument("--preset", help="named preset instead of a config file")
+        p.add_argument("--config", required=name == "run", help="path to a config file")
+        if name == "train":  # every preset trains, so only train takes one
+            p.add_argument("--preset", help="named preset instead of a config file")
+        p.set_defaults(preset=None)
         p.add_argument("--out", help="output directory override")
 
     p = sub.add_parser("analyze", help="verify a finished run directory")

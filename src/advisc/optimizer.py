@@ -18,6 +18,7 @@ import numpy as np
 
 from .adjoint import grad_mu_global, loss_value
 from .schemes import (
+    CLASSICAL_MU,
     DivergenceError,
     SchemeConfig,
     Trajectory,
@@ -33,9 +34,9 @@ from .schemes import (
 class OptimizerConfig:
     """Hyperparameters for projected gradient descent.
 
-    Training starts from the upwind-equivalent viscosity c*dx/2 clipped into
-    [mu_min, mu_max] (a stable starting scheme); per-step training then
-    starts each step from the previous step's optimum.
+    Training starts from the upwind viscosity |c|*dx/2, for either sign of
+    c, clipped into [mu_min, mu_max] (a stable starting scheme); per-step
+    training then starts each step from the previous step's optimum.
     """
 
     learning_rate: float = 1e-2
@@ -54,7 +55,7 @@ class OptimizerConfig:
             raise ValueError("mu_min must not exceed mu_max")
 
     def resolve_init(self, cfg: SchemeConfig) -> float:
-        return float(np.clip(cfg.c * cfg.grid.dx / 2.0, self.mu_min, self.mu_max))
+        return float(np.clip(CLASSICAL_MU["upwind"](cfg), self.mu_min, self.mu_max))
 
 
 @dataclass(frozen=True)

@@ -95,9 +95,12 @@ def read_json(path: str | Path) -> dict:
     if not p.is_file():
         raise FileNotFoundError(f"missing file: {p}")
     try:
-        return json.loads(p.read_text())
+        payload = json.loads(p.read_text())
     except json.JSONDecodeError as err:
         raise CorruptRunError(f"corrupt JSON in {p}: {err}") from err
+    if not isinstance(payload, dict):
+        raise CorruptRunError(f"{p} holds a JSON {type(payload).__name__}, not an object")
+    return payload
 
 
 MANIFEST_NAME = "manifest.json"
@@ -112,7 +115,15 @@ def write_manifest(directory: str | Path, payload: dict) -> None:
 
 
 def read_manifest(directory: str | Path) -> dict:
+    """The manifest of ``directory``; a ``files`` block that is not a list of
+    objects, each with a string ``name``, raises CorruptRunError."""
     path = Path(directory) / MANIFEST_NAME
     if not path.is_file():
         raise FileNotFoundError(f"no manifest found in {directory}")
-    return read_json(path)
+    manifest = read_json(path)
+    files = manifest.get("files", [])
+    if not (isinstance(files, list)
+            and all(isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                    for entry in files)):
+        raise CorruptRunError(f"{path} lists a file entry that is not an object with a name")
+    return manifest

@@ -24,13 +24,16 @@ from advisc.optimizer import (
 )
 from advisc.presets import nonneg_variant, preset_config
 from advisc.schemes import (
+    CLASSICAL_MU,
+    SCHEME_NAMES,
     SchemeConfig,
     amplification_factor,
     ftcs_update,
     lax_wendroff_step,
     simulate,
-    upwind_step,
 )
+
+from oracles import naive_upwind_step
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -63,13 +66,14 @@ def test_criterion_1_adjoint_matches_fd_oracle():
 def test_criterion_2_scheme_equivalence_identities():
     grid = make_grid(100, 1.0)
     cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
-    mu_up = np.full(100, cfg.c * grid.dx / 2)
-    mu_lw = np.full(100, cfg.c**2 * cfg.dt / 2)
+    mu_up = np.full(100, CLASSICAL_MU["upwind"](cfg))
+    mu_lw = np.full(100, CLASSICAL_MU["lax_wendroff"](cfg))
+    assert mu_up[0] == cfg.c * grid.dx / 2 and mu_lw[0] == cfg.c**2 * cfg.dt / 2
     rng = np.random.default_rng(42)
     worst_up = worst_lw = 0.0
     for _ in range(100):
         u = rng.uniform(-1, 1, 100)
-        up_ref = upwind_step(u, cfg)
+        up_ref = np.array(naive_upwind_step(list(u), cfg.cfl))
         lw_ref = lax_wendroff_step(u, cfg)
         worst_up = max(
             worst_up,
@@ -206,14 +210,10 @@ def test_criterion_8_conservation_and_constants(paper_training_report):
     cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
     const = np.full(64, 3.7)
     mu = np.linspace(-0.005, 0.09, 64)
-    from advisc.schemes import ftcs_bare_step
-
-    preserved = (
-        np.allclose(ftcs_update(const, mu, cfg), 3.7, rtol=0, atol=1e-14)
-        and np.allclose(upwind_step(const, cfg), 3.7, rtol=0, atol=1e-14)
-        and np.allclose(lax_wendroff_step(const, cfg), 3.7, rtol=0, atol=1e-14)
-        and np.allclose(ftcs_bare_step(const, cfg), 3.7, rtol=0, atol=1e-14)
-    )
+    stepped = [ftcs_update(const, mu, cfg), lax_wendroff_step(const, cfg)]
+    stepped += [simulate(const, 1, cfg, scheme=scheme, mu=mu if scheme == "ftcs_mu" else None)
+                .states[1] for scheme in SCHEME_NAMES]
+    preserved = all(np.allclose(u, 3.7, rtol=0, atol=1e-14) for u in stepped)
     report(
         8,
         drift < 1e-12 and preserved,

@@ -8,6 +8,7 @@ import pytest
 from advisc.cli import main
 from advisc.presets import STUDIES, nonneg_variant, preset_config
 from advisc.runio import matrix_header, read_columns_csv, read_manifest, write_columns_csv
+from advisc.schemes import SCHEME_NAMES
 
 BASE = """
 [simulation]
@@ -102,6 +103,13 @@ class TestRunCommand:
     def test_ftcs_mu_requires_mu_key(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, scheme="ftcs_mu")
         assert main(["run", "--config", str(cfg_path)]) == 3
+
+    def test_rejected_run_creates_no_directory(self, tmp_path):
+        cfg_path, out = write_config(tmp_path, scheme="ftcs_mu")
+        assert main(["run", "--config", str(cfg_path)]) == 3
+        # every preset trains, so run takes none
+        assert main(["run", "--preset", "paper-hat", "--out", str(out)]) == 3
+        assert not out.exists()
 
     def test_divergent_run_exits_2_with_partial_outputs(self, tmp_path):
         cfg_path, out = write_config(
@@ -386,6 +394,26 @@ class TestAnalyzeCommand:
         assert analysis["all_passed"] is True
         names = {c["name"] for c in analysis["checks"]}
         assert "scheme_equivalence" in names
+
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_analyze_replays_every_plain_scheme(self, tmp_path, scheme):
+        extra_sim = "mu = 0.005\n" if scheme == "ftcs_mu" else ""
+        cfg_path, out = write_config(tmp_path, scheme=scheme, t_final=0.02, extra_sim=extra_sim)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        assert main(["analyze", str(out)]) == 0
+        analysis = json.loads((out / "analysis.json").read_text())
+        assert "scheme_equivalence" in {check["name"] for check in analysis["checks"]}
+
+    def test_analyze_detects_swapped_entries_in_bare_ftcs_run(self, tmp_path):
+        cfg_path, out = write_config(tmp_path, scheme="ftcs_bare", t_final=0.05)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        times, states = read_matrix(out / "solution.csv")
+        middle = len(states) // 2
+        assert states[middle, 10] != states[middle, 50]
+        states[middle, [10, 50]] = states[middle, [50, 10]]
+        write_matrix(out / "solution.csv", times, states)
+        assert main(["analyze", str(out)]) == 1
+        assert set(failed_checks(out)) == {"scheme_equivalence"}
 
     def test_analyze_training_run_passes(self, tmp_path):
         cfg_path, out = write_config(
@@ -773,6 +801,50 @@ class TestAnalyzeCommand:
             entry["role"] = entry["name"].split(".")[0]
         (out / "manifest.json").write_text(json.dumps(manifest))
         assert main(["analyze", str(out)]) == 0
+
+
+class TestNonObjectJson:
+    """A JSON file that is not an object, which no writer writes, exits 4 and
+    is named."""
+
+    def test_summary_that_is_an_array(self, tmp_path, capsys):
+        cfg_path, out = write_config(tmp_path, t_final=0.01)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        (out / "summary.json").write_text("[]\n")
+        assert main(["analyze", str(out)]) == 4
+        assert "summary.json" in capsys.readouterr().err
+
+    def test_manifest_that_is_an_array_on_rerun(self, tmp_path, capsys):
+        cfg_path, out = write_config(tmp_path, t_final=0.01)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        (out / "manifest.json").write_text("[]\n")
+        assert main(["run", "--config", str(cfg_path)]) == 4
+        assert "manifest.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "rerun"])
+    def test_manifest_files_that_are_bare_names(self, tmp_path, capsys, command):
+        cfg_path, out = write_config(tmp_path, t_final=0.01)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        manifest = read_manifest(out)
+        manifest["files"] = [entry["name"] for entry in manifest["files"]]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        argv = ["analyze", str(out)] if command == "analyze" else ["run", "--config", str(cfg_path)]
+        assert main(argv) == 4
+        assert "manifest.json" in capsys.readouterr().err
+
+    def test_study_comparison_that_is_an_array(self, tmp_path, capsys, monkeypatch):
+        import advisc.cli
+
+        def short(name, out_dir="out"):
+            return replace(preset_config(name, out_dir), t_final=0.01)
+
+        monkeypatch.setattr(advisc.cli, "preset_config", short)
+        study = tmp_path / "study"
+        assert main(["reproduce", "--preset", "sine-smooth", "--out", str(study)]) == 0
+        (study / "comparison.json").write_text("[]\n")
+        capsys.readouterr()
+        assert main(["analyze", str(study)]) == 4
+        assert "comparison.json" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -37,12 +37,35 @@ class TestOptimizerConfig:
             OptimizerConfig(mu_min=0.1, mu_max=0.0)
 
     def test_default_init_is_upwind_equivalent(self):
-        cfg, _, _ = toy_problem()
-        assert OptimizerConfig().resolve_init(cfg) == cfg.c * cfg.grid.dx / 2
+        for c in (1.0, -1.0):  # |c|*dx/2: a negative start is anti-diffusive
+            cfg, _, _ = toy_problem(c=c)
+            assert OptimizerConfig().resolve_init(cfg) == cfg.grid.dx / 2
 
     def test_bad_learning_rate(self):
         with pytest.raises(ValueError):
             OptimizerConfig(learning_rate=0.0)
+
+
+class TestMirrorSymmetry:
+    @pytest.mark.parametrize("trainer", ["per_step", "global"])
+    def test_negative_speed_trains_the_exact_mirror_image(self, trainer):
+        # The paper hat on (0.4, 0.6) is symmetric about the domain's middle, so
+        # advecting it at c = -1 is the mirror image of c = +1: cell i maps to
+        # cell N-1-i and face i+1/2 to face N-2-i.
+        runs = []
+        for c in (1.0, -1.0):
+            cfg = SchemeConfig(c=c, dt=1e-3, grid=make_grid(100, 1.0))
+            _, exact = hat_problem(cfg, 150)
+            if trainer == "per_step":
+                (report,) = train_per_step(cfg, (OptimizerConfig(),), exact)
+            else:
+                opt = OptimizerConfig(learning_rate=1.0, n_iters=20)
+                report = train_global(cfg, opt, exact)
+            runs.append(report.trajectory)
+        right, left = runs
+        assert np.array_equal(left.states, right.states[:, ::-1])
+        assert np.array_equal(left.viscosity_history,
+                              np.roll(right.viscosity_history[:, ::-1], -1, axis=-1))
 
 
 class TestTrainPerStep:

@@ -4,15 +4,14 @@ import pytest
 from advisc.diagnostics import ec_es_split
 from advisc.grid import make_grid, sine_solution
 from advisc.schemes import (
+    CLASSICAL_MU,
     DivergenceError,
     SchemeConfig,
     Trajectory,
     amplification_factor,
-    ftcs_bare_step,
     ftcs_update,
     lax_wendroff_step,
     simulate,
-    upwind_step,
 )
 
 from oracles import (
@@ -27,6 +26,11 @@ from oracles import (
 def small_config(n=3, length=0.03, c=1.0, dt=1e-3):
     grid = make_grid(n, length)
     return SchemeConfig(c=c, dt=dt, grid=grid)
+
+
+def one_step(u, cfg, scheme):
+    """The state after one simulate step of a classical scheme from ``u``."""
+    return simulate(u, 1, cfg, scheme=scheme).states[1]
 
 
 def rel_err(a, b):
@@ -71,7 +75,8 @@ class TestFtcsStep:
         cfg = small_config(n=12, length=0.12)
         rng = np.random.default_rng(1)
         u = rng.uniform(-1, 1, 12)
-        assert np.array_equal(ftcs_update(u, np.zeros(12), cfg), ftcs_bare_step(u, cfg))
+        oracle = naive_ftcs_mu_step(list(u), [0.0] * 12, cfg.c, cfg.dt, cfg.grid.dx)
+        assert np.array_equal(ftcs_update(u, np.zeros(12), cfg), oracle)
 
     def test_kernel_rejects_shapes_off_the_grid(self):
         cfg = small_config(n=5, length=0.05)
@@ -108,11 +113,11 @@ class TestFtcsStep:
     def test_upwind_equivalence(self):
         cfg = small_config(n=20, length=0.2)
         rng = np.random.default_rng(3)
-        mu = np.full(20, cfg.c * cfg.grid.dx / 2)
+        mu = np.full(20, CLASSICAL_MU["upwind"](cfg))
         for _ in range(10):
             u = rng.uniform(-1, 1, 20)
             stepped = ftcs_update(u, mu, cfg)
-            assert rel_err(stepped, upwind_step(u, cfg)) < 1e-13
+            assert rel_err(stepped, naive_upwind_step(list(u), cfg.cfl)) < 1e-13
 
     def test_single_step_mass_conservation_any_mu(self):
         # telescoping flux sum: |delta mass| <= 10*eps*n*max|F| even at signed mu
@@ -146,11 +151,7 @@ class TestFtcsStep:
         def step(values):
             if scheme == "ftcs_mu":
                 return ftcs_update(values, mu, cfg)
-            if scheme == "upwind":
-                return upwind_step(values, cfg)
-            if scheme == "lax_wendroff":
-                return lax_wendroff_step(values, cfg)
-            return ftcs_bare_step(values, cfg)
+            return one_step(values, cfg, scheme)
 
         a, b = 1.7, -0.3
         combined = step(a * u + b * v)
@@ -162,32 +163,32 @@ class TestUpwind:
     def test_preserves_constants(self):
         cfg = small_config(n=6, length=0.06)
         u = np.full(6, -1.2)
-        assert np.allclose(upwind_step(u, cfg), -1.2, atol=1e-15)
+        assert np.allclose(one_step(u, cfg, "upwind"), -1.2, atol=1e-15)
 
     def test_unit_cfl_is_exact_shift(self):
         grid = make_grid(8, 0.8)
         cfg = SchemeConfig(c=1.0, dt=0.1, grid=grid)  # cfl = 1
         rng = np.random.default_rng(8)
         u = rng.uniform(-1, 1, 8)
-        assert np.allclose(upwind_step(u, cfg), np.roll(u, 1), atol=1e-15)
+        assert np.allclose(one_step(u, cfg, "upwind"), np.roll(u, 1), atol=1e-15)
 
     def test_hand_evaluated_stencil(self):
         cfg = small_config()
         u = np.array([0.0, 1.0, 0.0])
-        assert np.allclose(upwind_step(u, cfg), [0.0, 0.9, 0.1])
+        assert np.allclose(one_step(u, cfg, "upwind"), [0.0, 0.9, 0.1])
 
     def test_negative_speed_mirrors(self):
         grid = make_grid(8, 0.8)
         cfg = SchemeConfig(c=-1.0, dt=0.1, grid=grid)
         rng = np.random.default_rng(9)
         u = rng.uniform(-1, 1, 8)
-        assert np.allclose(upwind_step(u, cfg), np.roll(u, -1), atol=1e-15)
+        assert np.allclose(one_step(u, cfg, "upwind"), np.roll(u, -1), atol=1e-15)
 
     def test_matches_loop_oracle(self):
         cfg = small_config(n=11, length=0.11)
         rng = np.random.default_rng(10)
         uv = rng.uniform(-1, 1, 11)
-        stepped = upwind_step(uv, cfg)
+        stepped = one_step(uv, cfg, "upwind")
         assert np.allclose(stepped, naive_upwind_step(list(uv), cfg.cfl), atol=1e-15)
 
 
@@ -278,20 +279,23 @@ class TestSimulate:
         oracle = naive_upwind_states(list(u0v), 20, cfg.cfl)
         assert np.allclose(traj.states, oracle, rtol=1e-13, atol=1e-15)
 
-    @pytest.mark.parametrize("scheme,oracle", [("upwind", naive_upwind_step),
-                                               ("lax_wendroff", naive_lax_wendroff_step)])
-    def test_classical_states_equal_loop_oracle_bit_for_bit(self, scheme, oracle):
-        # The classical stencils keep their own arithmetic order; stepping them as
-        # ftcs_update with the equivalent viscosity differs in the last bits.
-        grid = make_grid(50, 1.0)
-        cfg = SchemeConfig(c=1.0, dt=2e-3, grid=grid)
-        u = list(np.random.default_rng(16).uniform(-1, 1, 50))
-        expected = [u]
-        for _ in range(40):
-            u = oracle(u, cfg.cfl)
-            expected.append(u)
-        traj = simulate(np.array(expected[0]), 40, cfg, scheme=scheme)
-        assert np.array_equal(traj.states, np.array(expected))
+    @pytest.mark.parametrize("scheme", ["upwind", "lax_wendroff", "ftcs_bare"])
+    def test_classical_states_equal_loop_oracle_bit_for_bit(self, scheme):
+        # Lax-Wendroff keeps its own stencil's arithmetic order; the other
+        # classical schemes are the FTCS loop at their table viscosity.
+        for c in (1.0, -1.0):
+            cfg = SchemeConfig(c=c, dt=2e-3, grid=make_grid(50, 1.0))
+            mu = [CLASSICAL_MU[scheme](cfg)] * 50
+            u = list(np.random.default_rng(16).uniform(-1, 1, 50))
+            expected = [u]
+            for _ in range(40):
+                if scheme == "lax_wendroff":
+                    u = naive_lax_wendroff_step(u, cfg.cfl)
+                else:
+                    u = naive_ftcs_mu_step(u, mu, cfg.c, cfg.dt, cfg.grid.dx)
+                expected.append(u)
+            traj = simulate(np.array(expected[0]), 40, cfg, scheme=scheme)
+            assert np.array_equal(traj.states, np.array(expected))
 
     def test_viscosity_history_recorded(self):
         cfg = small_config(n=10, length=0.1)
