@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .schemes import SchemeConfig, Trajectory, _next, _prev, ftcs_update, simulate
+from .schemes import SchemeConfig, Trajectory, _next, ftcs_update, simulate
 
 
 def _check_exact(traj: Trajectory, exact: np.ndarray) -> None:
@@ -34,10 +34,11 @@ def loss_value(traj: Trajectory, exact: np.ndarray) -> float:
     if n_steps == 0:
         return 0.0
     coef = 1.0 / (traj.config.grid.n_cells * n_steps)
+    err = traj.states[1:] - exact[1:]
+    np.multiply(err, err, out=err)
     total = 0.0
-    for m in range(1, n_steps + 1):
-        err = traj.states[m] - exact[m]
-        total += coef * float(np.sum(err * err))
+    for row_sum in np.sum(err, axis=1).tolist():  # each row summed as on its own
+        total += coef * row_sum
     return total
 
 
@@ -57,7 +58,25 @@ def grad_mu_instantaneous(
         raise ValueError(f"exact_next has shape {exact_next.shape}, u has {u.shape}")
     u_next = ftcs_update(u, mu, cfg)
     r = (2.0 / cfg.grid.n_cells) * (u_next - exact_next)
-    return _mu_contraction(u, r, cfg)
+    return (cfg.dt / cfg.grid.dx**2) * (_next(u) - u) * (r - _next(r))
+
+
+def _transpose_into(out: np.ndarray, ve: np.ndarray, mu: np.ndarray, g: np.ndarray,
+                    t: np.ndarray, cfg: SchemeConfig) -> None:
+    """out <- step_transpose_update(v, mu) in place, with v between ghosts v_{N-1} and
+    v_0 in ``ve``. Column 0 of ``g``, one column wider than v, repeats G_{N-1/2} ahead
+    of G_{j+1/2} = mu_{j+1/2}*(v_{j+1} - v_j); ``t`` and ``out`` are scratch."""
+    vm, v, vp = ve[..., :-2], ve[..., 1:-1], ve[..., 2:]
+    g_here, g_before = g[..., 1:], g[..., :-1]
+    np.subtract(vp, v, out=g_here)
+    np.multiply(mu, g_here, out=g_here)
+    g[..., 0] = g[..., -1]
+    np.subtract(g_here, g_before, out=t)  # the viscous bracket, G_{j+1/2} - G_{j-1/2}
+    np.multiply(cfg.dt / cfg.grid.dx**2, t, out=t)
+    np.subtract(vp, vm, out=out)
+    np.multiply(0.5 * cfg.cfl, out, out=out)
+    np.add(v, out, out=out)
+    np.add(out, t, out=out)
 
 
 def step_transpose_update(v: np.ndarray, mu: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
@@ -69,19 +88,13 @@ def step_transpose_update(v: np.ndarray, mu: np.ndarray, cfg: SchemeConfig) -> n
         (A^T v)_j = v_j + (cfl/2)*(v_{j+1} - v_{j-1})
                     + (dt/dx^2)*[mu_{j+1/2}*(v_{j+1} - v_j) - mu_{j-1/2}*(v_j - v_{j-1})].
 
-    ``v`` (cells) and ``mu`` (faces) are plain arrays of length n_cells; the
-    adjoint reverse sweep steps through here.
+    ``v`` (cells) and ``mu`` (faces) are plain arrays of length n_cells. It
+    allocates the buffers of ``_transpose_into``, the one transposed stencil.
     """
-    vp = _next(v)
-    vm = _prev(v)
-    k = cfg.dt / cfg.grid.dx**2
-    return v + 0.5 * cfg.cfl * (vp - vm) + k * (mu * (vp - v) - _prev(mu) * (v - vm))
-
-
-def _mu_contraction(u_n: np.ndarray, lam_next: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
-    """d(step)/dmu at state u^n contracted against the incoming adjoint."""
-    du = _next(u_n) - u_n
-    return (cfg.dt / cfg.grid.dx**2) * du * (lam_next - _next(lam_next))
+    ve = np.concatenate((v[..., -1:], v, v[..., :1]), axis=-1)
+    out, t, g = np.empty(v.shape), np.empty(v.shape), np.empty(ve[..., 1:].shape)
+    _transpose_into(out, ve, mu, g, t, cfg)
+    return out
 
 
 def grad_mu_global(traj: Trajectory, exact: np.ndarray) -> np.ndarray:
@@ -95,6 +108,7 @@ def grad_mu_global(traj: Trajectory, exact: np.ndarray) -> np.ndarray:
 
     and the gradient at step n is lambda^{n+1} contracted against the step's
     mu-sensitivity at u^n. Returns the (n_steps, n_faces) gradient array.
+    The sweep runs in preallocated buffers, in step_transpose_update's order.
     """
     n_steps = traj.n_steps
     if traj.viscosity_history is None or n_steps == 0:
@@ -107,16 +121,26 @@ def grad_mu_global(traj: Trajectory, exact: np.ndarray) -> np.ndarray:
     mu = traj.viscosity_history
     coef = 1.0 / (n * n_steps)
 
-    def dj_du(m: int) -> np.ndarray:
-        err = states[m] - exact[m]
-        return 2.0 * coef * err
-
+    # Row n: the mu-sensitivity (dt/dx^2)*(u_{i+1} - u_i) at u^n, times lambda_i - lambda_{i+1}.
     grad = np.empty((n_steps, n))
-    lam = dj_du(n_steps)
-    grad[n_steps - 1] = _mu_contraction(states[n_steps - 1], lam, cfg)
-    for m in range(n_steps - 1, 0, -1):
-        lam = step_transpose_update(lam, mu[m], cfg) + dj_du(m)
-        grad[m - 1] = _mu_contraction(states[m - 1], lam, cfg)
+    np.subtract(states[:-1, 1:], states[:-1, :-1], out=grad[:, :-1])
+    np.subtract(states[:-1, 0], states[:-1, -1], out=grad[:, -1])
+    np.multiply(cfg.dt / cfg.grid.dx**2, grad, out=grad)
+    # The rows take turns holding lambda^{m+1} and lambda^m between ghost columns.
+    lam = np.empty((2, n + 2))
+    g, t, dj = np.empty(n + 1), np.empty(n), np.empty(n)
+    for m in range(n_steps, 0, -1):
+        here, after = lam[m % 2], lam[(m + 1) % 2]
+        np.subtract(states[m], exact[m], out=dj)
+        np.multiply(2.0 * coef, dj, out=dj)  # dJ/du^m
+        if m == n_steps:
+            here[1:-1] = dj
+        else:
+            _transpose_into(here[1:-1], after, mu[m], g, t, cfg)
+            np.add(here[1:-1], dj, out=here[1:-1])
+        here[0], here[-1] = here[-2], here[1]
+        np.subtract(here[1:-1], here[2:], out=t)
+        np.multiply(grad[m - 1], t, out=grad[m - 1])
     return grad
 
 

@@ -347,8 +347,11 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
     optimizer's report, so stay unchecked. Training outputs are not rebuilt
     without one mu.csv row per step and at least one loss. A CSV without its
     exact header, such as a solution.csv or mu.csv that is not n_cells wide,
-    raises CorruptRunError."""
-    cfg = config_from_dict(manifest["config"])
+    raises CorruptRunError, as does a stored config that does not load."""
+    try:
+        cfg = config_from_dict(manifest["config"])
+    except ConfigError as err:
+        raise CorruptRunError(f"{out_dir / MANIFEST_NAME} stores a bad config: {err}") from err
     summary = read_json(out_dir / "summary.json")
     scheme_cfg = cfg.scheme_config()
     grid = scheme_cfg.grid

@@ -77,8 +77,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEME_NAMES:
             raise ConfigError(f"scheme must be one of {SCHEME_NAMES}, got {self.scheme!r}")
-        if self.n_cells < 3:
-            raise ConfigError("n_cells must be >= 3")
+        if self.n_cells < 3 or int(self.n_cells) != self.n_cells:
+            raise ConfigError("n_cells must be an integer >= 3")
         for name in ("length", "dt", "t_final"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")

@@ -23,8 +23,9 @@ from .schemes import (
     SchemeConfig,
     Trajectory,
     _diverged,
+    _face_terms_into,
+    _ftcs_stepper,
     _guard_bound,
-    _next,
     ftcs_update,
     simulate,
 )
@@ -93,29 +94,20 @@ def _descend(u: np.ndarray, target: np.ndarray, mu: np.ndarray, lr: np.ndarray,
     every elementwise operation in the same order, so the iterates are those
     of that gradient bit for bit. The mu-independent factors A = c*(u_{i+1} +
     u_i)/2, D = u_{i+1} - u_i and K = (dt/dx^2)*D are formed once per call;
-    the loop runs only ufuncs writing into preallocated buffers.
+    the loop runs the FTCS stepper and ufuncs into preallocated buffers.
     """
     b, n = u.shape
-    dx = cfg.grid.dx
-    dt_dx, two_n = cfg.dt / dx, 2.0 / n
-    up = _next(u)
-    a = cfg.c * 0.5 * (up + u)
-    d = up - u
-    k = (cfg.dt / dx**2) * d
-    # Ghost columns turn both periodic differences into fixed views: column 0
-    # of ``flux`` repeats F_{N-1/2} ahead of F_{1/2} .. F_{N-1/2}, and column N
+    two_n = 2.0 / n
+    a, d, t = np.empty((b, n)), np.empty((b, n)), np.empty((b, n))
+    flux, res = np.empty((b, n + 1)), np.empty((b, n + 1))
+    _face_terms_into(a, d, u, flux, cfg)
+    ftcs_step = _ftcs_stepper(a, d, flux, cfg)
+    k = (cfg.dt / cfg.grid.dx**2) * d
+    # A ghost column turns the periodic difference into a fixed view: column N
     # of ``res`` repeats r_0 after r_0 .. r_{N-1}.
-    flux, res, t = np.empty((b, n + 1)), np.empty((b, n + 1)), np.empty((b, n))
-    f_here, f_before, f_ghost, f_last = flux[:, 1:], flux[:, :-1], flux[:, :1], flux[:, n:]
     r_here, r_after, r_ghost, r_first = res[:, :n], res[:, 1:], res[:, n:], res[:, :1]
     for _ in range(n_iters):
-        np.divide(mu, dx, out=t)
-        np.multiply(t, d, out=t)
-        np.subtract(a, t, out=f_here)  # F_{i+1/2} = A - (mu/dx)*D
-        f_ghost[...] = f_last
-        np.subtract(f_here, f_before, out=t)
-        np.multiply(dt_dx, t, out=t)
-        np.subtract(u, t, out=t)  # u' = u - (dt/dx)*(F_{i+1/2} - F_{i-1/2})
+        ftcs_step(t, u, mu)  # u' = FTCS step of u at mu
         np.subtract(t, target, out=r_here)
         np.multiply(two_n, r_here, out=r_here)  # r = (2/N)*(u' - target)
         r_ghost[...] = r_first
@@ -234,8 +226,9 @@ def train_global(
         traj = simulate(exact[0], n_steps, cfg, mu=values)
         return loss_value(traj, exact), traj
 
-    current = np.full((n_steps, cfg.grid.n_cells), opt.resolve_init(cfg))
-    best_loss, traj_cur = evaluate(current)  # initial sweep failure is unrecoverable
+    # simulate copies its mu, so this one buffer can hold every candidate.
+    candidate = np.full((n_steps, cfg.grid.n_cells), opt.resolve_init(cfg))
+    best_loss, traj_cur = evaluate(candidate)  # initial sweep failure is unrecoverable
     best_traj = traj_cur
     losses = [best_loss]
     divergences = 0
@@ -245,7 +238,9 @@ def train_global(
     for _ in range(opt.n_iters):
         grad = grad_mu_global(traj_cur, exact)
         while True:
-            candidate = np.clip(current - lr * grad, opt.mu_min, opt.mu_max)
+            np.multiply(lr, grad, out=candidate)
+            np.subtract(traj_cur.viscosity_history, candidate, out=candidate)
+            np.clip(candidate, opt.mu_min, opt.mu_max, out=candidate)
             try:
                 loss_cand, traj_cand = evaluate(candidate)
             except DivergenceError:
@@ -256,7 +251,7 @@ def train_global(
                     completed = False
                     break
                 continue
-            current, traj_cur = candidate, traj_cand
+            traj_cur = traj_cand
             losses.append(loss_cand)
             if loss_cand < best_loss:
                 best_loss, best_traj = loss_cand, traj_cand

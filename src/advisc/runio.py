@@ -115,8 +115,8 @@ def write_manifest(directory: str | Path, payload: dict) -> None:
 
 
 def read_manifest(directory: str | Path) -> dict:
-    """The manifest of ``directory``; a ``files`` block that is not a list of
-    objects, each with a string ``name``, raises CorruptRunError."""
+    """The manifest of ``directory``; ``files`` that are not objects with a string
+    ``name``, or ``subruns`` or a ``preset`` that are not strings, raise CorruptRunError."""
     path = Path(directory) / MANIFEST_NAME
     if not path.is_file():
         raise FileNotFoundError(f"no manifest found in {directory}")
@@ -126,4 +126,8 @@ def read_manifest(directory: str | Path) -> dict:
             and all(isinstance(entry, dict) and isinstance(entry.get("name"), str)
                     for entry in files)):
         raise CorruptRunError(f"{path} lists a file entry that is not an object with a name")
+    subruns, preset = manifest.get("subruns", []), manifest.get("preset", "")
+    if not (isinstance(subruns, list) and all(isinstance(name, str) for name in subruns)
+            and isinstance(preset, str)):
+        raise CorruptRunError(f"{path} has subruns or a preset that are not names")
     return manifest

@@ -14,6 +14,7 @@ the bare (unstable) forward-time centered-space update.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,8 @@ def _guard_bound(u0: np.ndarray) -> float:
 
 def _diverged(u: np.ndarray, bound: float) -> bool:
     """Whether the state ``u`` is non-finite or exceeds ``bound`` in magnitude."""
-    peak = np.max(np.abs(u))  # NaN or inf when any entry is
-    return not np.isfinite(peak) or peak > bound
+    peak = np.maximum.reduce(np.abs(u), axis=None)  # NaN or inf when any entry is
+    return not math.isfinite(peak) or peak > bound
 
 
 def _checked(values, shape: tuple | None, what: str) -> np.ndarray:
@@ -140,10 +141,37 @@ def _prev(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _flux(u: np.ndarray, mu: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
-    """Entry i is F_{i+1/2} = c*(u_{i+1} + u_i)/2 - (mu_{i+1/2}/dx)*(u_{i+1} - u_i)."""
-    up = _next(u)
-    return cfg.c * 0.5 * (up + u) - (mu / cfg.grid.dx) * (up - u)
+def _face_terms_into(a: np.ndarray, d: np.ndarray, u: np.ndarray, ue: np.ndarray,
+                     cfg: SchemeConfig) -> None:
+    """a <- c*(u_{i+1} + u_i)/2 and d <- u_{i+1} - u_i, the mu-independent face terms
+    of a step from u. ``ue``, one column wider, is scratch for u and its ghost u_0."""
+    ue[..., :-1] = u
+    ue[..., -1] = u[..., 0]
+    here, after = ue[..., :-1], ue[..., 1:]
+    np.add(after, here, out=a)
+    np.multiply(cfg.c * 0.5, a, out=a)
+    np.subtract(after, here, out=d)
+
+
+def _ftcs_stepper(a: np.ndarray, d: np.ndarray, flux: np.ndarray, cfg: SchemeConfig):
+    """step(out, u, mu): out <- u - (dt/dx)*(F_{i+1/2} - F_{i-1/2}) in place, with
+    F_{i+1/2} = a_i - (mu_{i+1/2}/dx)*d_i from ``_face_terms_into``. Column 0 of
+    ``flux``, one wider than u, repeats F_{N-1/2}; ``out`` is scratch too. Bound
+    once, as the per-step trainer steps every inner iteration."""
+    f_here, f_before, f_ghost, f_last = flux[..., 1:], flux[..., :-1], flux[..., :1], flux[..., -1:]
+    dx = cfg.grid.dx
+    dt_dx = cfg.dt / dx
+
+    def step(out: np.ndarray, u: np.ndarray, mu: np.ndarray) -> None:
+        np.divide(mu, dx, out=out)
+        np.multiply(out, d, out=out)
+        np.subtract(a, out, out=f_here)
+        f_ghost[...] = f_last
+        np.subtract(f_here, f_before, out=out)
+        np.multiply(dt_dx, out, out=out)
+        np.subtract(u, out, out=out)
+
+    return step
 
 
 def ftcs_update(u: np.ndarray, mu: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
@@ -151,14 +179,17 @@ def ftcs_update(u: np.ndarray, mu: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
 
     ``u`` (cells) and ``mu`` (faces) are float arrays of one shape (..., n_cells):
     a state, or a stack of states stepped row by row, each row bit for bit as
-    if stepped alone. The new state is returned as a fresh array. ``simulate``,
-    both trainers, the instantaneous gradient and ``analyze`` all step through here.
+    if stepped alone. The new state is returned as a fresh array. It allocates
+    the buffers of ``_ftcs_stepper``, the one FTCS stencil of the package.
     """
     n = cfg.grid.n_cells
     if u.shape[-1:] != (n,) or mu.shape != u.shape:
         raise ValueError(f"u and mu must have one shape (..., {n}), got {u.shape} and {mu.shape}")
-    flux = _flux(u, mu, cfg)
-    return u - (cfg.dt / cfg.grid.dx) * (flux - _prev(flux))
+    a, d, out = np.empty(u.shape), np.empty(u.shape), np.empty(u.shape)
+    flux = np.empty(u.shape[:-1] + (n + 1,))
+    _face_terms_into(a, d, u, flux, cfg)
+    _ftcs_stepper(a, d, flux, cfg)(out, u, mu)
+    return out
 
 
 # The constant face viscosity at which ftcs_update is each classical scheme.
@@ -208,8 +239,8 @@ def simulate(
     it: a scalar or an (n_cells,) row held constant, or an (n_steps, n_cells)
     stack with one row per step; it is copied once and broadcast to
     (n_steps, n_cells), and recorded as the viscosity history. The other
-    schemes record none: each steps ftcs_update at its CLASSICAL_MU, except
-    Lax-Wendroff, which keeps its own stencil. Raises DivergenceError
+    schemes record none: each steps the FTCS stencil at its CLASSICAL_MU,
+    except Lax-Wendroff, which keeps its own stencil. Raises DivergenceError
     (partial trajectory attached) when a state goes non-finite or exceeds
     the magnitude guard.
     """
@@ -228,11 +259,14 @@ def simulate(
     bound = _guard_bound(u0)
     states = np.empty((n_steps + 1, n_cells))
     states[0] = u0
+    a, d, flux = np.empty(n_cells), np.empty(n_cells), np.empty(n_cells + 1)
+    ftcs_step = _ftcs_stepper(a, d, flux, cfg)
     for n in range(n_steps):
         if scheme == "lax_wendroff":
             states[n + 1] = lax_wendroff_step(states[n], cfg)
         else:
-            states[n + 1] = ftcs_update(states[n], rows[n], cfg)
+            _face_terms_into(a, d, states[n], flux, cfg)
+            ftcs_step(states[n + 1], states[n], rows[n])
         if _diverged(states[n + 1], bound):
             raise DivergenceError(f"state diverged at step {n} (magnitude guard {bound:g})",
                                   step=n, trajectory=Trajectory(

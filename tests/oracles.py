@@ -2,8 +2,9 @@
 
 Everything here is deliberately written with plain Python loops and lists,
 not numpy stencils, so it shares no code path with the package under test.
-The one exception is ``reference_train_per_step``: it pins the per-step
-trainer bit for bit, so it repeats the trainer's numpy operations in their
+The exceptions are ``reference_train_per_step``, ``reference_grad_mu_global``
+and ``reference_train_global``: they pin the trainers and the adjoint sweep
+bit for bit, so they repeat the library's numpy operations in their
 original order, with np.roll for every periodic neighbour.
 """
 
@@ -94,6 +95,13 @@ def naive_amplification_magnitude(theta: float, cfl: float, d: float) -> float:
     return math.hypot(real, imag)
 
 
+def _roll_step(u, mu, c, dt, dx):
+    """One FTCS step in the library's operation order, with np.roll."""
+    up = np.roll(u, -1)
+    flux = c * 0.5 * (up + u) - (mu / dx) * (up - u)
+    return u - (dt / dx) * (flux - np.roll(flux, 1))
+
+
 def reference_train_per_step(u0, exacts, c, dt, dx, learning_rate, n_iters, mu_min, mu_max,
                              init_mu):
     """Per-step projected gradient descent, written out with np.roll.
@@ -101,22 +109,89 @@ def reference_train_per_step(u0, exacts, c, dt, dx, learning_rate, n_iters, mu_m
     ``exacts[m]`` is the target state of step m. Returns the (n_steps, n)
     viscosity history and the (n_steps + 1, n) states. No divergence guard.
     """
-    def step(u, mu):
-        up = np.roll(u, -1)
-        flux = c * 0.5 * (up + u) - (mu / dx) * (up - u)
-        return u - (dt / dx) * (flux - np.roll(flux, 1))
-
     n = len(u0)
     u = np.array(u0, dtype=float)
     mu = np.full(n, init_mu)
     history, states = [], [u]
     for m in range(1, len(exacts)):
         for _ in range(n_iters):
-            r = (2.0 / n) * (step(u, mu) - exacts[m])
+            r = (2.0 / n) * (_roll_step(u, mu, c, dt, dx) - exacts[m])
             du = np.roll(u, -1) - u
             g = (dt / dx**2) * du * (r - np.roll(r, -1))
             mu = np.clip(mu - learning_rate * g, mu_min, mu_max)
-        u = step(u, mu)
+        u = _roll_step(u, mu, c, dt, dx)
         history.append(mu)
         states.append(u)
     return np.array(history), np.array(states)
+
+
+def reference_grad_mu_global(states, mu, exacts, c, dt, dx):
+    """Gradient of the whole-horizon mean squared error with respect to the
+    (n_steps, n) viscosity ``mu`` of the recorded ``states``: the adjoint
+    reverse sweep, one step at a time with np.roll."""
+    n_steps, n = mu.shape
+    coef = 1.0 / (n * n_steps)
+    k = dt / dx**2
+    grad = np.empty((n_steps, n))
+    lam = 2.0 * coef * (states[n_steps] - exacts[n_steps])
+    for m in range(n_steps, 0, -1):
+        if m < n_steps:
+            lp, lm = np.roll(lam, -1), np.roll(lam, 1)
+            lam = (lam + 0.5 * (c * dt / dx) * (lp - lm)
+                   + k * (mu[m] * (lp - lam) - np.roll(mu[m], 1) * (lam - lm))
+                   + 2.0 * coef * (states[m] - exacts[m]))
+        du = np.roll(states[m - 1], -1) - states[m - 1]
+        grad[m - 1] = k * du * (lam - np.roll(lam, -1))
+    return grad
+
+
+def reference_train_global(u0, exacts, c, dt, dx, learning_rate, n_iters, mu_min, mu_max,
+                           init_mu):
+    """Whole-horizon projected gradient descent, written out with np.roll.
+
+    ``exacts`` holds the exact states at steps 0 .. n_steps. A candidate
+    whose sweep leaves the magnitude guard 1e6*max(1, max|u0|) or goes
+    non-finite is rejected and retried at half the step size, which persists.
+    Returns the loss of each accepted iterate (the initial one first), the
+    lowest-loss iterate's (n_steps, n) viscosity and (n_steps + 1, n) states,
+    and the number of rejected candidates. Never gives up halving.
+    """
+    n_steps, n = len(exacts) - 1, len(u0)
+    bound = 1e6 * max(float(np.max(np.abs(u0))), 1.0)
+
+    def sweep(mu):
+        states = [np.array(u0, dtype=float)]
+        for m in range(n_steps):
+            u = _roll_step(states[-1], mu[m], c, dt, dx)
+            peak = np.max(np.abs(u))
+            if not np.isfinite(peak) or peak > bound:
+                return None
+            states.append(u)
+        return np.array(states)
+
+    def loss(states):
+        coef, total = 1.0 / (n * n_steps), 0.0
+        for m in range(1, n_steps + 1):
+            err = states[m] - exacts[m]
+            total += coef * float(np.sum(err * err))
+        return total
+
+    mu = np.full((n_steps, n), init_mu)
+    states = sweep(mu)
+    losses = [loss(states)]
+    best = (losses[0], mu, states)
+    lr, rejected = learning_rate, 0
+    for _ in range(n_iters):
+        grad = reference_grad_mu_global(states, mu, exacts, c, dt, dx)
+        while True:
+            candidate = np.clip(mu - lr * grad, mu_min, mu_max)
+            candidate_states = sweep(candidate)
+            if candidate_states is not None:
+                break
+            rejected += 1
+            lr *= 0.5
+        mu, states = candidate, candidate_states
+        losses.append(loss(states))
+        if losses[-1] < best[0]:
+            best = (losses[-1], mu, states)
+    return losses, best[1], best[2], rejected

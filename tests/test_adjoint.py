@@ -11,7 +11,12 @@ from advisc.adjoint import (
 from advisc.grid import HatProfile, exact_solution, make_grid
 from advisc.schemes import SchemeConfig, Trajectory, ftcs_update, simulate
 
-from oracles import naive_global_loss, naive_hat, naive_upwind_states
+from oracles import (
+    naive_global_loss,
+    naive_hat,
+    naive_upwind_states,
+    reference_grad_mu_global,
+)
 
 # Mean global loss of the first-order upwind scheme on the reference problem
 # (N=100, c=1, dt=1e-3, hat IC, 150 steps), computed once with the pure-Python
@@ -137,6 +142,12 @@ class TestGlobalGradient:
             g_adj = grad_mu_global(simulate(u0, steps, cfg, mu=mu_st), exact)
             g_fd = fd_gradient(u0, mu_st, cfg, exact)
             assert fd_relative_error(g_adj, g_fd) < 1e-6
+
+    def test_matches_roll_oracle_bit_for_bit(self):
+        cfg, u0, mu_st, exact = toy_problem(n=23, steps=7, seed=4)
+        traj = simulate(u0, 7, cfg, mu=mu_st)
+        expected = reference_grad_mu_global(traj.states, mu_st, exact, cfg.c, cfg.dt, cfg.grid.dx)
+        assert np.array_equal(grad_mu_global(traj, exact), expected)
 
     def test_zero_gradient_when_trajectory_matches_target(self):
         cfg, u0, mu_st, _ = toy_problem(seed=9)

@@ -21,20 +21,21 @@ t_final = 0.005
 kind = hat
 
 [training]
-mode = per_step
-n_iters = 5
+mode = {mode}
+n_iters = {n_iters}
 
 [output]
 directory = {directory}
 """
 
 
-def test_traced_train_records_the_reported_layers(tmp_path, monkeypatch):
+def traced_train(tmp_path, monkeypatch, mode: str, n_iters: int) -> dict:
+    """The tracer's report of one ``train`` run; every wrapper is removed after."""
     monkeypatch.syspath_prepend(str(BENCH))
     import tracer
 
     cfg_path = tmp_path / "train.cfg"
-    cfg_path.write_text(CONFIG.format(directory=tmp_path / "out"))
+    cfg_path.write_text(CONFIG.format(mode=mode, n_iters=n_iters, directory=tmp_path / "out"))
     tracing = tracer.Tracer()
     tracing.install()
     try:
@@ -43,7 +44,11 @@ def test_traced_train_records_the_reported_layers(tmp_path, monkeypatch):
         tracing.remove()
     assert code == 0
     assert tracer.wrappers_left() == []
-    spans = tracing.report()["spans"]
+    return tracing.report()
+
+
+def test_traced_train_records_the_reported_layers(tmp_path, monkeypatch):
+    spans = traced_train(tmp_path, monkeypatch, "per_step", 5)["spans"]
     assert spans["optimizer.train_per_step"]["calls"] > 0
     # The per-step trainer steps the state once per step through the kernel and
     # runs its inner iterations without a call into the library.
@@ -51,3 +56,13 @@ def test_traced_train_records_the_reported_layers(tmp_path, monkeypatch):
     # States and viscosities cross the library as plain arrays, so a run builds
     # no field container and the benchmark's grid.containers metrics read 0.
     assert spans["grid.containers"]["calls"] == 0
+
+
+def test_traced_global_train_counts_sweeps_inside_the_trainer(tmp_path, monkeypatch):
+    # The benchmark's forward_sweeps_per_iter divides these nested counts, so
+    # every sweep and gradient of the trainer must go through the traced names:
+    # the initial sweep plus one candidate sweep per iteration.
+    nested = {(ancestor, span): calls for ancestor, span, calls, _ in
+              traced_train(tmp_path, monkeypatch, "global", 3)["nested"]}
+    assert nested[("optimizer.train_global", "schemes.simulate")] == 4
+    assert nested[("optimizer.train_global", "adjoint.grad_mu_global")] == 3

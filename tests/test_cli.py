@@ -778,6 +778,20 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(out)]) == 4
         assert "[training]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", ["x", {"n_cells": "abc"}, {"n_cells": 5.5}])
+    def test_analyze_stored_config_that_does_not_load_exits_4(self, tmp_path, capsys, config):
+        cfg_path, out = write_config(tmp_path, t_final=0.01)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        manifest = read_manifest(out)
+        if isinstance(config, dict):
+            manifest["config"]["simulation"].update(config)
+        else:
+            manifest["config"] = config
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["analyze", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "config error" not in err
+
     def test_analyze_fails_summary_block_that_is_not_an_object(self, tmp_path):
         cfg_path, out = write_config(tmp_path, t_final=0.01)
         assert main(["run", "--config", str(cfg_path)]) == 0
@@ -845,6 +859,39 @@ class TestNonObjectJson:
         capsys.readouterr()
         assert main(["analyze", str(study)]) == 4
         assert "comparison.json" in capsys.readouterr().err
+
+
+class TestCorruptStudyManifest:
+    """A study manifest whose subruns or preset no study writes exits 4 on
+    analyze and on a rerun into its directory, names the manifest and
+    deletes nothing."""
+
+    @pytest.mark.parametrize("key, value", [("subruns", [1]), ("subruns", "hat"), ("preset", 5)])
+    @pytest.mark.parametrize("command", ["analyze", "rerun"])
+    def test_exits_4_and_deletes_nothing(self, tmp_path, capsys, monkeypatch, key, value,
+                                         command):
+        import shutil
+
+        import advisc.cli
+
+        def short(name, out_dir="out"):
+            return replace(preset_config(name, out_dir), t_final=0.01)
+
+        monkeypatch.setattr(advisc.cli, "preset_config", short)
+        study = tmp_path / "study"
+        argv = ["reproduce", "--preset", "sine-smooth", "--out", str(study)]
+        assert main(argv) == 0
+        # A finished run in a subdirectory that a string of subruns would name.
+        first = STUDIES["sine-smooth"][0][0][0]
+        shutil.copytree(study / first, study / "h")
+        manifest = read_manifest(study)
+        manifest[key] = value
+        (study / "manifest.json").write_text(json.dumps(manifest))
+        before = sorted(study.rglob("*"))
+        capsys.readouterr()
+        assert main(["analyze", str(study)] if command == "analyze" else argv) == 4
+        assert "manifest.json" in capsys.readouterr().err
+        assert sorted(study.rglob("*")) == before
 
 
 class TestExitCodes:

@@ -13,7 +13,7 @@ from advisc.optimizer import (
 from advisc.presets import nonneg_variant, preset_config
 from advisc.schemes import DivergenceError, SchemeConfig, simulate
 
-from oracles import reference_train_per_step
+from oracles import reference_train_global, reference_train_per_step
 
 PAPER_BOUNDS = (-5e-3, 9.5e-2)
 
@@ -256,6 +256,30 @@ class TestTrainGlobal:
         )
         report = train_global(cfg, OptimizerConfig(learning_rate=0.5, n_iters=150), exact)
         assert min(report.loss_history) < best_constant
+
+    @pytest.mark.parametrize("case", ["bound_binds", "candidate_rejected"])
+    def test_matches_roll_oracle_bit_for_bit(self, case):
+        if case == "bound_binds":
+            cfg, _, exact = toy_problem()
+            opt = OptimizerConfig(learning_rate=0.5, n_iters=25)
+        else:
+            cfg = SchemeConfig(c=1.0, dt=1e-3, grid=make_grid(100, 1.0))
+            _, exact = hat_problem(cfg, 60)
+            opt = OptimizerConfig(learning_rate=20.0, n_iters=2, mu_min=-0.06, mu_max=9.5e-2)
+        report = train_global(cfg, opt, exact)
+        losses, mu, states, rejected = reference_train_global(
+            exact[0], exact, cfg.c, cfg.dt, cfg.grid.dx, opt.learning_rate, opt.n_iters,
+            opt.mu_min, opt.mu_max, opt.resolve_init(cfg),
+        )
+        assert report.loss_history == tuple(losses)
+        assert np.array_equal(report.trajectory.viscosity_history, mu)
+        assert np.array_equal(report.trajectory.states, states)
+        assert report.divergence_events == rejected
+        if case == "bound_binds":
+            assert rejected == 0
+            assert np.any(mu == opt.mu_min) and np.any(mu == opt.mu_max)
+        else:
+            assert rejected > 0
 
     def test_one_forward_sweep_per_iteration(self, monkeypatch):
         import advisc.optimizer

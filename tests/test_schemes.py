@@ -270,6 +270,21 @@ class TestSimulate:
         traj = simulate(naive_hat_initial(), 150, cfg, scheme="upwind")
         assert np.max(traj.states[-1]) < 1.0
 
+    @pytest.mark.parametrize("shape", ["scalar", "row", "stack"])
+    def test_ftcs_mu_matches_loop_oracle_bit_for_bit(self, shape):
+        cfg = small_config(n=12, length=0.12)
+        rng = np.random.default_rng(14)
+        u0 = rng.uniform(-1, 1, 12)
+        steps = 6
+        mu = {"scalar": 0.02, "row": rng.uniform(-0.005, 0.095, 12),
+              "stack": rng.uniform(-0.005, 0.095, (steps, 12))}[shape]
+        rows = np.broadcast_to(mu, (steps, 12))
+        expected = [list(u0)]
+        for m in range(steps):
+            expected.append(naive_ftcs_mu_step(expected[-1], list(rows[m]), cfg.c, cfg.dt,
+                                               cfg.grid.dx))
+        assert np.array_equal(simulate(u0, steps, cfg, mu=mu).states, np.array(expected))
+
     def test_upwind_matches_loop_oracle_trajectory(self):
         grid = make_grid(50, 1.0)
         cfg = SchemeConfig(c=1.0, dt=2e-3, grid=grid)
