@@ -61,22 +61,29 @@ def grad_mu_instantaneous(
     return (cfg.dt / cfg.grid.dx**2) * (_next(u) - u) * (r - _next(r))
 
 
-def _transpose_into(out: np.ndarray, ve: np.ndarray, mu: np.ndarray, g: np.ndarray,
-                    t: np.ndarray, cfg: SchemeConfig) -> None:
-    """out <- step_transpose_update(v, mu) in place, with v between ghosts v_{N-1} and
-    v_0 in ``ve``. Column 0 of ``g``, one column wider than v, repeats G_{N-1/2} ahead
-    of G_{j+1/2} = mu_{j+1/2}*(v_{j+1} - v_j); ``t`` and ``out`` are scratch."""
-    vm, v, vp = ve[..., :-2], ve[..., 1:-1], ve[..., 2:]
+def _transposer(g: np.ndarray, t: np.ndarray, cfg: SchemeConfig):
+    """transpose(out, ve, mu): out <- step_transpose_update(v, mu) in place, with v
+    between ghosts v_{N-1} and v_0 in ``ve``. Column 0 of ``g``, one column wider
+    than v, repeats G_{N-1/2} ahead of G_{j+1/2} = mu_{j+1/2}*(v_{j+1} - v_j); ``t``
+    and ``out`` are scratch. Bound once, with dt/dx^2 and cfl/2 as 0-d arrays and
+    the outputs passed positionally, as the reverse sweep applies it every step."""
     g_here, g_before = g[..., 1:], g[..., :-1]
-    np.subtract(vp, v, out=g_here)
-    np.multiply(mu, g_here, out=g_here)
-    g[..., 0] = g[..., -1]
-    np.subtract(g_here, g_before, out=t)  # the viscous bracket, G_{j+1/2} - G_{j-1/2}
-    np.multiply(cfg.dt / cfg.grid.dx**2, t, out=t)
-    np.subtract(vp, vm, out=out)
-    np.multiply(0.5 * cfg.cfl, out, out=out)
-    np.add(v, out, out=out)
-    np.add(out, t, out=out)
+    k = np.array(cfg.dt / cfg.grid.dx**2)
+    half_cfl = np.array(0.5 * cfg.cfl)
+
+    def transpose(out: np.ndarray, ve: np.ndarray, mu: np.ndarray) -> None:
+        vm, v, vp = ve[..., :-2], ve[..., 1:-1], ve[..., 2:]
+        np.subtract(vp, v, g_here)
+        np.multiply(mu, g_here, g_here)
+        g[..., 0] = g[..., -1]
+        np.subtract(g_here, g_before, t)  # the viscous bracket, G_{j+1/2} - G_{j-1/2}
+        np.multiply(k, t, t)
+        np.subtract(vp, vm, out)
+        np.multiply(half_cfl, out, out)
+        np.add(v, out, out)
+        np.add(out, t, out)
+
+    return transpose
 
 
 def step_transpose_update(v: np.ndarray, mu: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
@@ -89,11 +96,11 @@ def step_transpose_update(v: np.ndarray, mu: np.ndarray, cfg: SchemeConfig) -> n
                     + (dt/dx^2)*[mu_{j+1/2}*(v_{j+1} - v_j) - mu_{j-1/2}*(v_j - v_{j-1})].
 
     ``v`` (cells) and ``mu`` (faces) are plain arrays of length n_cells. It
-    allocates the buffers of ``_transpose_into``, the one transposed stencil.
+    allocates the buffers of ``_transposer``, the one transposed stencil.
     """
     ve = np.concatenate((v[..., -1:], v, v[..., :1]), axis=-1)
     out, t, g = np.empty(v.shape), np.empty(v.shape), np.empty(ve[..., 1:].shape)
-    _transpose_into(out, ve, mu, g, t, cfg)
+    _transposer(g, t, cfg)(out, ve, mu)
     return out
 
 
@@ -120,27 +127,30 @@ def grad_mu_global(traj: Trajectory, exact: np.ndarray) -> np.ndarray:
     states = traj.states
     mu = traj.viscosity_history
     coef = 1.0 / (n * n_steps)
+    two_coef = np.array(2.0 * coef)
 
     # Row n: the mu-sensitivity (dt/dx^2)*(u_{i+1} - u_i) at u^n, times lambda_i - lambda_{i+1}.
     grad = np.empty((n_steps, n))
-    np.subtract(states[:-1, 1:], states[:-1, :-1], out=grad[:, :-1])
-    np.subtract(states[:-1, 0], states[:-1, -1], out=grad[:, -1])
-    np.multiply(cfg.dt / cfg.grid.dx**2, grad, out=grad)
+    np.subtract(states[:-1, 1:], states[:-1, :-1], grad[:, :-1])
+    np.subtract(states[:-1, 0], states[:-1, -1], grad[:, -1])
+    np.multiply(cfg.dt / cfg.grid.dx**2, grad, grad)
     # The rows take turns holding lambda^{m+1} and lambda^m between ghost columns.
     lam = np.empty((2, n + 2))
     g, t, dj = np.empty(n + 1), np.empty(n), np.empty(n)
+    transpose = _transposer(g, t, cfg)
     for m in range(n_steps, 0, -1):
         here, after = lam[m % 2], lam[(m + 1) % 2]
-        np.subtract(states[m], exact[m], out=dj)
-        np.multiply(2.0 * coef, dj, out=dj)  # dJ/du^m
+        inner = here[1:-1]
+        np.subtract(states[m], exact[m], dj)
+        np.multiply(two_coef, dj, dj)  # dJ/du^m
         if m == n_steps:
-            here[1:-1] = dj
+            inner[...] = dj
         else:
-            _transpose_into(here[1:-1], after, mu[m], g, t, cfg)
-            np.add(here[1:-1], dj, out=here[1:-1])
+            transpose(inner, after, mu[m])
+            np.add(inner, dj, inner)
         here[0], here[-1] = here[-2], here[1]
-        np.subtract(here[1:-1], here[2:], out=t)
-        np.multiply(grad[m - 1], t, out=grad[m - 1])
+        np.subtract(inner, here[2:], t)
+        np.multiply(grad[m - 1], t, grad[m - 1])
     return grad
 
 

@@ -7,7 +7,8 @@ gradient descent on the unpenalized loss, projected onto box constraints.
 
 The per-step trainer takes a batch of optimizer configs on one problem and
 trains them together: each step hoists its mu-independent factors once, and
-the inner iterations run only in-place ufuncs over (batch, N) buffers.
+the inner iterations run only in-place ufuncs over cells-major (N, batch)
+C-order buffers, whose shifted views are contiguous.
 """
 
 from __future__ import annotations
@@ -86,36 +87,39 @@ def _horizon(exact: np.ndarray, cfg: SchemeConfig) -> int:
 
 def _descend(u: np.ndarray, target: np.ndarray, mu: np.ndarray, lr: np.ndarray,
              lo: np.ndarray, hi: np.ndarray, cfg: SchemeConfig, n_iters: int) -> None:
-    """Run ``n_iters`` projected gradient steps on each row's one-step loss, in place on ``mu``.
+    """Run ``n_iters`` projected gradient steps on each column's one-step loss, in place on ``mu``.
 
-    Row b of the (B, N) arrays ``u``, ``mu``, ``lr``, ``lo`` and ``hi`` is one
-    problem; ``target`` is the shared next exact state. Each iteration is
-    grad_mu_instantaneous followed by mu <- clip(mu - lr*g, lo, hi), with
-    every elementwise operation in the same order, so the iterates are those
-    of that gradient bit for bit. The mu-independent factors A = c*(u_{i+1} +
-    u_i)/2, D = u_{i+1} - u_i and K = (dt/dx^2)*D are formed once per call;
-    the loop runs the FTCS stepper and ufuncs into preallocated buffers.
+    The arrays are cells-major (N, B) C-order buffers: column b of ``u``,
+    ``target``, ``mu``, ``lr``, ``lo`` and ``hi`` is one problem, so every
+    shifted view of a face or flux buffer is one contiguous block. Each
+    iteration is grad_mu_instantaneous followed by mu <- clip(mu - lr*g, lo, hi),
+    with every elementwise operation in the same order, so the iterates are
+    those of that gradient bit for bit. The mu-independent factors A = c*(u_{i+1}
+    + u_i)/2, D = u_{i+1} - u_i and K = (dt/dx^2)*D are formed once per call;
+    the loop runs the FTCS stepper and ufuncs into preallocated buffers, with
+    2/N as a 0-d array and the outputs passed positionally.
     """
-    b, n = u.shape
-    two_n = 2.0 / n
-    a, d, t = np.empty((b, n)), np.empty((b, n)), np.empty((b, n))
-    flux, res = np.empty((b, n + 1)), np.empty((b, n + 1))
+    n, b = u.shape
+    two_n = np.array(2.0 / n)
+    a, d, t = np.empty((n, b)), np.empty((n, b)), np.empty((n, b))
+    flux, res = np.empty((n + 1, b)), np.empty((n + 1, b))
     _face_terms_into(a, d, u, flux, cfg)
     ftcs_step = _ftcs_stepper(a, d, flux, cfg)
     k = (cfg.dt / cfg.grid.dx**2) * d
-    # A ghost column turns the periodic difference into a fixed view: column N
-    # of ``res`` repeats r_0 after r_0 .. r_{N-1}.
-    r_here, r_after, r_ghost, r_first = res[:, :n], res[:, 1:], res[:, n:], res[:, :1]
+    # A ghost row turns the periodic difference into a fixed view: row N of
+    # ``res`` repeats r_0 after r_0 .. r_{N-1}.
+    r_here, r_after, r_ghost, r_first = res[:n], res[1:], res[n:], res[:1]
     for _ in range(n_iters):
         ftcs_step(t, u, mu)  # u' = FTCS step of u at mu
-        np.subtract(t, target, out=r_here)
-        np.multiply(two_n, r_here, out=r_here)  # r = (2/N)*(u' - target)
+        np.subtract(t, target, r_here)
+        np.multiply(two_n, r_here, r_here)  # r = (2/N)*(u' - target)
         r_ghost[...] = r_first
-        np.subtract(r_here, r_after, out=t)
-        np.multiply(k, t, out=t)  # g = K*(r_i - r_{i+1})
-        np.multiply(lr, t, out=t)
-        np.subtract(mu, t, out=mu)
+        np.subtract(r_here, r_after, t)
+        np.multiply(k, t, t)  # g = K*(r_i - r_{i+1})
+        np.multiply(lr, t, t)
+        np.subtract(mu, t, mu)
         # clip(lo, hi) as its two ufuncs; ndarray.clip goes through Python.
+        # These two take out= by keyword: a positional output is deprecated.
         np.maximum(mu, lo, out=mu)
         np.minimum(mu, hi, out=mu)
 
@@ -156,33 +160,35 @@ def train_per_step(
     bound = _guard_bound(exact[0])
 
     def per_face(values) -> np.ndarray:
-        return np.repeat(np.array(values, dtype=float)[:, None], n, axis=1)
+        # Cells-major (N, B): row i holds face i of every run in the batch.
+        return np.repeat(np.array(values, dtype=float)[None, :], n, axis=0)
 
-    lr_all = per_face([o.learning_rate for o in batch])
-    lo_all = per_face([o.mu_min for o in batch])
-    hi_all = per_face([o.mu_max for o in batch])
+    lr = per_face([o.learning_rate for o in batch])
+    lo = per_face([o.mu_min for o in batch])
+    hi = per_face([o.mu_max for o in batch])
     mu = per_face([o.resolve_init(cfg) for o in batch])
     states = np.empty((len(batch), n_steps + 1, n))
     states[:, 0] = exact[0]
     mu_rows = np.empty((len(batch), n_steps, n))
     losses: list[list[float]] = [[] for _ in batch]
-    rows = np.arange(len(batch))  # the runs still training, one per row of mu
+    rows = np.arange(len(batch))  # the runs still training, one per column of mu
 
     for step in range(n_steps):
         target = exact[step + 1]
-        u = states[rows, step]
-        _descend(u, target, mu, lr_all[rows], lo_all[rows], hi_all[rows], cfg, n_iters)
-        u_next = ftcs_update(u, mu, cfg)
+        u = states[rows, step].T.copy()
+        _descend(u, np.repeat(target[:, None], rows.size, axis=1), mu, lr, lo, hi, cfg, n_iters)
+        u_next = ftcs_update(u.T, mu.T, cfg)
         going = [j for j in range(len(rows)) if not _diverged(u_next[j], bound)]
         for j in going:
             err = u_next[j] - target
             losses[rows[j]].append(float(np.mean(err * err)))
         states[rows[going], step + 1] = u_next[going]
-        mu_rows[rows[going], step] = mu[going]
+        mu_rows[rows[going], step] = mu.T[going]
         if len(going) < len(rows):
-            rows, mu = rows[going], mu[going]
+            rows = rows[going]
             if rows.size == 0:
                 break
+            mu, lr, lo, hi = (x[:, going].copy() for x in (mu, lr, lo, hi))
 
     outcomes: list[TrainingReport | DivergenceError] = []
     for b, run_losses in enumerate(losses):

@@ -172,6 +172,27 @@ class TestBatchedPerStep:
         assert not np.array_equal(batched[0].trajectory.viscosity_history,
                                   batched[1].trajectory.viscosity_history)
 
+    def test_three_configs_match_separate_runs_bit_for_bit(self):
+        # The batch is the contiguous axis of the inner loop's buffers; three runs
+        # with distinct rates and bounds, one of them pinned to a single value.
+        cfg, _, exact = toy_problem(n=20, steps=12)  # dx = 0.05: divisions by dx round
+        batch = (OptimizerConfig(learning_rate=0.5, n_iters=25),
+                 OptimizerConfig(learning_rate=2.0, n_iters=25, mu_min=0.0, mu_max=0.02),
+                 OptimizerConfig(learning_rate=1.0, n_iters=25, mu_min=0.01, mu_max=0.01))
+        batched = train_per_step(cfg, batch, exact)
+        assert len(batched) == 3
+        for report, opt in zip(batched, batch):
+            assert_same_report(report, train_per_step(cfg, opt, exact))
+        opt = batch[1]
+        history, states = reference_train_per_step(
+            exact[0], exact, cfg.c, cfg.dt, cfg.grid.dx, opt.learning_rate, opt.n_iters,
+            opt.mu_min, opt.mu_max, opt.resolve_init(cfg),
+        )
+        assert np.array_equal(batched[1].trajectory.viscosity_history, history)
+        assert np.array_equal(batched[1].trajectory.states, states)
+        assert np.all(batched[2].trajectory.viscosity_history == 0.01)
+        assert not np.array_equal(batched[0].trajectory.viscosity_history, history)
+
     def test_diverging_row_halts_while_partner_completes(self):
         grid = make_grid(100, 1.0)
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)

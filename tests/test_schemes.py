@@ -95,6 +95,26 @@ class TestFtcsStep:
         for row in range(2):
             assert np.array_equal(stepped[row], ftcs_update(u[row], mu[row], cfg))
 
+    def test_deeper_and_strided_stacks_match_row_by_row_bit_for_bit(self):
+        # The kernel steps cells along its first axis internally, so a (K, B, N)
+        # stack and views whose cells are not adjacent in memory must still give
+        # each row the bits of a 1-D call on a contiguous copy.
+        cfg = small_config(n=9, length=0.09)
+        rng = np.random.default_rng(7)
+        u = rng.uniform(-1, 1, (3, 2, 9))
+        mu = rng.uniform(-0.005, 0.095, (3, 2, 9))
+        wide = rng.uniform(-1, 1, (4, 18))
+        faces = rng.uniform(-0.005, 0.095, (4, 9))
+        cases = [(u, mu),
+                 (wide[:, ::2], np.ascontiguousarray(faces.T).T),  # strided cells, transposed faces
+                 (np.ascontiguousarray(wide[:, 1::2].T).T, faces)]  # transposed cells
+        for cells, visc in cases:
+            stepped = ftcs_update(cells, visc, cfg)
+            assert stepped.shape == cells.shape
+            for row in np.ndindex(cells.shape[:-1]):
+                alone = ftcs_update(cells[row].copy(), visc[row].copy(), cfg)
+                assert np.array_equal(stepped[row], alone)
+
     def test_stack_rejects_mu_of_another_shape(self):
         cfg = small_config(n=9, length=0.09)
         for mu in (np.zeros(9), np.zeros((1, 9)), np.zeros((3, 9))):  # the first two would broadcast
