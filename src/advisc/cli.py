@@ -39,7 +39,14 @@ from .runio import (
     write_json,
     write_manifest,
 )
-from .schemes import CLASSICAL_MU, DivergenceError, SchemeConfig, Trajectory, ftcs_update, simulate
+from .schemes import (
+    CLASSICAL_MU,
+    DivergenceError,
+    SchemeConfig,
+    Trajectory,
+    _row_stepper,
+    simulate,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -78,17 +85,20 @@ def _build_problem(cfg: ExperimentConfig) -> tuple[SchemeConfig, np.ndarray]:
 
 
 def _derived(cfg: ExperimentConfig, traj: Trajectory, times: np.ndarray,
-             exact_final: np.ndarray, losses=None) -> tuple[dict, dict]:
+             losses=None) -> tuple[dict, dict]:
     """What a run's primary data determine, for the writer to store and analyze
     to check: the columns of each derived CSV, keyed by file name as in
     DERIVED_CSVS, and the blocks of summary.json the data and config give.
-    ``losses``, a training run's loss history, is None for a plain run."""
+    The exact state is sampled at the last of ``times`` only. ``losses``, a
+    training run's loss history, is None for a plain run."""
     grid = traj.config.grid
     final = traj.states[-1]
-    stats = summary_stats(traj.states, exact_final, grid.dx)
+    exact_final = _exact(cfg, grid, times[-1])
+    entropy = entropy_series(traj.states, grid.dx)
+    stats = summary_stats(traj.states, entropy, exact_final, grid.dx)
     csvs = {
         "final_state.csv": [grid.cell_centers, final, exact_final, final - exact_final],
-        "entropy.csv": [times, entropy_series(traj.states, grid.dx)],
+        "entropy.csv": [times, entropy],
     }
     summary = {"stats": stats}
     if losses is None:
@@ -172,7 +182,6 @@ def _write_run(
     cfg: ExperimentConfig,
     out_dir: Path,
     traj: Trajectory,
-    exact: np.ndarray,
     status: str,
     t_start: float,
     report: TrainingReport | None = None,
@@ -182,11 +191,12 @@ def _write_run(
     solution.csv and a training run's mu.csv, then what ``_derived`` gives,
     plus the summary's status and the optimizer's report. A halted run's CSVs
     are partial. The full error field is not written: it is solution.csv
-    minus the exact solution, which the config reproduces."""
+    minus the exact solution, which the config reproduces. Every CSV is
+    written a row at a time."""
     grid = traj.config.grid
     times = traj.times
     losses = None if report is None else report.loss_history
-    csvs, summary = _derived(cfg, traj, times, exact[traj.n_steps], losses)
+    csvs, summary = _derived(cfg, traj, times, losses)
     files: list[dict] = []
 
     def write(name: str, header: list[str], rows) -> None:
@@ -198,7 +208,7 @@ def _write_run(
         if name == "mu_final.csv":  # the manifest lists mu.csv before the files derived from it
             write("mu.csv", matrix_header(grid.n_cells),
                   _matrix_rows(times[:-1], traj.viscosity_history))
-        write(name, DERIVED_CSVS[name][0], np.column_stack(columns).tolist())
+        write(name, DERIVED_CSVS[name][0], zip(*columns))
 
     summary["status"] = status
     if report is not None:
@@ -215,21 +225,25 @@ def _write_run(
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
-    """Simulate the configured scheme and write its solution, final state and entropy."""
+    """Simulate the configured scheme and write its solution, final state and
+    entropy. The exact solution is sampled only at t = 0 and, for the final
+    state, at the last time reached, so the states are the one space-time
+    matrix the run holds."""
     if cfg.scheme == "ftcs_mu" and cfg.mu is None:
         raise ConfigError("scheme 'ftcs_mu' requires the 'mu' key for plain runs")
     t_start = time.time()
     out_dir = Path(cfg.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    scheme_cfg, exact = _build_problem(cfg)
+    scheme_cfg = cfg.scheme_config()
+    u0 = _exact(cfg, scheme_cfg.grid, 0.0)
     _clear_previous_run(out_dir)
 
     status, extra = "ok", None
     try:
-        traj = simulate(exact[0], cfg.n_steps, scheme_cfg, scheme=cfg.scheme, mu=cfg.mu)
+        traj = simulate(u0, cfg.n_steps, scheme_cfg, scheme=cfg.scheme, mu=cfg.mu)
     except DivergenceError as err:
         status, extra, traj = "divergence", {"diverged_at_step": err.step}, err.trajectory
-    _write_run(cfg, out_dir, traj, exact, status, t_start, extra=extra)
+    _write_run(cfg, out_dir, traj, status, t_start, extra=extra)
     return EXIT_OK if status == "ok" else EXIT_DIVERGENCE
 
 
@@ -263,11 +277,11 @@ def _train(configs: list[ExperimentConfig], scheme_cfg: SchemeConfig,
 
 
 def _write_training(cfg: ExperimentConfig, outcome: TrainingReport | DivergenceError,
-                    exact: np.ndarray, t_start: float) -> int:
+                    t_start: float) -> int:
     """Write one training run's outcome into its output directory; return its exit code."""
     out_dir = Path(cfg.output.directory)
     if isinstance(outcome, DivergenceError):  # the first step, or the first sweep, diverged
-        _write_run(cfg, out_dir, outcome.trajectory, exact, "divergence", t_start,
+        _write_run(cfg, out_dir, outcome.trajectory, "divergence", t_start,
                    extra={"diverged_at_step": outcome.step})
         return EXIT_DIVERGENCE
 
@@ -278,7 +292,7 @@ def _write_training(cfg: ExperimentConfig, outcome: TrainingReport | DivergenceE
     else:
         status = "no_convergence"
     extra = {"diverged_at_step": outcome.trajectory.n_steps} if status == "divergence" else None
-    _write_run(cfg, out_dir, outcome.trajectory, exact, status, t_start, outcome, extra)
+    _write_run(cfg, out_dir, outcome.trajectory, status, t_start, outcome, extra)
     if status == "ok":
         return EXIT_OK
     return EXIT_DIVERGENCE if status == "divergence" else EXIT_NO_CONVERGENCE
@@ -291,18 +305,21 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     scheme_cfg, exact = _build_problem(cfg)
     _clear_previous_run(out_dir)
     (outcome,) = _train([cfg], scheme_cfg, exact)
-    return _write_training(cfg, outcome, exact, t_start)
+    return _write_training(cfg, outcome, t_start)
 
 
 def _replay_error(states: np.ndarray, mu_rows: np.ndarray, cfg: SchemeConfig) -> float:
     """Largest error of one FTCS step from each stored state to the next.
 
     Row n of ``mu_rows`` steps states[n]; each step's error is relative to
-    max(1, max|states[n + 1]|).
+    max(1, max|states[n + 1]|). Each step goes through one stepper and one
+    row buffer, bound once, as in ``simulate``.
     """
+    step = _row_stepper(cfg)
+    stepped = np.empty(cfg.grid.n_cells)
     worst = 0.0
     for n, mu in enumerate(mu_rows):
-        stepped = ftcs_update(states[n], mu, cfg)
+        step(stepped, states[n], mu)
         scale = max(float(np.max(np.abs(states[n + 1]))), 1.0)
         worst = max(worst, float(np.max(np.abs(stepped - states[n + 1]))) / scale)
     return worst
@@ -310,14 +327,16 @@ def _replay_error(states: np.ndarray, mu_rows: np.ndarray, cfg: SchemeConfig) ->
 
 def _read_run_matrix(path: Path, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
     """The times and values of a run's solution.csv or mu.csv, a space-time
-    matrix with one column per cell or face. Another header, no data rows or
-    a non-finite entry, none of which a run writes, raise CorruptRunError."""
+    matrix with one column per cell or face. The values are a view of the
+    parsed data, not a copy; each row is contiguous. Another header, no data
+    rows or a non-finite entry, none of which a run writes, raise
+    CorruptRunError."""
     data = read_columns_csv(path, matrix_header(n_cells))
     if data.shape[0] == 0:
         raise CorruptRunError(f"{path} has no data rows")
     if not np.isfinite(data).all():
         raise CorruptRunError(f"{path} has non-finite entries")
-    return data[:, 0].copy(), np.ascontiguousarray(data[:, 1:])
+    return data[:, 0].copy(), data[:, 1:]
 
 
 def _unnamed(value):
@@ -382,8 +401,7 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
         if len(mu) != len(states) - 1 or not losses:
             mu = losses = None
 
-    csvs, recomputed = _derived(cfg, Trajectory(states, scheme_cfg, mu), times,
-                                _exact(cfg, grid, times[-1]), losses)
+    csvs, recomputed = _derived(cfg, Trajectory(states, scheme_cfg, mu), times, losses)
     for name, columns in csvs.items():
         header, check_name = DERIVED_CSVS[name]
         check(check_name, *_columns_match(out_dir / name, header, columns))
@@ -508,7 +526,7 @@ def cmd_reproduce(preset: str, out_root: str | Path) -> int:
     scheme_cfg, exact = _build_problem(next(iter(configs.values())))
     outcomes = _train(list(configs.values()), scheme_cfg, exact)
     for (subdir, config), outcome in zip(configs.items(), outcomes):
-        code = _write_training(config, outcome, exact, t_train)
+        code = _write_training(config, outcome, t_train)
         if code != EXIT_OK:
             raise DivergenceError(f"preset training run '{subdir}' failed with exit {code}")
         comparison[subdir.replace("-", "_")] = read_json(out_root / subdir / "summary.json")

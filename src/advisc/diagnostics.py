@@ -23,12 +23,26 @@ def mse(u: np.ndarray, exact: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
+# Entries of the squared states that entropy_series holds at once: 64 KB.
+_ENTROPY_BLOCK = 1 << 13
+
+
 def entropy_series(states: np.ndarray, dx: float) -> np.ndarray:
     """Quadratic entropy S = (1/2) * sum_i u_i^2 * dx of each state along the last axis.
 
-    Given the (M + 1, N) states of a run, returns S^0 .. S^M.
+    Given the (M + 1, N) states of a run, returns S^0 .. S^M. The squares are
+    formed a block of rows at a time, so no temporary as large as ``states``
+    exists; each row is still reduced by one sum along the last axis, so the
+    values are those of reducing the whole array at once.
     """
-    return 0.5 * np.sum(states * states, axis=-1) * dx
+    if states.ndim < 2:
+        return 0.5 * np.sum(states * states, axis=-1) * dx
+    out = np.empty(states.shape[:-1])
+    rows = max(1, _ENTROPY_BLOCK // max(states[0].size, 1))
+    for start in range(0, len(states), rows):
+        block = states[start:start + rows]
+        out[start:start + rows] = 0.5 * np.sum(block * block, axis=-1) * dx
+    return out
 
 
 @dataclass(frozen=True)
@@ -68,14 +82,16 @@ def total_variation(u: np.ndarray) -> float:
     return float(np.sum(np.abs(_next(u) - u)))
 
 
-def summary_stats(states: np.ndarray, exact_final: np.ndarray, dx: float) -> dict:
-    """The ``stats`` block of a run summary, from the run's (M + 1, N) states.
+def summary_stats(states: np.ndarray, entropy: np.ndarray, exact_final: np.ndarray,
+                  dx: float) -> dict:
+    """The ``stats`` block of a run summary, from the run's (M + 1, N) states
+    and their ``entropy_series``, which the caller computes once for this
+    block and entropy.csv alike.
 
     The run writers and ``analyze`` both compute the block here, from the
     trajectory and from the stored CSVs respectively.
     """
     final = states[-1]
-    entropy = entropy_series(states, dx)
     return {
         "mse_final": mse(final, exact_final),
         "entropy_initial": float(entropy[0]),

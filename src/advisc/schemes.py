@@ -119,6 +119,21 @@ class Trajectory:
         return np.arange(self.n_steps + 1) * self.config.dt
 
 
+def _checked_trajectory(states: np.ndarray, cfg: SchemeConfig,
+                        mu: np.ndarray | None) -> Trajectory:
+    """A Trajectory of arrays its caller has already checked to be finite and
+    of the constructor's shapes: it keeps read-only views of them without
+    scanning them again, as ``simulate`` has guarded every state and checked mu."""
+    traj = object.__new__(Trajectory)
+    object.__setattr__(traj, "config", cfg)
+    for name, values in (("states", states), ("viscosity_history", mu)):
+        if values is not None:
+            values = values.view()
+            values.setflags(write=False)
+        object.__setattr__(traj, name, values)
+    return traj
+
+
 def _next(a: np.ndarray) -> np.ndarray:
     """Periodic neighbour along the last axis: out[..., i] = a[..., (i + 1) % n].
 
@@ -178,6 +193,21 @@ def _ftcs_stepper(a: np.ndarray, d: np.ndarray, flux: np.ndarray, cfg: SchemeCon
     return step
 
 
+def _row_stepper(cfg: SchemeConfig):
+    """step(out, u, mu): one FTCS step of the state row u at the face viscosity
+    row mu into out, through ``_face_terms_into`` and ``_ftcs_stepper`` bound
+    once over one row of buffers; bit for bit ``ftcs_update`` of the row."""
+    n = cfg.grid.n_cells
+    a, d, flux = np.empty(n), np.empty(n), np.empty(n + 1)
+    ftcs_step = _ftcs_stepper(a, d, flux, cfg)
+
+    def step(out: np.ndarray, u: np.ndarray, mu: np.ndarray) -> None:
+        _face_terms_into(a, d, u, flux, cfg)
+        ftcs_step(out, u, mu)
+
+    return step
+
+
 def ftcs_update(u: np.ndarray, mu: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
     """The FTCS kernel on plain arrays: u' = u - (dt/dx)*(F_{i+1/2} - F_{i-1/2}).
 
@@ -187,7 +217,7 @@ def ftcs_update(u: np.ndarray, mu: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
     transposes, whose cells run along axis 0, through buffers of
     ``_ftcs_stepper``, the one FTCS stencil of the package, and returns the
     transpose of the result; ``.T`` rather than ``np.moveaxis``, which costs
-    ~5 us a call, as ``analyze`` replays a run one call per step.
+    ~5 us a call, as the per-step trainer advances its batch one call per step.
     """
     n = cfg.grid.n_cells
     if u.shape[-1:] != (n,) or mu.shape != u.shape:
@@ -267,16 +297,14 @@ def simulate(
     bound = _guard_bound(u0)
     states = np.empty((n_steps + 1, n_cells))
     states[0] = u0
-    a, d, flux = np.empty(n_cells), np.empty(n_cells), np.empty(n_cells + 1)
-    ftcs_step = _ftcs_stepper(a, d, flux, cfg)
+    ftcs_step = _row_stepper(cfg)
     for n in range(n_steps):
         if scheme == "lax_wendroff":
             states[n + 1] = lax_wendroff_step(states[n], cfg)
         else:
-            _face_terms_into(a, d, states[n], flux, cfg)
             ftcs_step(states[n + 1], states[n], rows[n])
         if _diverged(states[n + 1], bound):
             raise DivergenceError(f"state diverged at step {n} (magnitude guard {bound:g})",
-                                  step=n, trajectory=Trajectory(
+                                  step=n, trajectory=_checked_trajectory(
                                       states[: n + 1], cfg, None if mu is None else mu[:n]))
-    return Trajectory(states=states, config=cfg, viscosity_history=mu)
+    return _checked_trajectory(states, cfg, mu)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -415,6 +416,40 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(out)]) == 1
         assert set(failed_checks(out)) == {"scheme_equivalence"}
 
+    def test_read_run_matrix_returns_a_view_of_the_parsed_data(self, tmp_path, monkeypatch):
+        import advisc.cli
+
+        cfg_path, out = write_config(tmp_path, t_final=0.02)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        parsed = []
+
+        def recording(*args):
+            parsed.append(read_columns_csv(*args))
+            return parsed[-1]
+
+        monkeypatch.setattr(advisc.cli, "read_columns_csv", recording)
+        times, values = advisc.cli._read_run_matrix(out / "solution.csv", 100)
+        assert np.shares_memory(values, parsed[0])
+        assert all(row.flags.c_contiguous for row in values)
+        expected_times, expected = read_matrix(out / "solution.csv")
+        assert np.array_equal(times, expected_times) and np.array_equal(values, expected)
+
+    def test_replay_error_equals_stepping_each_row_alone(self):
+        from advisc.cli import _replay_error
+        from advisc.grid import make_grid
+        from advisc.schemes import SchemeConfig, ftcs_update
+
+        cfg = SchemeConfig(c=1.0, dt=1e-3, grid=make_grid(50, 1.0))
+        rng = np.random.default_rng(5)
+        states = rng.normal(size=(9, 50))
+        for mu_rows in (rng.uniform(0, 0.01, (8, 50)), np.broadcast_to(0.005, (8, 50))):
+            expected = 0.0
+            for n, mu in enumerate(mu_rows):
+                scale = max(float(np.max(np.abs(states[n + 1]))), 1.0)
+                err = float(np.max(np.abs(ftcs_update(states[n], mu, cfg) - states[n + 1])))
+                expected = max(expected, err / scale)
+            assert _replay_error(states, mu_rows, cfg) == expected
+
     def test_analyze_training_run_passes(self, tmp_path):
         cfg_path, out = write_config(
             tmp_path, scheme="ftcs_mu", n_cells=32, t_final=0.03,
@@ -435,6 +470,7 @@ class TestAnalyzeCommand:
         states[3, 7] += 0.5
         write_matrix(out / "solution.csv", times, states)
         assert main(["analyze", str(out)]) == 1
+        assert "scheme_equivalence" in failed_checks(out)
 
     @pytest.mark.parametrize("target, expected", [
         ("solution.csv", {"stat:mse_final", "stored_steps_consistent"}),
@@ -815,6 +851,55 @@ class TestAnalyzeCommand:
             entry["role"] = entry["name"].split(".")[0]
         (out / "manifest.json").write_text(json.dumps(manifest))
         assert main(["analyze", str(out)]) == 0
+
+
+class TestMemoryBudget:
+    """A plain run and its analysis hold each stored space-time matrix once."""
+
+    N_CELLS, N_STEPS = 2000, 100
+
+    @staticmethod
+    def traced_peak(argv):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return code, peak
+
+    def test_run_and_analyze_peak_under_one_and_a_half_matrices(self, tmp_path):
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "big.cfg"
+        cfg_path.write_text(
+            f"[simulation]\nscheme = ftcs_mu\nn_cells = {self.N_CELLS}\nlength = 1.0\n"
+            f"c = 1.0\ndt = 0.0002\nt_final = 0.02\nmu = 0.0001\n"
+            f"[initial_condition]\nkind = sine\n[output]\ndirectory = {out}\n")
+        matrix_bytes = (self.N_STEPS + 1) * self.N_CELLS * 8
+        for argv in (["run", "--config", str(cfg_path)], ["analyze", str(out)]):
+            code, peak = self.traced_peak(argv)
+            assert code == 0
+            assert peak < 1.5 * matrix_bytes, f"{argv[0]} peaked at {peak / matrix_bytes:.2f} matrices"
+        _, states = read_matrix(out / "solution.csv")
+        assert states.shape == (self.N_STEPS + 1, self.N_CELLS)
+
+    def test_run_writes_every_csv_row_by_row(self, tmp_path, monkeypatch):
+        import advisc.cli
+
+        kinds = []
+
+        def recording(path, header, rows):
+            kinds.append(type(rows))
+            write_columns_csv(path, header, rows)
+
+        monkeypatch.setattr(advisc.cli, "write_columns_csv", recording)
+        cfg_path, out = write_config(
+            tmp_path, scheme="ftcs_mu", n_cells=20, t_final=0.01,
+            training=TRAINING.format(n_iters=5, mu_min=-0.005),
+        )
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        assert len(kinds) == 6
+        assert not any(issubclass(kind, (list, tuple, np.ndarray)) for kind in kinds)
 
 
 class TestNonObjectJson:

@@ -20,6 +20,7 @@ from advisc.config import (
 from advisc.optimizer import OptimizerConfig
 from advisc.presets import preset_config
 from advisc.runio import (
+    CorruptRunError,
     matrix_header,
     read_columns_csv,
     read_manifest,
@@ -323,6 +324,27 @@ class TestCsvRoundTrip:
         xs2, ys2 = read_columns_csv(path, ["t", "entropy"]).T
         assert np.array_equal(xs, xs2)
         assert np.array_equal(ys, ys2)
+
+    @pytest.mark.parametrize("body, rows", [
+        ("1,2\n3,4\n", [[1, 2], [3, 4]]),
+        ("1,2\n3,4", [[1, 2], [3, 4]]),
+        ("1,2\n\n\n3,4\n\n", [[1, 2], [3, 4]]),
+        ("1,2\r\n3,4\r\n", [[1, 2], [3, 4]]),
+        ("1,2\r3,4\r", [[1, 2], [3, 4]]),
+        ("", []),
+        ("\n\n", []),
+    ], ids=["plain", "unterminated", "blank_lines", "crlf", "cr", "header_only", "only_blank"])
+    def test_reader_reads_every_row_whatever_the_line_breaks(self, tmp_path, body, rows):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"a,b\n" + body.encode())
+        data = read_columns_csv(path, ["a", "b"])
+        assert data.shape == (len(rows), 2) and data.tolist() == rows
+
+    def test_reader_rejects_a_last_line_of_spaces(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("a,b\n1,2\n3,4\n   \n")
+        with pytest.raises(CorruptRunError):
+            read_columns_csv(path, ["a", "b"])
 
     def test_matrix_reader_rejects_other_files(self, tmp_path):
         path = tmp_path / "bad.csv"

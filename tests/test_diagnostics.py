@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,27 @@ class TestEntropy:
         entropy = entropy_series(u0, cfg.grid.dx)
         assert entropy == pytest.approx(0.1, abs=1e-15)
         assert entropy == pytest.approx(naive_entropy(list(u0), 0.01), abs=1e-16)
+
+    @pytest.mark.parametrize("shape", [(40, 5000), (300, 100), (5, 20000), (3, 4, 1000), (257,)],
+                             ids=["one_row_blocks", "many_row_blocks", "row_past_block",
+                                  "3d", "1d"])
+    def test_series_equals_one_reduction_bit_for_bit(self, shape):
+        states = np.random.default_rng(3).normal(size=shape)
+        for s in (states, np.concatenate([states[..., :1], states], axis=-1)[..., 1:]):
+            expected = 0.5 * np.sum(s * s, axis=-1) * 0.01
+            got = entropy_series(s, 0.01)
+            assert np.shape(got) == np.shape(expected)
+            assert np.array_equal(got, expected)
+
+    def test_series_makes_no_temporary_of_the_states_size(self):
+        states = np.random.default_rng(4).normal(size=(100, 4000))
+        tracemalloc.start()
+        try:
+            entropy_series(states, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < states.nbytes / 4
 
     def test_semi_discrete_central_flux_produces_no_entropy(self):
         # sum_i u_i (F_{i+1/2} - F_{i-1/2}) telescopes to zero at mu = 0

@@ -450,6 +450,23 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             traj.viscosity_history[0, 0] = 0.0
 
+    def test_simulate_checks_its_inputs_once(self, monkeypatch):
+        import advisc.schemes
+
+        checked = []
+        original = advisc.schemes._checked
+
+        def recording(values, shape, what):
+            checked.append(what)
+            return original(values, shape, what)
+
+        monkeypatch.setattr(advisc.schemes, "_checked", recording)
+        cfg = small_config(n=10, length=0.1)
+        simulate(np.arange(10.0), 3, cfg, mu=np.full((3, 10), 0.01))
+        assert checked == ["u0", "mu"]
+        Trajectory(states=np.zeros((4, 10)), config=cfg, viscosity_history=np.zeros((3, 10)))
+        assert checked == ["u0", "mu", "states", "viscosity_history"]
+
     def test_states_are_read_only(self):
         cfg = small_config(n=10, length=0.1)
         traj = simulate(np.arange(10.0), 3, cfg, scheme="upwind")
