@@ -44,6 +44,7 @@ from .schemes import (
     DivergenceError,
     SchemeConfig,
     Trajectory,
+    _checked_trajectory,
     _row_stepper,
     simulate,
 )
@@ -127,9 +128,9 @@ def _derived(cfg: ExperimentConfig, traj: Trajectory, times: np.ndarray,
 
 
 def _matrix_rows(times: np.ndarray, matrix: np.ndarray):
-    """The rows of a space-time matrix CSV, each a time and its matrix row,
-    made one at a time."""
-    return ((t, *row.tolist()) for t, row in zip(times, matrix))
+    """The rows of a space-time matrix CSV, each a time and its matrix row
+    as one float array, made one at a time."""
+    return (np.concatenate(((t,), row)) for t, row in zip(times, matrix))
 
 
 def _is_plain_name(name: str) -> bool:
@@ -401,7 +402,8 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
         if len(mu) != len(states) - 1 or not losses:
             mu = losses = None
 
-    csvs, recomputed = _derived(cfg, Trajectory(states, scheme_cfg, mu), times, losses)
+    # _read_run_matrix has checked states and mu to be finite; they are not scanned again.
+    csvs, recomputed = _derived(cfg, _checked_trajectory(states, scheme_cfg, mu), times, losses)
     for name, columns in csvs.items():
         header, check_name = DERIVED_CSVS[name]
         check(check_name, *_columns_match(out_dir / name, header, columns))

@@ -23,8 +23,9 @@ def mse(u: np.ndarray, exact: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
-# Entries of the squared states that entropy_series holds at once: 64 KB.
-_ENTROPY_BLOCK = 1 << 13
+# Entries of the temporaries that entropy_series and mu_stats hold at once:
+# 64 KB of doubles.
+_ROW_BLOCK = 1 << 13
 
 
 def entropy_series(states: np.ndarray, dx: float) -> np.ndarray:
@@ -38,7 +39,7 @@ def entropy_series(states: np.ndarray, dx: float) -> np.ndarray:
     if states.ndim < 2:
         return 0.5 * np.sum(states * states, axis=-1) * dx
     out = np.empty(states.shape[:-1])
-    rows = max(1, _ENTROPY_BLOCK // max(states[0].size, 1))
+    rows = max(1, _ROW_BLOCK // max(states[0].size, 1))
     for start in range(0, len(states), rows):
         block = states[start:start + rows]
         out[start:start + rows] = 0.5 * np.sum(block * block, axis=-1) * dx
@@ -133,19 +134,28 @@ def mu_stats(traj: Trajectory, profile: HatProfile) -> dict:
     faces = cfg.grid.face_positions
     values = traj.viscosity_history
 
+    # near[n, i]: face i lies within the radius of an edge at step n's time,
+    # computed for a block of steps at a time, so no temporary as large as
+    # the viscosity exists.
     ratios = []
-    for n, row in enumerate(values):
-        neg = row < 0
-        neg_mass = float(np.sum(np.abs(row[neg])))
-        if neg_mass == 0.0:
-            continue
-        t = n * cfg.dt
-        near = np.zeros(len(faces), dtype=bool)
-        for edge in ((profile.lo + cfg.c * t) % length, (profile.hi + cfg.c * t) % length):
-            d = np.abs(faces - edge) % length
-            d = np.minimum(d, length - d)
-            near |= d <= NEGATIVE_MASS_RADIUS
-        ratios.append(float(np.sum(np.abs(row[neg & near]))) / neg_mass)
+    rows = max(1, _ROW_BLOCK // max(values.shape[1], 1))
+    for start in range(0, len(values), rows):
+        block = values[start:start + rows]
+        shift = cfg.c * (np.arange(start, start + len(block)) * cfg.dt)
+        near = np.zeros(block.shape, dtype=bool)
+        for edge in (profile.lo, profile.hi):
+            # Faces and edges lie in [0, length], so d <= length: ``d % length``
+            # would only turn d == length into 0, where the minimum is 0 as well.
+            d = np.abs(faces - np.remainder(edge + shift, length)[:, None])
+            near |= np.minimum(d, length - d, out=d) <= NEGATIVE_MASS_RADIUS
+        for row, row_near in zip(block, near):
+            neg = row < 0
+            # Sum each row's selected entries alone: summing a row with the
+            # others zeroed would change the pairwise order, and the bits.
+            neg_mass = float(np.sum(np.abs(row[neg])))
+            if neg_mass == 0.0:
+                continue
+            ratios.append(float(np.sum(np.abs(row[neg & row_near]))) / neg_mass)
 
     out = mu_summary(values)
     out["negative_mass_near_discontinuity"] = float(np.mean(ratios)) if ratios else 0.0

@@ -6,6 +6,10 @@ The exceptions are ``reference_train_per_step``, ``reference_grad_mu_global``
 and ``reference_train_global``: they pin the trainers and the adjoint sweep
 bit for bit, so they repeat the library's numpy operations in their
 original order, with np.roll for every periodic neighbour.
+So does ``reference_negative_mass_near_discontinuity``, the per-step loop
+that ``diagnostics.mu_stats`` must match bit for bit.
+``reference_write_columns_csv`` is the CSV writer's ground truth: Python's
+``%`` operator formats every value.
 """
 
 from __future__ import annotations
@@ -13,6 +17,16 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+
+def reference_write_columns_csv(path, header, rows) -> None:
+    """The header line, then each row as its values printed by ``'%.17g' %``,
+    comma-separated, one line per row."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(line % tuple(row))
 
 
 def naive_hat(n: int, dx: float, t: float, c: float = 1.0,
@@ -195,3 +209,22 @@ def reference_train_global(u0, exacts, c, dt, dx, learning_rate, n_iters, mu_min
         if losses[-1] < best[0]:
             best = (losses[-1], mu, states)
     return losses, best[1], best[2], rejected
+
+
+def reference_negative_mass_near_discontinuity(values, faces, length, lo, hi, c, dt, radius):
+    """The share of negative |mu| mass within ``radius`` of a moving hat edge,
+    averaged over the steps that have negative entries, one step at a time."""
+    ratios = []
+    for n, row in enumerate(values):
+        neg = row < 0
+        neg_mass = float(np.sum(np.abs(row[neg])))
+        if neg_mass == 0.0:
+            continue
+        t = n * dt
+        near = np.zeros(len(faces), dtype=bool)
+        for edge in ((lo + c * t) % length, (hi + c * t) % length):
+            d = np.abs(faces - edge) % length
+            d = np.minimum(d, length - d)
+            near |= d <= radius
+        ratios.append(float(np.sum(np.abs(row[neg & near]))) / neg_mass)
+    return float(np.mean(ratios)) if ratios else 0.0

@@ -11,6 +11,8 @@ from advisc.presets import STUDIES, nonneg_variant, preset_config
 from advisc.runio import matrix_header, read_columns_csv, read_manifest, write_columns_csv
 from advisc.schemes import SCHEME_NAMES
 
+from oracles import reference_write_columns_csv
+
 BASE = """
 [simulation]
 scheme = {scheme}
@@ -415,6 +417,26 @@ class TestAnalyzeCommand:
         write_matrix(out / "solution.csv", times, states)
         assert main(["analyze", str(out)]) == 1
         assert set(failed_checks(out)) == {"scheme_equivalence"}
+
+    def test_analyze_scans_the_stored_matrices_once(self, tmp_path, monkeypatch):
+        """_read_run_matrix checks solution.csv and mu.csv for non-finite
+        entries; the trajectory analyze rebuilds them into does not scan them
+        again."""
+        import advisc.schemes
+
+        cfg_path, out = write_config(tmp_path, scheme="ftcs_mu", t_final=0.01,
+                                     training=TRAINING.format(n_iters=5, mu_min=-0.005))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        checked = []
+        original = advisc.schemes._checked
+
+        def recording(values, shape, what):
+            checked.append(what)
+            return original(values, shape, what)
+
+        monkeypatch.setattr(advisc.schemes, "_checked", recording)
+        assert main(["analyze", str(out)]) == 0
+        assert "states" not in checked and "viscosity_history" not in checked
 
     def test_read_run_matrix_returns_a_view_of_the_parsed_data(self, tmp_path, monkeypatch):
         import advisc.cli
@@ -900,6 +922,39 @@ class TestMemoryBudget:
         assert main(["train", "--config", str(cfg_path)]) == 0
         assert len(kinds) == 6
         assert not any(issubclass(kind, (list, tuple, np.ndarray)) for kind in kinds)
+
+
+class TestCsvBytes:
+    """Every CSV that run and train write has the bytes of the reference
+    writer, which formats each value with ``%``."""
+
+    @pytest.mark.parametrize("command, kind, training", [
+        ("run", "hat", ""), ("run", "sine", ""),
+        ("train", "hat", TRAINING.format(n_iters=20, mu_min=-0.005)),
+        ("train", "sine", TRAINING.format(n_iters=20, mu_min=-0.005)),
+    ])
+    def test_every_csv_equals_the_reference_writer(self, tmp_path, monkeypatch, command,
+                                                   kind, training):
+        import advisc.cli
+
+        reference = tmp_path / "reference"
+        reference.mkdir()
+        written = []
+
+        def both(path, header, rows):
+            rows = list(rows)
+            write_columns_csv(path, header, rows)
+            reference_write_columns_csv(reference / Path(path).name, header, rows)
+            written.append(Path(path))
+
+        monkeypatch.setattr(advisc.cli, "write_columns_csv", both)
+        cfg_path, out = write_config(tmp_path, scheme="ftcs_mu", kind=kind, t_final=0.05,
+                                     extra_sim="" if training else "mu = 0.002",
+                                     training=training)
+        assert main([command, "--config", str(cfg_path)]) == 0
+        assert len(written) == (6 if training else 3)
+        for path in written:
+            assert path.read_bytes() == (reference / path.name).read_bytes(), path.name
 
 
 class TestNonObjectJson:

@@ -20,6 +20,7 @@ from advisc.config import (
 from advisc.optimizer import OptimizerConfig
 from advisc.presets import preset_config
 from advisc.runio import (
+    _CHUNK_VALUES,
     CorruptRunError,
     matrix_header,
     read_columns_csv,
@@ -29,6 +30,8 @@ from advisc.runio import (
     write_manifest,
 )
 from advisc.schemes import SCHEME_NAMES
+
+from oracles import reference_write_columns_csv
 
 FULL_CONFIG = """
 [simulation]
@@ -351,6 +354,113 @@ class TestCsvRoundTrip:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
             read_columns_csv(path, matrix_header(1))
+
+
+def powers_of_ten_and_neighbours(exponents, ulps: int) -> np.ndarray:
+    """10**j and the ``ulps`` doubles on each side of it, for each j, both signs."""
+    values = []
+    for j in exponents:
+        below = above = float(f"1e{j}")
+        values.append(above)
+        for _ in range(ulps):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            values += [below, above]
+    values = np.array(values)
+    return np.concatenate((values, -values))
+
+
+class TestCsvFormat:
+    """The writer prints every value exactly as ``'%.17g' %`` does: its bytes
+    equal those of the reference writer, which formats each row with ``%``."""
+
+    @staticmethod
+    def assert_same_bytes(tmp_path, header, rows):
+        rows = list(rows)
+        write_columns_csv(tmp_path / "kernel.csv", header, rows)
+        reference_write_columns_csv(tmp_path / "reference.csv", header, rows)
+        got = (tmp_path / "kernel.csv").read_bytes()
+        want = (tmp_path / "reference.csv").read_bytes()
+        if got != want:
+            diff = next(i for i, (a, b) in enumerate(zip(got.split(b"\n"), want.split(b"\n")))
+                        if a != b)
+            pairs = zip(got.split(b"\n")[diff].split(b","), want.split(b"\n")[diff].split(b","))
+            raise AssertionError(f"line {diff}: {next(p for p in pairs if p[0] != p[1])}")
+
+    def assert_values_formatted(self, tmp_path, values, n_cols=10):
+        values = np.asarray(values, dtype=float)
+        values = np.concatenate((values, np.zeros(-len(values) % n_cols)))
+        self.assert_same_bytes(tmp_path, [f"c{i}" for i in range(n_cols)],
+                               values.reshape(-1, n_cols))
+
+    def test_random_bit_patterns_over_the_whole_double_range(self, tmp_path):
+        rng = np.random.default_rng(18)
+        patterns = rng.integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False)
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                    2.2250738585072014e-308, -2.2250738585072009e-308, 1.7976931348623157e308]
+        values = np.concatenate((patterns.view(np.float64), specials))
+        a = np.abs(values)
+        assert np.sum(~np.isfinite(values)) > 100 and np.sum((a > 0) & (a < 2.3e-308)) > 100
+        self.assert_values_formatted(tmp_path, values, n_cols=1000)
+
+    def test_random_values_inside_the_fixed_point_window(self, tmp_path):
+        rng = np.random.default_rng(7)
+        magnitudes = 10.0 ** rng.uniform(-4, 15, 200_000)
+        self.assert_values_formatted(tmp_path, magnitudes * rng.choice([-1.0, 1.0], 200_000))
+
+    def test_powers_of_ten_and_their_neighbours(self, tmp_path):
+        self.assert_values_formatted(tmp_path, powers_of_ten_and_neighbours(range(-6, 19), 8))
+
+    def test_edges_of_the_fixed_point_window(self, tmp_path):
+        values = []
+        for edge in (1e-4, 1e15):
+            below = above = edge
+            for _ in range(64):
+                below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+                values += [below, above]
+        values += [9.9999999999999995e-05, 0.000099999999999999991, 999999999999999.88,
+                   999999999999999.94, 1e15 - 0.5, 0.00010000000000000001]
+        values = np.array(values + [1e-4, 1e15])
+        self.assert_values_formatted(tmp_path, np.concatenate((values, -values)))
+
+    def test_exact_ties_round_half_to_even(self, tmp_path):
+        """x = w / 2**(k + 1) with w odd puts x * 10**k, k = 16 - D, exactly
+        halfway between two integers."""
+        rng = np.random.default_rng(3)
+        ties = []
+        for d in range(-4, 15):
+            k = 16 - d
+            lo, hi = int(10.0**d * 2 ** (k + 1)), int(10.0 ** (d + 1) * 2 ** (k + 1))
+            w = 2 * rng.integers(lo // 2, hi // 2, 500) + 1
+            x = w / 2.0 ** (k + 1)
+            x = x[(x >= 10.0**d) & (x < 10.0 ** (d + 1))]
+            assert np.all(x * 2.0 ** (k + 1) == w)  # exact: each x is w / 2**(k + 1)
+            ties.append(x)
+        ties = np.concatenate(ties)
+        assert len(ties) > 8000
+        self.assert_values_formatted(tmp_path, np.concatenate((ties, -ties)))
+
+    def test_integer_valued_floats_and_an_integer_index_column(self, tmp_path):
+        integers = np.concatenate((np.arange(-10**4, 10**4), 10.0 ** np.arange(16),
+                                   2.0 ** np.arange(60), [2.0**53 - 1, 2.0**53 + 2]))
+        self.assert_values_formatted(tmp_path, integers)
+        losses = np.random.default_rng(1).random(2500)
+        self.assert_same_bytes(tmp_path, ["iter", "loss"], enumerate(losses))
+
+    def test_rows_that_span_several_chunks(self, tmp_path):
+        n_cols = 2 * _CHUNK_VALUES + 3
+        rows = np.random.default_rng(2).standard_normal((5, n_cols))
+        rows[1, ::7] = 0.0
+        rows[2, 5:_CHUNK_VALUES + 9] = 1e-30
+        rows[3] = 0.0  # whole chunks with no value the kernel formats itself
+        self.assert_same_bytes(tmp_path, matrix_header(n_cols - 1), rows)
+
+    def test_header_only_file(self, tmp_path):
+        self.assert_same_bytes(tmp_path, ["t", "entropy"], [])
+        assert (tmp_path / "kernel.csv").read_bytes() == b"t,entropy\n"
+
+    def test_a_row_of_another_width_raises(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_columns_csv(tmp_path / "bad.csv", ["a", "b"], [(1.0, 2.0), (3.0,)])
 
 
 class TestManifest:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from advisc.diagnostics import (
+    NEGATIVE_MASS_RADIUS,
     ec_es_split,
     entropy_report,
     entropy_series,
@@ -18,7 +19,7 @@ from advisc.grid import (
     make_grid,
     sine_solution,
 )
-from advisc.schemes import SchemeConfig, ftcs_update, simulate
+from advisc.schemes import SchemeConfig, Trajectory, ftcs_update, simulate
 
 from oracles import naive_entropy, naive_hat, naive_mse, naive_total_variation
 
@@ -224,6 +225,28 @@ class TestMuStats:
         values[0, 89] = -1e-3  # far away
         stats = mu_stats(with_mu(traj, values), profile)
         assert stats["negative_mass_near_discontinuity"] == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("c, profile", [
+        (1.0, HatProfile()), (-0.7, HatProfile()),
+        (1.0, HatProfile(lo=0.0, hi=0.35)),  # an edge at 0: a face at distance length
+    ])
+    def test_score_equals_the_per_step_loop_bit_for_bit(self, c, profile):
+        from oracles import reference_negative_mass_near_discontinuity
+
+        cfg, _, _ = paper_setup()
+        cfg = dataclasses.replace(cfg, c=c)
+        rng = np.random.default_rng(11)
+        n_steps = 700  # the edges travel across the periodic boundary
+        values = rng.standard_normal((n_steps, 100)) * 1e-3
+        values[rng.random(values.shape) < 0.3] = 0.0
+        values[::9] = np.abs(values[::9])  # steps without negative entries are skipped
+        states = np.zeros((n_steps + 1, 100))
+        traj = Trajectory(states=states, config=cfg, viscosity_history=values)
+        want = reference_negative_mass_near_discontinuity(
+            values, cfg.grid.face_positions, cfg.grid.length, profile.lo, profile.hi,
+            c, cfg.dt, NEGATIVE_MASS_RADIUS)
+        assert 0.0 < want < 1.0
+        assert mu_stats(traj, profile)["negative_mass_near_discontinuity"] == want
 
 
 def ftcs_form(u, flux, cfg):
