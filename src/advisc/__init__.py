@@ -3,13 +3,9 @@
 from .adjoint import (
     fd_gradient,
     grad_mu_global,
-    grad_mu_instantaneous,
     loss_value,
 )
 from .diagnostics import (
-    EntropyReport,
-    ec_es_split,
-    entropy_report,
     mse,
     mu_stats,
     total_variation,
@@ -37,7 +33,6 @@ from .schemes import (
     Trajectory,
     amplification_factor,
     ftcs_update,
-    lax_wendroff_step,
     simulate,
 )
 

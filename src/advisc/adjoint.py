@@ -1,18 +1,20 @@
 """Exact gradients of the discrete tracking loss with respect to face viscosity.
 
 The forward step is linear in the state u and bilinear in (mu, u), so the
-gradient of a quadratic tracking loss is available in closed form: one
+gradient of the quadratic tracking loss is available in closed form: one
 forward sweep records the states, one reverse sweep propagates adjoint
 variables through the transposed step operator, and each per-step gradient
 is the adjoint contracted against the step's mu-sensitivity at the recorded
-state. A central finite-difference oracle is provided for verification.
+state. The per-step trainer's one-step gradient is the same contraction,
+inlined in ``optimizer._descend``. A central finite-difference oracle is
+provided for verification.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .schemes import SchemeConfig, Trajectory, _next, ftcs_update, simulate
+from .schemes import SchemeConfig, Trajectory, simulate
 
 
 def _check_exact(traj: Trajectory, exact: np.ndarray) -> None:
@@ -42,31 +44,19 @@ def loss_value(traj: Trajectory, exact: np.ndarray) -> float:
     return total
 
 
-def grad_mu_instantaneous(
-    u: np.ndarray, exact_next: np.ndarray, mu: np.ndarray, cfg: SchemeConfig
-) -> np.ndarray:
-    """Gradient of the one-step mean-squared error with respect to each face mu.
-
-    Takes plain arrays: the state ``u``, the target ``exact_next`` and the face
-    viscosity ``mu``, each of length n_cells. With u' = ftcs_update(u, mu) and
-    r_i = (2/N)*(u'_i - e_i), face i+1/2 enters the updates of cells i and
-    i+1 with opposite signs, giving
-
-        dL/dmu_{i+1/2} = (dt/dx^2) * (u_{i+1} - u_i) * (r_i - r_{i+1}).
-    """
-    if exact_next.shape != u.shape:
-        raise ValueError(f"exact_next has shape {exact_next.shape}, u has {u.shape}")
-    u_next = ftcs_update(u, mu, cfg)
-    r = (2.0 / cfg.grid.n_cells) * (u_next - exact_next)
-    return (cfg.dt / cfg.grid.dx**2) * (_next(u) - u) * (r - _next(r))
-
-
 def _transposer(g: np.ndarray, t: np.ndarray, cfg: SchemeConfig):
-    """transpose(out, ve, mu): out <- step_transpose_update(v, mu) in place, with v
-    between ghosts v_{N-1} and v_0 in ``ve``. Column 0 of ``g``, one column wider
-    than v, repeats G_{N-1/2} ahead of G_{j+1/2} = mu_{j+1/2}*(v_{j+1} - v_j); ``t``
-    and ``out`` are scratch. Bound once, with dt/dx^2 and cfl/2 as 0-d arrays and
-    the outputs passed positionally, as the reverse sweep applies it every step."""
+    """transpose(out, ve, mu): out <- A^T(mu) v in place, the transpose of the
+    (state-linear) step operator, with v between ghosts v_{N-1} and v_0 in ``ve``.
+    The transpose is the same stencil with the advection direction reversed and
+    the viscous part unchanged:
+
+        (A^T v)_j = v_j + (cfl/2)*(v_{j+1} - v_{j-1})
+                    + (dt/dx^2)*[mu_{j+1/2}*(v_{j+1} - v_j) - mu_{j-1/2}*(v_j - v_{j-1})].
+
+    Column 0 of ``g``, one column wider than v, repeats G_{N-1/2} ahead of
+    G_{j+1/2} = mu_{j+1/2}*(v_{j+1} - v_j); ``t`` and ``out`` are scratch. Bound
+    once, with dt/dx^2 and cfl/2 as 0-d arrays and the outputs passed
+    positionally, as the reverse sweep applies it every step."""
     g_here, g_before = g[..., 1:], g[..., :-1]
     k = np.array(cfg.dt / cfg.grid.dx**2)
     half_cfl = np.array(0.5 * cfg.cfl)
@@ -86,24 +76,6 @@ def _transposer(g: np.ndarray, t: np.ndarray, cfg: SchemeConfig):
     return transpose
 
 
-def step_transpose_update(v: np.ndarray, mu: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
-    """Apply the transpose of the (state-linear) step operator to the array v.
-
-    The transpose is the same stencil with the advection direction reversed
-    and the viscous part unchanged:
-
-        (A^T v)_j = v_j + (cfl/2)*(v_{j+1} - v_{j-1})
-                    + (dt/dx^2)*[mu_{j+1/2}*(v_{j+1} - v_j) - mu_{j-1/2}*(v_j - v_{j-1})].
-
-    ``v`` (cells) and ``mu`` (faces) are plain arrays of length n_cells. It
-    allocates the buffers of ``_transposer``, the one transposed stencil.
-    """
-    ve = np.concatenate((v[..., -1:], v, v[..., :1]), axis=-1)
-    out, t, g = np.empty(v.shape), np.empty(v.shape), np.empty(ve[..., 1:].shape)
-    _transposer(g, t, cfg)(out, ve, mu)
-    return out
-
-
 def grad_mu_global(traj: Trajectory, exact: np.ndarray) -> np.ndarray:
     """Gradient of ``loss_value`` with respect to every face/step viscosity.
 
@@ -115,7 +87,7 @@ def grad_mu_global(traj: Trajectory, exact: np.ndarray) -> np.ndarray:
 
     and the gradient at step n is lambda^{n+1} contracted against the step's
     mu-sensitivity at u^n. Returns the (n_steps, n_faces) gradient array.
-    The sweep runs in preallocated buffers, in step_transpose_update's order.
+    The sweep runs in preallocated buffers, applying ``_transposer``'s stencil.
     """
     n_steps = traj.n_steps
     if traj.viscosity_history is None or n_steps == 0:

@@ -442,7 +442,8 @@ def _check_study(out_dir: Path, manifest: dict, check) -> None:
     oracles = _oracle_mses(preset_config(manifest["preset"]))
     check("oracles", comparison.get("oracles") == oracles,
           f"stored={comparison.get('oracles')!r} recomputed={oracles!r}")
-    stored = comparison.get("claims", {})
+    stored = comparison.get("claims")
+    stored = stored if isinstance(stored, dict) else {}
     for name, holds in STUDIES[manifest["preset"]][1]:
         try:
             verdict = holds(comparison)

@@ -175,11 +175,16 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Read and parse a config file; missing files raise ConfigError."""
+    """Read and parse a config file; a missing file or one that is not UTF-8
+    text raises ConfigError."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config_text(p.read_text())
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config file {p} is not UTF-8 text: {err}") from err
+    return parse_config_text(text)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:

@@ -1,5 +1,5 @@
-"""Post-hoc analyses: error norms, entropy budget, total variation,
-viscosity sign statistics, and the conservative/dissipative flux split.
+"""Post-hoc analyses: error norms, the entropy series and its dissipation
+channel, total variation, and viscosity sign statistics.
 
 Everything here is read-only over immutable trajectories, so analyses can
 run concurrently on shared data.
@@ -7,12 +7,10 @@ run concurrently on shared data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import HatProfile
-from .schemes import SchemeConfig, Trajectory, _next
+from .schemes import Trajectory, _next
 
 
 def mse(u: np.ndarray, exact: np.ndarray) -> float:
@@ -46,36 +44,16 @@ def entropy_series(states: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class EntropyReport:
-    """Discrete quadratic-entropy series of a trajectory.
+def dissipation_series(states: np.ndarray, mu: np.ndarray, dx: float) -> np.ndarray:
+    """The face-viscosity channel of the entropy budget of each step.
 
-    total_entropy holds S^n = (1/2) * sum_i (u_i^n)^2 * dx for every recorded
-    state; per_step_delta holds S^{n+1} - S^n. spatial_dissipation, when
-    viscosity data is available, holds the face-viscosity channel
+    Given the (M + 1, N) states of a run and the (M, N) face viscosity of its
+    steps, returns D^0 .. D^{M-1}, evaluated at each pre-step state:
 
-        D^n = sum_faces mu^n_{i+1/2} * ((u^n_{i+1} - u^n_i)/dx)^2 * dx,
-
-    evaluated at the pre-step state. The temporal/truncation channel is not
-    computed; it is derivable as delta + dissipation residual.
+        D^n = sum_faces mu^n_{i+1/2} * ((u^n_{i+1} - u^n_i)/dx)^2 * dx.
     """
-
-    total_entropy: np.ndarray
-    per_step_delta: np.ndarray
-    spatial_dissipation: np.ndarray | None
-
-
-def entropy_report(traj: Trajectory) -> EntropyReport:
-    """Entropy series of a trajectory, with the dissipation series exactly
-    when the trajectory recorded its viscosities."""
-    dx = traj.config.grid.dx
-    states = traj.states
-    s = entropy_series(states, dx)
-    dissipation = None
-    if traj.viscosity_history is not None:
-        jumps = (_next(states[:-1]) - states[:-1]) / dx
-        dissipation = np.sum(traj.viscosity_history * jumps * jumps, axis=1) * dx
-    return EntropyReport(total_entropy=s, per_step_delta=np.diff(s), spatial_dissipation=dissipation)
+    jumps = (_next(states[:-1]) - states[:-1]) / dx
+    return np.sum(mu * jumps * jumps, axis=1) * dx
 
 
 def total_variation(u: np.ndarray) -> float:
@@ -160,18 +138,3 @@ def mu_stats(traj: Trajectory, profile: HatProfile) -> dict:
     out = mu_summary(values)
     out["negative_mass_near_discontinuity"] = float(np.mean(ratios)) if ratios else 0.0
     return out
-
-
-def ec_es_split(u: np.ndarray, mu: np.ndarray, cfg: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Split the numerical flux into conservative and dissipative parts.
-
-    Per face: ec = c*(u_i + u_{i+1})/2 (the entropy-neutral central flux for
-    a linear scalar) and es = (mu_{i+1/2}/dx)*(u_{i+1} - u_i), the scalar
-    degenerate dissipative correction. ec - es is, entrywise, the face flux
-    F_{i+1/2} that ``ftcs_update`` differences. ``u`` (cells) and ``mu``
-    (faces) are arrays of length n_cells.
-    """
-    up = _next(u)
-    ec = cfg.c * 0.5 * (u + up)
-    es = (mu / cfg.grid.dx) * (up - u)
-    return ec, es

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import grad_mu_global, loss_value
+from .diagnostics import mse
 from .schemes import (
     CLASSICAL_MU,
     DivergenceError,
@@ -92,12 +93,15 @@ def _descend(u: np.ndarray, target: np.ndarray, mu: np.ndarray, lr: np.ndarray,
     The arrays are cells-major (N, B) C-order buffers: column b of ``u``,
     ``target``, ``mu``, ``lr``, ``lo`` and ``hi`` is one problem, so every
     shifted view of a face or flux buffer is one contiguous block. Each
-    iteration is grad_mu_instantaneous followed by mu <- clip(mu - lr*g, lo, hi),
-    with every elementwise operation in the same order, so the iterates are
-    those of that gradient bit for bit. The mu-independent factors A = c*(u_{i+1}
-    + u_i)/2, D = u_{i+1} - u_i and K = (dt/dx^2)*D are formed once per call;
-    the loop runs the FTCS stepper and ufuncs into preallocated buffers, with
-    2/N as a 0-d array and the outputs passed positionally.
+    iteration takes the exact gradient of the one-step mean-squared error,
+    with u' the FTCS step of u at mu and r = (2/N)*(u' - target),
+
+        g_{i+1/2} = (dt/dx^2) * (u_{i+1} - u_i) * (r_i - r_{i+1}),
+
+    then sets mu <- clip(mu - lr*g, lo, hi). The mu-independent factors
+    A = c*(u_{i+1} + u_i)/2, D = u_{i+1} - u_i and K = (dt/dx^2)*D are formed
+    once per call; the loop runs the FTCS stepper and ufuncs into preallocated
+    buffers, with 2/N as a 0-d array and the outputs passed positionally.
     """
     n, b = u.shape
     two_n = np.array(2.0 / n)
@@ -180,8 +184,7 @@ def train_per_step(
         u_next = ftcs_update(u.T, mu.T, cfg)
         going = [j for j in range(len(rows)) if not _diverged(u_next[j], bound)]
         for j in going:
-            err = u_next[j] - target
-            losses[rows[j]].append(float(np.mean(err * err)))
+            losses[rows[j]].append(mse(u_next[j], target))
         states[rows[going], step + 1] = u_next[going]
         mu_rows[rows[going], step] = mu.T[going]
         if len(going) < len(rows):

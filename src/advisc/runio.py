@@ -265,12 +265,16 @@ def read_columns_csv(path: str | Path, header: list[str]) -> np.ndarray:
     resident: at N = 10^4, reading solution.csv that way raised the
     resident set by 23 MB for a 12 MB array."""
     expected = ",".join(header)
-    with open(path) as f:
-        if f.readline().rstrip("\n") != expected:
-            shown = expected if len(header) <= 8 else f"{','.join(header[:3])},...,{header[-1]}"
-            raise CorruptRunError(f"{path} does not have the header {shown}")
-        start = f.tell()
-        n_lines = sum(1 for _ in f)  # at least the number of rows
+    with open(path, encoding="utf-8") as f:
+        try:
+            if f.readline().rstrip("\n") != expected:
+                shown = (expected if len(header) <= 8
+                         else f"{','.join(header[:3])},...,{header[-1]}")
+                raise CorruptRunError(f"{path} does not have the header {shown}")
+            start = f.tell()
+            n_lines = sum(1 for _ in f)  # at least the number of rows
+        except UnicodeDecodeError as err:
+            raise CorruptRunError(f"{path} is not UTF-8 text: {err}") from err
         f.seek(start)
         if n_lines == 0:
             return np.empty((0, len(header)))
@@ -317,8 +321,8 @@ def read_json(path: str | Path) -> dict:
     if not p.is_file():
         raise FileNotFoundError(f"missing file: {p}")
     try:
-        payload = json.loads(p.read_text())
-    except json.JSONDecodeError as err:
+        payload = json.loads(p.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise CorruptRunError(f"corrupt JSON in {p}: {err}") from err
     if not isinstance(payload, dict):
         raise CorruptRunError(f"{p} holds a JSON {type(payload).__name__}, not an object")

@@ -239,7 +239,7 @@ CLASSICAL_MU = {
 SCHEME_NAMES = ("ftcs_mu", *CLASSICAL_MU)
 
 
-def lax_wendroff_step(u: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
+def _lax_wendroff_step(u: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
     """Second-order-in-time step; equals ftcs_update with mu = c^2*dt/2.
 
     The one classical scheme ``simulate`` does not step through ftcs_update:
@@ -300,7 +300,7 @@ def simulate(
     ftcs_step = _row_stepper(cfg)
     for n in range(n_steps):
         if scheme == "lax_wendroff":
-            states[n + 1] = lax_wendroff_step(states[n], cfg)
+            states[n + 1] = _lax_wendroff_step(states[n], cfg)
         else:
             ftcs_step(states[n + 1], states[n], rows[n])
         if _diverged(states[n + 1], bound):

@@ -2,10 +2,13 @@
 
 Everything here is deliberately written with plain Python loops and lists,
 not numpy stencils, so it shares no code path with the package under test.
-The exceptions are ``reference_train_per_step``, ``reference_grad_mu_global``
-and ``reference_train_global``: they pin the trainers and the adjoint sweep
-bit for bit, so they repeat the library's numpy operations in their
-original order, with np.roll for every periodic neighbour.
+The exceptions are the np.roll oracles ``reference_ftcs_flux`` (the face
+flux), ``reference_grad_mu_step`` (the exact one-step gradient) and
+``reference_step_transpose`` (the transposed step), and the
+``reference_train_per_step``, ``reference_grad_mu_global`` and
+``reference_train_global`` built on them. They pin the trainers and the
+adjoint sweep bit for bit, so they repeat the library's numpy operations in
+their original order, with np.roll for every periodic neighbour.
 So does ``reference_negative_mass_near_discontinuity``, the per-step loop
 that ``diagnostics.mu_stats`` must match bit for bit.
 ``reference_write_columns_csv`` is the CSV writer's ground truth: Python's
@@ -109,11 +112,39 @@ def naive_amplification_magnitude(theta: float, cfl: float, d: float) -> float:
     return math.hypot(real, imag)
 
 
+def reference_ftcs_flux(u, mu, c, dx):
+    """The face flux F_{i+1/2} = c*(u_{i+1} + u_i)/2 - (mu_{i+1/2}/dx)*(u_{i+1} - u_i)."""
+    up = np.roll(u, -1)
+    return c * 0.5 * (up + u) - (mu / dx) * (up - u)
+
+
 def _roll_step(u, mu, c, dt, dx):
     """One FTCS step in the library's operation order, with np.roll."""
-    up = np.roll(u, -1)
-    flux = c * 0.5 * (up + u) - (mu / dx) * (up - u)
+    flux = reference_ftcs_flux(u, mu, c, dx)
     return u - (dt / dx) * (flux - np.roll(flux, 1))
+
+
+def reference_grad_mu_step(u, target, mu, c, dt, dx):
+    """Exact gradient of the one-step mean squared error mean((u' - target)^2),
+    u' the FTCS step of ``u`` at the face viscosity ``mu``, with respect to mu.
+
+    With r = (2/N)*(u' - target), face i+1/2 enters the updates of cells i and
+    i+1 with opposite signs: dL/dmu_{i+1/2} = (dt/dx^2)*(u_{i+1} - u_i)*(r_i - r_{i+1}).
+    """
+    r = (2.0 / len(u)) * (_roll_step(u, mu, c, dt, dx) - target)
+    du = np.roll(u, -1) - u
+    return (dt / dx**2) * du * (r - np.roll(r, -1))
+
+
+def reference_step_transpose(v, mu, c, dt, dx):
+    """The transpose of the (state-linear) FTCS step at ``mu``, applied to ``v``:
+
+        (A^T v)_j = v_j + (cfl/2)*(v_{j+1} - v_{j-1})
+                    + (dt/dx^2)*[mu_{j+1/2}*(v_{j+1} - v_j) - mu_{j-1/2}*(v_j - v_{j-1})].
+    """
+    vp, vm = np.roll(v, -1), np.roll(v, 1)
+    return (v + 0.5 * (c * dt / dx) * (vp - vm)
+            + (dt / dx**2) * (mu * (vp - v) - np.roll(mu, 1) * (v - vm)))
 
 
 def reference_train_per_step(u0, exacts, c, dt, dx, learning_rate, n_iters, mu_min, mu_max,
@@ -129,9 +160,7 @@ def reference_train_per_step(u0, exacts, c, dt, dx, learning_rate, n_iters, mu_m
     history, states = [], [u]
     for m in range(1, len(exacts)):
         for _ in range(n_iters):
-            r = (2.0 / n) * (_roll_step(u, mu, c, dt, dx) - exacts[m])
-            du = np.roll(u, -1) - u
-            g = (dt / dx**2) * du * (r - np.roll(r, -1))
+            g = reference_grad_mu_step(u, exacts[m], mu, c, dt, dx)
             mu = np.clip(mu - learning_rate * g, mu_min, mu_max)
         u = _roll_step(u, mu, c, dt, dx)
         history.append(mu)
@@ -145,17 +174,14 @@ def reference_grad_mu_global(states, mu, exacts, c, dt, dx):
     reverse sweep, one step at a time with np.roll."""
     n_steps, n = mu.shape
     coef = 1.0 / (n * n_steps)
-    k = dt / dx**2
     grad = np.empty((n_steps, n))
     lam = 2.0 * coef * (states[n_steps] - exacts[n_steps])
     for m in range(n_steps, 0, -1):
         if m < n_steps:
-            lp, lm = np.roll(lam, -1), np.roll(lam, 1)
-            lam = (lam + 0.5 * (c * dt / dx) * (lp - lm)
-                   + k * (mu[m] * (lp - lam) - np.roll(mu[m], 1) * (lam - lm))
+            lam = (reference_step_transpose(lam, mu[m], c, dt, dx)
                    + 2.0 * coef * (states[m] - exacts[m]))
         du = np.roll(states[m - 1], -1) - states[m - 1]
-        grad[m - 1] = k * du * (lam - np.roll(lam, -1))
+        grad[m - 1] = (dt / dx**2) * du * (lam - np.roll(lam, -1))
     return grad
 
 

@@ -164,6 +164,13 @@ class TestRunCommand:
     def test_missing_config_exits_3(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.cfg")]) == 3
 
+    def test_config_that_is_not_utf8_exits_3(self, tmp_path, capsys):
+        cfg_path, out = write_config(tmp_path)
+        cfg_path.write_bytes(b"# \xff\xfe\n" + cfg_path.read_bytes())
+        assert main(["run", "--config", str(cfg_path)]) == 3
+        assert "not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("ic", [
         "kind = hat\nlo = 0.5\nhi = 1.5",
         "kind = hat\nlo = 0.6\nhi = 0.4",
@@ -999,6 +1006,46 @@ class TestNonObjectJson:
         capsys.readouterr()
         assert main(["analyze", str(study)]) == 4
         assert "comparison.json" in capsys.readouterr().err
+
+
+class TestMalformedClaims:
+    """A study whose stored claims are not an object fails each claim check by
+    name, as a run's summary block that is not an object fails its checks."""
+
+    @pytest.mark.parametrize("claims", [[], "yes", None])
+    def test_study_claims_that_are_not_an_object(self, tmp_path, monkeypatch, claims):
+        import advisc.cli
+
+        def short(name, out_dir="out"):
+            return replace(preset_config(name, out_dir), t_final=0.01)
+
+        monkeypatch.setattr(advisc.cli, "preset_config", short)
+        study = tmp_path / "study"
+        assert main(["reproduce", "--preset", "sine-smooth", "--out", str(study)]) == 0
+        comparison = json.loads((study / "comparison.json").read_text())
+        comparison["claims"] = claims
+        (study / "comparison.json").write_text(json.dumps(comparison))
+        assert main(["analyze", str(study)]) == 1
+        assert set(failed_checks(study)) == {
+            f"claim:{name}" for name, _ in STUDIES["sine-smooth"][1]}
+
+
+class TestNotUtf8:
+    """A stored file with bytes that are not UTF-8, which no writer writes,
+    exits 4 on analyze and is named."""
+
+    @pytest.mark.parametrize("name, line", [
+        ("manifest.json", 1), ("summary.json", 1), ("solution.csv", 0), ("solution.csv", 3),
+    ], ids=["manifest", "summary", "solution_header", "solution_row"])
+    def test_analyze_exits_4(self, tmp_path, capsys, name, line):
+        cfg_path, out = write_config(tmp_path, t_final=0.01)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        lines = (out / name).read_bytes().split(b"\n")
+        lines[line] += b"\xff\xfe"
+        (out / name).write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert main(["analyze", str(out)]) == 4
+        assert str(out / name) in capsys.readouterr().err
 
 
 class TestCorruptStudyManifest:

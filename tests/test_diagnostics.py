@@ -6,8 +6,7 @@ import pytest
 
 from advisc.diagnostics import (
     NEGATIVE_MASS_RADIUS,
-    ec_es_split,
-    entropy_report,
+    dissipation_series,
     entropy_series,
     mse,
     mu_stats,
@@ -19,7 +18,7 @@ from advisc.grid import (
     make_grid,
     sine_solution,
 )
-from advisc.schemes import SchemeConfig, Trajectory, ftcs_update, simulate
+from advisc.schemes import SchemeConfig, Trajectory, simulate
 
 from oracles import naive_entropy, naive_hat, naive_mse, naive_total_variation
 
@@ -74,10 +73,10 @@ class TestEntropy:
         field = np.full(10, 2.0)
         mu = np.full((3, 10), 0.01)
         traj = simulate(field, 3, cfg, scheme="ftcs_mu", mu=mu)
-        report = entropy_report(traj)
-        assert np.allclose(report.total_entropy, report.total_entropy[0], atol=1e-15)
-        assert np.allclose(report.per_step_delta, 0.0, atol=1e-15)
-        assert np.allclose(report.spatial_dissipation, 0.0, atol=1e-15)
+        entropy = entropy_series(traj.states, cfg.grid.dx)
+        assert np.allclose(entropy, entropy[0], atol=1e-15)
+        assert np.allclose(np.diff(entropy), 0.0, atol=1e-15)
+        assert np.allclose(dissipation_series(traj.states, mu, cfg.grid.dx), 0.0, atol=1e-15)
 
     def test_initial_hat_entropy_is_one_tenth(self):
         # 20 unit cells of width 0.01: S = 0.5 * 20 * 1 * 0.01
@@ -107,54 +106,35 @@ class TestEntropy:
             tracemalloc.stop()
         assert peak < states.nbytes / 4
 
-    def test_semi_discrete_central_flux_produces_no_entropy(self):
-        # sum_i u_i (F_{i+1/2} - F_{i-1/2}) telescopes to zero at mu = 0
-        cfg, _, _ = paper_setup()
-        rng = np.random.default_rng(1)
-        u = rng.uniform(-1, 1, 100)
-        ec, es = ec_es_split(u, np.zeros(100), cfg)
-        flux = ec - es
-        production = np.sum(u * (flux - np.roll(flux, 1)))
-        assert abs(production) < 1e-13
-
     def test_forward_euler_step_increases_entropy_at_zero_mu(self):
         cfg, _, _ = paper_setup()
         u0 = sine_solution(cfg.grid, 1.0, 0.0)
         traj = simulate(u0, 5, cfg, scheme="ftcs_bare")
-        report = entropy_report(traj)
-        assert np.all(report.per_step_delta > 0)
+        assert np.all(np.diff(entropy_series(traj.states, cfg.grid.dx)) > 0)
 
     def test_positive_uniform_mu_dissipation_nonnegative(self):
         cfg, profile, u0 = paper_setup()
         mu = np.full((10, 100), 0.005)
         traj = simulate(u0, 10, cfg, scheme="ftcs_mu", mu=mu)
-        report = entropy_report(traj)
-        assert np.all(report.spatial_dissipation >= 0)
+        assert np.all(dissipation_series(traj.states, mu, cfg.grid.dx) >= 0)
 
     def test_zero_mu_dissipation_exactly_zero(self):
         cfg, profile, u0 = paper_setup()
         mu = np.zeros((5, 100))
         traj = simulate(u0, 5, cfg, scheme="ftcs_mu", mu=mu)
-        report = entropy_report(traj)
-        assert np.array_equal(report.spatial_dissipation, np.zeros(5))
-
-    def test_dissipation_requires_history(self):
-        cfg, profile, u0 = paper_setup()
-        traj = simulate(u0, 5, cfg, scheme="upwind")
-        report = entropy_report(traj)
-        assert report.spatial_dissipation is None
+        assert np.array_equal(dissipation_series(traj.states, mu, cfg.grid.dx), np.zeros(5))
 
     def test_dissipation_matches_direct_sum(self):
         cfg, profile, u0 = paper_setup()
         rng = np.random.default_rng(2)
         mu = rng.uniform(-0.005, 0.095, (4, 100))
         traj = simulate(u0, 4, cfg, scheme="ftcs_mu", mu=mu)
-        report = entropy_report(traj)
+        dissipation = dissipation_series(traj.states, mu, cfg.grid.dx)
         n = 2
         u = traj.states[n]
         jumps = (np.roll(u, -1) - u) / cfg.grid.dx
         direct = np.sum(mu[n] * jumps**2) * cfg.grid.dx
-        assert report.spatial_dissipation[n] == pytest.approx(direct, rel=1e-14)
+        assert dissipation[n] == pytest.approx(direct, rel=1e-14)
 
 
 class TestTotalVariation:
@@ -247,36 +227,3 @@ class TestMuStats:
             c, cfg.dt, NEGATIVE_MASS_RADIUS)
         assert 0.0 < want < 1.0
         assert mu_stats(traj, profile)["negative_mass_near_discontinuity"] == want
-
-
-def ftcs_form(u, flux, cfg):
-    """u - (dt/dx)*(F_{i+1/2} - F_{i-1/2}) for the face fluxes ``flux``."""
-    return u - (cfg.dt / cfg.grid.dx) * (flux - np.roll(flux, 1))
-
-
-class TestEcEsSplit:
-    def test_constant_state(self):
-        cfg, _, _ = paper_setup()
-        u = np.full(100, 2.0)
-        mu = np.full(100, 0.05)
-        ec, es = ec_es_split(u, mu, cfg)
-        assert np.allclose(ec, 2.0 * cfg.c, atol=1e-15)
-        assert np.allclose(es, 0.0, atol=1e-15)
-
-    def test_zero_mu_degenerates_to_central_flux(self):
-        cfg, _, u0 = paper_setup()
-        mu0 = np.zeros(100)
-        ec, es = ec_es_split(u0, mu0, cfg)
-        assert np.array_equal(es, np.zeros(100))
-        assert np.allclose(ftcs_form(u0, ec - es, cfg), ftcs_update(u0, mu0, cfg),
-                           rtol=0, atol=1e-14)
-
-    def test_reconstruction_identity(self):
-        cfg, _, _ = paper_setup()
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            u = rng.uniform(-1, 1, 100)
-            mu = rng.uniform(-0.005, 0.095, 100)
-            ec, es = ec_es_split(u, mu, cfg)
-            assert np.allclose(ftcs_form(u, ec - es, cfg), ftcs_update(u, mu, cfg),
-                               rtol=0, atol=1e-14)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from advisc.diagnostics import ec_es_split
 from advisc.grid import make_grid, sine_solution
 from advisc.schemes import (
     CLASSICAL_MU,
@@ -10,7 +9,6 @@ from advisc.schemes import (
     Trajectory,
     amplification_factor,
     ftcs_update,
-    lax_wendroff_step,
     simulate,
 )
 
@@ -20,6 +18,7 @@ from oracles import (
     naive_lax_wendroff_step,
     naive_upwind_step,
     naive_upwind_states,
+    reference_ftcs_flux,
 )
 
 
@@ -38,9 +37,8 @@ def rel_err(a, b):
 
 
 def flux(u, mu, cfg):
-    """Face flux F_{i+1/2} of ftcs_update, from the EC/ES split."""
-    ec, es = ec_es_split(u, mu, cfg)
-    return ec - es
+    """Face flux F_{i+1/2} of ftcs_update."""
+    return reference_ftcs_flux(u, mu, cfg.c, cfg.grid.dx)
 
 
 class TestFtcsFlux:
@@ -216,7 +214,7 @@ class TestLaxWendroff:
     def test_preserves_constants(self):
         cfg = small_config(n=6, length=0.06)
         u = np.full(6, 0.7)
-        assert np.allclose(lax_wendroff_step(u, cfg), 0.7, atol=1e-15)
+        assert np.allclose(one_step(u, cfg, "lax_wendroff"), 0.7, atol=1e-15)
 
     def test_equals_ftcs_with_lw_viscosity(self):
         cfg = small_config(n=25, length=0.25)
@@ -227,13 +225,13 @@ class TestLaxWendroff:
         for _ in range(10):
             u = rng.uniform(-1, 1, 25)
             stepped = ftcs_update(u, mu, cfg)
-            assert rel_err(lax_wendroff_step(u, cfg), stepped) < 1e-13
+            assert rel_err(one_step(u, cfg, "lax_wendroff"), stepped) < 1e-13
 
     def test_matches_loop_oracle(self):
         cfg = small_config(n=13, length=0.13)
         rng = np.random.default_rng(12)
         uv = rng.uniform(-1, 1, 13)
-        stepped = lax_wendroff_step(uv, cfg)
+        stepped = one_step(uv, cfg, "lax_wendroff")
         assert np.allclose(stepped, naive_lax_wendroff_step(list(uv), cfg.cfl),
                            rtol=1e-14, atol=1e-16)
 
