@@ -261,22 +261,6 @@ def _training_dir(cfg: ExperimentConfig) -> Path:
     return out_dir
 
 
-def _train(configs: list[ExperimentConfig], scheme_cfg: SchemeConfig,
-           exact: np.ndarray) -> list[TrainingReport | DivergenceError]:
-    """Train each config of one mode on the shared problem: per-step configs in
-    one batched call. A run whose first step or sweep diverged gives its error."""
-    opts = tuple(cfg.training.optimizer for cfg in configs)
-    if configs[0].training.mode == "per_step":
-        return train_per_step(scheme_cfg, opts, exact)
-    outcomes: list[TrainingReport | DivergenceError] = []
-    for opt in opts:
-        try:
-            outcomes.append(train_global(scheme_cfg, opt, exact))
-        except DivergenceError as err:
-            outcomes.append(err)
-    return outcomes
-
-
 def _write_training(cfg: ExperimentConfig, outcome: TrainingReport | DivergenceError,
                     t_start: float) -> int:
     """Write one training run's outcome into its output directory; return its exit code."""
@@ -299,14 +283,29 @@ def _write_training(cfg: ExperimentConfig, outcome: TrainingReport | DivergenceE
     return EXIT_DIVERGENCE if status == "divergence" else EXIT_NO_CONVERGENCE
 
 
-def cmd_train(cfg: ExperimentConfig) -> int:
-    """Train the viscosity closure per the config and write all artifacts."""
+def cmd_train(cfg: ExperimentConfig, *more: ExperimentConfig) -> int:
+    """Train the viscosity closure of each config and write every run; return
+    the exit code of the first failed run, or 0. The configs share one problem
+    and mode, differing only in optimizer and output directory, so per-step
+    configs train in one batched ``train_per_step`` call."""
     t_start = time.time()
-    out_dir = _training_dir(cfg)
+    configs = (cfg, *more)
+    out_dirs = [_training_dir(config) for config in configs]
     scheme_cfg, exact = _build_problem(cfg)
-    _clear_previous_run(out_dir)
-    (outcome,) = _train([cfg], scheme_cfg, exact)
-    return _write_training(cfg, outcome, t_start)
+    for out_dir in out_dirs:
+        _clear_previous_run(out_dir)
+    opts = tuple(config.training.optimizer for config in configs)
+    if cfg.training.mode == "per_step":
+        outcomes = train_per_step(scheme_cfg, opts, exact)
+    else:
+        outcomes = []
+        for opt in opts:
+            try:
+                outcomes.append(train_global(scheme_cfg, opt, exact))
+            except DivergenceError as err:
+                outcomes.append(err)
+    codes = [_write_training(c, outcome, t_start) for c, outcome in zip(configs, outcomes)]
+    return next((code for code in codes if code != EXIT_OK), EXIT_OK)
 
 
 def _replay_error(states: np.ndarray, mu_rows: np.ndarray, cfg: SchemeConfig) -> float:
@@ -359,10 +358,12 @@ def _columns_match(path: Path, header: list[str], expected: list) -> tuple[bool,
 def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
     """Check every file of a run against its config and its primary data:
     solution.csv and, for a training run, mu.csv and the losses of
-    loss_history.csv. The steps are replayed on them, a plain run's as FTCS
-    at its scheme's constant viscosity, and ``_derived``, as the writer
-    called it, rebuilds every other CSV and summary.json value, which must
-    match exactly; the summary's status must be the manifest's.
+    loss_history.csv. The steps are replayed on them: a plain run's as FTCS
+    at its scheme's constant viscosity, and those of a training run whose
+    first step or sweep diverged, which writes no mu.csv, at the optimizer's
+    initial viscosity. ``_derived``, as the writer called it, rebuilds every
+    other CSV and summary.json value, which must match exactly; the
+    summary's status must be the manifest's.
     Its ``converged`` and ``divergence_events`` come only from the
     optimizer's report, so stay unchecked. Training outputs are not rebuilt
     without one mu.csv row per step and at least one loss. A CSV without its
@@ -378,7 +379,10 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
     times, states = _read_run_matrix(out_dir / "solution.csv", grid.n_cells)
 
     mu_value = cfg.mu if cfg.scheme == "ftcs_mu" else CLASSICAL_MU[cfg.scheme](scheme_cfg)
-    if mu_value is not None:  # a plain run: every step is FTCS at one constant mu
+    if mu_value is None and cfg.training is not None and not training:
+        # a training run whose first step or sweep diverged ran at its initial mu
+        mu_value = cfg.training.optimizer.resolve_init(scheme_cfg)
+    if mu_value is not None:  # every step is FTCS at one constant mu
         mu_rows = np.broadcast_to(mu_value, (len(states) - 1, grid.n_cells))
         worst = _replay_error(states, mu_rows, scheme_cfg)
         check("scheme_equivalence", worst < 1e-13,
@@ -507,7 +511,10 @@ def _oracle_mses(cfg: ExperimentConfig) -> dict:
 
 
 def cmd_reproduce(preset: str, out_root: str | Path) -> int:
-    """Train the preset's study, one subdirectory per run, and check its claims."""
+    """Train the preset's study through ``cmd_train``, one subdirectory per run,
+    then write comparison.json from the runs' summaries and check its claims.
+    A failed run raises DivergenceError once every run is written, before
+    comparison.json and the study's manifest."""
     if preset not in PRESET_NAMES:
         raise ConfigError(f"unknown preset {preset!r}; choose one of {PRESET_NAMES}")
     t_start = time.time()
@@ -517,21 +524,14 @@ def cmd_reproduce(preset: str, out_root: str | Path) -> int:
 
     runs, claims = STUDIES[preset]
     comparison: dict = {"preset": preset, "oracles": _oracle_mses(preset_config(preset))}
-    configs = {}
+    configs = []
     for subdir, name, nonneg in runs:
         config = preset_config(name, str(out_root / subdir))
-        configs[subdir] = nonneg_variant(config) if nonneg else config
-    # A study's runs share one preset, so they differ only in their optimizer
-    # and output directory and train on one problem, in one batched call.
-    t_train = time.time()
-    for config in configs.values():
-        _clear_previous_run(_training_dir(config))
-    scheme_cfg, exact = _build_problem(next(iter(configs.values())))
-    outcomes = _train(list(configs.values()), scheme_cfg, exact)
-    for (subdir, config), outcome in zip(configs.items(), outcomes):
-        code = _write_training(config, outcome, t_train)
-        if code != EXIT_OK:
-            raise DivergenceError(f"preset training run '{subdir}' failed with exit {code}")
+        configs.append(nonneg_variant(config) if nonneg else config)
+    code = cmd_train(*configs)
+    if code != EXIT_OK:
+        raise DivergenceError(f"a training run of study {preset!r} failed with exit {code}")
+    for subdir, _, _ in runs:
         comparison[subdir.replace("-", "_")] = read_json(out_root / subdir / "summary.json")
     comparison["claims"] = {name: holds(comparison) for name, holds in claims}
 
@@ -617,6 +617,10 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, CorruptRunError) as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as err:
+        print(f"out of memory: advisc {args.command} cannot allocate its arrays: {err}",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

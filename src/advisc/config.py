@@ -90,6 +90,9 @@ class ExperimentConfig:
         if not np.isfinite(self.c):
             raise ConfigError("c must be finite")
         ratio = self.t_final / self.dt
+        if ratio == np.inf or (round(ratio) + 1) * self.n_cells > np.iinfo(np.intp).max:
+            raise ConfigError(f"t_final/dt = {ratio!r} steps of {self.n_cells} cells are more "
+                              "values than one array can index")
         n = round(ratio)
         if abs(ratio - n) > 0.5 * np.spacing(max(abs(ratio), 1.0)):
             raise ConfigError(

@@ -28,9 +28,11 @@ from .schemes import (
     _face_terms_into,
     _ftcs_stepper,
     _guard_bound,
-    ftcs_update,
     simulate,
 )
+
+# train_global halts once more than this many of its candidates have diverged.
+MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,9 @@ def _horizon(exact: np.ndarray, cfg: SchemeConfig) -> int:
 
 
 def _descend(u: np.ndarray, target: np.ndarray, mu: np.ndarray, lr: np.ndarray,
-             lo: np.ndarray, hi: np.ndarray, cfg: SchemeConfig, n_iters: int) -> None:
-    """Run ``n_iters`` projected gradient steps on each column's one-step loss, in place on ``mu``.
+             lo: np.ndarray, hi: np.ndarray, cfg: SchemeConfig, n_iters: int) -> np.ndarray:
+    """Run ``n_iters`` projected gradient steps on each column's one-step loss, in
+    place on ``mu``; return the advanced state, the FTCS step of ``u`` at the final ``mu``.
 
     The arrays are cells-major (N, B) C-order buffers: column b of ``u``,
     ``target``, ``mu``, ``lr``, ``lo`` and ``hi`` is one problem, so every
@@ -126,6 +129,8 @@ def _descend(u: np.ndarray, target: np.ndarray, mu: np.ndarray, lr: np.ndarray,
         # These two take out= by keyword: a positional output is deprecated.
         np.maximum(mu, lo, out=mu)
         np.minimum(mu, hi, out=mu)
+    ftcs_step(t, u, mu)
+    return t
 
 
 def train_per_step(
@@ -180,8 +185,8 @@ def train_per_step(
     for step in range(n_steps):
         target = exact[step + 1]
         u = states[rows, step].T.copy()
-        _descend(u, np.repeat(target[:, None], rows.size, axis=1), mu, lr, lo, hi, cfg, n_iters)
-        u_next = ftcs_update(u.T, mu.T, cfg)
+        u_next = _descend(u, np.repeat(target[:, None], rows.size, axis=1),
+                          mu, lr, lo, hi, cfg, n_iters).T
         going = [j for j in range(len(rows)) if not _diverged(u_next[j], bound)]
         for j in going:
             losses[rows[j]].append(mse(u_next[j], target))
@@ -218,7 +223,7 @@ def train_per_step(
 
 
 def train_global(
-    cfg: SchemeConfig, opt: OptimizerConfig, exact: np.ndarray, max_halvings: int = 30
+    cfg: SchemeConfig, opt: OptimizerConfig, exact: np.ndarray
 ) -> TrainingReport:
     """Whole-horizon training: one decision vector of shape (n_steps, n_faces).
 
@@ -226,7 +231,8 @@ def train_global(
     the gradient reuses the accepted iterate's forward sweep, so each
     iteration runs one sweep, of its candidate. A candidate whose sweep
     diverges is rejected and retried at half the step size (the reduction
-    persists). Returns the best (lowest-loss) iterate seen, with its trajectory.
+    persists); once more than MAX_HALVINGS candidates have diverged, training
+    halts. Returns the best (lowest-loss) iterate seen, with its trajectory.
     """
     n_steps = _horizon(exact, cfg)
     lr = opt.learning_rate
@@ -241,7 +247,6 @@ def train_global(
     best_traj = traj_cur
     losses = [best_loss]
     divergences = 0
-    halvings = 0
     completed = True
 
     for _ in range(opt.n_iters):
@@ -254,9 +259,8 @@ def train_global(
                 loss_cand, traj_cand = evaluate(candidate)
             except DivergenceError:
                 divergences += 1
-                halvings += 1
                 lr *= 0.5
-                if halvings > max_halvings:
+                if divergences > MAX_HALVINGS:
                     completed = False
                     break
                 continue

@@ -196,7 +196,10 @@ def _ftcs_stepper(a: np.ndarray, d: np.ndarray, flux: np.ndarray, cfg: SchemeCon
 def _row_stepper(cfg: SchemeConfig):
     """step(out, u, mu): one FTCS step of the state row u at the face viscosity
     row mu into out, through ``_face_terms_into`` and ``_ftcs_stepper`` bound
-    once over one row of buffers; bit for bit ``ftcs_update`` of the row."""
+    once over one row of buffers. The binder for a state that changes from
+    call to call: ``simulate``, ``analyze``'s replay and ``ftcs_update`` step
+    through it, while the per-step trainer's ``_descend`` binds its fixed
+    state's face terms once."""
     n = cfg.grid.n_cells
     a, d, flux = np.empty(n), np.empty(n), np.empty(n + 1)
     ftcs_step = _ftcs_stepper(a, d, flux, cfg)
@@ -211,23 +214,15 @@ def _row_stepper(cfg: SchemeConfig):
 def ftcs_update(u: np.ndarray, mu: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
     """The FTCS kernel on plain arrays: u' = u - (dt/dx)*(F_{i+1/2} - F_{i-1/2}).
 
-    ``u`` (cells) and ``mu`` (faces) are float arrays of one shape (..., n_cells):
-    a state, or a stack of states stepped row by row, each row bit for bit as
-    if stepped alone. The new state is returned as a fresh array. It steps the
-    transposes, whose cells run along axis 0, through buffers of
-    ``_ftcs_stepper``, the one FTCS stencil of the package, and returns the
-    transpose of the result; ``.T`` rather than ``np.moveaxis``, which costs
-    ~5 us a call, as the per-step trainer advances its batch one call per step.
+    ``u`` (cells) and ``mu`` (faces) are float arrays of shape (n_cells,);
+    the new state is returned as a fresh array, stepped by ``_row_stepper``.
     """
     n = cfg.grid.n_cells
-    if u.shape[-1:] != (n,) or mu.shape != u.shape:
-        raise ValueError(f"u and mu must have one shape (..., {n}), got {u.shape} and {mu.shape}")
-    u, mu = u.T, mu.T
-    a, d, out = np.empty(u.shape), np.empty(u.shape), np.empty(u.shape)
-    flux = np.empty((n + 1,) + u.shape[1:])
-    _face_terms_into(a, d, u, flux, cfg)
-    _ftcs_stepper(a, d, flux, cfg)(out, u, mu)
-    return out.T
+    if u.shape != (n,) or mu.shape != (n,):
+        raise ValueError(f"u and mu must have shape ({n},), got {u.shape} and {mu.shape}")
+    out = np.empty(n)
+    _row_stepper(cfg)(out, u, mu)
+    return out
 
 
 # The constant face viscosity at which ftcs_update is each classical scheme.

@@ -2,9 +2,11 @@
 name; a traced run must still find the layers the benchmark reports on. The
 field containers are the exception: nothing in the library builds one."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import advisc.cli
+from advisc.presets import preset_config
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -29,17 +31,15 @@ directory = {directory}
 """
 
 
-def traced_train(tmp_path, monkeypatch, mode: str, n_iters: int) -> dict:
-    """The tracer's report of one ``train`` run; every wrapper is removed after."""
+def traced(monkeypatch, argv: list[str]) -> dict:
+    """The tracer's report of one CLI command; every wrapper is removed after."""
     monkeypatch.syspath_prepend(str(BENCH))
     import tracer
 
-    cfg_path = tmp_path / "train.cfg"
-    cfg_path.write_text(CONFIG.format(mode=mode, n_iters=n_iters, directory=tmp_path / "out"))
     tracing = tracer.Tracer()
     tracing.install()
     try:
-        code = advisc.cli.main(["train", "--config", str(cfg_path)])
+        code = advisc.cli.main(argv)
     finally:
         tracing.remove()
     assert code == 0
@@ -47,15 +47,32 @@ def traced_train(tmp_path, monkeypatch, mode: str, n_iters: int) -> dict:
     return tracing.report()
 
 
+def traced_train(tmp_path, monkeypatch, mode: str, n_iters: int) -> dict:
+    """The tracer's report of one ``train`` run."""
+    cfg_path = tmp_path / "train.cfg"
+    cfg_path.write_text(CONFIG.format(mode=mode, n_iters=n_iters, directory=tmp_path / "out"))
+    return traced(monkeypatch, ["train", "--config", str(cfg_path)])
+
+
 def test_traced_train_records_the_reported_layers(tmp_path, monkeypatch):
     spans = traced_train(tmp_path, monkeypatch, "per_step", 5)["spans"]
     assert spans["optimizer.train_per_step"]["calls"] > 0
-    # The per-step trainer steps the state once per step through the kernel and
-    # runs its inner iterations without a call into the library.
-    assert spans["schemes.ftcs_update"]["calls"] == 5
     # States and viscosities cross the library as plain arrays, so a run builds
     # no field container and the benchmark's grid.containers metrics read 0.
     assert spans["grid.containers"]["calls"] == 0
+
+
+def test_traced_reproduce_trains_through_cmd_train(tmp_path, monkeypatch):
+    # A study trains its runs through the train command's one path, in one
+    # batched call, so the benchmark's cli.cmd_train metrics count it.
+    def short(name, out_dir="out"):
+        return replace(preset_config(name, out_dir), t_final=0.01)
+
+    monkeypatch.setattr(advisc.cli, "preset_config", short)
+    spans = traced(monkeypatch, ["reproduce", "--preset", "paper-hat-nonneg",
+                                 "--out", str(tmp_path / "study")])["spans"]
+    assert spans["cli.cmd_train"]["calls"] == 1
+    assert spans["optimizer.train_per_step"]["calls"] == 1
 
 
 def test_traced_global_train_counts_sweeps_inside_the_trainer(tmp_path, monkeypatch):

@@ -425,6 +425,28 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(out)]) == 1
         assert set(failed_checks(out)) == {"scheme_equivalence"}
 
+    def test_analyze_replays_a_training_run_whose_first_sweep_diverged(self, tmp_path):
+        # Bounds that hold mu negative make the first sweep of global training
+        # diverge, so the run stores its steps and no mu.csv; each of them ran
+        # at the optimizer's initial viscosity.
+        cfg_path, out = write_config(
+            tmp_path, scheme="ftcs_mu", n_cells=50, t_final=5.0,
+            training="\n[training]\nmode = global\nmu_min = -0.01\nmu_max = -0.005\n")
+        cfg_path.write_text(cfg_path.read_text().replace("dt = 0.001", "dt = 0.005"))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert not (out / "mu.csv").exists()
+        assert main(["analyze", str(out)]) == 1
+        assert set(failed_checks(out)) == {"run_status_ok"}
+        analysis = json.loads((out / "analysis.json").read_text())
+        assert "scheme_equivalence" in {check["name"] for check in analysis["checks"]}
+        times, states = read_matrix(out / "solution.csv")
+        assert 2 < len(states) < 1001
+        middle = len(states) // 2
+        states[middle, 7] += 1e-6 * np.max(np.abs(states[middle]))
+        write_matrix(out / "solution.csv", times, states)
+        assert main(["analyze", str(out)]) == 1
+        assert "scheme_equivalence" in failed_checks(out)
+
     def test_analyze_scans_the_stored_matrices_once(self, tmp_path, monkeypatch):
         """_read_run_matrix checks solution.csv and mu.csv for non-finite
         entries; the trajectory analyze rebuilds them into does not scan them
@@ -1093,6 +1115,32 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="a defect in the library"):
             main(["run", "--config", str(cfg_path)])
 
+    @pytest.mark.parametrize("dt", ["1e-300", "1e-320"])
+    def test_more_values_than_an_array_can_index_exit_3(self, tmp_path, capsys, dt):
+        # 1.5e299 steps, and at 1e-320 a step count that overflows to inf.
+        cfg_path, out = write_config(tmp_path, t_final=0.15)
+        cfg_path.write_text(cfg_path.read_text().replace("dt = 0.001", f"dt = {dt}"))
+        assert main(["run", "--config", str(cfg_path)]) == 3
+        assert "more values than one array can index" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, allocation", [("run", "simulate"),
+                                                     ("train", "train_per_step")])
+    def test_out_of_memory_exits_3_naming_the_command(self, tmp_path, capsys, monkeypatch,
+                                                      command, allocation):
+        import advisc.cli
+
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 109. TiB for an array")
+
+        monkeypatch.setattr(advisc.cli, allocation, too_large)
+        cfg_path, _ = write_config(tmp_path, scheme="ftcs_mu", t_final=0.01,
+                                   extra_sim="mu = 0.005\n",
+                                   training=TRAINING.format(n_iters=2, mu_min=-0.005))
+        assert main([command, "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"advisc {command}" in err and "109. TiB" in err
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
@@ -1218,6 +1266,34 @@ class TestReproduceCommand:
         # cmd_reproduce trains a study's runs on one problem in one batched call
         for runs, _ in STUDIES.values():
             assert len({preset for _, preset, _ in runs}) == 1
+
+    def test_failed_run_writes_every_run_but_no_study_files(self, tmp_path, capsys,
+                                                             monkeypatch):
+        import advisc.cli
+        from advisc.schemes import DivergenceError, Trajectory
+
+        def short(name, out_dir="out"):
+            return replace(preset_config(name, out_dir), t_final=0.01)
+
+        trained = advisc.cli.train_per_step
+
+        def first_run_diverges(cfg, opts, exact):
+            outcomes = trained(cfg, opts, exact)
+            traj = outcomes[0].trajectory
+            outcomes[0] = DivergenceError("diverged", step=0, trajectory=Trajectory(
+                traj.states[:1], cfg, traj.viscosity_history[:0]))
+            return outcomes
+
+        monkeypatch.setattr(advisc.cli, "preset_config", short)
+        monkeypatch.setattr(advisc.cli, "train_per_step", first_run_diverges)
+        study = tmp_path / "study"
+        assert main(["reproduce", "--preset", "sine-smooth", "--out", str(study)]) == 2
+        assert "sine-smooth" in capsys.readouterr().err
+        (first, _, _), (second, _, _) = STUDIES["sine-smooth"][0]
+        assert sorted(p.name for p in study.iterdir()) == sorted([first, second])
+        assert read_manifest(study / first)["status"] == "divergence"
+        assert read_manifest(study / second)["status"] == "ok"
+        assert main(["analyze", str(study / second)]) == 0
 
     def test_study_writes_the_files_of_separate_train_commands(self, tmp_path, monkeypatch):
         import advisc.cli

@@ -343,12 +343,15 @@ class TestTrainGlobal:
                             mu=report.trajectory.viscosity_history)
         assert loss_value(replayed, exact) == min(report.loss_history)
 
-    def test_exhausted_halvings_yield_failure_report(self):
+    def test_exhausted_halvings_yield_failure_report(self, monkeypatch):
+        import advisc.optimizer
+
+        monkeypatch.setattr(advisc.optimizer, "MAX_HALVINGS", 2)
         grid = make_grid(100, 1.0)
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
         _, exact = hat_problem(cfg, 100)
         opt = OptimizerConfig(learning_rate=1e7, n_iters=3, mu_min=-0.06, mu_max=9.5e-2)
-        report = train_global(cfg, opt, exact, max_halvings=2)
+        report = train_global(cfg, opt, exact)
         assert not report.converged
         assert report.divergence_events == 3
         # best iterate (the initial one) is still returned with its trajectory
