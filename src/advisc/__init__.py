@@ -14,11 +14,10 @@ from .grid import (
     CellField,
     FaceViscosity,
     Grid1D,
-    HatProfile,
+    InitialCondition,
     SpaceTimeViscosity,
     exact_solution,
     make_grid,
-    sine_solution,
 )
 from .optimizer import (
     OptimizerConfig,

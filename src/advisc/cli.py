@@ -24,7 +24,7 @@ from .config import (
     load_config,
 )
 from .diagnostics import entropy_series, mse, mu_stats, mu_summary, summary_stats
-from .grid import Grid1D, exact_solution, sine_solution
+from .grid import exact_solution
 from .optimizer import TrainingReport, train_global, train_per_step
 from .presets import PRESET_NAMES, STUDIES, nonneg_variant, preset_config
 from .runio import (
@@ -72,17 +72,11 @@ TRAINING_FILES = {"mu.csv", "mu_final.csv", "loss_history.csv"}
 STUDY_FILES = {"comparison.json", MANIFEST_NAME}
 
 
-def _exact(cfg: ExperimentConfig, grid: Grid1D, t: float | np.ndarray) -> np.ndarray:
-    """The configured initial condition's exact solution at the time or times ``t``."""
-    if cfg.ic.kind == "hat":
-        return exact_solution(cfg.ic.hat_profile(), grid, cfg.c, t)
-    return sine_solution(grid, cfg.c, t, cfg.ic.wavenumber, cfg.ic.amplitude)
-
-
 def _build_problem(cfg: ExperimentConfig) -> tuple[SchemeConfig, np.ndarray]:
     """Scheme config and the (n_steps + 1, N) exact states of a run; row 0 is its initial state."""
     scheme_cfg = cfg.scheme_config()
-    return scheme_cfg, _exact(cfg, scheme_cfg.grid, np.arange(cfg.n_steps + 1) * cfg.dt)
+    times = np.arange(cfg.n_steps + 1) * cfg.dt
+    return scheme_cfg, exact_solution(cfg.ic, scheme_cfg.grid, cfg.c, times)
 
 
 def _derived(cfg: ExperimentConfig, traj: Trajectory, times: np.ndarray,
@@ -94,7 +88,7 @@ def _derived(cfg: ExperimentConfig, traj: Trajectory, times: np.ndarray,
     training run's loss history, is None for a plain run."""
     grid = traj.config.grid
     final = traj.states[-1]
-    exact_final = _exact(cfg, grid, times[-1])
+    exact_final = exact_solution(cfg.ic, grid, cfg.c, times[-1])
     entropy = entropy_series(traj.states, grid.dx)
     stats = summary_stats(traj.states, entropy, exact_final, grid.dx)
     csvs = {
@@ -110,8 +104,7 @@ def _derived(cfg: ExperimentConfig, traj: Trajectory, times: np.ndarray,
     normalized = mu[-1] / scale if scale > 0 else np.zeros_like(mu[-1])
     csvs["mu_final.csv"] = [grid.face_positions, mu[-1], normalized]
     csvs["loss_history.csv"] = [np.arange(len(losses)), losses]
-    summary["mu"] = (mu_stats(traj, cfg.ic.hat_profile()) if cfg.ic.kind == "hat"
-                     else mu_summary(mu))
+    summary["mu"] = mu_stats(traj, cfg.ic) if cfg.ic.kind == "hat" else mu_summary(mu)
     summary["training"] = {
         "mode": cfg.training.mode,
         "loss_first": losses[0],
@@ -229,21 +222,23 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     """Simulate the configured scheme and write its solution, final state and
     entropy. The exact solution is sampled only at t = 0 and, for the final
     state, at the last time reached, so the states are the one space-time
-    matrix the run holds."""
+    matrix the run holds. The run last written into the output directory is
+    cleared only once ``simulate`` has returned or diverged, so a run that
+    cannot allocate its states leaves that run in place."""
     if cfg.scheme == "ftcs_mu" and cfg.mu is None:
         raise ConfigError("scheme 'ftcs_mu' requires the 'mu' key for plain runs")
     t_start = time.time()
     out_dir = Path(cfg.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     scheme_cfg = cfg.scheme_config()
-    u0 = _exact(cfg, scheme_cfg.grid, 0.0)
-    _clear_previous_run(out_dir)
+    u0 = exact_solution(cfg.ic, scheme_cfg.grid, cfg.c, 0.0)
 
     status, extra = "ok", None
     try:
         traj = simulate(u0, cfg.n_steps, scheme_cfg, scheme=cfg.scheme, mu=cfg.mu)
     except DivergenceError as err:
         status, extra, traj = "divergence", {"diverged_at_step": err.step}, err.trajectory
+    _clear_previous_run(out_dir)
     _write_run(cfg, out_dir, traj, status, t_start, extra=extra)
     return EXIT_OK if status == "ok" else EXIT_DIVERGENCE
 

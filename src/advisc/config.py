@@ -2,9 +2,12 @@
 
 The on-disk format is INI-style key-value text with one section per config
 group ([simulation], [initial_condition], [training], [output]). The settings
-dataclasses are the schema: a section's keys are their scalar fields. Unknown
-sections or keys are hard errors so that typos cannot silently change an
-experiment. The manifest echo carries the same sections and keys as JSON.
+dataclasses are the schema: a section's keys are their scalar fields.
+[initial_condition] holds those of ``grid.InitialCondition``, which validates
+them itself; a ValueError from any settings dataclass is reported as a
+ConfigError. Unknown sections or keys are hard errors so that typos cannot
+silently change an experiment. The manifest echo carries the same sections
+and keys as JSON.
 """
 
 from __future__ import annotations
@@ -15,33 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid1D, HatProfile, make_grid
+from .grid import Grid1D, InitialCondition, make_grid
 from .optimizer import OptimizerConfig
 from .schemes import SCHEME_NAMES, SchemeConfig
 
 
 class ConfigError(ValueError):
     """Invalid, missing, or unknown configuration content."""
-
-
-@dataclass(frozen=True)
-class InitialCondition:
-    kind: str = "hat"  # "hat" | "sine"
-    lo: float = 0.4
-    hi: float = 0.6
-    amplitude: float = 1.0
-    wavenumber: int = 1
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("hat", "sine"):
-            raise ConfigError(f"initial_condition kind must be 'hat' or 'sine', got {self.kind!r}")
-        if self.kind == "sine" and (self.wavenumber < 1 or int(self.wavenumber) != self.wavenumber):
-            raise ConfigError("sine wavenumber must be a positive integer")
-        if not np.isfinite(self.amplitude):
-            raise ConfigError("initial_condition amplitude must be finite")
-
-    def hat_profile(self) -> HatProfile:
-        return HatProfile(lo=self.lo, hi=self.hi, amplitude=self.amplitude)
 
 
 @dataclass(frozen=True)
@@ -98,11 +81,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"t_final/dt = {ratio!r} is not a whole number of steps"
             )
-        if self.ic.kind == "hat" and not (0.0 <= self.ic.lo < self.ic.hi <= self.length):
-            raise ConfigError(
-                f"hat edges must satisfy 0 <= lo < hi <= length = {self.length!r}, "
-                f"got lo = {self.ic.lo!r}, hi = {self.ic.hi!r}"
-            )
+        if self.ic.kind == "hat" and self.ic.hi > self.length:
+            raise ConfigError(f"hat edge hi = {self.ic.hi!r} lies past length = {self.length!r}")
         if self.mu is not None and not np.isfinite(self.mu):
             raise ConfigError("mu must be finite")
         if self.mu is not None and self.scheme != "ftcs_mu":
@@ -217,7 +197,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         )
     except ConfigError:
         raise
-    except (AttributeError, TypeError, ValueError) as err:
+    except (AttributeError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"invalid settings: {err}") from err
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import HatProfile
+from .grid import InitialCondition
 from .schemes import Trajectory, _next
 
 
@@ -96,16 +96,16 @@ def mu_summary(values: np.ndarray) -> dict:
 NEGATIVE_MASS_RADIUS = 0.05
 
 
-def mu_stats(traj: Trajectory, profile: HatProfile) -> dict:
+def mu_stats(traj: Trajectory, ic: InitialCondition) -> dict:
     """``mu_summary`` of the trajectory's viscosity, plus the localization of
     its negative entries under ``"negative_mass_near_discontinuity"``.
 
     The localization score restricts attention to negative entries: per step,
     the |mu| mass of negative faces lying within NEGATIVE_MASS_RADIUS of
-    either moving hat edge (positions lo + c*t and hi + c*t mod length at the
-    pre-step time) divided by the total negative |mu| mass; steps without
-    negative entries are skipped, and the score is the average over the
-    remaining steps (0.0 if no step has a negative entry).
+    either moving edge of the hat ``ic`` (positions lo + c*t and hi + c*t
+    mod length at the pre-step time) divided by the total negative |mu|
+    mass; steps without negative entries are skipped, and the score is the
+    average over the remaining steps (0.0 if no step has a negative entry).
     """
     cfg = traj.config
     length = cfg.grid.length
@@ -121,7 +121,7 @@ def mu_stats(traj: Trajectory, profile: HatProfile) -> dict:
         block = values[start:start + rows]
         shift = cfg.c * (np.arange(start, start + len(block)) * cfg.dt)
         near = np.zeros(block.shape, dtype=bool)
-        for edge in (profile.lo, profile.hi):
+        for edge in (ic.lo, ic.hi):
             # Faces and edges lie in [0, length], so d <= length: ``d % length``
             # would only turn d == length into 0, where the minimum is 0 as well.
             d = np.abs(faces - np.remainder(edge + shift, length)[:, None])

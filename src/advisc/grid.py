@@ -1,4 +1,8 @@
-"""Periodic 1D grid, field containers, and translated exact solutions.
+"""Periodic 1D grid, field containers, and the initial conditions with
+their translated exact solutions.
+
+``InitialCondition`` validates the settings of every kind, and
+``exact_solution`` samples any kind through the ``PROFILES`` table.
 
 All containers are immutable after construction: the wrapped numpy arrays
 are defensive copies with the writeable flag cleared, so instances can be
@@ -113,53 +117,61 @@ class SpaceTimeViscosity:
 
 
 @dataclass(frozen=True)
-class HatProfile:
-    """Unit hat profile: value ``amplitude`` strictly inside (lo, hi), else 0.
+class InitialCondition:
+    """Initial profile of a run: one of the kinds in ``PROFILES``.
 
-    Edge coordinates sit in the physical domain; values at exactly lo or hi
-    are 0 (strict inequalities).
+    ``hat``: value ``amplitude`` strictly inside (lo, hi), else 0, with the
+    edges in the physical domain; values at exactly lo or hi are 0.
+    ``sine``: ``amplitude * sin(2 pi wavenumber x / length)``. Each kind
+    reads only its own fields.
     """
 
+    kind: str = "hat"
     lo: float = 0.4
     hi: float = 0.6
     amplitude: float = 1.0
+    wavenumber: int = 1
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi) and np.isfinite(self.amplitude)):
-            raise ValueError("hat parameters must be finite")
-        if not (0.0 <= self.lo < self.hi):
-            raise ValueError("hat edges must satisfy 0 <= lo < hi")
+        if self.kind not in PROFILES:
+            raise ValueError(
+                f"initial_condition kind must be one of {tuple(PROFILES)}, got {self.kind!r}"
+            )
+        if not np.isfinite(self.amplitude):
+            raise ValueError("initial_condition amplitude must be finite")
+        if self.kind == "hat" and not (0.0 <= self.lo < self.hi < np.inf):
+            raise ValueError(f"hat edges must satisfy 0 <= lo < hi, got lo = {self.lo!r}, "
+                             f"hi = {self.hi!r}")
+        if self.kind == "sine" and (self.wavenumber < 1 or int(self.wavenumber) != self.wavenumber):
+            raise ValueError("sine wavenumber must be a positive integer")
+
+
+def _hat(ic: InitialCondition, x: np.ndarray, length: float) -> np.ndarray:
+    frac = np.mod(x, length)
+    return np.where((ic.lo < frac) & (frac < ic.hi), ic.amplitude, 0.0)
+
+
+def _sine(ic: InitialCondition, x: np.ndarray, length: float) -> np.ndarray:
+    return ic.amplitude * np.sin(2.0 * np.pi * ic.wavenumber * x / length)
+
+
+# The initial-condition kinds: each maps the cell centers translated back to
+# t = 0, x_i - c*t, to the profile's values there.
+PROFILES = {"hat": _hat, "sine": _sine}
 
 
 def exact_solution(
-    profile: HatProfile, grid: Grid1D, c: float, t: float | np.ndarray
+    ic: InitialCondition, grid: Grid1D, c: float, t: float | np.ndarray
 ) -> np.ndarray:
-    """Analytic translated-hat solution sampled at cell centers.
+    """The initial profile translated with speed c on the periodic domain,
+    sampled at cell centers.
 
-    The hat translates with speed c on the periodic domain; sampling maps
-    x_i - c*t into [0, length) and applies the strict-inequality profile.
-    ``t`` is a scalar or an array of times; the result has shape
-    np.shape(t) + (n_cells,), one row per time.
+    ``t`` is a scalar or an array of non-negative times; the result has
+    shape np.shape(t) + (n_cells,), one row per time.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be non-negative")
-    length = grid.length
-    if profile.hi > length:
+    if ic.kind == "hat" and ic.hi > grid.length:
         raise ValueError("hat edges must lie inside the periodic domain")
-    frac = np.mod(grid.cell_centers - c * t[..., None], length)
-    inside = (profile.lo < frac) & (frac < profile.hi)
-    return np.where(inside, profile.amplitude, 0.0)
-
-
-def sine_solution(
-    grid: Grid1D, c: float, t: float | np.ndarray, wavenumber: int = 1, amplitude: float = 1.0
-) -> np.ndarray:
-    """Translating sine wave sampled at cell centers (smooth test profile).
-
-    Like ``exact_solution``, a scalar or array ``t`` gives shape
-    np.shape(t) + (n_cells,).
-    """
-    t = np.asarray(t, dtype=float)
-    phase = 2.0 * np.pi * wavenumber * (grid.cell_centers - c * t[..., None]) / grid.length
-    return amplitude * np.sin(phase)
+    return PROFILES[ic.kind](ic, grid.cell_centers - c * t[..., None], grid.length)

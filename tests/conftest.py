@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import numpy as np
 
-from advisc.grid import HatProfile, exact_solution, make_grid
+from advisc.grid import InitialCondition, exact_solution, make_grid
 from advisc.optimizer import OptimizerConfig, train_per_step
 from advisc.schemes import SchemeConfig
 
@@ -22,7 +22,7 @@ def paper_problem():
     """
     grid = make_grid(100, 1.0)
     cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
-    profile = HatProfile()
+    profile = InitialCondition()
     exact = exact_solution(profile, grid, cfg.c, np.arange(151) * cfg.dt)
     return cfg, profile, exact[0], exact
 

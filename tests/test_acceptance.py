@@ -11,10 +11,9 @@ from advisc.adjoint import fd_gradient, grad_mu_global, loss_value
 from advisc.cli import main
 from advisc.diagnostics import entropy_series, mse, mu_stats
 from advisc.grid import (
-    HatProfile,
+    InitialCondition,
     exact_solution,
     make_grid,
-    sine_solution,
 )
 from advisc.optimizer import (
     OptimizerConfig,
@@ -43,7 +42,7 @@ def report(criterion: int, passed: bool, detail: str) -> None:
 def test_criterion_1_adjoint_matches_fd_oracle():
     grid = make_grid(16, 1.0)
     cfg = SchemeConfig(c=1.0, dt=0.1 * grid.dx, grid=grid)
-    exact = exact_solution(HatProfile(), grid, cfg.c, np.arange(6) * cfg.dt)
+    exact = exact_solution(InitialCondition(), grid, cfg.c, np.arange(6) * cfg.dt)
     start = time.perf_counter()
     worst = 0.0
     for seed in range(20):
@@ -96,8 +95,8 @@ def test_criterion_3_ftcs_instability_reproduction():
     grid = make_grid(100, 1.0)
     cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
     start = time.perf_counter()
-    traj = simulate(sine_solution(grid, cfg.c, 0.0), 1000, cfg,
-                    scheme="ftcs_bare")
+    u0 = exact_solution(InitialCondition(kind="sine"), grid, cfg.c, 0.0)
+    traj = simulate(u0, 1000, cfg, scheme="ftcs_bare")
     norms = np.linalg.norm(traj.states, axis=1)
     monotone = bool(np.all(np.diff(norms) > 0))
     j = np.arange(512)
@@ -185,7 +184,7 @@ def test_criterion_7_positivity_constrained_amplitude():
     scheme_cfg = base.scheme_config()
     grid = scheme_cfg.grid
     times = np.arange(base.n_steps + 1) * base.dt
-    exact = sine_solution(grid, base.c, times, base.ic.wavenumber, base.ic.amplitude)
+    exact = exact_solution(base.ic, grid, base.c, times)
     signed = train_per_step(scheme_cfg, base.training.optimizer, exact)
     nonneg_opt = nonneg_variant(base).training.optimizer
     nonneg = train_per_step(scheme_cfg, nonneg_opt, exact)
@@ -226,7 +225,7 @@ def test_criterion_8_conservation_and_constants(paper_training_report):
 def test_criterion_9_global_beats_constant_grid_search():
     grid = make_grid(16, 1.0)
     cfg = SchemeConfig(c=1.0, dt=0.1 * grid.dx, grid=grid)
-    profile = HatProfile()
+    profile = InitialCondition()
     exact = exact_solution(profile, grid, cfg.c, np.arange(21) * cfg.dt)
     best_mu, best_constant = constant_mu_grid_search(cfg, exact, -5e-3, 9.5e-2, n_samples=200)
     opt = OptimizerConfig(learning_rate=0.5, n_iters=400, mu_min=-5e-3, mu_max=9.5e-2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from advisc.adjoint import fd_gradient, grad_mu_global, loss_value
-from advisc.grid import HatProfile, exact_solution, make_grid
+from advisc.grid import InitialCondition, exact_solution, make_grid
 from advisc.schemes import SchemeConfig, Trajectory, ftcs_update, simulate
 
 from oracles import (
@@ -32,7 +32,7 @@ def toy_problem(n=16, steps=5, seed=0):
 
 def hat_exact(cfg, steps):
     """Exact hat states at times 0, dt, .., steps*dt."""
-    return exact_solution(HatProfile(), cfg.grid, cfg.c, np.arange(steps + 1) * cfg.dt)
+    return exact_solution(InitialCondition(), cfg.grid, cfg.c, np.arange(steps + 1) * cfg.dt)
 
 
 def grad_step(u, target, mu, cfg):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from advisc.cli import main
+from advisc.grid import PROFILES
 from advisc.presets import STUDIES, nonneg_variant, preset_config
 from advisc.runio import matrix_header, read_columns_csv, read_manifest, write_columns_csv
 from advisc.schemes import SCHEME_NAMES
@@ -171,17 +172,21 @@ class TestRunCommand:
         assert "not UTF-8" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("ic", [
-        "kind = hat\nlo = 0.5\nhi = 1.5",
-        "kind = hat\nlo = 0.6\nhi = 0.4",
-        "kind = hat\namplitude = inf",
-        "kind = sine\namplitude = nan",
-    ], ids=["hat_hi_past_domain", "hat_lo_above_hi", "hat_amp_inf", "sine_amp_nan"])
-    def test_bad_initial_condition_exits_3(self, tmp_path, capsys, ic):
+    @pytest.mark.parametrize("ic, named", [
+        ("kind = hat\nlo = 0.5\nhi = 1.5", "hi = 1.5"),
+        ("kind = hat\nlo = 0.6\nhi = 0.4", "0 <= lo < hi"),
+        ("kind = hat\namplitude = inf", "amplitude"),
+        ("kind = sine\namplitude = nan", "amplitude"),
+        ("kind = gauss", str(tuple(PROFILES))),
+        ("kind = sine\nwavenumber = 0", "wavenumber"),
+    ], ids=["hat_hi_past_domain", "hat_lo_above_hi", "hat_amp_inf", "sine_amp_nan",
+            "unknown_kind", "sine_wavenumber_0"])
+    def test_bad_initial_condition_exits_3(self, tmp_path, capsys, ic, named):
         cfg_path, _ = write_config(tmp_path)
         cfg_path.write_text(cfg_path.read_text().replace("kind = hat\n", ic + "\n"))
         assert main(["run", "--config", str(cfg_path)]) == 3
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and named in err
 
     @pytest.mark.parametrize("key, value", [
         ("length", "inf"), ("dt", "inf"), ("t_final", "inf"), ("n_cells", "inf"),
@@ -1140,6 +1145,22 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg_path)]) == 3
         err = capsys.readouterr().err
         assert f"advisc {command}" in err and "109. TiB" in err
+
+    def test_run_out_of_memory_keeps_the_previous_run(self, tmp_path, monkeypatch):
+        import advisc.cli
+
+        cfg_path, out = write_config(tmp_path)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 109. TiB for an array")
+
+        monkeypatch.setattr(advisc.cli, "simulate", too_large)
+        assert main(["run", "--config", str(cfg_path)]) == 3
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        monkeypatch.undo()
+        assert main(["analyze", str(out)]) == 0
 
 
 class TestUsageErrors:

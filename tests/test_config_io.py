@@ -9,7 +9,6 @@ from advisc.config import (
     _SECTIONS,
     ConfigError,
     ExperimentConfig,
-    InitialCondition,
     OutputSettings,
     TrainingSettings,
     config_from_dict,
@@ -17,6 +16,7 @@ from advisc.config import (
     load_config,
     parse_config_text,
 )
+from advisc.grid import PROFILES, InitialCondition
 from advisc.optimizer import OptimizerConfig
 from advisc.presets import preset_config
 from advisc.runio import (
@@ -204,8 +204,13 @@ class TestManifestEcho:
         {**json.loads(PAPER_HAT_ECHO),
          "training": {**json.loads(PAPER_HAT_ECHO)["training"], "seed": 0}},
         {**json.loads(PAPER_HAT_ECHO), "output": {"directory": "out", "write_mu": True}},
+        # JSON reads Infinity, which no int() converts
+        {**json.loads(PAPER_HAT_ECHO),
+         "simulation": {**json.loads(PAPER_HAT_ECHO)["simulation"], "n_cells": float("inf")}},
+        {**json.loads(PAPER_HAT_ECHO),
+         "initial_condition": {"kind": "sine", "wavenumber": float("inf")}},
     ], ids=["simulation_not_a_mapping", "training_not_a_mapping", "ic_not_a_mapping",
-            "deleted_training_key", "deleted_output_key"])
+            "deleted_training_key", "deleted_output_key", "n_cells_inf", "sine_wavenumber_inf"])
     def test_malformed_echo_raises_config_error(self, echo):
         with pytest.raises(ConfigError):
             config_from_dict(echo)
@@ -245,7 +250,7 @@ def valid_configs(draw):
             t_final=dt * draw(st.integers(0, 10**4)),
             mu=draw(st.none() | _finite(-1.0, 1.0)) if scheme == "ftcs_mu" else None,
             ic=InitialCondition(
-                kind=draw(st.sampled_from(["hat", "sine"])),
+                kind=draw(st.sampled_from(list(PROFILES))),
                 lo=lo,
                 hi=hi,
                 amplitude=draw(_finite(-1e3, 1e3)),

@@ -13,10 +13,9 @@ from advisc.diagnostics import (
     total_variation,
 )
 from advisc.grid import (
-    HatProfile,
+    InitialCondition,
     exact_solution,
     make_grid,
-    sine_solution,
 )
 from advisc.schemes import SchemeConfig, Trajectory, simulate
 
@@ -30,7 +29,7 @@ UPWIND_FINAL_MSE = 0.017004448958157736
 def paper_setup():
     grid = make_grid(100, 1.0)
     cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
-    profile = HatProfile()
+    profile = InitialCondition()
     u0 = exact_solution(profile, grid, 1.0, 0.0)
     return cfg, profile, u0
 
@@ -108,7 +107,7 @@ class TestEntropy:
 
     def test_forward_euler_step_increases_entropy_at_zero_mu(self):
         cfg, _, _ = paper_setup()
-        u0 = sine_solution(cfg.grid, 1.0, 0.0)
+        u0 = exact_solution(InitialCondition(kind="sine"), cfg.grid, 1.0, 0.0)
         traj = simulate(u0, 5, cfg, scheme="ftcs_bare")
         assert np.all(np.diff(entropy_series(traj.states, cfg.grid.dx)) > 0)
 
@@ -207,8 +206,8 @@ class TestMuStats:
         assert stats["negative_mass_near_discontinuity"] == pytest.approx(0.75)
 
     @pytest.mark.parametrize("c, profile", [
-        (1.0, HatProfile()), (-0.7, HatProfile()),
-        (1.0, HatProfile(lo=0.0, hi=0.35)),  # an edge at 0: a face at distance length
+        (1.0, InitialCondition()), (-0.7, InitialCondition()),
+        (1.0, InitialCondition(lo=0.0, hi=0.35)),  # an edge at 0: a face at distance length
     ])
     def test_score_equals_the_per_step_loop_bit_for_bit(self, c, profile):
         from oracles import reference_negative_mass_near_discontinuity

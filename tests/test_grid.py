@@ -5,11 +5,11 @@ from advisc.grid import (
     CellField,
     FaceViscosity,
     Grid1D,
-    HatProfile,
+    PROFILES,
+    InitialCondition,
     SpaceTimeViscosity,
     exact_solution,
     make_grid,
-    sine_solution,
 )
 
 from oracles import naive_hat
@@ -72,20 +72,10 @@ class TestFieldContainers:
         assert stack.values[2].shape == (4,)
 
 
-class TestHatProfile:
-    def test_defaults(self):
-        profile = HatProfile()
-        assert (profile.lo, profile.hi, profile.amplitude) == (0.4, 0.6, 1.0)
-
-    def test_rejects_inverted_edges(self):
-        with pytest.raises(ValueError):
-            HatProfile(lo=0.6, hi=0.4)
-
-
 class TestExactSolution:
     def test_initial_hat_occupies_cells_40_to_59(self):
         grid = make_grid(100, 1.0)
-        field = exact_solution(HatProfile(), grid, c=1.0, t=0.0)
+        field = exact_solution(InitialCondition(), grid, c=1.0, t=0.0)
         nonzero = np.nonzero(field)[0]
         assert nonzero.min() == 40 and nonzero.max() == 59
         assert np.all(field[nonzero] == 1.0)
@@ -93,74 +83,65 @@ class TestExactSolution:
     def test_matches_loop_oracle_at_random_times(self):
         grid = make_grid(100, 1.0)
         for t in (0.0, 0.0371, 0.15, 1.23):
-            field = exact_solution(HatProfile(), grid, c=1.0, t=t)
+            field = exact_solution(InitialCondition(), grid, c=1.0, t=t)
             assert np.array_equal(field, naive_hat(100, 0.01, t))
-
-    def test_full_period_translation_is_identity(self):
-        grid = make_grid(64, 1.0)
-        t0 = exact_solution(HatProfile(), grid, c=1.0, t=0.0)
-        t1 = exact_solution(HatProfile(), grid, c=1.0, t=1.0)
-        assert np.array_equal(t0, t1)
 
     def test_fifteen_cell_shift(self):
         # 0.15 / dx = 15 exact whole-cell shifts at c = 1
         grid = make_grid(100, 1.0)
-        t0 = exact_solution(HatProfile(), grid, c=1.0, t=0.0)
-        t15 = exact_solution(HatProfile(), grid, c=1.0, t=0.15)
+        t0 = exact_solution(InitialCondition(), grid, c=1.0, t=0.0)
+        t15 = exact_solution(InitialCondition(), grid, c=1.0, t=0.15)
         assert np.array_equal(t15, np.roll(t0, 15))
 
     def test_edges_are_strict(self):
         # center x_0 = 0.5 * 0.8 = 0.4 lands exactly on the lower edge
         grid = make_grid(5, 4.0)
         assert grid.cell_centers[0] == 0.4
-        field = exact_solution(HatProfile(), grid, c=1.0, t=0.0)
+        field = exact_solution(InitialCondition(), grid, c=1.0, t=0.0)
         assert field[0] == 0.0
-
-    def test_negative_time_rejected(self):
-        grid = make_grid(10, 1.0)
-        with pytest.raises(ValueError):
-            exact_solution(HatProfile(), grid, c=1.0, t=-0.1)
-        with pytest.raises(ValueError):
-            exact_solution(HatProfile(), grid, c=1.0, t=np.array([0.0, -0.1]))
 
     def test_mass_invariant_under_whole_cell_shifts(self):
         grid = make_grid(100, 1.0)
-        mass0 = np.sum(exact_solution(HatProfile(), grid, 1.0, 0.0)) * grid.dx
+        mass0 = np.sum(exact_solution(InitialCondition(), grid, 1.0, 0.0)) * grid.dx
         for k in (1, 7, 50, 100):
             t = k * grid.dx  # c*t/dx integral
-            mass = np.sum(exact_solution(HatProfile(), grid, 1.0, t)) * grid.dx
+            mass = np.sum(exact_solution(InitialCondition(), grid, 1.0, t)) * grid.dx
             assert mass == pytest.approx(mass0, abs=1e-15)
 
-    @pytest.mark.parametrize("n", [100, 200, 1000, 10_000])
-    def test_array_of_times_stacks_scalar_samples(self, n):
-        grid = make_grid(n, 1.0)
-        profile = HatProfile(lo=0.13, hi=0.71, amplitude=0.7)
-        times = np.arange(151) * 1e-3
-        rows = exact_solution(profile, grid, 1.0, times)
-        assert rows.shape == (151, n)
-        scalar = np.stack([exact_solution(profile, grid, 1.0, m * 1e-3) for m in range(151)])
-        assert np.array_equal(rows, scalar)
-
-
-class TestSineSolution:
-    def test_translation_matches_phase(self):
+    def test_sine_translation_matches_phase(self):
         grid = make_grid(50, 1.0)
-        shifted = sine_solution(grid, c=2.0, t=0.25)
+        shifted = exact_solution(InitialCondition(kind="sine"), grid, c=2.0, t=0.25)
         expected = np.sin(2 * np.pi * (grid.cell_centers - 0.5))
         assert np.allclose(shifted, expected, atol=1e-14)
 
-    def test_full_period_identity(self):
-        grid = make_grid(32, 1.0)
-        a = sine_solution(grid, c=1.0, t=0.0, wavenumber=2)
-        b = sine_solution(grid, c=1.0, t=1.0, wavenumber=2)
-        assert np.allclose(a, b, atol=1e-12)
 
+# A non-default initial condition of each kind in PROFILES.
+EVERY_KIND = {
+    "hat": InitialCondition(kind="hat", lo=0.13, hi=0.71, amplitude=0.7),
+    "sine": InitialCondition(kind="sine", wavenumber=3, amplitude=1.3),
+}
+
+
+@pytest.mark.parametrize("kind", PROFILES)
+class TestEveryProfile:
     @pytest.mark.parametrize("n", [100, 200, 1000, 10_000])
-    def test_array_of_times_stacks_scalar_samples(self, n):
+    def test_array_of_times_stacks_scalar_samples(self, kind, n):
         grid = make_grid(n, 1.0)
-        times = np.arange(151) * 5e-5
-        rows = sine_solution(grid, 1.0, times, wavenumber=3, amplitude=1.3)
+        times = np.arange(151) * 1e-3
+        rows = exact_solution(EVERY_KIND[kind], grid, 1.0, times)
         assert rows.shape == (151, n)
-        scalar = np.stack([sine_solution(grid, 1.0, m * 5e-5, wavenumber=3, amplitude=1.3)
-                           for m in range(151)])
+        scalar = np.stack([exact_solution(EVERY_KIND[kind], grid, 1.0, t) for t in times])
         assert np.array_equal(rows, scalar)
+
+    def test_full_period_translation_is_identity(self, kind):
+        grid = make_grid(64, 1.0)
+        t0 = exact_solution(EVERY_KIND[kind], grid, c=1.0, t=0.0)
+        t1 = exact_solution(EVERY_KIND[kind], grid, c=1.0, t=1.0)
+        assert np.allclose(t0, t1, rtol=0.0, atol=1e-12)
+
+    def test_negative_time_rejected(self, kind):
+        grid = make_grid(10, 1.0)
+        with pytest.raises(ValueError):
+            exact_solution(EVERY_KIND[kind], grid, c=1.0, t=-0.1)
+        with pytest.raises(ValueError):
+            exact_solution(EVERY_KIND[kind], grid, c=1.0, t=np.array([0.0, -0.1]))

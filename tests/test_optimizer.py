@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from advisc.grid import HatProfile, exact_solution, make_grid, sine_solution
+from advisc.grid import InitialCondition, exact_solution, make_grid
 from advisc.optimizer import (
     OptimizerConfig,
     constant_mu_grid_search,
@@ -18,7 +18,7 @@ from oracles import reference_train_global, reference_train_per_step
 PAPER_BOUNDS = (-5e-3, 9.5e-2)
 
 
-def hat_problem(cfg, steps, profile=HatProfile()):
+def hat_problem(cfg, steps, profile=InitialCondition()):
     """Initial state and exact states at times 0, dt, .., steps*dt of a hat."""
     exact = exact_solution(profile, cfg.grid, cfg.c, np.arange(steps + 1) * cfg.dt)
     return exact[0], exact
@@ -133,7 +133,7 @@ class TestTrainPerStep:
     def test_overflow_inside_inner_loop_raises_divergence(self):
         grid = make_grid(16, 1.0)
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
-        _, exact = hat_problem(cfg, 3, HatProfile(amplitude=1e308))
+        _, exact = hat_problem(cfg, 3, InitialCondition(amplitude=1e308))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError):
                 train_per_step(cfg, OptimizerConfig(n_iters=2), exact)
@@ -143,11 +143,7 @@ def preset_pair(name, t_final):
     """Scheme config, exact states and the signed/non-negative optimizer pair of a preset."""
     cfg = replace(preset_config(name), t_final=t_final)
     scheme_cfg = cfg.scheme_config()
-    times = np.arange(cfg.n_steps + 1) * cfg.dt
-    if cfg.ic.kind == "hat":
-        exact = exact_solution(cfg.ic.hat_profile(), scheme_cfg.grid, cfg.c, times)
-    else:
-        exact = sine_solution(scheme_cfg.grid, cfg.c, times, cfg.ic.wavenumber, cfg.ic.amplitude)
+    exact = exact_solution(cfg.ic, scheme_cfg.grid, cfg.c, np.arange(cfg.n_steps + 1) * cfg.dt)
     return scheme_cfg, exact, (cfg.training.optimizer, nonneg_variant(cfg).training.optimizer)
 
 

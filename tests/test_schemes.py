@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from advisc.grid import make_grid, sine_solution
+from advisc.grid import InitialCondition, exact_solution, make_grid
 from advisc.schemes import (
     CLASSICAL_MU,
     DivergenceError,
@@ -243,7 +243,7 @@ class TestSimulate:
     def test_bare_ftcs_grows_on_sine(self):
         grid = make_grid(100, 1.0)
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
-        u0 = sine_solution(grid, 1.0, 0.0)
+        u0 = exact_solution(InitialCondition(kind="sine"), grid, 1.0, 0.0)
         traj = simulate(u0, 1000, cfg, scheme="ftcs_bare")
         norms = np.linalg.norm(traj.states, axis=1)
         assert np.all(np.diff(norms) > 0)
@@ -308,7 +308,7 @@ class TestSimulate:
     def test_divergence_carries_step_and_partial_trajectory(self):
         grid = make_grid(100, 1.0)
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
-        u0 = sine_solution(grid, 1.0, 0.0)
+        u0 = exact_solution(InitialCondition(kind="sine"), grid, 1.0, 0.0)
         anti = np.full(100, -0.05)  # d = -0.5, hard blowup
         with pytest.raises(DivergenceError) as excinfo:
             simulate(u0, 500, cfg, scheme="ftcs_mu", mu=anti)
