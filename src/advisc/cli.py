@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from . import __version__
 from .config import (
     ConfigError,
     ExperimentConfig,
+    OutputSettings,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -26,7 +28,7 @@ from .config import (
 from .diagnostics import entropy_series, mse, mu_stats, mu_summary, summary_stats
 from .grid import exact_solution
 from .optimizer import TrainingReport, train_global, train_per_step
-from .presets import PRESET_NAMES, STUDIES, nonneg_variant, preset_config
+from .presets import PRESET_NAMES, STUDIES, preset_config
 from .runio import (
     MANIFEST_NAME,
     NON_FINITE_NAMES,
@@ -508,24 +510,23 @@ def _oracle_mses(cfg: ExperimentConfig) -> dict:
 def cmd_reproduce(preset: str, out_root: str | Path) -> int:
     """Train the preset's study through ``cmd_train``, one subdirectory per run,
     then write comparison.json from the runs' summaries and check its claims.
-    A failed run raises DivergenceError once every run is written, before
-    comparison.json and the study's manifest."""
-    if preset not in PRESET_NAMES:
-        raise ConfigError(f"unknown preset {preset!r}; choose one of {PRESET_NAMES}")
+    Once every run is written, a failed run's exit code is returned, with a
+    message on stderr, before comparison.json and the study's manifest."""
     t_start = time.time()
+    base = preset_config(preset)
     out_root = Path(out_root)
+    runs, claims = STUDIES[preset]
+    configs = [preset_config(name, str(out_root / subdir), overrides)
+               for subdir, name, overrides in runs]
     out_root.mkdir(parents=True, exist_ok=True)
     _clear_previous_run(out_root)
 
-    runs, claims = STUDIES[preset]
-    comparison: dict = {"preset": preset, "oracles": _oracle_mses(preset_config(preset))}
-    configs = []
-    for subdir, name, nonneg in runs:
-        config = preset_config(name, str(out_root / subdir))
-        configs.append(nonneg_variant(config) if nonneg else config)
+    comparison: dict = {"preset": preset, "oracles": _oracle_mses(base)}
     code = cmd_train(*configs)
     if code != EXIT_OK:
-        raise DivergenceError(f"a training run of study {preset!r} failed with exit {code}")
+        print(f"reproduce: a training run of study {preset!r} failed with exit {code}; "
+              "comparison.json is not written", file=sys.stderr)
+        return code
     for subdir, _, _ in runs:
         comparison[subdir.replace("-", "_")] = read_json(out_root / subdir / "summary.json")
     comparison["claims"] = {name: holds(comparison) for name, holds in claims}
@@ -541,14 +542,9 @@ def cmd_reproduce(preset: str, out_root: str | Path) -> int:
 def _load_for(args: argparse.Namespace) -> ExperimentConfig:
     if bool(args.config) == bool(args.preset):
         raise ConfigError("provide exactly one of --config PATH or --preset NAME")
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        if args.preset not in PRESET_NAMES:
-            raise ConfigError(f"unknown preset {args.preset!r}; choose one of {PRESET_NAMES}")
-        cfg = preset_config(args.preset)
+    cfg = load_config(args.config) if args.config else preset_config(args.preset)
     if args.out:
-        cfg = cfg.with_output_dir(args.out)
+        cfg = replace(cfg, output=OutputSettings(args.out))
     return cfg
 
 

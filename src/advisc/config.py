@@ -3,17 +3,21 @@
 The on-disk format is INI-style key-value text with one section per config
 group ([simulation], [initial_condition], [training], [output]). The settings
 dataclasses are the schema: a section's keys are their scalar fields.
-[initial_condition] holds those of ``grid.InitialCondition``, which validates
-them itself; a ValueError from any settings dataclass is reported as a
+``config_from_dict`` builds every config from typed section dicts: a parsed
+file, the manifest echo, which carries the same sections and keys as JSON,
+and the presets, which are section overrides (``presets.PRESETS``).
+Each setting is checked once, by the object that uses it: the grid checks
+n_cells and length, ``schemes.SchemeConfig`` dt and c,
+``grid.InitialCondition`` its own fields, and ``ExperimentConfig`` only what
+needs the whole config; a ValueError from any of them is reported as a
 ConfigError. Unknown sections or keys are hard errors so that typos cannot
-silently change an experiment. The manifest echo carries the same sections
-and keys as JSON.
+silently change an experiment.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -60,18 +64,14 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEME_NAMES:
             raise ConfigError(f"scheme must be one of {SCHEME_NAMES}, got {self.scheme!r}")
-        if self.n_cells < 3 or int(self.n_cells) != self.n_cells:
-            raise ConfigError("n_cells must be an integer >= 3")
-        for name in ("length", "dt", "t_final"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
-        for name in ("length", "dt"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
+        try:  # n_cells, length, dt and c are checked where they are used
+            self.scheme_config()
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
+        if not np.isfinite(self.t_final):
+            raise ConfigError("t_final must be finite")
         if self.t_final < 0:
             raise ConfigError("t_final must be non-negative")
-        if not np.isfinite(self.c):
-            raise ConfigError("c must be finite")
         ratio = self.t_final / self.dt
         if ratio == np.inf or (round(ratio) + 1) * self.n_cells > np.iinfo(np.intp).max:
             raise ConfigError(f"t_final/dt = {ratio!r} steps of {self.n_cells} cells are more "
@@ -97,9 +97,6 @@ class ExperimentConfig:
 
     def scheme_config(self) -> SchemeConfig:
         return SchemeConfig(c=self.c, dt=self.dt, grid=self.grid())
-
-    def with_output_dir(self, directory: str) -> "ExperimentConfig":
-        return replace(self, output=replace(self.output, directory=directory))
 
 
 def _to_int(raw: str) -> int:
@@ -171,12 +168,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a config from typed section dicts: a parsed config file or a manifest echo.
+    """Build a config from typed section dicts: a parsed config file, a manifest
+    echo, or a preset with its overrides.
 
     Keys left out take the dataclass defaults; a config without a
     ``training`` section has no training settings.
     """
     try:
+        for section in data:
+            if section not in _SECTIONS:
+                raise ConfigError(f"unknown section [{section}]")
         for section, keys in _REQUIRED.items():
             if section not in data:
                 raise ConfigError(f"missing required section [{section}]")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import InitialCondition
-from .schemes import Trajectory, _next
+from .schemes import Trajectory
 
 
 def mse(u: np.ndarray, exact: np.ndarray) -> float:
@@ -52,13 +52,13 @@ def dissipation_series(states: np.ndarray, mu: np.ndarray, dx: float) -> np.ndar
 
         D^n = sum_faces mu^n_{i+1/2} * ((u^n_{i+1} - u^n_i)/dx)^2 * dx.
     """
-    jumps = (_next(states[:-1]) - states[:-1]) / dx
+    jumps = (np.roll(states[:-1], -1, axis=-1) - states[:-1]) / dx
     return np.sum(mu * jumps * jumps, axis=1) * dx
 
 
 def total_variation(u: np.ndarray) -> float:
     """Sum of |u_{i+1} - u_i| with periodic wrap; growth flags oscillation."""
-    return float(np.sum(np.abs(_next(u) - u)))
+    return float(np.sum(np.abs(np.roll(u, -1) - u)))
 
 
 def summary_stats(states: np.ndarray, entropy: np.ndarray, exact_final: np.ndarray,

@@ -26,11 +26,10 @@ class DivergenceError(RuntimeError):
     """Raised when a simulated state goes non-finite or trips the magnitude guard.
 
     ``step`` is the 0-based index of the step whose output violated the guard;
-    ``trajectory`` holds the states recorded before the failure (may be None
-    for single-step operations).
+    ``trajectory`` holds the states recorded before the failure.
     """
 
-    def __init__(self, message: str, step: int | None = None, trajectory: "Trajectory | None" = None):
+    def __init__(self, message: str, step: int, trajectory: "Trajectory"):
         super().__init__(message)
         self.step = step
         self.trajectory = trajectory
@@ -134,28 +133,6 @@ def _checked_trajectory(states: np.ndarray, cfg: SchemeConfig,
     return traj
 
 
-def _next(a: np.ndarray) -> np.ndarray:
-    """Periodic neighbour along the last axis: out[..., i] = a[..., (i + 1) % n].
-
-    Equal to np.roll(a, -1, axis=-1), built from two slice copies.
-    """
-    out = np.empty_like(a)
-    out[..., :-1] = a[..., 1:]
-    out[..., -1] = a[..., 0]
-    return out
-
-
-def _prev(a: np.ndarray) -> np.ndarray:
-    """Periodic neighbour along the last axis: out[..., i] = a[..., (i - 1) % n].
-
-    Equal to np.roll(a, 1, axis=-1), built from two slice copies.
-    """
-    out = np.empty_like(a)
-    out[..., 1:] = a[..., :-1]
-    out[..., 0] = a[..., -1]
-    return out
-
-
 def _face_terms_into(a: np.ndarray, d: np.ndarray, u: np.ndarray, ue: np.ndarray,
                      cfg: SchemeConfig) -> None:
     """a <- c*(u_{i+1} + u_i)/2 and d <- u_{i+1} - u_i, the mu-independent face terms
@@ -242,8 +219,8 @@ def _lax_wendroff_step(u: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
     N = 10^4 Lax-Wendroff run (5.03e-13) by 5e-11 relative, while
     bench/reference.json pins it to 1e-12 relative.
     """
-    up = _next(u)
-    um = _prev(u)
+    up = np.roll(u, -1)
+    um = np.roll(u, 1)
     s = cfg.cfl
     return u - 0.5 * s * (up - um) + 0.5 * s * s * (up - 2.0 * u + um)
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from advisc.grid import InitialCondition, exact_solution, make_grid
 from advisc.optimizer import OptimizerConfig, train_per_step
+from advisc.presets import PAPER_HAT
 from advisc.schemes import SchemeConfig
 
 
@@ -36,3 +37,10 @@ def paper_training_report(paper_problem):
     report = train_per_step(cfg, opt, exact)
     elapsed = time.perf_counter() - start
     return report, elapsed
+
+
+@pytest.fixture
+def short_presets(monkeypatch):
+    """Every preset and study run cut to ten steps, T = 0.01, for the tests
+    that need a study's files rather than its results."""
+    monkeypatch.setitem(PAPER_HAT["simulation"], "t_final", 0.01)

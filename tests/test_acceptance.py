@@ -21,7 +21,7 @@ from advisc.optimizer import (
     train_global,
     train_per_step,
 )
-from advisc.presets import nonneg_variant, preset_config
+from advisc.presets import NONNEG, preset_config
 from advisc.schemes import (
     CLASSICAL_MU,
     SCHEME_NAMES,
@@ -186,7 +186,7 @@ def test_criterion_7_positivity_constrained_amplitude():
     times = np.arange(base.n_steps + 1) * base.dt
     exact = exact_solution(base.ic, grid, base.c, times)
     signed = train_per_step(scheme_cfg, base.training.optimizer, exact)
-    nonneg_opt = nonneg_variant(base).training.optimizer
+    nonneg_opt = preset_config("sine-smooth", overrides=NONNEG).training.optimizer
     nonneg = train_per_step(scheme_cfg, nonneg_opt, exact)
     amp_signed = float(np.max(np.abs(signed.trajectory.states[-1])))
     amp_nonneg = float(np.max(np.abs(nonneg.trajectory.states[-1])))

@@ -2,11 +2,9 @@
 name; a traced run must still find the layers the benchmark reports on. The
 field containers are the exception: nothing in the library builds one."""
 
-from dataclasses import replace
 from pathlib import Path
 
 import advisc.cli
-from advisc.presets import preset_config
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -62,13 +60,9 @@ def test_traced_train_records_the_reported_layers(tmp_path, monkeypatch):
     assert spans["grid.containers"]["calls"] == 0
 
 
-def test_traced_reproduce_trains_through_cmd_train(tmp_path, monkeypatch):
+def test_traced_reproduce_trains_through_cmd_train(tmp_path, monkeypatch, short_presets):
     # A study trains its runs through the train command's one path, in one
     # batched call, so the benchmark's cli.cmd_train metrics count it.
-    def short(name, out_dir="out"):
-        return replace(preset_config(name, out_dir), t_final=0.01)
-
-    monkeypatch.setattr(advisc.cli, "preset_config", short)
     spans = traced(monkeypatch, ["reproduce", "--preset", "paper-hat-nonneg",
                                  "--out", str(tmp_path / "study")])["spans"]
     assert spans["cli.cmd_train"]["calls"] == 1

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from advisc.cli import main
+from advisc.config import config_to_dict
 from advisc.grid import PROFILES
-from advisc.presets import STUDIES, nonneg_variant, preset_config
+from advisc.presets import PRESETS, STUDIES, preset_config
 from advisc.runio import matrix_header, read_columns_csv, read_manifest, write_columns_csv
 from advisc.schemes import SCHEME_NAMES
 
@@ -204,6 +205,20 @@ class TestRunCommand:
         cfg_path.write_text("\n".join(lines) + "\n")
         assert main(["train", "--config", str(cfg_path)]) == 3
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_cells", "2"), ("length", "0"), ("dt", "-0.001"), ("c", "nan"),
+    ])
+    def test_bad_grid_or_scheme_value_exits_3(self, tmp_path, capsys, key, value):
+        # the grid and the scheme config check these; run reports them as config errors
+        cfg_path, out = write_config(tmp_path)
+        lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+                 for line in cfg_path.read_text().splitlines()]
+        cfg_path.write_text("\n".join(lines) + "\n")
+        assert main(["run", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert not out.exists()
 
     def test_run_after_train_replaces_previous_run(self, tmp_path):
         train_cfg, out = write_config(
@@ -1020,13 +1035,7 @@ class TestNonObjectJson:
         assert main(argv) == 4
         assert "manifest.json" in capsys.readouterr().err
 
-    def test_study_comparison_that_is_an_array(self, tmp_path, capsys, monkeypatch):
-        import advisc.cli
-
-        def short(name, out_dir="out"):
-            return replace(preset_config(name, out_dir), t_final=0.01)
-
-        monkeypatch.setattr(advisc.cli, "preset_config", short)
+    def test_study_comparison_that_is_an_array(self, tmp_path, capsys, short_presets):
         study = tmp_path / "study"
         assert main(["reproduce", "--preset", "sine-smooth", "--out", str(study)]) == 0
         (study / "comparison.json").write_text("[]\n")
@@ -1040,13 +1049,7 @@ class TestMalformedClaims:
     name, as a run's summary block that is not an object fails its checks."""
 
     @pytest.mark.parametrize("claims", [[], "yes", None])
-    def test_study_claims_that_are_not_an_object(self, tmp_path, monkeypatch, claims):
-        import advisc.cli
-
-        def short(name, out_dir="out"):
-            return replace(preset_config(name, out_dir), t_final=0.01)
-
-        monkeypatch.setattr(advisc.cli, "preset_config", short)
+    def test_study_claims_that_are_not_an_object(self, tmp_path, short_presets, claims):
         study = tmp_path / "study"
         assert main(["reproduce", "--preset", "sine-smooth", "--out", str(study)]) == 0
         comparison = json.loads((study / "comparison.json").read_text())
@@ -1082,16 +1085,10 @@ class TestCorruptStudyManifest:
 
     @pytest.mark.parametrize("key, value", [("subruns", [1]), ("subruns", "hat"), ("preset", 5)])
     @pytest.mark.parametrize("command", ["analyze", "rerun"])
-    def test_exits_4_and_deletes_nothing(self, tmp_path, capsys, monkeypatch, key, value,
+    def test_exits_4_and_deletes_nothing(self, tmp_path, capsys, short_presets, key, value,
                                          command):
         import shutil
 
-        import advisc.cli
-
-        def short(name, out_dir="out"):
-            return replace(preset_config(name, out_dir), t_final=0.01)
-
-        monkeypatch.setattr(advisc.cli, "preset_config", short)
         study = tmp_path / "study"
         argv = ["reproduce", "--preset", "sine-smooth", "--out", str(study)]
         assert main(argv) == 0
@@ -1283,18 +1280,33 @@ class TestReproduceCommand:
         assert read_manifest(out)["subruns"] == ["signed", "nonneg"]
 
 
-    def test_every_study_trains_one_preset(self):
-        # cmd_reproduce trains a study's runs on one problem in one batched call
-        for runs, _ in STUDIES.values():
-            assert len({preset for _, preset, _ in runs}) == 1
+    def test_every_study_trains_one_problem(self):
+        # cmd_train trains a study's runs in one batched call, on the problem
+        # and in the mode of its first run; the oracles are the preset's.
+        assert set(STUDIES) == set(PRESETS)
+        batched = {"learning_rate", "mu_min", "mu_max"}
+        for preset, (runs, _) in STUDIES.items():
+            problems = []
+            for subdir, name, overrides in [("", preset, {}), *runs]:
+                sections = config_to_dict(preset_config(name, subdir, overrides))
+                del sections["output"]
+                sections["training"] = {key: value for key, value in sections["training"].items()
+                                        if key not in batched}
+                problems.append(sections)
+            assert all(problem == problems[0] for problem in problems), preset
+
+    @pytest.mark.parametrize("overrides", [{"training": {"learning_rte": 1.0}},
+                                           {"trainng": {"learning_rate": 1.0}}])
+    def test_preset_override_of_an_unknown_key_is_a_config_error(self, overrides):
+        from advisc.config import ConfigError
+
+        with pytest.raises(ConfigError, match="learning_rte|trainng"):
+            preset_config("paper-hat", overrides=overrides)
 
     def test_failed_run_writes_every_run_but_no_study_files(self, tmp_path, capsys,
-                                                             monkeypatch):
+                                                             monkeypatch, short_presets):
         import advisc.cli
         from advisc.schemes import DivergenceError, Trajectory
-
-        def short(name, out_dir="out"):
-            return replace(preset_config(name, out_dir), t_final=0.01)
 
         trained = advisc.cli.train_per_step
 
@@ -1305,7 +1317,6 @@ class TestReproduceCommand:
                 traj.states[:1], cfg, traj.viscosity_history[:0]))
             return outcomes
 
-        monkeypatch.setattr(advisc.cli, "preset_config", short)
         monkeypatch.setattr(advisc.cli, "train_per_step", first_run_diverges)
         study = tmp_path / "study"
         assert main(["reproduce", "--preset", "sine-smooth", "--out", str(study)]) == 2
@@ -1316,18 +1327,37 @@ class TestReproduceCommand:
         assert read_manifest(study / second)["status"] == "ok"
         assert main(["analyze", str(study / second)]) == 0
 
-    def test_study_writes_the_files_of_separate_train_commands(self, tmp_path, monkeypatch):
+    def test_halted_global_study_exits_5_without_study_files(self, tmp_path, capsys,
+                                                             monkeypatch, short_presets):
+        # Rows that override the training mode train through train_global;
+        # a run it halts exits 5, and the study writes no comparison.
         import advisc.cli
 
-        def short(name, out_dir="out"):
-            return replace(preset_config(name, out_dir), t_final=0.01)
+        runs, claims = STUDIES["sine-smooth"]
+        global_mode = {"training": {"mode": "global", "n_iters": 2}}
+        rows = tuple((subdir, name, {**overrides, **global_mode})
+                     for subdir, name, overrides in runs)
+        monkeypatch.setitem(STUDIES, "sine-smooth", (rows, claims))
+        trained = advisc.cli.train_global
+        monkeypatch.setattr(advisc.cli, "train_global",
+                            lambda *args: replace(trained(*args), converged=False))
+        study = tmp_path / "study"
+        assert main(["reproduce", "--preset", "sine-smooth", "--out", str(study)]) == 5
+        assert "sine-smooth" in capsys.readouterr().err
+        assert sorted(p.name for p in study.iterdir()) == sorted(subdir for subdir, _, _ in rows)
+        for subdir, _, _ in rows:
+            manifest = read_manifest(study / subdir)
+            assert manifest["status"] == "no_convergence"
+            assert manifest["config"]["training"]["mode"] == "global"
 
-        monkeypatch.setattr(advisc.cli, "preset_config", short)
+    def test_study_writes_the_files_of_separate_train_commands(self, tmp_path, short_presets):
+        import advisc.cli
+
         study = tmp_path / "study"
         assert main(["reproduce", "--preset", "sine-smooth", "--out", str(study)]) == 0
-        for subdir, preset, nonneg in STUDIES["sine-smooth"][0]:
-            config = short(preset, str(tmp_path / "alone" / subdir))
-            assert advisc.cli.cmd_train(nonneg_variant(config) if nonneg else config) == 0
+        for subdir, preset, overrides in STUDIES["sine-smooth"][0]:
+            config = preset_config(preset, str(tmp_path / "alone" / subdir), overrides)
+            assert advisc.cli.cmd_train(config) == 0
             batched, alone = study / subdir, tmp_path / "alone" / subdir
             names = sorted(p.name for p in batched.iterdir())
             assert names == sorted(p.name for p in alone.iterdir())
@@ -1345,12 +1375,13 @@ class TestReproduceCommand:
 class TestRerunFromManifestEcho:
     def test_config_echo_reruns_bit_identically(self, tmp_path):
         from advisc.cli import cmd_run
-        from advisc.config import config_from_dict
+        from advisc.config import OutputSettings, config_from_dict
 
         cfg_path, out = write_config(tmp_path, t_final=0.02)
         assert main(["run", "--config", str(cfg_path)]) == 0
         manifest = read_manifest(out)
-        rebuilt = config_from_dict(manifest["config"]).with_output_dir(str(tmp_path / "rerun"))
+        rebuilt = replace(config_from_dict(manifest["config"]),
+                          output=OutputSettings(str(tmp_path / "rerun")))
         assert cmd_run(rebuilt) == 0
         assert (out / "solution.csv").read_bytes() == \
             (tmp_path / "rerun" / "solution.csv").read_bytes()

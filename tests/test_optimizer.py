@@ -10,7 +10,7 @@ from advisc.optimizer import (
     train_global,
     train_per_step,
 )
-from advisc.presets import nonneg_variant, preset_config
+from advisc.presets import NONNEG, preset_config
 from advisc.schemes import DivergenceError, SchemeConfig, simulate
 
 from oracles import reference_train_global, reference_train_per_step
@@ -142,9 +142,10 @@ class TestTrainPerStep:
 def preset_pair(name, t_final):
     """Scheme config, exact states and the signed/non-negative optimizer pair of a preset."""
     cfg = replace(preset_config(name), t_final=t_final)
+    nonneg = preset_config(name, overrides=NONNEG).training.optimizer
     scheme_cfg = cfg.scheme_config()
     exact = exact_solution(cfg.ic, scheme_cfg.grid, cfg.c, np.arange(cfg.n_steps + 1) * cfg.dt)
-    return scheme_cfg, exact, (cfg.training.optimizer, nonneg_variant(cfg).training.optimizer)
+    return scheme_cfg, exact, (cfg.training.optimizer, nonneg)
 
 
 def assert_same_report(batched, alone):

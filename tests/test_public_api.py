@@ -36,3 +36,19 @@ def test_every_export_is_used():
     quickstart = (ROOT / "README.md").read_text().split("## Library quickstart", 1)[1]
     used |= used_names(re.search(r"```python\n(.*?)```", quickstart, re.DOTALL).group(1))
     assert sorted(exported - used - CONTAINERS) == []
+
+
+def test_every_import_is_used():
+    # A module keeps no import it does not use; __init__.py imports to export.
+    unused = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names if alias.name != "annotations"}
+        left = imported - used_names(path.read_text())
+        if left:
+            unused[path.name] = sorted(left)
+    assert unused == {}
