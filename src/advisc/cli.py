@@ -57,6 +57,8 @@ EXIT_DIVERGENCE = 2
 EXIT_CONFIG = 3
 EXIT_IO = 4
 EXIT_NO_CONVERGENCE = 5
+# The exit code of a run, keyed by its status.
+EXIT_CODES = {"ok": EXIT_OK, "divergence": EXIT_DIVERGENCE, "no_convergence": EXIT_NO_CONVERGENCE}
 
 ANALYSIS_NAME = "analysis.json"
 # Each CSV a run derives from its stored data (see _derived): its header and
@@ -87,7 +89,8 @@ def _derived(cfg: ExperimentConfig, traj: Trajectory, times: np.ndarray,
     to check: the columns of each derived CSV, keyed by file name as in
     DERIVED_CSVS, and the blocks of summary.json the data and config give.
     The exact state is sampled at the last of ``times`` only. ``losses``, a
-    training run's loss history, is None for a plain run."""
+    training run's loss history, is None or empty for a plain run and for a
+    training run whose first step or sweep diverged, which are written alike."""
     grid = traj.config.grid
     final = traj.states[-1]
     exact_final = exact_solution(cfg.ic, grid, cfg.c, times[-1])
@@ -98,7 +101,7 @@ def _derived(cfg: ExperimentConfig, traj: Trajectory, times: np.ndarray,
         "entropy.csv": [times, entropy],
     }
     summary = {"stats": stats}
-    if losses is None:
+    if not losses:
         return csvs, summary
 
     mu = traj.viscosity_history
@@ -181,14 +184,14 @@ def _write_run(
     status: str,
     t_start: float,
     report: TrainingReport | None = None,
-    extra: dict | None = None,
 ) -> None:
     """Write a run's files, each of which analyze checks, then the manifest:
     solution.csv and a training run's mu.csv, then what ``_derived`` gives,
     plus the summary's status and the optimizer's report. A halted run's CSVs
-    are partial. The full error field is not written: it is solution.csv
-    minus the exact solution, which the config reproduces. Every CSV is
-    written a row at a time."""
+    are partial, and a diverged run's manifest records the step that
+    diverged, the trajectory's ``n_steps``. The full error field is not
+    written: it is solution.csv minus the exact solution, which the config
+    reproduces. Every CSV is written a row at a time."""
     grid = traj.config.grid
     times = traj.times
     losses = None if report is None else report.loss_history
@@ -207,17 +210,19 @@ def _write_run(
         write(name, DERIVED_CSVS[name][0], zip(*columns))
 
     summary["status"] = status
-    if report is not None:
-        summary["training"].update(converged=report.converged,
+    if "training" in summary:
+        summary["training"].update(converged=status == "ok",
                                    divergence_events=report.divergence_events)
     write_json(out_dir / "summary.json", summary)
 
+    blocks = {"config": config_to_dict(cfg)}
     if status != "ok":
         for entry in files:
             entry["partial"] = True
+    if status == "divergence":
+        blocks["diverged_at_step"] = traj.n_steps
     files.append({"name": "summary.json"})
-    _mark_finished(out_dir, files, t_start, status,
-                   config=config_to_dict(cfg), **(extra or {}))
+    _mark_finished(out_dir, files, t_start, status, **blocks)
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
@@ -235,14 +240,14 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     scheme_cfg = cfg.scheme_config()
     u0 = exact_solution(cfg.ic, scheme_cfg.grid, cfg.c, 0.0)
 
-    status, extra = "ok", None
+    status = "ok"
     try:
         traj = simulate(u0, cfg.n_steps, scheme_cfg, scheme=cfg.scheme, mu=cfg.mu)
     except DivergenceError as err:
-        status, extra, traj = "divergence", {"diverged_at_step": err.step}, err.trajectory
+        status, traj = "divergence", err.trajectory
     _clear_previous_run(out_dir)
-    _write_run(cfg, out_dir, traj, status, t_start, extra=extra)
-    return EXIT_OK if status == "ok" else EXIT_DIVERGENCE
+    _write_run(cfg, out_dir, traj, status, t_start)
+    return EXIT_CODES[status]
 
 
 def _training_dir(cfg: ExperimentConfig) -> Path:
@@ -258,33 +263,11 @@ def _training_dir(cfg: ExperimentConfig) -> Path:
     return out_dir
 
 
-def _write_training(cfg: ExperimentConfig, outcome: TrainingReport | DivergenceError,
-                    t_start: float) -> int:
-    """Write one training run's outcome into its output directory; return its exit code."""
-    out_dir = Path(cfg.output.directory)
-    if isinstance(outcome, DivergenceError):  # the first step, or the first sweep, diverged
-        _write_run(cfg, out_dir, outcome.trajectory, "divergence", t_start,
-                   extra={"diverged_at_step": outcome.step})
-        return EXIT_DIVERGENCE
-
-    if outcome.converged:
-        status = "ok"
-    elif cfg.training.mode == "per_step":
-        status = "divergence"
-    else:
-        status = "no_convergence"
-    extra = {"diverged_at_step": outcome.trajectory.n_steps} if status == "divergence" else None
-    _write_run(cfg, out_dir, outcome.trajectory, status, t_start, outcome, extra)
-    if status == "ok":
-        return EXIT_OK
-    return EXIT_DIVERGENCE if status == "divergence" else EXIT_NO_CONVERGENCE
-
-
 def cmd_train(cfg: ExperimentConfig, *more: ExperimentConfig) -> int:
     """Train the viscosity closure of each config and write every run; return
     the exit code of the first failed run, or 0. The configs share one problem
-    and mode, differing only in optimizer and output directory, so per-step
-    configs train in one batched ``train_per_step`` call."""
+    and mode, differing only in optimizer and output directory, so they train
+    in one call of the mode's trainer."""
     t_start = time.time()
     configs = (cfg, *more)
     out_dirs = [_training_dir(config) for config in configs]
@@ -292,17 +275,11 @@ def cmd_train(cfg: ExperimentConfig, *more: ExperimentConfig) -> int:
     for out_dir in out_dirs:
         _clear_previous_run(out_dir)
     opts = tuple(config.training.optimizer for config in configs)
-    if cfg.training.mode == "per_step":
-        outcomes = train_per_step(scheme_cfg, opts, exact)
-    else:
-        outcomes = []
-        for opt in opts:
-            try:
-                outcomes.append(train_global(scheme_cfg, opt, exact))
-            except DivergenceError as err:
-                outcomes.append(err)
-    codes = [_write_training(c, outcome, t_start) for c, outcome in zip(configs, outcomes)]
-    return next((code for code in codes if code != EXIT_OK), EXIT_OK)
+    trainer = train_per_step if cfg.training.mode == "per_step" else train_global
+    reports = trainer(scheme_cfg, opts, exact)
+    for config, out_dir, report in zip(configs, out_dirs, reports):
+        _write_run(config, out_dir, report.trajectory, report.status, t_start, report)
+    return next((EXIT_CODES[r.status] for r in reports if r.status != "ok"), EXIT_OK)
 
 
 def _replay_error(states: np.ndarray, mu_rows: np.ndarray, cfg: SchemeConfig) -> float:
@@ -361,11 +338,12 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
     initial viscosity. ``_derived``, as the writer called it, rebuilds every
     other CSV and summary.json value, which must match exactly; the
     summary's status must be the manifest's.
-    Its ``converged`` and ``divergence_events`` come only from the
-    optimizer's report, so stay unchecked. Training outputs are not rebuilt
-    without one mu.csv row per step and at least one loss. A CSV without its
-    exact header, such as a solution.csv or mu.csv that is not n_cells wide,
-    raises CorruptRunError, as does a stored config that does not load."""
+    Its ``divergence_events`` comes only from the optimizer's report, and
+    its ``converged`` only repeats the status, so both stay unchecked.
+    Training outputs are not rebuilt without one mu.csv row per step and at
+    least one loss. A CSV without its exact header, such as a solution.csv
+    or mu.csv that is not n_cells wide, raises CorruptRunError, as does a
+    stored config that does not load."""
     try:
         cfg = config_from_dict(manifest["config"])
     except ConfigError as err:

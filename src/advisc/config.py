@@ -8,8 +8,9 @@ file, the manifest echo, which carries the same sections and keys as JSON,
 and the presets, which are section overrides (``presets.PRESETS``).
 Each setting is checked once, by the object that uses it: the grid checks
 n_cells and length, ``schemes.SchemeConfig`` dt and c,
-``grid.InitialCondition`` its own fields, and ``ExperimentConfig`` only what
-needs the whole config; a ValueError from any of them is reported as a
+``grid.InitialCondition`` its own fields and, in ``check_inside``, the
+hat edge against the length, and ``ExperimentConfig`` only what needs the
+whole config; a ValueError from any of them is reported as a
 ConfigError. Unknown sections or keys are hard errors so that typos cannot
 silently change an experiment.
 """
@@ -64,8 +65,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEME_NAMES:
             raise ConfigError(f"scheme must be one of {SCHEME_NAMES}, got {self.scheme!r}")
-        try:  # n_cells, length, dt and c are checked where they are used
+        try:  # n_cells, length, dt, c and the hat edge are checked where they are used
             self.scheme_config()
+            self.ic.check_inside(self.length)
         except ValueError as err:
             raise ConfigError(str(err)) from err
         if not np.isfinite(self.t_final):
@@ -81,8 +83,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"t_final/dt = {ratio!r} is not a whole number of steps"
             )
-        if self.ic.kind == "hat" and self.ic.hi > self.length:
-            raise ConfigError(f"hat edge hi = {self.ic.hi!r} lies past length = {self.length!r}")
         if self.mu is not None and not np.isfinite(self.mu):
             raise ConfigError("mu must be finite")
         if self.mu is not None and self.scheme != "ftcs_mu":

@@ -1,8 +1,9 @@
 """Periodic 1D grid, field containers, and the initial conditions with
 their translated exact solutions.
 
-``InitialCondition`` validates the settings of every kind, and
-``exact_solution`` samples any kind through the ``PROFILES`` table.
+``InitialCondition`` validates the settings of every kind and, in
+``check_inside``, that they fit a domain; ``exact_solution`` samples any
+kind through the ``PROFILES`` table.
 
 All containers are immutable after construction: the wrapped numpy arrays
 are defensive copies with the writeable flag cleared, so instances can be
@@ -145,6 +146,12 @@ class InitialCondition:
         if self.kind == "sine" and (self.wavenumber < 1 or int(self.wavenumber) != self.wavenumber):
             raise ValueError("sine wavenumber must be a positive integer")
 
+    def check_inside(self, length: float) -> None:
+        """Raise ValueError unless the profile fits a periodic domain of ``length``:
+        a hat's upper edge may not lie past it."""
+        if self.kind == "hat" and self.hi > length:
+            raise ValueError(f"hat edge hi = {self.hi!r} lies past length = {length!r}")
+
 
 def _hat(ic: InitialCondition, x: np.ndarray, length: float) -> np.ndarray:
     frac = np.mod(x, length)
@@ -172,6 +179,5 @@ def exact_solution(
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be non-negative")
-    if ic.kind == "hat" and ic.hi > grid.length:
-        raise ValueError("hat edges must lie inside the periodic domain")
+    ic.check_inside(grid.length)
     return PROFILES[ic.kind](ic, grid.cell_centers - c * t[..., None], grid.length)

@@ -5,10 +5,13 @@ while the numerical state marches forward, and global optimization of the
 full space-time field against the whole-horizon loss. Both are plain
 gradient descent on the unpenalized loss, projected onto box constraints.
 
-The per-step trainer takes a batch of optimizer configs on one problem and
-trains them together: each step hoists its mu-independent factors once, and
+Both trainers take a tuple of optimizer configs on one problem and return
+one ``TrainingReport`` per config, whose ``status`` says how the run ended;
+a run that diverges is reported, not raised. The per-step trainer trains
+its configs together: each step hoists its mu-independent factors once, and
 the inner iterations run only in-place ufuncs over cells-major (N, batch)
-C-order buffers, whose shifted views are contiguous.
+C-order buffers, whose shifted views are contiguous. The global trainer
+trains its configs one after another.
 """
 
 from __future__ import annotations
@@ -51,11 +54,11 @@ class OptimizerConfig:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be positive")
+            raise ValueError("learning_rate must be positive and finite")
         if self.n_iters < 1 or int(self.n_iters) != self.n_iters:
             raise ValueError("n_iters must be a positive integer")
         if not (np.isfinite(self.mu_min) and np.isfinite(self.mu_max)):
-            raise ValueError("bounds must be finite")
+            raise ValueError("mu_min and mu_max must be finite")
         if self.mu_min > self.mu_max:
             raise ValueError("mu_min must not exceed mu_max")
 
@@ -69,14 +72,18 @@ class TrainingReport:
 
     ``loss_history`` records the per-step optimized loss in per-step mode and
     the loss of each accepted iterate (initial point included) in global
-    mode. ``converged`` means the run completed its planned steps/iterations
-    without halting. ``trajectory`` is the run of the learned viscosity; its
+    mode; it is empty when the first step or the initial sweep diverged.
+    ``status`` says how the run ended: "ok" once it completed its planned
+    steps or iterations, "divergence" when the advancing state or the initial
+    sweep diverged, and "no_convergence" when global training halted after
+    MAX_HALVINGS diverged candidates. ``trajectory`` is the run of the
+    learned viscosity, partial when the run diverged; its
     ``viscosity_history`` is that viscosity.
     """
 
     loss_history: tuple[float, ...]
     trajectory: Trajectory
-    converged: bool
+    status: str
     divergence_events: int
 
 
@@ -134,10 +141,8 @@ def _descend(u: np.ndarray, target: np.ndarray, mu: np.ndarray, lr: np.ndarray,
 
 
 def train_per_step(
-    cfg: SchemeConfig,
-    opt: OptimizerConfig | tuple[OptimizerConfig, ...],
-    exact: np.ndarray,
-) -> TrainingReport | list[TrainingReport | DivergenceError]:
+    cfg: SchemeConfig, opts: tuple[OptimizerConfig, ...], exact: np.ndarray
+) -> list[TrainingReport]:
     """Greedy training: optimize each step's viscosity against the next exact state.
 
     Row m of ``exact`` is the exact state at time m*dt; row 0 is the initial
@@ -146,23 +151,18 @@ def train_per_step(
     accumulation is visible to later steps. Each step's mu starts from the
     previous step's optimum.
 
-    Given one config, returns its TrainingReport. Divergence of the advancing
-    state halts training at that step; on the first step it raises
-    DivergenceError with the initial state as the partial trajectory.
-
-    Given a tuple of configs sharing ``n_iters``, trains them together as
-    one batch on the same problem and returns one outcome per config: its
-    TrainingReport, or the DivergenceError of a run whose first step
-    diverged. A run that diverges leaves the batch at that step; the others
-    go on. Each outcome equals that of training its config alone, bit for
-    bit, and the single form is a batch of one.
+    The configs share ``n_iters`` and train together as one batch on the
+    same problem; returns one TrainingReport per config. Divergence of a
+    run's advancing state halts that run at that step with status
+    "divergence", its trajectory ending at the last finite state (the
+    initial state alone, with no losses, when the first step diverged); the
+    others go on. Each report equals that of training its config alone, bit
+    for bit.
     """
-    single = isinstance(opt, OptimizerConfig)
-    batch = (opt,) if single else tuple(opt)
-    if not batch:
+    if not opts:
         raise ValueError("train_per_step needs at least one optimizer config")
-    n_iters = batch[0].n_iters
-    if any(o.n_iters != n_iters for o in batch):
+    n_iters = opts[0].n_iters
+    if any(o.n_iters != n_iters for o in opts):
         raise ValueError("the configs of one batch must share n_iters")
     n_steps = _horizon(exact, cfg)
     n = cfg.grid.n_cells
@@ -172,15 +172,15 @@ def train_per_step(
         # Cells-major (N, B): row i holds face i of every run in the batch.
         return np.repeat(np.array(values, dtype=float)[None, :], n, axis=0)
 
-    lr = per_face([o.learning_rate for o in batch])
-    lo = per_face([o.mu_min for o in batch])
-    hi = per_face([o.mu_max for o in batch])
-    mu = per_face([o.resolve_init(cfg) for o in batch])
-    states = np.empty((len(batch), n_steps + 1, n))
+    lr = per_face([o.learning_rate for o in opts])
+    lo = per_face([o.mu_min for o in opts])
+    hi = per_face([o.mu_max for o in opts])
+    mu = per_face([o.resolve_init(cfg) for o in opts])
+    states = np.empty((len(opts), n_steps + 1, n))
     states[:, 0] = exact[0]
-    mu_rows = np.empty((len(batch), n_steps, n))
-    losses: list[list[float]] = [[] for _ in batch]
-    rows = np.arange(len(batch))  # the runs still training, one per column of mu
+    mu_rows = np.empty((len(opts), n_steps, n))
+    losses: list[list[float]] = [[] for _ in opts]
+    rows = np.arange(len(opts))  # the runs still training, one per column of mu
 
     for step in range(n_steps):
         target = exact[step + 1]
@@ -198,41 +198,40 @@ def train_per_step(
                 break
             mu, lr, lo, hi = (x[:, going].copy() for x in (mu, lr, lo, hi))
 
-    outcomes: list[TrainingReport | DivergenceError] = []
+    reports = []
     for b, run_losses in enumerate(losses):
         n_done = len(run_losses)
-        if n_done == 0:
-            outcomes.append(DivergenceError(
-                "training diverged on the very first step", step=0,
-                trajectory=Trajectory(states[b, :1], cfg, mu_rows[b, :0])))
-            continue
         halted = n_done < n_steps
-        traj = Trajectory(states=states[b, : n_done + 1], config=cfg,
-                          viscosity_history=mu_rows[b, :n_done])
-        outcomes.append(TrainingReport(
+        reports.append(TrainingReport(
             loss_history=tuple(run_losses),
-            trajectory=traj,
-            converged=not halted,
+            trajectory=Trajectory(states[b, : n_done + 1], cfg, mu_rows[b, :n_done]),
+            status="divergence" if halted else "ok",
             divergence_events=int(halted),
         ))
-    if single:
-        if isinstance(outcomes[0], DivergenceError):
-            raise outcomes[0]
-        return outcomes[0]
-    return outcomes
+    return reports
 
 
 def train_global(
-    cfg: SchemeConfig, opt: OptimizerConfig, exact: np.ndarray
-) -> TrainingReport:
-    """Whole-horizon training: one decision vector of shape (n_steps, n_faces).
+    cfg: SchemeConfig, opts: tuple[OptimizerConfig, ...], exact: np.ndarray
+) -> list[TrainingReport]:
+    """Whole-horizon training: one decision vector of shape (n_steps, n_faces) per config.
 
-    ``exact`` is as for ``train_per_step``. Plain projected gradient descent;
-    the gradient reuses the accepted iterate's forward sweep, so each
-    iteration runs one sweep, of its candidate. A candidate whose sweep
-    diverges is rejected and retried at half the step size (the reduction
-    persists); once more than MAX_HALVINGS candidates have diverged, training
-    halts. Returns the best (lowest-loss) iterate seen, with its trajectory.
+    ``exact`` is as for ``train_per_step``. Trains each config in turn and
+    returns one TrainingReport per config.
+    """
+    return [_train_global_one(cfg, opt, exact) for opt in opts]
+
+
+def _train_global_one(cfg: SchemeConfig, opt: OptimizerConfig,
+                      exact: np.ndarray) -> TrainingReport:
+    """Plain projected gradient descent of one config; the gradient reuses the
+    accepted iterate's forward sweep, so each iteration runs one sweep, of its
+    candidate. A candidate whose sweep diverges is rejected and retried at half
+    the step size (the reduction persists); once more than MAX_HALVINGS
+    candidates have diverged, training halts with status "no_convergence". An
+    initial sweep that diverges ends the run with status "divergence" and its
+    partial trajectory. Reports the best (lowest-loss) iterate seen, with its
+    trajectory.
     """
     n_steps = _horizon(exact, cfg)
     lr = opt.learning_rate
@@ -243,11 +242,13 @@ def train_global(
 
     # simulate copies its mu, so this one buffer can hold every candidate.
     candidate = np.full((n_steps, cfg.grid.n_cells), opt.resolve_init(cfg))
-    best_loss, traj_cur = evaluate(candidate)  # initial sweep failure is unrecoverable
+    try:
+        best_loss, traj_cur = evaluate(candidate)
+    except DivergenceError as err:
+        return TrainingReport((), err.trajectory, "divergence", 1)
     best_traj = traj_cur
     losses = [best_loss]
     divergences = 0
-    completed = True
 
     for _ in range(opt.n_iters):
         grad = grad_mu_global(traj_cur, exact)
@@ -256,28 +257,19 @@ def train_global(
             np.subtract(traj_cur.viscosity_history, candidate, out=candidate)
             np.clip(candidate, opt.mu_min, opt.mu_max, out=candidate)
             try:
-                loss_cand, traj_cand = evaluate(candidate)
+                loss_cand, traj_cur = evaluate(candidate)
+                break
             except DivergenceError:
                 divergences += 1
                 lr *= 0.5
                 if divergences > MAX_HALVINGS:
-                    completed = False
-                    break
-                continue
-            traj_cur = traj_cand
-            losses.append(loss_cand)
-            if loss_cand < best_loss:
-                best_loss, best_traj = loss_cand, traj_cand
-            break
-        if not completed:
-            break
+                    return TrainingReport(tuple(losses), best_traj, "no_convergence",
+                                          divergences)
+        losses.append(loss_cand)
+        if loss_cand < best_loss:
+            best_loss, best_traj = loss_cand, traj_cur
 
-    return TrainingReport(
-        loss_history=tuple(losses),
-        trajectory=best_traj,
-        converged=completed,
-        divergence_events=divergences,
-    )
+    return TrainingReport(tuple(losses), best_traj, "ok", divergences)
 
 
 def constant_mu_grid_search(

@@ -25,13 +25,12 @@ from .grid import Grid1D
 class DivergenceError(RuntimeError):
     """Raised when a simulated state goes non-finite or trips the magnitude guard.
 
-    ``step`` is the 0-based index of the step whose output violated the guard;
-    ``trajectory`` holds the states recorded before the failure.
+    ``trajectory`` holds the states recorded before the failure, so the step
+    whose output violated the guard is its ``n_steps``.
     """
 
-    def __init__(self, message: str, step: int, trajectory: "Trajectory"):
+    def __init__(self, message: str, trajectory: "Trajectory"):
         super().__init__(message)
-        self.step = step
         self.trajectory = trajectory
 
 
@@ -277,6 +276,6 @@ def simulate(
             ftcs_step(states[n + 1], states[n], rows[n])
         if _diverged(states[n + 1], bound):
             raise DivergenceError(f"state diverged at step {n} (magnitude guard {bound:g})",
-                                  step=n, trajectory=_checked_trajectory(
-                                      states[: n + 1], cfg, None if mu is None else mu[:n]))
+                                  _checked_trajectory(states[: n + 1], cfg,
+                                                      None if mu is None else mu[:n]))
     return _checked_trajectory(states, cfg, mu)

@@ -34,7 +34,7 @@ def paper_training_report(paper_problem):
     cfg, _, _, exact = paper_problem
     opt = OptimizerConfig(learning_rate=1e-2, n_iters=200, mu_min=-5e-3, mu_max=9.5e-2)
     start = time.perf_counter()
-    report = train_per_step(cfg, opt, exact)
+    (report,) = train_per_step(cfg, (opt,), exact)
     elapsed = time.perf_counter() - start
     return report, elapsed
 

@@ -123,7 +123,7 @@ def test_criterion_4_paper_experiment(paper_problem, paper_training_report):
     mse_upwind = mse(upwind.states[-1], exact_final)
     max_abs = float(np.max(np.abs(training.trajectory.states)))
     passed = (
-        training.converged
+        training.status == "ok"
         and training.divergence_events == 0
         and max_abs <= 2.0
         and mse_learned < mse_upwind
@@ -185,9 +185,8 @@ def test_criterion_7_positivity_constrained_amplitude():
     grid = scheme_cfg.grid
     times = np.arange(base.n_steps + 1) * base.dt
     exact = exact_solution(base.ic, grid, base.c, times)
-    signed = train_per_step(scheme_cfg, base.training.optimizer, exact)
     nonneg_opt = preset_config("sine-smooth", overrides=NONNEG).training.optimizer
-    nonneg = train_per_step(scheme_cfg, nonneg_opt, exact)
+    signed, nonneg = train_per_step(scheme_cfg, (base.training.optimizer, nonneg_opt), exact)
     amp_signed = float(np.max(np.abs(signed.trajectory.states[-1])))
     amp_nonneg = float(np.max(np.abs(nonneg.trajectory.states[-1])))
     report(
@@ -229,7 +228,7 @@ def test_criterion_9_global_beats_constant_grid_search():
     exact = exact_solution(profile, grid, cfg.c, np.arange(21) * cfg.dt)
     best_mu, best_constant = constant_mu_grid_search(cfg, exact, -5e-3, 9.5e-2, n_samples=200)
     opt = OptimizerConfig(learning_rate=0.5, n_iters=400, mu_min=-5e-3, mu_max=9.5e-2)
-    trained = train_global(cfg, opt, exact)
+    (trained,) = train_global(cfg, (opt,), exact)
     best_trained = min(trained.loss_history)
     report(
         9,

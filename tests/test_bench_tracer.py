@@ -72,8 +72,10 @@ def test_traced_reproduce_trains_through_cmd_train(tmp_path, monkeypatch, short_
 def test_traced_global_train_counts_sweeps_inside_the_trainer(tmp_path, monkeypatch):
     # The benchmark's forward_sweeps_per_iter divides these nested counts, so
     # every sweep and gradient of the trainer must go through the traced names:
-    # the initial sweep plus one candidate sweep per iteration.
-    nested = {(ancestor, span): calls for ancestor, span, calls, _ in
-              traced_train(tmp_path, monkeypatch, "global", 3)["nested"]}
+    # the initial sweep plus one candidate sweep per iteration. It subtracts
+    # one initial sweep per train_global call, so a one-config train makes one.
+    report = traced_train(tmp_path, monkeypatch, "global", 3)
+    nested = {(ancestor, span): calls for ancestor, span, calls, _ in report["nested"]}
     assert nested[("optimizer.train_global", "schemes.simulate")] == 4
     assert nested[("optimizer.train_global", "adjoint.grad_mu_global")] == 3
+    assert report["spans"]["optimizer.train_global"]["calls"] == 1

@@ -139,9 +139,9 @@ class TestRunCommand:
             assert main(["run", "--config", str(cfg_path)]) == 2
         manifest = read_manifest(out)
         assert manifest["status"] == "divergence"
-        assert manifest["diverged_at_step"] == 0
         _, states = read_matrix(out / "solution.csv")
         assert states.shape == (1, 50)
+        assert manifest["diverged_at_step"] == len(states) - 1 == 0
 
     def test_unknown_config_key_exits_3(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, extra_sim="typo_key = 1\n")
@@ -204,7 +204,8 @@ class TestRunCommand:
                  for line in cfg_path.read_text().splitlines()]
         cfg_path.write_text("\n".join(lines) + "\n")
         assert main(["train", "--config", str(cfg_path)]) == 3
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
 
     @pytest.mark.parametrize("key, value", [
         ("n_cells", "2"), ("length", "0"), ("dt", "-0.001"), ("c", "nan"),
@@ -311,9 +312,9 @@ class TestTrainCommand:
             assert main(["train", "--config", str(cfg_path)]) == 2
         manifest = read_manifest(out)
         assert manifest["status"] == "divergence"
-        assert manifest["diverged_at_step"] == 0
         _, states = read_matrix(out / "solution.csv")
         assert states.shape == (1, 16)
+        assert manifest["diverged_at_step"] == len(states) - 1 == 0
 
     def test_mu_snapshot_has_normalized_column(self, tmp_path):
         cfg_path, out = write_config(
@@ -413,6 +414,9 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg_path)]) == 2
         manifest = read_manifest(out)
         assert manifest["status"] == "divergence"
+        # the run halts mid-horizon at the step whose state diverged
+        _, states = read_matrix(out / "solution.csv")
+        assert 0 < manifest["diverged_at_step"] == len(states) - 1 < 100
 
 
 class TestAnalyzeCommand:
@@ -461,6 +465,7 @@ class TestAnalyzeCommand:
         assert "scheme_equivalence" in {check["name"] for check in analysis["checks"]}
         times, states = read_matrix(out / "solution.csv")
         assert 2 < len(states) < 1001
+        assert read_manifest(out)["diverged_at_step"] == len(states) - 1
         middle = len(states) // 2
         states[middle, 7] += 1e-6 * np.max(np.abs(states[middle]))
         write_matrix(out / "solution.csv", times, states)
@@ -1306,16 +1311,17 @@ class TestReproduceCommand:
     def test_failed_run_writes_every_run_but_no_study_files(self, tmp_path, capsys,
                                                              monkeypatch, short_presets):
         import advisc.cli
-        from advisc.schemes import DivergenceError, Trajectory
+        from advisc.schemes import Trajectory
 
         trained = advisc.cli.train_per_step
 
         def first_run_diverges(cfg, opts, exact):
-            outcomes = trained(cfg, opts, exact)
-            traj = outcomes[0].trajectory
-            outcomes[0] = DivergenceError("diverged", step=0, trajectory=Trajectory(
-                traj.states[:1], cfg, traj.viscosity_history[:0]))
-            return outcomes
+            reports = trained(cfg, opts, exact)
+            traj = reports[0].trajectory
+            reports[0] = replace(reports[0], loss_history=(), status="divergence",
+                                 trajectory=Trajectory(traj.states[:1], cfg,
+                                                       traj.viscosity_history[:0]))
+            return reports
 
         monkeypatch.setattr(advisc.cli, "train_per_step", first_run_diverges)
         study = tmp_path / "study"
@@ -1339,8 +1345,8 @@ class TestReproduceCommand:
                      for subdir, name, overrides in runs)
         monkeypatch.setitem(STUDIES, "sine-smooth", (rows, claims))
         trained = advisc.cli.train_global
-        monkeypatch.setattr(advisc.cli, "train_global",
-                            lambda *args: replace(trained(*args), converged=False))
+        monkeypatch.setattr(advisc.cli, "train_global", lambda *args: [
+            replace(report, status="no_convergence") for report in trained(*args)])
         study = tmp_path / "study"
         assert main(["reproduce", "--preset", "sine-smooth", "--out", str(study)]) == 5
         assert "sine-smooth" in capsys.readouterr().err

@@ -11,7 +11,7 @@ from advisc.optimizer import (
     train_per_step,
 )
 from advisc.presets import NONNEG, preset_config
-from advisc.schemes import DivergenceError, SchemeConfig, simulate
+from advisc.schemes import SchemeConfig, simulate
 
 from oracles import reference_train_global, reference_train_per_step
 
@@ -60,7 +60,7 @@ class TestMirrorSymmetry:
                 (report,) = train_per_step(cfg, (OptimizerConfig(),), exact)
             else:
                 opt = OptimizerConfig(learning_rate=1.0, n_iters=20)
-                report = train_global(cfg, opt, exact)
+                (report,) = train_global(cfg, (opt,), exact)
             runs.append(report.trajectory)
         right, left = runs
         assert np.array_equal(left.states, right.states[:, ::-1])
@@ -73,14 +73,14 @@ class TestTrainPerStep:
         cfg, u0, _ = toy_problem()
         init = OptimizerConfig().resolve_init(cfg)
         base = simulate(u0, 10, cfg, scheme="ftcs_mu", mu=np.full(16, init))
-        report = train_per_step(cfg, OptimizerConfig(n_iters=20), base.states)
+        (report,) = train_per_step(cfg, (OptimizerConfig(n_iters=20),), base.states)
         assert all(loss == 0.0 for loss in report.loss_history)
         assert np.all(report.trajectory.viscosity_history == init)
 
     def test_degenerate_bounds_reduce_to_constant_simulation(self):
         cfg, u0, exact = toy_problem()
         opt = OptimizerConfig(mu_min=0.005, mu_max=0.005, n_iters=5)
-        report = train_per_step(cfg, opt, exact)
+        (report,) = train_per_step(cfg, (opt,), exact)
         reference = simulate(u0, 10, cfg, scheme="ftcs_mu", mu=np.full(16, 0.005))
         assert np.array_equal(report.trajectory.states, reference.states)
         assert np.all(report.trajectory.viscosity_history == 0.005)
@@ -88,7 +88,7 @@ class TestTrainPerStep:
     def test_iterates_respect_bounds(self):
         cfg, _, exact = toy_problem(steps=20)
         opt = OptimizerConfig(learning_rate=0.5, n_iters=50)
-        report = train_per_step(cfg, opt, exact)
+        (report,) = train_per_step(cfg, (opt,), exact)
         assert np.all(report.trajectory.viscosity_history >= opt.mu_min)
         assert np.all(report.trajectory.viscosity_history <= opt.mu_max)
 
@@ -98,8 +98,8 @@ class TestTrainPerStep:
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
         _, exact = hat_problem(cfg, 150)
         opt = OptimizerConfig(learning_rate=1e-12, n_iters=2, mu_min=-0.06, mu_max=-0.05)
-        report = train_per_step(cfg, opt, exact)
-        assert not report.converged
+        (report,) = train_per_step(cfg, (opt,), exact)
+        assert report.status == "divergence"
         assert report.divergence_events == 1
         assert report.trajectory.n_steps < 150
         assert len(report.loss_history) == report.trajectory.n_steps
@@ -107,8 +107,8 @@ class TestTrainPerStep:
     def test_deterministic(self):
         cfg, _, exact = toy_problem()
         opt = OptimizerConfig(n_iters=30)
-        a = train_per_step(cfg, opt, exact)
-        b = train_per_step(cfg, opt, exact)
+        (a,) = train_per_step(cfg, (opt,), exact)
+        (b,) = train_per_step(cfg, (opt,), exact)
         assert np.array_equal(a.trajectory.viscosity_history,
                               b.trajectory.viscosity_history)
         assert a.loss_history == b.loss_history
@@ -118,7 +118,7 @@ class TestTrainPerStep:
         cfg, _, exact = toy_problem(n=20, steps=12)  # dx = 0.05: divisions by dx round
         opt = OptimizerConfig(learning_rate=0.5, n_iters=25)
         init = cfg.c * cfg.grid.dx / 2  # inside the default bounds
-        report = train_per_step(cfg, opt, exact)
+        (report,) = train_per_step(cfg, (opt,), exact)
         history, states = reference_train_per_step(
             exact[0], exact,
             cfg.c, cfg.dt, cfg.grid.dx, opt.learning_rate, opt.n_iters, opt.mu_min,
@@ -129,14 +129,6 @@ class TestTrainPerStep:
         # the projection is active on some faces and the gradient moves the rest
         assert np.any(history == opt.mu_min) or np.any(history == opt.mu_max)
         assert np.any((history > opt.mu_min) & (history < opt.mu_max) & (history != init))
-
-    def test_overflow_inside_inner_loop_raises_divergence(self):
-        grid = make_grid(16, 1.0)
-        cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
-        _, exact = hat_problem(cfg, 3, InitialCondition(amplitude=1e308))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError):
-                train_per_step(cfg, OptimizerConfig(n_iters=2), exact)
 
 
 def preset_pair(name, t_final):
@@ -153,8 +145,37 @@ def assert_same_report(batched, alone):
     assert np.array_equal(batched.trajectory.viscosity_history,
                           alone.trajectory.viscosity_history)
     assert batched.loss_history == alone.loss_history
-    assert (batched.converged, batched.divergence_events) == \
-        (alone.converged, alone.divergence_events)
+    assert (batched.status, batched.divergence_events) == \
+        (alone.status, alone.divergence_events)
+
+
+def trained_alone(trainer, cfg, opt, exact):
+    (report,) = trainer(cfg, (opt,), exact)
+    return report
+
+
+@pytest.mark.parametrize("trainer", [train_per_step, train_global], ids=["per_step", "global"])
+@pytest.mark.parametrize("case", ["guard", "overflow"])
+def test_run_diverging_on_first_step_reports_its_initial_state(trainer, case):
+    # The first step of the per-step trainer, or the initial sweep of the
+    # global one, diverges; the run is reported with status "divergence", no
+    # losses and the initial state alone, next to its partner's own report.
+    cfg, _, _ = toy_problem()
+    if case == "guard":  # a viscosity of -1e8 amplifies the hat's jumps past the guard at once
+        profile, doomed = InitialCondition(), OptimizerConfig(n_iters=3, mu_min=-1e8, mu_max=-1e8)
+    else:  # 1e308 overflows inside the first step
+        profile, doomed = InitialCondition(amplitude=1e308), OptimizerConfig(n_iters=3)
+    u0, exact = hat_problem(cfg, 10, profile)
+    partner = OptimizerConfig(n_iters=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report, other = trainer(cfg, (doomed, partner), exact)
+        assert_same_report(report, trained_alone(trainer, cfg, doomed, exact))
+        assert_same_report(other, trained_alone(trainer, cfg, partner, exact))
+    assert report.status == "divergence" and report.divergence_events == 1
+    assert report.loss_history == ()
+    assert np.array_equal(report.trajectory.states, u0[None])
+    assert report.trajectory.viscosity_history.shape == (0, 16)
+    assert other.status == ("ok" if case == "guard" else "divergence")
 
 
 class TestBatchedPerStep:
@@ -164,7 +185,7 @@ class TestBatchedPerStep:
         batched = train_per_step(cfg, pair, exact)
         assert len(batched) == 2
         for report, opt in zip(batched, pair):
-            assert_same_report(report, train_per_step(cfg, opt, exact))
+            assert_same_report(report, trained_alone(train_per_step, cfg, opt, exact))
         # the pair differs, so each row really trained with its own bounds
         assert not np.array_equal(batched[0].trajectory.viscosity_history,
                                   batched[1].trajectory.viscosity_history)
@@ -179,7 +200,7 @@ class TestBatchedPerStep:
         batched = train_per_step(cfg, batch, exact)
         assert len(batched) == 3
         for report, opt in zip(batched, batch):
-            assert_same_report(report, train_per_step(cfg, opt, exact))
+            assert_same_report(report, trained_alone(train_per_step, cfg, opt, exact))
         opt = batch[1]
         history, states = reference_train_per_step(
             exact[0], exact, cfg.c, cfg.dt, cfg.grid.dx, opt.learning_rate, opt.n_iters,
@@ -197,25 +218,11 @@ class TestBatchedPerStep:
         stable = OptimizerConfig(learning_rate=1e-12, n_iters=2)
         unstable = OptimizerConfig(learning_rate=1e-12, n_iters=2, mu_min=-0.06, mu_max=-0.05)
         diverging, completing = train_per_step(cfg, (unstable, stable), exact)
-        assert not diverging.converged and diverging.divergence_events == 1
+        assert diverging.status == "divergence" and diverging.divergence_events == 1
         assert 0 < diverging.trajectory.n_steps < 60
-        assert completing.converged and completing.trajectory.n_steps == 60
-        assert_same_report(diverging, train_per_step(cfg, unstable, exact))
-        assert_same_report(completing, train_per_step(cfg, stable, exact))
-
-    def test_row_diverging_on_first_step_returns_its_error(self):
-        cfg, u0, exact = toy_problem()
-        # a viscosity of -1e8 amplifies the hat's jumps past the guard at once
-        doomed = OptimizerConfig(n_iters=3, mu_min=-1e8, mu_max=-1e8)
-        partner = OptimizerConfig(n_iters=3)
-        error, report = train_per_step(cfg, (doomed, partner), exact)
-        assert isinstance(error, DivergenceError)
-        assert error.step == 0
-        assert np.array_equal(error.trajectory.states, u0[None])
-        assert error.trajectory.viscosity_history.shape == (0, 16)
-        assert_same_report(report, train_per_step(cfg, partner, exact))
-        with pytest.raises(DivergenceError):
-            train_per_step(cfg, doomed, exact)
+        assert completing.status == "ok" and completing.trajectory.n_steps == 60
+        assert_same_report(diverging, trained_alone(train_per_step, cfg, unstable, exact))
+        assert_same_report(completing, trained_alone(train_per_step, cfg, stable, exact))
 
     def test_configs_with_different_n_iters_rejected(self):
         cfg, _, exact = toy_problem()
@@ -233,8 +240,8 @@ class TestExactTargets:
     def test_rejects_exact_without_a_step_or_of_another_width(self, trainer):
         cfg, _, exact = toy_problem()
         run = {
-            "per_step": lambda e: train_per_step(cfg, OptimizerConfig(n_iters=2), e),
-            "global": lambda e: train_global(cfg, OptimizerConfig(n_iters=2), e),
+            "per_step": lambda e: train_per_step(cfg, (OptimizerConfig(n_iters=2),), e),
+            "global": lambda e: train_global(cfg, (OptimizerConfig(n_iters=2),), e),
             "grid_search": lambda e: constant_mu_grid_search(cfg, e, *PAPER_BOUNDS),
         }[trainer]
         for wrong in (exact[:1], exact[:, :-1], exact[0]):
@@ -243,11 +250,26 @@ class TestExactTargets:
 
 
 class TestTrainGlobal:
+    @pytest.mark.parametrize("second", [
+        OptimizerConfig(learning_rate=2.0, n_iters=10, mu_min=0.0, mu_max=0.02),
+        # -1e8 amplifies the hat's jumps past the guard in the initial sweep
+        OptimizerConfig(n_iters=10, mu_min=-1e8, mu_max=-1e8),
+    ], ids=["both_complete", "second_diverges"])
+    def test_pair_matches_separate_runs_bit_for_bit(self, second):
+        cfg, _, exact = toy_problem()
+        pair = (OptimizerConfig(learning_rate=0.5, n_iters=25), second)
+        reports = train_global(cfg, pair, exact)
+        assert len(reports) == 2
+        for report, opt in zip(reports, pair):
+            assert_same_report(report, trained_alone(train_global, cfg, opt, exact))
+        assert reports[0].status == "ok" and len(reports[0].loss_history) == 26
+        assert reports[1].status == ("ok" if second.mu_min == 0.0 else "divergence")
+
     def test_single_step_agrees_with_per_step(self):
         cfg, _, exact = toy_problem(steps=1)
         opt = OptimizerConfig(n_iters=40)
-        per = train_per_step(cfg, opt, exact)
-        glob = train_global(cfg, opt, exact)
+        (per,) = train_per_step(cfg, (opt,), exact)
+        (glob,) = train_global(cfg, (opt,), exact)
         assert np.allclose(per.trajectory.viscosity_history,
                            glob.trajectory.viscosity_history, rtol=1e-12, atol=1e-15)
         assert per.loss_history[-1] == pytest.approx(glob.loss_history[-1], rel=1e-12)
@@ -258,21 +280,21 @@ class TestTrainGlobal:
         cfg = SchemeConfig(c=0.0, dt=1e-3, grid=grid)
         exact = np.full((6, 16), 0.7)
         # c = 0 starts mu at 0 clipped into the bounds, here mu_min
-        report = train_global(cfg, OptimizerConfig(n_iters=10, mu_min=0.02), exact)
+        (report,) = train_global(cfg, (OptimizerConfig(n_iters=10, mu_min=0.02),), exact)
         assert set(report.loss_history) == {0.0}
         assert np.all(report.trajectory.viscosity_history == 0.02)
 
     def test_degenerate_bounds_constant_history(self):
         cfg, _, exact = toy_problem()
         opt = OptimizerConfig(mu_min=0.005, mu_max=0.005, n_iters=5)
-        report = train_global(cfg, opt, exact)
+        (report,) = train_global(cfg, (opt,), exact)
         assert len(set(report.loss_history)) == 1
 
     def test_beats_constant_viscosity_grid_search(self):
         cfg, _, exact = toy_problem()
         _, best_constant = constant_mu_grid_search(cfg, exact, *PAPER_BOUNDS, n_samples=50
         )
-        report = train_global(cfg, OptimizerConfig(learning_rate=0.5, n_iters=150), exact)
+        (report,) = train_global(cfg, (OptimizerConfig(learning_rate=0.5, n_iters=150),), exact)
         assert min(report.loss_history) < best_constant
 
     @pytest.mark.parametrize("case", ["bound_binds", "candidate_rejected"])
@@ -284,7 +306,7 @@ class TestTrainGlobal:
             cfg = SchemeConfig(c=1.0, dt=1e-3, grid=make_grid(100, 1.0))
             _, exact = hat_problem(cfg, 60)
             opt = OptimizerConfig(learning_rate=20.0, n_iters=2, mu_min=-0.06, mu_max=9.5e-2)
-        report = train_global(cfg, opt, exact)
+        (report,) = train_global(cfg, (opt,), exact)
         losses, mu, states, rejected = reference_train_global(
             exact[0], exact, cfg.c, cfg.dt, cfg.grid.dx, opt.learning_rate, opt.n_iters,
             opt.mu_min, opt.mu_max, opt.resolve_init(cfg),
@@ -310,7 +332,7 @@ class TestTrainGlobal:
 
         monkeypatch.setattr(advisc.optimizer, "simulate", counting_simulate)
         cfg, _, exact = toy_problem()
-        report = train_global(cfg, OptimizerConfig(n_iters=7), exact)
+        (report,) = train_global(cfg, (OptimizerConfig(n_iters=7),), exact)
         assert report.divergence_events == 0
         assert len(report.loss_history) == 8
         # the initial sweep, then one candidate sweep per iteration
@@ -318,7 +340,7 @@ class TestTrainGlobal:
 
     def test_best_iterate_monotone(self):
         cfg, _, exact = toy_problem()
-        report = train_global(cfg, OptimizerConfig(learning_rate=0.5, n_iters=60), exact)
+        (report,) = train_global(cfg, (OptimizerConfig(learning_rate=0.5, n_iters=60),), exact)
         best = np.minimum.accumulate(report.loss_history)
         assert np.all(np.diff(best) <= 0)
         assert min(report.loss_history) == best[-1]
@@ -328,9 +350,9 @@ class TestTrainGlobal:
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
         u0, exact = hat_problem(cfg, 60)
         opt = OptimizerConfig(learning_rate=20.0, n_iters=2, mu_min=-0.06, mu_max=9.5e-2)
-        report = train_global(cfg, opt, exact)
+        (report,) = train_global(cfg, (opt,), exact)
         assert report.divergence_events > 0
-        assert report.converged
+        assert report.status == "ok"
         # report carries the best iterate seen, which stays feasible
         assert np.all(report.trajectory.viscosity_history >= -0.06)
         assert np.all(report.trajectory.viscosity_history <= 9.5e-2)
@@ -348,8 +370,8 @@ class TestTrainGlobal:
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
         _, exact = hat_problem(cfg, 100)
         opt = OptimizerConfig(learning_rate=1e7, n_iters=3, mu_min=-0.06, mu_max=9.5e-2)
-        report = train_global(cfg, opt, exact)
-        assert not report.converged
+        (report,) = train_global(cfg, (opt,), exact)
+        assert report.status == "no_convergence"
         assert report.divergence_events == 3
         # best iterate (the initial one) is still returned with its trajectory
         assert report.trajectory.n_steps == 100

@@ -13,8 +13,10 @@ def test_library_quickstart_runs(capsys):
     section = README.read_text().split("## Library quickstart", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(code, f"{README.name} quickstart", "exec"), {})
-    converged, loss = capsys.readouterr().out.split()[:2]
-    assert converged == "True" and float(loss) > 0
+    lines = capsys.readouterr().out.splitlines()
+    status, loss = lines[0].split()
+    assert status == "ok" and float(loss) > 0
+    assert lines[-1] == "ok True"
 
 
 def test_config_block_names_every_key_of_the_schema():
