@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections.abc import Sequence
 from dataclasses import replace
 from pathlib import Path
 
@@ -187,22 +188,22 @@ def _write_run(
 ) -> None:
     """Write a run's files, each of which analyze checks, then the manifest:
     solution.csv and a training run's mu.csv, then what ``_derived`` gives,
-    plus the summary's status and the optimizer's report. A halted run's CSVs
-    are partial, and a diverged run's manifest records the step that
-    diverged, the trajectory's ``n_steps``. The full error field is not
-    written: it is solution.csv minus the exact solution, which the config
-    reproduces. Every CSV is written a row at a time."""
+    plus the summary's status and the optimizer's report. A diverged run's
+    CSVs are partial, and its manifest records the step that diverged, the
+    trajectory's ``n_steps``. The full error field is not written: it is
+    solution.csv minus the exact solution, which the config reproduces.
+    Every CSV is written a row at a time."""
     grid = traj.config.grid
     times = traj.times
-    losses = None if report is None else report.loss_history
-    csvs, summary = _derived(cfg, traj, times, losses)
     files: list[dict] = []
 
-    def write(name: str, header: list[str], rows) -> None:
+    def write(name: str, header: Sequence[str], rows) -> None:
         write_columns_csv(out_dir / name, header, rows)
         files.append({"name": name})
 
     write("solution.csv", matrix_header(grid.n_cells), _matrix_rows(times, traj.states))
+    losses = None if report is None else report.loss_history
+    csvs, summary = _derived(cfg, traj, times, losses)  # not held while solution.csv is written
     for name, columns in csvs.items():
         if name == "mu_final.csv":  # the manifest lists mu.csv before the files derived from it
             write("mu.csv", matrix_header(grid.n_cells),
@@ -216,10 +217,9 @@ def _write_run(
     write_json(out_dir / "summary.json", summary)
 
     blocks = {"config": config_to_dict(cfg)}
-    if status != "ok":
+    if status == "divergence":  # a halted global run stores its best iterate's full horizon
         for entry in files:
             entry["partial"] = True
-    if status == "divergence":
         blocks["diverged_at_step"] = traj.n_steps
     files.append({"name": "summary.json"})
     _mark_finished(out_dir, files, t_start, status, **blocks)

@@ -46,6 +46,7 @@ class Grid1D:
     def __post_init__(self) -> None:
         if int(self.n_cells) != self.n_cells or self.n_cells < 3:
             raise ValueError("n_cells must be an integer >= 3 (stencils need two neighbors)")
+        object.__setattr__(self, "n_cells", int(self.n_cells))
         if not (np.isfinite(self.dx) and self.dx > 0):
             raise ValueError("dx must be positive and finite")
 
@@ -64,12 +65,11 @@ class Grid1D:
 
 
 def make_grid(n_cells: int, length: float) -> Grid1D:
-    """Build a periodic grid with dx = length / n_cells."""
+    """Build a periodic grid with dx = length / n_cells; ``Grid1D`` checks n_cells."""
     if not (np.isfinite(length) and length > 0):
         raise ValueError("length must be positive and finite")
-    if int(n_cells) != n_cells or n_cells < 3:
-        raise ValueError("n_cells must be an integer >= 3")
-    return Grid1D(n_cells=int(n_cells), dx=length / n_cells)
+    # Grid1D rejects n_cells = 0 before it reads dx
+    return Grid1D(n_cells=n_cells, dx=length / n_cells if n_cells else np.inf)
 
 
 @dataclass(frozen=True)

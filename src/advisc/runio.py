@@ -4,9 +4,11 @@ Every CSV is one header line, then one line per row of comma-separated
 values, each exactly the bytes ``'%.17g' % value`` gives. 17 significant
 digits round-trip IEEE doubles exactly, so recomputing statistics from stored
 files reproduces the original values bit-for-bit. The writer streams the
-rows' values through a vectorized formatter a bounded chunk at a time
+rows' values through a vectorized formatter a chunk of 4096 at a time
 (``_format_chunk``): values with 1e-4 <= |x| < 1e15 are printed from their
 exactly rounded 17 digits, every other value by Python's ``%`` operator.
+With the chunk's slots and the formatter's arrays it holds about 96 bytes
+per chunk value, whatever the file's size.
 One writer and one reader serve every CSV; the reader takes the exact header
 the file must have and raises ``CorruptRunError`` for any other. A
 space-time matrix has the corner-labeled header ``t\\x,x0,x1,...``
@@ -23,7 +25,7 @@ import json
 import math
 import os
 import warnings
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +35,32 @@ class CorruptRunError(ValueError):
     """A stored run file that is unreadable or inconsistent with its run."""
 
 
-def matrix_header(n: int) -> list[str]:
+class _MatrixHeader(Sequence):
+    """The names ``t\\x,x0,...,x{n-1}`` of a space-time matrix of ``n``
+    columns, each made when asked for: held as a list, the n + 1 names of
+    a 2000-cell matrix take 123 kB while its file is written."""
+
+    def __init__(self, n: int):
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n + 1
+
+    def __getitem__(self, index: int | slice):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        column = range(-1, self._n)[index]  # -1 is the time column
+        return "t\\x" if column < 0 else f"x{column}"
+
+    def __iter__(self):
+        yield "t\\x"
+        for j in range(self._n):
+            yield f"x{j}"
+
+
+def matrix_header(n: int) -> Sequence[str]:
     """Header of a space-time matrix of ``n`` columns: ``t\\x,x0,...,x{n-1}``."""
-    return ["t\\x", *(f"x{j}" for j in range(n))]
+    return _MatrixHeader(n)
 
 
 # The formatter writes each value into a slot of _SLOT bytes: its sign at
@@ -43,9 +68,19 @@ def matrix_header(n: int) -> list[str]:
 # bytes between them; deleting the NULs leaves the line text. The longest
 # '%.17g' text, "-2.2250738585072014e-308", and its separator fit in a slot.
 _SLOT = 32
-# Values formatted per _format_chunk call. The writer's scratch memory is a
-# fixed multiple of it, whatever the file's size or row length.
-_CHUNK_VALUES = 1024
+# Values formatted per _format_chunk call, which pays the fixed cost of about
+# a hundred numpy calls for each. The writer holds 8 bytes per value, its
+# slot (_SLOT bytes) and the formatter's arrays (at most 56 bytes per value):
+# about 400 kB at 4096 values, whatever the file's size or row length.
+_CHUNK_VALUES = 4096
+
+# Values outside the fast path's window are printed by ``%`` this many at a
+# time, each left-justified in _SLOT - 1 bytes that are padded with spaces,
+# which become NULs. Their Python floats and texts take about 80 bytes per
+# value, so a batch holds less than the fast path's arrays for a chunk.
+_PERCENT_VALUES = 1024
+_PERCENT_FORMAT = b"%%-%d.17g" % (_SLOT - 1)
+_SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
 
 _U64 = np.uint64
 
@@ -70,107 +105,121 @@ _POW10_HI = _POW10 * _SPLITTER - (_POW10 * _SPLITTER - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 
 
-def _words(text: bytes, start: int) -> list[int]:
-    """``text`` placed from byte ``start`` of three little-endian 64-bit words."""
-    value = int.from_bytes(text, "little") << (8 * start)
-    return [(value >> (64 * w)) & (2 ** 64 - 1) for w in range(3)]
+def _form_tables() -> tuple[np.ndarray, ...]:
+    """How the 17 digits at bytes 1-17 of three words become the text, per
+    form 17 * (D + 4) + z of a value: D its decimal exponent (D = -4..14),
+    z the count of trailing zeros of its digits. The D + 1 integer digits
+    stay in place; after them comes the head, the point or the ``0.`` and
+    zeros of a number below 1; the other digits follow, moved up by the
+    head's length, less their trailing zeros, and the head goes with them
+    if none of them is left. Per form and word: the mask of the bytes that
+    stay, the mask of those the moved digits fill, and the head's bytes;
+    per form, the head's length in bits."""
+    d = np.arange(-4, 15).repeat(17)[:, None]
+    last = 16 - np.tile(np.arange(17), 19)[:, None]  # the index of the last digit printed
+    byte = np.arange(3 * 8)
+    integer = np.maximum(d + 1, 0)
+    head = np.where(d >= 0, 1, 1 - d)
+    stays = (byte >= 1) & (byte <= integer)
+    moves = (byte > integer + head) & (byte <= last + 1 + head)
+    in_head = (last >= integer) & (byte > integer) & (byte <= integer + head)
+    point = integer + np.where(d >= 0, 1, 2)
+    marks = np.where(byte == point, ord("."), ord("0")) * in_head
+
+    def words(table: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(table.astype(np.uint8).view("<u8").astype(_U64).T)
+
+    return (words(stays * 0xFF)[:2], words(moves * 0xFF), words(marks),
+            (8 * head).astype(_U64).ravel())
 
 
-def _exponent_tables() -> tuple[np.ndarray, ...]:
-    """How the 17 digits, from byte 1 of three words, become the text, per
-    decimal exponent D of the fast window (row D + 4, D = -4..14): the bytes
-    that stay in place (the D + 1 integer digits), the bytes put in front of
-    the rest (the point, or the ``0.`` and zeros of a number below 1), the
-    bit shift that makes room for them, and, per count z of trailing zeros
-    of the digits (column 17 * (D + 4) + z), the mask of the text's bytes:
-    the fraction's trailing zeros go, and the point with them if none of
-    the fraction is left."""
-    stays, marks, shifts = [], [], []
-    for d in range(-4, 15):
-        if d >= 0:
-            head, stay, mark = b".", _words(b"\xff" * (d + 1), 1), _words(b".", d + 2)
-        else:
-            head = b"0." + b"0" * (-d - 1)
-            stay, mark = [0, 0, 0], _words(head, 1)
-        stays.append(stay[:2])
-        marks.append(mark)
-        shifts.append(8 * len(head))
-    d, z = np.arange(-4, 15)[:, None], np.arange(17)
-    fraction = np.maximum(16 - d - z, 0)
-    length = np.where(d >= 0, d + 1 + (fraction > 0) * (1 + fraction), 18 - d - z)
-    byte = np.arange(24)
-    in_text = ((byte >= 1) & (byte <= length[..., None])).astype(np.uint8) * np.uint8(0xFF)
-    masks = in_text.view("<u8").astype(_U64).reshape(-1, 3).T
-    stays, marks = (np.array(rows, dtype=_U64).T.copy() for rows in (stays, marks))
-    return stays, marks, np.array(shifts, dtype=_U64), np.ascontiguousarray(masks)
+_STAYS, _MOVES, _MARKS, _SHIFTS = _form_tables()
 
 
-_STAYS, _MARKS, _SHIFTS, _TEXT_MASKS = _exponent_tables()
-
-
-def _round_scaled(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """round-half-even(a * 10**k), exact for a * 10**k in [2**53, 2**62).
+def _round_scaled(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """round-half-even(a * 10**k) for k = 16 - d, exact for a * 10**k in [2**53, 2**62).
 
     Dekker's two-product gives ``product + error == a * 10**k`` exactly. A
     double of at least 2**53 is an even integer, so rounding the sum half
     to even is rounding the error half to even and adding it. Below 2**53
     the result can be one off, which still tells ``_decimal`` that it is
-    below 10**16."""
+    below 10**16. Each product is formed in a factor that is not needed
+    again, so the stage holds seven arrays of ``a``'s size at most."""
+    k = np.subtract(16, d, dtype=np.int64)
+    product = _POW10[k]
+    product *= a
+    p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
+    del k
     a_hi = a * _SPLITTER
     a_lo = a_hi - a
     a_hi -= a_lo
     np.subtract(a, a_hi, out=a_lo)
-    p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
-    product = a * _POW10[k]
     error = a_hi * p_hi
     error -= product
-    error += a_hi * p_lo
-    error += a_lo * p_hi
-    error += a_lo * p_lo
-    return product.astype(np.int64) + np.rint(error, out=error).astype(np.int64)
+    a_hi *= p_lo
+    error += a_hi
+    p_hi *= a_lo
+    error += p_hi
+    a_lo *= p_lo
+    error += a_lo
+    del a_hi, a_lo, p_hi, p_lo
+    digits = product.astype(np.int64)
+    del product
+    digits += np.rint(error, out=error).astype(np.int64)
+    return digits
 
 
 def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The decimal exponent D, 10**D <= a < 10**(D + 1), and the 17 digits N,
-    the nearest integer to a * 10**(16 - D) (ties to even), of each
-    1e-4 <= a < 1e15. D is taken from log10 and corrected by one where N
-    falls outside [10**16, 10**17)."""
-    d = np.floor(np.log10(a)).astype(np.int64)
-    digits = _round_scaled(a, 16 - d)
+    """The decimal exponent D, 10**D <= a < 10**(D + 1), as int8, and the 17
+    digits N, the nearest integer to a * 10**(16 - D) (ties to even), of
+    each 1e-4 <= a < 1e15. D is taken from log10 and corrected by one where
+    N falls outside [10**16, 10**17)."""
+    d = np.log10(a)
+    d = np.floor(d, out=d).astype(np.int8)
+    digits = _round_scaled(a, d)
     off = np.flatnonzero((digits - 10 ** 16).view(_U64) >= _U64(9 * 10 ** 16))
     if len(off):
         d[off] += np.where(digits[off] < 10 ** 16, -1, 1)
-        digits[off] = _round_scaled(a[off], 16 - d[off])
+        digits[off] = _round_scaled(a[off], d[off])
     return d, digits
 
 
 def _ascii(digits: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """The 17 digits of each N as ASCII bytes 1-17 of three words, and the
-    count of N's trailing decimal zeros."""
+    count of N's trailing decimal zeros; ``digits`` is overwritten. Each
+    4-digit group is dropped once its ASCII is in a word, so the stage holds
+    six arrays of ``digits``' size at most."""
     high = digits // 10 ** 8
     low = digits - high * 10 ** 8
-    lead = high // 10 ** 8
+    lead = np.floor_divide(digits, 10 ** 16, out=digits)  # the caller keeps digits alive
     high -= lead * 10 ** 8
     groups = []  # N = lead * 10**16 + the 4-digit groups g0 g1 g2 g3
     for part in (high, low):
         top = part // 10_000
         part -= top * 10_000
         groups += [top, part]
-    zeros = _TRAILING_ZEROS4.take(groups[3])
+    del high, low, top, part
+    zeros = _TRAILING_ZEROS4[groups[3]]
     more = np.flatnonzero(zeros == 4)
-    for group in groups[2::-1]:
+    for i in (2, 1, 0):
         if not len(more):
             break
-        extra = _TRAILING_ZEROS4.take(group[more])
+        extra = _TRAILING_ZEROS4[groups[i][more]]
         zeros[more] += extra
         more = more[extra == 4]
-    s0, s1 = (_DIGITS4.take(groups[i]) | (_DIGITS4.take(groups[i + 1]) << _U64(32)) for i in (0, 2))
+    s1 = _DIGITS4[groups.pop()]  # each group's ASCII in 32 bits: g2 g3, then g0 g1
+    s1 <<= _U64(32)
+    s1 |= _DIGITS4[groups.pop()]
+    s0 = _DIGITS4[groups.pop()]
+    s0 <<= _U64(32)
+    s0 |= _DIGITS4[groups.pop()]
     s2 = s1 >> _U64(48)
     s1 <<= _U64(16)
     s1 |= s0 >> _U64(48)
     s0 <<= _U64(16)
     lead += ord("0")
-    s0 |= lead.view(_U64) << _U64(8)
+    lead <<= 8
+    s0 |= lead.view(_U64)
     return [s0, s1, s2], zeros
 
 
@@ -182,62 +231,84 @@ def _format_chunk(values: np.ndarray, slots: np.ndarray, n_cols: int, offset: in
     For 1e-4 <= |x| < 1e15, ``%.17g`` prints fixed-point: the 17 digits of
     |x| (``_decimal``) with a point after digit D + 1 (D >= 0) or behind
     ``0.`` and -D - 1 zeros (D < 0), less the fraction's trailing zeros. A
-    zero is "0" or "-0"; every other value is formatted by ``%``, all of
-    them in one call."""
+    zero is "0" or "-0"; every other value is formatted by ``%``,
+    _PERCENT_VALUES at a time. Where at most half the values are outside
+    the window, the fast path formats them too, as 0.1, and their slots are
+    overwritten; otherwise it formats only the values inside. Every stage
+    holds at most seven arrays of the chunk's size, 56 bytes per value."""
     slots = slots[:len(values)]
     a = np.abs(values)
-    in_window = (a >= 1e-4) & (a < 1e15)
-    slow = np.flatnonzero(~in_window)
-    fast = np.flatnonzero(in_window) if len(slow) else slice(None)
-    d, digits = _decimal(a[fast])
+    inside = a >= 1e-4
+    inside &= a < 1e15
+    if 2 * np.count_nonzero(inside) < len(values):
+        fast = np.flatnonzero(inside)
+        a = a[fast]
+    else:
+        fast = slice(None)
+        np.putmask(a, ~inside, 0.1)
+    d, digits = _decimal(a)
     del a
-    (s0, s1, s2), zeros = _ascii(digits)
+    s, zeros = _ascii(digits)
     del digits
-    row = d + 4
-    masks = 17 * row + zeros
-    shift = _SHIFTS[row]
-    back = _U64(64) - shift
-    stay0, stay1 = s0 & _STAYS[0][row], s1 & _STAYS[1][row]
-    s0 ^= stay0
-    s1 ^= stay1
-    slots[fast, 0] = ((stay0 | _MARKS[0][row] | (s0 << shift)) & _TEXT_MASKS[0][masks]
-                      | (values[fast] < 0) * _U64(ord("-")))
-    slots[fast, 1] = ((stay1 | _MARKS[1][row] | (s1 << shift) | (s0 >> back))
-                      & _TEXT_MASKS[1][masks])
-    slots[fast, 2] = (_MARKS[2][row] | (s2 << shift) | (s1 >> back)) & _TEXT_MASKS[2][masks]
+    form = (d + 4).astype(np.int64)
+    form *= 17
+    form += zeros  # 17 * (D + 4) + z, each value's column of the form tables
+    del d, zeros
+    shift = _SHIFTS[form]
+    for w in (2, 1, 0):  # word w takes the bytes that the shift moves out of word w - 1
+        word = s[w]
+        stay = word & _STAYS[w][form] if w < 2 else _U64(0)
+        word <<= shift
+        if w:
+            back = np.subtract(_U64(64), shift)
+            word |= np.right_shift(s[w - 1], back, out=back)
+            del back
+        word &= _MOVES[w][form]
+        word |= stay
+        word |= _MARKS[w][form]
+        slots[fast, w] = word
+        s[w] = word = stay = None
+    del shift, form
     slots[:, 3] = 0
     text = slots.view(np.uint8)
+    text[:, 0] = np.signbit(values)
+    text[:, 0] *= ord("-")
     text[:, -1] = ord(",")
     text[(n_cols - 1 - offset) % n_cols::n_cols, -1] = ord("\n")
+    slow = np.flatnonzero(~inside)
     if len(slow):
         is_zero = values[slow] == 0
         zero, slow = slow[is_zero], slow[~is_zero]
         slots[zero, 0] = np.signbit(values[zero]) * _U64(ord("-")) | _U64(ord("0") << 8)
         slots[zero, 1:3] = 0
-        formatted = ("%.17g\0" * len(slow) % tuple(values[slow].tolist())).encode()
-        text[slow, :-1] = np.array(formatted.split(b"\0")[:-1], dtype=f"S{_SLOT - 1}").view(
-            np.uint8).reshape(-1, _SLOT - 1)
+        for start in range(0, len(slow), _PERCENT_VALUES):
+            batch = slow[start:start + _PERCENT_VALUES]
+            texts = _PERCENT_FORMAT * len(batch) % tuple(values[batch].tolist())
+            text[batch, :-1] = np.frombuffer(texts.translate(_SPACE_TO_NUL), np.uint8).reshape(
+                -1, _SLOT - 1)
 
 
-def write_columns_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
+def write_columns_csv(path: str | Path, header: Sequence[str], rows: Iterable) -> None:
     """Write the header line, then one line per row, a sequence of one number
     per header name, each printed as ``'%.17g' % value`` does; a row of
     another length raises ValueError. Rows are taken in turn and their values
     formatted _CHUNK_VALUES at a time, so a large file never exists as one
-    string or one array."""
+    string or one array. The header line is written before the chunk's
+    buffers exist, so that the names ``",".join`` collects from a
+    ``matrix_header`` are not held with them."""
     n_cols = len(header)
-    values = np.empty(_CHUNK_VALUES)
-    buffer = bytearray(_CHUNK_VALUES * _SLOT)
-    slots = np.frombuffer(buffer, "<u8").reshape(_CHUNK_VALUES, _SLOT // 8)
-    filled = done = 0
-
-    def flush(f) -> None:
-        _format_chunk(values[:filled], slots, n_cols, done)
-        slots[filled:] = 0
-        f.write(buffer.translate(None, b"\0"))
-
     with open(path, "wb") as f:
         f.write((",".join(header) + "\n").encode())
+        values = np.empty(_CHUNK_VALUES)
+        buffer = bytearray(_CHUNK_VALUES * _SLOT)
+        slots = np.frombuffer(buffer, "<u8").reshape(_CHUNK_VALUES, _SLOT // 8)
+        filled = done = 0
+
+        def flush() -> None:
+            _format_chunk(values[:filled], slots, n_cols, done)
+            slots[filled:] = 0
+            f.write(buffer.translate(None, b"\0"))
+
         for row in rows:
             row = np.asarray(row, dtype=np.float64)
             if row.shape != (n_cols,):
@@ -248,13 +319,13 @@ def write_columns_csv(path: str | Path, header: list[str], rows: Iterable) -> No
                 values[filled:filled + take] = row[start:start + take]
                 filled, start = filled + take, start + take
                 if filled == _CHUNK_VALUES:
-                    flush(f)
+                    flush()
                     done, filled = done + filled, 0
         if filled:
-            flush(f)
+            flush()
 
 
-def read_columns_csv(path: str | Path, header: list[str]) -> np.ndarray:
+def read_columns_csv(path: str | Path, header: Sequence[str]) -> np.ndarray:
     """Inverse of write_columns_csv for a file with exactly ``header``; returns
     an array with one column per header name, empty for a header-only file.
 

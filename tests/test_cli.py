@@ -105,6 +105,13 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["stats"]["entropy_final"] > summary["stats"]["entropy_initial"]
 
+    @pytest.mark.parametrize("n_cells", [2, 3.5, 0])
+    def test_bad_cell_count_exits_3(self, tmp_path, capsys, n_cells):
+        cfg_path, out = write_config(tmp_path, n_cells=n_cells)
+        assert main(["run", "--config", str(cfg_path)]) == 3
+        assert "n_cells" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ftcs_mu_requires_mu_key(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, scheme="ftcs_mu")
         assert main(["run", "--config", str(cfg_path)]) == 3
@@ -417,6 +424,21 @@ class TestTrainCommand:
         # the run halts mid-horizon at the step whose state diverged
         _, states = read_matrix(out / "solution.csv")
         assert 0 < manifest["diverged_at_step"] == len(states) - 1 < 100
+
+    def test_halted_global_training_stores_whole_csvs(self, tmp_path):
+        cfg_path, out = write_config(
+            tmp_path, scheme="ftcs_mu", t_final=0.1, kind="hat",
+            training="\n[training]\nmode = global\nn_iters = 20\n"
+                     "learning_rate = 1e12\nmu_min = -0.005\nmu_max = 0.095\n",
+        )
+        assert main(["train", "--config", str(cfg_path)]) == 5
+        manifest = read_manifest(out)
+        assert manifest["status"] == "no_convergence"
+        # the best iterate's whole horizon is stored, so no file is partial
+        assert "diverged_at_step" not in manifest
+        assert not any(entry.get("partial") for entry in manifest["files"])
+        _, states = read_matrix(out / "solution.csv")
+        assert len(states) == 101
 
 
 class TestAnalyzeCommand:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,6 +375,20 @@ def powers_of_ten_and_neighbours(exponents, ulps: int) -> np.ndarray:
     return np.concatenate((values, -values))
 
 
+def hat_like_rows(n_rows: int, n_cols: int, seed: int = 0) -> np.ndarray:
+    """Rows like the states of a hat run: values of order one printed from
+    their 17 digits, tails below 1e-4 that ``%`` prints, runs of exact zeros
+    and negative values, at a different place in each row, so that every
+    kind of value straddles the edges of the writer's chunks."""
+    rng = np.random.default_rng(seed)
+    x = (np.arange(n_cols) + 0.5) / n_cols
+    distance = np.abs((x - rng.random((n_rows, 1)) + 0.5) % 1.0 - 0.5)
+    rows = np.exp(-((distance / 0.04) ** 2)) * (1.0 + 0.1 * np.sin(40.0 * x))
+    rows[distance > 0.3] = 0.0
+    rows[:, ::5] *= -1.0
+    return rows
+
+
 class TestCsvFormat:
     """The writer prints every value exactly as ``'%.17g' %`` does: its bytes
     equal those of the reference writer, which formats each row with ``%``."""
@@ -459,6 +474,26 @@ class TestCsvFormat:
         rows[3] = 0.0  # whole chunks with no value the kernel formats itself
         self.assert_same_bytes(tmp_path, matrix_header(n_cols - 1), rows)
 
+    @pytest.mark.parametrize("n_cols", [1001, _CHUNK_VALUES + 1, 3 * _CHUNK_VALUES // 2])
+    def test_hat_like_rows_across_chunk_edges(self, tmp_path, n_cols):
+        rows = hat_like_rows(7, n_cols)
+        assert np.any((rows != 0) & (np.abs(rows) < 1e-4)) and np.any(rows == 0)
+        self.assert_same_bytes(tmp_path, matrix_header(n_cols - 1), rows)
+
+    def test_value_kinds_that_change_at_chunk_edges(self, tmp_path):
+        """Each chunk holds one kind of value. A chunk with fewer than half of
+        its values inside the fixed-point window formats only those; one with
+        at least half formats all of them, and then the others' slots."""
+        rng = np.random.default_rng(5)
+        size = _CHUNK_VALUES
+        ordinary = rng.uniform(0.5, 2.0, size) * rng.choice([-1.0, 1.0], size)
+        tiny = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300, -4.5, size)
+        half = np.where(np.arange(size) % 2 == 0, ordinary, tiny)
+        under_half = half.copy()
+        under_half[0] = 0.0
+        chunks = [np.zeros(size), tiny, half, under_half, ordinary, -ordinary[::-1]]
+        self.assert_values_formatted(tmp_path, np.concatenate(chunks), n_cols=1000)
+
     def test_header_only_file(self, tmp_path):
         self.assert_same_bytes(tmp_path, ["t", "entropy"], [])
         assert (tmp_path / "kernel.csv").read_bytes() == b"t,entropy\n"
@@ -466,6 +501,33 @@ class TestCsvFormat:
     def test_a_row_of_another_width_raises(self, tmp_path):
         with pytest.raises(ValueError):
             write_columns_csv(tmp_path / "bad.csv", ["a", "b"], [(1.0, 2.0), (3.0,)])
+
+
+class TestWriterMemory:
+    """The writer holds one chunk of values, their slots and the formatter's
+    arrays, whatever the length of the file."""
+
+    @staticmethod
+    def traced_peak(path, matrix) -> int:
+        """Peak traced memory of writing ``matrix`` a row at a time; the matrix
+        and its header exist before tracing starts, so the peak leaves them out."""
+        header = matrix_header(matrix.shape[1] - 1)
+        tracemalloc.start()
+        try:
+            write_columns_csv(path, header, iter(matrix))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_scratch_is_a_fixed_multiple_of_the_chunk(self, tmp_path):
+        peaks = []
+        for n_rows in (20, 80):
+            rows = hat_like_rows(n_rows, 2001)
+            rows[::2, 1:] = np.sin(np.linspace(0.0, 7.0, 2000))  # smooth rows: the fast path
+            peaks.append(self.traced_peak(tmp_path / "m.csv", rows))
+        assert abs(peaks[1] - peaks[0]) <= 0.02 * peaks[0], peaks
+        chunk_bytes = _CHUNK_VALUES * 8
+        assert max(peaks) < 14 * chunk_bytes, f"{max(peaks) / chunk_bytes:.1f} chunks of doubles"
 
 
 class TestManifest:

@@ -37,10 +37,14 @@ class TestMakeGrid:
         grid = make_grid(7, 2.5)
         assert grid.length == grid.n_cells * grid.dx
 
-    @pytest.mark.parametrize("n, length", [(2, 1.0), (0, 1.0), (10, 0.0), (10, -1.0)])
+    @pytest.mark.parametrize("n, length", [(2, 1.0), (0, 1.0), (3.5, 1.0), (10, 0.0), (10, -1.0)])
     def test_rejects_bad_construction(self, n, length):
         with pytest.raises(ValueError):
             make_grid(n, length)
+
+    def test_integral_float_cell_count_is_stored_as_int(self):
+        for grid in (make_grid(4.0, 1.0), Grid1D(4.0, 0.25)):
+            assert grid.n_cells == 4 and type(grid.n_cells) is int
 
 
 class TestFieldContainers:
