@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .diagnostics import _ROW_BLOCK
 from .schemes import SchemeConfig, Trajectory, simulate
 
 
@@ -29,18 +30,24 @@ def loss_value(traj: Trajectory, exact: np.ndarray) -> float:
     which is the exact state at time m*dt (the shape of ``traj.states``).
 
     The mean runs over the cells and the steps 1 .. M; the initial condition
-    is mu-independent and excluded.
+    is mu-independent and excluded. The squared error is formed a block of
+    rows at a time, as in ``diagnostics.entropy_series``, so no temporary as
+    large as the states exists; each row is still summed alone and the row
+    sums added in step order, so the value is that of squaring all at once.
     """
     _check_exact(traj, exact)
     n_steps = traj.n_steps
     if n_steps == 0:
         return 0.0
-    coef = 1.0 / (traj.config.grid.n_cells * n_steps)
-    err = traj.states[1:] - exact[1:]
-    np.multiply(err, err, out=err)
+    n = traj.config.grid.n_cells
+    coef = 1.0 / (n * n_steps)
+    rows = max(1, _ROW_BLOCK // n)
     total = 0.0
-    for row_sum in np.sum(err, axis=1).tolist():  # each row summed as on its own
-        total += coef * row_sum
+    for start in range(1, n_steps + 1, rows):
+        err = traj.states[start:start + rows] - exact[start:start + rows]
+        np.multiply(err, err, out=err)
+        for row_sum in np.sum(err, axis=1).tolist():
+            total += coef * row_sum
     return total
 
 

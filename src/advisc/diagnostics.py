@@ -21,8 +21,8 @@ def mse(u: np.ndarray, exact: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
-# Entries of the temporaries that entropy_series and mu_stats hold at once:
-# 64 KB of doubles.
+# Entries of the temporaries that entropy_series, mu_stats and
+# adjoint.loss_value hold at once: 64 KB of doubles.
 _ROW_BLOCK = 1 << 13
 
 

@@ -230,46 +230,59 @@ def _train_global_one(cfg: SchemeConfig, opt: OptimizerConfig,
     the step size (the reduction persists); once more than MAX_HALVINGS
     candidates have diverged, training halts with status "no_convergence". An
     initial sweep that diverges ends the run with status "divergence" and its
-    partial trajectory. Reports the best (lowest-loss) iterate seen, with its
-    trajectory.
+    partial trajectory.
+
+    Reports the best (lowest-loss) iterate seen, with its trajectory. An
+    accepted iterate's states are dropped once its gradient is taken, so a
+    candidate's sweep runs beside only that iterate's viscosity and gradient,
+    and the best iterate is kept as its viscosity and loss. When the best is
+    the last accepted iterate, the report carries that iterate's sweep.
+    Otherwise, and whenever training halts with "no_convergence", one more
+    ``simulate`` of the best viscosity rebuilds its trajectory at the end; the
+    sweep is deterministic, so that is the trajectory the iterate had, bit for
+    bit.
     """
     n_steps = _horizon(exact, cfg)
     lr = opt.learning_rate
-
-    def evaluate(values: np.ndarray) -> tuple[float, Trajectory]:
-        traj = simulate(exact[0], n_steps, cfg, mu=values)
-        return loss_value(traj, exact), traj
-
-    # simulate copies its mu, so this one buffer can hold every candidate.
     candidate = np.full((n_steps, cfg.grid.n_cells), opt.resolve_init(cfg))
     try:
-        best_loss, traj_cur = evaluate(candidate)
+        traj = simulate(exact[0], n_steps, cfg, mu=candidate)
     except DivergenceError as err:
         return TrainingReport((), err.trajectory, "divergence", 1)
-    best_traj = traj_cur
-    losses = [best_loss]
+    losses = [loss_value(traj, exact)]
+    # best_mu is None while the best iterate is the current one.
+    best_loss, best_mu = losses[0], None
     divergences = 0
 
     for _ in range(opt.n_iters):
-        grad = grad_mu_global(traj_cur, exact)
-        while True:
+        grad = grad_mu_global(traj, exact)
+        mu, traj = traj.viscosity_history, None
+        while traj is None and divergences <= MAX_HALVINGS:
             np.multiply(lr, grad, out=candidate)
-            np.subtract(traj_cur.viscosity_history, candidate, out=candidate)
+            np.subtract(mu, candidate, out=candidate)
             np.clip(candidate, opt.mu_min, opt.mu_max, out=candidate)
             try:
-                loss_cand, traj_cur = evaluate(candidate)
-                break
+                traj = simulate(exact[0], n_steps, cfg, mu=candidate)
             except DivergenceError:
                 divergences += 1
                 lr *= 0.5
-                if divergences > MAX_HALVINGS:
-                    return TrainingReport(tuple(losses), best_traj, "no_convergence",
-                                          divergences)
-        losses.append(loss_cand)
-        if loss_cand < best_loss:
-            best_loss, best_traj = loss_cand, traj_cur
+        if traj is None:
+            break
+        del grad  # the next gradient is not formed beside this one
+        losses.append(loss_value(traj, exact))
+        if losses[-1] < best_loss:
+            best_loss, best_mu = losses[-1], None
+        elif best_mu is None:
+            best_mu = mu
 
-    return TrainingReport(tuple(losses), best_traj, "ok", divergences)
+    halted = traj is None
+    if halted and best_mu is None:  # halted at the best iterate, whose states were dropped
+        best_mu = mu
+    if best_mu is not None:
+        traj = grad = candidate = mu = None  # re-sweep beside the best viscosity alone
+        traj = simulate(exact[0], n_steps, cfg, mu=best_mu)
+    return TrainingReport(tuple(losses), traj, "no_convergence" if halted else "ok",
+                          divergences)
 
 
 def constant_mu_grid_search(

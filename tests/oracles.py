@@ -5,8 +5,8 @@ not numpy stencils, so it shares no code path with the package under test.
 The exceptions are the np.roll oracles ``reference_ftcs_flux`` (the face
 flux), ``reference_grad_mu_step`` (the exact one-step gradient) and
 ``reference_step_transpose`` (the transposed step), and the
-``reference_train_per_step``, ``reference_grad_mu_global`` and
-``reference_train_global`` built on them. They pin the trainers and the
+``reference_train_per_step``, ``reference_grad_mu_global``, ``reference_loss``
+and ``reference_train_global`` built on them. They pin the trainers and the
 adjoint sweep bit for bit, so they repeat the library's numpy operations in
 their original order, with np.roll for every periodic neighbour.
 So does ``reference_negative_mass_near_discontinuity``, the per-step loop
@@ -185,6 +185,18 @@ def reference_grad_mu_global(states, mu, exacts, c, dt, dx):
     return grad
 
 
+def reference_loss(states, exacts):
+    """The whole-horizon mean squared error over the cells and the steps
+    1 .. n_steps, one step at a time: each step's squared error is summed
+    alone and the sums are added, times 1/(n*n_steps), in step order."""
+    n_steps, n = len(states) - 1, len(states[0])
+    coef, total = 1.0 / (n * n_steps), 0.0
+    for m in range(1, n_steps + 1):
+        err = states[m] - exacts[m]
+        total += coef * float(np.sum(err * err))
+    return total
+
+
 def reference_train_global(u0, exacts, c, dt, dx, learning_rate, n_iters, mu_min, mu_max,
                            init_mu):
     """Whole-horizon projected gradient descent, written out with np.roll.
@@ -209,16 +221,9 @@ def reference_train_global(u0, exacts, c, dt, dx, learning_rate, n_iters, mu_min
             states.append(u)
         return np.array(states)
 
-    def loss(states):
-        coef, total = 1.0 / (n * n_steps), 0.0
-        for m in range(1, n_steps + 1):
-            err = states[m] - exacts[m]
-            total += coef * float(np.sum(err * err))
-        return total
-
     mu = np.full((n_steps, n), init_mu)
     states = sweep(mu)
-    losses = [loss(states)]
+    losses = [reference_loss(states, exacts)]
     best = (losses[0], mu, states)
     lr, rejected = learning_rate, 0
     for _ in range(n_iters):
@@ -231,7 +236,7 @@ def reference_train_global(u0, exacts, c, dt, dx, learning_rate, n_iters, mu_min
             rejected += 1
             lr *= 0.5
         mu, states = candidate, candidate_states
-        losses.append(loss(states))
+        losses.append(reference_loss(states, exacts))
         if losses[-1] < best[0]:
             best = (losses[-1], mu, states)
     return losses, best[1], best[2], rejected

@@ -11,6 +11,7 @@ from oracles import (
     naive_upwind_states,
     reference_grad_mu_global,
     reference_grad_mu_step,
+    reference_loss,
     reference_step_transpose,
 )
 
@@ -79,6 +80,20 @@ class TestLossValue:
         for wrong in (exact[:-1], exact[:, :-1], exact[-1]):
             with pytest.raises(ValueError, match="shape"):
                 loss_value(traj, wrong)
+
+    @pytest.mark.parametrize("n, steps", [(1000, 20), (9000, 3)],
+                             ids=["partial_last_block", "one_row_per_block"])
+    def test_blocked_rows_match_per_row_oracle_bit_for_bit(self, n, steps):
+        # loss_value squares a 64 KB block of rows at a time: 8 rows of 1000
+        # cells, so 20 steps end in a partial block, or a single row once a
+        # row alone passes 8192 cells.
+        grid = make_grid(n, 1.0)
+        cfg = SchemeConfig(c=1.0, dt=0.1 * grid.dx, grid=grid)
+        rng = np.random.default_rng(n)
+        states = rng.uniform(-1, 1, (steps + 1, n))
+        exact = rng.uniform(-1, 1, (steps + 1, n))
+        assert loss_value(Trajectory(states=states, config=cfg), exact) == \
+            reference_loss(states, exact)
 
 
 class TestInstantaneousGradient:

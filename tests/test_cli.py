@@ -952,7 +952,8 @@ class TestAnalyzeCommand:
 
 
 class TestMemoryBudget:
-    """A plain run and its analysis hold each stored space-time matrix once."""
+    """A plain run and its analysis hold each stored space-time matrix once;
+    whole-horizon training holds six."""
 
     N_CELLS, N_STEPS = 2000, 100
 
@@ -980,6 +981,22 @@ class TestMemoryBudget:
             assert peak < 1.5 * matrix_bytes, f"{argv[0]} peaked at {peak / matrix_bytes:.2f} matrices"
         _, states = read_matrix(out / "solution.csv")
         assert states.shape == (self.N_STEPS + 1, self.N_CELLS)
+
+    def test_global_train_peak_under_six_and_a_half_matrices(self, tmp_path):
+        # The exact states, the accepted iterate's viscosity and gradient, the
+        # candidate, and the candidate sweep's copied viscosity and states.
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "global.cfg"
+        cfg_path.write_text(
+            f"[simulation]\nscheme = ftcs_mu\nn_cells = {self.N_CELLS}\nlength = 1.0\n"
+            f"c = 1.0\ndt = 0.0002\nt_final = 0.02\n[initial_condition]\nkind = hat\n"
+            f"[training]\nmode = global\nlearning_rate = 0.01\nn_iters = 3\n"
+            f"mu_min = -0.00025\nmu_max = 0.00475\n[output]\ndirectory = {out}\n")
+        matrix_bytes = (self.N_STEPS + 1) * self.N_CELLS * 8
+        code, peak = self.traced_peak(["train", "--config", str(cfg_path)])
+        assert code == 0
+        assert peak < 6.5 * matrix_bytes, f"train peaked at {peak / matrix_bytes:.2f} matrices"
+        assert read_manifest(out)["status"] == "ok"
 
     def test_run_writes_every_csv_row_by_row(self, tmp_path, monkeypatch):
         import advisc.cli

@@ -297,15 +297,29 @@ class TestTrainGlobal:
         (report,) = train_global(cfg, (OptimizerConfig(learning_rate=0.5, n_iters=150),), exact)
         assert min(report.loss_history) < best_constant
 
-    @pytest.mark.parametrize("case", ["bound_binds", "candidate_rejected"])
-    def test_matches_roll_oracle_bit_for_bit(self, case):
-        if case == "bound_binds":
-            cfg, _, exact = toy_problem()
-            opt = OptimizerConfig(learning_rate=0.5, n_iters=25)
-        else:
+    @pytest.mark.parametrize("case", ["bound_binds", "candidate_rejected",
+                                      "best_second_to_last", "best_first_step"])
+    def test_matches_roll_oracle_bit_for_bit(self, monkeypatch, case):
+        import advisc.optimizer
+
+        sweeps = []
+
+        def counting_simulate(*args, **kwargs):
+            sweeps.append(1)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(advisc.optimizer, "simulate", counting_simulate)
+        if case == "candidate_rejected":
             cfg = SchemeConfig(c=1.0, dt=1e-3, grid=make_grid(100, 1.0))
             _, exact = hat_problem(cfg, 60)
             opt = OptimizerConfig(learning_rate=20.0, n_iters=2, mu_min=-0.06, mu_max=9.5e-2)
+        else:
+            # At the two larger learning rates the projection onto the bounds
+            # makes the iterates oscillate, so the lowest loss is not the last.
+            cfg, _, exact = toy_problem()
+            opt = OptimizerConfig(learning_rate={"bound_binds": 0.5, "best_second_to_last": 5.0,
+                                                 "best_first_step": 500.0}[case],
+                                  n_iters=25 if case == "bound_binds" else 10)
         (report,) = train_global(cfg, (opt,), exact)
         losses, mu, states, rejected = reference_train_global(
             exact[0], exact, cfg.c, cfg.dt, cfg.grid.dx, opt.learning_rate, opt.n_iters,
@@ -315,11 +329,19 @@ class TestTrainGlobal:
         assert np.array_equal(report.trajectory.viscosity_history, mu)
         assert np.array_equal(report.trajectory.states, states)
         assert report.divergence_events == rejected
+        best = losses.index(min(losses))
+        # The initial sweep, one per candidate, and one more when the best
+        # iterate is not the last, to rebuild its dropped states.
+        assert len(sweeps) == 1 + opt.n_iters + rejected + (best != opt.n_iters)
         if case == "bound_binds":
             assert rejected == 0
             assert np.any(mu == opt.mu_min) and np.any(mu == opt.mu_max)
-        else:
+        elif case == "candidate_rejected":
             assert rejected > 0
+        else:
+            assert rejected == 0
+            assert best == {"best_second_to_last": 9, "best_first_step": 1}[case]
+            assert len(sweeps) == opt.n_iters + 2
 
     def test_one_forward_sweep_per_iteration(self, monkeypatch):
         import advisc.optimizer
@@ -364,14 +386,26 @@ class TestTrainGlobal:
 
     def test_exhausted_halvings_yield_failure_report(self, monkeypatch):
         import advisc.optimizer
+        from advisc.adjoint import loss_value
 
         monkeypatch.setattr(advisc.optimizer, "MAX_HALVINGS", 2)
         grid = make_grid(100, 1.0)
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
-        _, exact = hat_problem(cfg, 100)
-        opt = OptimizerConfig(learning_rate=1e7, n_iters=3, mu_min=-0.06, mu_max=9.5e-2)
-        (report,) = train_global(cfg, (opt,), exact)
-        assert report.status == "no_convergence"
-        assert report.divergence_events == 3
-        # best iterate (the initial one) is still returned with its trajectory
-        assert report.trajectory.n_steps == 100
+        u0, exact = hat_problem(cfg, 100)
+        # The best iterate is the initial one: at 1e7 the first iteration
+        # halts, so it is the current iterate; at 5 a worse iterate is
+        # accepted first. A halted run has dropped the current iterate's
+        # states, so either way the report is a fresh sweep of the best
+        # viscosity.
+        for learning_rate, n_accepted in ((1e7, 1), (5.0, 2)):
+            opt = OptimizerConfig(learning_rate=learning_rate, n_iters=3, mu_min=-0.06,
+                                  mu_max=9.5e-2)
+            (report,) = train_global(cfg, (opt,), exact)
+            assert report.status == "no_convergence"
+            assert report.divergence_events == 3
+            assert len(report.loss_history) == n_accepted
+            assert min(report.loss_history) == report.loss_history[0]
+            assert report.trajectory.n_steps == 100
+            fresh = simulate(u0, 100, cfg, mu=report.trajectory.viscosity_history)
+            assert np.array_equal(report.trajectory.states, fresh.states)
+            assert loss_value(report.trajectory, exact) == min(report.loss_history)
