@@ -5,17 +5,21 @@ gradient of the quadratic tracking loss is available in closed form: one
 forward sweep records the states, one reverse sweep propagates adjoint
 variables through the transposed step operator, and each per-step gradient
 is the adjoint contracted against the step's mu-sensitivity at the recorded
-state. The per-step trainer's one-step gradient is the same contraction,
-inlined in ``optimizer._descend``. A central finite-difference oracle is
-provided for verification.
+state. The transposed step is the forward FTCS step with the advection
+reversed, A^T(c, mu) = A(-c, mu), so the sweep steps through the same kernel
+as ``simulate``. The per-step trainer's one-step gradient is the same
+contraction, inlined in ``optimizer._descend``. A central finite-difference
+oracle is provided for verification.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .diagnostics import _ROW_BLOCK
-from .schemes import SchemeConfig, Trajectory, simulate
+from .diagnostics import row_sums_of_squares
+from .schemes import SchemeConfig, Trajectory, _row_stepper, simulate
 
 
 def _check_exact(traj: Trajectory, exact: np.ndarray) -> None:
@@ -30,57 +34,19 @@ def loss_value(traj: Trajectory, exact: np.ndarray) -> float:
     which is the exact state at time m*dt (the shape of ``traj.states``).
 
     The mean runs over the cells and the steps 1 .. M; the initial condition
-    is mu-independent and excluded. The squared error is formed a block of
-    rows at a time, as in ``diagnostics.entropy_series``, so no temporary as
-    large as the states exists; each row is still summed alone and the row
-    sums added in step order, so the value is that of squaring all at once.
+    is mu-independent and excluded. Each row's squared error is summed alone,
+    by ``diagnostics.row_sums_of_squares``, and the row sums are added in
+    step order.
     """
     _check_exact(traj, exact)
     n_steps = traj.n_steps
     if n_steps == 0:
         return 0.0
-    n = traj.config.grid.n_cells
-    coef = 1.0 / (n * n_steps)
-    rows = max(1, _ROW_BLOCK // n)
+    coef = 1.0 / (traj.config.grid.n_cells * n_steps)
     total = 0.0
-    for start in range(1, n_steps + 1, rows):
-        err = traj.states[start:start + rows] - exact[start:start + rows]
-        np.multiply(err, err, out=err)
-        for row_sum in np.sum(err, axis=1).tolist():
-            total += coef * row_sum
+    for row_sum in row_sums_of_squares(traj.states[1:], exact[1:]).tolist():
+        total += coef * row_sum
     return total
-
-
-def _transposer(g: np.ndarray, t: np.ndarray, cfg: SchemeConfig):
-    """transpose(out, ve, mu): out <- A^T(mu) v in place, the transpose of the
-    (state-linear) step operator, with v between ghosts v_{N-1} and v_0 in ``ve``.
-    The transpose is the same stencil with the advection direction reversed and
-    the viscous part unchanged:
-
-        (A^T v)_j = v_j + (cfl/2)*(v_{j+1} - v_{j-1})
-                    + (dt/dx^2)*[mu_{j+1/2}*(v_{j+1} - v_j) - mu_{j-1/2}*(v_j - v_{j-1})].
-
-    Column 0 of ``g``, one column wider than v, repeats G_{N-1/2} ahead of
-    G_{j+1/2} = mu_{j+1/2}*(v_{j+1} - v_j); ``t`` and ``out`` are scratch. Bound
-    once, with dt/dx^2 and cfl/2 as 0-d arrays and the outputs passed
-    positionally, as the reverse sweep applies it every step."""
-    g_here, g_before = g[..., 1:], g[..., :-1]
-    k = np.array(cfg.dt / cfg.grid.dx**2)
-    half_cfl = np.array(0.5 * cfg.cfl)
-
-    def transpose(out: np.ndarray, ve: np.ndarray, mu: np.ndarray) -> None:
-        vm, v, vp = ve[..., :-2], ve[..., 1:-1], ve[..., 2:]
-        np.subtract(vp, v, g_here)
-        np.multiply(mu, g_here, g_here)
-        g[..., 0] = g[..., -1]
-        np.subtract(g_here, g_before, t)  # the viscous bracket, G_{j+1/2} - G_{j-1/2}
-        np.multiply(k, t, t)
-        np.subtract(vp, vm, out)
-        np.multiply(half_cfl, out, out)
-        np.add(v, out, out)
-        np.add(out, t, out)
-
-    return transpose
 
 
 def grad_mu_global(traj: Trajectory, exact: np.ndarray) -> np.ndarray:
@@ -94,7 +60,9 @@ def grad_mu_global(traj: Trajectory, exact: np.ndarray) -> np.ndarray:
 
     and the gradient at step n is lambda^{n+1} contracted against the step's
     mu-sensitivity at u^n. Returns the (n_steps, n_faces) gradient array.
-    The sweep runs in preallocated buffers, applying ``_transposer``'s stencil.
+    A^T(c, mu) = A(-c, mu): the central difference is skew-symmetric and the
+    viscous part symmetric, so the sweep steps through the forward kernel,
+    ``schemes._row_stepper`` bound once at -c, between two rows that swap.
     """
     n_steps = traj.n_steps
     if traj.viscosity_history is None or n_steps == 0:
@@ -113,23 +81,20 @@ def grad_mu_global(traj: Trajectory, exact: np.ndarray) -> np.ndarray:
     np.subtract(states[:-1, 1:], states[:-1, :-1], grad[:, :-1])
     np.subtract(states[:-1, 0], states[:-1, -1], grad[:, -1])
     np.multiply(cfg.dt / cfg.grid.dx**2, grad, grad)
-    # The rows take turns holding lambda^{m+1} and lambda^m between ghost columns.
-    lam = np.empty((2, n + 2))
-    g, t, dj = np.empty(n + 1), np.empty(n), np.empty(n)
-    transpose = _transposer(g, t, cfg)
+    step_transposed = _row_stepper(replace(cfg, c=-cfg.c))
+    lam, lam_after, t = np.empty(n), np.empty(n), np.empty(n)
     for m in range(n_steps, 0, -1):
-        here, after = lam[m % 2], lam[(m + 1) % 2]
-        inner = here[1:-1]
-        np.subtract(states[m], exact[m], dj)
-        np.multiply(two_coef, dj, dj)  # dJ/du^m
+        np.subtract(states[m], exact[m], t)
+        np.multiply(two_coef, t, t)  # dJ/du^m
         if m == n_steps:
-            inner[...] = dj
+            lam[...] = t
         else:
-            transpose(inner, after, mu[m])
-            np.add(inner, dj, inner)
-        here[0], here[-1] = here[-2], here[1]
-        np.subtract(inner, here[2:], t)
+            step_transposed(lam, lam_after, mu[m])
+            np.add(lam, t, lam)
+        np.subtract(lam[:-1], lam[1:], t[:-1])
+        t[-1] = lam[-1] - lam[0]
         np.multiply(grad[m - 1], t, grad[m - 1])
+        lam, lam_after = lam_after, lam
     return grad
 
 

@@ -258,6 +258,9 @@ def _training_dir(cfg: ExperimentConfig) -> Path:
         raise ConfigError("training requires scheme = ftcs_mu")
     if cfg.n_steps < 1:
         raise ConfigError("training requires t_final >= dt (at least one step)")
+    if cfg.mu is not None:
+        raise ConfigError("training learns the viscosity; [simulation] mu is for plain "
+                          "ftcs_mu runs only")
     out_dir = Path(cfg.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir
@@ -402,6 +405,18 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
     check_equal("status", summary.get("status"), manifest.get("status"))
 
 
+def _claim_verdicts(preset: str, comparison: dict) -> dict:
+    """Each claim of ``preset``'s study over ``comparison``: True or False, or
+    a "not computable" message where a run's block is missing or malformed."""
+    verdicts = {}
+    for name, holds in STUDIES[preset][1]:
+        try:
+            verdicts[name] = holds(comparison)
+        except (KeyError, TypeError) as err:
+            verdicts[name] = f"not computable: {err!r}"
+    return verdicts
+
+
 def _check_study(out_dir: Path, manifest: dict, check) -> None:
     """Analyze each subrun of a ``reproduce`` study, then check that comparison.json
     holds each subrun's summary.json and the recomputed oracle MSEs, and that the
@@ -423,11 +438,7 @@ def _check_study(out_dir: Path, manifest: dict, check) -> None:
           f"stored={comparison.get('oracles')!r} recomputed={oracles!r}")
     stored = comparison.get("claims")
     stored = stored if isinstance(stored, dict) else {}
-    for name, holds in STUDIES[manifest["preset"]][1]:
-        try:
-            verdict = holds(comparison)
-        except (KeyError, TypeError) as err:  # a run's block is missing or malformed
-            verdict = f"not computable: {err!r}"
+    for name, verdict in _claim_verdicts(manifest["preset"], comparison).items():
         check(f"claim:{name}", stored.get(name) == verdict,
               f"stored={stored.get(name)!r} recomputed={verdict!r}")
 
@@ -493,7 +504,7 @@ def cmd_reproduce(preset: str, out_root: str | Path) -> int:
     t_start = time.time()
     base = preset_config(preset)
     out_root = Path(out_root)
-    runs, claims = STUDIES[preset]
+    runs = STUDIES[preset][0]
     configs = [preset_config(name, str(out_root / subdir), overrides)
                for subdir, name, overrides in runs]
     out_root.mkdir(parents=True, exist_ok=True)
@@ -507,13 +518,13 @@ def cmd_reproduce(preset: str, out_root: str | Path) -> int:
         return code
     for subdir, _, _ in runs:
         comparison[subdir.replace("-", "_")] = read_json(out_root / subdir / "summary.json")
-    comparison["claims"] = {name: holds(comparison) for name, holds in claims}
+    comparison["claims"] = _claim_verdicts(preset, comparison)
 
     write_json(out_root / "comparison.json", comparison)
     _mark_finished(out_root, [{"name": "comparison.json"}],
                    t_start, "ok", preset=preset, subruns=[subdir for subdir, _, _ in runs])
-    for name, passed in comparison["claims"].items():
-        print(f"{name}: {'PASS' if passed else 'FAIL'}")
+    for name, verdict in comparison["claims"].items():
+        print(f"{name}: {'PASS' if verdict is True else 'FAIL'}")
     return EXIT_OK
 
 

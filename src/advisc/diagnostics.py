@@ -21,27 +21,40 @@ def mse(u: np.ndarray, exact: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
-# Entries of the temporaries that entropy_series, mu_stats and
-# adjoint.loss_value hold at once: 64 KB of doubles.
+# Entries of the temporaries that row_sums_of_squares and mu_stats hold at
+# once: 64 KB of doubles.
 _ROW_BLOCK = 1 << 13
+
+
+def row_sums_of_squares(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """sum((a - b)^2) along the last axis of each row of ``a`` (b = 0 when None),
+    for an ``a`` of two or more dimensions and a ``b`` of its shape.
+
+    The squares are formed a block of rows at a time, so no temporary as
+    large as ``a`` exists; each row is still reduced by one sum along the
+    last axis, so the values are those of reducing the whole array at once.
+    """
+    out = np.empty(a.shape[:-1])
+    rows = max(1, _ROW_BLOCK // max(a[0].size, 1))
+    for start in range(0, len(a), rows):
+        if b is None:
+            sq = np.square(a[start:start + rows])
+        else:
+            sq = np.subtract(a[start:start + rows], b[start:start + rows])
+            np.square(sq, out=sq)
+        out[start:start + rows] = np.sum(sq, axis=-1)
+    return out
 
 
 def entropy_series(states: np.ndarray, dx: float) -> np.ndarray:
     """Quadratic entropy S = (1/2) * sum_i u_i^2 * dx of each state along the last axis.
 
-    Given the (M + 1, N) states of a run, returns S^0 .. S^M. The squares are
-    formed a block of rows at a time, so no temporary as large as ``states``
-    exists; each row is still reduced by one sum along the last axis, so the
-    values are those of reducing the whole array at once.
+    Given the (M + 1, N) states of a run, returns S^0 .. S^M, through
+    ``row_sums_of_squares``.
     """
     if states.ndim < 2:
         return 0.5 * np.sum(states * states, axis=-1) * dx
-    out = np.empty(states.shape[:-1])
-    rows = max(1, _ROW_BLOCK // max(states[0].size, 1))
-    for start in range(0, len(states), rows):
-        block = states[start:start + rows]
-        out[start:start + rows] = 0.5 * np.sum(block * block, axis=-1) * dx
-    return out
+    return 0.5 * row_sums_of_squares(states) * dx
 
 
 def dissipation_series(states: np.ndarray, mu: np.ndarray, dx: float) -> np.ndarray:

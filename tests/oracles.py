@@ -3,14 +3,15 @@
 Everything here is deliberately written with plain Python loops and lists,
 not numpy stencils, so it shares no code path with the package under test.
 The exceptions are the np.roll oracles ``reference_ftcs_flux`` (the face
-flux), ``reference_grad_mu_step`` (the exact one-step gradient) and
-``reference_step_transpose`` (the transposed step), and the
+flux) and ``reference_grad_mu_step`` (the exact one-step gradient), and the
 ``reference_train_per_step``, ``reference_grad_mu_global``, ``reference_loss``
 and ``reference_train_global`` built on them. They pin the trainers and the
 adjoint sweep bit for bit, so they repeat the library's numpy operations in
 their original order, with np.roll for every periodic neighbour.
 So does ``reference_negative_mass_near_discontinuity``, the per-step loop
 that ``diagnostics.mu_stats`` must match bit for bit.
+``reference_step_transpose`` is the textbook formula of the transposed step,
+written out term by term with np.roll; it pins nothing bit for bit.
 ``reference_write_columns_csv`` is the CSV writer's ground truth: Python's
 ``%`` operator formats every value.
 """
@@ -171,15 +172,17 @@ def reference_train_per_step(u0, exacts, c, dt, dx, learning_rate, n_iters, mu_m
 def reference_grad_mu_global(states, mu, exacts, c, dt, dx):
     """Gradient of the whole-horizon mean squared error with respect to the
     (n_steps, n) viscosity ``mu`` of the recorded ``states``: the adjoint
-    reverse sweep, one step at a time with np.roll."""
+    reverse sweep, one step at a time with np.roll. It steps the adjoint with
+    the forward step at -c, as the library does, since A^T(c, mu) = A(-c, mu);
+    ``reference_step_transpose`` stays the independent textbook form of A^T,
+    against which the tests check that identity."""
     n_steps, n = mu.shape
     coef = 1.0 / (n * n_steps)
     grad = np.empty((n_steps, n))
     lam = 2.0 * coef * (states[n_steps] - exacts[n_steps])
     for m in range(n_steps, 0, -1):
         if m < n_steps:
-            lam = (reference_step_transpose(lam, mu[m], c, dt, dx)
-                   + 2.0 * coef * (states[m] - exacts[m]))
+            lam = _roll_step(lam, mu[m], -c, dt, dx) + 2.0 * coef * (states[m] - exacts[m])
         du = np.roll(states[m - 1], -1) - states[m - 1]
         grad[m - 1] = (dt / dx**2) * du * (lam - np.roll(lam, -1))
     return grad

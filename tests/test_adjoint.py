@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,9 +24,9 @@ from oracles import (
 UPWIND_GLOBAL_LOSS = 0.011542485625211167
 
 
-def toy_problem(n=16, steps=5, seed=0):
+def toy_problem(n=16, steps=5, seed=0, c=1.0):
     grid = make_grid(n, 1.0)
-    cfg = SchemeConfig(c=1.0, dt=0.1 * grid.dx, grid=grid)
+    cfg = SchemeConfig(c=c, dt=0.1 * grid.dx, grid=grid)
     rng = np.random.default_rng(seed)
     u0 = rng.uniform(-1, 1, n)
     mu_st = rng.uniform(-5e-3, 9.5e-2, (steps, n))
@@ -151,8 +154,9 @@ class TestGlobalGradient:
     @pytest.mark.parametrize("n", [8, 16])
     @pytest.mark.parametrize("steps", [1, 3, 5])
     def test_matches_fd_oracle(self, n, steps):
-        for seed in range(3):
-            cfg, u0, mu_st, exact = toy_problem(n=n, steps=steps, seed=seed)
+        # Both signs of c: the reverse sweep steps the forward kernel at -c.
+        for c, seed in itertools.product((1.0, -0.7), range(3)):
+            cfg, u0, mu_st, exact = toy_problem(n=n, steps=steps, seed=seed, c=c)
             g_adj = grad_mu_global(simulate(u0, steps, cfg, mu=mu_st), exact)
             g_fd = fd_gradient(u0, mu_st, cfg, exact)
             assert fd_relative_error(g_adj, g_fd) < 1e-6
@@ -198,17 +202,29 @@ class TestGlobalGradient:
             grad_mu_global(traj, exact)
 
 
+def textbook_transpose(w, mu, cfg):
+    return reference_step_transpose(w, mu, cfg.c, cfg.dt, cfg.grid.dx)
+
+
+def reversed_step(w, mu, cfg):
+    """The forward kernel at -c, through which grad_mu_global steps the adjoint."""
+    return ftcs_update(w, mu, replace(cfg, c=-cfg.c))
+
+
 class TestTransposeIdentity:
     def test_inner_product_identity(self):
+        # <A(c) v, w> = <v, A^T w>, with A^T the textbook formula or A(-c),
+        # at both signs of c.
         grid = make_grid(64, 1.0)
-        cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
         rng = np.random.default_rng(21)
-        for _ in range(20):
+        for c, transpose, _ in itertools.product((1.0, -0.7),
+                                                 (textbook_transpose, reversed_step), range(20)):
+            cfg = SchemeConfig(c=c, dt=1e-3, grid=grid)
             mu = rng.uniform(-0.005, 0.095, 64)
             v = rng.uniform(-1, 1, 64)
             w = rng.uniform(-1, 1, 64)
             lhs = np.dot(ftcs_update(v, mu, cfg), w)
-            rhs = np.dot(v, reference_step_transpose(w, mu, cfg.c, cfg.dt, cfg.grid.dx))
+            rhs = np.dot(v, transpose(w, mu, cfg))
             assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), 1.0)
 
 

@@ -372,6 +372,15 @@ class TestTrainCommand:
         cfg_path, _ = write_config(tmp_path, scheme="ftcs_mu", extra_sim="mu = 0.005\n")
         assert main(["train", "--config", str(cfg_path)]) == 3
 
+    def test_training_rejects_a_constant_mu(self, tmp_path, capsys):
+        # analyze would replay the learned steps at that mu and fail the run.
+        cfg_path, out = write_config(
+            tmp_path, scheme="ftcs_mu", n_cells=40, t_final=0.01, extra_sim="mu = 0.01\n",
+            training=TRAINING.format(n_iters=2, mu_min=-0.005))
+        assert main(["train", "--config", str(cfg_path)]) == 3
+        assert "mu is for plain ftcs_mu runs only" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_collapsed_bounds_match_constant_mu_run(self, tmp_path):
         # degenerate training bounds pin mu = 0.005, i.e. the upwind-equivalent run
         train_cfg, train_out = write_config(
@@ -1181,7 +1190,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(advisc.cli, allocation, too_large)
         cfg_path, _ = write_config(tmp_path, scheme="ftcs_mu", t_final=0.01,
-                                   extra_sim="mu = 0.005\n",
+                                   extra_sim="mu = 0.005\n" if command == "run" else "",
                                    training=TRAINING.format(n_iters=2, mu_min=-0.005))
         assert main([command, "--config", str(cfg_path)]) == 3
         err = capsys.readouterr().err
@@ -1293,6 +1302,24 @@ class TestReproduceCommand:
         analysis = json.loads((out / "analysis.json").read_text())
         assert [c["name"] for c in analysis["checks"] if not c["passed"]] == [
             "summary_copied:learned", "oracles", "claim:min_mu_negative"]
+
+    def test_reproduce_prints_pass_only_for_a_true_verdict(self, tmp_path, capsys,
+                                                           monkeypatch):
+        import advisc.cli
+
+        small = {"simulation": {"n_cells": 16, "t_final": 0.003}, "training": {"n_iters": 5}}
+        claims = (("holds", lambda c: True), ("fails", lambda c: False),
+                  ("missing", lambda c: c["no_such_run"]["stats"]))
+        monkeypatch.setitem(advisc.cli.STUDIES, "paper-hat",
+                            ((("learned", "paper-hat", small),), claims))
+        out = tmp_path / "study"
+        assert main(["reproduce", "--preset", "paper-hat", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "holds: PASS", "fails: FAIL", "missing: FAIL"]
+        assert json.loads((out / "comparison.json").read_text())["claims"] == {
+            "holds": True, "fails": False, "missing": "not computable: KeyError('no_such_run')"}
+        # analyze recomputes the same verdicts, the uncomputable one included
+        assert main(["analyze", str(out)]) == 0
 
     def test_paper_hat_nonneg_amplitude_comparison(self, tmp_path, capsys):
         out = tmp_path / "repro-nonneg"
