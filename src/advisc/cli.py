@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from collections.abc import Sequence
 from dataclasses import replace
 from pathlib import Path
 
@@ -62,13 +61,13 @@ EXIT_NO_CONVERGENCE = 5
 EXIT_CODES = {"ok": EXIT_OK, "divergence": EXIT_DIVERGENCE, "no_convergence": EXIT_NO_CONVERGENCE}
 
 ANALYSIS_NAME = "analysis.json"
-# Each CSV a run derives from its stored data (see _derived): its header and
-# the analyze check that rebuilds it.
+# Each CSV a run derives from its stored data (see _derived): its header line
+# and the analyze check that rebuilds it.
 DERIVED_CSVS = {
-    "final_state.csv": (["x", "u", "exact", "error"], "final_state_consistent"),
-    "entropy.csv": (["t", "entropy"], "entropy_series_consistent"),
-    "mu_final.csv": (["x_face", "mu_raw", "mu_normalized"], "mu_final_consistent"),
-    "loss_history.csv": (["iter", "loss"], "loss_history_consistent"),
+    "final_state.csv": ("x,u,exact,error", "final_state_consistent"),
+    "entropy.csv": ("t,entropy", "entropy_series_consistent"),
+    "mu_final.csv": ("x_face,mu_raw,mu_normalized", "mu_final_consistent"),
+    "loss_history.csv": ("iter,loss", "loss_history_consistent"),
 }
 # The files analyze has a check for: each file a run, a training run or a
 # study writes. A listed file outside its set fails manifest_complete.
@@ -197,7 +196,7 @@ def _write_run(
     times = traj.times
     files: list[dict] = []
 
-    def write(name: str, header: Sequence[str], rows) -> None:
+    def write(name: str, header: str, rows) -> None:
         write_columns_csv(out_dir / name, header, rows)
         files.append({"name": name})
 
@@ -212,8 +211,7 @@ def _write_run(
 
     summary["status"] = status
     if "training" in summary:
-        summary["training"].update(converged=status == "ok",
-                                   divergence_events=report.divergence_events)
+        summary["training"]["divergence_events"] = report.divergence_events
     write_json(out_dir / "summary.json", summary)
 
     blocks = {"config": config_to_dict(cfg)}
@@ -266,23 +264,47 @@ def _training_dir(cfg: ExperimentConfig) -> Path:
     return out_dir
 
 
-def cmd_train(cfg: ExperimentConfig, *more: ExperimentConfig) -> int:
-    """Train the viscosity closure of each config and write every run; return
-    the exit code of the first failed run, or 0. The configs share one problem
-    and mode, differing only in optimizer and output directory, so they train
-    in one call of the mode's trainer."""
-    t_start = time.time()
-    configs = (cfg, *more)
-    out_dirs = [_training_dir(config) for config in configs]
-    scheme_cfg, exact = _build_problem(cfg)
-    for out_dir in out_dirs:
-        _clear_previous_run(out_dir)
+def _training_group(cfg: ExperimentConfig) -> tuple:
+    """What the configs that train in one call of a trainer share: the problem
+    (the fields of its scheme config, its step count and initial condition)
+    and the mode, and in per-step mode the ``n_iters`` that ``train_per_step``
+    requires of one batch."""
+    mode = cfg.training.mode
+    n_iters = cfg.training.optimizer.n_iters if mode == "per_step" else None
+    return cfg.n_cells, cfg.length, cfg.c, cfg.dt, cfg.n_steps, cfg.ic, mode, n_iters
+
+
+def _train_and_write(configs: list[ExperimentConfig], out_dirs: list[Path],
+                     t_start: float) -> list[int]:
+    """Train configs of one ``_training_group`` in one call of the mode's
+    trainer, write every run and return each run's exit code."""
+    scheme_cfg, exact = _build_problem(configs[0])
     opts = tuple(config.training.optimizer for config in configs)
-    trainer = train_per_step if cfg.training.mode == "per_step" else train_global
+    trainer = train_per_step if configs[0].training.mode == "per_step" else train_global
     reports = trainer(scheme_cfg, opts, exact)
     for config, out_dir, report in zip(configs, out_dirs, reports):
         _write_run(config, out_dir, report.trajectory, report.status, t_start, report)
-    return next((EXIT_CODES[r.status] for r in reports if r.status != "ok"), EXIT_OK)
+    return [EXIT_CODES[report.status] for report in reports]
+
+
+def cmd_train(cfg: ExperimentConfig, *more: ExperimentConfig) -> int:
+    """Train the viscosity closure of each config and write every run; return
+    the exit code of the first failed run in config order, or 0. Configs of
+    one ``_training_group`` differ only in optimizer and output directory,
+    so each group trains in one call of its mode's trainer, on its problem."""
+    t_start = time.time()
+    configs = (cfg, *more)
+    out_dirs = [_training_dir(config) for config in configs]
+    for out_dir in out_dirs:
+        _clear_previous_run(out_dir)
+    groups: dict[tuple, list[int]] = {}
+    for i, config in enumerate(configs):
+        groups.setdefault(_training_group(config), []).append(i)
+    codes: dict[int, int] = {}
+    for members in groups.values():
+        codes.update(zip(members, _train_and_write(
+            [configs[i] for i in members], [out_dirs[i] for i in members], t_start)))
+    return next((codes[i] for i in sorted(codes) if codes[i] != EXIT_OK), EXIT_OK)
 
 
 def _replay_error(states: np.ndarray, mu_rows: np.ndarray, cfg: SchemeConfig) -> float:
@@ -321,13 +343,13 @@ def _unnamed(value):
     return float(value) if value in NON_FINITE_NAMES else value
 
 
-def _columns_match(path: Path, header: list[str], expected: list) -> tuple[bool, str]:
+def _columns_match(path: Path, header: str, expected: list) -> tuple[bool, str]:
     """Whether a columns CSV holds exactly ``expected``, bit for bit; entries
     that are nan in both count as equal. Returns the verdict and its detail."""
     stored = read_columns_csv(path, header)
     if len(stored) != len(expected[0]):
         return False, f"{len(stored)} rows for {len(expected[0])} entries"
-    bad = [name for name, column, want in zip(header, stored.T, expected)
+    bad = [name for name, column, want in zip(header.split(","), stored.T, expected)
            if not np.array_equal(column, want, equal_nan=True)]
     return not bad, f"mismatched columns {bad}"
 
@@ -341,8 +363,8 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
     initial viscosity. ``_derived``, as the writer called it, rebuilds every
     other CSV and summary.json value, which must match exactly; the
     summary's status must be the manifest's.
-    Its ``divergence_events`` comes only from the optimizer's report, and
-    its ``converged`` only repeats the status, so both stay unchecked.
+    Its ``divergence_events`` comes only from the optimizer's report, so it
+    stays unchecked.
     Training outputs are not rebuilt without one mu.csv row per step and at
     least one loss. A CSV without its exact header, such as a solution.csv
     or mu.csv that is not n_cells wide, raises CorruptRunError, as does a

@@ -21,8 +21,8 @@ def mse(u: np.ndarray, exact: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
-# Entries of the temporaries that row_sums_of_squares and mu_stats hold at
-# once: 64 KB of doubles.
+# Entries of the squares that row_sums_of_squares holds at once: 64 KB of
+# doubles.
 _ROW_BLOCK = 1 << 13
 
 
@@ -125,28 +125,22 @@ def mu_stats(traj: Trajectory, ic: InitialCondition) -> dict:
     faces = cfg.grid.face_positions
     values = traj.viscosity_history
 
-    # near[n, i]: face i lies within the radius of an edge at step n's time,
-    # computed for a block of steps at a time, so no temporary as large as
-    # the viscosity exists.
     ratios = []
-    rows = max(1, _ROW_BLOCK // max(values.shape[1], 1))
-    for start in range(0, len(values), rows):
-        block = values[start:start + rows]
-        shift = cfg.c * (np.arange(start, start + len(block)) * cfg.dt)
-        near = np.zeros(block.shape, dtype=bool)
+    for n, row in enumerate(values):
+        neg = row < 0
+        # Sum each row's selected entries alone: summing a row with the
+        # others zeroed would change the pairwise order, and the bits.
+        neg_mass = float(np.sum(np.abs(row[neg])))
+        if neg_mass == 0.0:
+            continue
+        shift = cfg.c * (n * cfg.dt)
+        near = np.zeros(row.shape, dtype=bool)  # faces within the radius of an edge
         for edge in (ic.lo, ic.hi):
             # Faces and edges lie in [0, length], so d <= length: ``d % length``
             # would only turn d == length into 0, where the minimum is 0 as well.
-            d = np.abs(faces - np.remainder(edge + shift, length)[:, None])
+            d = np.abs(faces - np.remainder(edge + shift, length))
             near |= np.minimum(d, length - d, out=d) <= NEGATIVE_MASS_RADIUS
-        for row, row_near in zip(block, near):
-            neg = row < 0
-            # Sum each row's selected entries alone: summing a row with the
-            # others zeroed would change the pairwise order, and the bits.
-            neg_mass = float(np.sum(np.abs(row[neg])))
-            if neg_mass == 0.0:
-                continue
-            ratios.append(float(np.sum(np.abs(row[neg & row_near]))) / neg_mass)
+        ratios.append(float(np.sum(np.abs(row[neg & near]))) / neg_mass)
 
     out = mu_summary(values)
     out["negative_mass_near_discontinuity"] = float(np.mean(ratios)) if ratios else 0.0

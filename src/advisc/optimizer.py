@@ -234,13 +234,14 @@ def _train_global_one(cfg: SchemeConfig, opt: OptimizerConfig,
 
     Reports the best (lowest-loss) iterate seen, with its trajectory. An
     accepted iterate's states are dropped once its gradient is taken, so a
-    candidate's sweep runs beside only that iterate's viscosity and gradient,
-    and the best iterate is kept as its viscosity and loss. When the best is
-    the last accepted iterate, the report carries that iterate's sweep.
-    Otherwise, and whenever training halts with "no_convergence", one more
-    ``simulate`` of the best viscosity rebuilds its trajectory at the end; the
-    sweep is deterministic, so that is the trajectory the iterate had, bit for
-    bit.
+    candidate's sweep runs beside only that iterate's viscosity and gradient.
+    The best iterate is kept by reference to its trajectory's viscosity, so
+    it costs no copy, and one more array only while it is not the current
+    iterate. When the best is the last accepted iterate, the report carries
+    that iterate's sweep. Otherwise, and whenever training halts with
+    "no_convergence", one more ``simulate`` of the best viscosity rebuilds its
+    trajectory at the end; the sweep is deterministic, so that is the
+    trajectory the iterate had, bit for bit.
     """
     n_steps = _horizon(exact, cfg)
     lr = opt.learning_rate
@@ -250,8 +251,7 @@ def _train_global_one(cfg: SchemeConfig, opt: OptimizerConfig,
     except DivergenceError as err:
         return TrainingReport((), err.trajectory, "divergence", 1)
     losses = [loss_value(traj, exact)]
-    # best_mu is None while the best iterate is the current one.
-    best_loss, best_mu = losses[0], None
+    best_loss, best_mu = losses[0], traj.viscosity_history
     divergences = 0
 
     for _ in range(opt.n_iters):
@@ -271,14 +271,10 @@ def _train_global_one(cfg: SchemeConfig, opt: OptimizerConfig,
         del grad  # the next gradient is not formed beside this one
         losses.append(loss_value(traj, exact))
         if losses[-1] < best_loss:
-            best_loss, best_mu = losses[-1], None
-        elif best_mu is None:
-            best_mu = mu
+            best_loss, best_mu = losses[-1], traj.viscosity_history
 
-    halted = traj is None
-    if halted and best_mu is None:  # halted at the best iterate, whose states were dropped
-        best_mu = mu
-    if best_mu is not None:
+    halted = traj is None  # then the states of every accepted iterate were dropped
+    if halted or traj.viscosity_history is not best_mu:
         traj = grad = candidate = mu = None  # re-sweep beside the best viscosity alone
         traj = simulate(exact[0], n_steps, cfg, mu=best_mu)
     return TrainingReport(tuple(losses), traj, "no_convergence" if halted else "ok",

@@ -66,7 +66,8 @@ def _amplitude(c: dict, run: str) -> float:
 
 # What `reproduce` runs for each preset: preset -> (runs, claims). A run is
 # (subdirectory, preset, overrides), built by ``preset_config``; the runs of
-# a study share one problem and training mode, so they train in one batch.
+# each study share one problem and training mode, so ``cli.cmd_train`` trains
+# them as one group, in one call of the mode's trainer.
 # A claim is (name, predicate over the comparison dict); that dict holds the
 # oracles' errors under "oracles" and each run's summary under its
 # subdirectory name, with "-" read as "_".

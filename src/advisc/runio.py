@@ -10,7 +10,7 @@ exactly rounded 17 digits, every other value by Python's ``%`` operator.
 With the chunk's slots and the formatter's arrays it holds about 96 bytes
 per chunk value, whatever the file's size.
 One writer and one reader serve every CSV; the reader takes the exact header
-the file must have and raises ``CorruptRunError`` for any other. A
+line the file must have and raises ``CorruptRunError`` for any other. A
 space-time matrix has the corner-labeled header ``t\\x,x0,x1,...``
 (``matrix_header``); row n starts with the time of state n. JSON files are
 strict JSON: a non-finite float is written as the string "inf", "-inf" or
@@ -25,7 +25,7 @@ import json
 import math
 import os
 import warnings
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -35,32 +35,9 @@ class CorruptRunError(ValueError):
     """A stored run file that is unreadable or inconsistent with its run."""
 
 
-class _MatrixHeader(Sequence):
-    """The names ``t\\x,x0,...,x{n-1}`` of a space-time matrix of ``n``
-    columns, each made when asked for: held as a list, the n + 1 names of
-    a 2000-cell matrix take 123 kB while its file is written."""
-
-    def __init__(self, n: int):
-        self._n = n
-
-    def __len__(self) -> int:
-        return self._n + 1
-
-    def __getitem__(self, index: int | slice):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        column = range(-1, self._n)[index]  # -1 is the time column
-        return "t\\x" if column < 0 else f"x{column}"
-
-    def __iter__(self):
-        yield "t\\x"
-        for j in range(self._n):
-            yield f"x{j}"
-
-
-def matrix_header(n: int) -> Sequence[str]:
-    """Header of a space-time matrix of ``n`` columns: ``t\\x,x0,...,x{n-1}``."""
-    return _MatrixHeader(n)
+def matrix_header(n: int) -> str:
+    """Header line of a space-time matrix of ``n`` columns: ``t\\x,x0,...,x{n-1}``."""
+    return "t\\x" + "".join(f",x{j}" for j in range(n))
 
 
 # The formatter writes each value into a slot of _SLOT bytes: its sign at
@@ -288,17 +265,15 @@ def _format_chunk(values: np.ndarray, slots: np.ndarray, n_cols: int, offset: in
                 -1, _SLOT - 1)
 
 
-def write_columns_csv(path: str | Path, header: Sequence[str], rows: Iterable) -> None:
+def write_columns_csv(path: str | Path, header: str, rows: Iterable) -> None:
     """Write the header line, then one line per row, a sequence of one number
-    per header name, each printed as ``'%.17g' % value`` does; a row of
-    another length raises ValueError. Rows are taken in turn and their values
-    formatted _CHUNK_VALUES at a time, so a large file never exists as one
-    string or one array. The header line is written before the chunk's
-    buffers exist, so that the names ``",".join`` collects from a
-    ``matrix_header`` are not held with them."""
-    n_cols = len(header)
+    per column of the header, each printed as ``'%.17g' % value`` does; a row
+    of another length raises ValueError. Rows are taken in turn and their
+    values formatted _CHUNK_VALUES at a time, so a large file never exists as
+    one string or one array."""
+    n_cols = header.count(",") + 1
     with open(path, "wb") as f:
-        f.write((",".join(header) + "\n").encode())
+        f.write((header + "\n").encode())
         values = np.empty(_CHUNK_VALUES)
         buffer = bytearray(_CHUNK_VALUES * _SLOT)
         slots = np.frombuffer(buffer, "<u8").reshape(_CHUNK_VALUES, _SLOT // 8)
@@ -325,9 +300,10 @@ def write_columns_csv(path: str | Path, header: Sequence[str], rows: Iterable) -
             flush()
 
 
-def read_columns_csv(path: str | Path, header: Sequence[str]) -> np.ndarray:
-    """Inverse of write_columns_csv for a file with exactly ``header``; returns
-    an array with one column per header name, empty for a header-only file.
+def read_columns_csv(path: str | Path, header: str) -> np.ndarray:
+    """Inverse of write_columns_csv for a file with exactly the ``header`` line;
+    returns an array with one column per column of the header, empty for a
+    header-only file.
 
     The lines are counted first and passed to loadtxt as its row limit, so
     that it allocates the array once, at its size for a file a run wrote.
@@ -335,12 +311,12 @@ def read_columns_csv(path: str | Path, header: Sequence[str]) -> np.ndarray:
     and after a run has freed an array of that size the freed blocks stay
     resident: at N = 10^4, reading solution.csv that way raised the
     resident set by 23 MB for a 12 MB array."""
-    expected = ",".join(header)
+    n_cols = header.count(",") + 1
     with open(path, encoding="utf-8") as f:
         try:
-            if f.readline().rstrip("\n") != expected:
-                shown = (expected if len(header) <= 8
-                         else f"{','.join(header[:3])},...,{header[-1]}")
+            if f.readline().rstrip("\n") != header:
+                names = header.split(",")
+                shown = header if n_cols <= 8 else f"{','.join(names[:3])},...,{names[-1]}"
                 raise CorruptRunError(f"{path} does not have the header {shown}")
             start = f.tell()
             n_lines = sum(1 for _ in f)  # at least the number of rows
@@ -348,7 +324,7 @@ def read_columns_csv(path: str | Path, header: Sequence[str]) -> np.ndarray:
             raise CorruptRunError(f"{path} is not UTF-8 text: {err}") from err
         f.seek(start)
         if n_lines == 0:
-            return np.empty((0, len(header)))
+            return np.empty((0, n_cols))
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             warnings.filterwarnings("ignore", "Input line [0-9]+ contained no data")
@@ -357,9 +333,9 @@ def read_columns_csv(path: str | Path, header: Sequence[str]) -> np.ndarray:
             except ValueError as err:
                 raise CorruptRunError(f"{path}: {err}") from err
     if data.shape[0] == 0:
-        return np.empty((0, len(header)))
-    if data.shape[1] != len(header):
-        raise CorruptRunError(f"{path}: expected {len(header)} columns, got {data.shape[1]}")
+        return np.empty((0, n_cols))
+    if data.shape[1] != n_cols:
+        raise CorruptRunError(f"{path}: expected {n_cols} columns, got {data.shape[1]}")
     return data
 
 

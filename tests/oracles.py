@@ -26,9 +26,9 @@ import numpy as np
 def reference_write_columns_csv(path, header, rows) -> None:
     """The header line, then each row as its values printed by ``'%.17g' %``,
     comma-separated, one line per row."""
-    line = ",".join(["%.17g"] * len(header)) + "\n"
+    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
     with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
+        f.write(header + "\n")
         for row in rows:
             f.write(line % tuple(row))
 

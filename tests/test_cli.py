@@ -280,10 +280,62 @@ class TestTrainCommand:
             assert (out / name).is_file()
         times, mu = read_matrix(out / "mu.csv")
         assert mu.shape == (30, 32)
-        iters, losses = read_columns_csv(out / "loss_history.csv", ["iter", "loss"]).T
+        iters, losses = read_columns_csv(out / "loss_history.csv", "iter,loss").T
         assert len(losses) == 30
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["training"]["converged"] is True
+        assert summary["status"] == "ok" and "converged" not in summary["training"]
+
+    def test_configs_of_other_problems_each_train_on_their_own(self, tmp_path):
+        # Each config trains on its own problem: b used to be trained on a's
+        # 100 cells and then fail analyze on its 50-cell header.
+        from advisc.cli import cmd_train
+
+        short = {"simulation": {"t_final": 0.01}}
+        a = preset_config("paper-hat", str(tmp_path / "a"), short)
+        b = preset_config("paper-hat", str(tmp_path / "b"),
+                          {"simulation": {"t_final": 0.01, "n_cells": 50}})
+        assert cmd_train(a, b) == 0
+        for name in "ab":
+            assert main(["analyze", str(tmp_path / name)]) == 0
+        assert read_matrix(tmp_path / "b" / "mu.csv")[1].shape == (10, 50)
+        alone = replace(b, output=replace(b.output, directory=str(tmp_path / "alone")))
+        assert cmd_train(alone) == 0
+        for name in ("solution.csv", "mu.csv", "summary.json"):
+            assert (tmp_path / "b" / name).read_bytes() == \
+                (tmp_path / "alone" / name).read_bytes(), name
+        # Per-step configs that differ in n_iters train in separate batches.
+        c = preset_config("paper-hat", str(tmp_path / "c"), {**short, "training": {"n_iters": 7}})
+        assert cmd_train(a, c) == 0
+        assert main(["analyze", str(tmp_path / "c")]) == 0
+
+    def test_train_exits_with_the_first_failed_run_in_config_order(self, tmp_path,
+                                                                   monkeypatch):
+        # a and c train in one per-step call, before b's global call; b comes
+        # first of the failed runs in config order.
+        import advisc.cli
+
+        trained_per_step, trained_global = advisc.cli.train_per_step, advisc.cli.train_global
+        calls = []
+
+        def per_step(cfg, opts, exact):
+            calls.append(len(opts))
+            reports = trained_per_step(cfg, opts, exact)
+            return reports[:-1] + [replace(reports[-1], status="divergence")]
+
+        def global_(cfg, opts, exact):
+            calls.append(len(opts))
+            return [replace(r, status="no_convergence") for r in trained_global(cfg, opts, exact)]
+
+        monkeypatch.setattr(advisc.cli, "train_per_step", per_step)
+        monkeypatch.setattr(advisc.cli, "train_global", global_)
+        short = {"simulation": {"t_final": 0.01}}
+        a, c = (preset_config("paper-hat", str(tmp_path / name), short) for name in "ac")
+        b = preset_config("paper-hat", str(tmp_path / "b"),
+                          {**short, "training": {"mode": "global", "n_iters": 2}})
+        assert advisc.cli.cmd_train(a, b, c) == 5
+        assert calls == [2, 1]
+        assert [read_manifest(tmp_path / name)["status"] for name in "abc"] == \
+            ["ok", "no_convergence", "divergence"]
 
     def test_train_writes_exactly_the_checked_files(self, tmp_path, monkeypatch):
         import advisc.cli
@@ -855,7 +907,7 @@ class TestAnalyzeCommand:
     def test_analyze_fails_stored_infinite_entropy_against_finite(self, tmp_path):
         cfg_path, out = write_config(tmp_path, t_final=0.01)
         assert main(["run", "--config", str(cfg_path)]) == 0
-        times, entropy = read_columns_csv(out / "entropy.csv", ["t", "entropy"]).T
+        times, entropy = read_columns_csv(out / "entropy.csv", "t,entropy").T
         entropy[3] = np.inf
         lines = ["t,entropy"] + ["%.17g,%.17g" % row for row in zip(times, entropy)]
         (out / "entropy.csv").write_text("\n".join(lines) + "\n")
@@ -1352,8 +1404,8 @@ class TestReproduceCommand:
 
 
     def test_every_study_trains_one_problem(self):
-        # cmd_train trains a study's runs in one batched call, on the problem
-        # and in the mode of its first run; the oracles are the preset's.
+        # cmd_train trains each study's runs as one group, in one batched
+        # call; the oracles are the preset's problem.
         assert set(STUDIES) == set(PRESETS)
         batched = {"learning_rate", "mu_min", "mu_max"}
         for preset, (runs, _) in STUDIES.items():

@@ -303,8 +303,8 @@ class TestCsvRoundTrip:
     def test_seventeen_digit_format_round_trips(self, tmp_path):
         values = np.array([1 / 3, np.pi, 0.1, -7.25e-13, 1e18])
         path = tmp_path / "s.csv"
-        write_columns_csv(path, ["i", "value"], enumerate(values))
-        assert np.array_equal(read_columns_csv(path, ["i", "value"])[:, 1], values)
+        write_columns_csv(path, "i,value", enumerate(values))
+        assert np.array_equal(read_columns_csv(path, "i,value")[:, 1], values)
 
     def test_matrix_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -327,10 +327,10 @@ class TestCsvRoundTrip:
         path = tmp_path / "s.csv"
         xs = np.array([0.0, 0.5, 1.0])
         ys = np.array([1 / 3, 2 / 3, 1.0])
-        write_columns_csv(path, ["t", "entropy"], zip(xs, ys))
+        write_columns_csv(path, "t,entropy", zip(xs, ys))
         header = path.read_text().splitlines()[0]
         assert header == "t,entropy"
-        xs2, ys2 = read_columns_csv(path, ["t", "entropy"]).T
+        xs2, ys2 = read_columns_csv(path, "t,entropy").T
         assert np.array_equal(xs, xs2)
         assert np.array_equal(ys, ys2)
 
@@ -346,20 +346,30 @@ class TestCsvRoundTrip:
     def test_reader_reads_every_row_whatever_the_line_breaks(self, tmp_path, body, rows):
         path = tmp_path / "s.csv"
         path.write_bytes(b"a,b\n" + body.encode())
-        data = read_columns_csv(path, ["a", "b"])
+        data = read_columns_csv(path, "a,b")
         assert data.shape == (len(rows), 2) and data.tolist() == rows
 
     def test_reader_rejects_a_last_line_of_spaces(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("a,b\n1,2\n3,4\n   \n")
         with pytest.raises(CorruptRunError):
-            read_columns_csv(path, ["a", "b"])
+            read_columns_csv(path, "a,b")
 
     def test_matrix_reader_rejects_other_files(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
             read_columns_csv(path, matrix_header(1))
+
+    def test_reader_names_the_header_it_wanted(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        write_columns_csv(path, matrix_header(49), np.zeros((1, 50)))
+        with pytest.raises(CorruptRunError) as wide:
+            read_columns_csv(path, matrix_header(50))
+        assert str(wide.value).endswith("does not have the header t\\x,x0,x1,...,x49")
+        with pytest.raises(CorruptRunError) as narrow:
+            read_columns_csv(path, "x,u,exact,error")
+        assert str(narrow.value).endswith("does not have the header x,u,exact,error")
 
 
 def powers_of_ten_and_neighbours(exponents, ulps: int) -> np.ndarray:
@@ -409,7 +419,7 @@ class TestCsvFormat:
     def assert_values_formatted(self, tmp_path, values, n_cols=10):
         values = np.asarray(values, dtype=float)
         values = np.concatenate((values, np.zeros(-len(values) % n_cols)))
-        self.assert_same_bytes(tmp_path, [f"c{i}" for i in range(n_cols)],
+        self.assert_same_bytes(tmp_path, ",".join(f"c{i}" for i in range(n_cols)),
                                values.reshape(-1, n_cols))
 
     def test_random_bit_patterns_over_the_whole_double_range(self, tmp_path):
@@ -464,7 +474,7 @@ class TestCsvFormat:
                                    2.0 ** np.arange(60), [2.0**53 - 1, 2.0**53 + 2]))
         self.assert_values_formatted(tmp_path, integers)
         losses = np.random.default_rng(1).random(2500)
-        self.assert_same_bytes(tmp_path, ["iter", "loss"], enumerate(losses))
+        self.assert_same_bytes(tmp_path, "iter,loss", enumerate(losses))
 
     def test_rows_that_span_several_chunks(self, tmp_path):
         n_cols = 2 * _CHUNK_VALUES + 3
@@ -495,12 +505,12 @@ class TestCsvFormat:
         self.assert_values_formatted(tmp_path, np.concatenate(chunks), n_cols=1000)
 
     def test_header_only_file(self, tmp_path):
-        self.assert_same_bytes(tmp_path, ["t", "entropy"], [])
+        self.assert_same_bytes(tmp_path, "t,entropy", [])
         assert (tmp_path / "kernel.csv").read_bytes() == b"t,entropy\n"
 
     def test_a_row_of_another_width_raises(self, tmp_path):
         with pytest.raises(ValueError):
-            write_columns_csv(tmp_path / "bad.csv", ["a", "b"], [(1.0, 2.0), (3.0,)])
+            write_columns_csv(tmp_path / "bad.csv", "a,b", [(1.0, 2.0), (3.0,)])
 
 
 class TestWriterMemory:
