@@ -173,9 +173,10 @@ def _row_stepper(cfg: SchemeConfig):
     """step(out, u, mu): one FTCS step of the state row u at the face viscosity
     row mu into out, through ``_face_terms_into`` and ``_ftcs_stepper`` bound
     once over one row of buffers. The binder for a state that changes from
-    call to call: ``simulate``, ``analyze``'s replay, ``ftcs_update`` and the
-    adjoint's reverse sweep (bound at -c) step through it, while the per-step
-    trainer's ``_descend`` binds its fixed state's face terms once."""
+    call to call: ``simulate``, ``ftcs_update`` and the adjoint's reverse
+    sweep (bound at -c) step through it, while the per-step trainer's
+    ``_descend`` binds its fixed state's face terms once and ``analyze``'s
+    replay binds ``_ftcs_stepper`` over blocks of stored steps."""
     n = cfg.grid.n_cells
     a, d, flux = np.empty(n), np.empty(n), np.empty(n + 1)
     ftcs_step = _ftcs_stepper(a, d, flux, cfg)

@@ -609,6 +609,60 @@ class TestAnalyzeCommand:
                 expected = max(expected, err / scale)
             assert _replay_error(states, mu_rows, cfg) == expected
 
+        # Across block edges: at N = 50 the steps replay 20 at a time, so 45
+        # steps are blocks from steps 0, 20 and 25, the last overlapping the
+        # one before; at N = 1100 each block is one step. The states follow
+        # the steps up to noise of 1e-15, except the worst step's, which opens
+        # the second block or lies in the last one only.
+        for n_cells, n_steps, c, worst in ((50, 45, 1.0, 20), (50, 45, 1.0, 42),
+                                           (1100, 4, -1.0, 2)):
+            cfg = SchemeConfig(c=c, dt=1e-3, grid=make_grid(n_cells, 1.0))
+            for mu_rows in (rng.uniform(-0.001, 0.01, (n_steps, n_cells)),
+                            np.broadcast_to(0.005, (n_steps, n_cells))):
+                states = np.empty((n_steps + 1, n_cells))
+                states[0] = rng.normal(size=n_cells)
+                for n, mu in enumerate(mu_rows):
+                    states[n + 1] = ftcs_update(states[n], mu, cfg) + rng.normal(0, 1e-15, n_cells)
+                    states[n + 1, 7] += 1e-9 if n == worst else 0.0
+                errors = [float(np.max(np.abs(ftcs_update(states[n], mu, cfg) - states[n + 1])))
+                          / max(float(np.max(np.abs(states[n + 1]))), 1.0)
+                          for n, mu in enumerate(mu_rows)]
+                assert int(np.argmax(errors)) == worst
+                assert _replay_error(states, mu_rows, cfg) == max(errors), (n_cells, worst)
+
+    def test_replay_error_is_nan_when_a_step_is(self):
+        from advisc.cli import _replay_error
+        from advisc.grid import make_grid
+        from advisc.schemes import SchemeConfig
+
+        cfg = SchemeConfig(c=1.0, dt=1e-3, grid=make_grid(50, 1.0))
+        states = np.random.default_rng(5).normal(size=(46, 50))
+        mu_rows = np.full((45, 50), 0.005)
+        mu_rows[3] = 1e308  # overflows mu/dx, so the step's flux differences are inf - inf
+        with np.errstate(all="ignore"):
+            assert np.isnan(_replay_error(states, mu_rows, cfg))
+
+    def test_replay_scratch_does_not_grow_with_the_step_count(self):
+        from advisc.cli import _replay_error
+        from advisc.grid import make_grid
+        from advisc.schemes import SchemeConfig
+
+        cfg = SchemeConfig(c=1.0, dt=1e-3, grid=make_grid(100, 1.0))
+        rng = np.random.default_rng(5)
+        peaks = []
+        for n_steps in (150, 1500):
+            states = rng.normal(size=(n_steps + 1, 100))
+            mu_rows = rng.uniform(0, 0.01, (n_steps, 100))
+            tracemalloc.start()
+            try:
+                _replay_error(states, mu_rows, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # Five buffers of 1024 values are 40 kB; the states at M = 1500 are 1.2 MB.
+        assert peaks[1] < peaks[0] + 1024, f"replay peaked at {peaks} bytes"
+        assert max(peaks) < 80 * 1024, f"replay peaked at {peaks} bytes"
+
     def test_analyze_training_run_passes(self, tmp_path):
         cfg_path, out = write_config(
             tmp_path, scheme="ftcs_mu", n_cells=32, t_final=0.03,
@@ -623,13 +677,38 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(empty)]) == 4
 
     def test_analyze_detects_tampered_solution(self, tmp_path):
+        from advisc.cli import REPLAY_BLOCK_VALUES
+
         cfg_path, out = write_config(tmp_path, t_final=0.05)
         main(["run", "--config", str(cfg_path)])
-        times, states = read_matrix(out / "solution.csv")
-        states[3, 7] += 0.5
-        write_matrix(out / "solution.csv", times, states)
+        times, stored = read_matrix(out / "solution.csv")
+        block = REPLAY_BLOCK_VALUES // 100
+        assert block == 10 and len(stored) - 1 == 5 * block
+        # A row of the first block, the first row of the second, one of the last.
+        for row in (3, 10, 47):
+            states = stored.copy()
+            states[row, 7] += 0.5
+            write_matrix(out / "solution.csv", times, states)
+            assert main(["analyze", str(out)]) == 1, row
+            assert "scheme_equivalence" in failed_checks(out), row
+
+    def test_analyze_names_a_mu_entry_tampered_in_a_later_block(self, tmp_path):
+        from advisc.cli import REPLAY_BLOCK_VALUES
+
+        cfg_path, out = write_config(
+            tmp_path, scheme="ftcs_mu", t_final=0.03,
+            training=TRAINING.format(n_iters=10, mu_min=-0.005),
+        )
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        assert main(["analyze", str(out)]) == 0
+        _, states = read_matrix(out / "solution.csv")
+        times, mu = read_matrix(out / "mu.csv")
+        assert len(mu) == 3 * (REPLAY_BLOCK_VALUES // 100)  # three blocks of 10 steps
+        face = int(np.argmax(np.abs(np.diff(states[25]))))
+        mu[25, face] += 0.01
+        write_matrix(out / "mu.csv", times, mu)
         assert main(["analyze", str(out)]) == 1
-        assert "scheme_equivalence" in failed_checks(out)
+        assert "stored_steps_consistent" in failed_checks(out)
 
     @pytest.mark.parametrize("target, expected", [
         ("solution.csv", {"stat:mse_final", "stored_steps_consistent"}),
