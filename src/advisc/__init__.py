@@ -11,11 +11,8 @@ from .diagnostics import (
     total_variation,
 )
 from .grid import (
-    CellField,
-    FaceViscosity,
     Grid1D,
     InitialCondition,
-    SpaceTimeViscosity,
     exact_solution,
     make_grid,
 )

@@ -25,7 +25,7 @@ from .config import (
     config_to_dict,
     load_config,
 )
-from .diagnostics import entropy_series, mse, mu_stats, mu_summary, summary_stats
+from .diagnostics import entropy_series, mse, mu_stats, summary_stats
 from .grid import exact_solution
 from .optimizer import TrainingReport, train_global, train_per_step
 from .presets import PRESET_NAMES, STUDIES, preset_config
@@ -47,8 +47,7 @@ from .schemes import (
     SchemeConfig,
     Trajectory,
     _checked_trajectory,
-    _face_terms_into,
-    _ftcs_stepper,
+    _row_stepper,
     simulate,
 )
 
@@ -105,12 +104,12 @@ def _derived(cfg: ExperimentConfig, traj: Trajectory, times: np.ndarray,
     if not losses:
         return csvs, summary
 
-    mu = traj.viscosity_history
-    scale = float(np.max(np.abs(mu[-1])))
-    normalized = mu[-1] / scale if scale > 0 else np.zeros_like(mu[-1])
-    csvs["mu_final.csv"] = [grid.face_positions, mu[-1], normalized]
+    mu_last = traj.viscosity_history[-1]
+    scale = float(np.max(np.abs(mu_last)))
+    normalized = mu_last / scale if scale > 0 else np.zeros_like(mu_last)
+    csvs["mu_final.csv"] = [grid.face_positions, mu_last, normalized]
     csvs["loss_history.csv"] = [np.arange(len(losses)), losses]
-    summary["mu"] = mu_stats(traj, cfg.ic) if cfg.ic.kind == "hat" else mu_summary(mu)
+    summary["mu"] = mu_stats(traj, cfg.ic)
     summary["training"] = {
         "mode": cfg.training.mode,
         "loss_first": losses[0],
@@ -186,13 +185,17 @@ def _write_run(
     t_start: float,
     report: TrainingReport | None = None,
 ) -> None:
-    """Write a run's files, each of which analyze checks, then the manifest:
-    solution.csv and a training run's mu.csv, then what ``_derived`` gives,
-    plus the summary's status and the optimizer's report. A diverged run's
-    CSVs are partial, and its manifest records the step that diverged, the
-    trajectory's ``n_steps``. The full error field is not written: it is
-    solution.csv minus the exact solution, which the config reproduces.
-    Every CSV is written a row at a time."""
+    """Clear the run last written into ``out_dir``, then write this run's
+    files, each of which analyze checks, then the manifest: solution.csv and
+    a training run's mu.csv, then what ``_derived`` gives, plus the
+    summary's status and the optimizer's report. ``run`` and ``train`` call
+    this once their trajectory exists, so a run that cannot allocate one
+    leaves the previous run in place. A diverged run's CSVs are partial, and
+    its manifest records the step that diverged, the trajectory's
+    ``n_steps``. The full error field is not written: it is solution.csv
+    minus the exact solution, which the config reproduces. Every CSV is
+    written a row at a time."""
+    _clear_previous_run(out_dir)
     grid = traj.config.grid
     times = traj.times
     files: list[dict] = []
@@ -228,9 +231,8 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     """Simulate the configured scheme and write its solution, final state and
     entropy. The exact solution is sampled only at t = 0 and, for the final
     state, at the last time reached, so the states are the one space-time
-    matrix the run holds. The run last written into the output directory is
-    cleared only once ``simulate`` has returned or diverged, so a run that
-    cannot allocate its states leaves that run in place."""
+    matrix the run holds. ``_write_run`` clears the run last written into
+    the output directory."""
     if cfg.scheme == "ftcs_mu" and cfg.mu is None:
         raise ConfigError("scheme 'ftcs_mu' requires the 'mu' key for plain runs")
     t_start = time.time()
@@ -244,7 +246,6 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         traj = simulate(u0, cfg.n_steps, scheme_cfg, scheme=cfg.scheme, mu=cfg.mu)
     except DivergenceError as err:
         status, traj = "divergence", err.trajectory
-    _clear_previous_run(out_dir)
     _write_run(cfg, out_dir, traj, status, t_start)
     return EXIT_CODES[status]
 
@@ -296,8 +297,6 @@ def cmd_train(cfg: ExperimentConfig, *more: ExperimentConfig) -> int:
     t_start = time.time()
     configs = (cfg, *more)
     out_dirs = [_training_dir(config) for config in configs]
-    for out_dir in out_dirs:
-        _clear_previous_run(out_dir)
     groups: dict[tuple, list[int]] = {}
     for i, config in enumerate(configs):
         groups.setdefault(_training_group(config), []).append(i)
@@ -319,23 +318,20 @@ def _replay_error(states: np.ndarray, mu_rows: np.ndarray, cfg: SchemeConfig) ->
     Row n of ``mu_rows`` steps states[n]; each step's error is relative to
     max(1, max|states[n + 1]|), and a nan error counts as the largest. The
     steps are independent, so B = max(1, REPLAY_BLOCK_VALUES // N) of them
-    (or all, if fewer) at a time go through ``_face_terms_into`` and
-    ``_ftcs_stepper`` on (N, B) cells-major buffers, as in
-    ``optimizer._descend``, and their errors are reduced along the rows of a
-    row-major (B, N) scratch. A block's states and mu rows enter as
-    transposed views.
+    (or all, if fewer) at a time go through ``schemes._row_stepper``, bound
+    once per call over (N, B) cells-major buffers, and their errors are
+    reduced along the rows of a row-major (B, N) scratch. A block's states
+    and mu rows enter as transposed views.
     """
     n_cells = cfg.grid.n_cells
     width = max(1, min(REPLAY_BLOCK_VALUES // n_cells, len(mu_rows)))
-    a, d, out = (np.empty((n_cells, width)) for _ in range(3))
-    flux, err = np.empty((n_cells + 1, width)), np.empty((width, n_cells))
-    ftcs_step = _ftcs_stepper(a, d, flux, cfg)
+    out, err = np.empty((n_cells, width)), np.empty((width, n_cells))
+    ftcs_step = _row_stepper(cfg, (width,))
     worst = 0.0
     for start in range(0, len(mu_rows), width):
         # a last block that would be short overlaps the one before; the max stays
         start = min(start, len(mu_rows) - width)
         u, after = states[start:start + width].T, states[start + 1:start + width + 1]
-        _face_terms_into(a, d, u, flux, cfg)
         ftcs_step(out, u, mu_rows[start:start + width].T)
         scale = np.maximum.reduce(np.abs(after, err), axis=1, initial=1.0)
         np.subtract(after, out.T, err)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid1D, InitialCondition, make_grid
+from .grid import InitialCondition, make_grid
 from .optimizer import OptimizerConfig
 from .schemes import SCHEME_NAMES, SchemeConfig
 
@@ -92,11 +92,8 @@ class ExperimentConfig:
     def n_steps(self) -> int:
         return round(self.t_final / self.dt)
 
-    def grid(self) -> Grid1D:
-        return make_grid(self.n_cells, self.length)
-
     def scheme_config(self) -> SchemeConfig:
-        return SchemeConfig(c=self.c, dt=self.dt, grid=self.grid())
+        return SchemeConfig(c=self.c, dt=self.dt, grid=make_grid(self.n_cells, self.length))
 
 
 def _to_int(raw: str) -> int:

@@ -96,35 +96,34 @@ def summary_stats(states: np.ndarray, entropy: np.ndarray, exact_final: np.ndarr
     }
 
 
-def mu_summary(values: np.ndarray) -> dict:
-    """Extremes and negative fraction of a viscosity array."""
-    return {
-        "mu_min": float(np.min(values)),
-        "mu_max": float(np.max(values)),
-        "fraction_negative": float(np.mean(values < 0)),
-    }
-
-
 # How far from a hat edge a face counts as near the discontinuity.
 NEGATIVE_MASS_RADIUS = 0.05
 
 
 def mu_stats(traj: Trajectory, ic: InitialCondition) -> dict:
-    """``mu_summary`` of the trajectory's viscosity, plus the localization of
-    its negative entries under ``"negative_mass_near_discontinuity"``.
+    """The extremes and negative fraction of the trajectory's viscosity, and
+    for a hat ``ic`` the localization of its negative entries under
+    ``"negative_mass_near_discontinuity"``.
 
     The localization score restricts attention to negative entries: per step,
     the |mu| mass of negative faces lying within NEGATIVE_MASS_RADIUS of
-    either moving edge of the hat ``ic`` (positions lo + c*t and hi + c*t
-    mod length at the pre-step time) divided by the total negative |mu|
-    mass; steps without negative entries are skipped, and the score is the
-    average over the remaining steps (0.0 if no step has a negative entry).
+    either moving edge of the hat (positions lo + c*t and hi + c*t mod
+    length at the pre-step time) divided by the total negative |mu| mass;
+    steps without negative entries are skipped, and the score is the average
+    over the remaining steps (0.0 if no step has a negative entry).
     """
+    values = traj.viscosity_history
+    out = {
+        "mu_min": float(np.min(values)),
+        "mu_max": float(np.max(values)),
+        "fraction_negative": float(np.mean(values < 0)),
+    }
+    if ic.kind != "hat":
+        return out
+
     cfg = traj.config
     length = cfg.grid.length
     faces = cfg.grid.face_positions
-    values = traj.viscosity_history
-
     ratios = []
     for n, row in enumerate(values):
         neg = row < 0
@@ -141,7 +140,5 @@ def mu_stats(traj: Trajectory, ic: InitialCondition) -> dict:
             d = np.abs(faces - np.remainder(edge + shift, length))
             near |= np.minimum(d, length - d, out=d) <= NEGATIVE_MASS_RADIUS
         ratios.append(float(np.sum(np.abs(row[neg & near]))) / neg_mass)
-
-    out = mu_summary(values)
     out["negative_mass_near_discontinuity"] = float(np.mean(ratios)) if ratios else 0.0
     return out

@@ -7,7 +7,9 @@ kind through the ``PROFILES`` table.
 
 All containers are immutable after construction: the wrapped numpy arrays
 are defensive copies with the writeable flag cleared, so instances can be
-shared freely across threads.
+shared freely across threads. Nothing in the package uses the field
+containers, and the package does not export them; the benchmark's tracer
+hooks each of them here by name.
 """
 
 from __future__ import annotations

@@ -169,16 +169,17 @@ def _ftcs_stepper(a: np.ndarray, d: np.ndarray, flux: np.ndarray, cfg: SchemeCon
     return step
 
 
-def _row_stepper(cfg: SchemeConfig):
-    """step(out, u, mu): one FTCS step of the state row u at the face viscosity
-    row mu into out, through ``_face_terms_into`` and ``_ftcs_stepper`` bound
-    once over one row of buffers. The binder for a state that changes from
-    call to call: ``simulate``, ``ftcs_update`` and the adjoint's reverse
-    sweep (bound at -c) step through it, while the per-step trainer's
-    ``_descend`` binds its fixed state's face terms once and ``analyze``'s
-    replay binds ``_ftcs_stepper`` over blocks of stored steps."""
+def _row_stepper(cfg: SchemeConfig, batch: tuple = ()):
+    """step(out, u, mu): one FTCS step of the state u at the face viscosity mu
+    into out, through ``_face_terms_into`` and ``_ftcs_stepper`` bound once
+    over buffers of shape (N, *batch): one row by default, or (N, B) for
+    B = batch[0] steps held cells-major. The binder for a state that changes
+    from call to call: ``simulate``, ``ftcs_update``, the adjoint's reverse
+    sweep (bound at -c) and ``analyze``'s replay of blocks of stored steps
+    step through it, while the per-step trainer's ``_descend`` binds its
+    fixed state's face terms once."""
     n = cfg.grid.n_cells
-    a, d, flux = np.empty(n), np.empty(n), np.empty(n + 1)
+    a, d, flux = np.empty((n, *batch)), np.empty((n, *batch)), np.empty((n + 1, *batch))
     ftcs_step = _ftcs_stepper(a, d, flux, cfg)
 
     def step(out: np.ndarray, u: np.ndarray, mu: np.ndarray) -> None:

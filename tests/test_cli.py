@@ -995,17 +995,20 @@ class TestAnalyzeCommand:
         failed = {c["name"]: c["detail"] for c in analysis["checks"] if not c["passed"]}
         assert failed == {"entropy_series_consistent": "mismatched columns ['entropy']"}
 
-    def test_analyze_fails_statistics_missing_from_summary(self, tmp_path):
+    @pytest.mark.parametrize("kind, mu_keys", [
+        ("hat", {"mu_min", "mu_max", "fraction_negative", "negative_mass_near_discontinuity"}),
+        ("sine", {"mu_min", "mu_max", "fraction_negative"}),  # the localization is a hat's
+    ], ids=["hat", "sine"])
+    def test_analyze_fails_statistics_missing_from_summary(self, tmp_path, kind, mu_keys):
         cfg_path, out = write_config(
-            tmp_path, scheme="ftcs_mu", n_cells=32, t_final=0.03,
+            tmp_path, scheme="ftcs_mu", n_cells=32, t_final=0.03, kind=kind,
             training=TRAINING.format(n_iters=40, mu_min=-0.005),
         )
         assert main(["train", "--config", str(cfg_path)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         expected = {f"stat:{key}" for key in summary.pop("stats")}
-        del summary["mu"]
-        expected |= {"mu:mu_min", "mu:mu_max", "mu:fraction_negative",
-                     "mu:negative_mass_near_discontinuity"}
+        assert set(summary.pop("mu")) == mu_keys
+        expected |= {f"mu:{key}" for key in mu_keys}
         (out / "summary.json").write_text(json.dumps(summary))
         assert main(["analyze", str(out)]) == 1
         analysis = json.loads((out / "analysis.json").read_text())
@@ -1327,18 +1330,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"advisc {command}" in err and "109. TiB" in err
 
-    def test_run_out_of_memory_keeps_the_previous_run(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command, allocation", [("run", "simulate"),
+                                                     ("train", "train_per_step")])
+    def test_run_out_of_memory_keeps_the_previous_run(self, tmp_path, monkeypatch,
+                                                      command, allocation):
         import advisc.cli
 
-        cfg_path, out = write_config(tmp_path)
-        assert main(["run", "--config", str(cfg_path)]) == 0
+        training = {"scheme": "ftcs_mu", "training": TRAINING.format(n_iters=2, mu_min=-0.005)}
+        cfg_path, out = write_config(tmp_path, **(training if command == "train" else {}))
+        assert main([command, "--config", str(cfg_path)]) == 0
         before = {path.name: path.read_bytes() for path in out.iterdir()}
 
         def too_large(*args, **kwargs):
             raise MemoryError("Unable to allocate 109. TiB for an array")
 
-        monkeypatch.setattr(advisc.cli, "simulate", too_large)
-        assert main(["run", "--config", str(cfg_path)]) == 3
+        monkeypatch.setattr(advisc.cli, allocation, too_large)
+        assert main([command, "--config", str(cfg_path)]) == 3
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
         monkeypatch.undo()
         assert main(["analyze", str(out)]) == 0

@@ -1,5 +1,7 @@
 """Every name the package exports is used: inside the package, by the
-acceptance suite, or in the README's library quickstart."""
+acceptance suite, or in the README's library quickstart. Every import is
+used, and only the modules that bind the FTCS kernel import its private
+helpers."""
 
 import ast
 import re
@@ -7,9 +9,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "advisc"
-# The frozen field containers are used by nothing above, but the benchmark's
-# tracer hooks each of them by name, so they stay exported until it stops.
-CONTAINERS = {"CellField", "FaceViscosity", "SpaceTimeViscosity"}
 
 
 def used_names(source: str) -> set[str]:
@@ -35,7 +34,7 @@ def test_every_export_is_used():
     used |= used_names((ROOT / "tests" / "test_acceptance.py").read_text())
     quickstart = (ROOT / "README.md").read_text().split("## Library quickstart", 1)[1]
     used |= used_names(re.search(r"```python\n(.*?)```", quickstart, re.DOTALL).group(1))
-    assert sorted(exported - used - CONTAINERS) == []
+    assert sorted(exported - used) == []
 
 
 def test_every_import_is_used():
@@ -52,3 +51,21 @@ def test_every_import_is_used():
         if left:
             unused[path.name] = sorted(left)
     assert unused == {}
+
+
+def test_only_the_kernel_binders_import_its_helpers():
+    # schemes._row_stepper binds the kernel for a state that changes from call
+    # to call, and optimizer._descend for its fixed state; every other module
+    # steps through one of them.
+    helpers = {"_face_terms_into", "_ftcs_stepper"}
+    offenders = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("schemes.py", "optimizer.py"):
+            continue
+        source = path.read_text()
+        names = used_names(source) | {alias.name for node in ast.walk(ast.parse(source))
+                                      if isinstance(node, ast.ImportFrom)
+                                      for alias in node.names}
+        if helpers & names:
+            offenders[path.name] = sorted(helpers & names)
+    assert offenders == {}
