@@ -39,7 +39,6 @@ from .runio import (
     read_manifest,
     write_columns_csv,
     write_json,
-    write_manifest,
 )
 from .schemes import (
     CLASSICAL_MU,
@@ -174,27 +173,29 @@ def _mark_finished(out_dir: Path, files: list[dict], t_start: float, status: str
         "files": files + [{"name": MANIFEST_NAME}],
         **blocks,
     }
-    write_manifest(out_dir, payload)
+    write_json(out_dir / MANIFEST_NAME, payload)
 
 
 def _write_run(
     cfg: ExperimentConfig,
-    out_dir: Path,
     traj: Trajectory,
     status: str,
     t_start: float,
     report: TrainingReport | None = None,
-) -> None:
-    """Clear the run last written into ``out_dir``, then write this run's
-    files, each of which analyze checks, then the manifest: solution.csv and
-    a training run's mu.csv, then what ``_derived`` gives, plus the
-    summary's status and the optimizer's report. ``run`` and ``train`` call
-    this once their trajectory exists, so a run that cannot allocate one
-    leaves the previous run in place. A diverged run's CSVs are partial, and
-    its manifest records the step that diverged, the trajectory's
-    ``n_steps``. The full error field is not written: it is solution.csv
-    minus the exact solution, which the config reproduces. Every CSV is
-    written a row at a time."""
+) -> int:
+    """Create the run's output directory, clear the run last written into it,
+    then write this run's files, each of which analyze checks, then the
+    manifest: solution.csv, a training run's mu.csv if it has losses, then
+    what ``_derived`` gives, plus the summary's status and the optimizer's
+    report. Returns the run's exit code. ``run`` and ``train`` call this once
+    their trajectory exists, so a run that cannot allocate one creates no
+    directory and leaves the previous run in place. A diverged run's CSVs are
+    partial, and its manifest records the step that diverged, the
+    trajectory's ``n_steps``. The full error field is not written: it is
+    solution.csv minus the exact solution, which the config reproduces. Every
+    CSV is written a row at a time."""
+    out_dir = Path(cfg.output.directory)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _clear_previous_run(out_dir)
     grid = traj.config.grid
     times = traj.times
@@ -206,11 +207,11 @@ def _write_run(
 
     write("solution.csv", matrix_header(grid.n_cells), _matrix_rows(times, traj.states))
     losses = None if report is None else report.loss_history
-    csvs, summary = _derived(cfg, traj, times, losses)  # not held while solution.csv is written
+    if losses:
+        write("mu.csv", matrix_header(grid.n_cells),
+              _matrix_rows(times[:-1], traj.viscosity_history))
+    csvs, summary = _derived(cfg, traj, times, losses)  # not held while the matrices are written
     for name, columns in csvs.items():
-        if name == "mu_final.csv":  # the manifest lists mu.csv before the files derived from it
-            write("mu.csv", matrix_header(grid.n_cells),
-                  _matrix_rows(times[:-1], traj.viscosity_history))
         write(name, DERIVED_CSVS[name][0], zip(*columns))
 
     summary["status"] = status
@@ -225,19 +226,18 @@ def _write_run(
         blocks["diverged_at_step"] = traj.n_steps
     files.append({"name": "summary.json"})
     _mark_finished(out_dir, files, t_start, status, **blocks)
+    return EXIT_CODES[status]
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     """Simulate the configured scheme and write its solution, final state and
     entropy. The exact solution is sampled only at t = 0 and, for the final
     state, at the last time reached, so the states are the one space-time
-    matrix the run holds. ``_write_run`` clears the run last written into
-    the output directory."""
+    matrix the run holds. ``_write_run`` creates the output directory once the
+    run is simulated and returns the exit code."""
     if cfg.scheme == "ftcs_mu" and cfg.mu is None:
         raise ConfigError("scheme 'ftcs_mu' requires the 'mu' key for plain runs")
     t_start = time.time()
-    out_dir = Path(cfg.output.directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
     scheme_cfg = cfg.scheme_config()
     u0 = exact_solution(cfg.ic, scheme_cfg.grid, cfg.c, 0.0)
 
@@ -246,12 +246,11 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         traj = simulate(u0, cfg.n_steps, scheme_cfg, scheme=cfg.scheme, mu=cfg.mu)
     except DivergenceError as err:
         status, traj = "divergence", err.trajectory
-    _write_run(cfg, out_dir, traj, status, t_start)
-    return EXIT_CODES[status]
+    return _write_run(cfg, traj, status, t_start)
 
 
-def _training_dir(cfg: ExperimentConfig) -> Path:
-    """Check that ``cfg`` trains; create and return its output directory."""
+def _check_trains(cfg: ExperimentConfig) -> None:
+    """Check that ``cfg`` trains; its output directory is made only once it has trained."""
     if cfg.training is None:
         raise ConfigError("training requires a [training] section")
     if cfg.scheme != "ftcs_mu":
@@ -261,9 +260,6 @@ def _training_dir(cfg: ExperimentConfig) -> Path:
     if cfg.mu is not None:
         raise ConfigError("training learns the viscosity; [simulation] mu is for plain "
                           "ftcs_mu runs only")
-    out_dir = Path(cfg.output.directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
 
 
 def _training_group(cfg: ExperimentConfig) -> tuple:
@@ -276,34 +272,35 @@ def _training_group(cfg: ExperimentConfig) -> tuple:
     return cfg.n_cells, cfg.length, cfg.c, cfg.dt, cfg.n_steps, cfg.ic, mode, n_iters
 
 
-def _train_and_write(configs: list[ExperimentConfig], out_dirs: list[Path],
-                     t_start: float) -> list[int]:
+def _train_and_write(configs: list[ExperimentConfig], t_start: float) -> list[int]:
     """Train configs of one ``_training_group`` in one call of the mode's
-    trainer, write every run and return each run's exit code."""
+    trainer, then write each run into its own output directory through
+    ``_write_run``; return each run's exit code."""
     scheme_cfg, exact = _build_problem(configs[0])
     opts = tuple(config.training.optimizer for config in configs)
     trainer = train_per_step if configs[0].training.mode == "per_step" else train_global
     reports = trainer(scheme_cfg, opts, exact)
-    for config, out_dir, report in zip(configs, out_dirs, reports):
-        _write_run(config, out_dir, report.trajectory, report.status, t_start, report)
-    return [EXIT_CODES[report.status] for report in reports]
+    return [_write_run(config, report.trajectory, report.status, t_start, report)
+            for config, report in zip(configs, reports)]
 
 
 def cmd_train(cfg: ExperimentConfig, *more: ExperimentConfig) -> int:
     """Train the viscosity closure of each config and write every run; return
     the exit code of the first failed run in config order, or 0. Configs of
     one ``_training_group`` differ only in optimizer and output directory,
-    so each group trains in one call of its mode's trainer, on its problem."""
+    so each group trains in one call of its mode's trainer, on its problem.
+    Every config is checked before any trains; no output directory is made
+    before its run has trained."""
     t_start = time.time()
     configs = (cfg, *more)
-    out_dirs = [_training_dir(config) for config in configs]
+    for config in configs:
+        _check_trains(config)
     groups: dict[tuple, list[int]] = {}
     for i, config in enumerate(configs):
         groups.setdefault(_training_group(config), []).append(i)
     codes: dict[int, int] = {}
     for members in groups.values():
-        codes.update(zip(members, _train_and_write(
-            [configs[i] for i in members], [out_dirs[i] for i in members], t_start)))
+        codes.update(zip(members, _train_and_write([configs[i] for i in members], t_start)))
     return next((codes[i] for i in sorted(codes) if codes[i] != EXIT_OK), EXIT_OK)
 
 
@@ -567,9 +564,7 @@ def cmd_reproduce(preset: str, out_root: str | Path) -> int:
 
 
 def _load_for(args: argparse.Namespace) -> ExperimentConfig:
-    if bool(args.config) == bool(args.preset):
-        raise ConfigError("provide exactly one of --config PATH or --preset NAME")
-    cfg = load_config(args.config) if args.config else preset_config(args.preset)
+    cfg = load_config(args.config) if args.config is not None else preset_config(args.preset)
     if args.out:
         cfg = replace(cfg, output=OutputSettings(args.out))
     return cfg
@@ -595,16 +590,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, helptext in (
-        ("run", "simulate a scheme and write CSV artifacts"),
-        ("train", "train a viscosity closure and write CSV artifacts"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", required=name == "run", help="path to a config file")
-        if name == "train":  # every preset trains, so only train takes one
-            p.add_argument("--preset", help="named preset instead of a config file")
-        p.set_defaults(preset=None)
-        p.add_argument("--out", help="output directory override")
+    p = sub.add_parser("run", help="simulate a scheme and write CSV artifacts")
+    p.add_argument("--config", required=True, help="path to a config file")
+    p.add_argument("--out", help="output directory override")
+
+    p = sub.add_parser("train", help="train a viscosity closure and write CSV artifacts")
+    # every preset trains, so only train takes one
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="path to a config file")
+    source.add_argument("--preset", help="named preset instead of a config file")
+    p.add_argument("--out", help="output directory override")
 
     p = sub.add_parser("analyze", help="verify a finished run directory")
     p.add_argument("directory", help="run directory containing a manifest")
@@ -629,9 +624,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except DivergenceError as err:
-        print(f"divergence: {err}", file=sys.stderr)
-        return EXIT_DIVERGENCE
     except (OSError, CorruptRunError) as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO

@@ -14,8 +14,9 @@ line the file must have and raises ``CorruptRunError`` for any other. A
 space-time matrix has the corner-labeled header ``t\\x,x0,x1,...``
 (``matrix_header``); row n starts with the time of state n. JSON files are
 strict JSON: a non-finite float is written as the string "inf", "-inf" or
-"nan". The manifest is written last, atomically, as the completion marker of
-a run. A file that cannot be parsed, or holds what no writer writes, raises
+"nan". Every JSON file is replaced atomically, through a temporary file and
+a rename; the manifest is written last, as the completion marker of a run.
+A file that cannot be parsed, or holds what no writer writes, raises
 ``CorruptRunError``.
 """
 
@@ -354,13 +355,14 @@ def _finite_json(value):
     return value
 
 
-def _dumps(payload: dict) -> str:
-    """Strict JSON of ``payload``: a non-finite float is written as its name."""
-    return json.dumps(_finite_json(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
 def write_json(path: str | Path, payload: dict) -> None:
-    Path(path).write_text(_dumps(payload))
+    """Write ``payload`` as strict JSON, a non-finite float as its name,
+    atomically: into ``<name>.tmp``, then renamed over ``path``."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(_finite_json(payload), indent=2, sort_keys=True,
+                              allow_nan=False) + "\n")
+    os.replace(tmp, path)
 
 
 def read_json(path: str | Path) -> dict:
@@ -377,14 +379,6 @@ def read_json(path: str | Path) -> dict:
 
 
 MANIFEST_NAME = "manifest.json"
-
-
-def write_manifest(directory: str | Path, payload: dict) -> None:
-    """Atomic write (temp file + rename): presence marks a completed run."""
-    directory = Path(directory)
-    tmp = directory / (MANIFEST_NAME + ".tmp")
-    tmp.write_text(_dumps(payload))
-    os.replace(tmp, directory / MANIFEST_NAME)
 
 
 def read_manifest(directory: str | Path) -> dict:

@@ -216,6 +216,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("key, value", [
         ("n_cells", "2"), ("length", "0"), ("dt", "-0.001"), ("c", "nan"),
+        ("t_final", "-0.005"),
     ])
     def test_bad_grid_or_scheme_value_exits_3(self, tmp_path, capsys, key, value):
         # the grid and the scheme config check these; run reports them as config errors
@@ -226,6 +227,23 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path)]) == 3
         err = capsys.readouterr().err
         assert "config error" in err and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scheme, mu", [("ftcs_mu", "inf"), ("upwind", "0.01")],
+                             ids=["non_finite", "on_upwind"])
+    def test_bad_mu_exits_3_naming_it(self, tmp_path, capsys, scheme, mu):
+        cfg_path, out = write_config(tmp_path, scheme=scheme, extra_sim=f"mu = {mu}\n")
+        assert main(["run", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert "config error" in err and "mu" in err
+        assert not out.exists()
+
+    def test_unclosed_section_header_exits_3_naming_it(self, tmp_path, capsys):
+        cfg_path, out = write_config(tmp_path)
+        cfg_path.write_text(cfg_path.read_text().lstrip().replace("[simulation]", "[simulation", 1))
+        assert main(["run", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert "config error" in err and "[simulation" in err
         assert not out.exists()
 
     def test_run_after_train_replaces_previous_run(self, tmp_path):
@@ -423,6 +441,23 @@ class TestTrainCommand:
     def test_training_requires_training_section(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, scheme="ftcs_mu", extra_sim="mu = 0.005\n")
         assert main(["train", "--config", str(cfg_path)]) == 3
+
+    @pytest.mark.parametrize("scheme, t_final, edit, key", [
+        ("upwind", 0.01, None, "scheme"),
+        ("ftcs_mu", 0.0, None, "t_final"),
+        ("ftcs_mu", 0.01, ("mode = per_step", "mode = both"), "mode"),
+        ("ftcs_mu", 0.01, ("n_iters = 2", "n_iters = 0"), "n_iters"),
+    ], ids=["upwind", "no_step", "mode_both", "no_iters"])
+    def test_config_that_cannot_train_exits_3_naming_the_key(self, tmp_path, capsys, scheme,
+                                                             t_final, edit, key):
+        cfg_path, out = write_config(tmp_path, scheme=scheme, n_cells=20, t_final=t_final,
+                                     training=TRAINING.format(n_iters=2, mu_min=-0.005))
+        if edit:
+            cfg_path.write_text(cfg_path.read_text().replace(*edit))
+        assert main(["train", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert not out.exists()
 
     def test_training_rejects_a_constant_mu(self, tmp_path, capsys):
         # analyze would replay the learned steps at that mu and fail the run.
@@ -786,6 +821,20 @@ class TestAnalyzeCommand:
         (out / name).write_text("\n".join(lines) + "\n")
         assert main(["analyze", str(out)]) == 4
         assert str(out / name) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["final_state.csv", "summary.json"],
+                             ids=["final_state_extra_column", "summary_deleted"])
+    def test_analyze_names_a_file_it_cannot_read_exits_4(self, tmp_path, capsys, name):
+        cfg_path, out = write_config(tmp_path, t_final=0.01)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        path = out / name
+        if name == "summary.json":
+            path.unlink()
+        else:
+            header, *rows = path.read_text().splitlines()
+            path.write_text("\n".join([header] + [row + ",0" for row in rows]) + "\n")
+        assert main(["analyze", str(out)]) == 4
+        assert str(path) in capsys.readouterr().err
 
     def test_analyze_fails_entropy_with_one_time_changed(self, tmp_path):
         cfg_path, out = write_config(tmp_path, t_final=0.01)
@@ -1267,8 +1316,8 @@ class TestNotUtf8:
 
 class TestCorruptStudyManifest:
     """A study manifest whose subruns or preset no study writes exits 4 on
-    analyze and on a rerun into its directory, names the manifest and
-    deletes nothing."""
+    analyze and names the manifest. One whose subruns or preset are not
+    names does so on a rerun into its directory too, and deletes nothing."""
 
     @pytest.mark.parametrize("key, value", [("subruns", [1]), ("subruns", "hat"), ("preset", 5)])
     @pytest.mark.parametrize("command", ["analyze", "rerun"])
@@ -1290,6 +1339,22 @@ class TestCorruptStudyManifest:
         assert main(["analyze", str(study)] if command == "analyze" else argv) == 4
         assert "manifest.json" in capsys.readouterr().err
         assert sorted(study.rglob("*")) == before
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("preset", "nope", "names no known study"),
+        ("subruns", ["../r"], "lists subrun '../r'"),
+    ], ids=["unknown_preset", "subrun_outside"])
+    def test_analyze_exits_4_naming_the_manifest(self, tmp_path, capsys, short_presets, key,
+                                                 value, named):
+        study = tmp_path / "study"
+        assert main(["reproduce", "--preset", "sine-smooth", "--out", str(study)]) == 0
+        manifest = read_manifest(study)
+        manifest[key] = value
+        (study / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["analyze", str(study)]) == 4
+        err = capsys.readouterr().err
+        assert str(study / "manifest.json") in err and named in err
 
 
 class TestExitCodes:
@@ -1323,12 +1388,27 @@ class TestExitCodes:
             raise MemoryError("Unable to allocate 109. TiB for an array")
 
         monkeypatch.setattr(advisc.cli, allocation, too_large)
-        cfg_path, _ = write_config(tmp_path, scheme="ftcs_mu", t_final=0.01,
-                                   extra_sim="mu = 0.005\n" if command == "run" else "",
-                                   training=TRAINING.format(n_iters=2, mu_min=-0.005))
+        cfg_path, out = write_config(tmp_path, scheme="ftcs_mu", t_final=0.01,
+                                     extra_sim="mu = 0.005\n" if command == "run" else "",
+                                     training=TRAINING.format(n_iters=2, mu_min=-0.005))
         assert main([command, "--config", str(cfg_path)]) == 3
         err = capsys.readouterr().err
         assert f"advisc {command}" in err and "109. TiB" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "train", "reproduce"])
+    def test_out_naming_a_file_exits_4_and_keeps_it(self, tmp_path, capsys, short_presets,
+                                                    command):
+        cfg_path, _ = write_config(tmp_path, scheme="ftcs_mu", n_cells=20, t_final=0.01,
+                                   extra_sim="mu = 0.005\n" if command == "run" else "",
+                                   training=TRAINING.format(n_iters=2, mu_min=-0.005))
+        target = tmp_path / "taken"
+        target.write_bytes(b"not a directory\n")
+        source = ["--preset", "sine-smooth"] if command == "reproduce" else [
+            "--config", str(cfg_path)]
+        assert main([command, *source, "--out", str(target)]) == 4
+        assert str(target) in capsys.readouterr().err
+        assert target.read_bytes() == b"not a directory\n"
 
     @pytest.mark.parametrize("command, allocation", [("run", "simulate"),
                                                      ("train", "train_per_step")])
@@ -1377,10 +1457,16 @@ class TestReproduceCommand:
     def test_unknown_preset_exits_3(self, tmp_path):
         assert main(["reproduce", "--preset", "nope", "--out", str(tmp_path)]) == 3
 
-    def test_run_and_train_require_exactly_one_source(self, tmp_path):
+    def test_run_and_train_require_exactly_one_source(self, tmp_path, capsys):
         assert main(["run"]) == 3
         cfg_path, _ = write_config(tmp_path)
         assert main(["run", "--config", str(cfg_path), "--preset", "paper-hat"]) == 3
+        for source in ([], ["--config", str(cfg_path), "--preset", "paper-hat"]):
+            capsys.readouterr()
+            assert main(["train", *source]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("usage: advisc train") and "--config" in err
+            assert "--preset" in err
 
     def test_paper_hat_claims(self, tmp_path, capsys):
         out = tmp_path / "repro"

@@ -28,7 +28,6 @@ from advisc.runio import (
     read_manifest,
     write_columns_csv,
     write_json,
-    write_manifest,
 )
 from advisc.schemes import SCHEME_NAMES
 
@@ -543,7 +542,7 @@ class TestWriterMemory:
 class TestManifest:
     def test_write_and_read(self, tmp_path):
         payload = {"status": "ok", "files": [{"name": "x.csv", "role": "solution"}]}
-        write_manifest(tmp_path, payload)
+        write_json(tmp_path / "manifest.json", payload)
         assert read_manifest(tmp_path) == payload
         assert not (tmp_path / "manifest.json.tmp").exists()
 
@@ -554,7 +553,7 @@ class TestManifest:
     def test_non_finite_floats_written_as_names(self, tmp_path):
         payload = {"stats": {"a": float("inf"), "b": -np.inf, "c": np.float64("nan"), "d": 0.5},
                    "rows": [1.0, float("-inf")], "pair": (2, float("inf"))}
-        write_manifest(tmp_path, payload)
+        write_json(tmp_path / "manifest.json", payload)
         write_json(tmp_path / "summary.json", payload)
         for path in (tmp_path / "manifest.json", tmp_path / "summary.json"):
             def reject(name):

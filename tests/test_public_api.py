@@ -1,7 +1,8 @@
 """Every name the package exports is used: inside the package, by the
 acceptance suite, or in the README's library quickstart. Every import is
-used, and only the modules that bind the FTCS kernel import its private
-helpers."""
+used, only the modules that bind the FTCS kernel import its private
+helpers, and only the run writer and ``reproduce`` create or clear a run
+directory."""
 
 import ast
 import re
@@ -69,3 +70,23 @@ def test_only_the_kernel_binders_import_its_helpers():
         if helpers & names:
             offenders[path.name] = sorted(helpers & names)
     assert offenders == {}
+
+
+def test_only_the_run_writer_and_reproduce_create_or_clear_a_directory():
+    # cli._write_run creates and clears a run's directory once the run exists,
+    # and cmd_reproduce its study root before it trains; _clear_previous_run
+    # recurses into a study's subruns.
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    functions += [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  for node in cls.body if isinstance(node, ast.FunctionDef)]
+    callers = {}
+    for function in functions:
+        for call in ast.walk(function):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "attr", getattr(call.func, "id", None))
+                if name in ("mkdir", "_clear_previous_run"):
+                    callers.setdefault(name, set()).add(function.name)
+    callers["_clear_previous_run"].discard("_clear_previous_run")
+    assert callers == {"mkdir": {"_write_run", "cmd_reproduce"},
+                       "_clear_previous_run": {"_write_run", "cmd_reproduce"}}
