@@ -6,10 +6,12 @@ forward sweep records the states, one reverse sweep propagates adjoint
 variables through the transposed step operator, and each per-step gradient
 is the adjoint contracted against the step's mu-sensitivity at the recorded
 state. The transposed step is the forward FTCS step with the advection
-reversed, A^T(c, mu) = A(-c, mu), so the sweep steps through the same kernel
-as ``simulate``. The per-step trainer's one-step gradient is the same
-contraction, inlined in ``optimizer._descend``. A central finite-difference
-oracle is provided for verification.
+reversed, A^T(c, mu) = A(-c, mu), so the sweep loads each adjoint into the
+same binder as ``simulate``, ``schemes._row_stepper``, and the jumps that
+loading forms serve both the contraction and the next transposed step. The
+per-step trainer's one-step gradient is the same contraction, inlined in
+``optimizer._descend``. A central finite-difference oracle is provided for
+verification.
 """
 
 from __future__ import annotations
@@ -63,6 +65,9 @@ def grad_mu_global(traj: Trajectory, exact: np.ndarray) -> np.ndarray:
     A^T(c, mu) = A(-c, mu): the central difference is skew-symmetric and the
     viscous part symmetric, so the sweep steps through the forward kernel,
     ``schemes._row_stepper`` bound once at -c, between two rows that swap.
+    Each gradient row starts negated, as (dt/dx^2)*(u_i - u_{i+1}), and is
+    multiplied by the jumps lambda_{i+1} - lambda_i that loading lambda^{n+1}
+    returns; the product is the same, bit for bit, but for the sign of a zero.
     """
     n_steps = traj.n_steps
     if traj.viscosity_history is None or n_steps == 0:
@@ -76,12 +81,12 @@ def grad_mu_global(traj: Trajectory, exact: np.ndarray) -> np.ndarray:
     coef = 1.0 / (n * n_steps)
     two_coef = np.array(2.0 * coef)
 
-    # Row n: the mu-sensitivity (dt/dx^2)*(u_{i+1} - u_i) at u^n, times lambda_i - lambda_{i+1}.
+    # Row n: the mu-sensitivity at u^n, negated: (dt/dx^2)*(u_i - u_{i+1}).
     grad = np.empty((n_steps, n))
-    np.subtract(states[:-1, 1:], states[:-1, :-1], grad[:, :-1])
-    np.subtract(states[:-1, 0], states[:-1, -1], grad[:, -1])
+    np.subtract(states[:-1, :-1], states[:-1, 1:], grad[:, :-1])
+    np.subtract(states[:-1, -1], states[:-1, 0], grad[:, -1])
     np.multiply(cfg.dt / cfg.grid.dx**2, grad, grad)
-    step_transposed = _row_stepper(replace(cfg, c=-cfg.c))
+    load, step_transposed = _row_stepper(replace(cfg, c=-cfg.c))
     lam, lam_after, t = np.empty(n), np.empty(n), np.empty(n)
     for m in range(n_steps, 0, -1):
         np.subtract(states[m], exact[m], t)
@@ -91,9 +96,7 @@ def grad_mu_global(traj: Trajectory, exact: np.ndarray) -> np.ndarray:
         else:
             step_transposed(lam, lam_after, mu[m])
             np.add(lam, t, lam)
-        np.subtract(lam[:-1], lam[1:], t[:-1])
-        t[-1] = lam[-1] - lam[0]
-        np.multiply(grad[m - 1], t, grad[m - 1])
+        np.multiply(grad[m - 1], load(lam), grad[m - 1])
         lam, lam_after = lam_after, lam
     return grad
 

@@ -323,12 +323,13 @@ def _replay_error(states: np.ndarray, mu_rows: np.ndarray, cfg: SchemeConfig) ->
     n_cells = cfg.grid.n_cells
     width = max(1, min(REPLAY_BLOCK_VALUES // n_cells, len(mu_rows)))
     out, err = np.empty((n_cells, width)), np.empty((width, n_cells))
-    ftcs_step = _row_stepper(cfg, (width,))
+    load, ftcs_step = _row_stepper(cfg, (width,))
     worst = 0.0
     for start in range(0, len(mu_rows), width):
         # a last block that would be short overlaps the one before; the max stays
         start = min(start, len(mu_rows) - width)
         u, after = states[start:start + width].T, states[start + 1:start + width + 1]
+        load(u)
         ftcs_step(out, u, mu_rows[start:start + width].T)
         scale = np.maximum.reduce(np.abs(after, err), axis=1, initial=1.0)
         np.subtract(after, out.T, err)

@@ -8,10 +8,11 @@ gradient descent on the unpenalized loss, projected onto box constraints.
 Both trainers take a tuple of optimizer configs on one problem and return
 one ``TrainingReport`` per config, whose ``status`` says how the run ended;
 a run that diverges is reported, not raised. The per-step trainer trains
-its configs together: each step hoists its mu-independent factors once, and
-the inner iterations run only in-place ufuncs over cells-major (N, batch)
-C-order buffers, whose shifted views are contiguous. The global trainer
-trains its configs one after another.
+its configs together: each step loads its states into the one FTCS binder,
+``schemes._row_stepper``, once, and the inner iterations step them at each
+new mu, running only in-place ufuncs over cells-major (N, batch) C-order
+buffers, whose shifted views are contiguous. The global trainer trains its
+configs one after another.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from .schemes import (
     SchemeConfig,
     Trajectory,
     _diverged,
-    _face_terms_into,
-    _ftcs_stepper,
     _guard_bound,
+    _row_stepper,
     simulate,
 )
 
@@ -108,18 +108,17 @@ def _descend(u: np.ndarray, target: np.ndarray, mu: np.ndarray, lr: np.ndarray,
 
         g_{i+1/2} = (dt/dx^2) * (u_{i+1} - u_i) * (r_i - r_{i+1}),
 
-    then sets mu <- clip(mu - lr*g, lo, hi). The mu-independent factors
-    A = c*(u_{i+1} + u_i)/2, D = u_{i+1} - u_i and K = (dt/dx^2)*D are formed
-    once per call; the loop runs the FTCS stepper and ufuncs into preallocated
-    buffers, with 2/N as a 0-d array and the outputs passed positionally.
+    then sets mu <- clip(mu - lr*g, lo, hi). ``schemes._row_stepper`` loads u
+    once per call, forming the mu-independent face terms and D = u_{i+1} - u_i,
+    and K = (dt/dx^2)*D; the loop steps the loaded state and runs ufuncs into
+    preallocated buffers, with 2/N as a 0-d array and the outputs passed
+    positionally.
     """
     n, b = u.shape
     two_n = np.array(2.0 / n)
-    a, d, t = np.empty((n, b)), np.empty((n, b)), np.empty((n, b))
-    flux, res = np.empty((n + 1, b)), np.empty((n + 1, b))
-    _face_terms_into(a, d, u, flux, cfg)
-    ftcs_step = _ftcs_stepper(a, d, flux, cfg)
-    k = (cfg.dt / cfg.grid.dx**2) * d
+    t, res = np.empty((n, b)), np.empty((n + 1, b))
+    load, ftcs_step = _row_stepper(cfg, (b,))
+    k = (cfg.dt / cfg.grid.dx**2) * load(u)
     # A ghost row turns the periodic difference into a fixed view: row N of
     # ``res`` repeats r_0 after r_0 .. r_{N-1}.
     r_here, r_after, r_ghost, r_first = res[:n], res[1:], res[n:], res[:1]

@@ -210,20 +210,15 @@ def _format_chunk(values: np.ndarray, slots: np.ndarray, n_cols: int, offset: in
     |x| (``_decimal``) with a point after digit D + 1 (D >= 0) or behind
     ``0.`` and -D - 1 zeros (D < 0), less the fraction's trailing zeros. A
     zero is "0" or "-0"; every other value is formatted by ``%``,
-    _PERCENT_VALUES at a time. Where at most half the values are outside
-    the window, the fast path formats them too, as 0.1, and their slots are
-    overwritten; otherwise it formats only the values inside. Every stage
-    holds at most seven arrays of the chunk's size, 56 bytes per value."""
+    _PERCENT_VALUES at a time. All values go through the fixed-point path,
+    those outside the window as 0.1, and then their slots are overwritten.
+    Every stage holds at most seven arrays of the chunk's size, 56 bytes per
+    value."""
     slots = slots[:len(values)]
     a = np.abs(values)
     inside = a >= 1e-4
     inside &= a < 1e15
-    if 2 * np.count_nonzero(inside) < len(values):
-        fast = np.flatnonzero(inside)
-        a = a[fast]
-    else:
-        fast = slice(None)
-        np.putmask(a, ~inside, 0.1)
+    np.putmask(a, ~inside, 0.1)
     d, digits = _decimal(a)
     del a
     s, zeros = _ascii(digits)
@@ -244,7 +239,7 @@ def _format_chunk(values: np.ndarray, slots: np.ndarray, n_cols: int, offset: in
         word &= _MOVES[w][form]
         word |= stay
         word |= _MARKS[w][form]
-        slots[fast, w] = word
+        slots[:, w] = word
         s[w] = word = stay = None
     del shift, form
     slots[:, 3] = 0

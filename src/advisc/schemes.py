@@ -10,6 +10,10 @@ Classical schemes are special cases with a constant mu, given for every
 layer by one table, ``CLASSICAL_MU``: mu = |c|*dx/2 gives first-order
 upwind for either sign of c, mu = c^2*dt/2 gives Lax-Wendroff, mu = 0 gives
 the bare (unstable) forward-time centered-space update.
+
+The stencil exists once, in ``_row_stepper``: every caller binds it, loads a
+state, which forms the mu-independent face terms, and steps the loaded state
+at one viscosity or at many.
 """
 
 from __future__ import annotations
@@ -132,61 +136,47 @@ def _checked_trajectory(states: np.ndarray, cfg: SchemeConfig,
     return traj
 
 
-def _face_terms_into(a: np.ndarray, d: np.ndarray, u: np.ndarray, ue: np.ndarray,
-                     cfg: SchemeConfig) -> None:
-    """a <- c*(u_{i+1} + u_i)/2 and d <- u_{i+1} - u_i, the mu-independent face terms
-    of a step from u, whose cells run along axis 0. ``ue``, one row longer, is
-    scratch for u and its ghost u_0 as row N."""
-    ue[:-1] = u
-    ue[-1] = u[0]
-    here, after = ue[:-1], ue[1:]
-    np.add(after, here, a)
-    np.multiply(cfg.c * 0.5, a, a)
-    np.subtract(after, here, d)
+def _row_stepper(cfg: SchemeConfig, batch: tuple = ()):
+    """The one binder of the FTCS kernel: (load, step) over buffers of shape
+    (N, *batch), one row by default, or (N, B) for B = batch[0] states held
+    cells-major, so every shifted view is one contiguous block.
 
-
-def _ftcs_stepper(a: np.ndarray, d: np.ndarray, flux: np.ndarray, cfg: SchemeConfig):
-    """step(out, u, mu): out <- u - (dt/dx)*(F_{i+1/2} - F_{i-1/2}) in place, with
-    F_{i+1/2} = a_i - (mu_{i+1/2}/dx)*d_i from ``_face_terms_into``. Cells run
-    along axis 0, so a batch held as (N, B) C-order buffers steps through
-    contiguous row blocks. Row 0 of ``flux``, one row longer than u, repeats
-    F_{N-1/2}; ``out`` is scratch too. Bound once, with dx and dt/dx as 0-d
-    arrays and the outputs passed positionally, as the per-step trainer steps
-    every inner iteration."""
-    f_here, f_before, f_ghost, f_last = flux[1:], flux[:-1], flux[:1], flux[-1:]
+    load(u) writes u and its ghost u_0 as row N into the flux buffer, forms
+    the mu-independent face terms a = c*(u_{i+1} + u_i)/2 and
+    d = u_{i+1} - u_i, and returns d. step(out, u, mu) writes into out the
+    step u - (dt/dx)*(F_{i+1/2} - F_{i-1/2}) of the state u last loaded, with
+    F_{i+1/2} = a_i - (mu_{i+1/2}/dx)*d_i; row 0 of the flux buffer repeats
+    F_{N-1/2}, and out is scratch too. A loaded state steps at any number of
+    viscosities: ``simulate``, ``ftcs_update``, the adjoint's reverse sweep
+    (bound at -c) and ``analyze``'s replay load each state and step it once;
+    the per-step trainer's ``_descend`` steps it every inner iteration.
+    dx and dt/dx are 0-d arrays and the outputs are passed positionally, as
+    the trainer steps so often."""
+    n = cfg.grid.n_cells
+    a, d, flux = np.empty((n, *batch)), np.empty((n, *batch)), np.empty((n + 1, *batch))
+    behind, ahead, first, last = flux[:-1], flux[1:], flux[:1], flux[-1:]
     dx = np.array(cfg.grid.dx)
     dt_dx = np.array(cfg.dt / cfg.grid.dx)
+    half_c = cfg.c * 0.5
+
+    def load(u: np.ndarray) -> np.ndarray:
+        behind[...] = u
+        flux[-1] = u[0]
+        np.add(ahead, behind, a)
+        np.multiply(half_c, a, a)
+        np.subtract(ahead, behind, d)
+        return d
 
     def step(out: np.ndarray, u: np.ndarray, mu: np.ndarray) -> None:
         np.divide(mu, dx, out)
         np.multiply(out, d, out)
-        np.subtract(a, out, f_here)
-        f_ghost[...] = f_last
-        np.subtract(f_here, f_before, out)
+        np.subtract(a, out, ahead)
+        first[...] = last
+        np.subtract(ahead, behind, out)
         np.multiply(dt_dx, out, out)
         np.subtract(u, out, out)
 
-    return step
-
-
-def _row_stepper(cfg: SchemeConfig, batch: tuple = ()):
-    """step(out, u, mu): one FTCS step of the state u at the face viscosity mu
-    into out, through ``_face_terms_into`` and ``_ftcs_stepper`` bound once
-    over buffers of shape (N, *batch): one row by default, or (N, B) for
-    B = batch[0] steps held cells-major. The binder for a state that changes
-    from call to call: ``simulate``, ``ftcs_update``, the adjoint's reverse
-    sweep (bound at -c) and ``analyze``'s replay of blocks of stored steps
-    step through it, while the per-step trainer's ``_descend`` binds its
-    fixed state's face terms once."""
-    n = cfg.grid.n_cells
-    a, d, flux = np.empty((n, *batch)), np.empty((n, *batch)), np.empty((n + 1, *batch))
-    ftcs_step = _ftcs_stepper(a, d, flux, cfg)
-
-    def step(out: np.ndarray, u: np.ndarray, mu: np.ndarray) -> None:
-        _face_terms_into(a, d, u, flux, cfg)
-        ftcs_step(out, u, mu)
-
-    return step
+    return load, step
 
 
 def ftcs_update(u: np.ndarray, mu: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
@@ -199,7 +189,9 @@ def ftcs_update(u: np.ndarray, mu: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
     if u.shape != (n,) or mu.shape != (n,):
         raise ValueError(f"u and mu must have shape ({n},), got {u.shape} and {mu.shape}")
     out = np.empty(n)
-    _row_stepper(cfg)(out, u, mu)
+    load, step = _row_stepper(cfg)
+    load(u)
+    step(out, u, mu)
     return out
 
 
@@ -270,11 +262,12 @@ def simulate(
     bound = _guard_bound(u0)
     states = np.empty((n_steps + 1, n_cells))
     states[0] = u0
-    ftcs_step = _row_stepper(cfg)
+    load, ftcs_step = _row_stepper(cfg)
     for n in range(n_steps):
         if scheme == "lax_wendroff":
             states[n + 1] = _lax_wendroff_step(states[n], cfg)
         else:
+            load(states[n])
             ftcs_step(states[n + 1], states[n], rows[n])
         if _diverged(states[n + 1], bound):
             raise DivergenceError(f"state diverged at step {n} (magnitude guard {bound:g})",

@@ -56,6 +56,12 @@ class TestLossValue:
         traj = Trajectory(states=exact, config=cfg)
         assert loss_value(traj, exact) == 0.0
 
+    def test_zero_step_trajectory_has_zero_loss(self):
+        grid = make_grid(10, 1.0)
+        cfg = SchemeConfig(c=1.0, dt=0.1 * grid.dx, grid=grid)
+        exact = hat_exact(cfg, 0)
+        assert loss_value(simulate(exact[0] + 1.0, 0, cfg, mu=0.01), exact) == 0.0
+
     def test_uniform_offset_instantaneous(self):
         grid = make_grid(10, 1.0)
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)

@@ -490,9 +490,10 @@ class TestCsvFormat:
         self.assert_same_bytes(tmp_path, matrix_header(n_cols - 1), rows)
 
     def test_value_kinds_that_change_at_chunk_edges(self, tmp_path):
-        """Each chunk holds one kind of value. A chunk with fewer than half of
-        its values inside the fixed-point window formats only those; one with
-        at least half formats all of them, and then the others' slots."""
+        """Each chunk holds one kind of value: all inside the fixed-point
+        window, none, half, or just under half. Every chunk formats all of its
+        values by the fixed-point path, and then overwrites the slots of those
+        outside the window."""
         rng = np.random.default_rng(5)
         size = _CHUNK_VALUES
         ordinary = rng.uniform(0.5, 2.0, size) * rng.choice([-1.0, 1.0], size)

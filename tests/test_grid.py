@@ -42,6 +42,11 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(n, length)
 
+    @pytest.mark.parametrize("dx", [0.0, -0.1, np.inf])
+    def test_grid_rejects_a_spacing_that_is_not_positive_and_finite(self, dx):
+        with pytest.raises(ValueError):
+            Grid1D(n_cells=10, dx=dx)
+
     def test_integral_float_cell_count_is_stored_as_int(self):
         for grid in (make_grid(4.0, 1.0), Grid1D(4.0, 0.25)):
             assert grid.n_cells == 4 and type(grid.n_cells) is int

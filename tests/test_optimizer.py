@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from advisc.adjoint import loss_value
 from advisc.grid import InitialCondition, exact_solution, make_grid
 from advisc.optimizer import (
     OptimizerConfig,
@@ -11,7 +12,7 @@ from advisc.optimizer import (
     train_per_step,
 )
 from advisc.presets import NONNEG, preset_config
-from advisc.schemes import SchemeConfig, simulate
+from advisc.schemes import DivergenceError, SchemeConfig, simulate
 
 from oracles import reference_train_global, reference_train_per_step
 
@@ -409,3 +410,33 @@ class TestTrainGlobal:
             fresh = simulate(u0, 100, cfg, mu=report.trajectory.viscosity_history)
             assert np.array_equal(report.trajectory.states, fresh.states)
             assert loss_value(report.trajectory, exact) == min(report.loss_history)
+
+
+class TestConstantMuGridSearch:
+    """The paper's problem: N = 100, CFL 0.1, 150 steps. Over mu in
+    [-0.05, 0.05] every negative candidate diverges."""
+
+    @staticmethod
+    def paper_problem():
+        grid = make_grid(100, 1.0)
+        cfg = SchemeConfig(c=1.0, dt=0.1 * grid.dx, grid=grid)
+        return cfg, hat_problem(cfg, 150)[1]
+
+    def test_diverging_candidates_are_skipped(self):
+        cfg, exact = self.paper_problem()
+        candidates = np.linspace(-0.05, 0.05, 11)
+        diverged = 0
+        for mu_c in candidates:
+            try:
+                simulate(exact[0], 150, cfg, mu=mu_c)
+            except DivergenceError:
+                diverged += 1
+        assert diverged == 5
+        best_mu, best_loss = constant_mu_grid_search(cfg, exact, -0.05, 0.05, n_samples=11)
+        assert best_mu == candidates[6]  # 0.01
+        assert best_loss == loss_value(simulate(exact[0], 150, cfg, mu=best_mu), exact)
+
+    def test_every_candidate_diverging_gives_nan_and_inf(self):
+        cfg, exact = self.paper_problem()
+        best_mu, best_loss = constant_mu_grid_search(cfg, exact, -0.05, -0.01, n_samples=5)
+        assert np.isnan(best_mu) and best_loss == np.inf

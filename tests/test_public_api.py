@@ -1,8 +1,8 @@
 """Every name the package exports is used: inside the package, by the
 acceptance suite, or in the README's library quickstart. Every import is
-used, only the modules that bind the FTCS kernel import its private
-helpers, and only the run writer and ``reproduce`` create or clear a run
-directory."""
+used, every function that steps the FTCS kernel binds it through
+``schemes._row_stepper``, and only the run writer and ``reproduce`` create
+or clear a run directory."""
 
 import ast
 import re
@@ -54,22 +54,25 @@ def test_every_import_is_used():
     assert unused == {}
 
 
-def test_only_the_kernel_binders_import_its_helpers():
-    # schemes._row_stepper binds the kernel for a state that changes from call
-    # to call, and optimizer._descend for its fixed state; every other module
-    # steps through one of them.
-    helpers = {"_face_terms_into", "_ftcs_stepper"}
-    offenders = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name in ("schemes.py", "optimizer.py"):
-            continue
-        source = path.read_text()
-        names = used_names(source) | {alias.name for node in ast.walk(ast.parse(source))
-                                      if isinstance(node, ast.ImportFrom)
-                                      for alias in node.names}
-        if helpers & names:
-            offenders[path.name] = sorted(helpers & names)
-    assert offenders == {}
+def test_every_stepping_function_binds_the_one_kernel():
+    # schemes._row_stepper is the one FTCS binder: each function that steps
+    # the kernel calls it, rather than wiring buffers of its own.
+    steppers = {"schemes.py": {"simulate", "ftcs_update"},
+                "adjoint.py": {"grad_mu_global"},
+                "optimizer.py": {"_descend"},
+                "cli.py": {"_replay_error"}}
+    missing = []
+    for module, names in steppers.items():
+        tree = ast.parse((PACKAGE / module).read_text())
+        for function in tree.body:
+            if isinstance(function, ast.FunctionDef) and function.name in names:
+                names = names - {function.name}
+                calls = {getattr(call.func, "id", None) for call in ast.walk(function)
+                         if isinstance(call, ast.Call)}
+                if "_row_stepper" not in calls:
+                    missing.append(f"{module}:{function.name}")
+        missing += [f"{module}:{name} (not defined)" for name in sorted(names)]
+    assert missing == []
 
 
 def test_only_the_run_writer_and_reproduce_create_or_clear_a_directory():

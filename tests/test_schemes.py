@@ -7,6 +7,7 @@ from advisc.schemes import (
     DivergenceError,
     SchemeConfig,
     Trajectory,
+    _row_stepper,
     amplification_factor,
     ftcs_update,
     simulate,
@@ -143,6 +144,51 @@ class TestFtcsStep:
         assert np.allclose(combined, separate, rtol=1e-13, atol=1e-15)
 
 
+class TestRowStepper:
+    """``_row_stepper`` binds the kernel once: load(u) forms the face terms of
+    u and returns its jumps, and step(out, u, mu) steps the loaded u."""
+
+    @pytest.mark.parametrize("c", [1.0, -1.0])
+    def test_a_state_loaded_once_steps_at_two_viscosities(self, c):
+        cfg = small_config(n=12, length=0.12, c=c)
+        rng = np.random.default_rng(6)
+        u = rng.uniform(-1, 1, 12)
+        load, step = _row_stepper(cfg)
+        assert np.array_equal(load(u), np.roll(u, -1) - u)
+        out = np.empty(12)
+        for mu in (rng.uniform(-0.005, 0.095, 12), np.zeros(12)):
+            step(out, u, mu)
+            assert np.array_equal(out, ftcs_update(u, mu, cfg))
+
+    def test_a_batch_binding_equals_single_rows_column_by_column(self):
+        cfg = small_config(n=12, length=0.12)
+        rng = np.random.default_rng(7)
+        u = rng.uniform(-1, 1, (12, 4))
+        mu = rng.uniform(-0.005, 0.095, (12, 4))
+        load, step = _row_stepper(cfg, (4,))
+        jumps, out = load(u).copy(), np.empty((12, 4))
+        step(out, u, mu)
+        for b in range(4):
+            load_one, step_one = _row_stepper(cfg)
+            assert np.array_equal(load_one(u[:, b]), jumps[:, b])
+            column = np.empty(12)
+            step_one(column, u[:, b], mu[:, b])
+            assert np.array_equal(column, out[:, b])
+
+    def test_loading_a_new_state_replaces_the_old(self):
+        cfg = small_config(n=12, length=0.12)
+        rng = np.random.default_rng(8)
+        u, v = rng.uniform(-1, 1, 12), rng.uniform(-1, 1, 12)
+        mu = rng.uniform(-0.005, 0.095, 12)
+        load, step = _row_stepper(cfg)
+        out = np.empty(12)
+        load(u)
+        step(out, u, mu)
+        load(v)
+        step(out, v, mu)
+        assert np.array_equal(out, ftcs_update(v, mu, cfg))
+
+
 class TestUpwind:
     def test_preserves_constants(self):
         cfg = small_config(n=6, length=0.06)
@@ -239,6 +285,12 @@ class TestSimulate:
         traj = simulate(u0, 0, cfg, scheme="upwind")
         assert traj.n_steps == 0
         assert np.array_equal(traj.states[0], u0)
+
+    @pytest.mark.parametrize("n_steps", [-1, 2.5])
+    def test_step_count_must_be_a_non_negative_integer(self, n_steps):
+        cfg = small_config(n=10, length=0.1)
+        with pytest.raises(ValueError):
+            simulate(np.zeros(10), n_steps, cfg, scheme="upwind")
 
     def test_bare_ftcs_grows_on_sine(self):
         grid = make_grid(100, 1.0)
