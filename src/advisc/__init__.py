@@ -24,7 +24,6 @@ from .optimizer import (
     train_per_step,
 )
 from .schemes import (
-    DivergenceError,
     SchemeConfig,
     Trajectory,
     amplification_factor,

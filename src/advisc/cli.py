@@ -31,8 +31,8 @@ from .optimizer import TrainingReport, train_global, train_per_step
 from .presets import PRESET_NAMES, STUDIES, preset_config
 from .runio import (
     MANIFEST_NAME,
-    NON_FINITE_NAMES,
     CorruptRunError,
+    json_value,
     matrix_header,
     read_columns_csv,
     read_json,
@@ -42,7 +42,6 @@ from .runio import (
 )
 from .schemes import (
     CLASSICAL_MU,
-    DivergenceError,
     SchemeConfig,
     Trajectory,
     _checked_trajectory,
@@ -233,19 +232,16 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     """Simulate the configured scheme and write its solution, final state and
     entropy. The exact solution is sampled only at t = 0 and, for the final
     state, at the last time reached, so the states are the one space-time
-    matrix the run holds. ``_write_run`` creates the output directory once the
-    run is simulated and returns the exit code."""
+    matrix the run holds. A run whose trajectory stops short of ``n_steps``
+    diverged. ``_write_run`` creates the output directory once the run is
+    simulated and returns the exit code."""
     if cfg.scheme == "ftcs_mu" and cfg.mu is None:
         raise ConfigError("scheme 'ftcs_mu' requires the 'mu' key for plain runs")
     t_start = time.time()
     scheme_cfg = cfg.scheme_config()
     u0 = exact_solution(cfg.ic, scheme_cfg.grid, cfg.c, 0.0)
-
-    status = "ok"
-    try:
-        traj = simulate(u0, cfg.n_steps, scheme_cfg, scheme=cfg.scheme, mu=cfg.mu)
-    except DivergenceError as err:
-        status, traj = "divergence", err.trajectory
+    traj = simulate(u0, cfg.n_steps, scheme_cfg, scheme=cfg.scheme, mu=cfg.mu)
+    status = "ok" if traj.n_steps == cfg.n_steps else "divergence"
     return _write_run(cfg, traj, status, t_start)
 
 
@@ -352,11 +348,6 @@ def _read_run_matrix(path: Path, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
     return data[:, 0].copy(), data[:, 1:]
 
 
-def _unnamed(value):
-    """A stored JSON value with a non-finite float's name read back as that float."""
-    return float(value) if value in NON_FINITE_NAMES else value
-
-
 def _columns_match(path: Path, header: str, expected: list) -> tuple[bool, str]:
     """Whether a columns CSV holds exactly ``expected``, bit for bit; entries
     that are nan in both count as equal. Returns the verdict and its detail."""
@@ -427,9 +418,8 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
         check(check_name, *_columns_match(out_dir / name, header, columns))
 
     def check_equal(name: str, stored, value) -> None:
-        stored = _unnamed(stored)
-        same = type(stored) is type(value) and (  # so a stored 1 is not True
-            stored == value or (stored != stored and value != value))  # nan equals nan
+        value = json_value(value)  # as write_json stores it: a nan is "nan"
+        same = type(stored) is type(value) and stored == value  # so a stored 1 is not True
         check(name, same, f"stored={stored!r} recomputed={value!r}")
 
     for block, values in recomputed.items():

@@ -6,13 +6,14 @@ full space-time field against the whole-horizon loss. Both are plain
 gradient descent on the unpenalized loss, projected onto box constraints.
 
 Both trainers take a tuple of optimizer configs on one problem and return
-one ``TrainingReport`` per config, whose ``status`` says how the run ended;
-a run that diverges is reported, not raised. The per-step trainer trains
-its configs together: each step loads its states into the one FTCS binder,
-``schemes._row_stepper``, once, and the inner iterations step them at each
-new mu, running only in-place ufuncs over cells-major (N, batch) C-order
-buffers, whose shifted views are contiguous. The global trainer trains its
-configs one after another.
+one ``TrainingReport`` per config, whose ``status`` says how the run ended.
+A run that diverges is reported, never raised, as ``simulate`` reports it:
+its trajectory stops at its last state within the magnitude guard, short of
+the horizon. The per-step trainer trains its configs together: each step
+loads its states into the one FTCS binder, ``schemes._row_stepper``, once,
+and the inner iterations step them at each new mu, running only in-place
+ufuncs over cells-major (N, batch) C-order buffers, whose shifted views are
+contiguous. The global trainer trains its configs one after another.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .adjoint import grad_mu_global, loss_value
 from .diagnostics import mse
 from .schemes import (
     CLASSICAL_MU,
-    DivergenceError,
     SchemeConfig,
     Trajectory,
     _diverged,
@@ -113,12 +113,20 @@ def _descend(u: np.ndarray, target: np.ndarray, mu: np.ndarray, lr: np.ndarray,
     and K = (dt/dx^2)*D; the loop steps the loaded state and runs ufuncs into
     preallocated buffers, with 2/N as a 0-d array and the outputs passed
     positionally.
+
+    The one-step loss has the Hessian (2/N)*B^T*B, B = (I - S^-1)*diag(K) for
+    the periodic shift S, whose largest eigenvalue is at most
+    L = (8/N)*max K^2. Each column's rate is capped at 1/L, so the descent
+    cannot overshoot however large its jumps are; a column whose jumps are all
+    zero has no gradient and keeps its rate. The caller's ``lr`` is not changed.
     """
     n, b = u.shape
     two_n = np.array(2.0 / n)
     t, res = np.empty((n, b)), np.empty((n + 1, b))
     load, ftcs_step = _row_stepper(cfg, (b,))
     k = (cfg.dt / cfg.grid.dx**2) * load(u)
+    peak = np.max(k * k, axis=0)
+    lr = np.minimum(lr, np.divide(n, 8 * peak, out=np.full(b, np.inf), where=peak > 0))
     # A ghost row turns the periodic difference into a fixed view: row N of
     # ``res`` repeats r_0 after r_0 .. r_{N-1}.
     r_here, r_after, r_ghost, r_first = res[:n], res[1:], res[n:], res[:1]
@@ -225,10 +233,11 @@ def _train_global_one(cfg: SchemeConfig, opt: OptimizerConfig,
                       exact: np.ndarray) -> TrainingReport:
     """Plain projected gradient descent of one config; the gradient reuses the
     accepted iterate's forward sweep, so each iteration runs one sweep, of its
-    candidate. A candidate whose sweep diverges is rejected and retried at half
+    candidate. A sweep diverged when its trajectory is shorter than the
+    horizon. A candidate whose sweep diverged is rejected and retried at half
     the step size (the reduction persists); once more than MAX_HALVINGS
     candidates have diverged, training halts with status "no_convergence". An
-    initial sweep that diverges ends the run with status "divergence" and its
+    initial sweep that diverged ends the run with status "divergence" and its
     partial trajectory.
 
     Reports the best (lowest-loss) iterate seen, with its trajectory. An
@@ -245,10 +254,9 @@ def _train_global_one(cfg: SchemeConfig, opt: OptimizerConfig,
     n_steps = _horizon(exact, cfg)
     lr = opt.learning_rate
     candidate = np.full((n_steps, cfg.grid.n_cells), opt.resolve_init(cfg))
-    try:
-        traj = simulate(exact[0], n_steps, cfg, mu=candidate)
-    except DivergenceError as err:
-        return TrainingReport((), err.trajectory, "divergence", 1)
+    traj = simulate(exact[0], n_steps, cfg, mu=candidate)
+    if traj.n_steps < n_steps:
+        return TrainingReport((), traj, "divergence", 1)
     losses = [loss_value(traj, exact)]
     best_loss, best_mu = losses[0], traj.viscosity_history
     divergences = 0
@@ -260,9 +268,9 @@ def _train_global_one(cfg: SchemeConfig, opt: OptimizerConfig,
             np.multiply(lr, grad, out=candidate)
             np.subtract(mu, candidate, out=candidate)
             np.clip(candidate, opt.mu_min, opt.mu_max, out=candidate)
-            try:
-                traj = simulate(exact[0], n_steps, cfg, mu=candidate)
-            except DivergenceError:
+            traj = simulate(exact[0], n_steps, cfg, mu=candidate)
+            if traj.n_steps < n_steps:
+                traj = None
                 divergences += 1
                 lr *= 0.5
         if traj is None:
@@ -293,9 +301,8 @@ def constant_mu_grid_search(
     best_mu = np.nan
     best_loss = np.inf
     for mu_c in np.linspace(mu_min, mu_max, n_samples):
-        try:
-            traj = simulate(exact[0], n_steps, cfg, mu=mu_c)
-        except DivergenceError:
+        traj = simulate(exact[0], n_steps, cfg, mu=mu_c)
+        if traj.n_steps < n_steps:
             continue
         loss = loss_value(traj, exact)
         if loss < best_loss:

@@ -14,10 +14,10 @@ line the file must have and raises ``CorruptRunError`` for any other. A
 space-time matrix has the corner-labeled header ``t\\x,x0,x1,...``
 (``matrix_header``); row n starts with the time of state n. JSON files are
 strict JSON: a non-finite float is written as the string "inf", "-inf" or
-"nan". Every JSON file is replaced atomically, through a temporary file and
-a rename; the manifest is written last, as the completion marker of a run.
-A file that cannot be parsed, or holds what no writer writes, raises
-``CorruptRunError``.
+"nan" (``json_value``). Every JSON file is replaced atomically, through a
+temporary file and a rename; the manifest is written last, as the completion
+marker of a run. A file that cannot be parsed, or holds what no writer
+writes, raises ``CorruptRunError``.
 """
 
 from __future__ import annotations
@@ -335,18 +335,16 @@ def read_columns_csv(path: str | Path, header: str) -> np.ndarray:
     return data
 
 
-NON_FINITE_NAMES = ("inf", "-inf", "nan")
-
-
-def _finite_json(value):
-    """``value`` with each non-finite float replaced by its name, one of
-    NON_FINITE_NAMES, which strict JSON has no number for."""
+def json_value(value):
+    """``value`` as ``write_json`` stores it: each non-finite float replaced by
+    its name, "inf", "-inf" or "nan", which strict JSON has no number for,
+    and each tuple by a list."""
     if isinstance(value, float) and not math.isfinite(value):
         return str(float(value))
     if isinstance(value, dict):
-        return {key: _finite_json(item) for key, item in value.items()}
+        return {key: json_value(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_finite_json(item) for item in value]
+        return [json_value(item) for item in value]
     return value
 
 
@@ -355,7 +353,7 @@ def write_json(path: str | Path, payload: dict) -> None:
     atomically: into ``<name>.tmp``, then renamed over ``path``."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(_finite_json(payload), indent=2, sort_keys=True,
+    tmp.write_text(json.dumps(json_value(payload), indent=2, sort_keys=True,
                               allow_nan=False) + "\n")
     os.replace(tmp, path)
 

@@ -14,6 +14,10 @@ the bare (unstable) forward-time centered-space update.
 The stencil exists once, in ``_row_stepper``: every caller binds it, loads a
 state, which forms the mu-independent face terms, and steps the loaded state
 at one viscosity or at many.
+
+The scheme is unstable without its viscosity, so divergence is an outcome,
+not a fault: a run that diverges returns the trajectory up to its last state
+within the magnitude guard, and ``n_steps`` says how far it got.
 """
 
 from __future__ import annotations
@@ -24,18 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid1D
-
-
-class DivergenceError(RuntimeError):
-    """Raised when a simulated state goes non-finite or trips the magnitude guard.
-
-    ``trajectory`` holds the states recorded before the failure, so the step
-    whose output violated the guard is its ``n_steps``.
-    """
-
-    def __init__(self, message: str, trajectory: "Trajectory"):
-        super().__init__(message)
-        self.trajectory = trajectory
 
 
 # A run diverges once a state is non-finite or larger in magnitude than
@@ -243,9 +235,10 @@ def simulate(
     stack with one row per step; it is copied once and broadcast to
     (n_steps, n_cells), and recorded as the viscosity history. The other
     schemes record none: each steps the FTCS stencil at its CLASSICAL_MU,
-    except Lax-Wendroff, which keeps its own stencil. Raises DivergenceError
-    (partial trajectory attached) when a state goes non-finite or exceeds
-    the magnitude guard.
+    except Lax-Wendroff, which keeps its own stencil. A state that goes
+    non-finite or exceeds the magnitude guard ends the run: the trajectory
+    returned stops at the state before it, so its ``n_steps`` is below the
+    ``n_steps`` asked for, and its viscosity history is cut to match.
     """
     if n_steps < 0 or int(n_steps) != n_steps:
         raise ValueError("n_steps must be a non-negative integer")
@@ -270,7 +263,6 @@ def simulate(
             load(states[n])
             ftcs_step(states[n + 1], states[n], rows[n])
         if _diverged(states[n + 1], bound):
-            raise DivergenceError(f"state diverged at step {n} (magnitude guard {bound:g})",
-                                  _checked_trajectory(states[: n + 1], cfg,
-                                                      None if mu is None else mu[:n]))
+            states, mu = states[: n + 1], None if mu is None else mu[:n]
+            break
     return _checked_trajectory(states, cfg, mu)

@@ -154,15 +154,20 @@ def reference_train_per_step(u0, exacts, c, dt, dx, learning_rate, n_iters, mu_m
 
     ``exacts[m]`` is the target state of step m. Returns the (n_steps, n)
     viscosity history and the (n_steps + 1, n) states. No divergence guard.
+    Each step's rate is ``learning_rate`` capped at 1/L, L = (8/n)*max K^2
+    with K = (dt/dx^2)*(u_{i+1} - u_i), unless every jump is zero.
     """
     n = len(u0)
     u = np.array(u0, dtype=float)
     mu = np.full(n, init_mu)
     history, states = [], [u]
     for m in range(1, len(exacts)):
+        k = (dt / dx**2) * (np.roll(u, -1) - u)
+        peak = np.max(k * k)
+        rate = min(learning_rate, n / (8 * peak)) if peak > 0 else learning_rate
         for _ in range(n_iters):
             g = reference_grad_mu_step(u, exacts[m], mu, c, dt, dx)
-            mu = np.clip(mu - learning_rate * g, mu_min, mu_max)
+            mu = np.clip(mu - rate * g, mu_min, mu_max)
         u = _roll_step(u, mu, c, dt, dx)
         history.append(mu)
         states.append(u)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -14,6 +17,8 @@ from advisc.runio import matrix_header, read_columns_csv, read_manifest, write_c
 from advisc.schemes import SCHEME_NAMES
 
 from oracles import reference_write_columns_csv
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 BASE = """
 [simulation]
@@ -997,8 +1002,21 @@ class TestAnalyzeCommand:
             assert main(["run", "--config", str(cfg_path)]) == 2
             assert main(["analyze", str(out)]) == 1
         analysis = json.loads((out / "analysis.json").read_text())
-        assert "stored=inf recomputed=inf" in {c["detail"] for c in analysis["checks"]}
+        assert "stored='inf' recomputed='inf'" in {c["detail"] for c in analysis["checks"]}
         assert [c["name"] for c in analysis["checks"] if not c["passed"]] == ["run_status_ok"]
+
+    def test_analyze_accepts_equal_nan_statistics(self, tmp_path):
+        # Every state is finite but its square is not, so each entropy is inf
+        # and the largest per-step increase, inf - inf, is nan.
+        cfg_path, out = write_config(tmp_path, n_cells=20, kind="hat\namplitude = 1e200")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", str(cfg_path)]) == 0
+            assert main(["analyze", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["stats"]["max_per_step_entropy_increase"] == "nan"
+        analysis = json.loads((out / "analysis.json").read_text())
+        checks = {c["name"]: c["detail"] for c in analysis["checks"]}
+        assert checks["stat:max_per_step_entropy_increase"] == "stored='nan' recomputed='nan'"
 
     def test_overflowing_run_passes_every_file_check(self, tmp_path):
         cfg_path, out = write_config(tmp_path, scheme="lax_wendroff", n_cells=20,
@@ -1029,7 +1047,7 @@ class TestAnalyzeCommand:
         analysis = json.loads((out / "analysis.json").read_text(), parse_constant=reject)
         checks = {c["name"]: c for c in analysis["checks"]}
         assert [name for name, c in checks.items() if not c["passed"]] == ["run_status_ok"]
-        assert checks["stat:entropy_initial"]["detail"] == "stored=inf recomputed=inf"
+        assert checks["stat:entropy_initial"]["detail"] == "stored='inf' recomputed='inf'"
         assert checks["entropy_series_consistent"]["detail"] == "mismatched columns []"
 
     def test_analyze_fails_stored_infinite_entropy_against_finite(self, tmp_path):
@@ -1357,7 +1375,27 @@ class TestCorruptStudyManifest:
         assert str(study / "manifest.json") in err and named in err
 
 
+def advisc_process(*args, cwd) -> subprocess.CompletedProcess:
+    """``python -m advisc`` with ``args``, run from ``cwd`` on this checkout's sources."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "advisc", *args], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+
+
 class TestExitCodes:
+    def test_process_exits_3_without_a_command_and_4_for_a_missing_run(self, tmp_path):
+        usage = advisc_process(cwd=tmp_path)
+        assert usage.returncode == 3 and "usage error" in usage.stderr
+        missing = advisc_process("analyze", str(tmp_path / "missing"), cwd=tmp_path)
+        assert missing.returncode == 4 and missing.stderr.startswith("i/o error:")
+
+    def test_process_exits_2_for_a_diverging_run_and_1_for_its_analysis(self, tmp_path):
+        cfg_path, out = write_config(tmp_path, scheme="ftcs_mu", extra_sim="mu = -0.05\n")
+        assert advisc_process("run", "--config", str(cfg_path), cwd=tmp_path).returncode == 2
+        analysis = advisc_process("analyze", str(out), cwd=tmp_path)
+        assert analysis.returncode == 1
+        assert list(failed_checks(out)) == ["run_status_ok"]
+
     def test_library_value_error_is_not_reported_as_io_error(self, tmp_path, monkeypatch):
         import advisc.cli
 

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from advisc.adjoint import loss_value
+from advisc.diagnostics import mse
 from advisc.grid import InitialCondition, exact_solution, make_grid
 from advisc.optimizer import (
     OptimizerConfig,
+    _descend,
     constant_mu_grid_search,
     train_global,
     train_per_step,
 )
 from advisc.presets import NONNEG, preset_config
-from advisc.schemes import DivergenceError, SchemeConfig, simulate
+from advisc.schemes import SchemeConfig, ftcs_update, simulate
 
 from oracles import reference_train_global, reference_train_per_step
 
@@ -236,6 +238,47 @@ class TestBatchedPerStep:
             train_per_step(cfg, (), exact)
 
 
+class TestStepSizeCap:
+    """Each step's rate is capped at 1/L, L = (8/N)*max K^2 bounding the
+    one-step Hessian's largest eigenvalue, K = (dt/dx^2)*(u_{i+1} - u_i)."""
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("sine-smooth", {"initial_condition": {"wavenumber": 3}}),
+        ("sine-smooth", {"initial_condition": {"wavenumber": 5}}),
+        ("paper-hat", {"training": {"learning_rate": 1.0}}),
+    ], ids=["sine-k3", "sine-k5", "hat-lr1"])
+    def test_runs_whose_rate_exceeds_the_cap_complete(self, name, overrides):
+        # Uncapped, these diverge at steps 18, 85 and 93 of 150.
+        cfg = preset_config(name, overrides=overrides)
+        scheme_cfg = cfg.scheme_config()
+        exact = exact_solution(cfg.ic, scheme_cfg.grid, cfg.c,
+                               np.arange(cfg.n_steps + 1) * cfg.dt)
+        (report,) = train_per_step(scheme_cfg, (cfg.training.optimizer,), exact)
+        assert (report.status, report.divergence_events) == ("ok", 0)
+        assert report.trajectory.n_steps == cfg.n_steps == 150
+        lax_wendroff = simulate(exact[0], 150, scheme_cfg, scheme="lax_wendroff")
+        assert (mse(report.trajectory.states[-1], exact[-1])
+                < 0.2 * mse(lax_wendroff.states[-1], exact[-1]))
+
+    def test_one_step_loss_never_rises_at_the_capped_rate(self):
+        rng = np.random.default_rng(33)
+        cfg, _, _ = toy_problem(n=16)
+        u = rng.uniform(-1, 1, (16, 4))
+        u[:, 0] = 0.3  # no jumps: no gradient, and no cap to divide out
+        # targets the step reaches at another viscosity, but for column 0's
+        target = np.stack([rng.uniform(-1, 1, 16)] + [
+            ftcs_update(u[:, j], rng.uniform(-0.05, 0.05, 16), cfg) for j in (1, 2, 3)], axis=1)
+        mu = rng.uniform(-0.05, 0.05, (16, 4))
+        lr = np.full((16, 4), 1e6)  # far above 1/L, so the cap sets every rate
+        lo, hi = np.full((16, 4), -0.1), np.full((16, 4), 0.1)
+        losses = [np.mean((_descend(u, target, mu, lr, lo, hi, cfg, 1) - target) ** 2, axis=0)
+                  for _ in range(60)]
+        assert np.all(np.diff(losses, axis=0) <= 0)
+        assert np.all(losses[-1][1:] < 0.1 * losses[0][1:])
+        assert losses[-1][0] == losses[0][0]
+        assert np.all(lr == 1e6)
+
+
 class TestExactTargets:
     @pytest.mark.parametrize("trainer", ["per_step", "global", "grid_search"])
     def test_rejects_exact_without_a_step_or_of_another_width(self, trainer):
@@ -425,12 +468,8 @@ class TestConstantMuGridSearch:
     def test_diverging_candidates_are_skipped(self):
         cfg, exact = self.paper_problem()
         candidates = np.linspace(-0.05, 0.05, 11)
-        diverged = 0
-        for mu_c in candidates:
-            try:
-                simulate(exact[0], 150, cfg, mu=mu_c)
-            except DivergenceError:
-                diverged += 1
+        diverged = sum(simulate(exact[0], 150, cfg, mu=mu_c).n_steps < 150
+                       for mu_c in candidates)
         assert diverged == 5
         best_mu, best_loss = constant_mu_grid_search(cfg, exact, -0.05, 0.05, n_samples=11)
         assert best_mu == candidates[6]  # 0.01

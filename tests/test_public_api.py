@@ -1,8 +1,9 @@
 """Every name the package exports is used: inside the package, by the
 acceptance suite, or in the README's library quickstart. Every import is
 used, every function that steps the FTCS kernel binds it through
-``schemes._row_stepper``, and only the run writer and ``reproduce`` create
-or clear a run directory."""
+``schemes._row_stepper``, the numerical layers report a diverged run rather
+than raise it, and only the run writer and ``reproduce`` create or clear a
+run directory."""
 
 import ast
 import re
@@ -73,6 +74,22 @@ def test_every_stepping_function_binds_the_one_kernel():
                     missing.append(f"{module}:{function.name}")
         missing += [f"{module}:{name} (not defined)" for name in sorted(names)]
     assert missing == []
+
+
+def test_the_numerical_layers_report_divergence_and_never_raise_it():
+    # A diverged run is a trajectory that stops short of its horizon, so the
+    # numerical layers neither catch an exception nor define one.
+    try_nodes = (ast.Try, getattr(ast, "TryStar", ast.Try))
+    found = []
+    for module in ("schemes.py", "adjoint.py", "optimizer.py", "diagnostics.py", "grid.py"):
+        for node in ast.walk(ast.parse((PACKAGE / module).read_text())):
+            if isinstance(node, try_nodes):
+                found.append(f"{module}:{node.lineno}: try")
+            elif isinstance(node, ast.ClassDef) and any(
+                    getattr(base, "id", getattr(base, "attr", "")).endswith(
+                        ("Error", "Exception", "Warning")) for base in node.bases):
+                found.append(f"{module}:{node.lineno}: class {node.name}")
+    assert found == []
 
 
 def test_only_the_run_writer_and_reproduce_create_or_clear_a_directory():

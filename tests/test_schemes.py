@@ -4,7 +4,7 @@ import pytest
 from advisc.grid import InitialCondition, exact_solution, make_grid
 from advisc.schemes import (
     CLASSICAL_MU,
-    DivergenceError,
+    MAGNITUDE_GUARD,
     SchemeConfig,
     Trajectory,
     _row_stepper,
@@ -362,34 +362,31 @@ class TestSimulate:
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
         u0 = exact_solution(InitialCondition(kind="sine"), grid, 1.0, 0.0)
         anti = np.full(100, -0.05)  # d = -0.5, hard blowup
-        with pytest.raises(DivergenceError) as excinfo:
-            simulate(u0, 500, cfg, scheme="ftcs_mu", mu=anti)
-        err = excinfo.value
-        step = err.trajectory.n_steps  # the step whose output tripped the guard
+        traj = simulate(u0, 500, cfg, scheme="ftcs_mu", mu=anti)
+        step = traj.n_steps  # the step whose output tripped the guard
         assert 0 < step < 500
-        assert f"diverged at step {step} " in str(err)
-        assert err.trajectory.viscosity_history.shape == (step, 100)
+        bound = MAGNITUDE_GUARD * max(1.0, np.max(np.abs(u0)))
+        assert np.max(np.abs(traj.states)) <= bound
+        assert np.max(np.abs(ftcs_update(traj.states[-1], anti, cfg))) > bound
+        assert traj.viscosity_history.shape == (step, 100)
+        assert np.array_equal(traj.states, simulate(u0, step, cfg, mu=anti).states)
 
     def test_classical_overflow_is_divergence_with_partial_trajectory(self):
         cfg = small_config(n=50, length=1.0)
         u0 = np.where(np.arange(50) % 7 == 0, 1e308, 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError) as excinfo:
-                simulate(u0, 10, cfg, scheme="lax_wendroff")
-        err = excinfo.value
-        assert np.array_equal(err.trajectory.states, u0[None, :])
-        assert err.trajectory.viscosity_history is None
+            traj = simulate(u0, 10, cfg, scheme="lax_wendroff")
+        assert np.array_equal(traj.states, u0[None, :])
+        assert traj.viscosity_history is None
 
     def test_magnitude_guard_on_first_step_gives_empty_partial(self):
         cfg = small_config(n=10, length=0.1)
         u0 = np.linspace(-1, 1, 10)
         # d = mu*dt/dx^2 = 1e7: finite, but far past MAGNITUDE_GUARD * max|u0| after one step
         mu = np.full(10, 1e6)
-        with pytest.raises(DivergenceError) as excinfo:
-            simulate(u0, 5, cfg, scheme="ftcs_mu", mu=mu)
-        err = excinfo.value
-        assert np.array_equal(err.trajectory.states, u0[None, :])
-        assert err.trajectory.viscosity_history.shape == (0, 10)
+        traj = simulate(u0, 5, cfg, scheme="ftcs_mu", mu=mu)
+        assert np.array_equal(traj.states, u0[None, :])
+        assert traj.viscosity_history.shape == (0, 10)
 
     def test_constant_mu_matches_repeated_rows(self):
         cfg = small_config(n=10, length=0.1)
