@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .adjoint import loss_value
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -25,14 +26,14 @@ from .config import (
     config_to_dict,
     load_config,
 )
-from .diagnostics import entropy_series, mse, mu_stats, summary_stats
+from .diagnostics import entropy_series, mse, mu_stats, row_sums_of_squares, summary_stats
 from .grid import exact_solution
 from .optimizer import TrainingReport, train_global, train_per_step
 from .presets import PRESET_NAMES, STUDIES, preset_config
 from .runio import (
     MANIFEST_NAME,
     CorruptRunError,
-    json_value,
+    _json_value,
     matrix_header,
     read_columns_csv,
     read_json,
@@ -123,12 +124,6 @@ def _derived(cfg: ExperimentConfig, traj: Trajectory, times: np.ndarray,
     return csvs, summary
 
 
-def _matrix_rows(times: np.ndarray, matrix: np.ndarray):
-    """The rows of a space-time matrix CSV, each a time and its matrix row
-    as one float array, made one at a time."""
-    return (np.concatenate(((t,), row)) for t, row in zip(times, matrix))
-
-
 def _is_plain_name(name: str) -> bool:
     """Whether a name from a manifest is a plain entry name, so that it cannot
     reach outside the manifest's directory."""
@@ -192,7 +187,7 @@ def _write_run(
     partial, and its manifest records the step that diverged, the
     trajectory's ``n_steps``. The full error field is not written: it is
     solution.csv minus the exact solution, which the config reproduces. Every
-    CSV is written a row at a time."""
+    CSV is written from the columns the run holds, a block of rows at a time."""
     out_dir = Path(cfg.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     _clear_previous_run(out_dir)
@@ -200,18 +195,17 @@ def _write_run(
     times = traj.times
     files: list[dict] = []
 
-    def write(name: str, header: str, rows) -> None:
-        write_columns_csv(out_dir / name, header, rows)
+    def write(name: str, header: str, columns: list) -> None:
+        write_columns_csv(out_dir / name, header, columns)
         files.append({"name": name})
 
-    write("solution.csv", matrix_header(grid.n_cells), _matrix_rows(times, traj.states))
+    write("solution.csv", matrix_header(grid.n_cells), [times, traj.states])
     losses = None if report is None else report.loss_history
     if losses:
-        write("mu.csv", matrix_header(grid.n_cells),
-              _matrix_rows(times[:-1], traj.viscosity_history))
+        write("mu.csv", matrix_header(grid.n_cells), [times[:-1], traj.viscosity_history])
     csvs, summary = _derived(cfg, traj, times, losses)  # not held while the matrices are written
     for name, columns in csvs.items():
-        write(name, DERIVED_CSVS[name][0], zip(*columns))
+        write(name, DERIVED_CSVS[name][0], columns)
 
     summary["status"] = status
     if "training" in summary:
@@ -361,19 +355,21 @@ def _columns_match(path: Path, header: str, expected: list) -> tuple[bool, str]:
 
 def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
     """Check every file of a run against its config and its primary data:
-    solution.csv and, for a training run, mu.csv and the losses of
-    loss_history.csv. The steps are replayed on them: a plain run's as FTCS
-    at its scheme's constant viscosity, and those of a training run whose
-    first step or sweep diverged, which writes no mu.csv, at the optimizer's
-    initial viscosity. ``_derived``, as the writer called it, rebuilds every
-    other CSV and summary.json value, which must match exactly; the
-    summary's status must be the manifest's.
-    Its ``divergence_events`` comes only from the optimizer's report, so it
-    stays unchecked.
+    solution.csv and, for a training run, mu.csv and a global run's losses.
+    The steps are replayed on them: a plain run's as FTCS at its scheme's
+    constant viscosity, and those of a training run whose first step or sweep
+    diverged, which writes no mu.csv, at the optimizer's initial viscosity. A
+    per-step run's loss n is the MSE of stored state n + 1 against the exact
+    state; a global run stores its best iterate, whose loss must be the least
+    loss. ``_derived``, as the writer called it, rebuilds every other CSV and
+    summary.json value, which must match exactly; the summary's status must
+    be the manifest's. Its ``divergence_events`` comes only from the
+    optimizer's report, so it stays unchecked.
     Training outputs are not rebuilt without one mu.csv row per step and at
     least one loss. A CSV without its exact header, such as a solution.csv
-    or mu.csv that is not n_cells wide, raises CorruptRunError, as does a
-    stored config that does not load."""
+    or mu.csv that is not n_cells wide, raises CorruptRunError, as do a
+    stored config that does not load and an ftcs_mu config with neither mu
+    nor [training], which leaves no viscosity to replay."""
     try:
         cfg = config_from_dict(manifest["config"])
     except ConfigError as err:
@@ -384,7 +380,10 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
     times, states = _read_run_matrix(out_dir / "solution.csv", grid.n_cells)
 
     mu_value = cfg.mu if cfg.scheme == "ftcs_mu" else CLASSICAL_MU[cfg.scheme](scheme_cfg)
-    if mu_value is None and cfg.training is not None and not training:
+    if mu_value is None and cfg.training is None:
+        raise CorruptRunError(f"{out_dir / MANIFEST_NAME} stores an ftcs_mu config with "
+                              "neither mu nor [training]")
+    if mu_value is None and not training:
         # a training run whose first step or sweep diverged ran at its initial mu
         mu_value = cfg.training.optimizer.resolve_init(scheme_cfg)
     if mu_value is not None:  # every step is FTCS at one constant mu
@@ -398,14 +397,23 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
         if cfg.training is None:
             raise CorruptRunError(f"{out_dir / MANIFEST_NAME} lists mu.csv, but no [training]")
         _, mu = _read_run_matrix(out_dir / "mu.csv", grid.n_cells)
-        loss_header = DERIVED_CSVS["loss_history.csv"][0]
-        losses = read_columns_csv(out_dir / "loss_history.csv", loss_header)[:, 1].tolist()
         if len(mu) == len(states) - 1:
             worst = _replay_error(states, mu, scheme_cfg)
             ok, detail = worst < 1e-13, f"max rel err {worst:.3e}"
         else:
             ok, detail = False, f"{len(mu)} rows for {len(states) - 1} steps"
         check("stored_steps_consistent", ok, detail)
+        exact = exact_solution(cfg.ic, grid, cfg.c, times)
+        if cfg.training.mode == "per_step":
+            losses = (row_sums_of_squares(states[1:], exact[1:]) / grid.n_cells).tolist()
+        else:
+            loss_header = DERIVED_CSVS["loss_history.csv"][0]
+            losses = read_columns_csv(out_dir / "loss_history.csv", loss_header)[:, 1].tolist()
+            if losses:  # the stored trajectory is the best iterate's
+                loss = loss_value(_checked_trajectory(states, scheme_cfg, None), exact)
+                check("trajectory_loss_consistent", loss == min(losses),
+                      f"stored trajectory's loss {loss!r}, least stored loss {min(losses)!r}")
+        del exact
         if not losses:
             check("loss_history_consistent", False, "0 rows")
         if len(mu) != len(states) - 1 or not losses:
@@ -418,7 +426,7 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
         check(check_name, *_columns_match(out_dir / name, header, columns))
 
     def check_equal(name: str, stored, value) -> None:
-        value = json_value(value)  # as write_json stores it: a nan is "nan"
+        value = _json_value(value)  # as write_json stores it: a nan is "nan"
         same = type(stored) is type(value) and stored == value  # so a stored 1 is not True
         check(name, same, f"stored={stored!r} recomputed={value!r}")
 

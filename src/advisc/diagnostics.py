@@ -35,7 +35,7 @@ def row_sums_of_squares(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarra
     last axis, so the values are those of reducing the whole array at once.
     """
     out = np.empty(a.shape[:-1])
-    rows = max(1, _ROW_BLOCK // max(a[0].size, 1))
+    rows = max(1, _ROW_BLOCK // max(a[:1].size, 1))  # a may have no rows
     for start in range(0, len(a), rows):
         if b is None:
             sq = np.square(a[start:start + rows])

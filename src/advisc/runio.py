@@ -3,18 +3,19 @@
 Every CSV is one header line, then one line per row of comma-separated
 values, each exactly the bytes ``'%.17g' % value`` gives. 17 significant
 digits round-trip IEEE doubles exactly, so recomputing statistics from stored
-files reproduces the original values bit-for-bit. The writer streams the
-rows' values through a vectorized formatter a chunk of 4096 at a time
-(``_format_chunk``): values with 1e-4 <= |x| < 1e15 are printed from their
-exactly rounded 17 digits, every other value by Python's ``%`` operator.
-With the chunk's slots and the formatter's arrays it holds about 96 bytes
-per chunk value, whatever the file's size.
+files reproduces the original values bit-for-bit. The writer formats the
+columns it is given a block of whole rows at a time, at most 4096 values or
+one row, through a vectorized formatter (``_format_chunk``): values with
+1e-4 <= |x| < 1e15 are printed from their exactly rounded 17 digits, every
+other value by Python's ``%`` operator. With the block's slots and the
+formatter's arrays it holds about 96 bytes per block value, whatever the
+file's length.
 One writer and one reader serve every CSV; the reader takes the exact header
 line the file must have and raises ``CorruptRunError`` for any other. A
 space-time matrix has the corner-labeled header ``t\\x,x0,x1,...``
 (``matrix_header``); row n starts with the time of state n. JSON files are
 strict JSON: a non-finite float is written as the string "inf", "-inf" or
-"nan" (``json_value``). Every JSON file is replaced atomically, through a
+"nan" (``_json_value``). Every JSON file is replaced atomically, through a
 temporary file and a rename; the manifest is written last, as the completion
 marker of a run. A file that cannot be parsed, or holds what no writer
 writes, raises ``CorruptRunError``.
@@ -26,7 +27,6 @@ import json
 import math
 import os
 import warnings
-from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +47,10 @@ def matrix_header(n: int) -> str:
 # '%.17g' text, "-2.2250738585072014e-308", and its separator fit in a slot.
 _SLOT = 32
 # Values formatted per _format_chunk call, which pays the fixed cost of about
-# a hundred numpy calls for each. The writer holds 8 bytes per value, its
-# slot (_SLOT bytes) and the formatter's arrays (at most 56 bytes per value):
-# about 400 kB at 4096 values, whatever the file's size or row length.
+# a hundred numpy calls for each; a call takes whole rows, so a wider row is
+# formatted alone. The writer holds 8 bytes per value, its slot (_SLOT bytes)
+# and the formatter's arrays (at most 56 bytes per value): about 400 kB at
+# 4096 values and 1 MB for a row of 10^4, whatever the file's length.
 _CHUNK_VALUES = 4096
 
 # Values outside the fast path's window are printed by ``%`` this many at a
@@ -201,10 +202,9 @@ def _ascii(digits: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     return [s0, s1, s2], zeros
 
 
-def _format_chunk(values: np.ndarray, slots: np.ndarray, n_cols: int, offset: int) -> None:
+def _format_chunk(values: np.ndarray, slots: np.ndarray, n_cols: int) -> None:
     """Fill ``slots[:len(values)]``, rows of _SLOT bytes, with the slots of
-    ``values``, the values ``offset`` onwards of a stream of rows of
-    ``n_cols`` values each.
+    ``values``, whole rows of ``n_cols`` values each.
 
     For 1e-4 <= |x| < 1e15, ``%.17g`` prints fixed-point: the 17 digits of
     |x| (``_decimal``) with a point after digit D + 1 (D >= 0) or behind
@@ -247,7 +247,7 @@ def _format_chunk(values: np.ndarray, slots: np.ndarray, n_cols: int, offset: in
     text[:, 0] = np.signbit(values)
     text[:, 0] *= ord("-")
     text[:, -1] = ord(",")
-    text[(n_cols - 1 - offset) % n_cols::n_cols, -1] = ord("\n")
+    text[n_cols - 1::n_cols, -1] = ord("\n")
     slow = np.flatnonzero(~inside)
     if len(slow):
         is_zero = values[slow] == 0
@@ -261,39 +261,29 @@ def _format_chunk(values: np.ndarray, slots: np.ndarray, n_cols: int, offset: in
                 -1, _SLOT - 1)
 
 
-def write_columns_csv(path: str | Path, header: str, rows: Iterable) -> None:
-    """Write the header line, then one line per row, a sequence of one number
-    per column of the header, each printed as ``'%.17g' % value`` does; a row
-    of another length raises ValueError. Rows are taken in turn and their
-    values formatted _CHUNK_VALUES at a time, so a large file never exists as
-    one string or one array."""
+def write_columns_csv(path: str | Path, header: str, columns: list) -> None:
+    """Write the header line, then one line per row of ``columns``, stacked as
+    ``np.column_stack`` stacks them (a 1-D array is one column, a 2-D array
+    gives its columns), each value printed as ``'%.17g' % float(value)``
+    does. Columns of unequal length, or not as wide in all as the header,
+    raise ValueError. The rows are formatted max(1, _CHUNK_VALUES // width)
+    at a time, so a large file never exists as one string or one array."""
     n_cols = header.count(",") + 1
+    columns = [np.asarray(column, dtype=np.float64) for column in columns]
+    if (sum(column.shape[1] if column.ndim > 1 else 1 for column in columns) != n_cols
+            or any(len(column) != len(columns[0]) for column in columns)):
+        raise ValueError(f"{path}: columns of shapes {[c.shape for c in columns]} "
+                         f"for {n_cols} header columns")
+    block = max(1, _CHUNK_VALUES // n_cols)
+    buffer = bytearray(block * n_cols * _SLOT)
+    slots = np.frombuffer(buffer, "<u8").reshape(-1, _SLOT // 8)
     with open(path, "wb") as f:
         f.write((header + "\n").encode())
-        values = np.empty(_CHUNK_VALUES)
-        buffer = bytearray(_CHUNK_VALUES * _SLOT)
-        slots = np.frombuffer(buffer, "<u8").reshape(_CHUNK_VALUES, _SLOT // 8)
-        filled = done = 0
-
-        def flush() -> None:
-            _format_chunk(values[:filled], slots, n_cols, done)
-            slots[filled:] = 0
+        for start in range(0, len(columns[0]), block):
+            values = np.column_stack([c[start:start + block] for c in columns]).ravel()
+            _format_chunk(values, slots, n_cols)
+            slots[len(values):] = 0
             f.write(buffer.translate(None, b"\0"))
-
-        for row in rows:
-            row = np.asarray(row, dtype=np.float64)
-            if row.shape != (n_cols,):
-                raise ValueError(f"{path}: a row of shape {row.shape} for {n_cols} columns")
-            start = 0
-            while start < n_cols:
-                take = min(_CHUNK_VALUES - filled, n_cols - start)
-                values[filled:filled + take] = row[start:start + take]
-                filled, start = filled + take, start + take
-                if filled == _CHUNK_VALUES:
-                    flush()
-                    done, filled = done + filled, 0
-        if filled:
-            flush()
 
 
 def read_columns_csv(path: str | Path, header: str) -> np.ndarray:
@@ -335,16 +325,16 @@ def read_columns_csv(path: str | Path, header: str) -> np.ndarray:
     return data
 
 
-def json_value(value):
+def _json_value(value):
     """``value`` as ``write_json`` stores it: each non-finite float replaced by
     its name, "inf", "-inf" or "nan", which strict JSON has no number for,
     and each tuple by a list."""
     if isinstance(value, float) and not math.isfinite(value):
         return str(float(value))
     if isinstance(value, dict):
-        return {key: json_value(item) for key, item in value.items()}
+        return {key: _json_value(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        return [json_value(item) for item in value]
+        return [_json_value(item) for item in value]
     return value
 
 
@@ -353,7 +343,7 @@ def write_json(path: str | Path, payload: dict) -> None:
     atomically: into ``<name>.tmp``, then renamed over ``path``."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(json_value(payload), indent=2, sort_keys=True,
+    tmp.write_text(json.dumps(_json_value(payload), indent=2, sort_keys=True,
                               allow_nan=False) + "\n")
     os.replace(tmp, path)
 

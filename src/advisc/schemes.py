@@ -238,7 +238,8 @@ def simulate(
     except Lax-Wendroff, which keeps its own stencil. A state that goes
     non-finite or exceeds the magnitude guard ends the run: the trajectory
     returned stops at the state before it, so its ``n_steps`` is below the
-    ``n_steps`` asked for, and its viscosity history is cut to match.
+    ``n_steps`` asked for, and its viscosity history is cut to match; both
+    are copies of the rows kept.
     """
     if n_steps < 0 or int(n_steps) != n_steps:
         raise ValueError("n_steps must be a non-negative integer")
@@ -262,7 +263,7 @@ def simulate(
         else:
             load(states[n])
             ftcs_step(states[n + 1], states[n], rows[n])
-        if _diverged(states[n + 1], bound):
-            states, mu = states[: n + 1], None if mu is None else mu[:n]
+        if _diverged(states[n + 1], bound):  # copied, so they do not pin the whole horizon
+            states, mu = states[: n + 1].copy(), None if mu is None else mu[:n].copy()
             break
     return _checked_trajectory(states, cfg, mu)

@@ -69,7 +69,7 @@ def read_matrix(path):
 
 def write_matrix(path, times, values):
     """Store a space-time matrix CSV as a run writes it."""
-    write_columns_csv(path, matrix_header(values.shape[1]), np.column_stack((times, values)))
+    write_columns_csv(path, matrix_header(values.shape[1]), [times, values])
 
 
 def failed_checks(out):
@@ -595,6 +595,42 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(out)]) == 1
         assert "scheme_equivalence" in failed_checks(out)
 
+    def test_analyze_rejects_an_ftcs_mu_run_with_no_viscosity_to_replay(self, tmp_path, capsys):
+        cfg_path, out = write_config(tmp_path, scheme="ftcs_mu", n_cells=50,
+                                     extra_sim="mu = 0.001")
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        manifest = read_manifest(out)
+        del manifest["config"]["simulation"]["mu"]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["analyze", str(out)]) == 4
+        assert "manifest.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["per_step", "global"])
+    def test_analyze_fails_a_loss_edited_in_loss_history_and_summary_alike(self, tmp_path,
+                                                                           mode):
+        # A per-step run's losses follow from its stored states; a global run
+        # stores its best iterate, whose loss is the least loss.
+        cfg_path, out = write_config(
+            tmp_path, scheme="ftcs_mu", n_cells=20, t_final=0.01,
+            training=TRAINING.format(n_iters=5, mu_min=-0.005).replace("per_step", mode),
+        )
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        losses = read_columns_csv(out / "loss_history.csv", "iter,loss")[:, 1]
+        best = int(np.argmin(losses))
+        losses[best] *= 1.0 - 1e-3  # still the least loss
+        reference_write_columns_csv(out / "loss_history.csv", "iter,loss",
+                                    np.column_stack((np.arange(len(losses)), losses)))
+        summary = json.loads((out / "summary.json").read_text())
+        summary["training"].update(loss_first=float(losses[0]), loss_last=float(losses[-1]),
+                                   loss_best=float(losses[best]))
+        (out / "summary.json").write_text(json.dumps(summary))
+        assert main(["analyze", str(out)]) == 1
+        failed = failed_checks(out)
+        if mode == "per_step":
+            assert {"loss_history_consistent", "training:loss_best"} <= set(failed)
+        else:
+            assert set(failed) == {"trajectory_loss_consistent"}
+
     def test_analyze_scans_the_stored_matrices_once(self, tmp_path, monkeypatch):
         """_read_run_matrix checks solution.csv and mu.csv for non-finite
         entries; the trajectory analyze rebuilds them into does not scan them
@@ -779,7 +815,8 @@ class TestAnalyzeCommand:
         ("mu.csv", [*range(30), 29], {"stored_steps_consistent"}),
         ("solution.csv", slice(None, -1),
          {"entropy_series_consistent", "stored_steps_consistent"}),
-    ], ids=["mu_row_missing", "mu_row_extra", "solution_row_missing"])
+        ("solution.csv", slice(None, 1), {"stored_steps_consistent", "loss_history_consistent"}),
+    ], ids=["mu_row_missing", "mu_row_extra", "solution_row_missing", "solution_state_0_only"])
     def test_analyze_names_row_count_mismatch(self, tmp_path, target, rows, expected):
         cfg_path, out = write_config(
             tmp_path, scheme="ftcs_mu", n_cells=20, t_final=0.03,
@@ -900,14 +937,17 @@ class TestAnalyzeCommand:
         assert failed == {"entropy_series_consistent": "0 rows for 11 entries"}
 
     def test_analyze_header_only_loss_history_fails_its_check(self, tmp_path):
-        cfg_path, out = write_config(
-            tmp_path, scheme="ftcs_mu", n_cells=20, t_final=0.01,
-            training=TRAINING.format(n_iters=5, mu_min=-0.005),
-        )
-        assert main(["train", "--config", str(cfg_path)]) == 0
-        (out / "loss_history.csv").write_text("iter,loss\n")
-        assert main(["analyze", str(out)]) == 1
-        assert failed_checks(out) == {"loss_history_consistent": "0 rows"}
+        # a per-step run's 10 losses are recomputed from its states; a global run's are stored
+        for mode, detail in (("per_step", "0 rows for 10 entries"), ("global", "0 rows")):
+            cfg_path, out = write_config(
+                tmp_path, name=f"{mode}.cfg", directory=str(tmp_path / mode), scheme="ftcs_mu",
+                n_cells=20, t_final=0.01,
+                training=TRAINING.format(n_iters=5, mu_min=-0.005).replace("per_step", mode),
+            )
+            assert main(["train", "--config", str(cfg_path)]) == 0
+            (out / "loss_history.csv").write_text("iter,loss\n")
+            assert main(["analyze", str(out)]) == 1
+            assert failed_checks(out) == {"loss_history_consistent": detail}
 
     @pytest.mark.parametrize("block", ["config", "files"])
     def test_analyze_manifest_without_block_exits_4(self, tmp_path, capsys, block):
@@ -929,9 +969,9 @@ class TestAnalyzeCommand:
         ("mu_final.csv", 5, 1, ["mu_final_consistent"], "['mu_raw']"),
         ("mu_final.csv", 5, 2, ["mu_final_consistent"], "['mu_normalized']"),
         ("loss_history.csv", 0, 0, ["loss_history_consistent"], "'iter'"),
-        # row 0 also holds the smallest loss
-        ("loss_history.csv", 0, 1, ["training:loss_first", "training:loss_best"], "stored="),
-        ("loss_history.csv", 29, 1, ["training:loss_last"], "stored="),
+        # the losses are recomputed from the stored states, so the summary stays right
+        ("loss_history.csv", 0, 1, ["loss_history_consistent"], "'loss'"),
+        ("loss_history.csv", 29, 1, ["loss_history_consistent"], "'loss'"),
     ], ids=["final_x", "final_u", "final_exact", "final_error", "mu_x_face", "mu_raw",
             "mu_normalized", "loss_iter", "loss_first", "loss_last"])
     def test_analyze_names_file_with_one_digit_changed(self, tmp_path, name, row, column,
@@ -1208,24 +1248,6 @@ class TestMemoryBudget:
         assert peak < 6.5 * matrix_bytes, f"train peaked at {peak / matrix_bytes:.2f} matrices"
         assert read_manifest(out)["status"] == "ok"
 
-    def test_run_writes_every_csv_row_by_row(self, tmp_path, monkeypatch):
-        import advisc.cli
-
-        kinds = []
-
-        def recording(path, header, rows):
-            kinds.append(type(rows))
-            write_columns_csv(path, header, rows)
-
-        monkeypatch.setattr(advisc.cli, "write_columns_csv", recording)
-        cfg_path, out = write_config(
-            tmp_path, scheme="ftcs_mu", n_cells=20, t_final=0.01,
-            training=TRAINING.format(n_iters=5, mu_min=-0.005),
-        )
-        assert main(["train", "--config", str(cfg_path)]) == 0
-        assert len(kinds) == 6
-        assert not any(issubclass(kind, (list, tuple, np.ndarray)) for kind in kinds)
-
 
 class TestCsvBytes:
     """Every CSV that run and train write has the bytes of the reference
@@ -1244,10 +1266,10 @@ class TestCsvBytes:
         reference.mkdir()
         written = []
 
-        def both(path, header, rows):
-            rows = list(rows)
-            write_columns_csv(path, header, rows)
-            reference_write_columns_csv(reference / Path(path).name, header, rows)
+        def both(path, header, columns):
+            write_columns_csv(path, header, columns)
+            reference_write_columns_csv(reference / Path(path).name, header,
+                                        np.column_stack(columns))
             written.append(Path(path))
 
         monkeypatch.setattr(advisc.cli, "write_columns_csv", both)

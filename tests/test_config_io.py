@@ -302,7 +302,7 @@ class TestCsvRoundTrip:
     def test_seventeen_digit_format_round_trips(self, tmp_path):
         values = np.array([1 / 3, np.pi, 0.1, -7.25e-13, 1e18])
         path = tmp_path / "s.csv"
-        write_columns_csv(path, "i,value", enumerate(values))
+        write_columns_csv(path, "i,value", [np.arange(len(values)), values])
         assert np.array_equal(read_columns_csv(path, "i,value")[:, 1], values)
 
     def test_matrix_round_trip_bit_exact(self, tmp_path):
@@ -310,7 +310,7 @@ class TestCsvRoundTrip:
         times = np.arange(6) * 1e-3
         matrix = rng.standard_normal((6, 9))
         path = tmp_path / "m.csv"
-        write_columns_csv(path, matrix_header(9), np.column_stack((times, matrix)))
+        write_columns_csv(path, matrix_header(9), [times, matrix])
         data = read_columns_csv(path, matrix_header(9))
         times2, matrix2 = data[:, 0], data[:, 1:]
         assert np.array_equal(times, times2)
@@ -318,7 +318,7 @@ class TestCsvRoundTrip:
 
     def test_matrix_header_format(self, tmp_path):
         path = tmp_path / "m.csv"
-        write_columns_csv(path, matrix_header(3), np.zeros((1, 4)))
+        write_columns_csv(path, matrix_header(3), [np.zeros((1, 4))])
         header = path.read_text().splitlines()[0]
         assert header == "t\\x,x0,x1,x2"
 
@@ -326,7 +326,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "s.csv"
         xs = np.array([0.0, 0.5, 1.0])
         ys = np.array([1 / 3, 2 / 3, 1.0])
-        write_columns_csv(path, "t,entropy", zip(xs, ys))
+        write_columns_csv(path, "t,entropy", [xs, ys])
         header = path.read_text().splitlines()[0]
         assert header == "t,entropy"
         xs2, ys2 = read_columns_csv(path, "t,entropy").T
@@ -362,7 +362,7 @@ class TestCsvRoundTrip:
 
     def test_reader_names_the_header_it_wanted(self, tmp_path):
         path = tmp_path / "bad.csv"
-        write_columns_csv(path, matrix_header(49), np.zeros((1, 50)))
+        write_columns_csv(path, matrix_header(49), [np.zeros((1, 50))])
         with pytest.raises(CorruptRunError) as wide:
             read_columns_csv(path, matrix_header(50))
         assert str(wide.value).endswith("does not have the header t\\x,x0,x1,...,x49")
@@ -388,7 +388,7 @@ def hat_like_rows(n_rows: int, n_cols: int, seed: int = 0) -> np.ndarray:
     """Rows like the states of a hat run: values of order one printed from
     their 17 digits, tails below 1e-4 that ``%`` prints, runs of exact zeros
     and negative values, at a different place in each row, so that every
-    kind of value straddles the edges of the writer's chunks."""
+    kind of value straddles the edges of the writer's blocks."""
     rng = np.random.default_rng(seed)
     x = (np.arange(n_cols) + 0.5) / n_cols
     distance = np.abs((x - rng.random((n_rows, 1)) + 0.5) % 1.0 - 0.5)
@@ -400,13 +400,13 @@ def hat_like_rows(n_rows: int, n_cols: int, seed: int = 0) -> np.ndarray:
 
 class TestCsvFormat:
     """The writer prints every value exactly as ``'%.17g' %`` does: its bytes
-    equal those of the reference writer, which formats each row with ``%``."""
+    equal those of the reference writer, which formats each row of the
+    stacked columns with ``%``."""
 
     @staticmethod
-    def assert_same_bytes(tmp_path, header, rows):
-        rows = list(rows)
-        write_columns_csv(tmp_path / "kernel.csv", header, rows)
-        reference_write_columns_csv(tmp_path / "reference.csv", header, rows)
+    def assert_same_bytes(tmp_path, header, columns):
+        write_columns_csv(tmp_path / "kernel.csv", header, columns)
+        reference_write_columns_csv(tmp_path / "reference.csv", header, np.column_stack(columns))
         got = (tmp_path / "kernel.csv").read_bytes()
         want = (tmp_path / "reference.csv").read_bytes()
         if got != want:
@@ -419,7 +419,7 @@ class TestCsvFormat:
         values = np.asarray(values, dtype=float)
         values = np.concatenate((values, np.zeros(-len(values) % n_cols)))
         self.assert_same_bytes(tmp_path, ",".join(f"c{i}" for i in range(n_cols)),
-                               values.reshape(-1, n_cols))
+                               [values.reshape(-1, n_cols)])
 
     def test_random_bit_patterns_over_the_whole_double_range(self, tmp_path):
         rng = np.random.default_rng(18)
@@ -473,27 +473,27 @@ class TestCsvFormat:
                                    2.0 ** np.arange(60), [2.0**53 - 1, 2.0**53 + 2]))
         self.assert_values_formatted(tmp_path, integers)
         losses = np.random.default_rng(1).random(2500)
-        self.assert_same_bytes(tmp_path, "iter,loss", enumerate(losses))
+        self.assert_same_bytes(tmp_path, "iter,loss", [np.arange(len(losses)), losses])
 
     def test_rows_that_span_several_chunks(self, tmp_path):
         n_cols = 2 * _CHUNK_VALUES + 3
         rows = np.random.default_rng(2).standard_normal((5, n_cols))
         rows[1, ::7] = 0.0
         rows[2, 5:_CHUNK_VALUES + 9] = 1e-30
-        rows[3] = 0.0  # whole chunks with no value the kernel formats itself
-        self.assert_same_bytes(tmp_path, matrix_header(n_cols - 1), rows)
+        rows[3] = 0.0  # a block with no value the kernel formats itself
+        self.assert_same_bytes(tmp_path, matrix_header(n_cols - 1), [rows])
 
     @pytest.mark.parametrize("n_cols", [1001, _CHUNK_VALUES + 1, 3 * _CHUNK_VALUES // 2])
     def test_hat_like_rows_across_chunk_edges(self, tmp_path, n_cols):
         rows = hat_like_rows(7, n_cols)
         assert np.any((rows != 0) & (np.abs(rows) < 1e-4)) and np.any(rows == 0)
-        self.assert_same_bytes(tmp_path, matrix_header(n_cols - 1), rows)
+        self.assert_same_bytes(tmp_path, matrix_header(n_cols - 1), [rows])
 
     def test_value_kinds_that_change_at_chunk_edges(self, tmp_path):
-        """Each chunk holds one kind of value: all inside the fixed-point
-        window, none, half, or just under half. Every chunk formats all of its
-        values by the fixed-point path, and then overwrites the slots of those
-        outside the window."""
+        """Each block, four rows of 1024 values, holds one kind of value: all
+        inside the fixed-point window, none, half, or just under half. Every
+        block formats all of its values by the fixed-point path, and then
+        overwrites the slots of those outside the window."""
         rng = np.random.default_rng(5)
         size = _CHUNK_VALUES
         ordinary = rng.uniform(0.5, 2.0, size) * rng.choice([-1.0, 1.0], size)
@@ -502,42 +502,50 @@ class TestCsvFormat:
         under_half = half.copy()
         under_half[0] = 0.0
         chunks = [np.zeros(size), tiny, half, under_half, ordinary, -ordinary[::-1]]
-        self.assert_values_formatted(tmp_path, np.concatenate(chunks), n_cols=1000)
+        self.assert_values_formatted(tmp_path, np.concatenate(chunks), n_cols=1024)
 
     def test_header_only_file(self, tmp_path):
-        self.assert_same_bytes(tmp_path, "t,entropy", [])
+        self.assert_same_bytes(tmp_path, "t,entropy", [np.empty(0), np.empty(0)])
         assert (tmp_path / "kernel.csv").read_bytes() == b"t,entropy\n"
 
-    def test_a_row_of_another_width_raises(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_columns_csv(tmp_path / "bad.csv", "a,b", [(1.0, 2.0), (3.0,)])
+    def test_columns_of_unequal_length_or_another_width_raise(self, tmp_path):
+        unequal = [[np.zeros(3), np.zeros(2)], [np.zeros((3, 1)), np.zeros(4)]]
+        too_wide_or_narrow = [[np.zeros((3, 3))], [np.zeros(3)], [np.zeros(3)] * 3]
+        for columns in unequal + too_wide_or_narrow:
+            with pytest.raises(ValueError):
+                write_columns_csv(tmp_path / "bad.csv", "a,b", columns)
+            assert not (tmp_path / "bad.csv").exists()
 
 
 class TestWriterMemory:
-    """The writer holds one chunk of values, their slots and the formatter's
-    arrays, whatever the length of the file."""
+    """The writer holds one block of values, their slots and the formatter's
+    arrays, whatever the length of the file: at most _CHUNK_VALUES values,
+    or one row where a row is wider."""
 
     @staticmethod
     def traced_peak(path, matrix) -> int:
-        """Peak traced memory of writing ``matrix`` a row at a time; the matrix
-        and its header exist before tracing starts, so the peak leaves them out."""
+        """Peak traced memory of writing the columns of ``matrix``; the matrix
+        and its header exist before tracing starts, so the peak leaves them
+        out."""
         header = matrix_header(matrix.shape[1] - 1)
         tracemalloc.start()
         try:
-            write_columns_csv(path, header, iter(matrix))
+            write_columns_csv(path, header, [matrix])
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     def test_scratch_is_a_fixed_multiple_of_the_chunk(self, tmp_path):
-        peaks = []
-        for n_rows in (20, 80):
-            rows = hat_like_rows(n_rows, 2001)
-            rows[::2, 1:] = np.sin(np.linspace(0.0, 7.0, 2000))  # smooth rows: the fast path
-            peaks.append(self.traced_peak(tmp_path / "m.csv", rows))
-        assert abs(peaks[1] - peaks[0]) <= 0.02 * peaks[0], peaks
-        chunk_bytes = _CHUNK_VALUES * 8
-        assert max(peaks) < 14 * chunk_bytes, f"{max(peaks) / chunk_bytes:.1f} chunks of doubles"
+        # a row wider than the chunk is formatted alone: the block is that row
+        for n_cols in (2001, 3 * _CHUNK_VALUES + 5):
+            peaks = []
+            for n_rows in (20, 80):
+                rows = hat_like_rows(n_rows, n_cols)
+                rows[::2, 1:] = np.sin(np.linspace(0.0, 7.0, n_cols - 1))  # the fast path
+                peaks.append(self.traced_peak(tmp_path / "m.csv", rows))
+            assert abs(peaks[1] - peaks[0]) <= 0.02 * peaks[0], (n_cols, peaks)
+            block_bytes = max(_CHUNK_VALUES, n_cols) * 8
+            assert max(peaks) < 14 * block_bytes, f"{max(peaks) / block_bytes:.1f} blocks of doubles"
 
 
 class TestManifest:

@@ -371,6 +371,15 @@ class TestSimulate:
         assert traj.viscosity_history.shape == (step, 100)
         assert np.array_equal(traj.states, simulate(u0, step, cfg, mu=anti).states)
 
+    def test_a_diverged_run_holds_only_the_rows_it_kept(self):
+        grid = make_grid(100, 1.0)
+        cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
+        u0 = exact_solution(InitialCondition(kind="sine"), grid, 1.0, 0.0)
+        traj = simulate(u0, 20000, cfg, scheme="ftcs_mu", mu=np.full((20000, 100), -0.05))
+        assert traj.n_steps < 100
+        assert traj.states.base.nbytes == traj.states.nbytes
+        assert traj.viscosity_history.base.nbytes == traj.viscosity_history.nbytes
+
     def test_classical_overflow_is_divergence_with_partial_trajectory(self):
         cfg = small_config(n=50, length=1.0)
         u0 = np.where(np.arange(50) % 7 == 0, 1e308, 0.0)
