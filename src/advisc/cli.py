@@ -26,7 +26,7 @@ from .config import (
     config_to_dict,
     load_config,
 )
-from .diagnostics import entropy_series, mse, mu_stats, row_sums_of_squares, summary_stats
+from .diagnostics import entropy_series, mse, mu_stats, step_losses, summary_stats
 from .grid import exact_solution
 from .optimizer import TrainingReport, train_global, train_per_step
 from .presets import PRESET_NAMES, STUDIES, preset_config
@@ -82,15 +82,14 @@ def _build_problem(cfg: ExperimentConfig) -> tuple[SchemeConfig, np.ndarray]:
     return scheme_cfg, exact_solution(cfg.ic, scheme_cfg.grid, cfg.c, times)
 
 
-def _derived(cfg: ExperimentConfig, traj: Trajectory, times: np.ndarray,
-             losses=None) -> tuple[dict, dict]:
+def _derived(cfg: ExperimentConfig, traj: Trajectory, losses=None) -> tuple[dict, dict]:
     """What a run's primary data determine, for the writer to store and analyze
     to check: the columns of each derived CSV, keyed by file name as in
     DERIVED_CSVS, and the blocks of summary.json the data and config give.
-    The exact state is sampled at the last of ``times`` only. ``losses``, a
-    training run's loss history, is None or empty for a plain run and for a
+    The exact state is sampled at the last of ``traj.times`` only. ``losses``,
+    a training run's loss history, is None or empty for a plain run and for a
     training run whose first step or sweep diverged, which are written alike."""
-    grid = traj.config.grid
+    grid, times = traj.config.grid, traj.times
     final = traj.states[-1]
     exact_final = exact_solution(cfg.ic, grid, cfg.c, times[-1])
     entropy = entropy_series(traj.states, grid.dx)
@@ -203,7 +202,7 @@ def _write_run(
     losses = None if report is None else report.loss_history
     if losses:
         write("mu.csv", matrix_header(grid.n_cells), [times[:-1], traj.viscosity_history])
-    csvs, summary = _derived(cfg, traj, times, losses)  # not held while the matrices are written
+    csvs, summary = _derived(cfg, traj, losses)  # not held while the matrices are written
     for name, columns in csvs.items():
         write(name, DERIVED_CSVS[name][0], columns)
 
@@ -229,27 +228,14 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     matrix the run holds. A run whose trajectory stops short of ``n_steps``
     diverged. ``_write_run`` creates the output directory once the run is
     simulated and returns the exit code."""
-    if cfg.scheme == "ftcs_mu" and cfg.mu is None:
-        raise ConfigError("scheme 'ftcs_mu' requires the 'mu' key for plain runs")
+    if cfg.training is not None:
+        raise ConfigError("run simulates a plain scheme; a config with [training] is for train")
     t_start = time.time()
     scheme_cfg = cfg.scheme_config()
     u0 = exact_solution(cfg.ic, scheme_cfg.grid, cfg.c, 0.0)
     traj = simulate(u0, cfg.n_steps, scheme_cfg, scheme=cfg.scheme, mu=cfg.mu)
     status = "ok" if traj.n_steps == cfg.n_steps else "divergence"
     return _write_run(cfg, traj, status, t_start)
-
-
-def _check_trains(cfg: ExperimentConfig) -> None:
-    """Check that ``cfg`` trains; its output directory is made only once it has trained."""
-    if cfg.training is None:
-        raise ConfigError("training requires a [training] section")
-    if cfg.scheme != "ftcs_mu":
-        raise ConfigError("training requires scheme = ftcs_mu")
-    if cfg.n_steps < 1:
-        raise ConfigError("training requires t_final >= dt (at least one step)")
-    if cfg.mu is not None:
-        raise ConfigError("training learns the viscosity; [simulation] mu is for plain "
-                          "ftcs_mu runs only")
 
 
 def _training_group(cfg: ExperimentConfig) -> tuple:
@@ -279,12 +265,12 @@ def cmd_train(cfg: ExperimentConfig, *more: ExperimentConfig) -> int:
     the exit code of the first failed run in config order, or 0. Configs of
     one ``_training_group`` differ only in optimizer and output directory,
     so each group trains in one call of its mode's trainer, on its problem.
-    Every config is checked before any trains; no output directory is made
-    before its run has trained."""
+    Every config is checked to have [training] before any trains; no output
+    directory is made before its run has trained."""
     t_start = time.time()
     configs = (cfg, *more)
-    for config in configs:
-        _check_trains(config)
+    if any(config.training is None for config in configs):
+        raise ConfigError("training requires a [training] section")
     groups: dict[tuple, list[int]] = {}
     for i, config in enumerate(configs):
         groups.setdefault(_training_group(config), []).append(i)
@@ -328,18 +314,21 @@ def _replay_error(states: np.ndarray, mu_rows: np.ndarray, cfg: SchemeConfig) ->
     return float(worst)
 
 
-def _read_run_matrix(path: Path, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """The times and values of a run's solution.csv or mu.csv, a space-time
-    matrix with one column per cell or face. The values are a view of the
-    parsed data, not a copy; each row is contiguous. Another header, no data
-    rows or a non-finite entry, none of which a run writes, raise
+def _read_run_matrix(path: Path, n_cells: int, dt: float) -> np.ndarray:
+    """The values of a run's solution.csv or mu.csv, a space-time matrix with
+    one column per cell or face, whose row n is at time n*dt. The values are
+    a view of the parsed data, not a copy; each row is contiguous. Another
+    header, no data rows, a non-finite entry, or times other than
+    ``np.arange(rows) * dt`` bit for bit, none of which a run writes, raise
     CorruptRunError."""
     data = read_columns_csv(path, matrix_header(n_cells))
     if data.shape[0] == 0:
         raise CorruptRunError(f"{path} has no data rows")
     if not np.isfinite(data).all():
         raise CorruptRunError(f"{path} has non-finite entries")
-    return data[:, 0].copy(), data[:, 1:]
+    if not np.array_equal(data[:, 0], np.arange(len(data)) * dt):
+        raise CorruptRunError(f"{path} has times other than n*dt for dt = {dt!r}")
+    return data[:, 1:]
 
 
 def _columns_match(path: Path, header: str, expected: list) -> tuple[bool, str]:
@@ -356,20 +345,22 @@ def _columns_match(path: Path, header: str, expected: list) -> tuple[bool, str]:
 def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
     """Check every file of a run against its config and its primary data:
     solution.csv and, for a training run, mu.csv and a global run's losses.
-    The steps are replayed on them: a plain run's as FTCS at its scheme's
-    constant viscosity, and those of a training run whose first step or sweep
-    diverged, which writes no mu.csv, at the optimizer's initial viscosity. A
-    per-step run's loss n is the MSE of stored state n + 1 against the exact
-    state; a global run stores its best iterate, whose loss must be the least
-    loss. ``_derived``, as the writer called it, rebuilds every other CSV and
+    Row n of either matrix is at time n*dt, and the run stores one state
+    per step it took: all of the config's steps, or those up to the
+    manifest's ``diverged_at_step``. The steps are replayed on the stored
+    data: a plain run's as FTCS at its constant viscosity, that of its
+    classical scheme or its ``mu``, and those of a training run whose first
+    step or sweep diverged, which writes no mu.csv, at the optimizer's
+    initial viscosity. A per-step run's losses are its ``step_losses``; a
+    global run stores its best iterate, whose loss must be the least loss.
+    ``_derived``, as the writer called it, rebuilds every other CSV and
     summary.json value, which must match exactly; the summary's status must
     be the manifest's. Its ``divergence_events`` comes only from the
     optimizer's report, so it stays unchecked.
     Training outputs are not rebuilt without one mu.csv row per step and at
-    least one loss. A CSV without its exact header, such as a solution.csv
-    or mu.csv that is not n_cells wide, raises CorruptRunError, as do a
-    stored config that does not load and an ftcs_mu config with neither mu
-    nor [training], which leaves no viscosity to replay."""
+    least one loss. A stored config that does not load, a CSV without its
+    exact header, such as a solution.csv or mu.csv that is not n_cells wide,
+    and a matrix with other times raise CorruptRunError."""
     try:
         cfg = config_from_dict(manifest["config"])
     except ConfigError as err:
@@ -377,16 +368,15 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
     summary = read_json(out_dir / "summary.json")
     scheme_cfg = cfg.scheme_config()
     grid = scheme_cfg.grid
-    times, states = _read_run_matrix(out_dir / "solution.csv", grid.n_cells)
+    states = _read_run_matrix(out_dir / "solution.csv", grid.n_cells, cfg.dt)
+    steps = manifest.get("diverged_at_step", cfg.n_steps)
+    check("steps_stored", type(steps) is int and len(states) == steps + 1 <= cfg.n_steps + 1,
+          f"{len(states)} states for {steps!r} of {cfg.n_steps} steps")
 
-    mu_value = cfg.mu if cfg.scheme == "ftcs_mu" else CLASSICAL_MU[cfg.scheme](scheme_cfg)
-    if mu_value is None and cfg.training is None:
-        raise CorruptRunError(f"{out_dir / MANIFEST_NAME} stores an ftcs_mu config with "
-                              "neither mu nor [training]")
-    if mu_value is None and not training:
-        # a training run whose first step or sweep diverged ran at its initial mu
-        mu_value = cfg.training.optimizer.resolve_init(scheme_cfg)
-    if mu_value is not None:  # every step is FTCS at one constant mu
+    if not training:  # every step is FTCS at one constant mu
+        mu_value = (CLASSICAL_MU[cfg.scheme](scheme_cfg) if cfg.scheme in CLASSICAL_MU
+                    else cfg.mu if cfg.mu is not None
+                    else cfg.training.optimizer.resolve_init(scheme_cfg))
         mu_rows = np.broadcast_to(mu_value, (len(states) - 1, grid.n_cells))
         worst = _replay_error(states, mu_rows, scheme_cfg)
         check("scheme_equivalence", worst < 1e-13,
@@ -396,21 +386,22 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
     if training:
         if cfg.training is None:
             raise CorruptRunError(f"{out_dir / MANIFEST_NAME} lists mu.csv, but no [training]")
-        _, mu = _read_run_matrix(out_dir / "mu.csv", grid.n_cells)
+        mu = _read_run_matrix(out_dir / "mu.csv", grid.n_cells, cfg.dt)
         if len(mu) == len(states) - 1:
             worst = _replay_error(states, mu, scheme_cfg)
             ok, detail = worst < 1e-13, f"max rel err {worst:.3e}"
         else:
             ok, detail = False, f"{len(mu)} rows for {len(states) - 1} steps"
         check("stored_steps_consistent", ok, detail)
-        exact = exact_solution(cfg.ic, grid, cfg.c, times)
+        traj = _checked_trajectory(states, scheme_cfg, None)
+        exact = exact_solution(cfg.ic, grid, cfg.c, traj.times)
         if cfg.training.mode == "per_step":
-            losses = (row_sums_of_squares(states[1:], exact[1:]) / grid.n_cells).tolist()
+            losses = step_losses(states, exact).tolist()
         else:
             loss_header = DERIVED_CSVS["loss_history.csv"][0]
             losses = read_columns_csv(out_dir / "loss_history.csv", loss_header)[:, 1].tolist()
             if losses:  # the stored trajectory is the best iterate's
-                loss = loss_value(_checked_trajectory(states, scheme_cfg, None), exact)
+                loss = loss_value(traj, exact)
                 check("trajectory_loss_consistent", loss == min(losses),
                       f"stored trajectory's loss {loss!r}, least stored loss {min(losses)!r}")
         del exact
@@ -420,7 +411,7 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
             mu = losses = None
 
     # _read_run_matrix has checked states and mu to be finite; they are not scanned again.
-    csvs, recomputed = _derived(cfg, _checked_trajectory(states, scheme_cfg, mu), times, losses)
+    csvs, recomputed = _derived(cfg, _checked_trajectory(states, scheme_cfg, mu), losses)
     for name, columns in csvs.items():
         header, check_name = DERIVED_CSVS[name]
         check(check_name, *_columns_match(out_dir / name, header, columns))

@@ -9,10 +9,12 @@ and the presets, which are section overrides (``presets.PRESETS``).
 Each setting is checked once, by the object that uses it: the grid checks
 n_cells and length, ``schemes.SchemeConfig`` dt and c,
 ``grid.InitialCondition`` its own fields and, in ``check_inside``, the
-hat edge against the length, and ``ExperimentConfig`` only what needs the
-whole config; a ValueError from any of them is reported as a
-ConfigError. Unknown sections or keys are hard errors so that typos cannot
-silently change an experiment.
+hat edge against the length, and ``ExperimentConfig`` what needs the whole
+config: t_final, and the one rule of what a run is. An ftcs_mu config has
+either ``mu``, a plain run at that viscosity, or [training], which learns
+the viscosity over at least one step; no other scheme has either. A
+ValueError from any of them is reported as a ConfigError. Unknown sections
+or keys are hard errors so that typos cannot silently change an experiment.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class OutputSettings:
 class ExperimentConfig:
     """Complete description of one experiment: physics, scheme, IC, training, outputs."""
 
-    scheme: str = "ftcs_mu"
+    scheme: str = "upwind"
     n_cells: int = 100
     length: float = 1.0
     c: float = 1.0
@@ -85,8 +87,11 @@ class ExperimentConfig:
             )
         if self.mu is not None and not np.isfinite(self.mu):
             raise ConfigError("mu must be finite")
-        if self.mu is not None and self.scheme != "ftcs_mu":
-            raise ConfigError(f"'mu' only applies to scheme ftcs_mu, not {self.scheme!r}")
+        if (self.mu is not None) + (self.training is not None) != (self.scheme == "ftcs_mu"):
+            raise ConfigError(f"scheme {self.scheme!r}: ftcs_mu takes either 'mu' or a "
+                              "[training] section, and no other scheme takes either")
+        if self.training is not None and self.n_steps < 1:
+            raise ConfigError("training requires t_final >= dt (at least one step)")
 
     @property
     def n_steps(self) -> int:

@@ -46,6 +46,12 @@ def row_sums_of_squares(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarra
     return out
 
 
+def step_losses(states: np.ndarray, exact: np.ndarray) -> np.ndarray:
+    """The per-step losses of a run's (M + 1, N) ``states``: the ``mse`` of each
+    state after the first against the exact state of its time, bit for bit."""
+    return row_sums_of_squares(states[1:], exact[1:]) / states.shape[-1]
+
+
 def entropy_series(states: np.ndarray, dx: float) -> np.ndarray:
     """Quadratic entropy S = (1/2) * sum_i u_i^2 * dx of each state along the last axis.
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import grad_mu_global, loss_value
-from .diagnostics import mse
+from .diagnostics import step_losses
 from .schemes import (
     CLASSICAL_MU,
     SchemeConfig,
@@ -156,7 +156,8 @@ def train_per_step(
     state and the M + 1 rows set the M steps trained. The state advanced
     between steps is the numerical one (never reset to exact), so error
     accumulation is visible to later steps. Each step's mu starts from the
-    previous step's optimum.
+    previous step's optimum. A run's loss history is the ``step_losses`` of
+    the states it stored, taken once its steps are done.
 
     The configs share ``n_iters`` and train together as one batch on the
     same problem; returns one TrainingReport per config. Divergence of a
@@ -186,17 +187,15 @@ def train_per_step(
     states = np.empty((len(opts), n_steps + 1, n))
     states[:, 0] = exact[0]
     mu_rows = np.empty((len(opts), n_steps, n))
-    losses: list[list[float]] = [[] for _ in opts]
+    n_done = np.zeros(len(opts), dtype=int)  # the steps each run has completed
     rows = np.arange(len(opts))  # the runs still training, one per column of mu
 
     for step in range(n_steps):
-        target = exact[step + 1]
         u = states[rows, step].T.copy()
-        u_next = _descend(u, np.repeat(target[:, None], rows.size, axis=1),
+        u_next = _descend(u, np.repeat(exact[step + 1][:, None], rows.size, axis=1),
                           mu, lr, lo, hi, cfg, n_iters).T
         going = [j for j in range(len(rows)) if not _diverged(u_next[j], bound)]
-        for j in going:
-            losses[rows[j]].append(mse(u_next[j], target))
+        n_done[rows[going]] = step + 1
         states[rows[going], step + 1] = u_next[going]
         mu_rows[rows[going], step] = mu.T[going]
         if len(going) < len(rows):
@@ -206,12 +205,11 @@ def train_per_step(
             mu, lr, lo, hi = (x[:, going].copy() for x in (mu, lr, lo, hi))
 
     reports = []
-    for b, run_losses in enumerate(losses):
-        n_done = len(run_losses)
-        halted = n_done < n_steps
+    for b, done in enumerate(n_done.tolist()):
+        halted = done < n_steps
         reports.append(TrainingReport(
-            loss_history=tuple(run_losses),
-            trajectory=Trajectory(states[b, : n_done + 1], cfg, mu_rows[b, :n_done]),
+            loss_history=tuple(step_losses(states[b, :done + 1], exact[:done + 1]).tolist()),
+            trajectory=Trajectory(states[b, :done + 1], cfg, mu_rows[b, :done]),
             status="divergence" if halted else "ok",
             divergence_events=int(halted),
         ))

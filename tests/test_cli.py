@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from advisc.cli import main
-from advisc.config import config_to_dict
+from advisc.config import (
+    ConfigError,
+    ExperimentConfig,
+    OutputSettings,
+    config_to_dict,
+    load_config,
+)
 from advisc.grid import PROFILES
 from advisc.presets import PRESETS, STUDIES, preset_config
 from advisc.runio import matrix_header, read_columns_csv, read_manifest, write_columns_csv
@@ -120,6 +126,13 @@ class TestRunCommand:
     def test_ftcs_mu_requires_mu_key(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, scheme="ftcs_mu")
         assert main(["run", "--config", str(cfg_path)]) == 3
+
+    def test_training_config_is_for_train(self, tmp_path, capsys):
+        cfg_path, out = write_config(tmp_path, scheme="ftcs_mu", n_cells=20, t_final=0.01,
+                                     training=TRAINING.format(n_iters=2, mu_min=-0.005))
+        assert main(["run", "--config", str(cfg_path)]) == 3
+        assert "[training] is for train" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rejected_run_creates_no_directory(self, tmp_path):
         cfg_path, out = write_config(tmp_path, scheme="ftcs_mu")
@@ -470,7 +483,7 @@ class TestTrainCommand:
             tmp_path, scheme="ftcs_mu", n_cells=40, t_final=0.01, extra_sim="mu = 0.01\n",
             training=TRAINING.format(n_iters=2, mu_min=-0.005))
         assert main(["train", "--config", str(cfg_path)]) == 3
-        assert "mu is for plain ftcs_mu runs only" in capsys.readouterr().err
+        assert "ftcs_mu takes either 'mu' or a [training] section" in capsys.readouterr().err
         assert not out.exists()
 
     def test_collapsed_bounds_match_constant_mu_run(self, tmp_path):
@@ -550,7 +563,7 @@ class TestAnalyzeCommand:
         analysis = json.loads((out / "analysis.json").read_text())
         assert analysis["all_passed"] is True
         names = {c["name"] for c in analysis["checks"]}
-        assert "scheme_equivalence" in names
+        assert {"scheme_equivalence", "steps_stored"} <= names
 
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     def test_analyze_replays_every_plain_scheme(self, tmp_path, scheme):
@@ -595,15 +608,46 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(out)]) == 1
         assert "scheme_equivalence" in failed_checks(out)
 
-    def test_analyze_rejects_an_ftcs_mu_run_with_no_viscosity_to_replay(self, tmp_path, capsys):
-        cfg_path, out = write_config(tmp_path, scheme="ftcs_mu", n_cells=50,
-                                     extra_sim="mu = 0.001")
-        assert main(["run", "--config", str(cfg_path)]) == 0
-        manifest = read_manifest(out)
-        del manifest["config"]["simulation"]["mu"]
-        (out / "manifest.json").write_text(json.dumps(manifest))
+    @pytest.mark.parametrize("command, name, row, edit", [
+        ("train", "mu.csv", 3, lambda t: "0.5"),
+        ("train", "solution.csv", 3, lambda t: "0.5"),
+        ("run", "solution.csv", 20, lambda t: "-" + t),
+    ], ids=["mu_time_of_a_training_run", "solution_time_of_a_training_run",
+            "last_solution_time_negated"])
+    def test_analyze_rejects_a_stored_time_other_than_n_dt(self, tmp_path, capsys, command,
+                                                          name, row, edit):
+        train = command == "train"
+        cfg_path, out = write_config(
+            tmp_path, scheme="ftcs_mu" if train else "upwind", n_cells=50, t_final=0.02,
+            training=TRAINING.format(n_iters=5, mu_min=-0.005) if train else "")
+        assert main([command, "--config", str(cfg_path)]) == 0
+        lines = (out / name).read_text().splitlines()
+        time, rest = lines[row + 1].split(",", 1)
+        lines[row + 1] = f"{edit(time)},{rest}"
+        (out / name).write_text("\n".join(lines) + "\n")
         assert main(["analyze", str(out)]) == 4
-        assert "manifest.json" in capsys.readouterr().err
+        assert str(out / name) in capsys.readouterr().err
+
+    # Each edit m of a manifest stores another step count than its run's states.
+    @pytest.mark.parametrize("diverges, edit", [
+        (False, lambda m: m["config"]["simulation"].update(t_final=0.05)),
+        (True, lambda m: m.update(diverged_at_step=m["diverged_at_step"] + 1)),
+        (True, lambda m: m.update(diverged_at_step=float(m["diverged_at_step"]))),
+    ], ids=["t_final_longer", "diverged_at_step_later", "diverged_at_step_not_an_int"])
+    def test_analyze_fails_a_run_that_stores_other_than_its_steps(self, tmp_path, diverges, edit):
+        # An upwind run to t_final = 0.02 stores 21 states; ftcs_mu at mu = -0.05 diverges.
+        cfg_path, out = write_config(tmp_path, scheme="ftcs_mu" if diverges else "upwind",
+                                     kind="sine", t_final=0.5 if diverges else 0.02,
+                                     extra_sim="mu = -0.05\n" if diverges else "")
+        assert main(["run", "--config", str(cfg_path)]) == (2 if diverges else 0)
+        failed = {"run_status_ok"} if diverges else set()
+        assert main(["analyze", str(out)]) == int(diverges)
+        assert failed_checks(out).keys() == failed
+        manifest = read_manifest(out)
+        edit(manifest)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["analyze", str(out)]) == 1
+        assert failed_checks(out).keys() == failed | {"steps_stored"}
 
     @pytest.mark.parametrize("mode", ["per_step", "global"])
     def test_analyze_fails_a_loss_edited_in_loss_history_and_summary_alike(self, tmp_path,
@@ -663,11 +707,10 @@ class TestAnalyzeCommand:
             return parsed[-1]
 
         monkeypatch.setattr(advisc.cli, "read_columns_csv", recording)
-        times, values = advisc.cli._read_run_matrix(out / "solution.csv", 100)
+        values = advisc.cli._read_run_matrix(out / "solution.csv", 100, 0.001)
         assert np.shares_memory(values, parsed[0])
         assert all(row.flags.c_contiguous for row in values)
-        expected_times, expected = read_matrix(out / "solution.csv")
-        assert np.array_equal(times, expected_times) and np.array_equal(values, expected)
+        assert np.array_equal(values, read_matrix(out / "solution.csv")[1])
 
     def test_replay_error_equals_stepping_each_row_alone(self):
         from advisc.cli import _replay_error
@@ -823,8 +866,9 @@ class TestAnalyzeCommand:
             training=TRAINING.format(n_iters=10, mu_min=-0.005),
         )
         assert main(["train", "--config", str(cfg_path)]) == 0
-        times, values = read_matrix(out / target)
-        write_matrix(out / target, times[rows], values[rows])
+        _, values = read_matrix(out / target)
+        values = values[rows]  # stored at the times a run gives its rows
+        write_matrix(out / target, np.arange(len(values)) * 0.001, values)
         assert main(["analyze", str(out)]) == 1
         analysis = json.loads((out / "analysis.json").read_text())
         failed = {c["name"]: c["detail"] for c in analysis["checks"] if not c["passed"]}
@@ -1201,6 +1245,64 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(out)]) == 0
 
 
+# Each config that is neither a plain run nor a training run: the [simulation]
+# keys it sets over a plain upwind run of 20 cells to t_final = 0.01, and
+# whether it has a [training] section.
+NOT_A_RUN = {
+    "classical_with_training": ({}, True),
+    "ftcs_mu_with_mu_and_training": ({"scheme": "ftcs_mu", "mu": 0.005}, True),
+    "ftcs_mu_with_neither": ({"scheme": "ftcs_mu"}, False),
+    "training_without_a_step": ({"scheme": "ftcs_mu", "t_final": 0.0}, True),
+}
+
+
+def config_echo(directory, simulation=None, training=False) -> dict:
+    """The manifest echo of a plain upwind run of 20 cells to t_final = 0.01
+    into ``directory``, with the ``simulation`` keys set and, if
+    ``training``, a [training] section."""
+    echo = config_to_dict(ExperimentConfig(n_cells=20, t_final=0.01,
+                                           output=OutputSettings(str(directory))))
+    echo["simulation"].update(simulation or {})
+    if training:
+        echo["training"] = {"mode": "per_step", "learning_rate": 0.01, "n_iters": 2,
+                            "mu_min": -0.005, "mu_max": 0.095}
+    return echo
+
+
+def write_echo(path, echo) -> Path:
+    """Store a manifest echo as a config file."""
+    path.write_text("".join(f"[{section}]\n" + "".join(f"{key} = {value}\n"
+                                                       for key, value in keys.items())
+                            for section, keys in echo.items()))
+    return path
+
+
+class TestConfigThatIsNoRun:
+    @pytest.mark.parametrize("simulation, training", NOT_A_RUN.values(), ids=NOT_A_RUN)
+    def test_rejected_by_every_command_before_any_directory(self, tmp_path, capsys, simulation,
+                                                           training):
+        out = tmp_path / "out"
+        cfg_path = write_echo(tmp_path / "exp.cfg", config_echo(out, simulation, training))
+        with pytest.raises(ConfigError):
+            load_config(cfg_path)
+        for command in ("run", "train"):
+            assert main([command, "--config", str(cfg_path)]) == 3
+            assert "config error" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("simulation, training", NOT_A_RUN.values(), ids=NOT_A_RUN)
+    def test_analyze_of_a_manifest_storing_it_exits_4(self, tmp_path, capsys, simulation,
+                                                      training):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_echo(tmp_path / "exp.cfg",
+                                                       config_echo(out)))]) == 0
+        manifest = read_manifest(out)
+        manifest["config"] = config_echo(out, simulation, training)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["analyze", str(out)]) == 4
+        assert str(out / "manifest.json") in capsys.readouterr().err
+
+
 class TestMemoryBudget:
     """A plain run and its analysis hold each stored space-time matrix once;
     whole-horizon training holds six."""
@@ -1450,7 +1552,8 @@ class TestExitCodes:
         monkeypatch.setattr(advisc.cli, allocation, too_large)
         cfg_path, out = write_config(tmp_path, scheme="ftcs_mu", t_final=0.01,
                                      extra_sim="mu = 0.005\n" if command == "run" else "",
-                                     training=TRAINING.format(n_iters=2, mu_min=-0.005))
+                                     training="" if command == "run" else
+                                     TRAINING.format(n_iters=2, mu_min=-0.005))
         assert main([command, "--config", str(cfg_path)]) == 3
         err = capsys.readouterr().err
         assert f"advisc {command}" in err and "109. TiB" in err
@@ -1461,7 +1564,8 @@ class TestExitCodes:
                                                     command):
         cfg_path, _ = write_config(tmp_path, scheme="ftcs_mu", n_cells=20, t_final=0.01,
                                    extra_sim="mu = 0.005\n" if command == "run" else "",
-                                   training=TRAINING.format(n_iters=2, mu_min=-0.005))
+                                   training="" if command == "run" else
+                                   TRAINING.format(n_iters=2, mu_min=-0.005))
         target = tmp_path / "taken"
         target.write_bytes(b"not a directory\n")
         source = ["--preset", "sine-smooth"] if command == "reproduce" else [

@@ -59,6 +59,10 @@ mu_max = 0.095
 directory = out
 """
 
+# FULL_CONFIG as a plain run: upwind, without [training].
+PLAIN_CONFIG = (FULL_CONFIG[:FULL_CONFIG.index("[training]")]
+                + FULL_CONFIG[FULL_CONFIG.index("[output]"):]).replace("ftcs_mu", "upwind")
+
 
 class TestConfigParsing:
     def test_full_config_round_trip(self):
@@ -97,8 +101,11 @@ class TestConfigParsing:
             parse_config_text(bad)
 
     def test_zero_t_final_allowed(self):
-        cfg = parse_config_text(FULL_CONFIG.replace("t_final = 0.15", "t_final = 0.0"))
+        cfg = parse_config_text(PLAIN_CONFIG.replace("t_final = 0.15", "t_final = 0.0"))
         assert cfg.n_steps == 0
+
+    def test_default_config_is_a_plain_run(self):
+        assert ExperimentConfig().scheme == "upwind"
 
     def test_bad_scheme_rejected(self):
         bad = FULL_CONFIG.replace("scheme = ftcs_mu", "scheme = spectral")
@@ -222,14 +229,17 @@ def _finite(lo, hi):
 
 @st.composite
 def valid_configs(draw):
-    """Valid configs drawing every key of every section; ``mu`` and the whole
-    [training] section are set or left unset."""
+    """Valid configs drawing every key of every section. An ftcs_mu config
+    draws either ``mu`` or the whole [training] section; other schemes have
+    neither."""
     scheme = draw(st.sampled_from(SCHEME_NAMES))
     length = draw(_finite(1e-3, 1e3))
     lo, hi = sorted(draw(st.lists(_finite(0.0, length), min_size=2, max_size=2, unique=True)))
     dt = draw(_finite(1e-6, 1.0))
-    training = None
-    if draw(st.booleans()):
+    mu = training = None
+    if scheme == "ftcs_mu" and draw(st.booleans()):
+        mu = draw(_finite(-1.0, 1.0))
+    elif scheme == "ftcs_mu":
         mu_min, mu_max = sorted(draw(st.lists(_finite(-1.0, 1.0), min_size=2, max_size=2)))
         training = TrainingSettings(
             mode=draw(st.sampled_from(["per_step", "global"])),
@@ -247,8 +257,8 @@ def valid_configs(draw):
             length=length,
             c=draw(_finite(-1e3, 1e3)),
             dt=dt,
-            t_final=dt * draw(st.integers(0, 10**4)),
-            mu=draw(st.none() | _finite(-1.0, 1.0)) if scheme == "ftcs_mu" else None,
+            t_final=dt * draw(st.integers(0 if training is None else 1, 10**4)),
+            mu=mu,
             ic=InitialCondition(
                 kind=draw(st.sampled_from(list(PROFILES))),
                 lo=lo,

@@ -10,6 +10,7 @@ from advisc.diagnostics import (
     entropy_series,
     mse,
     mu_stats,
+    step_losses,
     total_variation,
 )
 from advisc.grid import (
@@ -63,6 +64,15 @@ class TestMse:
         assert mse(a, b) == pytest.approx(
             naive_mse(list(a), list(b)), rel=1e-14
         )
+
+
+class TestStepLosses:
+    @pytest.mark.parametrize("shape", [(1, 7), (2, 5), (151, 100), (3, 10_000)])
+    def test_each_step_loss_is_the_mse_of_its_state_bit_for_bit(self, shape):
+        rng = np.random.default_rng(3)
+        states, exact = rng.normal(size=shape), rng.normal(size=shape)
+        expected = [mse(states[n], exact[n]) for n in range(1, shape[0])]
+        assert step_losses(states, exact).tolist() == expected
 
 
 class TestEntropy:

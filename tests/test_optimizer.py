@@ -129,6 +129,7 @@ class TestTrainPerStep:
         )
         assert np.array_equal(report.trajectory.viscosity_history, history)
         assert np.array_equal(report.trajectory.states, states)
+        assert report.loss_history == tuple(mse(u, e) for u, e in zip(states[1:], exact[1:]))
         # the projection is active on some faces and the gradient moves the rest
         assert np.any(history == opt.mu_min) or np.any(history == opt.mu_max)
         assert np.any((history > opt.mu_min) & (history < opt.mu_max) & (history != init))
