@@ -41,14 +41,7 @@ from .runio import (
     write_columns_csv,
     write_json,
 )
-from .schemes import (
-    CLASSICAL_MU,
-    SchemeConfig,
-    Trajectory,
-    _checked_trajectory,
-    _row_stepper,
-    simulate,
-)
+from .schemes import SchemeConfig, Trajectory, _checked_trajectory, _first_mismatch, simulate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -280,40 +273,6 @@ def cmd_train(cfg: ExperimentConfig, *more: ExperimentConfig) -> int:
     return next((codes[i] for i in sorted(codes) if codes[i] != EXIT_OK), EXIT_OK)
 
 
-# The values in each block buffer of ``_replay_error``: 10 steps at N = 100,
-# one at N >= 1024. Eight times as many replay no faster and hold more memory.
-REPLAY_BLOCK_VALUES = 1024
-
-
-def _replay_error(states: np.ndarray, mu_rows: np.ndarray, cfg: SchemeConfig) -> float:
-    """Largest error of one FTCS step from each stored state to the next.
-
-    Row n of ``mu_rows`` steps states[n]; each step's error is relative to
-    max(1, max|states[n + 1]|), and a nan error counts as the largest. The
-    steps are independent, so B = max(1, REPLAY_BLOCK_VALUES // N) of them
-    (or all, if fewer) at a time go through ``schemes._row_stepper``, bound
-    once per call over (N, B) cells-major buffers, and their errors are
-    reduced along the rows of a row-major (B, N) scratch. A block's states
-    and mu rows enter as transposed views.
-    """
-    n_cells = cfg.grid.n_cells
-    width = max(1, min(REPLAY_BLOCK_VALUES // n_cells, len(mu_rows)))
-    out, err = np.empty((n_cells, width)), np.empty((width, n_cells))
-    load, ftcs_step = _row_stepper(cfg, (width,))
-    worst = 0.0
-    for start in range(0, len(mu_rows), width):
-        # a last block that would be short overlaps the one before; the max stays
-        start = min(start, len(mu_rows) - width)
-        u, after = states[start:start + width].T, states[start + 1:start + width + 1]
-        load(u)
-        ftcs_step(out, u, mu_rows[start:start + width].T)
-        scale = np.maximum.reduce(np.abs(after, err), axis=1, initial=1.0)
-        np.subtract(after, out.T, err)
-        np.abs(err, err)
-        worst = np.maximum.reduce(np.maximum.reduce(err, axis=1) / scale, initial=worst)
-    return float(worst)
-
-
 def _read_run_matrix(path: Path, n_cells: int, dt: float) -> np.ndarray:
     """The values of a run's solution.csv or mu.csv, a space-time matrix with
     one column per cell or face, whose row n is at time n*dt. The values are
@@ -339,7 +298,7 @@ def _columns_match(path: Path, header: str, expected: list) -> tuple[bool, str]:
         return False, f"{len(stored)} rows for {len(expected[0])} entries"
     bad = [name for name, column, want in zip(header.split(","), stored.T, expected)
            if not np.array_equal(column, want, equal_nan=True)]
-    return not bad, f"mismatched columns {bad}"
+    return not bad, f"mismatched columns {bad}" if bad else f"{len(stored)} rows of {header}"
 
 
 def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
@@ -347,11 +306,10 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
     solution.csv and, for a training run, mu.csv and a global run's losses.
     Row n of either matrix is at time n*dt, and the run stores one state
     per step it took: all of the config's steps, or those up to the
-    manifest's ``diverged_at_step``. The steps are replayed on the stored
-    data: a plain run's as FTCS at its constant viscosity, that of its
-    classical scheme or its ``mu``, and those of a training run whose first
-    step or sweep diverged, which writes no mu.csv, at the optimizer's
-    initial viscosity. A per-step run's losses are its ``step_losses``; a
+    manifest's ``diverged_at_step``. The stored states must be what
+    ``simulate`` gives, bit for bit, at the viscosity of mu.csv, the config's
+    ``mu``, or, for a training run that wrote no mu.csv, the optimizer's
+    initial one. A per-step run's losses are its ``step_losses``; a
     global run stores its best iterate, whose loss must be the least loss.
     ``_derived``, as the writer called it, rebuilds every other CSV and
     summary.json value, which must match exactly; the summary's status must
@@ -373,26 +331,22 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
     check("steps_stored", type(steps) is int and len(states) == steps + 1 <= cfg.n_steps + 1,
           f"{len(states)} states for {steps!r} of {cfg.n_steps} steps")
 
-    if not training:  # every step is FTCS at one constant mu
-        mu_value = (CLASSICAL_MU[cfg.scheme](scheme_cfg) if cfg.scheme in CLASSICAL_MU
-                    else cfg.mu if cfg.mu is not None
-                    else cfg.training.optimizer.resolve_init(scheme_cfg))
-        mu_rows = np.broadcast_to(mu_value, (len(states) - 1, grid.n_cells))
-        worst = _replay_error(states, mu_rows, scheme_cfg)
-        check("scheme_equivalence", worst < 1e-13,
-              f"{cfg.scheme} replayed as ftcs_mu at mu={mu_value:g}: max rel err {worst:.3e}")
-
     mu = losses = None
     if training:
         if cfg.training is None:
             raise CorruptRunError(f"{out_dir / MANIFEST_NAME} lists mu.csv, but no [training]")
         mu = _read_run_matrix(out_dir / "mu.csv", grid.n_cells, cfg.dt)
-        if len(mu) == len(states) - 1:
-            worst = _replay_error(states, mu, scheme_cfg)
-            ok, detail = worst < 1e-13, f"max rel err {worst:.3e}"
-        else:
-            ok, detail = False, f"{len(mu)} rows for {len(states) - 1} steps"
-        check("stored_steps_consistent", ok, detail)
+    if mu is not None and len(mu) != len(states) - 1:
+        ok, detail = False, f"{len(mu)} rows for {len(states) - 1} steps"
+    else:  # a training run without mu.csv stepped at the optimizer's initial viscosity
+        replay_mu = (mu if mu is not None else cfg.mu if cfg.training is None
+                     else cfg.training.optimizer.resolve_init(scheme_cfg))
+        bad = _first_mismatch(exact_solution(cfg.ic, grid, cfg.c, 0.0), states, scheme_cfg,
+                              cfg.scheme, replay_mu)
+        ok, detail = bad is None, f"{cfg.scheme} replayed; first state unlike simulate's: {bad}"
+    check("stored_steps_consistent", ok, detail)
+
+    if training:
         traj = _checked_trajectory(states, scheme_cfg, None)
         exact = exact_solution(cfg.ic, grid, cfg.c, traj.times)
         if cfg.training.mode == "per_step":
@@ -491,10 +445,15 @@ def cmd_analyze(directory: str | Path) -> int:
         if p.is_file() and p.name not in listed and p.name != ANALYSIS_NAME
     )
     unchecked = sorted(listed - checked)  # e.g. an error.csv of an older version
+    diverged = manifest.get("status") == "divergence"  # then its CSVs, and only they, are partial
+    misflagged = sorted(entry["name"] for entry in manifest["files"] if entry.get("partial")
+                        is not (True if diverged and entry["name"].endswith(".csv") else None))
     detail = f"missing={missing} unlisted={unlisted}"
     if unchecked:
         detail += f" unchecked={unchecked}"
-    check("manifest_complete", not missing and not unlisted and not unchecked, detail)
+    if misflagged:
+        detail += f" partial_flags_wrong={misflagged}"
+    check("manifest_complete", not (missing or unlisted or unchecked or misflagged), detail)
     if is_study:
         _check_study(out_dir, manifest, check)
     else:

@@ -140,7 +140,7 @@ def _row_stepper(cfg: SchemeConfig, batch: tuple = ()):
     F_{i+1/2} = a_i - (mu_{i+1/2}/dx)*d_i; row 0 of the flux buffer repeats
     F_{N-1/2}, and out is scratch too. A loaded state steps at any number of
     viscosities: ``simulate``, ``ftcs_update``, the adjoint's reverse sweep
-    (bound at -c) and ``analyze``'s replay load each state and step it once;
+    (bound at -c) and ``_first_mismatch`` load each state and step it once;
     the per-step trainer's ``_descend`` steps it every inner iteration.
     dx and dt/dx are 0-d arrays and the outputs are passed positionally, as
     the trainer steps so often."""
@@ -197,15 +197,15 @@ SCHEME_NAMES = ("ftcs_mu", *CLASSICAL_MU)
 
 
 def _lax_wendroff_step(u: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
-    """Second-order-in-time step; equals ftcs_update with mu = c^2*dt/2.
+    """Second-order-in-time step of u, (N,) or (N, B); equals ftcs_update at mu = c^2*dt/2.
 
-    The one classical scheme ``simulate`` does not step through ftcs_update:
+    The one classical scheme that does not step through ``_row_stepper``:
     that reorders the arithmetic and moves the final MSE of the benchmark's
     N = 10^4 Lax-Wendroff run (5.03e-13) by 5e-11 relative, while
     bench/reference.json pins it to 1e-12 relative.
     """
-    up = np.roll(u, -1)
-    um = np.roll(u, 1)
+    up = np.roll(u, -1, axis=0)
+    um = np.roll(u, 1, axis=0)
     s = cfg.cfl
     return u - 0.5 * s * (up - um) + 0.5 * s * s * (up - 2.0 * u + um)
 
@@ -219,6 +219,13 @@ def amplification_factor(theta, cfl: float, diffusion_number: float):
     theta = np.asarray(theta, dtype=float)
     g = 1.0 - 1j * cfl * np.sin(theta) - 4.0 * diffusion_number * np.sin(0.5 * theta) ** 2
     return complex(g) if np.ndim(g) == 0 else g
+
+
+def _viscosity_rows(cfg: SchemeConfig, scheme: str, mu, n_steps: int) -> np.ndarray:
+    """Each step's face viscosity as a read-only (n_steps, n_cells) broadcast:
+    of ``mu`` for "ftcs_mu", and of the scheme's CLASSICAL_MU otherwise."""
+    value = mu if scheme == "ftcs_mu" else CLASSICAL_MU[scheme](cfg)
+    return np.broadcast_to(value, (n_steps, cfg.grid.n_cells))
 
 
 def simulate(
@@ -250,8 +257,9 @@ def simulate(
     if (scheme == "ftcs_mu") != (mu is not None):
         raise ValueError("scheme 'ftcs_mu' requires a mu, and no other scheme takes one")
     if mu is not None:
-        mu = np.broadcast_to(_checked(np.array(mu, dtype=float), None, "mu"), (n_steps, n_cells))
-    rows = mu if mu is not None else np.broadcast_to(CLASSICAL_MU[scheme](cfg), (n_steps, n_cells))
+        mu = _checked(np.array(mu, dtype=float), None, "mu")
+    rows = _viscosity_rows(cfg, scheme, mu, n_steps)
+    mu = None if mu is None else rows
 
     bound = _guard_bound(u0)
     states = np.empty((n_steps + 1, n_cells))
@@ -267,3 +275,35 @@ def simulate(
             states, mu = states[: n + 1].copy(), None if mu is None else mu[:n].copy()
             break
     return _checked_trajectory(states, cfg, mu)
+
+
+# The values in each block buffer of ``_first_mismatch``: 10 steps at N = 100,
+# one at N >= 1024. Eight times as many replay no faster and hold more memory.
+REPLAY_BLOCK_VALUES = 1024
+
+
+def _first_mismatch(u0, states, cfg: SchemeConfig, scheme: str, mu) -> int | None:
+    """The first n at which ``states`` differ, bit for bit, from the states
+    of ``simulate(u0, len(states) - 1, cfg, scheme, mu)``, or None. Row 0 is
+    compared with u0 and each later row with the scheme's step from the row
+    before it, so a non-finite step differs. B = max(1, REPLAY_BLOCK_VALUES
+    // N) steps (or all) are stepped at once, as transposed (N, B) views; a
+    last block that would be short overlaps the one before."""
+    if not np.array_equal(states[0], u0):
+        return 0
+    n_steps, n_cells = len(states) - 1, cfg.grid.n_cells
+    rows = _viscosity_rows(cfg, scheme, mu, n_steps)
+    width = max(1, min(REPLAY_BLOCK_VALUES // n_cells, n_steps))
+    out, differs = np.empty((n_cells, width)), np.empty((n_cells, width), dtype=bool)
+    load, ftcs_step = _row_stepper(cfg, (width,))
+    for start in range(0, n_steps, width):
+        start = min(start, n_steps - width)
+        u, after = states[start:start + width].T, states[start + 1:start + width + 1].T
+        if scheme == "lax_wendroff":
+            out = _lax_wendroff_step(u, cfg)
+        else:
+            load(u)
+            ftcs_step(out, u, rows[start:start + width].T)
+        if np.not_equal(out, after, differs).any():
+            return start + 1 + int(np.argmax(differs.any(axis=0)))
+    return None

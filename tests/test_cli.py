@@ -563,7 +563,7 @@ class TestAnalyzeCommand:
         analysis = json.loads((out / "analysis.json").read_text())
         assert analysis["all_passed"] is True
         names = {c["name"] for c in analysis["checks"]}
-        assert {"scheme_equivalence", "steps_stored"} <= names
+        assert {"stored_steps_consistent", "steps_stored"} <= names
 
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     def test_analyze_replays_every_plain_scheme(self, tmp_path, scheme):
@@ -572,7 +572,7 @@ class TestAnalyzeCommand:
         assert main(["run", "--config", str(cfg_path)]) == 0
         assert main(["analyze", str(out)]) == 0
         analysis = json.loads((out / "analysis.json").read_text())
-        assert "scheme_equivalence" in {check["name"] for check in analysis["checks"]}
+        assert "stored_steps_consistent" in {check["name"] for check in analysis["checks"]}
 
     def test_analyze_detects_swapped_entries_in_bare_ftcs_run(self, tmp_path):
         cfg_path, out = write_config(tmp_path, scheme="ftcs_bare", t_final=0.05)
@@ -583,7 +583,7 @@ class TestAnalyzeCommand:
         states[middle, [10, 50]] = states[middle, [50, 10]]
         write_matrix(out / "solution.csv", times, states)
         assert main(["analyze", str(out)]) == 1
-        assert set(failed_checks(out)) == {"scheme_equivalence"}
+        assert set(failed_checks(out)) == {"stored_steps_consistent"}
 
     def test_analyze_replays_a_training_run_whose_first_sweep_diverged(self, tmp_path):
         # Bounds that hold mu negative make the first sweep of global training
@@ -598,15 +598,16 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(out)]) == 1
         assert set(failed_checks(out)) == {"run_status_ok"}
         analysis = json.loads((out / "analysis.json").read_text())
-        assert "scheme_equivalence" in {check["name"] for check in analysis["checks"]}
+        assert "stored_steps_consistent" in {check["name"] for check in analysis["checks"]}
         times, states = read_matrix(out / "solution.csv")
         assert 2 < len(states) < 1001
         assert read_manifest(out)["diverged_at_step"] == len(states) - 1
         middle = len(states) // 2
-        states[middle, 7] += 1e-6 * np.max(np.abs(states[middle]))
+        states[middle, 7] = np.nextafter(states[middle, 7], np.inf)
         write_matrix(out / "solution.csv", times, states)
         assert main(["analyze", str(out)]) == 1
-        assert "scheme_equivalence" in failed_checks(out)
+        assert failed_checks(out)["stored_steps_consistent"] == (
+            f"ftcs_mu replayed; first state unlike simulate's: {middle}")
 
     @pytest.mark.parametrize("command, name, row, edit", [
         ("train", "mu.csv", 3, lambda t: "0.5"),
@@ -712,73 +713,72 @@ class TestAnalyzeCommand:
         assert all(row.flags.c_contiguous for row in values)
         assert np.array_equal(values, read_matrix(out / "solution.csv")[1])
 
-    def test_replay_error_equals_stepping_each_row_alone(self):
-        from advisc.cli import _replay_error
+    def test_replay_finds_the_first_step_that_differs(self):
         from advisc.grid import make_grid
-        from advisc.schemes import SchemeConfig, ftcs_update
+        from advisc.schemes import REPLAY_BLOCK_VALUES, SchemeConfig, _first_mismatch, simulate
 
-        cfg = SchemeConfig(c=1.0, dt=1e-3, grid=make_grid(50, 1.0))
+        def first_mismatch_alone(u0, states, cfg, scheme, mu):
+            # the reference: simulate one step from each stored state
+            if not np.array_equal(states[0], u0):
+                return 0
+            for n in range(1, len(states)):
+                row = None if mu is None else mu[n - 1]
+                if not np.array_equal(simulate(states[n - 1], 1, cfg, scheme, row).states[1],
+                                      states[n]):
+                    return n
+            return None
+
+        # At N = 100 the steps replay 10 at a time, so 48 steps are blocks
+        # from steps 0, 10, 20, 30 and 38, the last overlapping the one before:
+        # row 3 lies in the first block, row 10 ends it and row 47 lies in the
+        # last. At N = 1100 each block is one step.
+        assert REPLAY_BLOCK_VALUES // 100 == 10
         rng = np.random.default_rng(5)
-        states = rng.normal(size=(9, 50))
-        for mu_rows in (rng.uniform(0, 0.01, (8, 50)), np.broadcast_to(0.005, (8, 50))):
-            expected = 0.0
-            for n, mu in enumerate(mu_rows):
-                scale = max(float(np.max(np.abs(states[n + 1]))), 1.0)
-                err = float(np.max(np.abs(ftcs_update(states[n], mu, cfg) - states[n + 1])))
-                expected = max(expected, err / scale)
-            assert _replay_error(states, mu_rows, cfg) == expected
-
-        # Across block edges: at N = 50 the steps replay 20 at a time, so 45
-        # steps are blocks from steps 0, 20 and 25, the last overlapping the
-        # one before; at N = 1100 each block is one step. The states follow
-        # the steps up to noise of 1e-15, except the worst step's, which opens
-        # the second block or lies in the last one only.
-        for n_cells, n_steps, c, worst in ((50, 45, 1.0, 20), (50, 45, 1.0, 42),
-                                           (1100, 4, -1.0, 2)):
+        for n_cells, n_steps, c, rows in ((100, 48, 1.0, (3, 10, 47)), (1100, 4, -1.0, (2, 4))):
             cfg = SchemeConfig(c=c, dt=1e-3, grid=make_grid(n_cells, 1.0))
-            for mu_rows in (rng.uniform(-0.001, 0.01, (n_steps, n_cells)),
-                            np.broadcast_to(0.005, (n_steps, n_cells))):
-                states = np.empty((n_steps + 1, n_cells))
-                states[0] = rng.normal(size=n_cells)
-                for n, mu in enumerate(mu_rows):
-                    states[n + 1] = ftcs_update(states[n], mu, cfg) + rng.normal(0, 1e-15, n_cells)
-                    states[n + 1, 7] += 1e-9 if n == worst else 0.0
-                errors = [float(np.max(np.abs(ftcs_update(states[n], mu, cfg) - states[n + 1])))
-                          / max(float(np.max(np.abs(states[n + 1]))), 1.0)
-                          for n, mu in enumerate(mu_rows)]
-                assert int(np.argmax(errors)) == worst
-                assert _replay_error(states, mu_rows, cfg) == max(errors), (n_cells, worst)
+            u0 = rng.normal(size=n_cells)
+            for scheme in SCHEME_NAMES:
+                mu = rng.uniform(-0.001, 0.01, (n_steps, n_cells)) if scheme == "ftcs_mu" else None
+                states = simulate(u0, n_steps, cfg, scheme, mu).states
+                assert _first_mismatch(u0, states, cfg, scheme, mu) is None
+                for edited_rows in [(0,), *((row,) for row in rows), rows[1:]]:
+                    edited = states.copy()
+                    for row in edited_rows:
+                        edited[row, 7] = np.nextafter(edited[row, 7], np.inf)
+                    first = _first_mismatch(u0, edited, cfg, scheme, mu)
+                    assert first == edited_rows[0], (n_cells, scheme, edited_rows)
+                    assert first == first_mismatch_alone(u0, edited, cfg, scheme, mu)
 
-    def test_replay_error_is_nan_when_a_step_is(self):
-        from advisc.cli import _replay_error
+    def test_replay_counts_a_non_finite_step_as_a_mismatch(self):
         from advisc.grid import make_grid
-        from advisc.schemes import SchemeConfig
+        from advisc.schemes import SchemeConfig, _first_mismatch, simulate
 
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=make_grid(50, 1.0))
-        states = np.random.default_rng(5).normal(size=(46, 50))
-        mu_rows = np.full((45, 50), 0.005)
-        mu_rows[3] = 1e308  # overflows mu/dx, so the step's flux differences are inf - inf
+        u0 = np.random.default_rng(5).normal(size=50)
+        mu = np.full((45, 50), 0.005)
+        states = simulate(u0, 45, cfg, mu=mu).states
+        mu[3] = 1e308  # overflows mu/dx, so the step's flux differences are inf - inf
         with np.errstate(all="ignore"):
-            assert np.isnan(_replay_error(states, mu_rows, cfg))
+            assert _first_mismatch(u0, states, cfg, "ftcs_mu", mu) == 4
 
     def test_replay_scratch_does_not_grow_with_the_step_count(self):
-        from advisc.cli import _replay_error
         from advisc.grid import make_grid
-        from advisc.schemes import SchemeConfig
+        from advisc.schemes import SchemeConfig, _first_mismatch, simulate
 
         cfg = SchemeConfig(c=1.0, dt=1e-3, grid=make_grid(100, 1.0))
         rng = np.random.default_rng(5)
         peaks = []
         for n_steps in (150, 1500):
-            states = rng.normal(size=(n_steps + 1, 100))
-            mu_rows = rng.uniform(0, 0.01, (n_steps, 100))
+            u0 = rng.normal(size=100)
+            mu = rng.uniform(0, 0.01, (n_steps, 100))
+            states = simulate(u0, n_steps, cfg, mu=mu).states
             tracemalloc.start()
             try:
-                _replay_error(states, mu_rows, cfg)
+                assert _first_mismatch(u0, states, cfg, "ftcs_mu", mu) is None
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # Five buffers of 1024 values are 40 kB; the states at M = 1500 are 1.2 MB.
+        # Four buffers of 1024 values are 32 kB; the states at M = 1500 are 1.2 MB.
         assert peaks[1] < peaks[0] + 1024, f"replay peaked at {peaks} bytes"
         assert max(peaks) < 80 * 1024, f"replay peaked at {peaks} bytes"
 
@@ -796,7 +796,7 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(empty)]) == 4
 
     def test_analyze_detects_tampered_solution(self, tmp_path):
-        from advisc.cli import REPLAY_BLOCK_VALUES
+        from advisc.schemes import REPLAY_BLOCK_VALUES
 
         cfg_path, out = write_config(tmp_path, t_final=0.05)
         main(["run", "--config", str(cfg_path)])
@@ -806,13 +806,32 @@ class TestAnalyzeCommand:
         # A row of the first block, the first row of the second, one of the last.
         for row in (3, 10, 47):
             states = stored.copy()
-            states[row, 7] += 0.5
+            states[row, 7] = np.nextafter(states[row, 7], -np.inf)
             write_matrix(out / "solution.csv", times, states)
             assert main(["analyze", str(out)]) == 1, row
-            assert "scheme_equivalence" in failed_checks(out), row
+            assert failed_checks(out)["stored_steps_consistent"] == (
+                f"upwind replayed; first state unlike simulate's: {row}")
+
+    @pytest.mark.parametrize("scheme, row", [
+        ("upwind", 25), ("lax_wendroff", 25), ("ftcs_mu", 25), ("upwind", 0),
+    ], ids=["upwind", "lax_wendroff", "training", "upwind_state_0"])
+    def test_analyze_fails_one_ulp_in_one_stored_state(self, tmp_path, scheme, row):
+        # 50 steps at N = 20; the ftcs_mu run trains per step
+        training = TRAINING.format(n_iters=5, mu_min=-0.005) if scheme == "ftcs_mu" else ""
+        cfg_path, out = write_config(tmp_path, scheme=scheme, n_cells=20, t_final=0.05,
+                                     training=training)
+        assert main(["train" if training else "run", "--config", str(cfg_path)]) == 0
+        assert main(["analyze", str(out)]) == 0
+        times, states = read_matrix(out / "solution.csv")
+        states[row, 7] = np.nextafter(states[row, 7], np.inf)
+        write_matrix(out / "solution.csv", times, states)
+        assert main(["analyze", str(out)]) == 1
+        assert failed_checks(out)["stored_steps_consistent"] == (
+            f"{scheme} replayed; first state unlike simulate's: {row}")
 
     def test_analyze_names_a_mu_entry_tampered_in_a_later_block(self, tmp_path):
-        from advisc.cli import REPLAY_BLOCK_VALUES
+        from advisc.grid import make_grid
+        from advisc.schemes import REPLAY_BLOCK_VALUES, SchemeConfig, ftcs_update
 
         cfg_path, out = write_config(
             tmp_path, scheme="ftcs_mu", t_final=0.03,
@@ -823,11 +842,23 @@ class TestAnalyzeCommand:
         _, states = read_matrix(out / "solution.csv")
         times, mu = read_matrix(out / "mu.csv")
         assert len(mu) == 3 * (REPLAY_BLOCK_VALUES // 100)  # three blocks of 10 steps
-        face = int(np.argmax(np.abs(np.diff(states[25]))))
-        mu[25, face] += 0.01
+        cfg = SchemeConfig(c=1.0, dt=0.001, grid=make_grid(100, 1.0))
+
+        def one_ulp_up(row, face):
+            row = row.copy()
+            row[face] = np.nextafter(row[face], np.inf)
+            return row
+
+        # One ulp more of mu rounds away in the step at most faces, even across
+        # the state's largest jump; edit the first face where it moves the step.
+        face = next(face for face in range(100)
+                    if not np.array_equal(ftcs_update(states[25], one_ulp_up(mu[25], face), cfg),
+                                          states[26]))
+        mu[25] = one_ulp_up(mu[25], face)
         write_matrix(out / "mu.csv", times, mu)
         assert main(["analyze", str(out)]) == 1
-        assert "stored_steps_consistent" in failed_checks(out)
+        assert failed_checks(out)["stored_steps_consistent"] == (
+            "ftcs_mu replayed; first state unlike simulate's: 26")
 
     @pytest.mark.parametrize("target, expected", [
         ("solution.csv", {"stat:mse_final", "stored_steps_consistent"}),
@@ -1132,7 +1163,7 @@ class TestAnalyzeCommand:
         checks = {c["name"]: c for c in analysis["checks"]}
         assert [name for name, c in checks.items() if not c["passed"]] == ["run_status_ok"]
         assert checks["stat:entropy_initial"]["detail"] == "stored='inf' recomputed='inf'"
-        assert checks["entropy_series_consistent"]["detail"] == "mismatched columns []"
+        assert checks["entropy_series_consistent"]["detail"] == "1 rows of t,entropy"
 
     def test_analyze_fails_stored_infinite_entropy_against_finite(self, tmp_path):
         cfg_path, out = write_config(tmp_path, t_final=0.01)
@@ -1231,6 +1262,32 @@ class TestAnalyzeCommand:
         failed = failed_checks(out)
         assert set(failed) == expected
         assert all(detail.startswith("stored=None ") for detail in failed.values())
+
+    # Each edit of a manifest's files, and the entries it leaves misflagged.
+    @pytest.mark.parametrize("diverges, edit, misflagged", [
+        (False, lambda entry: entry.update(partial=True),
+         ["entropy.csv", "final_state.csv", "manifest.json", "solution.csv", "summary.json"]),
+        (True, lambda entry: entry.pop("partial", None),
+         ["entropy.csv", "final_state.csv", "solution.csv"]),
+        (True, lambda entry: entry["name"] == "summary.json" and entry.update(partial=True),
+         ["summary.json"]),
+    ], ids=["ok_run_all_flagged", "diverged_run_unflagged", "diverged_run_summary_flagged"])
+    def test_analyze_fails_partial_flags_other_than_the_status_gives(self, tmp_path, diverges,
+                                                                     edit, misflagged):
+        # An upwind run stores whole CSVs; ftcs_mu at mu = -0.05 diverges, so its CSVs are partial.
+        cfg_path, out = write_config(tmp_path, scheme="ftcs_mu" if diverges else "upwind",
+                                     n_cells=50, kind="sine", t_final=0.5 if diverges else 0.02,
+                                     extra_sim="mu = -0.05\n" if diverges else "")
+        assert main(["run", "--config", str(cfg_path)]) == (2 if diverges else 0)
+        manifest = read_manifest(out)
+        for entry in manifest["files"]:
+            edit(entry)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["analyze", str(out)]) == 1
+        failed = failed_checks(out)
+        assert set(failed) == {"manifest_complete"} | ({"run_status_ok"} if diverges else set())
+        assert failed["manifest_complete"] == (
+            f"missing=[] unlisted=[] partial_flags_wrong={misflagged}")
 
     def test_analyze_accepts_manifest_entries_with_roles(self, tmp_path):
         cfg_path, out = write_config(
