@@ -33,6 +33,8 @@ from .presets import PRESET_NAMES, STUDIES, preset_config
 from .runio import (
     MANIFEST_NAME,
     CorruptRunError,
+    _csv_matches,
+    _formatting_beats_parsing,
     _json_value,
     matrix_header,
     read_columns_csv,
@@ -290,6 +292,26 @@ def _read_run_matrix(path: Path, n_cells: int, dt: float) -> np.ndarray:
     return data[:, 1:]
 
 
+def _rebuilt_states(path: Path, cfg: ExperimentConfig, scheme_cfg: SchemeConfig,
+                    u0: np.ndarray) -> np.ndarray | None:
+    """The states of a plain run, simulated from ``u0`` as ``cmd_run``
+    simulates them, if ``path`` holds exactly the bytes of the solution.csv
+    ``_write_run`` writes for them; otherwise None, once they are freed.
+    Only a run whose ``u0`` mostly prints from its digits is rebuilt
+    (``_formatting_beats_parsing``): for other data, parsing the file costs
+    less than formatting the states. Nor is one whose file holds fewer than
+    2 bytes per value of the config's horizon, the least a matching file
+    holds, so that a stored config that claims more steps than were stored
+    cannot make analyze allocate more than the file's size."""
+    n_cells = scheme_cfg.grid.n_cells
+    if (not _formatting_beats_parsing(u0)
+            or path.stat().st_size < 2 * (cfg.n_steps + 1) * (n_cells + 1)):
+        return None
+    traj = simulate(u0, cfg.n_steps, scheme_cfg, cfg.scheme, cfg.mu)
+    matches = _csv_matches(path, matrix_header(n_cells), [traj.times, traj.states])
+    return traj.states if matches else None
+
+
 def _columns_match(path: Path, header: str, expected: list) -> tuple[bool, str]:
     """Whether a columns CSV holds exactly ``expected``, bit for bit; entries
     that are nan in both count as equal. Returns the verdict and its detail."""
@@ -309,7 +331,11 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
     manifest's ``diverged_at_step``. The stored states must be what
     ``simulate`` gives, bit for bit, at the viscosity of mu.csv, the config's
     ``mu``, or, for a training run that wrote no mu.csv, the optimizer's
-    initial one. A per-step run's losses are its ``step_losses``; a
+    initial one. A plain run, whose config alone gives its states, is
+    checked without a parse where ``_rebuilt_states`` finds solution.csv to
+    hold exactly the bytes of its rebuilt states; any other run is parsed
+    and replayed, so either way the checks give the same verdicts and
+    details. A per-step run's losses are its ``step_losses``; a
     global run stores its best iterate, whose loss must be the least loss.
     ``_derived``, as the writer called it, rebuilds every other CSV and
     summary.json value, which must match exactly; the summary's status must
@@ -326,7 +352,11 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
     summary = read_json(out_dir / "summary.json")
     scheme_cfg = cfg.scheme_config()
     grid = scheme_cfg.grid
-    states = _read_run_matrix(out_dir / "solution.csv", grid.n_cells, cfg.dt)
+    u0 = exact_solution(cfg.ic, grid, cfg.c, 0.0)
+    path = out_dir / "solution.csv"
+    plain = not training and cfg.training is None
+    rebuilt = _rebuilt_states(path, cfg, scheme_cfg, u0) if plain else None
+    states = rebuilt if rebuilt is not None else _read_run_matrix(path, grid.n_cells, cfg.dt)
     steps = manifest.get("diverged_at_step", cfg.n_steps)
     check("steps_stored", type(steps) is int and len(states) == steps + 1 <= cfg.n_steps + 1,
           f"{len(states)} states for {steps!r} of {cfg.n_steps} steps")
@@ -341,8 +371,8 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
     else:  # a training run without mu.csv stepped at the optimizer's initial viscosity
         replay_mu = (mu if mu is not None else cfg.mu if cfg.training is None
                      else cfg.training.optimizer.resolve_init(scheme_cfg))
-        bad = _first_mismatch(exact_solution(cfg.ic, grid, cfg.c, 0.0), states, scheme_cfg,
-                              cfg.scheme, replay_mu)
+        bad = (None if rebuilt is not None  # simulate's own states, which need no replay
+               else _first_mismatch(u0, states, scheme_cfg, cfg.scheme, replay_mu))
         ok, detail = bad is None, f"{cfg.scheme} replayed; first state unlike simulate's: {bad}"
     check("stored_steps_consistent", ok, detail)
 

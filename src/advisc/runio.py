@@ -10,15 +10,19 @@ one row, through a vectorized formatter (``_format_chunk``): values with
 other value by Python's ``%`` operator. With the block's slots and the
 formatter's arrays it holds about 96 bytes per block value, whatever the
 file's length.
-One writer and one reader serve every CSV; the reader takes the exact header
-line the file must have and raises ``CorruptRunError`` for any other. A
-space-time matrix has the corner-labeled header ``t\\x,x0,x1,...``
-(``matrix_header``); row n starts with the time of state n. JSON files are
-strict JSON: a non-finite float is written as the string "inf", "-inf" or
-"nan" (``_json_value``). Every JSON file is replaced atomically, through a
-temporary file and a rename; the manifest is written last, as the completion
-marker of a run. A file that cannot be parsed, or holds what no writer
-writes, raises ``CorruptRunError``.
+One formatter feeds the writer and a comparator (``_csv_matches``), which
+checks a file against the bytes the writer would write for given columns,
+block by block, reading no more of the file than one block at a time;
+comparing costs less than parsing only where at least 9 in 10 values print
+from their digits (``_formatting_beats_parsing``). One reader serves every
+CSV; it takes the exact header line the file must have and raises
+``CorruptRunError`` for any other. A space-time matrix has the corner-labeled
+header ``t\\x,x0,x1,...`` (``matrix_header``); row n starts with the time of
+state n. JSON files are strict JSON: a non-finite float is written as the
+string "inf", "-inf" or "nan" (``_json_value``). Every JSON file is replaced
+atomically, through a temporary file and a rename; the manifest is written
+last, as the completion marker of a run. A file that cannot be parsed, or
+holds what no writer writes, raises ``CorruptRunError``.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import json
 import math
 import os
 import warnings
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -216,8 +221,7 @@ def _format_chunk(values: np.ndarray, slots: np.ndarray, n_cols: int) -> None:
     value."""
     slots = slots[:len(values)]
     a = np.abs(values)
-    inside = a >= 1e-4
-    inside &= a < 1e15
+    inside = _in_window(a)
     np.putmask(a, ~inside, 0.1)
     d, digits = _decimal(a)
     del a
@@ -261,29 +265,72 @@ def _format_chunk(values: np.ndarray, slots: np.ndarray, n_cols: int) -> None:
                 -1, _SLOT - 1)
 
 
-def write_columns_csv(path: str | Path, header: str, columns: list) -> None:
-    """Write the header line, then one line per row of ``columns``, stacked as
-    ``np.column_stack`` stacks them (a 1-D array is one column, a 2-D array
-    gives its columns), each value printed as ``'%.17g' % float(value)``
-    does. Columns of unequal length, or not as wide in all as the header,
-    raise ValueError. The rows are formatted max(1, _CHUNK_VALUES // width)
-    at a time, so a large file never exists as one string or one array."""
+def _in_window(a: np.ndarray) -> np.ndarray:
+    """Whether each magnitude in ``a`` lies in the window that ``_format_chunk``
+    prints from its 17 digits, 1e-4 <= |x| < 1e15."""
+    inside = a >= 1e-4
+    inside &= a < 1e15
+    return inside
+
+
+def _formatting_beats_parsing(values: np.ndarray) -> bool:
+    """Whether a matrix whose values are like ``values`` is formatted faster
+    than its text is parsed: whether at least 9 in 10 of them lie in the
+    formatter's window. On a 2-vCPU Xeon the formatter took 95-160 ns for a
+    value in its window, about 120 ns for a zero and about 700 ns for any
+    other value, which goes through ``%``; ``read_columns_csv`` took 11-15 ns
+    per byte, about 250 ns for a 17-digit value but about 30 ns for ``0,``.
+    A hat's initial state, mostly zeros, has 2 in 10 in the window; a sine's
+    has all of them."""
+    return 10 * np.count_nonzero(_in_window(np.abs(values))) >= 9 * np.size(values)
+
+
+def _csv_blocks(path: str | Path, header: str, columns: list) -> Iterator[bytes]:
+    """The bytes of the CSV of ``header`` and ``columns``, as blocks: the
+    header line, then the lines of max(1, _CHUNK_VALUES // width) rows at a
+    time. Columns of unequal length, or not as wide in all as the header,
+    raise ValueError naming ``path`` at the call, before any block."""
     n_cols = header.count(",") + 1
     columns = [np.asarray(column, dtype=np.float64) for column in columns]
     if (sum(column.shape[1] if column.ndim > 1 else 1 for column in columns) != n_cols
             or any(len(column) != len(columns[0]) for column in columns)):
         raise ValueError(f"{path}: columns of shapes {[c.shape for c in columns]} "
                          f"for {n_cols} header columns")
-    block = max(1, _CHUNK_VALUES // n_cols)
-    buffer = bytearray(block * n_cols * _SLOT)
-    slots = np.frombuffer(buffer, "<u8").reshape(-1, _SLOT // 8)
-    with open(path, "wb") as f:
-        f.write((header + "\n").encode())
+
+    def blocks() -> Iterator[bytes]:
+        yield (header + "\n").encode()
+        block = max(1, _CHUNK_VALUES // n_cols)
+        buffer = bytearray(block * n_cols * _SLOT)
+        slots = np.frombuffer(buffer, "<u8").reshape(-1, _SLOT // 8)
         for start in range(0, len(columns[0]), block):
             values = np.column_stack([c[start:start + block] for c in columns]).ravel()
             _format_chunk(values, slots, n_cols)
             slots[len(values):] = 0
-            f.write(buffer.translate(None, b"\0"))
+            yield buffer.translate(None, b"\0")
+
+    return blocks()
+
+
+def write_columns_csv(path: str | Path, header: str, columns: list) -> None:
+    """Write the header line, then one line per row of ``columns``, stacked as
+    ``np.column_stack`` stacks them (a 1-D array is one column, a 2-D array
+    gives its columns), each value printed as ``'%.17g' % float(value)``
+    does. Columns of unequal length, or not as wide in all as the header,
+    raise ValueError. The rows are formatted a block at a time
+    (``_csv_blocks``), so a large file never exists as one string or one array."""
+    blocks = _csv_blocks(path, header, columns)
+    with open(path, "wb") as f:
+        f.writelines(blocks)
+
+
+def _csv_matches(path: str | Path, header: str, columns: list) -> bool:
+    """Whether the file at ``path`` holds exactly the bytes ``write_columns_csv``
+    writes for ``header`` and ``columns``. Each block is compared with as many
+    bytes read from the file, which must end after the last, so neither the
+    file nor the text of the columns is ever held whole."""
+    with open(path, "rb") as f:
+        return (all(f.read(len(block)) == block for block in _csv_blocks(path, header, columns))
+                and not f.read(1))
 
 
 def read_columns_csv(path: str | Path, header: str) -> np.ndarray:

@@ -14,6 +14,7 @@ from advisc.config import (
     ConfigError,
     ExperimentConfig,
     OutputSettings,
+    config_from_dict,
     config_to_dict,
     load_config,
 )
@@ -76,6 +77,12 @@ def read_matrix(path):
 def write_matrix(path, times, values):
     """Store a space-time matrix CSV as a run writes it."""
     write_columns_csv(path, matrix_header(values.shape[1]), [times, values])
+
+
+# A plain hat run's solution.csv is parsed, a plain sine run's is compared
+# with the bytes of its rebuilt states: the tests that edit a run's stored
+# states run both kinds and expect the same verdicts of each.
+KINDS = ("hat", "sine")
 
 
 def failed_checks(out):
@@ -575,15 +582,20 @@ class TestAnalyzeCommand:
         assert "stored_steps_consistent" in {check["name"] for check in analysis["checks"]}
 
     def test_analyze_detects_swapped_entries_in_bare_ftcs_run(self, tmp_path):
-        cfg_path, out = write_config(tmp_path, scheme="ftcs_bare", t_final=0.05)
-        assert main(["run", "--config", str(cfg_path)]) == 0
-        times, states = read_matrix(out / "solution.csv")
-        middle = len(states) // 2
-        assert states[middle, 10] != states[middle, 50]
-        states[middle, [10, 50]] = states[middle, [50, 10]]
-        write_matrix(out / "solution.csv", times, states)
-        assert main(["analyze", str(out)]) == 1
-        assert set(failed_checks(out)) == {"stored_steps_consistent"}
+        for kind in KINDS:
+            (tmp_path / kind).mkdir()
+            cfg_path, out = write_config(tmp_path / kind, scheme="ftcs_bare", t_final=0.05,
+                                         kind=kind)
+            assert main(["run", "--config", str(cfg_path)]) == 0
+            times, states = read_matrix(out / "solution.csv")
+            middle = len(states) // 2
+            assert states[middle, 10] != states[middle, 50]
+            states[middle, [10, 50]] = states[middle, [50, 10]]
+            write_matrix(out / "solution.csv", times, states)
+            assert main(["analyze", str(out)]) == 1
+            assert failed_checks(out) == {
+                "stored_steps_consistent": f"ftcs_bare replayed; first state unlike simulate's: "
+                                           f"{middle}"}, kind
 
     def test_analyze_replays_a_training_run_whose_first_sweep_diverged(self, tmp_path):
         # Bounds that hold mu negative make the first sweep of global training
@@ -618,16 +630,21 @@ class TestAnalyzeCommand:
     def test_analyze_rejects_a_stored_time_other_than_n_dt(self, tmp_path, capsys, command,
                                                           name, row, edit):
         train = command == "train"
-        cfg_path, out = write_config(
-            tmp_path, scheme="ftcs_mu" if train else "upwind", n_cells=50, t_final=0.02,
-            training=TRAINING.format(n_iters=5, mu_min=-0.005) if train else "")
-        assert main([command, "--config", str(cfg_path)]) == 0
-        lines = (out / name).read_text().splitlines()
-        time, rest = lines[row + 1].split(",", 1)
-        lines[row + 1] = f"{edit(time)},{rest}"
-        (out / name).write_text("\n".join(lines) + "\n")
-        assert main(["analyze", str(out)]) == 4
-        assert str(out / name) in capsys.readouterr().err
+        for kind in KINDS:
+            (tmp_path / kind).mkdir()
+            cfg_path, out = write_config(
+                tmp_path / kind, scheme="ftcs_mu" if train else "upwind", n_cells=50,
+                t_final=0.02, kind=kind,
+                training=TRAINING.format(n_iters=5, mu_min=-0.005) if train else "")
+            assert main([command, "--config", str(cfg_path)]) == 0
+            lines = (out / name).read_text().splitlines()
+            time, rest = lines[row + 1].split(",", 1)
+            lines[row + 1] = f"{edit(time)},{rest}"
+            (out / name).write_text("\n".join(lines) + "\n")
+            capsys.readouterr()
+            assert main(["analyze", str(out)]) == 4
+            err = capsys.readouterr().err
+            assert f"{out / name} has times other than n*dt" in err, kind
 
     # Each edit m of a manifest stores another step count than its run's states.
     @pytest.mark.parametrize("diverges, edit", [
@@ -637,18 +654,26 @@ class TestAnalyzeCommand:
     ], ids=["t_final_longer", "diverged_at_step_later", "diverged_at_step_not_an_int"])
     def test_analyze_fails_a_run_that_stores_other_than_its_steps(self, tmp_path, diverges, edit):
         # An upwind run to t_final = 0.02 stores 21 states; ftcs_mu at mu = -0.05 diverges.
-        cfg_path, out = write_config(tmp_path, scheme="ftcs_mu" if diverges else "upwind",
-                                     kind="sine", t_final=0.5 if diverges else 0.02,
-                                     extra_sim="mu = -0.05\n" if diverges else "")
-        assert main(["run", "--config", str(cfg_path)]) == (2 if diverges else 0)
-        failed = {"run_status_ok"} if diverges else set()
-        assert main(["analyze", str(out)]) == int(diverges)
-        assert failed_checks(out).keys() == failed
-        manifest = read_manifest(out)
-        edit(manifest)
-        (out / "manifest.json").write_text(json.dumps(manifest))
-        assert main(["analyze", str(out)]) == 1
-        assert failed_checks(out).keys() == failed | {"steps_stored"}
+        for kind in KINDS:
+            (tmp_path / kind).mkdir()
+            cfg_path, out = write_config(tmp_path / kind,
+                                         scheme="ftcs_mu" if diverges else "upwind", kind=kind,
+                                         t_final=0.5 if diverges else 0.02,
+                                         extra_sim="mu = -0.05\n" if diverges else "")
+            assert main(["run", "--config", str(cfg_path)]) == (2 if diverges else 0)
+            failed = {"run_status_ok"} if diverges else set()
+            assert main(["analyze", str(out)]) == int(diverges)
+            assert failed_checks(out).keys() == failed
+            manifest = read_manifest(out)
+            edit(manifest)
+            (out / "manifest.json").write_text(json.dumps(manifest))
+            assert main(["analyze", str(out)]) == 1
+            assert failed_checks(out).keys() == failed | {"steps_stored"}, kind
+            stored = len(read_matrix(out / "solution.csv")[1])
+            n_steps = config_from_dict(manifest["config"]).n_steps
+            steps = manifest.get("diverged_at_step", n_steps)
+            assert failed_checks(out)["steps_stored"] == (
+                f"{stored} states for {steps!r} of {n_steps} steps")
 
     @pytest.mark.parametrize("mode", ["per_step", "global"])
     def test_analyze_fails_a_loss_edited_in_loss_history_and_summary_alike(self, tmp_path,
@@ -712,6 +737,41 @@ class TestAnalyzeCommand:
         assert np.shares_memory(values, parsed[0])
         assert all(row.flags.c_contiguous for row in values)
         assert np.array_equal(values, read_matrix(out / "solution.csv")[1])
+
+    @pytest.mark.parametrize("kind, parsed", [("hat", True), ("sine", False)])
+    def test_analyze_parses_solution_of_a_plain_run_only_when_mostly_zeros(
+            self, tmp_path, monkeypatch, kind, parsed):
+        """A plain sine run, whose values print from their digits, is checked
+        by comparing solution.csv with the bytes of its rebuilt states; a hat
+        run, mostly zeros, which parse faster than they format, is parsed."""
+        import advisc.cli
+
+        cfg_path, out = write_config(tmp_path, kind=kind, t_final=0.02)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        read = []
+
+        def recording(path, header):
+            read.append(Path(path).name)
+            return read_columns_csv(path, header)
+
+        monkeypatch.setattr(advisc.cli, "read_columns_csv", recording)
+        assert main(["analyze", str(out)]) == 0
+        assert ("solution.csv" in read) == parsed
+        assert {"final_state.csv", "entropy.csv"} <= set(read)
+
+    @pytest.mark.parametrize("kind", ["hat", "sine"])
+    def test_analyze_passes_a_value_written_other_than_the_writer_writes_it(self, tmp_path,
+                                                                             kind):
+        # A trailing zero leaves the value, so the parsed states are the run's.
+        cfg_path, out = write_config(tmp_path, kind=kind, t_final=0.02)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        lines = (out / "solution.csv").read_text().splitlines()
+        cells = lines[4].split(",")
+        j = next(j for j, cell in enumerate(cells) if j and "." in cell and "e" not in cell)
+        cells[j] += "0"
+        lines[4] = ",".join(cells)
+        (out / "solution.csv").write_text("\n".join(lines) + "\n")
+        assert main(["analyze", str(out)]) == 0
 
     def test_replay_finds_the_first_step_that_differs(self):
         from advisc.grid import make_grid
@@ -798,19 +858,21 @@ class TestAnalyzeCommand:
     def test_analyze_detects_tampered_solution(self, tmp_path):
         from advisc.schemes import REPLAY_BLOCK_VALUES
 
-        cfg_path, out = write_config(tmp_path, t_final=0.05)
-        main(["run", "--config", str(cfg_path)])
-        times, stored = read_matrix(out / "solution.csv")
         block = REPLAY_BLOCK_VALUES // 100
-        assert block == 10 and len(stored) - 1 == 5 * block
-        # A row of the first block, the first row of the second, one of the last.
-        for row in (3, 10, 47):
-            states = stored.copy()
-            states[row, 7] = np.nextafter(states[row, 7], -np.inf)
-            write_matrix(out / "solution.csv", times, states)
-            assert main(["analyze", str(out)]) == 1, row
-            assert failed_checks(out)["stored_steps_consistent"] == (
-                f"upwind replayed; first state unlike simulate's: {row}")
+        for kind in KINDS:
+            (tmp_path / kind).mkdir()
+            cfg_path, out = write_config(tmp_path / kind, t_final=0.05, kind=kind)
+            main(["run", "--config", str(cfg_path)])
+            times, stored = read_matrix(out / "solution.csv")
+            assert block == 10 and len(stored) - 1 == 5 * block
+            # A row of the first block, the first row of the second, one of the last.
+            for row in (3, 10, 47):
+                states = stored.copy()
+                states[row, 7] = np.nextafter(states[row, 7], -np.inf)
+                write_matrix(out / "solution.csv", times, states)
+                assert main(["analyze", str(out)]) == 1, (kind, row)
+                assert failed_checks(out)["stored_steps_consistent"] == (
+                    f"upwind replayed; first state unlike simulate's: {row}")
 
     @pytest.mark.parametrize("scheme, row", [
         ("upwind", 25), ("lax_wendroff", 25), ("ftcs_mu", 25), ("upwind", 0),
@@ -818,16 +880,18 @@ class TestAnalyzeCommand:
     def test_analyze_fails_one_ulp_in_one_stored_state(self, tmp_path, scheme, row):
         # 50 steps at N = 20; the ftcs_mu run trains per step
         training = TRAINING.format(n_iters=5, mu_min=-0.005) if scheme == "ftcs_mu" else ""
-        cfg_path, out = write_config(tmp_path, scheme=scheme, n_cells=20, t_final=0.05,
-                                     training=training)
-        assert main(["train" if training else "run", "--config", str(cfg_path)]) == 0
-        assert main(["analyze", str(out)]) == 0
-        times, states = read_matrix(out / "solution.csv")
-        states[row, 7] = np.nextafter(states[row, 7], np.inf)
-        write_matrix(out / "solution.csv", times, states)
-        assert main(["analyze", str(out)]) == 1
-        assert failed_checks(out)["stored_steps_consistent"] == (
-            f"{scheme} replayed; first state unlike simulate's: {row}")
+        for kind in KINDS:
+            (tmp_path / kind).mkdir()
+            cfg_path, out = write_config(tmp_path / kind, scheme=scheme, n_cells=20,
+                                         t_final=0.05, kind=kind, training=training)
+            assert main(["train" if training else "run", "--config", str(cfg_path)]) == 0
+            assert main(["analyze", str(out)]) == 0
+            times, states = read_matrix(out / "solution.csv")
+            states[row, 7] = np.nextafter(states[row, 7], np.inf)
+            write_matrix(out / "solution.csv", times, states)
+            assert main(["analyze", str(out)]) == 1
+            assert failed_checks(out)["stored_steps_consistent"] == (
+                f"{scheme} replayed; first state unlike simulate's: {row}"), kind
 
     def test_analyze_names_a_mu_entry_tampered_in_a_later_block(self, tmp_path):
         from advisc.grid import make_grid
@@ -884,46 +948,60 @@ class TestAnalyzeCommand:
         failed = {c["name"] for c in analysis["checks"] if not c["passed"]}
         assert expected <= failed
 
-    @pytest.mark.parametrize("target, rows, expected", [
-        ("mu.csv", slice(None, -1), {"stored_steps_consistent"}),
-        ("mu.csv", [*range(30), 29], {"stored_steps_consistent"}),
-        ("solution.csv", slice(None, -1),
+    @pytest.mark.parametrize("command, target, rows, expected", [
+        ("train", "mu.csv", slice(None, -1), {"stored_steps_consistent"}),
+        ("train", "mu.csv", [*range(30), 29], {"stored_steps_consistent"}),
+        ("train", "solution.csv", slice(None, -1),
          {"entropy_series_consistent", "stored_steps_consistent"}),
-        ("solution.csv", slice(None, 1), {"stored_steps_consistent", "loss_history_consistent"}),
-    ], ids=["mu_row_missing", "mu_row_extra", "solution_row_missing", "solution_state_0_only"])
-    def test_analyze_names_row_count_mismatch(self, tmp_path, target, rows, expected):
-        cfg_path, out = write_config(
-            tmp_path, scheme="ftcs_mu", n_cells=20, t_final=0.03,
-            training=TRAINING.format(n_iters=10, mu_min=-0.005),
-        )
-        assert main(["train", "--config", str(cfg_path)]) == 0
-        _, values = read_matrix(out / target)
-        values = values[rows]  # stored at the times a run gives its rows
-        write_matrix(out / target, np.arange(len(values)) * 0.001, values)
-        assert main(["analyze", str(out)]) == 1
-        analysis = json.loads((out / "analysis.json").read_text())
-        failed = {c["name"]: c["detail"] for c in analysis["checks"] if not c["passed"]}
-        assert expected <= set(failed)
-        for name in expected:
-            assert "rows" in failed[name]
+        ("train", "solution.csv", slice(None, 1),
+         {"stored_steps_consistent", "loss_history_consistent"}),
+        ("run", "solution.csv", slice(None, -1), {"entropy_series_consistent"}),
+    ], ids=["mu_row_missing", "mu_row_extra", "solution_row_missing", "solution_state_0_only",
+            "plain_solution_row_missing"])
+    def test_analyze_names_row_count_mismatch(self, tmp_path, command, target, rows, expected):
+        train = command == "train"
+        for kind in KINDS:
+            (tmp_path / kind).mkdir()
+            cfg_path, out = write_config(
+                tmp_path / kind, scheme="ftcs_mu", n_cells=20, t_final=0.03, kind=kind,
+                extra_sim="" if train else "mu = 0.002",
+                training=TRAINING.format(n_iters=10, mu_min=-0.005) if train else "",
+            )
+            assert main([command, "--config", str(cfg_path)]) == 0
+            _, values = read_matrix(out / target)
+            values = values[rows]  # stored at the times a run gives its rows
+            write_matrix(out / target, np.arange(len(values)) * 0.001, values)
+            assert main(["analyze", str(out)]) == 1
+            failed = failed_checks(out)
+            assert expected <= set(failed), kind
+            for name in expected:
+                assert "rows" in failed[name]
 
     def test_analyze_rejects_header_only_solution_exits_4(self, tmp_path, capsys):
-        cfg_path, out = write_config(tmp_path, t_final=0.01)
-        main(["run", "--config", str(cfg_path)])
-        header = (out / "solution.csv").read_text().splitlines()[0]
-        (out / "solution.csv").write_text(header + "\n")
-        assert main(["analyze", str(out)]) == 4
-        assert "no data rows" in capsys.readouterr().err
+        for kind in KINDS:
+            (tmp_path / kind).mkdir()
+            cfg_path, out = write_config(tmp_path / kind, t_final=0.01, kind=kind)
+            main(["run", "--config", str(cfg_path)])
+            header = (out / "solution.csv").read_text().splitlines()[0]
+            (out / "solution.csv").write_text(header + "\n")
+            capsys.readouterr()
+            assert main(["analyze", str(out)]) == 4
+            assert f"{out / 'solution.csv'} has no data rows" in capsys.readouterr().err, kind
 
-    def test_analyze_rejects_non_finite_solution_exits_4(self, tmp_path):
-        cfg_path, out = write_config(tmp_path, t_final=0.01)
-        main(["run", "--config", str(cfg_path)])
-        lines = (out / "solution.csv").read_text().splitlines()
-        cells = lines[3].split(",")
-        cells[5] = "nan"
-        lines[3] = ",".join(cells)
-        (out / "solution.csv").write_text("\n".join(lines) + "\n")
-        assert main(["analyze", str(out)]) == 4
+    def test_analyze_rejects_non_finite_solution_exits_4(self, tmp_path, capsys):
+        for kind in KINDS:
+            (tmp_path / kind).mkdir()
+            cfg_path, out = write_config(tmp_path / kind, t_final=0.01, kind=kind)
+            main(["run", "--config", str(cfg_path)])
+            lines = (out / "solution.csv").read_text().splitlines()
+            cells = lines[3].split(",")
+            cells[5] = "nan"
+            lines[3] = ",".join(cells)
+            (out / "solution.csv").write_text("\n".join(lines) + "\n")
+            capsys.readouterr()
+            assert main(["analyze", str(out)]) == 4
+            err = capsys.readouterr().err
+            assert f"{out / 'solution.csv'} has non-finite entries" in err, kind
 
     @pytest.mark.parametrize("name, text", [
         ("entropy.csv", "0.002,0.1,0.2"),
@@ -975,15 +1053,17 @@ class TestAnalyzeCommand:
         assert err.startswith("i/o error:") and str(out / name) in err
 
     def test_analyze_rejects_solution_header_one_column_short_exits_4(self, tmp_path, capsys):
-        cfg_path, out = write_config(tmp_path, t_final=0.01)
-        assert main(["run", "--config", str(cfg_path)]) == 0
-        lines = (out / "solution.csv").read_text().splitlines()
-        lines[0] = lines[0].rsplit(",", 1)[0]
-        (out / "solution.csv").write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        assert main(["analyze", str(out)]) == 4
-        err = capsys.readouterr().err
-        assert "header" in err and str(out / "solution.csv") in err
+        for kind in KINDS:
+            (tmp_path / kind).mkdir()
+            cfg_path, out = write_config(tmp_path / kind, t_final=0.01, kind=kind)
+            assert main(["run", "--config", str(cfg_path)]) == 0
+            lines = (out / "solution.csv").read_text().splitlines()
+            lines[0] = lines[0].rsplit(",", 1)[0]
+            (out / "solution.csv").write_text("\n".join(lines) + "\n")
+            capsys.readouterr()
+            assert main(["analyze", str(out)]) == 4
+            err = capsys.readouterr().err
+            assert f"{out / 'solution.csv'} does not have the header" in err, kind
 
     @pytest.mark.parametrize("block, key", [("stats", "mse_final"), ("mu", "mu_min")])
     def test_analyze_fails_non_numeric_statistic(self, tmp_path, block, key):
@@ -1377,19 +1457,27 @@ class TestMemoryBudget:
         return code, peak
 
     def test_run_and_analyze_peak_under_one_and_a_half_matrices(self, tmp_path):
-        out = tmp_path / "out"
-        cfg_path = tmp_path / "big.cfg"
-        cfg_path.write_text(
-            f"[simulation]\nscheme = ftcs_mu\nn_cells = {self.N_CELLS}\nlength = 1.0\n"
-            f"c = 1.0\ndt = 0.0002\nt_final = 0.02\nmu = 0.0001\n"
-            f"[initial_condition]\nkind = sine\n[output]\ndirectory = {out}\n")
+        # A sine's stored states are compared with the bytes of its rebuilt
+        # states and a hat's are parsed; the states of a sine whose file
+        # differs are rebuilt, then freed before the file is parsed.
         matrix_bytes = (self.N_STEPS + 1) * self.N_CELLS * 8
-        for argv in (["run", "--config", str(cfg_path)], ["analyze", str(out)]):
-            code, peak = self.traced_peak(argv)
-            assert code == 0
-            assert peak < 1.5 * matrix_bytes, f"{argv[0]} peaked at {peak / matrix_bytes:.2f} matrices"
-        _, states = read_matrix(out / "solution.csv")
-        assert states.shape == (self.N_STEPS + 1, self.N_CELLS)
+        for kind, tampered in (("sine", False), ("hat", False), ("sine", True)):
+            out = tmp_path / f"{kind}{'-tampered' * tampered}"
+            cfg_path = tmp_path / "big.cfg"
+            cfg_path.write_text(
+                f"[simulation]\nscheme = ftcs_mu\nn_cells = {self.N_CELLS}\nlength = 1.0\n"
+                f"c = 1.0\ndt = 0.0002\nt_final = 0.02\nmu = 0.0001\n"
+                f"[initial_condition]\nkind = {kind}\n[output]\ndirectory = {out}\n")
+            argvs = (["run", "--config", str(cfg_path)], ["analyze", str(out)])
+            for argv, expected in zip(argvs, (0, int(tampered))):
+                if tampered and argv[0] == "analyze":
+                    change_one_digit(out / "solution.csv", self.N_STEPS // 2, self.N_CELLS // 2)
+                code, peak = self.traced_peak(argv)
+                assert code == expected
+                assert peak < 1.5 * matrix_bytes, (
+                    f"{kind}: {argv[0]} peaked at {peak / matrix_bytes:.2f} matrices")
+            _, states = read_matrix(out / "solution.csv")
+            assert states.shape == (self.N_STEPS + 1, self.N_CELLS)
 
     def test_global_train_peak_under_six_and_a_half_matrices(self, tmp_path):
         # The exact states, the accepted iterate's viscosity and gradient, the

@@ -23,6 +23,8 @@ from advisc.presets import preset_config
 from advisc.runio import (
     _CHUNK_VALUES,
     CorruptRunError,
+    _csv_blocks,
+    _csv_matches,
     matrix_header,
     read_columns_csv,
     read_manifest,
@@ -525,6 +527,42 @@ class TestCsvFormat:
             with pytest.raises(ValueError):
                 write_columns_csv(tmp_path / "bad.csv", "a,b", columns)
             assert not (tmp_path / "bad.csv").exists()
+
+
+def flip_byte(text: bytes, i: int) -> bytes:
+    return text[:i] + bytes([text[i] ^ 1]) + text[i + 1:]
+
+
+class TestCsvComparator:
+    """``_csv_matches`` accepts exactly the bytes the writer writes for the
+    columns: it reads the file block by block, as the writer writes it."""
+
+    # 5000 rows of "i,value" are a header block and blocks of 2048, 2048 and
+    # 904 rows; ends[k] is where block k ends, so ends[1] ends the first rows.
+    EDITS = {
+        "first_byte_of_a_block": lambda text, ends: flip_byte(text, ends[1]),
+        "last_byte_of_a_block": lambda text, ends: flip_byte(text, ends[1] - 1),
+        "extra_trailing_byte": lambda text, ends: text + b"\n",
+        "no_final_newline": lambda text, ends: text[:-1],
+        "shorter": lambda text, ends: text[:ends[2]],
+        "one_half_as_0.50": lambda text, ends: text.replace(b"\n100,0.5\n", b"\n100,0.50\n"),
+    }
+
+    @pytest.mark.parametrize("edit", EDITS.values(), ids=EDITS)
+    def test_any_other_bytes_do_not_match(self, tmp_path, edit):
+        values = np.random.default_rng(4).standard_normal(5000)
+        values[100] = 0.5
+        columns = [np.arange(len(values)), values]
+        path = tmp_path / "s.csv"
+        write_columns_csv(path, "i,value", columns)
+        assert _csv_matches(path, "i,value", columns)
+        ends = np.cumsum([len(block) for block in _csv_blocks(path, "i,value", columns)])
+        assert len(ends) == 4 and ends[-1] == path.stat().st_size
+        text = path.read_bytes()
+        edited = edit(text, ends)
+        assert edited != text
+        path.write_bytes(edited)
+        assert not _csv_matches(path, "i,value", columns)
 
 
 class TestWriterMemory:
