@@ -293,21 +293,23 @@ def _read_run_matrix(path: Path, n_cells: int, dt: float) -> np.ndarray:
 
 
 def _rebuilt_states(path: Path, cfg: ExperimentConfig, scheme_cfg: SchemeConfig,
-                    u0: np.ndarray) -> np.ndarray | None:
-    """The states of a plain run, simulated from ``u0`` as ``cmd_run``
-    simulates them, if ``path`` holds exactly the bytes of the solution.csv
+                    u0: np.ndarray, mu) -> np.ndarray | None:
+    """The states of a run, simulated from ``u0`` at the viscosity ``mu`` it
+    stepped at, over ``len(mu)`` steps for a matrix of rows and the config's
+    steps otherwise, if ``path`` holds exactly the bytes of the solution.csv
     ``_write_run`` writes for them; otherwise None, once they are freed.
     Only a run whose ``u0`` mostly prints from its digits is rebuilt
     (``_formatting_beats_parsing``): for other data, parsing the file costs
     less than formatting the states. Nor is one whose file holds fewer than
-    2 bytes per value of the config's horizon, the least a matching file
-    holds, so that a stored config that claims more steps than were stored
-    cannot make analyze allocate more than the file's size."""
+    2 bytes per value of that horizon, the least a matching file holds, so
+    that a stored config that claims more steps than were stored cannot make
+    analyze allocate more than the file's size."""
     n_cells = scheme_cfg.grid.n_cells
+    n_steps = len(mu) if np.ndim(mu) == 2 else cfg.n_steps
     if (not _formatting_beats_parsing(u0)
-            or path.stat().st_size < 2 * (cfg.n_steps + 1) * (n_cells + 1)):
+            or path.stat().st_size < 2 * (n_steps + 1) * (n_cells + 1)):
         return None
-    traj = simulate(u0, cfg.n_steps, scheme_cfg, cfg.scheme, cfg.mu)
+    traj = simulate(u0, n_steps, scheme_cfg, cfg.scheme, mu)
     matches = _csv_matches(path, matrix_header(n_cells), [traj.times, traj.states])
     return traj.states if matches else None
 
@@ -328,19 +330,19 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
     solution.csv and, for a training run, mu.csv and a global run's losses.
     Row n of either matrix is at time n*dt, and the run stores one state
     per step it took: all of the config's steps, or those up to the
-    manifest's ``diverged_at_step``. The stored states must be what
-    ``simulate`` gives, bit for bit, at the viscosity of mu.csv, the config's
-    ``mu``, or, for a training run that wrote no mu.csv, the optimizer's
-    initial one. A plain run, whose config alone gives its states, is
-    checked without a parse where ``_rebuilt_states`` finds solution.csv to
-    hold exactly the bytes of its rebuilt states; any other run is parsed
-    and replayed, so either way the checks give the same verdicts and
-    details. A per-step run's losses are its ``step_losses``; a
-    global run stores its best iterate, whose loss must be the least loss.
-    ``_derived``, as the writer called it, rebuilds every other CSV and
-    summary.json value, which must match exactly; the summary's status must
-    be the manifest's. Its ``divergence_events`` comes only from the
-    optimizer's report, so it stays unchecked.
+    manifest's ``diverged_at_step``. A run is its config and the viscosity
+    it stepped at: the rows of mu.csv, the config's ``mu``, or, for a
+    training run that wrote no mu.csv, the optimizer's initial one. The
+    stored states must be what ``simulate`` gives, bit for bit, at that
+    viscosity: they are checked without a parse where ``_rebuilt_states``
+    finds solution.csv to hold exactly the bytes of the states it rebuilds,
+    and otherwise parsed and replayed row by row, so either way the checks
+    give the same verdicts and details. A per-step run's losses are its
+    ``step_losses``; a global run stores its best iterate, whose loss must
+    be the least loss. ``_derived``, as the writer called it, rebuilds every
+    other CSV and summary.json value, which must match exactly; the
+    summary's status must be the manifest's. Its ``divergence_events`` comes
+    only from the optimizer's report, so it stays unchecked.
     Training outputs are not rebuilt without one mu.csv row per step and at
     least one loss. A stored config that does not load, a CSV without its
     exact header, such as a solution.csv or mu.csv that is not n_cells wide,
@@ -353,26 +355,26 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
     scheme_cfg = cfg.scheme_config()
     grid = scheme_cfg.grid
     u0 = exact_solution(cfg.ic, grid, cfg.c, 0.0)
-    path = out_dir / "solution.csv"
-    plain = not training and cfg.training is None
-    rebuilt = _rebuilt_states(path, cfg, scheme_cfg, u0) if plain else None
-    states = rebuilt if rebuilt is not None else _read_run_matrix(path, grid.n_cells, cfg.dt)
-    steps = manifest.get("diverged_at_step", cfg.n_steps)
-    check("steps_stored", type(steps) is int and len(states) == steps + 1 <= cfg.n_steps + 1,
-          f"{len(states)} states for {steps!r} of {cfg.n_steps} steps")
-
     mu = losses = None
     if training:
         if cfg.training is None:
             raise CorruptRunError(f"{out_dir / MANIFEST_NAME} lists mu.csv, but no [training]")
         mu = _read_run_matrix(out_dir / "mu.csv", grid.n_cells, cfg.dt)
+    # a training run without mu.csv stepped at the optimizer's initial viscosity
+    viscosity = (mu if mu is not None else cfg.mu if cfg.training is None
+                 else cfg.training.optimizer.resolve_init(scheme_cfg))
+    path = out_dir / "solution.csv"
+    rebuilt = _rebuilt_states(path, cfg, scheme_cfg, u0, viscosity)
+    states = rebuilt if rebuilt is not None else _read_run_matrix(path, grid.n_cells, cfg.dt)
+    steps = manifest.get("diverged_at_step", cfg.n_steps)
+    check("steps_stored", type(steps) is int and len(states) == steps + 1 <= cfg.n_steps + 1,
+          f"{len(states)} states for {steps!r} of {cfg.n_steps} steps")
+
     if mu is not None and len(mu) != len(states) - 1:
         ok, detail = False, f"{len(mu)} rows for {len(states) - 1} steps"
-    else:  # a training run without mu.csv stepped at the optimizer's initial viscosity
-        replay_mu = (mu if mu is not None else cfg.mu if cfg.training is None
-                     else cfg.training.optimizer.resolve_init(scheme_cfg))
+    else:
         bad = (None if rebuilt is not None  # simulate's own states, which need no replay
-               else _first_mismatch(u0, states, scheme_cfg, cfg.scheme, replay_mu))
+               else _first_mismatch(u0, states, scheme_cfg, cfg.scheme, viscosity))
         ok, detail = bad is None, f"{cfg.scheme} replayed; first state unlike simulate's: {bad}"
     check("stored_steps_consistent", ok, detail)
 

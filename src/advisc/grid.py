@@ -156,16 +156,19 @@ class InitialCondition:
 
 
 def _hat(ic: InitialCondition, x: np.ndarray, length: float) -> np.ndarray:
-    frac = np.mod(x, length)
+    frac = np.mod(x, length, out=x)
     return np.where((ic.lo < frac) & (frac < ic.hi), ic.amplitude, 0.0)
 
 
 def _sine(ic: InitialCondition, x: np.ndarray, length: float) -> np.ndarray:
-    return ic.amplitude * np.sin(2.0 * np.pi * ic.wavenumber * x / length)
+    np.multiply(2.0 * np.pi * ic.wavenumber, x, out=x)
+    np.divide(x, length, out=x)
+    return np.multiply(np.sin(x, out=x), ic.amplitude, out=x)
 
 
 # The initial-condition kinds: each maps the cell centers translated back to
-# t = 0, x_i - c*t, to the profile's values there.
+# t = 0, x_i - c*t, to the profile's values there. Each works in place on
+# that fresh array, so a result is not held three times while it is formed.
 PROFILES = {"hat": _hat, "sine": _sine}
 
 

@@ -130,8 +130,9 @@ def _checked_trajectory(states: np.ndarray, cfg: SchemeConfig,
 
 def _row_stepper(cfg: SchemeConfig, batch: tuple = ()):
     """The one binder of the FTCS kernel: (load, step) over buffers of shape
-    (N, *batch), one row by default, or (N, B) for B = batch[0] states held
-    cells-major, so every shifted view is one contiguous block.
+    (N, *batch): one row by default, as every caller but the per-step
+    trainer binds it, or (N, B) for the trainer's B = batch[0] runs, held
+    cells-major so that every shifted view is one contiguous block.
 
     load(u) writes u and its ghost u_0 as row N into the flux buffer, forms
     the mu-independent face terms a = c*(u_{i+1} + u_i)/2 and
@@ -140,7 +141,8 @@ def _row_stepper(cfg: SchemeConfig, batch: tuple = ()):
     F_{i+1/2} = a_i - (mu_{i+1/2}/dx)*d_i; row 0 of the flux buffer repeats
     F_{N-1/2}, and out is scratch too. A loaded state steps at any number of
     viscosities: ``simulate``, ``ftcs_update``, the adjoint's reverse sweep
-    (bound at -c) and ``_first_mismatch`` load each state and step it once;
+    (bound at -c) and ``_first_mismatch``, which replays stored states row by
+    row, load each state and step it once;
     the per-step trainer's ``_descend`` steps it every inner iteration.
     dx and dt/dx are 0-d arrays and the outputs are passed positionally, as
     the trainer steps so often."""
@@ -197,15 +199,15 @@ SCHEME_NAMES = ("ftcs_mu", *CLASSICAL_MU)
 
 
 def _lax_wendroff_step(u: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
-    """Second-order-in-time step of u, (N,) or (N, B); equals ftcs_update at mu = c^2*dt/2.
+    """Second-order-in-time step of a state u; equals ftcs_update at mu = c^2*dt/2.
 
     The one classical scheme that does not step through ``_row_stepper``:
     that reorders the arithmetic and moves the final MSE of the benchmark's
     N = 10^4 Lax-Wendroff run (5.03e-13) by 5e-11 relative, while
     bench/reference.json pins it to 1e-12 relative.
     """
-    up = np.roll(u, -1, axis=0)
-    um = np.roll(u, 1, axis=0)
+    up = np.roll(u, -1)
+    um = np.roll(u, 1)
     s = cfg.cfl
     return u - 0.5 * s * (up - um) + 0.5 * s * s * (up - 2.0 * u + um)
 
@@ -277,33 +279,23 @@ def simulate(
     return _checked_trajectory(states, cfg, mu)
 
 
-# The values in each block buffer of ``_first_mismatch``: 10 steps at N = 100,
-# one at N >= 1024. Eight times as many replay no faster and hold more memory.
-REPLAY_BLOCK_VALUES = 1024
-
-
 def _first_mismatch(u0, states, cfg: SchemeConfig, scheme: str, mu) -> int | None:
     """The first n at which ``states`` differ, bit for bit, from the states
     of ``simulate(u0, len(states) - 1, cfg, scheme, mu)``, or None. Row 0 is
-    compared with u0 and each later row with the scheme's step from the row
-    before it, so a non-finite step differs. B = max(1, REPLAY_BLOCK_VALUES
-    // N) steps (or all) are stepped at once, as transposed (N, B) views; a
-    last block that would be short overlaps the one before."""
+    compared with u0 and each later row with the scheme's step from the
+    stored row before it, taken one row at a time as ``simulate`` takes it,
+    so a non-finite step differs."""
     if not np.array_equal(states[0], u0):
         return 0
-    n_steps, n_cells = len(states) - 1, cfg.grid.n_cells
-    rows = _viscosity_rows(cfg, scheme, mu, n_steps)
-    width = max(1, min(REPLAY_BLOCK_VALUES // n_cells, n_steps))
-    out, differs = np.empty((n_cells, width)), np.empty((n_cells, width), dtype=bool)
-    load, ftcs_step = _row_stepper(cfg, (width,))
-    for start in range(0, n_steps, width):
-        start = min(start, n_steps - width)
-        u, after = states[start:start + width].T, states[start + 1:start + width + 1].T
+    rows = _viscosity_rows(cfg, scheme, mu, len(states) - 1)
+    out = np.empty(cfg.grid.n_cells)
+    load, ftcs_step = _row_stepper(cfg)
+    for n in range(1, len(states)):
         if scheme == "lax_wendroff":
-            out = _lax_wendroff_step(u, cfg)
+            out = _lax_wendroff_step(states[n - 1], cfg)
         else:
-            load(u)
-            ftcs_step(out, u, rows[start:start + width].T)
-        if np.not_equal(out, after, differs).any():
-            return start + 1 + int(np.argmax(differs.any(axis=0)))
+            load(states[n - 1])
+            ftcs_step(out, states[n - 1], rows[n - 1])
+        if not np.array_equal(out, states[n]):
+            return n
     return None

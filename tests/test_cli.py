@@ -85,6 +85,20 @@ def write_matrix(path, times, values):
 KINDS = ("hat", "sine")
 
 
+def record_reads(monkeypatch):
+    """The paths analyze parses through ``read_columns_csv``, recorded from now on."""
+    import advisc.cli
+
+    read = []
+
+    def recording(path, header):
+        read.append(Path(path))
+        return read_columns_csv(path, header)
+
+    monkeypatch.setattr(advisc.cli, "read_columns_csv", recording)
+    return read
+
+
 def failed_checks(out):
     analysis = json.loads((out / "analysis.json").read_text())
     return {c["name"]: c["detail"] for c in analysis["checks"] if not c["passed"]}
@@ -738,44 +752,59 @@ class TestAnalyzeCommand:
         assert all(row.flags.c_contiguous for row in values)
         assert np.array_equal(values, read_matrix(out / "solution.csv")[1])
 
-    @pytest.mark.parametrize("kind, parsed", [("hat", True), ("sine", False)])
-    def test_analyze_parses_solution_of_a_plain_run_only_when_mostly_zeros(
-            self, tmp_path, monkeypatch, kind, parsed):
-        """A plain sine run, whose values print from their digits, is checked
-        by comparing solution.csv with the bytes of its rebuilt states; a hat
-        run, mostly zeros, which parse faster than they format, is parsed."""
-        import advisc.cli
-
-        cfg_path, out = write_config(tmp_path, kind=kind, t_final=0.02)
-        assert main(["run", "--config", str(cfg_path)]) == 0
-        read = []
-
-        def recording(path, header):
-            read.append(Path(path).name)
-            return read_columns_csv(path, header)
-
-        monkeypatch.setattr(advisc.cli, "read_columns_csv", recording)
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("mode", ["plain", "per_step", "global"])
+    def test_analyze_parses_solution_only_when_mostly_zeros(self, tmp_path, monkeypatch, mode,
+                                                            kind):
+        """A sine run, whose values print from their digits, is checked by
+        comparing solution.csv with the bytes of the states rebuilt at the
+        viscosity it stepped at, trained or not; a hat run, mostly zeros,
+        which parse faster than they format, is parsed."""
+        train = mode != "plain"
+        cfg_path, out = write_config(
+            tmp_path, scheme="ftcs_mu" if train else "upwind", kind=kind, t_final=0.02,
+            training=TRAINING.format(n_iters=5, mu_min=-0.005).replace("per_step", mode)
+            if train else "")
+        assert main(["train" if train else "run", "--config", str(cfg_path)]) == 0
+        read = record_reads(monkeypatch)
         assert main(["analyze", str(out)]) == 0
-        assert ("solution.csv" in read) == parsed
-        assert {"final_state.csv", "entropy.csv"} <= set(read)
+        names = {path.name for path in read}
+        assert ("solution.csv" in names) == (kind == "hat")
+        assert ("mu.csv" in names) == train
+        assert {"final_state.csv", "entropy.csv"} <= names
+
+    def test_analyze_of_a_sine_study_parses_no_solution_csv(self, tmp_path, monkeypatch):
+        # sine-smooth trains its two per-step runs in one batch
+        out = tmp_path / "study"
+        assert main(["reproduce", "--preset", "sine-smooth", "--out", str(out)]) == 0
+        read = record_reads(monkeypatch)
+        assert main(["analyze", str(out)]) == 0
+        matrices = sorted(str(path.relative_to(out)) for path in read
+                          if path.name in ("solution.csv", "mu.csv"))
+        assert matrices == ["nonneg/mu.csv", "signed/mu.csv"]
 
     @pytest.mark.parametrize("kind", ["hat", "sine"])
     def test_analyze_passes_a_value_written_other_than_the_writer_writes_it(self, tmp_path,
                                                                              kind):
         # A trailing zero leaves the value, so the parsed states are the run's.
-        cfg_path, out = write_config(tmp_path, kind=kind, t_final=0.02)
-        assert main(["run", "--config", str(cfg_path)]) == 0
-        lines = (out / "solution.csv").read_text().splitlines()
-        cells = lines[4].split(",")
-        j = next(j for j, cell in enumerate(cells) if j and "." in cell and "e" not in cell)
-        cells[j] += "0"
-        lines[4] = ",".join(cells)
-        (out / "solution.csv").write_text("\n".join(lines) + "\n")
-        assert main(["analyze", str(out)]) == 0
+        for command in ("run", "train"):
+            train = command == "train"
+            (tmp_path / command).mkdir()
+            cfg_path, out = write_config(
+                tmp_path / command, scheme="ftcs_mu" if train else "upwind", kind=kind,
+                t_final=0.02, training=TRAINING.format(n_iters=5, mu_min=-0.005) if train else "")
+            assert main([command, "--config", str(cfg_path)]) == 0
+            lines = (out / "solution.csv").read_text().splitlines()
+            cells = lines[4].split(",")
+            j = next(j for j, cell in enumerate(cells) if j and "." in cell and "e" not in cell)
+            cells[j] += "0"
+            lines[4] = ",".join(cells)
+            (out / "solution.csv").write_text("\n".join(lines) + "\n")
+            assert main(["analyze", str(out)]) == 0, command
 
     def test_replay_finds_the_first_step_that_differs(self):
         from advisc.grid import make_grid
-        from advisc.schemes import REPLAY_BLOCK_VALUES, SchemeConfig, _first_mismatch, simulate
+        from advisc.schemes import SchemeConfig, _first_mismatch, simulate
 
         def first_mismatch_alone(u0, states, cfg, scheme, mu):
             # the reference: simulate one step from each stored state
@@ -788,11 +817,8 @@ class TestAnalyzeCommand:
                     return n
             return None
 
-        # At N = 100 the steps replay 10 at a time, so 48 steps are blocks
-        # from steps 0, 10, 20, 30 and 38, the last overlapping the one before:
-        # row 3 lies in the first block, row 10 ends it and row 47 lies in the
-        # last. At N = 1100 each block is one step.
-        assert REPLAY_BLOCK_VALUES // 100 == 10
+        # Each edit alone and the later ones together: an early, a middle and
+        # the last row of 48 steps at N = 100, and rows 2 and 4 of 4 at N = 1100.
         rng = np.random.default_rng(5)
         for n_cells, n_steps, c, rows in ((100, 48, 1.0, (3, 10, 47)), (1100, 4, -1.0, (2, 4))):
             cfg = SchemeConfig(c=c, dt=1e-3, grid=make_grid(n_cells, 1.0))
@@ -838,7 +864,8 @@ class TestAnalyzeCommand:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # Four buffers of 1024 values are 32 kB; the states at M = 1500 are 1.2 MB.
+        # The replay holds a few buffers of one row, under 4 kB at N = 100;
+        # the states at M = 1500 are 1.2 MB.
         assert peaks[1] < peaks[0] + 1024, f"replay peaked at {peaks} bytes"
         assert max(peaks) < 80 * 1024, f"replay peaked at {peaks} bytes"
 
@@ -856,16 +883,12 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(empty)]) == 4
 
     def test_analyze_detects_tampered_solution(self, tmp_path):
-        from advisc.schemes import REPLAY_BLOCK_VALUES
-
-        block = REPLAY_BLOCK_VALUES // 100
         for kind in KINDS:
             (tmp_path / kind).mkdir()
             cfg_path, out = write_config(tmp_path / kind, t_final=0.05, kind=kind)
             main(["run", "--config", str(cfg_path)])
             times, stored = read_matrix(out / "solution.csv")
-            assert block == 10 and len(stored) - 1 == 5 * block
-            # A row of the first block, the first row of the second, one of the last.
+            assert len(stored) == 51
             for row in (3, 10, 47):
                 states = stored.copy()
                 states[row, 7] = np.nextafter(states[row, 7], -np.inf)
@@ -893,19 +916,12 @@ class TestAnalyzeCommand:
             assert failed_checks(out)["stored_steps_consistent"] == (
                 f"{scheme} replayed; first state unlike simulate's: {row}"), kind
 
-    def test_analyze_names_a_mu_entry_tampered_in_a_later_block(self, tmp_path):
+    def test_analyze_names_a_tampered_mu_entry(self, tmp_path):
+        # A hat run's solution.csv is parsed; a sine run's first fails to
+        # match the states rebuilt at the edited mu.csv, then is parsed.
         from advisc.grid import make_grid
-        from advisc.schemes import REPLAY_BLOCK_VALUES, SchemeConfig, ftcs_update
+        from advisc.schemes import SchemeConfig, ftcs_update
 
-        cfg_path, out = write_config(
-            tmp_path, scheme="ftcs_mu", t_final=0.03,
-            training=TRAINING.format(n_iters=10, mu_min=-0.005),
-        )
-        assert main(["train", "--config", str(cfg_path)]) == 0
-        assert main(["analyze", str(out)]) == 0
-        _, states = read_matrix(out / "solution.csv")
-        times, mu = read_matrix(out / "mu.csv")
-        assert len(mu) == 3 * (REPLAY_BLOCK_VALUES // 100)  # three blocks of 10 steps
         cfg = SchemeConfig(c=1.0, dt=0.001, grid=make_grid(100, 1.0))
 
         def one_ulp_up(row, face):
@@ -913,16 +929,29 @@ class TestAnalyzeCommand:
             row[face] = np.nextafter(row[face], np.inf)
             return row
 
-        # One ulp more of mu rounds away in the step at most faces, even across
-        # the state's largest jump; edit the first face where it moves the step.
-        face = next(face for face in range(100)
-                    if not np.array_equal(ftcs_update(states[25], one_ulp_up(mu[25], face), cfg),
-                                          states[26]))
-        mu[25] = one_ulp_up(mu[25], face)
-        write_matrix(out / "mu.csv", times, mu)
-        assert main(["analyze", str(out)]) == 1
-        assert failed_checks(out)["stored_steps_consistent"] == (
-            "ftcs_mu replayed; first state unlike simulate's: 26")
+        for kind in KINDS:
+            (tmp_path / kind).mkdir()
+            cfg_path, out = write_config(
+                tmp_path / kind, scheme="ftcs_mu", t_final=0.03, kind=kind,
+                training=TRAINING.format(n_iters=10, mu_min=-0.005),
+            )
+            assert main(["train", "--config", str(cfg_path)]) == 0
+            assert main(["analyze", str(out)]) == 0
+            _, states = read_matrix(out / "solution.csv")
+            times, mu = read_matrix(out / "mu.csv")
+            assert len(mu) == 30
+            # One ulp more of mu rounds away in the step at most faces, even
+            # across the state's largest jump; edit the first face where it
+            # moves the step.
+            face = next(face for face in range(100)
+                        if not np.array_equal(ftcs_update(states[25], one_ulp_up(mu[25], face),
+                                                          cfg), states[26]))
+            mu[25] = one_ulp_up(mu[25], face)
+            write_matrix(out / "mu.csv", times, mu)
+            assert main(["analyze", str(out)]) == 1
+            assert failed_checks(out) == {
+                "stored_steps_consistent": "ftcs_mu replayed; first state unlike simulate's: 26",
+            }, kind
 
     @pytest.mark.parametrize("target, expected", [
         ("solution.csv", {"stat:mse_final", "stored_steps_consistent"}),
@@ -976,6 +1005,10 @@ class TestAnalyzeCommand:
             assert expected <= set(failed), kind
             for name in expected:
                 assert "rows" in failed[name]
+            if target == "mu.csv":
+                # A sine's states rebuilt at the edited rows miss solution.csv's
+                # bytes, so it is parsed, as a hat's is at once; nothing else fails.
+                assert failed == {"stored_steps_consistent": f"{len(values)} rows for 30 steps"}
 
     def test_analyze_rejects_header_only_solution_exits_4(self, tmp_path, capsys):
         for kind in KINDS:
@@ -1441,8 +1474,9 @@ class TestConfigThatIsNoRun:
 
 
 class TestMemoryBudget:
-    """A plain run and its analysis hold each stored space-time matrix once;
-    whole-horizon training holds six."""
+    """A plain run and its analysis hold each stored space-time matrix once,
+    the analysis of a training run about three; whole-horizon training holds
+    six."""
 
     N_CELLS, N_STEPS = 2000, 100
 
@@ -1478,6 +1512,23 @@ class TestMemoryBudget:
                     f"{kind}: {argv[0]} peaked at {peak / matrix_bytes:.2f} matrices")
             _, states = read_matrix(out / "solution.csv")
             assert states.shape == (self.N_STEPS + 1, self.N_CELLS)
+
+    def test_analyze_of_a_trained_sine_peaks_under_four_matrices(self, tmp_path):
+        # mu.csv is parsed; the states are rebuilt at its rows, which simulate
+        # copies, and compared with solution.csv block by block; the exact
+        # states of the loss check are formed in place, alone beside them.
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "per_step.cfg"
+        cfg_path.write_text(
+            f"[simulation]\nscheme = ftcs_mu\nn_cells = {self.N_CELLS}\nlength = 1.0\n"
+            f"c = 1.0\ndt = 0.0002\nt_final = 0.02\n[initial_condition]\nkind = sine\n"
+            f"[training]\nmode = per_step\nlearning_rate = 0.01\nn_iters = 3\n"
+            f"mu_min = -0.00025\nmu_max = 0.00475\n[output]\ndirectory = {out}\n")
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        matrix_bytes = (self.N_STEPS + 1) * self.N_CELLS * 8
+        code, peak = self.traced_peak(["analyze", str(out)])
+        assert code == 0
+        assert peak < 4 * matrix_bytes, f"analyze peaked at {peak / matrix_bytes:.2f} matrices"
 
     def test_global_train_peak_under_six_and_a_half_matrices(self, tmp_path):
         # The exact states, the accepted iterate's viscosity and gradient, the

@@ -1,12 +1,14 @@
-"""The README's library quickstart runs as written, and its config block
-matches the config schema."""
+"""The README's library quickstart runs as written, its config block
+matches the config schema, and every code name it cites exists."""
 
+import importlib
 import re
 from pathlib import Path
 
 from advisc.config import _SECTIONS, parse_config_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = README.parent / "src" / "advisc"
 
 
 def test_library_quickstart_runs(capsys):
@@ -32,3 +34,17 @@ def test_config_block_names_every_key_of_the_schema():
         elif key:
             named[section].add(key.group(1))
     assert named == {section: set(keys) for section, keys in _SECTIONS.items()}
+
+
+def test_every_code_name_the_readme_cites_exists():
+    # A backticked `module.name`, module being a file of the package (not
+    # `module.py`), names an attribute of that module.
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    cited = {(module, name)
+             for span in re.findall(r"`([^`\n]+)`", README.read_text())
+             for module, name in re.findall(r"\b(\w+)\.(\w+)", span)
+             if module in modules and name != "py"}
+    assert len(cited) > 10
+    missing = sorted(f"{module}.{name}" for module, name in cited
+                     if not hasattr(importlib.import_module(f"advisc.{module}"), name))
+    assert not missing, f"README cites names that do not exist: {missing}"
