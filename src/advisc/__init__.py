@@ -27,7 +27,6 @@ from .schemes import (
     SchemeConfig,
     Trajectory,
     amplification_factor,
-    ftcs_update,
     simulate,
 )
 

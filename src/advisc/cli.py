@@ -338,11 +338,13 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
     finds solution.csv to hold exactly the bytes of the states it rebuilds,
     and otherwise parsed and replayed row by row, so either way the checks
     give the same verdicts and details. A per-step run's losses are its
-    ``step_losses``; a global run stores its best iterate, whose loss must
-    be the least loss. ``_derived``, as the writer called it, rebuilds every
-    other CSV and summary.json value, which must match exactly; the
-    summary's status must be the manifest's. Its ``divergence_events`` comes
-    only from the optimizer's report, so it stays unchecked.
+    ``step_losses``, and its mu stays unmoved at each face whose jump is
+    exactly zero in the stored state of that step; a global run stores its
+    best iterate, whose loss must be the least loss. ``_derived``, as the
+    writer called it, rebuilds every other CSV and summary.json value,
+    which must match exactly; the summary's status must be the manifest's.
+    Its ``divergence_events`` comes only from the optimizer's report, so it
+    stays unchecked.
     Training outputs are not rebuilt without one mu.csv row per step and at
     least one loss. A stored config that does not load, a CSV without its
     exact header, such as a solution.csv or mu.csv that is not n_cells wide,
@@ -391,6 +393,20 @@ def _check_run(out_dir: Path, manifest: dict, training: bool, check) -> None:
                 check("trajectory_loss_consistent", loss == min(losses),
                       f"stored trajectory's loss {loss!r}, least stored loss {min(losses)!r}")
         del exact
+        if cfg.training.mode == "per_step" and len(mu) == len(states) - 1:
+            # A face with no jump in the state a step loads has no gradient, so
+            # its mu stays the step before's, or the initial one at step 0.
+            flat = np.empty(mu.shape, dtype=bool)
+            np.equal(states[:-1, 1:], states[:-1, :-1], out=flat[:, :-1])
+            np.equal(states[:-1, 0], states[:-1, -1], out=flat[:, -1])
+            moved = np.empty(mu.shape, dtype=bool)
+            np.not_equal(mu[0], cfg.training.optimizer.resolve_init(scheme_cfg), out=moved[0])
+            np.not_equal(mu[1:], mu[:-1], out=moved[1:])
+            moved &= flat
+            first = next(iter(np.flatnonzero(moved.any(axis=1))), None)
+            check("mu_unmoved_where_flat", first is None,
+                  f"{np.count_nonzero(flat)} flat faces; first step that moved one: {first}")
+            del flat, moved
         if not losses:
             check("loss_history_consistent", False, "0 rows")
         if len(mu) != len(states) - 1 or not losses:

@@ -157,7 +157,11 @@ class InitialCondition:
 
 def _hat(ic: InitialCondition, x: np.ndarray, length: float) -> np.ndarray:
     frac = np.mod(x, length, out=x)
-    return np.where((ic.lo < frac) & (frac < ic.hi), ic.amplitude, 0.0)
+    inside = ic.lo < frac
+    inside &= frac < ic.hi
+    x[...] = 0.0
+    x[inside] = ic.amplitude
+    return x
 
 
 def _sine(ic: InitialCondition, x: np.ndarray, length: float) -> np.ndarray:

@@ -140,10 +140,10 @@ def _row_stepper(cfg: SchemeConfig, batch: tuple = ()):
     step u - (dt/dx)*(F_{i+1/2} - F_{i-1/2}) of the state u last loaded, with
     F_{i+1/2} = a_i - (mu_{i+1/2}/dx)*d_i; row 0 of the flux buffer repeats
     F_{N-1/2}, and out is scratch too. A loaded state steps at any number of
-    viscosities: ``simulate``, ``ftcs_update``, the adjoint's reverse sweep
-    (bound at -c) and ``_first_mismatch``, which replays stored states row by
-    row, load each state and step it once;
-    the per-step trainer's ``_descend`` steps it every inner iteration.
+    viscosities: ``simulate``, the adjoint's reverse sweep (bound at -c) and
+    ``_first_mismatch``, which replays stored states row by row, load each
+    state and step it once; the per-step trainer's ``_descend`` steps it
+    every inner iteration.
     dx and dt/dx are 0-d arrays and the outputs are passed positionally, as
     the trainer steps so often."""
     n = cfg.grid.n_cells
@@ -173,23 +173,7 @@ def _row_stepper(cfg: SchemeConfig, batch: tuple = ()):
     return load, step
 
 
-def ftcs_update(u: np.ndarray, mu: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
-    """The FTCS kernel on plain arrays: u' = u - (dt/dx)*(F_{i+1/2} - F_{i-1/2}).
-
-    ``u`` (cells) and ``mu`` (faces) are float arrays of shape (n_cells,);
-    the new state is returned as a fresh array, stepped by ``_row_stepper``.
-    """
-    n = cfg.grid.n_cells
-    if u.shape != (n,) or mu.shape != (n,):
-        raise ValueError(f"u and mu must have shape ({n},), got {u.shape} and {mu.shape}")
-    out = np.empty(n)
-    load, step = _row_stepper(cfg)
-    load(u)
-    step(out, u, mu)
-    return out
-
-
-# The constant face viscosity at which ftcs_update is each classical scheme.
+# The constant face viscosity at which the FTCS kernel is each classical scheme.
 CLASSICAL_MU = {
     "upwind": lambda cfg: abs(cfg.c) * cfg.grid.dx / 2.0,
     "lax_wendroff": lambda cfg: cfg.c**2 * cfg.dt / 2.0,
@@ -199,7 +183,7 @@ SCHEME_NAMES = ("ftcs_mu", *CLASSICAL_MU)
 
 
 def _lax_wendroff_step(u: np.ndarray, cfg: SchemeConfig) -> np.ndarray:
-    """Second-order-in-time step of a state u; equals ftcs_update at mu = c^2*dt/2.
+    """Second-order-in-time step of a state u; equals the FTCS step at mu = c^2*dt/2.
 
     The one classical scheme that does not step through ``_row_stepper``:
     that reorders the arithmetic and moves the final MSE of the benchmark's
@@ -241,14 +225,14 @@ def simulate(
 
     ``mu`` supplies the face viscosity of the "ftcs_mu" scheme, and only of
     it: a scalar or an (n_cells,) row held constant, or an (n_steps, n_cells)
-    stack with one row per step; it is copied once and broadcast to
-    (n_steps, n_cells), and recorded as the viscosity history. The other
-    schemes record none: each steps the FTCS stencil at its CLASSICAL_MU,
-    except Lax-Wendroff, which keeps its own stencil. A state that goes
-    non-finite or exceeds the magnitude guard ends the run: the trajectory
-    returned stops at the state before it, so its ``n_steps`` is below the
-    ``n_steps`` asked for, and its viscosity history is cut to match; both
-    are copies of the rows kept.
+    stack with one row per step, and any other shape raises ValueError; it
+    is copied once and broadcast to (n_steps, n_cells), and recorded as the
+    viscosity history. The other schemes record none: each steps the FTCS
+    stencil at its CLASSICAL_MU, except Lax-Wendroff, which keeps its own
+    stencil. A state that goes non-finite or exceeds the magnitude guard
+    ends the run: the trajectory returned stops at the state before it, so
+    its ``n_steps`` is below the ``n_steps`` asked for, and its viscosity
+    history is cut to match; both are copies of the rows kept.
     """
     if n_steps < 0 or int(n_steps) != n_steps:
         raise ValueError("n_steps must be a non-negative integer")
@@ -260,6 +244,9 @@ def simulate(
         raise ValueError("scheme 'ftcs_mu' requires a mu, and no other scheme takes one")
     if mu is not None:
         mu = _checked(np.array(mu, dtype=float), None, "mu")
+        if mu.shape not in ((), (n_cells,), (n_steps, n_cells)):
+            raise ValueError(f"mu must be a scalar or have shape ({n_cells},) or "
+                             f"({n_steps}, {n_cells}), got {mu.shape}")
     rows = _viscosity_rows(cfg, scheme, mu, n_steps)
     mu = None if mu is None else rows
 

@@ -27,7 +27,6 @@ from advisc.schemes import (
     SCHEME_NAMES,
     SchemeConfig,
     amplification_factor,
-    ftcs_update,
     simulate,
 )
 
@@ -75,12 +74,12 @@ def test_criterion_2_scheme_equivalence_identities():
         lw_ref = simulate(u, 1, cfg, scheme="lax_wendroff").states[1]
         worst_up = max(
             worst_up,
-            np.max(np.abs(ftcs_update(u, mu_up, cfg) - up_ref))
+            np.max(np.abs(simulate(u, 1, cfg, mu=mu_up).states[1] - up_ref))
             / np.max(np.abs(up_ref)),
         )
         worst_lw = max(
             worst_lw,
-            np.max(np.abs(ftcs_update(u, mu_lw, cfg) - lw_ref))
+            np.max(np.abs(simulate(u, 1, cfg, mu=mu_lw).states[1] - lw_ref))
             / np.max(np.abs(lw_ref)),
         )
     report(
@@ -209,9 +208,8 @@ def test_criterion_8_conservation_and_constants(paper_training_report):
     cfg = SchemeConfig(c=1.0, dt=1e-3, grid=grid)
     const = np.full(64, 3.7)
     mu = np.linspace(-0.005, 0.09, 64)
-    stepped = [ftcs_update(const, mu, cfg)]
-    stepped += [simulate(const, 1, cfg, scheme=scheme, mu=mu if scheme == "ftcs_mu" else None)
-                .states[1] for scheme in SCHEME_NAMES]
+    stepped = [simulate(const, 1, cfg, scheme=scheme, mu=mu if scheme == "ftcs_mu" else None)
+               .states[1] for scheme in SCHEME_NAMES]
     preserved = all(np.allclose(u, 3.7, rtol=0, atol=1e-14) for u in stepped)
     report(
         8,

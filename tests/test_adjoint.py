@@ -6,7 +6,7 @@ import pytest
 
 from advisc.adjoint import fd_gradient, grad_mu_global, loss_value
 from advisc.grid import InitialCondition, exact_solution, make_grid
-from advisc.schemes import SchemeConfig, Trajectory, ftcs_update, simulate
+from advisc.schemes import SchemeConfig, Trajectory, simulate
 
 from oracles import (
     naive_global_loss,
@@ -120,7 +120,7 @@ class TestInstantaneousGradient:
     def test_zero_residual_zero_gradient(self):
         cfg, u0, mu_st, _ = toy_problem()
         mu = mu_st[0]
-        target = ftcs_update(u0, mu, cfg)
+        target = simulate(u0, 1, cfg, mu=mu).states[1]
         grad = grad_step(u0, target, mu, cfg)
         assert np.array_equal(grad, np.zeros(16))
 
@@ -136,7 +136,7 @@ class TestInstantaneousGradient:
             for sign, weight in ((1, 1.0), (-1, -1.0)):
                 bumped = np.array(mu)
                 bumped[f] += sign * h
-                stepped = ftcs_update(u0, bumped, cfg)
+                stepped = simulate(u0, 1, cfg, mu=bumped).states[1]
                 loss = np.mean((stepped - target) ** 2)
                 fd[f] += weight * loss / (2 * h)
         assert fd_relative_error(grad, fd) < 1e-6
@@ -214,7 +214,7 @@ def textbook_transpose(w, mu, cfg):
 
 def reversed_step(w, mu, cfg):
     """The forward kernel at -c, through which grad_mu_global steps the adjoint."""
-    return ftcs_update(w, mu, replace(cfg, c=-cfg.c))
+    return simulate(w, 1, replace(cfg, c=-cfg.c), mu=mu).states[1]
 
 
 class TestTransposeIdentity:
@@ -229,7 +229,7 @@ class TestTransposeIdentity:
             mu = rng.uniform(-0.005, 0.095, 64)
             v = rng.uniform(-1, 1, 64)
             w = rng.uniform(-1, 1, 64)
-            lhs = np.dot(ftcs_update(v, mu, cfg), w)
+            lhs = np.dot(simulate(v, 1, cfg, mu=mu).states[1], w)
             rhs = np.dot(v, transpose(w, mu, cfg))
             assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), 1.0)
 

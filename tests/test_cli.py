@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -920,7 +921,7 @@ class TestAnalyzeCommand:
         # A hat run's solution.csv is parsed; a sine run's first fails to
         # match the states rebuilt at the edited mu.csv, then is parsed.
         from advisc.grid import make_grid
-        from advisc.schemes import SchemeConfig, ftcs_update
+        from advisc.schemes import SchemeConfig, simulate
 
         cfg = SchemeConfig(c=1.0, dt=0.001, grid=make_grid(100, 1.0))
 
@@ -944,14 +945,45 @@ class TestAnalyzeCommand:
             # across the state's largest jump; edit the first face where it
             # moves the step.
             face = next(face for face in range(100)
-                        if not np.array_equal(ftcs_update(states[25], one_ulp_up(mu[25], face),
-                                                          cfg), states[26]))
+                        if not np.array_equal(simulate(states[25], 1, cfg,
+                                                       mu=one_ulp_up(mu[25], face)).states[1],
+                                              states[26]))
             mu[25] = one_ulp_up(mu[25], face)
             write_matrix(out / "mu.csv", times, mu)
             assert main(["analyze", str(out)]) == 1
             assert failed_checks(out) == {
                 "stored_steps_consistent": "ftcs_mu replayed; first state unlike simulate's: 26",
             }, kind
+
+    def test_analyze_fails_a_per_step_mu_entry_moved_at_a_flat_face(self, tmp_path):
+        # A face whose jump is exactly zero in the state a step loads has no
+        # gradient, so per-step training keeps its mu from the step before.
+        # An edit there moves no stored state, and no mu:* statistic while it
+        # keeps its sign and stays below the largest entry. A global run's
+        # stored states are its best iterate's, flat where earlier iterates
+        # need not have been, so the same edit passes there.
+        for mode in ("per_step", "global"):
+            (tmp_path / mode).mkdir()
+            cfg_path, out = write_config(
+                tmp_path / mode, scheme="ftcs_mu", t_final=0.03, kind="hat",
+                training=TRAINING.format(n_iters=10, mu_min=-0.005).replace("per_step", mode),
+            )
+            assert main(["train", "--config", str(cfg_path)]) == 0
+            _, states = read_matrix(out / "solution.csv")
+            times, mu = read_matrix(out / "mu.csv")
+            flat = np.roll(states[:-1], -1, axis=1) == states[:-1]
+            editable = flat & (mu > 0) & (mu < mu.max())
+            editable[-1] = False  # the last row is mu_final.csv's as well
+            entries = np.argwhere(editable)
+            row, face = (int(i) for i in entries[len(entries) // 2])
+            mu[row, face] = (mu[row, face] + mu.max()) / 2
+            write_matrix(out / "mu.csv", times, mu)
+            if mode == "global":
+                assert main(["analyze", str(out)]) == 0
+                continue
+            assert main(["analyze", str(out)]) == 1
+            assert failed_checks(out) == {"mu_unmoved_where_flat": (
+                f"{np.count_nonzero(flat)} flat faces; first step that moved one: {row}")}
 
     @pytest.mark.parametrize("target, expected", [
         ("solution.csv", {"stat:mse_final", "stored_steps_consistent"}),
@@ -1513,22 +1545,25 @@ class TestMemoryBudget:
             _, states = read_matrix(out / "solution.csv")
             assert states.shape == (self.N_STEPS + 1, self.N_CELLS)
 
-    def test_analyze_of_a_trained_sine_peaks_under_four_matrices(self, tmp_path):
-        # mu.csv is parsed; the states are rebuilt at its rows, which simulate
-        # copies, and compared with solution.csv block by block; the exact
-        # states of the loss check are formed in place, alone beside them.
-        out = tmp_path / "out"
-        cfg_path = tmp_path / "per_step.cfg"
-        cfg_path.write_text(
-            f"[simulation]\nscheme = ftcs_mu\nn_cells = {self.N_CELLS}\nlength = 1.0\n"
-            f"c = 1.0\ndt = 0.0002\nt_final = 0.02\n[initial_condition]\nkind = sine\n"
-            f"[training]\nmode = per_step\nlearning_rate = 0.01\nn_iters = 3\n"
-            f"mu_min = -0.00025\nmu_max = 0.00475\n[output]\ndirectory = {out}\n")
-        assert main(["train", "--config", str(cfg_path)]) == 0
+    def test_analyze_of_a_trained_run_peaks_under_four_matrices(self, tmp_path):
+        # mu.csv is parsed; a sine's states are rebuilt at its rows, which
+        # simulate copies, and compared with solution.csv block by block, and
+        # a hat's are parsed; the exact states of the loss check are formed
+        # in place, alone beside them.
         matrix_bytes = (self.N_STEPS + 1) * self.N_CELLS * 8
-        code, peak = self.traced_peak(["analyze", str(out)])
-        assert code == 0
-        assert peak < 4 * matrix_bytes, f"analyze peaked at {peak / matrix_bytes:.2f} matrices"
+        for mode, kind in itertools.product(("per_step", "global"), ("hat", "sine")):
+            out = tmp_path / f"{mode}-{kind}"
+            cfg_path = tmp_path / f"{mode}-{kind}.cfg"
+            cfg_path.write_text(
+                f"[simulation]\nscheme = ftcs_mu\nn_cells = {self.N_CELLS}\nlength = 1.0\n"
+                f"c = 1.0\ndt = 0.0002\nt_final = 0.02\n[initial_condition]\nkind = {kind}\n"
+                f"[training]\nmode = {mode}\nlearning_rate = 0.01\nn_iters = 3\n"
+                f"mu_min = -0.00025\nmu_max = 0.00475\n[output]\ndirectory = {out}\n")
+            assert main(["train", "--config", str(cfg_path)]) == 0
+            code, peak = self.traced_peak(["analyze", str(out)])
+            assert code == 0
+            assert peak < 4 * matrix_bytes, (
+                f"{mode} {kind}: analyze peaked at {peak / matrix_bytes:.2f} matrices")
 
     def test_global_train_peak_under_six_and_a_half_matrices(self, tmp_path):
         # The exact states, the accepted iterate's viscosity and gradient, the

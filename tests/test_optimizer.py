@@ -14,7 +14,7 @@ from advisc.optimizer import (
     train_per_step,
 )
 from advisc.presets import NONNEG, preset_config
-from advisc.schemes import SchemeConfig, ftcs_update, simulate
+from advisc.schemes import SchemeConfig, simulate
 
 from oracles import reference_train_global, reference_train_per_step
 
@@ -268,7 +268,8 @@ class TestStepSizeCap:
         u[:, 0] = 0.3  # no jumps: no gradient, and no cap to divide out
         # targets the step reaches at another viscosity, but for column 0's
         target = np.stack([rng.uniform(-1, 1, 16)] + [
-            ftcs_update(u[:, j], rng.uniform(-0.05, 0.05, 16), cfg) for j in (1, 2, 3)], axis=1)
+            simulate(u[:, j], 1, cfg, mu=rng.uniform(-0.05, 0.05, 16)).states[1]
+            for j in (1, 2, 3)], axis=1)
         mu = rng.uniform(-0.05, 0.05, (16, 4))
         lr = np.full((16, 4), 1e6)  # far above 1/L, so the cap sets every rate
         lo, hi = np.full((16, 4), -0.1), np.full((16, 4), 0.1)

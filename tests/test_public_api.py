@@ -58,7 +58,7 @@ def test_every_import_is_used():
 def test_every_stepping_function_binds_the_one_kernel():
     # schemes._row_stepper is the one FTCS binder: each function that steps
     # the kernel calls it, rather than wiring buffers of its own.
-    steppers = {"schemes.py": {"simulate", "ftcs_update", "_first_mismatch"},
+    steppers = {"schemes.py": {"simulate", "_first_mismatch"},
                 "adjoint.py": {"grad_mu_global"},
                 "optimizer.py": {"_descend"}}
     missing = []

@@ -1,10 +1,13 @@
 """The README's library quickstart runs as written, its config block
-matches the config schema, and every code name it cites exists."""
+matches the config schema, every code name it cites exists, and it
+documents every check of ``analyze``."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
 
+from advisc.cli import DERIVED_CSVS
 from advisc.config import _SECTIONS, parse_config_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -48,3 +51,17 @@ def test_every_code_name_the_readme_cites_exists():
     missing = sorted(f"{module}.{name}" for module, name in cited
                      if not hasattr(importlib.import_module(f"advisc.{module}"), name))
     assert not missing, f"README cites names that do not exist: {missing}"
+
+
+def test_every_analyze_check_name_is_documented():
+    # The literal first argument of each check(...) and check_equal(...) call
+    # in cli.py, and each derived CSV's check, appears backticked in README.
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    names = {call.args[0].value for call in ast.walk(tree)
+             if isinstance(call, ast.Call) and getattr(call.func, "id", None)
+             in ("check", "check_equal")
+             and isinstance(call.args[0], ast.Constant)}
+    names |= {check for _, check in DERIVED_CSVS.values()}
+    assert len(names) > 10
+    readme = README.read_text()
+    assert sorted(name for name in names if f"`{name}`" not in readme) == []

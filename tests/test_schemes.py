@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from advisc.schemes import (
     Trajectory,
     _row_stepper,
     amplification_factor,
-    ftcs_update,
     simulate,
 )
 
@@ -28,9 +29,10 @@ def small_config(n=3, length=0.03, c=1.0, dt=1e-3):
     return SchemeConfig(c=c, dt=dt, grid=grid)
 
 
-def one_step(u, cfg, scheme):
-    """The state after one simulate step of a classical scheme from ``u``."""
-    return simulate(u, 1, cfg, scheme=scheme).states[1]
+def one_step(u, cfg, scheme="ftcs_mu", mu=None):
+    """The state after one simulate step from ``u``: of the FTCS kernel at the
+    face viscosity ``mu``, or of a classical scheme."""
+    return simulate(u, 1, cfg, scheme=scheme, mu=mu).states[1]
 
 
 def rel_err(a, b):
@@ -38,7 +40,7 @@ def rel_err(a, b):
 
 
 def flux(u, mu, cfg):
-    """Face flux F_{i+1/2} of ftcs_update."""
+    """Face flux F_{i+1/2} of the FTCS kernel."""
     return reference_ftcs_flux(u, mu, cfg.c, cfg.grid.dx)
 
 
@@ -68,30 +70,30 @@ class TestFtcsStep:
         cfg = small_config(n=8, length=0.08)
         u = np.full(8, 2.5)
         mu = np.linspace(-0.004, 0.09, 8)
-        assert np.allclose(ftcs_update(u, mu, cfg), 2.5, atol=1e-15)
+        assert np.allclose(one_step(u, cfg, mu=mu), 2.5, atol=1e-15)
 
     def test_zero_mu_reduces_to_bare_ftcs(self):
         cfg = small_config(n=12, length=0.12)
         rng = np.random.default_rng(1)
         u = rng.uniform(-1, 1, 12)
         oracle = naive_ftcs_mu_step(list(u), [0.0] * 12, cfg.c, cfg.dt, cfg.grid.dx)
-        assert np.array_equal(ftcs_update(u, np.zeros(12), cfg), oracle)
+        assert np.array_equal(one_step(u, cfg, mu=np.zeros(12)), oracle)
 
     def test_kernel_rejects_shapes_off_the_grid(self):
         cfg = small_config(n=5, length=0.05)
-        with pytest.raises(ValueError):
-            ftcs_update(np.zeros(5), np.zeros(1), cfg)  # would broadcast
-        with pytest.raises(ValueError):
-            ftcs_update(np.zeros(4), np.zeros(4), cfg)
-        with pytest.raises(ValueError):
-            ftcs_update(np.zeros((2, 5)), np.zeros((2, 5)), cfg)  # a stack of states
+        with pytest.raises(ValueError, match=r"got \(1,\)"):
+            one_step(np.zeros(5), cfg, mu=np.zeros(1))  # would broadcast
+        with pytest.raises(ValueError, match=r"got \(4,\)"):
+            one_step(np.zeros(4), cfg, mu=np.zeros(4))
+        with pytest.raises(ValueError, match=r"got \(2, 5\)"):
+            one_step(np.zeros((2, 5)), cfg, mu=np.zeros((2, 5)))  # a stack of states
 
     def test_matches_loop_oracle(self):
         cfg = small_config(n=9, length=0.09)
         rng = np.random.default_rng(2)
         uv = rng.uniform(-1, 1, 9)
         muv = rng.uniform(-0.005, 0.095, 9)
-        stepped = ftcs_update(uv, muv, cfg)
+        stepped = one_step(uv, cfg, mu=muv)
         oracle = naive_ftcs_mu_step(list(uv), list(muv), cfg.c, cfg.dt, cfg.grid.dx)
         assert np.allclose(stepped, oracle, rtol=1e-14, atol=1e-16)
 
@@ -101,7 +103,7 @@ class TestFtcsStep:
         mu = np.full(20, CLASSICAL_MU["upwind"](cfg))
         for _ in range(10):
             u = rng.uniform(-1, 1, 20)
-            stepped = ftcs_update(u, mu, cfg)
+            stepped = one_step(u, cfg, mu=mu)
             assert rel_err(stepped, naive_upwind_step(list(u), cfg.cfl)) < 1e-13
 
     def test_single_step_mass_conservation_any_mu(self):
@@ -112,7 +114,7 @@ class TestFtcsStep:
         mu = rng.uniform(-0.005, 0.095, 100)
         flux_scale = np.max(np.abs(flux(u, mu, cfg)))
         mass0 = np.sum(u) * cfg.grid.dx
-        mass1 = np.sum(ftcs_update(u, mu, cfg)) * cfg.grid.dx
+        mass1 = np.sum(one_step(u, cfg, mu=mu)) * cfg.grid.dx
         assert abs(mass1 - mass0) <= 10 * np.finfo(float).eps * 100 * flux_scale
 
     def test_mass_conserved_over_many_stable_steps(self):
@@ -121,7 +123,7 @@ class TestFtcsStep:
         mu = np.full(100, 0.005)  # upwind-equivalent, stable
         mass0 = np.sum(uv) * cfg.grid.dx
         for _ in range(150):
-            uv = ftcs_update(uv, mu, cfg)
+            uv = one_step(uv, cfg, mu=mu)
         mass = np.sum(uv) * cfg.grid.dx
         assert abs(mass - mass0) <= 1e-12 * max(abs(mass0), 1.0)
 
@@ -134,9 +136,7 @@ class TestFtcsStep:
         mu = rng.uniform(-0.005, 0.095, 16)
 
         def step(values):
-            if scheme == "ftcs_mu":
-                return ftcs_update(values, mu, cfg)
-            return one_step(values, cfg, scheme)
+            return one_step(values, cfg, scheme, mu if scheme == "ftcs_mu" else None)
 
         a, b = 1.7, -0.3
         combined = step(a * u + b * v)
@@ -158,7 +158,7 @@ class TestRowStepper:
         out = np.empty(12)
         for mu in (rng.uniform(-0.005, 0.095, 12), np.zeros(12)):
             step(out, u, mu)
-            assert np.array_equal(out, ftcs_update(u, mu, cfg))
+            assert np.array_equal(out, one_step(u, cfg, mu=mu))
 
     def test_a_batch_binding_equals_single_rows_column_by_column(self):
         cfg = small_config(n=12, length=0.12)
@@ -186,7 +186,7 @@ class TestRowStepper:
         step(out, u, mu)
         load(v)
         step(out, v, mu)
-        assert np.array_equal(out, ftcs_update(v, mu, cfg))
+        assert np.array_equal(out, one_step(v, cfg, mu=mu))
 
 
 class TestUpwind:
@@ -236,7 +236,7 @@ class TestLaxWendroff:
         mu = np.full(25, mu_lw)
         for _ in range(10):
             u = rng.uniform(-1, 1, 25)
-            stepped = ftcs_update(u, mu, cfg)
+            stepped = one_step(u, cfg, mu=mu)
             assert rel_err(one_step(u, cfg, "lax_wendroff"), stepped) < 1e-13
 
     def test_matches_loop_oracle(self):
@@ -367,7 +367,7 @@ class TestSimulate:
         assert 0 < step < 500
         bound = MAGNITUDE_GUARD * max(1.0, np.max(np.abs(u0)))
         assert np.max(np.abs(traj.states)) <= bound
-        assert np.max(np.abs(ftcs_update(traj.states[-1], anti, cfg))) > bound
+        assert np.max(np.abs(one_step(traj.states[-1], cfg, mu=anti))) > bound
         assert traj.viscosity_history.shape == (step, 100)
         assert np.array_equal(traj.states, simulate(u0, step, cfg, mu=anti).states)
 
@@ -428,6 +428,14 @@ class TestSimulate:
         cfg = small_config(n=10, length=0.1)
         with pytest.raises(ValueError):
             simulate(u0, 4, cfg, mu=mu)
+
+    @pytest.mark.parametrize("shape", [(1,), (4, 1), (1, 10), (3, 10)],
+                             ids=["one_entry", "one_per_step", "one_row", "rows_short"])
+    def test_viscosity_of_another_shape_rejected_by_name(self, shape):
+        # The first three would broadcast to the (4, 10) rows of the run.
+        cfg = small_config(n=10, length=0.1)
+        with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+            simulate(np.zeros(10), 4, cfg, mu=np.full(shape, 0.01))
 
     def test_mu_provider_validation(self):
         cfg = small_config()
